@@ -377,7 +377,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         let threads = threads.max(1);
         let identity = W::Word::identity(library.domain().len());
         let mut seen: ShardedSeen<W::Word, Meta> = ShardedSeen::for_threads(threads);
-        seen.insert(
+        seen.insert_if_absent(
             identity,
             Meta {
                 cost: 0,
@@ -630,56 +630,36 @@ impl<W: SearchWidth> SearchEngine<W> {
             self.b_counts.last().copied().unwrap_or(0),
             self.gate_images.len(),
         );
-        let mut nodes_added = 0u64;
-        if parallel {
-            let gate_images = &self.gate_images;
-            let gate_banned = &self.gate_banned;
-            let gate_costs = &self.gate_costs;
-            let binary_len = self.binary0.len();
-            let traces = &traces;
-            let pushes = par::expand_bucket(
+        let gate_images = &self.gate_images;
+        let gate_banned = &self.gate_banned;
+        let gate_costs = &self.gate_costs;
+        let binary_len = self.binary0.len();
+        let generate = |idx: usize, word: &W::Word, emit: &mut dyn FnMut(W::Word, u32, u8)| {
+            let image_mask = trace_mask::<W>(traces[idx], binary_len);
+            for gate_idx in 0..gate_images.len() {
+                if image_mask.intersects(&gate_banned[gate_idx]) {
+                    continue; // not a reasonable product
+                }
+                emit(
+                    word.map_through(&gate_images[gate_idx]),
+                    cost + gate_costs[gate_idx],
+                    gate_idx as u8,
+                );
+            }
+        };
+        let pushes = if parallel {
+            par::expand_bucket(
                 &self.pool,
                 &bucket,
                 &mut self.seen,
                 expected_new,
                 &self.probe,
-                |idx, word, emit| {
-                    let image_mask = trace_mask::<W>(traces[idx], binary_len);
-                    for gate_idx in 0..gate_images.len() {
-                        if image_mask.intersects(&gate_banned[gate_idx]) {
-                            continue; // not a reasonable product
-                        }
-                        emit(
-                            word.map_through(&gate_images[gate_idx]),
-                            cost + gate_costs[gate_idx],
-                            gate_idx as u8,
-                        );
-                    }
-                },
-            );
-            for (next_cost, words) in pushes {
-                nodes_added += words.len() as u64;
-                self.pending.entry(next_cost).or_default().extend(words);
-            }
+                generate,
+            )
         } else {
-            self.seen.reserve(expected_new);
-            for (word, &trace) in bucket.iter().zip(&traces) {
-                let image_mask = trace_mask::<W>(trace, self.binary0.len());
-                for gate_idx in 0..self.gate_images.len() {
-                    if image_mask.intersects(&self.gate_banned[gate_idx]) {
-                        continue; // not a reasonable product
-                    }
-                    let next = word.map_through(&self.gate_images[gate_idx]);
-                    let next_cost = cost + self.gate_costs[gate_idx];
-                    // New word, or a cheaper path found while the word is
-                    // still pending (the old copy goes stale).
-                    if par::admit(self.seen.entry(next), next_cost, gate_idx as u8) {
-                        nodes_added += 1;
-                        self.pending.entry(next_cost).or_default().push(next);
-                    }
-                }
-            }
-        }
+            par::expand_inline(&bucket, &mut self.seen, expected_new, generate)
+        };
+        let nodes_added = par::append_pushes(&mut self.pending, pushes);
 
         // 3. Record the level and its statistics. With non-unit costs some
         //    levels are empty; fill the gap so indices equal costs.

@@ -34,9 +34,9 @@
 //! assert!(result.circuit.verify_against_binary_perm(&known::peres_perm()));
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the worker
-// pool's scoped-task lifetime erasure in `par` (see the SAFETY comment
-// there); everything else stays safe code.
+// `deny`, not `forbid`: the two sanctioned exceptions, both in `par`
+// with their SAFETY comments, are the worker pool's scoped-task lifetime
+// erasure and the `seen` slot prefetch; everything else stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

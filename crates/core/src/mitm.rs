@@ -71,7 +71,7 @@ struct BackwardFrontier<W: SearchWidth> {
 impl<W: SearchWidth> BackwardFrontier<W> {
     fn new(target_trace: W::Trace, k: usize, threads: usize) -> Self {
         let mut seen: ShardedSeen<W::Trace, BackMeta> = ShardedSeen::for_threads(threads);
-        seen.insert(
+        seen.insert_if_absent(
             target_trace,
             BackMeta {
                 cost: 0,
@@ -129,53 +129,36 @@ impl<W: SearchWidth> BackwardFrontier<W> {
                 .filter(|t| self.seen.get(t).expect("pending trace is seen").cost == cost)
                 .collect()
         };
-        if parallel {
-            let k = self.k;
-            let expected_new = par::growth_hint(
-                bucket.len(),
-                self.levels.last().map_or(0, Vec::len),
-                engine.gate_images.len(),
-            );
-            let pushes = par::expand_bucket(
+        let k = self.k;
+        let expected_new = par::growth_hint(
+            bucket.len(),
+            self.levels.last().map_or(0, Vec::len),
+            engine.gate_images.len(),
+        );
+        let generate = |_: usize, &trace: &W::Trace, emit: &mut dyn FnMut(W::Trace, u32, u8)| {
+            for gate_idx in 0..engine.gate_images.len() {
+                let prev = apply_to_trace::<W>(trace, &engine.gate_inverse_images[gate_idx], k);
+                // Forward reasonability of `gate_idx` at the moment it
+                // would fire: the pre-image of S must avoid the banned set.
+                if trace_mask::<W>(prev, k).intersects(&engine.gate_banned[gate_idx]) {
+                    continue;
+                }
+                emit(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
+            }
+        };
+        let pushes = if parallel {
+            par::expand_bucket(
                 &engine.pool,
                 &bucket,
                 &mut self.seen,
                 expected_new,
                 &engine.probe,
-                |_, &trace, emit| {
-                    for gate_idx in 0..engine.gate_images.len() {
-                        let prev =
-                            apply_to_trace::<W>(trace, &engine.gate_inverse_images[gate_idx], k);
-                        // Forward reasonability of `gate_idx` at the
-                        // moment it would fire: the pre-image of S must
-                        // avoid the banned set.
-                        if trace_mask::<W>(prev, k).intersects(&engine.gate_banned[gate_idx]) {
-                            continue;
-                        }
-                        emit(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
-                    }
-                },
-            );
-            for (prev_cost, traces) in pushes {
-                self.pending.entry(prev_cost).or_default().extend(traces);
-            }
+                generate,
+            )
         } else {
-            for &trace in &bucket {
-                for gate_idx in 0..engine.gate_images.len() {
-                    let prev =
-                        apply_to_trace::<W>(trace, &engine.gate_inverse_images[gate_idx], self.k);
-                    // Forward reasonability of `gate_idx` at the moment it
-                    // would fire: the pre-image of S must avoid the banned set.
-                    if trace_mask::<W>(prev, self.k).intersects(&engine.gate_banned[gate_idx]) {
-                        continue;
-                    }
-                    let prev_cost = cost + engine.gate_costs[gate_idx];
-                    if par::admit(self.seen.entry(prev), prev_cost, gate_idx as u8) {
-                        self.pending.entry(prev_cost).or_default().push(prev);
-                    }
-                }
-            }
-        }
+            par::expand_inline(&bucket, &mut self.seen, expected_new, generate)
+        };
+        par::append_pushes(&mut self.pending, pushes);
         while self.levels.len() < cost as usize {
             self.levels.push(Vec::new());
         }

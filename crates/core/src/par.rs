@@ -7,11 +7,19 @@
 //! parallel per element; successor *insertion* into the `seen` map is
 //! where naive parallelism dies: one shared map means one lock.
 //!
+//! `seen` itself is built for the insert-heavy probe pattern of a level
+//! expansion ([`SeenTable`]): keys and metadata sit in discovery-order
+//! arenas, and an open-addressing table of 8-byte slots (a 32-bit hash
+//! tag plus an arena index) finds them. Each key is hashed once
+//! ([`ShardKey::table_hash`]), and expansion generates successors a
+//! batch at a time so their home slots can be prefetched before they are
+//! admitted in order ([`expand_inline`]).
+//!
 //! The machinery here keeps the insert phase parallel **and** the
 //! results bit-identical to the serial engine:
 //!
-//! 1. the `seen` map is split into `S` shards by FNV hash of the key
-//!    ([`ShardedSeen`]);
+//! 1. the `seen` map is split into `S` shards by the top bits of the
+//!    key's table hash ([`ShardedSeen`]);
 //! 2. workers generate successors for disjoint contiguous chunks of the
 //!    bucket, tagging each with a global sequence number and routing it
 //!    into a per-worker, per-shard local buffer (rendezvous by hash; no
@@ -30,8 +38,7 @@
 //! byte-for-byte identical for any thread count.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{btree_map, BTreeMap, BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -40,7 +47,6 @@ use std::thread::JoinHandle;
 use mvq_obs::ProbeHandle;
 
 use crate::width::ShardKey;
-use crate::word::FnvBuildHasher;
 
 /// Buckets smaller than this are expanded serially even on a
 /// multi-threaded engine: thread spawn latency would dominate.
@@ -304,20 +310,186 @@ pub(crate) trait FrontierMeta: Copy + Send + Sync {
     fn with(cost: u32, gate: u8) -> Self;
 }
 
-/// A `seen` map split into `2^bits` shards by key hash, so disjoint
-/// workers can insert concurrently without any lock.
+/// One `seen` shard: an open-addressing slot table over two arenas.
 ///
-/// With a single shard (serial engines) every operation degenerates to a
-/// plain `HashMap` access — the shard hash is never computed.
+/// Keys and their metadata live in `keys` and `metas`, in discovery
+/// order. Each slot is one `u64`: the high 32 bits of the key's
+/// [`ShardKey::table_hash`] as a tag, above `index + 1` into the arenas
+/// (0 marks an empty slot). A key's home slot is the low bits of its
+/// hash, collisions probe linearly, and the table doubles before it
+/// passes half full. A probe reads 8-byte slots and compares a key only
+/// on a tag match, so most probes for a new key never touch the arenas,
+/// and [`Self::prefetch`] can pull a home slot into cache before the
+/// probe needs it.
+#[derive(Debug, Clone)]
+pub(crate) struct SeenTable<K, M> {
+    slots: Vec<u64>,
+    keys: Vec<K>,
+    metas: Vec<M>,
+}
+
+/// Slot count of an empty table (a power of two).
+const MIN_SLOTS: usize = 16;
+
+/// The tag half of a slot (and of a table hash).
+const TAG_MASK: u64 = !0xffff_ffff;
+
+impl<K: ShardKey, M: Copy> SeenTable<K, M> {
+    pub(crate) fn new() -> Self {
+        Self {
+            slots: vec![0; MIN_SLOTS],
+            keys: Vec::new(),
+            metas: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Probes for `key`: `Ok(index)` into the arenas when present,
+    /// `Err(position)` of the empty slot ending its probe run otherwise.
+    #[inline]
+    fn find(&self, key: &K, hash: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut pos = hash as usize & mask;
+        loop {
+            let slot = self.slots[pos];
+            if slot == 0 {
+                return Err(pos);
+            }
+            if (slot ^ hash) & TAG_MASK == 0 {
+                let index = (slot as u32 - 1) as usize;
+                if self.keys[index] == *key {
+                    return Ok(index);
+                }
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Appends a new key to the arenas and claims the empty slot at
+    /// `pos` for it, doubling the table once it is over half full.
+    #[inline]
+    fn push_at(&mut self, pos: usize, key: K, hash: u64, meta: M) {
+        let index = self.keys.len();
+        assert!(index < u32::MAX as usize, "seen table index overflow");
+        self.slots[pos] = (hash & TAG_MASK) | (index as u64 + 1);
+        self.keys.push(key);
+        self.metas.push(meta);
+        if self.keys.len() * 2 > self.slots.len() {
+            self.rehash(self.slots.len() * 2);
+        }
+    }
+
+    /// Rebuilds the slots at `count` (a power of two) from the key arena.
+    fn rehash(&mut self, count: usize) {
+        let mask = count - 1;
+        let mut slots = vec![0u64; count];
+        for (index, key) in self.keys.iter().enumerate() {
+            let hash = key.table_hash();
+            let mut pos = hash as usize & mask;
+            while slots[pos] != 0 {
+                pos = (pos + 1) & mask;
+            }
+            slots[pos] = (hash & TAG_MASK) | (index as u64 + 1);
+        }
+        self.slots = slots;
+    }
+
+    /// Sizes the slots and arenas for `additional` more keys.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let wanted = (self.len() + additional)
+            .saturating_mul(2)
+            .next_power_of_two()
+            .max(MIN_SLOTS);
+        if wanted > self.slots.len() {
+            self.rehash(wanted);
+        }
+        self.keys.reserve(additional);
+        self.metas.reserve(additional);
+    }
+
+    /// Hints the CPU to fetch the home slot of `hash`. Admission order is
+    /// untouched; the probe that follows just finds its slot in cache.
+    #[inline]
+    pub(crate) fn prefetch(&self, hash: u64) {
+        prefetch_read(&self.slots[hash as usize & (self.slots.len() - 1)]);
+    }
+
+    pub(crate) fn get(&self, key: &K, hash: u64) -> Option<&M> {
+        self.find(key, hash).ok().map(|index| &self.metas[index])
+    }
+
+    /// Inserts `key` unless present; returns whether it was inserted.
+    pub(crate) fn insert_if_absent(&mut self, key: K, hash: u64, meta: M) -> bool {
+        match self.find(&key, hash) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.push_at(pos, key, hash, meta);
+                true
+            }
+        }
+    }
+
+    /// The Dijkstra admission rule, shared by every frontier loop: admit
+    /// a successor iff its key is new or this discovery is cheaper than
+    /// the recorded one (lazy decrease-key). Returns `true` when the
+    /// caller must push the key into its pending bucket.
+    #[inline]
+    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> bool
+    where
+        M: FrontierMeta,
+    {
+        match self.find(&key, hash) {
+            Ok(index) if self.metas[index].cost() > cost => {
+                self.metas[index] = M::with(cost, gate);
+                true
+            }
+            Ok(_) => false,
+            Err(pos) => {
+                self.push_at(pos, key, hash, M::with(cost, gate));
+                true
+            }
+        }
+    }
+
+    /// The entries in discovery order.
+    fn into_entries(self) -> impl Iterator<Item = (K, M)> {
+        self.keys.into_iter().zip(self.metas)
+    }
+}
+
+/// Prefetches the cache line holding `slot` (a no-op off x86_64).
+#[inline(always)]
+fn prefetch_read(slot: &u64) {
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    // SAFETY: `_mm_prefetch` needs only SSE, which every x86_64 target
+    // has, and it never faults or writes: `slot` is a live reference, and
+    // a prefetch of any address is merely a cache hint.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(slot).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = slot;
+}
+
+/// A `seen` map split into `2^bits` [`SeenTable`] shards by key hash, so
+/// disjoint workers can insert concurrently without any lock.
+///
+/// Every operation hashes its key once with [`ShardKey::table_hash`]:
+/// the top `bits` bits pick the shard, and the same hash probes inside
+/// it. Serial engines use a single shard.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedSeen<K, M> {
-    shards: Vec<HashMap<K, M, FnvBuildHasher>>,
-    /// log2 of the shard count; the shard index is the top `bits` bits
-    /// of the shard hash (FNV's best-mixed bits).
+    shards: Vec<SeenTable<K, M>>,
+    /// log2 of the shard count.
     bits: u32,
 }
 
-impl<K: ShardKey, M> ShardedSeen<K, M> {
+impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
     /// A map sharded appropriately for `threads` workers.
     pub(crate) fn for_threads(threads: usize) -> Self {
         Self::with_shards(shard_count_for(threads))
@@ -326,7 +498,7 @@ impl<K: ShardKey, M> ShardedSeen<K, M> {
     fn with_shards(count: usize) -> Self {
         debug_assert!(count.is_power_of_two());
         Self {
-            shards: (0..count).map(|_| HashMap::default()).collect(),
+            shards: (0..count).map(|_| SeenTable::new()).collect(),
             bits: count.trailing_zeros(),
         }
     }
@@ -335,34 +507,56 @@ impl<K: ShardKey, M> ShardedSeen<K, M> {
         self.shards.len()
     }
 
-    /// The shard owning `key`.
+    /// The shard owning a key with table hash `hash`.
     #[inline]
-    pub(crate) fn shard_index(&self, key: &K) -> usize {
+    pub(crate) fn shard_index(&self, hash: u64) -> usize {
         if self.bits == 0 {
             0
         } else {
-            (key.shard_hash() >> (64 - self.bits)) as usize
+            (hash >> (64 - self.bits)) as usize
         }
     }
 
+    #[inline]
+    fn shard(&self, hash: u64) -> &SeenTable<K, M> {
+        &self.shards[self.shard_index(hash)]
+    }
+
+    #[inline]
+    fn shard_mut(&mut self, hash: u64) -> &mut SeenTable<K, M> {
+        let shard = self.shard_index(hash);
+        &mut self.shards[shard]
+    }
+
     pub(crate) fn get(&self, key: &K) -> Option<&M> {
-        self.shards[self.shard_index(key)].get(key)
+        let hash = key.table_hash();
+        self.shard(hash).get(key, hash)
     }
 
-    pub(crate) fn insert(&mut self, key: K, meta: M) {
-        let shard = self.shard_index(&key);
-        self.shards[shard].insert(key, meta);
+    /// Inserts `key` unless present; returns whether it was inserted.
+    pub(crate) fn insert_if_absent(&mut self, key: K, meta: M) -> bool {
+        let hash = key.table_hash();
+        self.shard_mut(hash).insert_if_absent(key, hash, meta)
     }
 
-    /// The owning shard's entry for `key` (the serial insert path).
-    pub(crate) fn entry(&mut self, key: K) -> Entry<'_, K, M> {
-        let shard = self.shard_index(&key);
-        self.shards[shard].entry(key)
+    /// [`SeenTable::admit`] in the shard owning `key`.
+    #[inline]
+    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> bool
+    where
+        M: FrontierMeta,
+    {
+        self.shard_mut(hash).admit(key, hash, cost, gate)
+    }
+
+    /// [`SeenTable::prefetch`] in the shard owning `hash`.
+    #[inline]
+    pub(crate) fn prefetch(&self, hash: u64) {
+        self.shard(hash).prefetch(hash);
     }
 
     /// Total number of elements across shards.
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        self.shards.iter().map(SeenTable::len).sum()
     }
 
     /// Reserves capacity for `additional` elements, spread over shards.
@@ -383,8 +577,8 @@ impl<K: ShardKey, M> ShardedSeen<K, M> {
         let mut next = Self::with_shards(count);
         next.reserve(self.len());
         for shard in self.shards.drain(..) {
-            for (key, meta) in shard {
-                next.insert(key, meta);
+            for (key, meta) in shard.into_entries() {
+                next.insert_if_absent(key, meta);
             }
         }
         *self = next;
@@ -497,35 +691,35 @@ pub(crate) fn growth_hint(bucket_len: usize, prev_len: usize, max_factor: usize)
     estimate.clamp(bucket_len, bucket_len.saturating_mul(max_factor.max(1)))
 }
 
-/// The Dijkstra admission rule, shared verbatim by the serial inline
-/// loops of both frontiers and the sharded phase-2 adjudication:
-/// admit a successor iff its key is new or this discovery is cheaper
-/// than the recorded one (lazy decrease-key). Returns `true` when the
-/// caller must push the key into its pending bucket.
-#[inline]
-pub(crate) fn admit<K, M: FrontierMeta>(slot: Entry<'_, K, M>, cost: u32, gate: u8) -> bool {
-    match slot {
-        Entry::Vacant(slot) => {
-            slot.insert(M::with(cost, gate));
-            true
+/// One generated successor with its table hash, computed once and used
+/// for shard routing, the prefetch, and admission.
+#[derive(Clone, Copy)]
+struct Successor<K> {
+    key: K,
+    hash: u64,
+    cost: u32,
+    gate: u8,
+}
+
+impl<K: ShardKey> Successor<K> {
+    #[inline]
+    fn new(key: K, cost: u32, gate: u8) -> Self {
+        Self {
+            hash: key.table_hash(),
+            key,
+            cost,
+            gate,
         }
-        Entry::Occupied(mut slot) if slot.get().cost() > cost => {
-            slot.insert(M::with(cost, gate));
-            true
-        }
-        Entry::Occupied(_) => false,
     }
 }
 
-/// One generated successor, tagged with its global generation sequence
-/// number (`bucket index << 16 | emit index`) for deterministic
-/// adjudication and merge.
+/// A successor tagged with its global generation sequence number
+/// (`bucket index << 16 | emit index`) for deterministic adjudication
+/// and merge.
 #[derive(Clone, Copy)]
 struct Generated<K> {
     seq: u64,
-    cost: u32,
-    gate: u8,
-    key: K,
+    successor: Successor<K>,
 }
 
 /// A successor accepted into a pending bucket (new or decrease-key).
@@ -536,15 +730,90 @@ struct Pushed<K> {
     key: K,
 }
 
+/// Bucket elements whose successors the inline loop generates, and
+/// whose home slots it prefetches, before admitting any of them.
+const INLINE_BATCH: usize = 16;
+
+/// How many records ahead phase-2 adjudication prefetches home slots.
+const PREFETCH_DISTANCE: usize = 8;
+
+/// Expands one frontier bucket on the calling thread: calls
+/// `generate(index, element, emit)` for every bucket element, admits
+/// every emitted `(key, cost, gate)` successor into `seen` under
+/// [`SeenTable::admit`], and returns the accepted pushes per cost in
+/// admission order.
+///
+/// Elements are taken [`INLINE_BATCH`] at a time: their successors are
+/// generated into a reused buffer, each successor's home slot is
+/// prefetched, and then the buffer is admitted in generation order — so
+/// the outcome is exactly that of admitting each successor as it is
+/// generated, with the slot cache misses overlapped.
+pub(crate) fn expand_inline<K, M, G>(
+    bucket: &[K],
+    seen: &mut ShardedSeen<K, M>,
+    expected_new: usize,
+    generate: G,
+) -> BTreeMap<u32, Vec<K>>
+where
+    K: ShardKey,
+    M: FrontierMeta,
+    G: Fn(usize, &K, &mut dyn FnMut(K, u32, u8)),
+{
+    seen.reserve(expected_new);
+    let mut pushes: BTreeMap<u32, Vec<K>> = BTreeMap::new();
+    let mut batch: Vec<Successor<K>> = Vec::new();
+    for (block_idx, block) in bucket.chunks(INLINE_BATCH).enumerate() {
+        batch.clear();
+        let seen_ro = &*seen;
+        for (offset, element) in block.iter().enumerate() {
+            generate(
+                block_idx * INLINE_BATCH + offset,
+                element,
+                &mut |key, cost, gate| {
+                    let successor = Successor::new(key, cost, gate);
+                    seen_ro.prefetch(successor.hash);
+                    batch.push(successor);
+                },
+            );
+        }
+        for s in &batch {
+            if seen.admit(s.key, s.hash, s.cost, s.gate) {
+                pushes.entry(s.cost).or_default().push(s.key);
+            }
+        }
+    }
+    pushes
+}
+
+/// Appends one level's pushes to the pending cost buckets, in order
+/// after whatever each bucket already holds. Returns how many keys were
+/// pushed.
+pub(crate) fn append_pushes<K>(
+    pending: &mut BTreeMap<u32, Vec<K>>,
+    pushes: BTreeMap<u32, Vec<K>>,
+) -> u64 {
+    let mut pushed = 0u64;
+    for (cost, keys) in pushes {
+        pushed += keys.len() as u64;
+        match pending.entry(cost) {
+            btree_map::Entry::Vacant(bucket) => {
+                bucket.insert(keys);
+            }
+            btree_map::Entry::Occupied(mut bucket) => bucket.get_mut().extend(keys),
+        }
+    }
+    pushed
+}
+
 /// Expands one frontier bucket in parallel: calls
 /// `generate(index, element, emit)` for every bucket element (workers
 /// over disjoint chunks), inserts every emitted `(key, cost, gate)`
 /// successor into `seen` under the serial insert-or-decrease-key rule,
-/// and returns the accepted pushes per cost, in exactly the order the
-/// serial loop would have pushed them.
+/// and returns the accepted pushes per cost, in exactly the order
+/// [`expand_inline`] would have pushed them.
 ///
-/// Requires a pool with `threads >= 2`; the serial engines keep their
-/// inline loop.
+/// Requires a pool with `threads >= 2`; serial engines use
+/// [`expand_inline`].
 pub(crate) fn expand_bucket<K, M, G>(
     pool: &WorkerPool,
     bucket: &[K],
@@ -558,7 +827,7 @@ where
     M: FrontierMeta,
     G: Fn(usize, &K, &mut dyn FnMut(K, u32, u8)) + Sync,
 {
-    debug_assert!(pool.threads() >= 2, "serial expansion uses the inline loop");
+    debug_assert!(pool.threads() >= 2, "serial expansion uses expand_inline");
     let shard_count = seen.shard_count();
     let workers = workers_for(pool.threads(), bucket.len());
     seen.reserve(expected_new);
@@ -587,12 +856,10 @@ where
                             let idx = block_base + start + offset;
                             let mut emitted = 0u64;
                             generate(idx, element, &mut |key, cost, gate| {
-                                let shard = seen_ro.shard_index(&key);
-                                bufs[shard].push(Generated {
+                                let successor = Successor::new(key, cost, gate);
+                                bufs[seen_ro.shard_index(successor.hash)].push(Generated {
                                     seq: ((idx as u64) << 16) | emitted,
-                                    cost,
-                                    gate,
-                                    key,
+                                    successor,
                                 });
                                 emitted += 1;
                             });
@@ -609,10 +876,11 @@ where
         // drain every chunk's buffer for their shards in chunk order.
         // Chunks are contiguous index ranges, so concatenating their
         // buffers visits a shard's records in global sequence order —
-        // the serial adjudication order.
+        // the serial adjudication order. Home slots are prefetched a
+        // fixed distance ahead of the record being admitted.
         {
             let buffers = &buffers;
-            let mut shard_slices: &mut [HashMap<K, M, FnvBuildHasher>] = &mut seen.shards;
+            let mut shard_slices: &mut [SeenTable<K, M>] = &mut seen.shards;
             let mut staged_slices: &mut [Vec<Pushed<K>>] = &mut staged;
             let owners = workers.min(shard_count);
             let mut taken = 0usize;
@@ -635,12 +903,17 @@ where
                     {
                         let shard_idx = base + offset;
                         for chunk_bufs in buffers {
-                            for g in &chunk_bufs[shard_idx] {
-                                if admit(shard.entry(g.key), g.cost, g.gate) {
+                            let records = &chunk_bufs[shard_idx];
+                            for (i, g) in records.iter().enumerate() {
+                                if let Some(ahead) = records.get(i + PREFETCH_DISTANCE) {
+                                    shard.prefetch(ahead.successor.hash);
+                                }
+                                let s = &g.successor;
+                                if shard.admit(s.key, s.hash, s.cost, s.gate) {
                                     stage.push(Pushed {
                                         seq: g.seq,
-                                        cost: g.cost,
-                                        key: g.key,
+                                        cost: s.cost,
+                                        key: s.key,
                                     });
                                 }
                             }
@@ -698,6 +971,8 @@ fn merge_staged<K: Copy>(staged: Vec<Vec<Pushed<K>>>) -> BTreeMap<u32, Vec<K>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct TestMeta {
@@ -734,7 +1009,7 @@ mod tests {
     fn sharded_map_roundtrips_and_reshards() {
         let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(4);
         for k in 0..1000u64 {
-            map.insert(k, TestMeta::with(k as u32, 0));
+            assert!(map.insert_if_absent(k, TestMeta::with(k as u32, 0)));
         }
         assert_eq!(map.len(), 1000);
         assert_eq!(map.get(&123).map(|m| m.cost), Some(123));
@@ -745,6 +1020,160 @@ mod tests {
         map.reshard_for_threads(8);
         assert_eq!(map.shard_count(), 32);
         assert_eq!(map.get(&0).map(|m| m.cost), Some(0));
+    }
+
+    /// A key whose table hash has a constant high half: every slot tag
+    /// matches, so every probe falls through to the key comparison.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct TagCollider(u32);
+
+    impl ShardKey for TagCollider {
+        fn table_hash(&self) -> u64 {
+            (0x5eed_7a95_u64 << 32) | u64::from(self.0.wrapping_mul(0x9e37_79b9))
+        }
+    }
+
+    /// Checks `table` against a `HashMap` holding the same entries, and
+    /// that the arenas keep discovery order.
+    fn assert_table_matches<K: ShardKey + std::fmt::Debug>(
+        table: &SeenTable<K, TestMeta>,
+        reference: &HashMap<K, TestMeta>,
+        order: &[K],
+    ) {
+        assert_eq!(table.len(), reference.len());
+        assert_eq!(table.keys, order, "arena order is discovery order");
+        assert!(table.len() * 2 <= table.slots.len(), "at most half full");
+        assert_eq!(
+            table.slots.iter().filter(|&&slot| slot != 0).count(),
+            table.len()
+        );
+        for (key, meta) in reference {
+            assert_eq!(table.get(key, key.table_hash()), Some(meta), "{key:?}");
+        }
+    }
+
+    #[test]
+    fn seen_table_grows_through_doublings() {
+        let mut table: SeenTable<u64, TestMeta> = SeenTable::new();
+        let mut reference = HashMap::new();
+        let mut order = Vec::new();
+        let mut sizes = vec![table.slots.len()];
+        for k in 0..1000u64 {
+            let key = k.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            assert!(table.insert_if_absent(key, key.table_hash(), TestMeta::with(k as u32, 1)));
+            reference.insert(key, TestMeta::with(k as u32, 1));
+            order.push(key);
+            if sizes.last() != Some(&table.slots.len()) {
+                sizes.push(table.slots.len());
+            }
+        }
+        assert!(sizes.len() >= 4, "3+ doublings: {sizes:?}");
+        assert!(sizes.windows(2).all(|w| w[1] == 2 * w[0]), "{sizes:?}");
+        assert_table_matches(&table, &reference, &order);
+        for k in 1000..1100u64 {
+            assert_eq!(table.get(&k, k.table_hash()), None);
+        }
+    }
+
+    #[test]
+    fn seen_table_survives_tag_collisions() {
+        let mut table: SeenTable<TagCollider, TestMeta> = SeenTable::new();
+        let mut reference = HashMap::new();
+        let mut order = Vec::new();
+        for k in 0..300u32 {
+            let key = TagCollider(k);
+            assert!(table.admit(key, key.table_hash(), 50 - k % 7, 0));
+            reference.insert(key, TestMeta::with(50 - k % 7, 0));
+            order.push(key);
+        }
+        for k in 0..300u32 {
+            let key = TagCollider(k);
+            // Equal cost never re-admits; a cheaper one decreases the key.
+            assert!(!table.admit(key, key.table_hash(), 50 - k % 7, 1));
+            assert!(table.admit(key, key.table_hash(), 10, 2));
+            reference.insert(key, TestMeta::with(10, 2));
+        }
+        assert!(!table.insert_if_absent(
+            TagCollider(3),
+            TagCollider(3).table_hash(),
+            TestMeta::with(0, 9)
+        ));
+        assert_table_matches(&table, &reference, &order);
+        assert_eq!(
+            table.get(&TagCollider(300), TagCollider(300).table_hash()),
+            None
+        );
+    }
+
+    #[test]
+    fn reshard_one_to_eight_and_back_preserves_contents() {
+        let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(1);
+        for k in 0..5000u64 {
+            assert!(map.insert_if_absent(k * 3, TestMeta::with(k as u32, (k % 7) as u8)));
+        }
+        for threads in [8, 1] {
+            map.reshard_for_threads(threads);
+            assert_eq!(map.shard_count(), shard_count_for(threads));
+            assert_eq!(map.len(), 5000);
+            for k in 0..5000u64 {
+                assert_eq!(
+                    map.get(&(k * 3)),
+                    Some(&TestMeta::with(k as u32, (k % 7) as u8))
+                );
+                assert_eq!(map.get(&(k * 3 + 1)), None);
+            }
+            for shard in &map.shards {
+                assert!(shard.len() * 2 <= shard.slots.len());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random admit / insert / get sequences agree with a `HashMap`
+        /// running the same rules, including decrease-key, over a key
+        /// range that forces several doublings.
+        #[test]
+        fn seen_table_matches_hashmap(
+            ops in proptest::collection::vec((0u8..3, 0u64..400, 1u32..20, 0u8..18), 1..1500),
+        ) {
+            let mut table: SeenTable<u64, TestMeta> = SeenTable::new();
+            let mut reference: HashMap<u64, TestMeta> = HashMap::new();
+            let mut order = Vec::new();
+            for (op, key, cost, gate) in ops {
+                let hash = key.table_hash();
+                let meta = TestMeta::with(cost, gate);
+                if !reference.contains_key(&key) && op != 2 {
+                    order.push(key);
+                }
+                match op {
+                    0 => {
+                        let want = match reference.entry(key) {
+                            Entry::Vacant(slot) => {
+                                slot.insert(meta);
+                                true
+                            }
+                            Entry::Occupied(mut slot) if slot.get().cost > cost => {
+                                slot.insert(meta);
+                                true
+                            }
+                            Entry::Occupied(_) => false,
+                        };
+                        proptest::prop_assert_eq!(table.admit(key, hash, cost, gate), want);
+                    }
+                    1 => {
+                        let want = !reference.contains_key(&key);
+                        reference.entry(key).or_insert(meta);
+                        proptest::prop_assert_eq!(table.insert_if_absent(key, hash, meta), want);
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(table.get(&key, hash), reference.get(&key));
+                    }
+                }
+            }
+            assert_table_matches(&table, &reference, &order);
+        }
     }
 
     #[test]
@@ -847,8 +1276,8 @@ mod tests {
         (next, cost)
     }
 
-    /// Serial reference for `expand_bucket`: the exact loop the engines
-    /// run inline.
+    /// Reference for `expand_inline` and `expand_bucket`: each successor
+    /// admitted into a `HashMap` the moment it is generated.
     fn serial_reference(
         bucket: &[u64],
         seen: &mut HashMap<u64, TestMeta>,
@@ -879,17 +1308,21 @@ mod tests {
         let mut reference_seen = HashMap::new();
         let reference = serial_reference(&bucket, &mut reference_seen);
         assert!(!reference.is_empty());
-        for threads in [2, 4, 8] {
+        let generate = |_: usize, &word: &u64, emit: &mut dyn FnMut(u64, u32, u8)| {
+            for gate in 0..6u8 {
+                let (next, cost) = toy_successor(word, gate);
+                emit(next, cost, gate);
+            }
+        };
+        for threads in [1, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
             let mut seen: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(threads);
             let probe = ProbeHandle::none();
-            let pushes =
-                expand_bucket(&pool, &bucket, &mut seen, 1000, &probe, |_, &word, emit| {
-                    for gate in 0..6u8 {
-                        let (next, cost) = toy_successor(word, gate);
-                        emit(next, cost, gate);
-                    }
-                });
+            let pushes = if threads == 1 {
+                expand_inline(&bucket, &mut seen, 1000, generate)
+            } else {
+                expand_bucket(&pool, &bucket, &mut seen, 1000, &probe, generate)
+            };
             assert_eq!(pushes, reference, "threads = {threads}");
             assert_eq!(seen.len(), reference_seen.len(), "threads = {threads}");
             for (key, meta) in &reference_seen {

@@ -629,12 +629,13 @@ impl DeferredFrontier {
             let mut bucket = Vec::with_capacity(gates.len());
             for (word, &gate) in words.chunks_exact(self.domain_len).zip(gates) {
                 let word = W::Word::from_slice(word);
-                if let std::collections::hash_map::Entry::Vacant(slot) = seen.entry(word) {
-                    slot.insert(Meta {
+                seen.insert_if_absent(
+                    word,
+                    Meta {
                         cost,
                         last_gate: gate,
-                    });
-                }
+                    },
+                );
                 bucket.push(word);
             }
             pending.insert(cost, bucket);
@@ -1030,7 +1031,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 if gate != NO_GATE && gate as usize >= gate_count {
                     return Err(corrupt(format!("level path gate {gate} out of range")));
                 }
-                engine.seen.insert(
+                engine.seen.insert_if_absent(
                     *word,
                     Meta {
                         cost: k,

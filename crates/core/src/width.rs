@@ -30,30 +30,36 @@
 use std::fmt;
 use std::hash::Hash;
 
-use crate::word::{fnv1a, Packed};
+use crate::word::{fold_mul, Packed, HASH_MUL, HASH_SEED};
 
-/// Keys routable to `seen`-map shards: hashed once for shard selection
-/// (the inner maps hash independently).
+/// Keys of the `seen` tables: hashed once per discovery, and that one
+/// hash serves shard routing, the slot tag and the home slot.
 pub trait ShardKey: Copy + Eq + Hash + Send + Sync {
-    /// A stable 64-bit hash used for shard routing only.
-    fn shard_hash(&self) -> u64;
+    /// A stable 64-bit hash, read 8 bytes at a time and mixed by folded
+    /// multiplication. Its top bits pick the shard, its high 32 bits are
+    /// the slot tag and its low bits the home slot.
+    fn table_hash(&self) -> u64;
 }
 
 impl<const CAP: usize> ShardKey for Packed<CAP> {
-    fn shard_hash(&self) -> u64 {
-        self.fnv_hash()
+    #[inline]
+    fn table_hash(&self) -> u64 {
+        Packed::table_hash(self)
     }
 }
 
 impl ShardKey for u64 {
-    fn shard_hash(&self) -> u64 {
-        fnv1a(&self.to_le_bytes())
+    #[inline]
+    fn table_hash(&self) -> u64 {
+        fold_mul(fold_mul(HASH_SEED ^ self, HASH_MUL), HASH_MUL)
     }
 }
 
 impl ShardKey for u128 {
-    fn shard_hash(&self) -> u64 {
-        fnv1a(&self.to_le_bytes())
+    #[inline]
+    fn table_hash(&self) -> u64 {
+        let low = fold_mul(HASH_SEED ^ *self as u64, HASH_MUL);
+        fold_mul(low ^ (*self >> 64) as u64, HASH_MUL)
     }
 }
 
@@ -386,9 +392,24 @@ mod tests {
 
     #[test]
     fn shard_hash_u128_differs_from_truncation() {
-        // The 128-bit shard hash must see the high bytes.
+        // The 128-bit table hash (whose top bits route shards) must see
+        // the high bytes.
         let low = 42u128;
         let high = low | (1u128 << 100);
-        assert_ne!(low.shard_hash(), high.shard_hash());
+        assert_ne!(low.table_hash(), high.table_hash());
+        assert_ne!(low.table_hash() >> 32, high.table_hash() >> 32);
+    }
+
+    #[test]
+    fn table_hash_spreads_nearby_keys() {
+        // Adjacent keys land in distinct home slots of a small table and
+        // in distinct top-bit shards often enough for linear probing and
+        // shard routing to stay balanced.
+        let homes: std::collections::HashSet<u64> =
+            (0..64u64).map(|k| k.table_hash() & 1023).collect();
+        assert!(homes.len() > 56, "{} distinct homes", homes.len());
+        let shards: std::collections::HashSet<u64> =
+            (0..64u64).map(|k| k.table_hash() >> 61).collect();
+        assert_eq!(shards.len(), 8);
     }
 }

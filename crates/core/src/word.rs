@@ -125,8 +125,7 @@ impl<const CAP: usize> Packed<CAP> {
     }
 
     /// The word's FNV-1a hash, identical to hashing it through
-    /// [`FnvHasher`] — used by the parallel engine to route words to
-    /// `seen`-map shards without a hasher round-trip.
+    /// [`FnvHasher`] without a hasher round-trip.
     ///
     /// # Examples
     ///
@@ -147,6 +146,46 @@ impl<const CAP: usize> Packed<CAP> {
         }
         state
     }
+
+    /// The word's `seen`-table hash (see
+    /// [`ShardKey::table_hash`](crate::ShardKey::table_hash)): the active
+    /// images 8 bytes at a time, each folded into the state by a 64×64 →
+    /// 128-bit multiply. The zero tail pads the last read, and the length
+    /// seeds the state so prefix-equal words of different degrees differ.
+    #[inline]
+    pub(crate) fn table_hash(&self) -> u64 {
+        let end = (self.len as usize).div_ceil(8) * 8;
+        let active = &self.data[..end.min(CAP)];
+        let mut chunks = active.chunks_exact(8);
+        let mut state = HASH_SEED ^ u64::from(self.len);
+        for chunk in &mut chunks {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(chunk);
+            state = fold_mul(state ^ u64::from_le_bytes(bytes), HASH_MUL);
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut bytes = [0u8; 8];
+            bytes[..rest.len()].copy_from_slice(rest);
+            state = fold_mul(state ^ u64::from_le_bytes(bytes), HASH_MUL);
+        }
+        fold_mul(state, HASH_MUL)
+    }
+}
+
+/// Seed of the `seen`-table hash (the fractional digits of π).
+pub(crate) const HASH_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// Multiplier of the `seen`-table hash (2^64 / φ, odd).
+pub(crate) const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Folded multiply: the full 128-bit product of `a` and `b`, its two
+/// halves XORed together. Every input bit reaches the middle output
+/// bits, and the fold carries the high half down to the low bits.
+#[inline]
+pub(crate) fn fold_mul(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
 }
 
 /// FNV-1a over a byte slice (the standalone form of [`FnvHasher`]).

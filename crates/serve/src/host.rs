@@ -242,7 +242,9 @@ pub struct HostStats {
     pub census_requests: u64,
     /// Queries answered purely from the cached levels.
     pub cache_hits: u64,
-    /// Queries that needed at least one expansion.
+    /// Queries not answered from the cached levels: they expanded,
+    /// waited on another request's expansion, or were served
+    /// bidirectionally (possibly with zero expansions).
     pub cache_misses: u64,
     /// Write-side level expansions actually performed (one per landed
     /// level, plus bidirectional preparation's level-0 expansions).

@@ -141,7 +141,8 @@ impl ServeObs {
             ),
             (
                 "cache_misses_total",
-                "Queries that needed at least one expansion, all hosts",
+                "Queries not answered from the cached levels (expanded, waited on another \
+                 request's expansion, or served bidirectionally), all hosts",
                 |s| s.cache_misses,
             ),
             (

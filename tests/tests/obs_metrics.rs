@@ -208,6 +208,15 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
     let (status, metrics_body) = server.request("GET", "/metrics", "");
     assert_eq!(status, 200, "{metrics_body}");
     let scrape = parse_scrape(&metrics_body);
+    // A miss is any query the cached levels did not answer — including
+    // deep bidirectional answers that expand nothing.
+    assert!(
+        metrics_body.contains(
+            "# HELP cache_misses_total Queries not answered from the cached levels \
+             (expanded, waited on another request's expansion, or served bidirectionally)"
+        ),
+        "{metrics_body}"
+    );
     let counter = |name: &str| {
         *scrape
             .counters

@@ -171,3 +171,54 @@ proptest! {
         prop_assert!(SynthesisEngine::load_snapshot_from_bytes(&bytes[..cut], 1).is_err());
     }
 }
+
+/// FNV-1a digest of a whole snapshot, through the public `FnvHasher`.
+fn fnv_digest(bytes: &[u8]) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = mvq_core::FnvHasher::default();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    // The on-disk v2 format is independent of how `seen` is stored or
+    // hashed in memory: these digests were recorded before the slot
+    // table replaced the `HashMap`, and they must never move unless the
+    // format version does. Thread counts 1 and 2 exercise the inline
+    // and the sharded expansion paths.
+    let pins: [(&str, usize, u64); 3] = [
+        ("narrow unit cb 5", 6_190_106, 0xb475_dd85_9e94_67ea),
+        (
+            "narrow weighted(1,2,3) cb 6",
+            482_500,
+            0xa9a5_0c1d_e408_dfb5,
+        ),
+        ("wide unit cb 3", 20_639_134, 0xd2e8_7d01_b50e_8beb),
+    ];
+    for threads in [1, 2] {
+        let mut narrow = engine(CostModel::unit(), threads);
+        narrow.expand_to_cost(5);
+        let mut weighted = engine(CostModel::weighted(1, 2, 3), threads);
+        weighted.expand_to_cost(6);
+        let mut wide = mvq_core::WideSynthesisEngine::with_threads(
+            GateLibrary::standard(4),
+            CostModel::unit(),
+            threads,
+        );
+        wide.expand_to_cost(3);
+        let got = [
+            narrow.snapshot_to_bytes().unwrap(),
+            weighted.snapshot_to_bytes().unwrap(),
+            wide.snapshot_to_bytes().unwrap(),
+        ];
+        for ((label, len, digest), bytes) in pins.iter().zip(&got) {
+            assert_eq!(bytes.len(), *len, "{label} (threads = {threads}): length");
+            assert_eq!(
+                fnv_digest(bytes),
+                *digest,
+                "{label} (threads = {threads}): digest"
+            );
+        }
+    }
+}
