@@ -217,12 +217,10 @@ pub struct SearchEngine<W: SearchWidth> {
     /// Domain index (0-based) → rank in the binary set, `u8::MAX` if the
     /// pattern is not binary.
     binary_rank: Vec<u8>,
-    /// Degree of parallelism for level expansion (1 = serial).
-    threads: usize,
-    /// Persistent expansion workers (spawned lazily on the first
-    /// parallel bucket; shared by the forward frontier, the backward
-    /// frontier, and the meet-in-the-middle join, so hot paths never
-    /// re-spawn threads).
+    /// Persistent expansion workers, and with them the degree of
+    /// parallelism (spawned lazily on the first sharded bucket; shared
+    /// by the forward frontier, the backward frontier, and the
+    /// meet-in-the-middle join, so hot paths never re-spawn threads).
     pub(crate) pool: par::WorkerPool,
     /// Every discovered element of `A[∞]` with its metadata, sharded by
     /// word hash so parallel expansion can insert without locks.
@@ -395,7 +393,6 @@ impl<W: SearchWidth> SearchEngine<W> {
             gate_costs,
             binary0,
             binary_rank,
-            threads,
             pool: par::WorkerPool::new(threads),
             seen,
             pending,
@@ -437,7 +434,7 @@ impl<W: SearchWidth> SearchEngine<W> {
 
     /// The degree of parallelism used for level expansion.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// Re-configures the degree of parallelism. Safe on a warm engine:
@@ -445,7 +442,6 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// are untouched (results stay bit-identical for any thread count).
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
-        self.threads = threads;
         self.pool = par::WorkerPool::new(threads);
         self.seen.reshard_for_threads(threads);
     }
@@ -556,10 +552,11 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// Expands exactly one cost level. Returns `false` when the reachable
     /// space is exhausted.
     ///
-    /// On a multi-threaded engine, buckets past a small threshold run
-    /// through the sharded rendezvous pipeline in [`crate::par`]; the
-    /// results are bit-identical to this method's serial path (same
-    /// levels, same bucket order, same lazy decrease-key outcomes).
+    /// Each phase is one call into [`crate::par`], which runs a bucket
+    /// inline when it is too small for two workers and through the
+    /// sharded rendezvous pipeline otherwise; the results are
+    /// bit-identical either way (same levels, same bucket order, same
+    /// lazy decrease-key outcomes).
     pub(crate) fn expand_next_level(&mut self) -> bool {
         mvq_fault::point!("expand.level");
         self.ensure_frontier();
@@ -569,58 +566,32 @@ impl<W: SearchWidth> SearchEngine<W> {
         // lint: allow(panic) first_key_value just proved the bucket key exists
         let raw_bucket = self.pending.remove(&cost).expect("bucket exists");
         self.probe.on(|p| p.level_started(cost));
-        let parallel = self.threads > 1 && raw_bucket.len() >= par::PAR_MIN_BUCKET;
         // Lazy decrease-key: with non-uniform gate costs a word can be
         // re-admitted to a cheaper bucket after its first discovery; the
         // superseded copy stays behind in its original bucket and is
         // dropped here. Buckets are processed cost-ascending and all gate
         // costs are positive, so a word whose recorded cost still equals
         // this bucket's cost is final (Dijkstra).
-        let bucket: Vec<W::Word> = if parallel {
-            let seen = &self.seen;
-            par::par_filter(&self.pool, raw_bucket, |w| {
-                // lint: allow(panic) every pending word was inserted into seen on discovery
-                seen.get(w).expect("pending word is seen").cost == cost
-            })
-        } else {
-            raw_bucket
-                .into_iter()
-                // lint: allow(panic) every pending word was inserted into seen on discovery
-                .filter(|w| self.seen.get(w).expect("pending word is seen").cost == cost)
-                .collect()
-        };
+        let seen = &self.seen;
+        let bucket = par::par_filter(&self.pool, raw_bucket, |w| {
+            // lint: allow(panic) every pending word was inserted into seen on discovery
+            seen.get(w).expect("pending word is seen").cost == cost
+        });
         // Defensive: levels complete in ascending order.
         debug_assert!(self.completed.map_or(cost == 0, |c| cost > c));
 
-        // 1. Register reversible classes (pre_G[cost] − earlier G's: the
-        //    subtraction is implicit in first-seen-wins), and collect the
-        //    per-word S-traces for the level index. One fused pass: the
-        //    parallel path computes (trace, restriction) pairs across
-        //    threads, registration stays serial so the class-discovery
-        //    and witness order match the bucket order.
+        // 1. Collect the per-word S-traces for the level index, then
+        //    register reversible classes (pre_G[cost] − earlier G's: the
+        //    subtraction is implicit in first-seen-wins) from them.
+        //    Registration stays serial so the class-discovery and witness
+        //    order match the bucket order.
+        let traces = par::par_map(&self.pool, &bucket, |_, w| self.trace_of(w));
         let mut g_new: Vec<W::Word> = Vec::new();
-        let traces: Vec<W::Trace> = if parallel {
-            let engine = &*self;
-            let prepared: Vec<(W::Trace, Option<W::Word>)> =
-                par::par_map(&engine.pool, &bucket, |_, w| {
-                    (engine.trace_of(w), engine.restrict(w))
-                });
-            for (word, &(_, restriction)) in bucket.iter().zip(&prepared) {
-                if let Some(restriction) = restriction {
-                    self.register_class(cost, *word, restriction, &mut g_new);
-                }
+        for (word, &trace) in bucket.iter().zip(&traces) {
+            if let Some(restriction) = self.restrict(trace) {
+                self.register_class(cost, *word, restriction, &mut g_new);
             }
-            prepared.into_iter().map(|(trace, _)| trace).collect()
-        } else {
-            let mut traces = Vec::with_capacity(bucket.len());
-            for word in &bucket {
-                traces.push(self.trace_of(word));
-                if let Some(restriction) = self.restrict(word) {
-                    self.register_class(cost, *word, restriction, &mut g_new);
-                }
-            }
-            traces
-        };
+        }
 
         // 2. Expand reasonable products into later buckets. The `seen`
         //    reservation is sized from the frontier's measured growth
@@ -647,18 +618,14 @@ impl<W: SearchWidth> SearchEngine<W> {
                 );
             }
         };
-        let pushes = if parallel {
-            par::expand_bucket(
-                &self.pool,
-                &bucket,
-                &mut self.seen,
-                expected_new,
-                &self.probe,
-                generate,
-            )
-        } else {
-            par::expand_inline(&bucket, &mut self.seen, expected_new, generate)
-        };
+        let pushes = par::expand_bucket(
+            &self.pool,
+            &bucket,
+            &mut self.seen,
+            expected_new,
+            &self.probe,
+            generate,
+        );
         let nodes_added = par::append_pushes(&mut self.pending, pushes);
 
         // 3. Record the level and its statistics. With non-unit costs some
@@ -1009,8 +976,10 @@ impl<W: SearchWidth> SearchEngine<W> {
         None
     }
 
-    /// Restriction of a word to the binary index set, if closed.
-    fn restrict(&self, word: &W::Word) -> Option<W::Word> {
+    /// Restriction of a word to the binary index set, if closed, read off
+    /// the word's S-trace (`trace.byte(i)` is where the word sends the
+    /// `i`-th binary pattern).
+    fn restrict(&self, trace: W::Trace) -> Option<W::Word> {
         // The stack buffer must cover every width's binary set; a wider
         // future width would silently truncate restrictions otherwise.
         const {
@@ -1021,8 +990,8 @@ impl<W: SearchWidth> SearchEngine<W> {
         }
         let mut out = [0u8; 16];
         let k = self.binary0.len();
-        for (slot, &idx) in out.iter_mut().zip(&self.binary0) {
-            let rank = self.binary_rank[word.at(idx as usize) as usize];
+        for (i, slot) in out[..k].iter_mut().enumerate() {
+            let rank = self.binary_rank[trace.byte(i) as usize];
             if rank == u8::MAX {
                 return None;
             }

@@ -59,8 +59,6 @@ impl FrontierMeta for BackMeta {
 struct BackwardFrontier<W: SearchWidth> {
     /// Binary-set size: how many bytes of each trace are populated.
     k: usize,
-    /// Degree of parallelism (mirrors the owning engine's).
-    threads: usize,
     seen: ShardedSeen<W::Trace, BackMeta>,
     pending: BTreeMap<u32, Vec<W::Trace>>,
     completed: Option<u32>,
@@ -82,7 +80,6 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         pending.insert(0u32, vec![target_trace]);
         Self {
             k,
-            threads,
             seen,
             pending,
             completed: None,
@@ -104,31 +101,22 @@ impl<W: SearchWidth> BackwardFrontier<W> {
 
     /// Expands one backward cost level. Returns `false` on exhaustion.
     ///
-    /// Shares the sharded rendezvous pipeline with the forward engine:
-    /// large trace buckets expand across threads with bit-identical
-    /// results to the serial loop.
+    /// Makes the same calls into [`crate::par`] as the forward engine:
+    /// small trace buckets expand inline, large ones across the engine's
+    /// pool, with bit-identical results either way.
     fn expand_next_level(&mut self, engine: &SearchEngine<W>) -> bool {
         let Some((&cost, _)) = self.pending.first_key_value() else {
             return false;
         };
         // lint: allow(panic) first_key_value just proved the bucket key exists
         let raw_bucket = self.pending.remove(&cost).expect("bucket exists");
-        let parallel = self.threads > 1 && raw_bucket.len() >= par::PAR_MIN_BUCKET;
         // Lazy decrease-key, mirroring the forward engine: drop copies
         // superseded by a cheaper rediscovery.
-        let bucket: Vec<W::Trace> = if parallel {
-            let seen = &self.seen;
-            par::par_filter(&engine.pool, raw_bucket, |t| {
-                // lint: allow(panic) every pending trace was inserted into seen on discovery
-                seen.get(t).expect("pending trace is seen").cost == cost
-            })
-        } else {
-            raw_bucket
-                .into_iter()
-                // lint: allow(panic) every pending trace was inserted into seen on discovery
-                .filter(|t| self.seen.get(t).expect("pending trace is seen").cost == cost)
-                .collect()
-        };
+        let seen = &self.seen;
+        let bucket = par::par_filter(&engine.pool, raw_bucket, |t| {
+            // lint: allow(panic) every pending trace was inserted into seen on discovery
+            seen.get(t).expect("pending trace is seen").cost == cost
+        });
         let k = self.k;
         let expected_new = par::growth_hint(
             bucket.len(),
@@ -146,18 +134,14 @@ impl<W: SearchWidth> BackwardFrontier<W> {
                 emit(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
             }
         };
-        let pushes = if parallel {
-            par::expand_bucket(
-                &engine.pool,
-                &bucket,
-                &mut self.seen,
-                expected_new,
-                &engine.probe,
-                generate,
-            )
-        } else {
-            par::expand_inline(&bucket, &mut self.seen, expected_new, generate)
-        };
+        let pushes = par::expand_bucket(
+            &engine.pool,
+            &bucket,
+            &mut self.seen,
+            expected_new,
+            &engine.probe,
+            generate,
+        );
         par::append_pushes(&mut self.pending, pushes);
         while self.levels.len() < cost as usize {
             self.levels.push(Vec::new());
@@ -462,10 +446,11 @@ impl<W: SearchWidth> SearchEngine<W> {
     ///
     /// Requires the S-trace index of every joinable forward level
     /// (`ensure_trace_index`) to be built already — the scan runs on a
-    /// shared reference so large backward buckets shard across the
-    /// engine's worker pool, each shard folding a private distinct set
-    /// and first-witness candidate, merged in shard order for
-    /// bit-identical results to the serial scan at any thread count.
+    /// shared reference so each backward bucket goes through
+    /// [`par::par_chunks`]: every chunk (the whole bucket, when it is too
+    /// small to shard) folds a private distinct set and first-witness
+    /// candidate, merged in chunk order for bit-identical results at any
+    /// thread count.
     fn join_at_cost(
         &self,
         back: &BackwardFrontier<W>,
@@ -486,46 +471,25 @@ impl<W: SearchWidth> SearchEngine<W> {
             }
             let index = self.trace_index_ref(f);
             let level = &self.levels[f as usize];
-            if self.threads() > 1 && bucket.len() >= par::PAR_MIN_BUCKET {
-                let workers = par::workers_for(self.threads(), bucket.len());
-                let ranges: Vec<(usize, usize)> =
-                    par::chunk_ranges(bucket.len(), workers).collect();
-                type Partial<W> = (
-                    HashSet<<W as SearchWidth>::Word, FnvBuildHasher>,
-                    Option<(<W as SearchWidth>::Word, <W as SearchWidth>::Trace)>,
-                );
-                let mut partials: Vec<Partial<W>> = Vec::new();
-                partials.resize_with(ranges.len(), Default::default);
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-                    .iter()
-                    .zip(partials.iter_mut())
-                    .map(|(&(start, end), slot)| {
-                        let chunk = &bucket[start..end];
-                        Box::new(move || {
-                            let (local, local_first) = slot;
-                            for &trace in chunk {
-                                self.join_trace(back, trace, index, level, local, local_first);
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                self.pool.run(tasks);
-                // Deterministic merge in shard order: the distinct set is
-                // order-insensitive, and the first shard holding a
-                // witness holds the serial scan's first witness.
-                for (local, local_first) in partials {
-                    if distinct.is_empty() {
-                        distinct = local;
-                    } else {
-                        distinct.extend(local);
-                    }
-                    if first.is_none() {
-                        first = local_first;
-                    }
+            let partials = par::par_chunks(&self.pool, bucket.len(), |start, end| {
+                let mut local = HashSet::default();
+                let mut local_first = None;
+                for &trace in &bucket[start..end] {
+                    self.join_trace(back, trace, index, level, &mut local, &mut local_first);
                 }
-            } else {
-                for &trace in bucket {
-                    self.join_trace(back, trace, index, level, &mut distinct, &mut first);
+                (local, local_first)
+            });
+            // Deterministic merge in chunk order: the distinct set is
+            // order-insensitive, and the first chunk holding a witness
+            // holds the serial scan's first witness.
+            for (local, local_first) in partials {
+                if distinct.is_empty() {
+                    distinct = local;
+                } else {
+                    distinct.extend(local);
+                }
+                if first.is_none() {
+                    first = local_first;
                 }
             }
         }

@@ -1,4 +1,4 @@
-//! Parallel sharded level expansion for the FMCF frontiers.
+//! Level expansion for the FMCF frontiers, serial or sharded.
 //!
 //! Each Dijkstra level of the search — the forward word frontier of
 //! [`crate::SynthesisEngine`] and the backward S-trace frontier of the
@@ -36,6 +36,16 @@
 //! restores the global sequence, every downstream structure (levels,
 //! traces, class witnesses, Dijkstra's lazy decrease-key buckets) is
 //! byte-for-byte identical for any thread count.
+//!
+//! Whether a step runs serially or sharded is decided here, once, by
+//! [`par_chunks`] (and by [`expand_bucket`] with the same rule): any
+//! bucket too small to give two workers [`MIN_ITEMS_PER_WORKER`]
+//! elements each runs inline on the calling thread, and that includes
+//! every bucket of a 1-thread engine. The frontiers therefore make one
+//! unconditional call per phase — [`par_filter`] for the stale-copy
+//! drop, [`par_map`] for per-element preparation, [`expand_bucket`] for
+//! successor expansion, and [`par_chunks`] directly for the
+//! meet-in-the-middle join.
 
 use std::cmp::Reverse;
 use std::collections::{btree_map, BTreeMap, BinaryHeap, VecDeque};
@@ -48,11 +58,9 @@ use mvq_obs::ProbeHandle;
 
 use crate::width::ShardKey;
 
-/// Buckets smaller than this are expanded serially even on a
-/// multi-threaded engine: thread spawn latency would dominate.
-pub(crate) const PAR_MIN_BUCKET: usize = 128;
-
-/// Smallest number of items worth handing to an extra worker.
+/// Smallest number of items worth handing to a worker: a bucket shards
+/// only from `2 × MIN_ITEMS_PER_WORKER` elements up, below which thread
+/// hand-off latency would dominate.
 const MIN_ITEMS_PER_WORKER: usize = 64;
 
 /// Bucket elements processed per rendezvous block. Successor records are
@@ -596,87 +604,92 @@ fn shard_count_for(threads: usize) -> usize {
     }
 }
 
-/// Contiguous near-equal partition of `0..len` into at most `parts`
-/// non-empty ranges.
-pub(crate) fn chunk_ranges(len: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..parts)
-        .map(move |w| (len * w / parts, len * (w + 1) / parts))
-        .filter(|(start, end)| end > start)
-}
-
-pub(crate) fn workers_for(threads: usize, items: usize) -> usize {
+/// How many workers `items` bucket elements are worth: at most
+/// `threads`, and never fewer than [`MIN_ITEMS_PER_WORKER`] items each.
+fn workers_for(threads: usize, items: usize) -> usize {
     threads.min(items / MIN_ITEMS_PER_WORKER).max(1)
 }
 
-/// Order-preserving parallel map over contiguous chunks: the output is
-/// identical to `items.iter().enumerate().map(f)` for any thread count.
+/// Runs `f(start, end)` over a contiguous near-equal partition of
+/// `0..len`, one chunk per worker, and returns the results in chunk
+/// order.
+///
+/// This is where every frontier step decides between serial and sharded
+/// work: when `len` cannot give two workers [`MIN_ITEMS_PER_WORKER`]
+/// items each (which includes every call on a 1-thread pool), it
+/// returns `vec![f(0, len)]`, computed on the calling thread.
+pub(crate) fn par_chunks<R, F>(pool: &WorkerPool, len: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+{
+    let workers = workers_for(pool.threads(), len);
+    if workers <= 1 {
+        return vec![f(0, len)];
+    }
+    let f = &f;
+    let mut results: Vec<Option<R>> = Vec::new();
+    results.resize_with(workers, || None);
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
+        .iter_mut()
+        .enumerate()
+        .map(|(w, slot)| {
+            let (start, end) = (len * w / workers, len * (w + 1) / workers);
+            Box::new(move || *slot = Some(f(start, end))) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run(tasks);
+    // `run` returns only once every task has filled its slot.
+    results.into_iter().flatten().collect()
+}
+
+/// Order-preserving map over [`par_chunks`]: the output is identical to
+/// `items.iter().enumerate().map(f)` for any thread count. The chunks'
+/// outputs are appended to the first one's, so an inline run returns
+/// its vector without a copy.
 pub(crate) fn par_map<T, U, F>(pool: &WorkerPool, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let workers = workers_for(pool.threads(), items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let f = &f;
-    let ranges: Vec<(usize, usize)> = chunk_ranges(items.len(), workers).collect();
-    let mut outputs: Vec<Vec<U>> = Vec::new();
-    outputs.resize_with(ranges.len(), Vec::new);
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-        .iter()
-        .zip(outputs.iter_mut())
-        .map(|(&(start, end), slot)| {
-            let chunk = &items[start..end];
-            Box::new(move || {
-                *slot = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| f(start + i, t))
-                    .collect();
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run(tasks);
-    let mut out = Vec::with_capacity(items.len());
-    for chunk_out in outputs {
-        out.extend(chunk_out);
+    let mut parts = par_chunks(pool, items.len(), |start, end| {
+        items[start..end]
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(start + i, t))
+            .collect::<Vec<U>>()
+    })
+    .into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    for part in parts {
+        out.extend(part);
     }
     out
 }
 
-/// Order-preserving parallel filter (used for the lazy decrease-key
-/// stale-copy drop at the head of every level).
-pub(crate) fn par_filter<T, P>(pool: &WorkerPool, items: Vec<T>, keep: P) -> Vec<T>
+/// Order-preserving filter, in place (used for the lazy decrease-key
+/// stale-copy drop at the head of every level). Chunks only collect the
+/// indices of items to drop, which are rare, so a level with no stale
+/// copies neither allocates nor moves an item.
+pub(crate) fn par_filter<T, P>(pool: &WorkerPool, mut items: Vec<T>, keep: P) -> Vec<T>
 where
-    T: Copy + Send + Sync,
+    T: Sync,
     P: Fn(&T) -> bool + Sync,
 {
-    let workers = workers_for(pool.threads(), items.len());
-    if workers <= 1 {
-        return items.into_iter().filter(|t| keep(t)).collect();
+    let drops: Vec<Vec<usize>> = par_chunks(pool, items.len(), |start, end| {
+        (start..end).filter(|&i| !keep(&items[i])).collect()
+    });
+    let mut drops = drops.into_iter().flatten().peekable();
+    if drops.peek().is_some() {
+        let mut index = 0;
+        items.retain(|_| {
+            let dropped = drops.next_if_eq(&index).is_some();
+            index += 1;
+            !dropped
+        });
     }
-    let keep = &keep;
-    let ranges: Vec<(usize, usize)> = chunk_ranges(items.len(), workers).collect();
-    let mut outputs: Vec<Vec<T>> = Vec::new();
-    outputs.resize_with(ranges.len(), Vec::new);
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-        .iter()
-        .zip(outputs.iter_mut())
-        .map(|(&(start, end), slot)| {
-            let chunk = &items[start..end];
-            Box::new(move || {
-                *slot = chunk.iter().copied().filter(|t| keep(t)).collect();
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run(tasks);
-    let mut out = Vec::with_capacity(items.len());
-    for chunk_out in outputs {
-        out.extend(chunk_out);
-    }
-    out
+    items
 }
 
 /// Estimated fresh `seen` insertions a level will make, extrapolated
@@ -748,7 +761,7 @@ const PREFETCH_DISTANCE: usize = 8;
 /// prefetched, and then the buffer is admitted in generation order — so
 /// the outcome is exactly that of admitting each successor as it is
 /// generated, with the slot cache misses overlapped.
-pub(crate) fn expand_inline<K, M, G>(
+fn expand_inline<K, M, G>(
     bucket: &[K],
     seen: &mut ShardedSeen<K, M>,
     expected_new: usize,
@@ -805,15 +818,15 @@ pub(crate) fn append_pushes<K>(
     pushed
 }
 
-/// Expands one frontier bucket in parallel: calls
-/// `generate(index, element, emit)` for every bucket element (workers
-/// over disjoint chunks), inserts every emitted `(key, cost, gate)`
+/// Expands one frontier bucket: calls `generate(index, element, emit)`
+/// for every bucket element, inserts every emitted `(key, cost, gate)`
 /// successor into `seen` under the serial insert-or-decrease-key rule,
 /// and returns the accepted pushes per cost, in exactly the order
 /// [`expand_inline`] would have pushed them.
 ///
-/// Requires a pool with `threads >= 2`; serial engines use
-/// [`expand_inline`].
+/// A bucket too small for two workers (see [`par_chunks`]) runs through
+/// [`expand_inline`] on the calling thread; any other runs the sharded
+/// two-phase pipeline across the pool.
 pub(crate) fn expand_bucket<K, M, G>(
     pool: &WorkerPool,
     bucket: &[K],
@@ -827,50 +840,37 @@ where
     M: FrontierMeta,
     G: Fn(usize, &K, &mut dyn FnMut(K, u32, u8)) + Sync,
 {
-    debug_assert!(pool.threads() >= 2, "serial expansion uses expand_inline");
-    let shard_count = seen.shard_count();
     let workers = workers_for(pool.threads(), bucket.len());
+    if workers <= 1 {
+        return expand_inline(bucket, seen, expected_new, generate);
+    }
+    let shard_count = seen.shard_count();
     seen.reserve(expected_new);
     let mut staged: Vec<Vec<Pushed<K>>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let generate = &generate;
 
     for (block_idx, block) in bucket.chunks(BLOCK_ITEMS).enumerate() {
         let block_base = block_idx * BLOCK_ITEMS;
 
         // Phase 1 — generate: workers scan disjoint contiguous chunks and
         // route successors into per-chunk, per-shard buffers.
-        let ranges: Vec<(usize, usize)> = chunk_ranges(block.len(), workers).collect();
-        let mut buffers: Vec<Vec<Vec<Generated<K>>>> = Vec::new();
-        buffers.resize_with(ranges.len(), Vec::new);
-        {
-            let seen_ro = &*seen;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-                .iter()
-                .zip(buffers.iter_mut())
-                .map(|(&(start, end), slot)| {
-                    let chunk = &block[start..end];
-                    Box::new(move || {
-                        let mut bufs: Vec<Vec<Generated<K>>> =
-                            (0..shard_count).map(|_| Vec::new()).collect();
-                        for (offset, element) in chunk.iter().enumerate() {
-                            let idx = block_base + start + offset;
-                            let mut emitted = 0u64;
-                            generate(idx, element, &mut |key, cost, gate| {
-                                let successor = Successor::new(key, cost, gate);
-                                bufs[seen_ro.shard_index(successor.hash)].push(Generated {
-                                    seq: ((idx as u64) << 16) | emitted,
-                                    successor,
-                                });
-                                emitted += 1;
-                            });
-                            debug_assert!(emitted < (1 << 16), "seq tag overflow");
-                        }
-                        *slot = bufs;
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(tasks);
-        }
+        let seen_ro = &*seen;
+        let buffers: Vec<Vec<Vec<Generated<K>>>> = par_chunks(pool, block.len(), |start, end| {
+            let mut bufs: Vec<Vec<Generated<K>>> = (0..shard_count).map(|_| Vec::new()).collect();
+            for (offset, element) in block[start..end].iter().enumerate() {
+                let idx = block_base + start + offset;
+                let mut emitted = 0u64;
+                generate(idx, element, &mut |key, cost, gate| {
+                    let successor = Successor::new(key, cost, gate);
+                    bufs[seen_ro.shard_index(successor.hash)].push(Generated {
+                        seq: ((idx as u64) << 16) | emitted,
+                        successor,
+                    });
+                    emitted += 1;
+                });
+                debug_assert!(emitted < (1 << 16), "seq tag overflow");
+            }
+            bufs
+        });
 
         // Phase 2 — adjudicate: workers own contiguous shard ranges and
         // drain every chunk's buffer for their shards in chunk order.
@@ -936,9 +936,6 @@ where
             min = min.min(n);
             max = max.max(n);
             total += n;
-        }
-        if staged.is_empty() {
-            min = 0;
         }
         probe.on(|p| p.bucket_sharded(min, max, total, staged.len() as u64));
     }
@@ -1176,28 +1173,40 @@ mod tests {
         }
     }
 
+    /// Bucket lengths on both sides of the inline/sharded boundary
+    /// (`2 × MIN_ITEMS_PER_WORKER` = 128 elements), plus a large one.
+    const BOUNDARY_LENS: [usize; 6] = [0, 1, 127, 128, 129, 4000];
+
+    /// Thread counts, including an odd one whose shards split unevenly.
+    const TEST_THREADS: [usize; 5] = [1, 2, 3, 4, 8];
+
     #[test]
     fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..5000).collect();
-        for threads in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let doubled = par_map(&pool, &items, |i, &x| {
-                assert_eq!(i as u64, x);
-                x * 2
-            });
-            assert_eq!(doubled.len(), items.len());
-            assert!(doubled.iter().enumerate().all(|(i, &v)| v == 2 * i as u64));
+        for len in BOUNDARY_LENS {
+            let items: Vec<u64> = (0..len as u64).collect();
+            for threads in TEST_THREADS {
+                let pool = WorkerPool::new(threads);
+                let doubled = par_map(&pool, &items, |i, &x| {
+                    assert_eq!(i as u64, x);
+                    x * 2
+                });
+                assert_eq!(doubled.len(), len, "len {len}, threads {threads}");
+                assert!(doubled.iter().enumerate().all(|(i, &v)| v == 2 * i as u64));
+            }
         }
     }
 
     #[test]
     fn par_filter_preserves_order() {
-        let items: Vec<u64> = (0..5000).collect();
-        for threads in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let evens = par_filter(&pool, items.clone(), |&x| x % 2 == 0);
-            assert_eq!(evens.len(), 2500);
-            assert!(evens.windows(2).all(|w| w[0] < w[1]));
+        for len in BOUNDARY_LENS {
+            let items: Vec<u64> = (0..len as u64).collect();
+            for threads in TEST_THREADS {
+                let pool = WorkerPool::new(threads);
+                let evens = par_filter(&pool, items.clone(), |&x| x % 2 == 0);
+                let want: Vec<u64> = items.iter().copied().filter(|x| x % 2 == 0).collect();
+                assert_eq!(evens, want, "len {len}, threads {threads}");
+                assert_eq!(par_filter(&pool, items.clone(), |_| true), items);
+            }
         }
     }
 
@@ -1304,29 +1313,28 @@ mod tests {
 
     #[test]
     fn expand_bucket_matches_serial_reference() {
-        let bucket: Vec<u64> = (0..4000).map(|i| i * 7919).collect();
-        let mut reference_seen = HashMap::new();
-        let reference = serial_reference(&bucket, &mut reference_seen);
-        assert!(!reference.is_empty());
         let generate = |_: usize, &word: &u64, emit: &mut dyn FnMut(u64, u32, u8)| {
             for gate in 0..6u8 {
                 let (next, cost) = toy_successor(word, gate);
                 emit(next, cost, gate);
             }
         };
-        for threads in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let mut seen: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(threads);
-            let probe = ProbeHandle::none();
-            let pushes = if threads == 1 {
-                expand_inline(&bucket, &mut seen, 1000, generate)
-            } else {
-                expand_bucket(&pool, &bucket, &mut seen, 1000, &probe, generate)
-            };
-            assert_eq!(pushes, reference, "threads = {threads}");
-            assert_eq!(seen.len(), reference_seen.len(), "threads = {threads}");
-            for (key, meta) in &reference_seen {
-                assert_eq!(seen.get(key).map(|m| m.cost), Some(meta.cost));
+        for len in BOUNDARY_LENS {
+            let bucket: Vec<u64> = (0..len as u64).map(|i| i * 7919).collect();
+            let mut reference_seen = HashMap::new();
+            let reference = serial_reference(&bucket, &mut reference_seen);
+            assert_eq!(reference.is_empty(), len == 0);
+            for threads in TEST_THREADS {
+                let pool = WorkerPool::new(threads);
+                let mut seen: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(threads);
+                let probe = ProbeHandle::none();
+                let pushes = expand_bucket(&pool, &bucket, &mut seen, 1000, &probe, generate);
+                let case = format!("len {len}, threads {threads}");
+                assert_eq!(pushes, reference, "{case}");
+                assert_eq!(seen.len(), reference_seen.len(), "{case}");
+                for (key, meta) in &reference_seen {
+                    assert_eq!(seen.get(key).map(|m| m.cost), Some(meta.cost), "{case}");
+                }
             }
         }
     }

@@ -292,7 +292,7 @@ pub(crate) fn check_lexed(rel: &str, source: &str, lexed: &Lexed) -> Vec<Violati
         rel,
         class,
         test_spans: find_test_spans(&lexed.tokens),
-        allows: Allows::parse(&lexed.comments),
+        allows: &allows,
         lexed,
         violations: Vec::new(),
     };
@@ -343,7 +343,7 @@ struct FileCheck<'a> {
     class: FileClass,
     /// Token-index ranges covered by `#[cfg(test)]` / `#[test]` items.
     test_spans: Vec<(usize, usize)>,
-    allows: Allows,
+    allows: &'a Allows,
     lexed: &'a Lexed,
     violations: Vec<Violation>,
 }
@@ -389,7 +389,7 @@ impl FileCheck<'_> {
     fn report(&mut self, idx: usize, rule: Rule, message: String) {
         let line = self.lexed.tokens[idx].line;
         report_with_allow(
-            &self.allows,
+            self.allows,
             self.rel,
             line,
             rule,

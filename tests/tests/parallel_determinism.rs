@@ -14,7 +14,7 @@ use mvq_logic::GateLibrary;
 use mvq_perm::Perm;
 use proptest::prelude::*;
 
-const PARALLEL_THREADS: [usize; 3] = [2, 4, 8];
+const PARALLEL_THREADS: [usize; 4] = [2, 3, 4, 8];
 
 fn unit_engine(threads: usize) -> SynthesisEngine {
     SynthesisEngine::with_threads(GateLibrary::standard(3), CostModel::unit(), threads)
@@ -125,7 +125,7 @@ fn cold_bidirectional_deep_target_identical_across_thread_counts() {
     // Fredkin at cost 7 — cold engines, so the adaptive bidirectional
     // split and both frontiers' parallel expansion are exercised
     // end-to-end.
-    for threads in [1, 2, 4, 8] {
+    for threads in [1, 2, 3, 4, 8] {
         let mut engine = unit_engine(threads);
         assert!(engine
             .synthesize_bidirectional(&known::fredkin_perm(), 6)
