@@ -13,10 +13,18 @@
 //!
 //! Usage: `cargo run --release -p mvq_bench --bin quick_bench [-- out.json]`
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use mvq_core::{known, resolve_threads, CostModel, SynthesisEngine, WideSynthesisEngine};
 use mvq_logic::GateLibrary;
+use mvq_obs::Probe;
+
+/// Σ successors generated by a cold 3-wire unit census to cost 5 (every
+/// successor but the one back to a word's parent). A deterministic work
+/// count: the same at every thread count.
+const CENSUS_CB5_GENERATED: u64 = 256_500;
 
 struct Sample {
     name: &'static str,
@@ -25,6 +33,18 @@ struct Sample {
     mean_ns: u128,
     min_ns: u128,
     max_ns: u128,
+    /// Successors generated by one run, for rows that count them.
+    generated: Option<u64>,
+}
+
+/// Sums the successors each expanded level generated.
+#[derive(Default)]
+struct GeneratedCounter(AtomicU64);
+
+impl Probe for GeneratedCounter {
+    fn level_work(&self, _cost: u32, generated: u64, _stale_dropped: u64) {
+        self.0.fetch_add(generated, Ordering::Relaxed);
+    }
 }
 
 /// Times `f` for a fixed number of samples (after one untimed warm-up).
@@ -74,6 +94,7 @@ fn time_boxed<F: FnMut() -> u32>(
         mean_ns,
         min_ns: min,
         max_ns: max,
+        generated: None,
     }
 }
 
@@ -147,9 +168,9 @@ fn main() {
     // `RegistryProbe` feeding an `mvq_obs::Registry`, exactly as `mvq
     // serve` installs it. The probe contract is "a single branch when
     // unset, atomics only when set"; the overhead is printed below, and
-    // the gate checks that the probe leaves the work counts unchanged.
+    // the gate checks that a probe leaves the work counts unchanged.
     let obs_registry = mvq_obs::Registry::new();
-    let probe = mvq_core::ProbeHandle::new(std::sync::Arc::new(mvq_obs::RegistryProbe::new(
+    let probe = mvq_core::ProbeHandle::new(Arc::new(mvq_obs::RegistryProbe::new(
         obs_registry.probe_metrics(),
     )));
     let census_probe = probe.clone();
@@ -298,7 +319,8 @@ fn main() {
 
     // Probe gate: installing a probe must not change the search. The
     // probed and unprobed censuses must agree on every deterministic
-    // work count.
+    // work count, and the probed one must report exactly the pinned
+    // number of generated successors.
     let census_counts = |probe: Option<mvq_core::ProbeHandle>| {
         let mut e = SynthesisEngine::unit_cost();
         if let Some(probe) = probe {
@@ -308,12 +330,24 @@ fn main() {
         (e.g_counts().to_vec(), e.b_counts().to_vec(), e.a_size())
     };
     let unprobed_counts = census_counts(None);
-    let probed_counts = census_counts(Some(probe));
-    let probe_gate_failure = (probed_counts != unprobed_counts).then(|| {
-        format!(
+    let counter = Arc::new(GeneratedCounter::default());
+    let probed_counts = census_counts(Some(mvq_core::ProbeHandle::new(counter.clone())));
+    let generated = counter.0.load(Ordering::Relaxed);
+    if let Some(row) = rows.iter_mut().find(|r| r.name == "census_cb5_probed") {
+        row.generated = Some(generated);
+    }
+    println!("census_cb5_probed: {generated} successors generated (gate: {CENSUS_CB5_GENERATED})");
+    let probe_gate_failure = if probed_counts != unprobed_counts {
+        Some(format!(
             "probed census (g, b, |A|) = {probed_counts:?} differs from unprobed {unprobed_counts:?}"
-        )
-    });
+        ))
+    } else if generated != CENSUS_CB5_GENERATED {
+        Some(format!(
+            "probed census generated {generated} successors, expected {CENSUS_CB5_GENERATED}"
+        ))
+    } else {
+        None
+    };
 
     // Lint wall-time gate: the workspace-wide static analysis must stay
     // cheap enough to run on every push.
@@ -330,18 +364,22 @@ fn main() {
         None => lint_gate_failure = Some("lint_workspace row missing".to_string()),
     }
 
-    let generated = SystemTime::now()
+    let generated_unix = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut json = String::from("{\n");
-    json.push_str(&format!("  \"generated_unix\": {generated},\n"));
+    json.push_str(&format!("  \"generated_unix\": {generated_unix},\n"));
     json.push_str(&format!("  \"available_parallelism\": {available},\n"));
     json.push_str(&format!("  \"default_threads\": {auto},\n"));
     json.push_str("  \"benches\": [\n");
     for (i, row) in rows.iter().enumerate() {
+        let work = row
+            .generated
+            .map(|g| format!(", \"generated\": {g}"))
+            .unwrap_or_default();
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"threads\": {}, \"samples\": {}, \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"threads\": {}, \"samples\": {}, \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}{work}}}{}\n",
             row.name,
             row.threads,
             row.samples,

@@ -6,7 +6,7 @@ use mvq_logic::{Gate, GateLibrary};
 use mvq_obs::ProbeHandle;
 use mvq_perm::Perm;
 
-use crate::par::{self, FrontierMeta, ShardedSeen};
+use crate::par::{self, FrontierMeta, Handle, ShardedSeen};
 use crate::snapshot::DeferredFrontier;
 use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
 use crate::word::FnvBuildHasher;
@@ -208,6 +208,10 @@ pub struct SearchEngine<W: SearchWidth> {
     /// Per-library-gate inverse image tables (for path reconstruction and
     /// the backward frontier).
     pub(crate) gate_inverse_images: Vec<Vec<u8>>,
+    /// Per-library-gate index of the gate's inverse in the library
+    /// (`u8::MAX` when it has none), so expansion can skip the edge back
+    /// to a word's parent.
+    pub(crate) inverse_gate: Vec<u8>,
     /// Per-library-gate banned masks.
     pub(crate) gate_banned: Vec<W::Mask>,
     /// Per-library-gate costs.
@@ -225,8 +229,9 @@ pub struct SearchEngine<W: SearchWidth> {
     /// Every discovered element of `A[∞]` with its metadata, sharded by
     /// word hash so parallel expansion can insert without locks.
     pub(crate) seen: ShardedSeen<W::Word, Meta>,
-    /// Pending frontier elements keyed by their (exact) cost.
-    pub(crate) pending: BTreeMap<u32, Vec<W::Word>>,
+    /// Pending frontier elements keyed by their (exact) cost, as handles
+    /// into `seen` (which stores each word once).
+    pub(crate) pending: BTreeMap<u32, Vec<Handle>>,
     /// Frontier section of a loaded snapshot, parsed and merged into
     /// `seen`/`pending` on first expansion (queries answered from the
     /// cached levels never pay for it). `None` on natively-built engines
@@ -347,6 +352,15 @@ impl<W: SearchWidth> SearchEngine<W> {
             .iter()
             .map(|g| g.perm().inverse().as_images().to_vec())
             .collect();
+        let inverse_gate: Vec<u8> = gate_inverse_images
+            .iter()
+            .map(|inverse| {
+                gate_images
+                    .iter()
+                    .position(|images| images == inverse)
+                    .map_or(u8::MAX, |j| j as u8)
+            })
+            .collect();
         let gate_banned: Vec<W::Mask> = library
             .gates()
             .iter()
@@ -375,7 +389,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         let threads = threads.max(1);
         let identity = W::Word::identity(library.domain().len());
         let mut seen: ShardedSeen<W::Word, Meta> = ShardedSeen::for_threads(threads);
-        seen.insert_if_absent(
+        let root = seen.intern(
             identity,
             Meta {
                 cost: 0,
@@ -383,12 +397,13 @@ impl<W: SearchWidth> SearchEngine<W> {
             },
         );
         let mut pending = BTreeMap::new();
-        pending.insert(0u32, vec![identity]);
+        pending.insert(0u32, vec![root]);
         Ok(Self {
             library,
             model,
             gate_images,
             gate_inverse_images,
+            inverse_gate,
             gate_banned,
             gate_costs,
             binary0,
@@ -438,12 +453,14 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// Re-configures the degree of parallelism. Safe on a warm engine:
-    /// the sharded `seen` map is re-bucketed in place and cached levels
-    /// are untouched (results stay bit-identical for any thread count).
+    /// the sharded `seen` map is re-bucketed in place, the pending
+    /// handles are re-issued for its new layout, and cached levels are
+    /// untouched (results stay bit-identical for any thread count).
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
         self.pool = par::WorkerPool::new(threads);
-        self.seen.reshard_for_threads(threads);
+        self.seen
+            .reshard_for_threads(threads, self.pending.values_mut().flatten());
     }
 
     /// The highest cost whose level has been fully expanded, if any.
@@ -571,14 +588,25 @@ impl<W: SearchWidth> SearchEngine<W> {
         // superseded copy stays behind in its original bucket and is
         // dropped here. Buckets are processed cost-ascending and all gate
         // costs are positive, so a word whose recorded cost still equals
-        // this bucket's cost is final (Dijkstra).
+        // this bucket's cost is final (Dijkstra). The check reads the
+        // entry through its handle: no hash, probe or key compare.
+        let raw_len = raw_bucket.len();
         let seen = &self.seen;
-        let bucket = par::par_filter(&self.pool, raw_bucket, |w| {
-            // lint: allow(panic) every pending word was inserted into seen on discovery
-            seen.get(w).expect("pending word is seen").cost == cost
-        });
+        let handles = par::par_filter(&self.pool, raw_bucket, |&h| seen.meta(h).cost == cost);
+        let stale_dropped = (raw_len - handles.len()) as u64;
         // Defensive: levels complete in ascending order.
         debug_assert!(self.completed.map_or(cost == 0, |c| cost > c));
+
+        // The level's words, gathered once (they become its record), and
+        // per word the gate leading back to its parent: `w = p·g`, so the
+        // successor through `g⁻¹` is `p`, already in `seen` at cost
+        // `cost − cost(g)`, which `admit` would always reject.
+        let bucket = par::par_map(&self.pool, &handles, |_, &h| *seen.key(h));
+        let inverse_gate = &self.inverse_gate;
+        let back_gates = par::par_map(&self.pool, &handles, |_, &h| {
+            let last = usize::from(seen.meta(h).last_gate);
+            inverse_gate.get(last).copied().unwrap_or(u8::MAX)
+        });
 
         // 1. Collect the per-word S-traces for the level index, then
         //    register reversible classes (pre_G[cost] − earlier G's: the
@@ -607,9 +635,10 @@ impl<W: SearchWidth> SearchEngine<W> {
         let binary_len = self.binary0.len();
         let generate = |idx: usize, word: &W::Word, emit: &mut dyn FnMut(W::Word, u32, u8)| {
             let image_mask = trace_mask::<W>(traces[idx], binary_len);
+            let back_gate = usize::from(back_gates[idx]);
             for gate_idx in 0..gate_images.len() {
-                if image_mask.intersects(&gate_banned[gate_idx]) {
-                    continue; // not a reasonable product
+                if gate_idx == back_gate || image_mask.intersects(&gate_banned[gate_idx]) {
+                    continue; // the parent, or not a reasonable product
                 }
                 emit(
                     word.map_through(&gate_images[gate_idx]),
@@ -618,7 +647,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 );
             }
         };
-        let pushes = par::expand_bucket(
+        let expansion = par::expand_bucket(
             &self.pool,
             &bucket,
             &mut self.seen,
@@ -626,7 +655,9 @@ impl<W: SearchWidth> SearchEngine<W> {
             &self.probe,
             generate,
         );
-        let nodes_added = par::append_pushes(&mut self.pending, pushes);
+        let nodes_added = par::append_pushes(&mut self.pending, expansion.pushes);
+        self.probe
+            .on(|p| p.level_work(cost, expansion.generated, stale_dropped));
 
         // 3. Record the level and its statistics. With non-unit costs some
         //    levels are empty; fill the gap so indices equal costs.
@@ -1272,6 +1303,103 @@ mod tests {
             SynthesisStrategy::default(),
             SynthesisStrategy::Unidirectional
         );
+    }
+
+    /// Records each level's deterministic work counts, in level order.
+    #[derive(Default)]
+    struct WorkCounter {
+        /// `(cost, generated, stale_dropped)` per `level_work` call.
+        work: std::sync::Mutex<Vec<(u32, u64, u64)>>,
+        /// `nodes` per `level_finished` call.
+        nodes: std::sync::Mutex<Vec<u64>>,
+    }
+
+    impl mvq_obs::Probe for WorkCounter {
+        fn level_finished(&self, _cost: u32, nodes: u64, _frontier: u64) {
+            self.nodes.lock().unwrap().push(nodes);
+        }
+
+        fn level_work(&self, cost: u32, generated: u64, stale_dropped: u64) {
+            self.work
+                .lock()
+                .unwrap()
+                .push((cost, generated, stale_dropped));
+        }
+    }
+
+    /// Expands a 3-wire engine under `model` to cost `cb` with a
+    /// [`WorkCounter`] installed.
+    fn counted_climb(model: CostModel, threads: usize, cb: u32) -> std::sync::Arc<WorkCounter> {
+        let counter = std::sync::Arc::new(WorkCounter::default());
+        let mut e = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+        e.set_probe(ProbeHandle::new(counter.clone()));
+        e.expand_to_cost(cb);
+        counter
+    }
+
+    #[test]
+    fn unit_climb_work_counts_are_pinned() {
+        let counter = counted_climb(CostModel::unit(), 1, 6);
+        let work = counter.work.lock().unwrap().clone();
+        let costs: Vec<u32> = work.iter().map(|w| w.0).collect();
+        assert_eq!(costs, [0, 1, 2, 3, 4, 5, 6]);
+        // Every successor but the one back to the word's parent.
+        let generated: Vec<u64> = work.iter().map(|w| w.1).collect();
+        assert_eq!(generated, [18, 210, 1482, 8409, 42660, 203721, 941504]);
+        // The unit model never re-admits a word, so no copy goes stale.
+        assert!(work.iter().all(|w| w.2 == 0), "{work:?}");
+        assert_eq!(
+            *counter.nodes.lock().unwrap(),
+            [18, 162, 1017, 5364, 25761, 118888, 538191]
+        );
+    }
+
+    #[test]
+    fn weighted_climb_drops_stale_copies() {
+        let counter = counted_climb(CostModel::weighted(1, 1, 3), 1, 7);
+        let work = counter.work.lock().unwrap().clone();
+        assert!(work.iter().any(|w| w.2 > 0), "{work:?}");
+        assert_eq!(
+            work,
+            [
+                (0, 18, 0),
+                (1, 108, 0),
+                (2, 318, 0),
+                (3, 894, 0),
+                (4, 2604, 0),
+                (5, 7422, 0),
+                (6, 21342, 0),
+                (7, 58548, 12)
+            ]
+        );
+        assert_eq!(
+            *counter.nodes.lock().unwrap(),
+            [18, 78, 180, 540, 1551, 4248, 12420, 32619]
+        );
+    }
+
+    /// `inverse_gate` of the standard library at `wires` wires, checked
+    /// against the gates' domain images.
+    fn assert_inverse_table<W: SearchWidth>(wires: usize) {
+        let e = SearchEngine::<W>::with_threads(GateLibrary::standard(wires), CostModel::unit(), 1);
+        let domain = e.library.domain().len();
+        assert_eq!(e.inverse_gate.len(), e.gate_images.len());
+        for (i, &inv) in e.inverse_gate.iter().enumerate() {
+            assert_ne!(inv, u8::MAX, "{wires} wires: gate {i} has an inverse");
+            let inv = usize::from(inv);
+            assert_eq!(usize::from(e.inverse_gate[inv]), i, "involution at {i}");
+            for x in 0..domain {
+                let there = e.gate_images[i][x];
+                assert_eq!(e.gate_images[inv][usize::from(there)], x as u8);
+            }
+        }
+    }
+
+    #[test]
+    fn every_standard_gate_has_an_inverse() {
+        assert_inverse_table::<Narrow>(2);
+        assert_inverse_table::<Narrow>(3);
+        assert_inverse_table::<crate::width::Wide>(4);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use mvq_logic::Gate;
 use mvq_perm::Perm;
 
 use crate::engine::{trace_mask, SearchEngine, TraceIndex};
-use crate::par::{self, FrontierMeta, ShardedSeen};
+use crate::par::{self, FrontierMeta, Handle, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::FnvBuildHasher;
 use crate::{Circuit, Synthesis};
@@ -60,7 +60,8 @@ struct BackwardFrontier<W: SearchWidth> {
     /// Binary-set size: how many bytes of each trace are populated.
     k: usize,
     seen: ShardedSeen<W::Trace, BackMeta>,
-    pending: BTreeMap<u32, Vec<W::Trace>>,
+    /// Pending traces by cost, as handles into `seen`.
+    pending: BTreeMap<u32, Vec<Handle>>,
     completed: Option<u32>,
     /// Traces first reached at exact cost `b` (gap levels are empty).
     levels: Vec<Vec<W::Trace>>,
@@ -69,7 +70,7 @@ struct BackwardFrontier<W: SearchWidth> {
 impl<W: SearchWidth> BackwardFrontier<W> {
     fn new(target_trace: W::Trace, k: usize, threads: usize) -> Self {
         let mut seen: ShardedSeen<W::Trace, BackMeta> = ShardedSeen::for_threads(threads);
-        seen.insert_if_absent(
+        let root = seen.intern(
             target_trace,
             BackMeta {
                 cost: 0,
@@ -77,7 +78,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
             },
         );
         let mut pending = BTreeMap::new();
-        pending.insert(0u32, vec![target_trace]);
+        pending.insert(0u32, vec![root]);
         Self {
             k,
             seen,
@@ -111,12 +112,13 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         // lint: allow(panic) first_key_value just proved the bucket key exists
         let raw_bucket = self.pending.remove(&cost).expect("bucket exists");
         // Lazy decrease-key, mirroring the forward engine: drop copies
-        // superseded by a cheaper rediscovery.
+        // superseded by a cheaper rediscovery, then gather the level's
+        // traces. Every edge is generated: traces are 8–16-byte keys and
+        // backward levels are small, so the forward engine's parent-edge
+        // skip would not pay here.
         let seen = &self.seen;
-        let bucket = par::par_filter(&engine.pool, raw_bucket, |t| {
-            // lint: allow(panic) every pending trace was inserted into seen on discovery
-            seen.get(t).expect("pending trace is seen").cost == cost
-        });
+        let handles = par::par_filter(&engine.pool, raw_bucket, |&h| seen.meta(h).cost == cost);
+        let bucket = par::par_map(&engine.pool, &handles, |_, &h| *seen.key(h));
         let k = self.k;
         let expected_new = par::growth_hint(
             bucket.len(),
@@ -134,7 +136,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
                 emit(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
             }
         };
-        let pushes = par::expand_bucket(
+        let expansion = par::expand_bucket(
             &engine.pool,
             &bucket,
             &mut self.seen,
@@ -142,7 +144,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
             &engine.probe,
             generate,
         );
-        par::append_pushes(&mut self.pending, pushes);
+        par::append_pushes(&mut self.pending, expansion.pushes);
         while self.levels.len() < cost as usize {
             self.levels.push(Vec::new());
         }

@@ -15,6 +15,13 @@
 //! batch at a time so their home slots can be prefetched before they are
 //! admitted in order ([`expand_inline`]).
 //!
+//! The arenas are also the only place a frontier element is stored:
+//! [`SeenTable::admit`] returns the arena index of the entry it created
+//! or lowered, [`ShardedSeen`] turns it into a 4-byte [`Handle`], and the
+//! pending cost buckets of both frontiers hold handles. Reading an
+//! element's key or metadata through its handle is one indexed load, with
+//! no hash, probe or key compare.
+//!
 //! The machinery here keeps the insert phase parallel **and** the
 //! results bit-identical to the serial engine:
 //!
@@ -27,9 +34,10 @@
 //! 3. workers then swap roles — each owns a contiguous shard range and
 //!    drains every chunk's buffer for its shards *in sequence order*,
 //!    applying exactly the serial insert-or-decrease-key rule;
-//! 4. accepted pushes are merged back across shards by sequence number,
-//!    so the pending cost buckets end up in precisely the order the
-//!    serial loop would have produced.
+//! 4. accepted pushes — 16-byte `(sequence, cost, handle)` records — are
+//!    merged back across shards by sequence number, so the pending cost
+//!    buckets end up holding precisely the handles, in precisely the
+//!    order, that the serial loop would have produced.
 //!
 //! Because a key always hashes to the same shard, every discovery of a
 //! word is adjudicated in one shard, in serial order; because the merge
@@ -378,16 +386,17 @@ impl<K: ShardKey, M: Copy> SeenTable<K, M> {
 
     /// Appends a new key to the arenas and claims the empty slot at
     /// `pos` for it, doubling the table once it is over half full.
+    /// Returns the new entry's arena index.
     #[inline]
-    fn push_at(&mut self, pos: usize, key: K, hash: u64, meta: M) {
+    fn push_at(&mut self, pos: usize, key: K, hash: u64, meta: M) -> usize {
         let index = self.keys.len();
-        assert!(index < u32::MAX as usize, "seen table index overflow");
         self.slots[pos] = (hash & TAG_MASK) | (index as u64 + 1);
         self.keys.push(key);
         self.metas.push(meta);
         if self.keys.len() * 2 > self.slots.len() {
             self.rehash(self.slots.len() * 2);
         }
+        index
     }
 
     /// Rebuilds the slots at `count` (a power of two) from the key arena.
@@ -429,36 +438,32 @@ impl<K: ShardKey, M: Copy> SeenTable<K, M> {
         self.find(key, hash).ok().map(|index| &self.metas[index])
     }
 
-    /// Inserts `key` unless present; returns whether it was inserted.
-    pub(crate) fn insert_if_absent(&mut self, key: K, hash: u64, meta: M) -> bool {
+    /// The arena index of `key`, inserting it with `meta` when absent
+    /// (an existing entry keeps its metadata).
+    pub(crate) fn intern(&mut self, key: K, hash: u64, meta: M) -> usize {
         match self.find(&key, hash) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.push_at(pos, key, hash, meta);
-                true
-            }
+            Ok(index) => index,
+            Err(pos) => self.push_at(pos, key, hash, meta),
         }
     }
 
     /// The Dijkstra admission rule, shared by every frontier loop: admit
     /// a successor iff its key is new or this discovery is cheaper than
-    /// the recorded one (lazy decrease-key). Returns `true` when the
-    /// caller must push the key into its pending bucket.
+    /// the recorded one (lazy decrease-key). Returns the arena index of
+    /// the entry it created or lowered — the element the caller must push
+    /// into its pending bucket — or `None` when it changed nothing.
     #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> bool
+    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<usize>
     where
         M: FrontierMeta,
     {
         match self.find(&key, hash) {
             Ok(index) if self.metas[index].cost() > cost => {
                 self.metas[index] = M::with(cost, gate);
-                true
+                Some(index)
             }
-            Ok(_) => false,
-            Err(pos) => {
-                self.push_at(pos, key, hash, M::with(cost, gate));
-                true
-            }
+            Ok(_) => None,
+            Err(pos) => Some(self.push_at(pos, key, hash, M::with(cost, gate))),
         }
     }
 
@@ -484,12 +489,36 @@ fn prefetch_read(slot: &u64) {
     let _ = slot;
 }
 
+/// A [`ShardedSeen`] entry's address: its arena index above the shard
+/// number, `(index << bits) | shard`. A single shard addresses just
+/// under 2³² entries, each of 64 shards just under 2²⁶.
+///
+/// Arenas are append-only and a rehash rebuilds only the slots, so a
+/// handle stays valid for the map's lifetime — except across
+/// [`ShardedSeen::reshard_for_threads`], which re-issues the handles it
+/// is given.
+pub(crate) type Handle = u32;
+
+/// Encodes the handle of arena entry `index` in shard `shard` of a map
+/// with `bits` shard bits.
+#[inline]
+fn make_handle(index: usize, shard: usize, bits: u32) -> Handle {
+    // `index + 1` must also fit a slot's low half, hence `<`.
+    assert!(
+        (index as u64) < u64::from(u32::MAX) >> bits,
+        "seen arena index overflows a handle"
+    );
+    ((index as u32) << bits) | shard as u32
+}
+
 /// A `seen` map split into `2^bits` [`SeenTable`] shards by key hash, so
 /// disjoint workers can insert concurrently without any lock.
 ///
 /// Every operation hashes its key once with [`ShardKey::table_hash`]:
 /// the top `bits` bits pick the shard, and the same hash probes inside
-/// it. Serial engines use a single shard.
+/// it. Serial engines use a single shard. Entries are addressed by
+/// [`Handle`]s, which [`Self::key`] and [`Self::meta`] read without
+/// hashing.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedSeen<K, M> {
     shards: Vec<SeenTable<K, M>>,
@@ -530,10 +559,25 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
         &self.shards[self.shard_index(hash)]
     }
 
+    /// The shard and arena index `handle` addresses.
     #[inline]
-    fn shard_mut(&mut self, hash: u64) -> &mut SeenTable<K, M> {
-        let shard = self.shard_index(hash);
-        &mut self.shards[shard]
+    fn locate(&self, handle: Handle) -> (usize, usize) {
+        let shard = handle & ((1 << self.bits) - 1);
+        (shard as usize, (handle >> self.bits) as usize)
+    }
+
+    /// The key of the entry `handle` addresses.
+    #[inline]
+    pub(crate) fn key(&self, handle: Handle) -> &K {
+        let (shard, index) = self.locate(handle);
+        &self.shards[shard].keys[index]
+    }
+
+    /// The metadata of the entry `handle` addresses.
+    #[inline]
+    pub(crate) fn meta(&self, handle: Handle) -> &M {
+        let (shard, index) = self.locate(handle);
+        &self.shards[shard].metas[index]
     }
 
     pub(crate) fn get(&self, key: &K) -> Option<&M> {
@@ -541,19 +585,25 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
         self.shard(hash).get(key, hash)
     }
 
-    /// Inserts `key` unless present; returns whether it was inserted.
-    pub(crate) fn insert_if_absent(&mut self, key: K, meta: M) -> bool {
+    /// The handle of `key`'s entry, inserting it with `meta` when absent
+    /// (an existing entry keeps its metadata).
+    pub(crate) fn intern(&mut self, key: K, meta: M) -> Handle {
         let hash = key.table_hash();
-        self.shard_mut(hash).insert_if_absent(key, hash, meta)
+        let shard = self.shard_index(hash);
+        let index = self.shards[shard].intern(key, hash, meta);
+        make_handle(index, shard, self.bits)
     }
 
-    /// [`SeenTable::admit`] in the shard owning `key`.
+    /// [`SeenTable::admit`] in the shard owning `key`, returning the
+    /// handle of the entry it created or lowered.
     #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> bool
+    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<Handle>
     where
         M: FrontierMeta,
     {
-        self.shard_mut(hash).admit(key, hash, cost, gate)
+        let shard = self.shard_index(hash);
+        let index = self.shards[shard].admit(key, hash, cost, gate)?;
+        Some(make_handle(index, shard, self.bits))
     }
 
     /// [`SeenTable::prefetch`] in the shard owning `hash`.
@@ -576,18 +626,33 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
     }
 
     /// Re-buckets the map for a new thread count (used when the degree of
-    /// parallelism changes on a warm engine). Contents are preserved.
-    pub(crate) fn reshard_for_threads(&mut self, threads: usize) {
+    /// parallelism changes on a warm engine). Contents are preserved;
+    /// entries move to new arena positions, so every handle in `handles`
+    /// is rewritten to address its entry's new place.
+    pub(crate) fn reshard_for_threads<'h>(
+        &mut self,
+        threads: usize,
+        handles: impl IntoIterator<Item = &'h mut Handle>,
+    ) {
         let count = shard_count_for(threads);
         if count == self.shards.len() {
             return;
         }
         let mut next = Self::with_shards(count);
         next.reserve(self.len());
-        for shard in self.shards.drain(..) {
-            for (key, meta) in shard.into_entries() {
-                next.insert_if_absent(key, meta);
-            }
+        // `moved[shard][index]`: the new handle of each old entry.
+        let moved: Vec<Vec<Handle>> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(|shard| {
+                shard
+                    .into_entries()
+                    .map(|(key, meta)| next.intern(key, meta))
+                    .collect()
+            })
+            .collect();
+        for handle in handles {
+            let (shard, index) = self.locate(*handle);
+            *handle = moved[shard][index];
         }
         *self = next;
     }
@@ -735,12 +800,21 @@ struct Generated<K> {
     successor: Successor<K>,
 }
 
-/// A successor accepted into a pending bucket (new or decrease-key).
+/// A successor accepted into a pending bucket (new or decrease-key),
+/// by the handle of its `seen` entry.
 #[derive(Clone, Copy)]
-struct Pushed<K> {
+struct Pushed {
     seq: u64,
     cost: u32,
-    key: K,
+    handle: Handle,
+}
+
+/// One bucket's expansion: the accepted pushes per cost, as `seen`
+/// handles in admission order, and how many successors were generated
+/// (a deterministic work count: the same for every thread count).
+pub(crate) struct Expansion {
+    pub(crate) pushes: BTreeMap<u32, Vec<Handle>>,
+    pub(crate) generated: u64,
 }
 
 /// Bucket elements whose successors the inline loop generates, and
@@ -766,14 +840,15 @@ fn expand_inline<K, M, G>(
     seen: &mut ShardedSeen<K, M>,
     expected_new: usize,
     generate: G,
-) -> BTreeMap<u32, Vec<K>>
+) -> Expansion
 where
     K: ShardKey,
     M: FrontierMeta,
     G: Fn(usize, &K, &mut dyn FnMut(K, u32, u8)),
 {
     seen.reserve(expected_new);
-    let mut pushes: BTreeMap<u32, Vec<K>> = BTreeMap::new();
+    let mut pushes: BTreeMap<u32, Vec<Handle>> = BTreeMap::new();
+    let mut generated = 0u64;
     let mut batch: Vec<Successor<K>> = Vec::new();
     for (block_idx, block) in bucket.chunks(INLINE_BATCH).enumerate() {
         batch.clear();
@@ -789,30 +864,31 @@ where
                 },
             );
         }
+        generated += batch.len() as u64;
         for s in &batch {
-            if seen.admit(s.key, s.hash, s.cost, s.gate) {
-                pushes.entry(s.cost).or_default().push(s.key);
+            if let Some(handle) = seen.admit(s.key, s.hash, s.cost, s.gate) {
+                pushes.entry(s.cost).or_default().push(handle);
             }
         }
     }
-    pushes
+    Expansion { pushes, generated }
 }
 
 /// Appends one level's pushes to the pending cost buckets, in order
-/// after whatever each bucket already holds. Returns how many keys were
-/// pushed.
-pub(crate) fn append_pushes<K>(
-    pending: &mut BTreeMap<u32, Vec<K>>,
-    pushes: BTreeMap<u32, Vec<K>>,
+/// after whatever each bucket already holds. Returns how many handles
+/// were pushed.
+pub(crate) fn append_pushes(
+    pending: &mut BTreeMap<u32, Vec<Handle>>,
+    pushes: BTreeMap<u32, Vec<Handle>>,
 ) -> u64 {
     let mut pushed = 0u64;
-    for (cost, keys) in pushes {
-        pushed += keys.len() as u64;
+    for (cost, handles) in pushes {
+        pushed += handles.len() as u64;
         match pending.entry(cost) {
             btree_map::Entry::Vacant(bucket) => {
-                bucket.insert(keys);
+                bucket.insert(handles);
             }
-            btree_map::Entry::Occupied(mut bucket) => bucket.get_mut().extend(keys),
+            btree_map::Entry::Occupied(mut bucket) => bucket.get_mut().extend(handles),
         }
     }
     pushed
@@ -821,8 +897,9 @@ pub(crate) fn append_pushes<K>(
 /// Expands one frontier bucket: calls `generate(index, element, emit)`
 /// for every bucket element, inserts every emitted `(key, cost, gate)`
 /// successor into `seen` under the serial insert-or-decrease-key rule,
-/// and returns the accepted pushes per cost, in exactly the order
-/// [`expand_inline`] would have pushed them.
+/// and returns the accepted pushes per cost — the same handles, in
+/// exactly the order, [`expand_inline`] would have pushed — with the
+/// number of successors generated.
 ///
 /// A bucket too small for two workers (see [`par_chunks`]) runs through
 /// [`expand_inline`] on the calling thread; any other runs the sharded
@@ -834,7 +911,7 @@ pub(crate) fn expand_bucket<K, M, G>(
     expected_new: usize,
     probe: &ProbeHandle,
     generate: G,
-) -> BTreeMap<u32, Vec<K>>
+) -> Expansion
 where
     K: ShardKey,
     M: FrontierMeta,
@@ -845,8 +922,10 @@ where
         return expand_inline(bucket, seen, expected_new, generate);
     }
     let shard_count = seen.shard_count();
+    let bits = seen.bits;
     seen.reserve(expected_new);
-    let mut staged: Vec<Vec<Pushed<K>>> = (0..shard_count).map(|_| Vec::new()).collect();
+    let mut staged: Vec<Vec<Pushed>> = (0..shard_count).map(|_| Vec::new()).collect();
+    let mut generated = 0u64;
 
     for (block_idx, block) in bucket.chunks(BLOCK_ITEMS).enumerate() {
         let block_base = block_idx * BLOCK_ITEMS;
@@ -871,6 +950,11 @@ where
             }
             bufs
         });
+        generated += buffers
+            .iter()
+            .flatten()
+            .map(|buf| buf.len() as u64)
+            .sum::<u64>();
 
         // Phase 2 — adjudicate: workers own contiguous shard ranges and
         // drain every chunk's buffer for their shards in chunk order.
@@ -881,7 +965,7 @@ where
         {
             let buffers = &buffers;
             let mut shard_slices: &mut [SeenTable<K, M>] = &mut seen.shards;
-            let mut staged_slices: &mut [Vec<Pushed<K>>] = &mut staged;
+            let mut staged_slices: &mut [Vec<Pushed>] = &mut staged;
             let owners = workers.min(shard_count);
             let mut taken = 0usize;
             let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
@@ -909,11 +993,11 @@ where
                                     shard.prefetch(ahead.successor.hash);
                                 }
                                 let s = &g.successor;
-                                if shard.admit(s.key, s.hash, s.cost, s.gate) {
+                                if let Some(index) = shard.admit(s.key, s.hash, s.cost, s.gate) {
                                     stage.push(Pushed {
                                         seq: g.seq,
                                         cost: s.cost,
-                                        key: s.key,
+                                        handle: make_handle(index, shard_idx, bits),
                                     });
                                 }
                             }
@@ -939,14 +1023,17 @@ where
         }
         probe.on(|p| p.bucket_sharded(min, max, total, staged.len() as u64));
     }
-    merge_staged(staged)
+    Expansion {
+        pushes: merge_staged(staged),
+        generated,
+    }
 }
 
 /// K-way merges the per-shard push lists (each already sequence-sorted)
 /// back into global sequence order, bucketed by cost — reproducing the
 /// serial loop's pending-bucket contents exactly.
-fn merge_staged<K: Copy>(staged: Vec<Vec<Pushed<K>>>) -> BTreeMap<u32, Vec<K>> {
-    let mut out: BTreeMap<u32, Vec<K>> = BTreeMap::new();
+fn merge_staged(staged: Vec<Vec<Pushed>>) -> BTreeMap<u32, Vec<Handle>> {
+    let mut out: BTreeMap<u32, Vec<Handle>> = BTreeMap::new();
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = staged
         .iter()
         .enumerate()
@@ -956,7 +1043,7 @@ fn merge_staged<K: Copy>(staged: Vec<Vec<Pushed<K>>>) -> BTreeMap<u32, Vec<K>> {
     let mut cursors = vec![0usize; staged.len()];
     while let Some(Reverse((_, shard))) = heap.pop() {
         let push = &staged[shard][cursors[shard]];
-        out.entry(push.cost).or_default().push(push.key);
+        out.entry(push.cost).or_default().push(push.handle);
         cursors[shard] += 1;
         if let Some(next) = staged[shard].get(cursors[shard]) {
             heap.push(Reverse((next.seq, shard)));
@@ -1006,15 +1093,15 @@ mod tests {
     fn sharded_map_roundtrips_and_reshards() {
         let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(4);
         for k in 0..1000u64 {
-            assert!(map.insert_if_absent(k, TestMeta::with(k as u32, 0)));
+            map.intern(k, TestMeta::with(k as u32, 0));
         }
         assert_eq!(map.len(), 1000);
         assert_eq!(map.get(&123).map(|m| m.cost), Some(123));
-        map.reshard_for_threads(1);
+        map.reshard_for_threads(1, []);
         assert_eq!(map.shard_count(), 1);
         assert_eq!(map.len(), 1000);
         assert_eq!(map.get(&999).map(|m| m.cost), Some(999));
-        map.reshard_for_threads(8);
+        map.reshard_for_threads(8, []);
         assert_eq!(map.shard_count(), 32);
         assert_eq!(map.get(&0).map(|m| m.cost), Some(0));
     }
@@ -1057,7 +1144,8 @@ mod tests {
         let mut sizes = vec![table.slots.len()];
         for k in 0..1000u64 {
             let key = k.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            assert!(table.insert_if_absent(key, key.table_hash(), TestMeta::with(k as u32, 1)));
+            let index = table.intern(key, key.table_hash(), TestMeta::with(k as u32, 1));
+            assert_eq!(index, k as usize, "inserted, in discovery order");
             reference.insert(key, TestMeta::with(k as u32, 1));
             order.push(key);
             if sizes.last() != Some(&table.slots.len()) {
@@ -1079,22 +1167,28 @@ mod tests {
         let mut order = Vec::new();
         for k in 0..300u32 {
             let key = TagCollider(k);
-            assert!(table.admit(key, key.table_hash(), 50 - k % 7, 0));
+            assert_eq!(
+                table.admit(key, key.table_hash(), 50 - k % 7, 0),
+                Some(k as usize)
+            );
             reference.insert(key, TestMeta::with(50 - k % 7, 0));
             order.push(key);
         }
         for k in 0..300u32 {
             let key = TagCollider(k);
             // Equal cost never re-admits; a cheaper one decreases the key.
-            assert!(!table.admit(key, key.table_hash(), 50 - k % 7, 1));
-            assert!(table.admit(key, key.table_hash(), 10, 2));
+            assert_eq!(table.admit(key, key.table_hash(), 50 - k % 7, 1), None);
+            assert_eq!(table.admit(key, key.table_hash(), 10, 2), Some(k as usize));
             reference.insert(key, TestMeta::with(10, 2));
         }
-        assert!(!table.insert_if_absent(
-            TagCollider(3),
-            TagCollider(3).table_hash(),
-            TestMeta::with(0, 9)
-        ));
+        assert_eq!(
+            table.intern(
+                TagCollider(3),
+                TagCollider(3).table_hash(),
+                TestMeta::with(0, 9)
+            ),
+            3
+        );
         assert_table_matches(&table, &reference, &order);
         assert_eq!(
             table.get(&TagCollider(300), TagCollider(300).table_hash()),
@@ -1106,10 +1200,10 @@ mod tests {
     fn reshard_one_to_eight_and_back_preserves_contents() {
         let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(1);
         for k in 0..5000u64 {
-            assert!(map.insert_if_absent(k * 3, TestMeta::with(k as u32, (k % 7) as u8)));
+            map.intern(k * 3, TestMeta::with(k as u32, (k % 7) as u8));
         }
         for threads in [8, 1] {
-            map.reshard_for_threads(threads);
+            map.reshard_for_threads(threads, []);
             assert_eq!(map.shard_count(), shard_count_for(threads));
             assert_eq!(map.len(), 5000);
             for k in 0..5000u64 {
@@ -1123,6 +1217,61 @@ mod tests {
                 assert!(shard.len() * 2 <= shard.slots.len());
             }
         }
+    }
+
+    /// Checks that `handles[k]` addresses the `k`-th key the test
+    /// inserted, and that `get` and `intern` find that same entry.
+    fn assert_handles_roundtrip(map: &mut ShardedSeen<u64, TestMeta>, handles: &[Handle]) {
+        for (k, &h) in handles.iter().enumerate() {
+            let key = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            assert_eq!(*map.key(h), key);
+            assert_eq!(*map.meta(h), TestMeta::with(k as u32, (k % 5) as u8));
+            assert!(std::ptr::eq(map.get(&key).unwrap(), map.meta(h)));
+            // Present: `intern` returns the existing handle, meta untouched.
+            assert_eq!(map.intern(key, TestMeta::with(0, 9)), h);
+            assert_eq!(map.meta(h).gate, (k % 5) as u8);
+        }
+    }
+
+    #[test]
+    fn handles_roundtrip_through_key_meta_and_intern() {
+        for count in [1, 2, 16, 64] {
+            let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::with_shards(count);
+            let mut handles: Vec<Handle> = (0..3000u64)
+                .map(|k| {
+                    let key = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    map.intern(key, TestMeta::with(k as u32, (k % 5) as u8))
+                })
+                .collect();
+            assert_eq!(map.len(), 3000, "{count} shards");
+            let mut distinct = handles.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 3000, "{count} shards: handles are unique");
+            assert_handles_roundtrip(&mut map, &handles);
+            assert_eq!(map.get(&1), None);
+            // Resharding re-issues the handles it is given.
+            for threads in [1, 3, 16, 2] {
+                map.reshard_for_threads(threads, handles.iter_mut());
+                assert_eq!(map.shard_count(), shard_count_for(threads));
+                assert_handles_roundtrip(&mut map, &handles);
+            }
+        }
+    }
+
+    #[test]
+    fn handle_encoding_packs_index_above_shard() {
+        assert_eq!(make_handle(5, 0, 0), 5);
+        assert_eq!(make_handle(5, 3, 2), (5 << 2) | 3);
+        assert_eq!(make_handle((1 << 26) - 2, 63, 6), u32::MAX - 64);
+        let map: ShardedSeen<u64, TestMeta> = ShardedSeen::with_shards(64);
+        assert_eq!(map.locate((7 << 6) | 42), (42, 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a handle")]
+    fn handle_overflow_is_caught() {
+        make_handle(1 << 26, 0, 6);
     }
 
     proptest::proptest! {
@@ -1157,12 +1306,22 @@ mod tests {
                             }
                             Entry::Occupied(_) => false,
                         };
-                        proptest::prop_assert_eq!(table.admit(key, hash, cost, gate), want);
+                        let got = table.admit(key, hash, cost, gate);
+                        proptest::prop_assert_eq!(got.is_some(), want);
+                        if let Some(index) = got {
+                            // The index addresses the entry just created or lowered.
+                            proptest::prop_assert_eq!(table.keys[index], key);
+                            proptest::prop_assert_eq!(table.metas[index], meta);
+                        }
                     }
                     1 => {
                         let want = !reference.contains_key(&key);
                         reference.entry(key).or_insert(meta);
-                        proptest::prop_assert_eq!(table.insert_if_absent(key, hash, meta), want);
+                        let before = table.len();
+                        let index = table.intern(key, hash, meta);
+                        proptest::prop_assert_eq!(table.len() > before, want);
+                        proptest::prop_assert_eq!(table.keys[index], key);
+                        proptest::prop_assert_eq!(&table.metas[index], &reference[&key]);
                     }
                     _ => {
                         proptest::prop_assert_eq!(table.get(&key, hash), reference.get(&key));
@@ -1328,9 +1487,21 @@ mod tests {
                 let pool = WorkerPool::new(threads);
                 let mut seen: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(threads);
                 let probe = ProbeHandle::none();
-                let pushes = expand_bucket(&pool, &bucket, &mut seen, 1000, &probe, generate);
+                let expansion = expand_bucket(&pool, &bucket, &mut seen, 1000, &probe, generate);
                 let case = format!("len {len}, threads {threads}");
+                let pushes: BTreeMap<u32, Vec<u64>> = expansion
+                    .pushes
+                    .iter()
+                    .map(|(&cost, handles)| (cost, handles.iter().map(|&h| *seen.key(h)).collect()))
+                    .collect();
                 assert_eq!(pushes, reference, "{case}");
+                assert_eq!(expansion.generated, 6 * len as u64, "{case}");
+                for handles in expansion.pushes.values() {
+                    for &h in handles {
+                        let entry = seen.get(seen.key(h)).expect("pushed key is seen");
+                        assert!(std::ptr::eq(entry, seen.meta(h)), "{case}");
+                    }
+                }
                 assert_eq!(seen.len(), reference_seen.len(), "{case}");
                 for (key, meta) in &reference_seen {
                     assert_eq!(seen.get(key).map(|m| m.cost), Some(meta.cost), "{case}");

@@ -65,7 +65,7 @@ use mvq_logic::GateLibrary;
 use mvq_obs::ProbeHandle;
 
 use crate::engine::{Meta, SearchEngine};
-use crate::par::{self, ShardedSeen};
+use crate::par::{self, Handle, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::fnv1a;
 use crate::CostModel;
@@ -614,12 +614,13 @@ impl DeferredFrontier {
     /// Replays the buckets (cost-ascending) into the live maps. The
     /// first occurrence of a word is its cheapest — that copy carries
     /// the path metadata; later copies are the stale bucket entries the
-    /// lazy decrease-key rule leaves behind, kept in the bucket lists so
-    /// resumed expansion is bit-identical to a never-snapshotted engine.
+    /// lazy decrease-key rule leaves behind, kept in the bucket lists (as
+    /// the existing entry's handle) so resumed expansion is bit-identical
+    /// to a never-snapshotted engine.
     pub(crate) fn merge_into<W: SearchWidth>(
         self,
         seen: &mut ShardedSeen<W::Word, Meta>,
-        pending: &mut BTreeMap<u32, Vec<W::Word>>,
+        pending: &mut BTreeMap<u32, Vec<Handle>>,
     ) {
         seen.reserve(self.unique);
         let mut r = Reader::new(&self.bytes);
@@ -628,15 +629,13 @@ impl DeferredFrontier {
                 bucket_blocks(&mut r, self.domain_len).expect("validated at load");
             let mut bucket = Vec::with_capacity(gates.len());
             for (word, &gate) in words.chunks_exact(self.domain_len).zip(gates) {
-                let word = W::Word::from_slice(word);
-                seen.insert_if_absent(
-                    word,
+                bucket.push(seen.intern(
+                    W::Word::from_slice(word),
                     Meta {
                         cost,
                         last_gate: gate,
                     },
-                );
-                bucket.push(word);
+                ));
             }
             pending.insert(cost, bucket);
         }
@@ -734,12 +733,11 @@ impl<W: SearchWidth> SearchEngine<W> {
         for (&cost, bucket) in &self.pending {
             put_u32(&mut frontier, cost);
             put_u64(&mut frontier, bucket.len() as u64);
-            for word in bucket {
-                frontier.extend_from_slice(word.as_slice());
+            for &handle in bucket {
+                frontier.extend_from_slice(self.seen.key(handle).as_slice());
             }
-            for word in bucket {
-                // lint: allow(panic) pending words were inserted into seen on discovery
-                frontier.push(self.seen.get(word).expect("pending word is seen").last_gate);
+            for &handle in bucket {
+                frontier.push(self.seen.meta(handle).last_gate);
             }
         }
 
@@ -1031,7 +1029,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 if gate != NO_GATE && gate as usize >= gate_count {
                     return Err(corrupt(format!("level path gate {gate} out of range")));
                 }
-                engine.seen.insert_if_absent(
+                engine.seen.intern(
                     *word,
                     Meta {
                         cost: k,

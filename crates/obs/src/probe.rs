@@ -31,6 +31,11 @@ pub trait Probe: Send + Sync {
     /// were produced and the pending frontier now holds `frontier`
     /// words.
     fn level_finished(&self, _cost: u32, _nodes: u64, _frontier: u64) {}
+    /// The deterministic work of an expanded level: `generated`
+    /// successors were offered to the `seen` map, and `stale_dropped`
+    /// bucket entries were dropped as superseded decrease-key copies.
+    /// Both are identical for every thread count.
+    fn level_work(&self, _cost: u32, _generated: u64, _stale_dropped: u64) {}
     /// A parallel bucket expansion staged `total` pushes across
     /// `shards` shards; the fullest shard received `max_staged` and the
     /// emptiest `min_staged`.

@@ -5,7 +5,7 @@
 //! weighted cost models — as the serial engine, warm and cold, for both
 //! the unidirectional and bidirectional strategies.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use mvq_core::{
     known, CostModel, Narrow, SearchEngine, SearchWidth, SynthesisEngine, SynthesisStrategy, Wide,
@@ -261,6 +261,65 @@ fn set_threads_on_warm_engine_keeps_expansion_identical() {
     // And back down to serial.
     mixed.set_threads(1);
     assert_eq!(mixed.minimal_cost(&known::toffoli_perm(), 5), Some(5));
+}
+
+/// Records `(cost, generated, stale_dropped)` for every expanded level.
+#[derive(Default)]
+struct LevelWork(Mutex<Vec<(u32, u64, u64)>>);
+
+impl mvq_obs::Probe for LevelWork {
+    fn level_work(&self, cost: u32, generated: u64, stale_dropped: u64) {
+        if let Ok(mut work) = self.0.lock() {
+            work.push((cost, generated, stale_dropped));
+        }
+    }
+}
+
+fn with_level_work(engine: &mut SynthesisEngine) -> Arc<LevelWork> {
+    let work = Arc::new(LevelWork::default());
+    engine.set_probe(mvq_core::ProbeHandle::new(work.clone()));
+    work
+}
+
+#[test]
+fn set_threads_with_stale_copies_pending_keeps_expansion_identical() {
+    // weighted(1,1,3) re-admits words at a cheaper cost, leaving stale
+    // copies behind in later buckets. Pending buckets hold `seen`
+    // handles, and `set_threads` re-issues them when the shard count
+    // changes (1 → 4 and 3 → 1 here; 4 and 3 threads share 16 shards).
+    // Change the thread count while stale copies are pending, and the
+    // state must still match an all-serial run.
+    let model = CostModel::weighted(1, 1, 3);
+    let engine = |threads| SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+    let mut serial = engine(1);
+    let serial_work = with_level_work(&mut serial);
+    serial.expand_to_cost(9);
+
+    let mut mixed = engine(1);
+    let mixed_work = with_level_work(&mut mixed);
+    mixed.expand_to_cost(6);
+    for (threads, cb) in [(4, 7), (3, 8), (1, 9)] {
+        mixed.set_threads(threads);
+        assert_eq!(mixed.threads(), threads);
+        mixed.expand_to_cost(cb);
+    }
+
+    let work = mixed_work.0.lock().expect("no poisoning").clone();
+    assert_eq!(work, *serial_work.0.lock().expect("no poisoning"));
+    // Each level expanded after a change dropped stale copies, so each
+    // change happened while some were pending.
+    for cost in 7..=9 {
+        assert!(
+            work[cost].2 > 0,
+            "no stale copies at level {cost}: {work:?}"
+        );
+    }
+    assert_state_identical(&serial, &mixed, 9, "weighted(1,1,3) resharded at 6, 7, 8");
+    assert_eq!(
+        serial.snapshot_to_bytes().expect("standard library"),
+        mixed.snapshot_to_bytes().expect("standard library"),
+        "snapshot bytes"
+    );
 }
 
 /// Shared warm engines for the property suite: one per thread count,
