@@ -9,7 +9,7 @@ use mvq_perm::Perm;
 use crate::par::{self, FrontierMeta, Handle, ShardedSeen};
 use crate::snapshot::DeferredFrontier;
 use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
-use crate::word::FnvBuildHasher;
+use crate::word::{gate_table, FnvBuildHasher, GateTable};
 use crate::{Circuit, CostModel};
 
 /// A per-level S-trace join index: trace → indices into the level's
@@ -203,11 +203,12 @@ impl fmt::Display for SynthesisStrategy {
 pub struct SearchEngine<W: SearchWidth> {
     pub(crate) library: GateLibrary,
     pub(crate) model: CostModel,
-    /// Per-library-gate 0-based image tables.
-    pub(crate) gate_images: Vec<Vec<u8>>,
+    /// Per-library-gate 0-based image tables, padded to 256 entries (the
+    /// gate itself is the `[..domain]` prefix).
+    pub(crate) gate_images: Vec<GateTable>,
     /// Per-library-gate inverse image tables (for path reconstruction and
-    /// the backward frontier).
-    pub(crate) gate_inverse_images: Vec<Vec<u8>>,
+    /// the backward frontier), padded likewise.
+    pub(crate) gate_inverse_images: Vec<GateTable>,
     /// Per-library-gate index of the gate's inverse in the library
     /// (`u8::MAX` when it has none), so expansion can skip the edge back
     /// to a word's parent.
@@ -342,22 +343,23 @@ impl<W: SearchWidth> SearchEngine<W> {
                 slots: W::Trace::SLOTS,
             });
         }
-        let gate_images: Vec<Vec<u8>> = library
+        let domain = library.domain().len();
+        let gate_images: Vec<GateTable> = library
             .gates()
             .iter()
-            .map(|g| g.perm().as_images().to_vec())
+            .map(|g| gate_table(g.perm().as_images()))
             .collect();
-        let gate_inverse_images: Vec<Vec<u8>> = library
+        let gate_inverse_images: Vec<GateTable> = library
             .gates()
             .iter()
-            .map(|g| g.perm().inverse().as_images().to_vec())
+            .map(|g| gate_table(g.perm().inverse().as_images()))
             .collect();
         let inverse_gate: Vec<u8> = gate_inverse_images
             .iter()
             .map(|inverse| {
                 gate_images
                     .iter()
-                    .position(|images| images == inverse)
+                    .position(|images| images[..domain] == inverse[..domain])
                     .map_or(u8::MAX, |j| j as u8)
             })
             .collect();
@@ -633,18 +635,15 @@ impl<W: SearchWidth> SearchEngine<W> {
         let gate_banned = &self.gate_banned;
         let gate_costs = &self.gate_costs;
         let binary_len = self.binary0.len();
-        let generate = |idx: usize, word: &W::Word, emit: &mut dyn FnMut(W::Word, u32, u8)| {
+        let generate = |idx: usize, word: &W::Word, emit: &mut par::Emit<W::Word>| {
             let image_mask = trace_mask::<W>(traces[idx], binary_len);
             let back_gate = usize::from(back_gates[idx]);
-            for gate_idx in 0..gate_images.len() {
+            for (gate_idx, table) in gate_images.iter().enumerate() {
                 if gate_idx == back_gate || image_mask.intersects(&gate_banned[gate_idx]) {
                     continue; // the parent, or not a reasonable product
                 }
-                emit(
-                    word.map_through(&gate_images[gate_idx]),
-                    cost + gate_costs[gate_idx],
-                    gate_idx as u8,
-                );
+                let (next, hash) = word.map_hash(table);
+                emit.push_hashed(next, hash, cost + gate_costs[gate_idx], gate_idx as u8);
             }
         };
         let expansion = par::expand_bucket(

@@ -67,7 +67,9 @@ pub use snapshot::{
 pub use spec::{synthesize_spec, QuaternarySpec, SpecError, SpecSynthesis};
 pub use spectrum::CostSpectrum;
 pub use width::{Mask256, MaskRepr, Narrow, SearchWidth, ShardKey, TraceRepr, Wide, WordRepr};
-pub use word::{FnvBuildHasher, FnvHasher, Packed, PackedWord, PackedWord256};
+pub use word::{
+    gate_table, FnvBuildHasher, FnvHasher, GateTable, Packed, PackedWord, PackedWord256,
+};
 
 /// The narrow-width engine: the paper's 2- and 3-wire setting
 /// (`[u8; 64]` words, `u64` S-traces and banned masks).

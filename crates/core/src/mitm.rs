@@ -32,7 +32,7 @@ use mvq_perm::Perm;
 use crate::engine::{trace_mask, SearchEngine, TraceIndex};
 use crate::par::{self, FrontierMeta, Handle, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
-use crate::word::FnvBuildHasher;
+use crate::word::{FnvBuildHasher, GateTable};
 use crate::{Circuit, Synthesis};
 
 /// Backward-frontier metadata: the trace's best-known cost and the
@@ -125,7 +125,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
             self.levels.last().map_or(0, Vec::len),
             engine.gate_images.len(),
         );
-        let generate = |_: usize, &trace: &W::Trace, emit: &mut dyn FnMut(W::Trace, u32, u8)| {
+        let generate = |_: usize, &trace: &W::Trace, emit: &mut par::Emit<W::Trace>| {
             for gate_idx in 0..engine.gate_images.len() {
                 let prev = apply_to_trace::<W>(trace, &engine.gate_inverse_images[gate_idx], k);
                 // Forward reasonability of `gate_idx` at the moment it
@@ -133,7 +133,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
                 if trace_mask::<W>(prev, k).intersects(&engine.gate_banned[gate_idx]) {
                     continue;
                 }
-                emit(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
+                emit.push(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
             }
         };
         let expansion = par::expand_bucket(
@@ -234,11 +234,11 @@ impl<W: SearchWidth> BackwardFrontier<W> {
 }
 
 /// Applies a gate image table to each packed byte of a trace.
-fn apply_to_trace<W: SearchWidth>(trace: W::Trace, table: &[u8], k: usize) -> W::Trace {
+fn apply_to_trace<W: SearchWidth>(trace: W::Trace, table: &GateTable, k: usize) -> W::Trace {
     let mut out = W::Trace::ZERO;
     for i in 0..k {
         let point = trace.byte(i);
-        out = out.or_byte(i, table[point as usize]);
+        out = out.or_byte(i, table[usize::from(point)]);
     }
     out
 }

@@ -15,6 +15,22 @@
 //! batch at a time so their home slots can be prefetched before they are
 //! admitted in order ([`expand_inline`]).
 //!
+//! A frontier hands its successors to this module through an [`Emit`]
+//! sink: its `generate` callback pushes `(key, cost, gate)` records, with
+//! the key's table hash attached or computed on push, into a reused
+//! buffer. **Emit order is the sequence order phase 2 adjudicates in**
+//! (step 3 below): the inline loop admits the buffer front to back, and
+//! the sharded pipeline numbers each element's records in emit order. A
+//! `generate` that changes the order it pushes in therefore changes the
+//! pending buckets, even though the set of successors is the same. The
+//! forward engine fills the sink from
+//! [`Packed::map_hash`](crate::Packed::map_hash), which maps a word
+//! through a gate and hashes it in the same 8-byte lanes. It writes the
+//! same bytes as [`Packed::map_through`](crate::Packed::map_through)
+//! and folds them exactly as [`ShardKey::table_hash`] does, so the hash
+//! it attaches is the one `push` would have computed; debug builds
+//! assert this on every push.
+//!
 //! The arenas are also the only place a frontier element is stored:
 //! [`SeenTable::admit`] returns the arena index of the entry it created
 //! or lowered, [`ShardedSeen`] turns it into a 4-byte [`Handle`], and the
@@ -779,15 +795,45 @@ struct Successor<K> {
     gate: u8,
 }
 
-impl<K: ShardKey> Successor<K> {
-    #[inline]
-    fn new(key: K, cost: u32, gate: u8) -> Self {
+/// The sink a frontier's `generate` callback pushes successors into: a
+/// reused buffer of `(key, hash, cost, gate)` records.
+///
+/// Emit order is adjudication order. The inline loop admits the buffer
+/// front to back, and the sharded pipeline numbers each element's
+/// records in emit order, so the sequence phase 2 adjudicates in — and
+/// with it every pending bucket — follows the order `generate` pushed.
+pub(crate) struct Emit<K> {
+    successors: Vec<Successor<K>>,
+}
+
+impl<K: ShardKey> Emit<K> {
+    fn new() -> Self {
         Self {
-            hash: key.table_hash(),
+            successors: Vec::new(),
+        }
+    }
+
+    /// Emits a successor, hashing its key.
+    #[inline]
+    pub(crate) fn push(&mut self, key: K, cost: u32, gate: u8) {
+        self.push_hashed(key, key.table_hash(), cost, gate);
+    }
+
+    /// Emits a successor whose [`ShardKey::table_hash`] the caller already
+    /// computed (the forward engine's fused map-and-hash kernel).
+    #[inline]
+    pub(crate) fn push_hashed(&mut self, key: K, hash: u64, cost: u32, gate: u8) {
+        debug_assert_eq!(
+            hash,
+            key.table_hash(),
+            "emitted hash is the key's table hash"
+        );
+        self.successors.push(Successor {
             key,
+            hash,
             cost,
             gate,
-        }
+        });
     }
 }
 
@@ -817,6 +863,18 @@ pub(crate) struct Expansion {
     pub(crate) generated: u64,
 }
 
+/// Appends `handle` to the push list for `cost`, opening the list on the
+/// cost's first push. A bucket reaches one cost per distinct gate cost,
+/// so the linear scan is over a handful of lists; the `BTreeMap` is
+/// built once per bucket from them.
+#[inline]
+fn push_by_cost(lists: &mut Vec<(u32, Vec<Handle>)>, cost: u32, handle: Handle) {
+    match lists.iter_mut().find(|(c, _)| *c == cost) {
+        Some((_, list)) => list.push(handle),
+        None => lists.push((cost, vec![handle])),
+    }
+}
+
 /// Bucket elements whose successors the inline loop generates, and
 /// whose home slots it prefetches, before admitting any of them.
 const INLINE_BATCH: usize = 16;
@@ -826,15 +884,15 @@ const PREFETCH_DISTANCE: usize = 8;
 
 /// Expands one frontier bucket on the calling thread: calls
 /// `generate(index, element, emit)` for every bucket element, admits
-/// every emitted `(key, cost, gate)` successor into `seen` under
-/// [`SeenTable::admit`], and returns the accepted pushes per cost in
-/// admission order.
+/// every emitted successor into `seen` under [`SeenTable::admit`], and
+/// returns the accepted pushes per cost in admission order.
 ///
 /// Elements are taken [`INLINE_BATCH`] at a time: their successors are
-/// generated into a reused buffer, each successor's home slot is
-/// prefetched, and then the buffer is admitted in generation order — so
-/// the outcome is exactly that of admitting each successor as it is
-/// generated, with the slot cache misses overlapped.
+/// emitted into one reused [`Emit`] buffer, each element's successors
+/// have their home slots prefetched right after it is generated, and
+/// then the buffer is admitted in emit order — so the outcome is exactly
+/// that of admitting each successor as it is generated, with the slot
+/// cache misses overlapped.
 fn expand_inline<K, M, G>(
     bucket: &[K],
     seen: &mut ShardedSeen<K, M>,
@@ -844,34 +902,32 @@ fn expand_inline<K, M, G>(
 where
     K: ShardKey,
     M: FrontierMeta,
-    G: Fn(usize, &K, &mut dyn FnMut(K, u32, u8)),
+    G: Fn(usize, &K, &mut Emit<K>),
 {
     seen.reserve(expected_new);
-    let mut pushes: BTreeMap<u32, Vec<Handle>> = BTreeMap::new();
+    let mut lists: Vec<(u32, Vec<Handle>)> = Vec::new();
     let mut generated = 0u64;
-    let mut batch: Vec<Successor<K>> = Vec::new();
+    let mut emit = Emit::new();
     for (block_idx, block) in bucket.chunks(INLINE_BATCH).enumerate() {
-        batch.clear();
-        let seen_ro = &*seen;
+        emit.successors.clear();
         for (offset, element) in block.iter().enumerate() {
-            generate(
-                block_idx * INLINE_BATCH + offset,
-                element,
-                &mut |key, cost, gate| {
-                    let successor = Successor::new(key, cost, gate);
-                    seen_ro.prefetch(successor.hash);
-                    batch.push(successor);
-                },
-            );
+            let start = emit.successors.len();
+            generate(block_idx * INLINE_BATCH + offset, element, &mut emit);
+            for s in &emit.successors[start..] {
+                seen.prefetch(s.hash);
+            }
         }
-        generated += batch.len() as u64;
-        for s in &batch {
+        generated += emit.successors.len() as u64;
+        for s in &emit.successors {
             if let Some(handle) = seen.admit(s.key, s.hash, s.cost, s.gate) {
-                pushes.entry(s.cost).or_default().push(handle);
+                push_by_cost(&mut lists, s.cost, handle);
             }
         }
     }
-    Expansion { pushes, generated }
+    Expansion {
+        pushes: lists.into_iter().collect(),
+        generated,
+    }
 }
 
 /// Appends one level's pushes to the pending cost buckets, in order
@@ -895,8 +951,8 @@ pub(crate) fn append_pushes(
 }
 
 /// Expands one frontier bucket: calls `generate(index, element, emit)`
-/// for every bucket element, inserts every emitted `(key, cost, gate)`
-/// successor into `seen` under the serial insert-or-decrease-key rule,
+/// for every bucket element, inserts every successor it pushes into the
+/// [`Emit`] sink into `seen` under the serial insert-or-decrease-key rule,
 /// and returns the accepted pushes per cost — the same handles, in
 /// exactly the order, [`expand_inline`] would have pushed — with the
 /// number of successors generated.
@@ -915,7 +971,7 @@ pub(crate) fn expand_bucket<K, M, G>(
 where
     K: ShardKey,
     M: FrontierMeta,
-    G: Fn(usize, &K, &mut dyn FnMut(K, u32, u8)) + Sync,
+    G: Fn(usize, &K, &mut Emit<K>) + Sync,
 {
     let workers = workers_for(pool.threads(), bucket.len());
     if workers <= 1 {
@@ -930,23 +986,24 @@ where
     for (block_idx, block) in bucket.chunks(BLOCK_ITEMS).enumerate() {
         let block_base = block_idx * BLOCK_ITEMS;
 
-        // Phase 1 — generate: workers scan disjoint contiguous chunks and
-        // route successors into per-chunk, per-shard buffers.
+        // Phase 1 — generate: workers scan disjoint contiguous chunks,
+        // emit each element's successors into a reused sink, and route
+        // its contents, in emit order, into per-chunk, per-shard buffers.
         let seen_ro = &*seen;
         let buffers: Vec<Vec<Vec<Generated<K>>>> = par_chunks(pool, block.len(), |start, end| {
             let mut bufs: Vec<Vec<Generated<K>>> = (0..shard_count).map(|_| Vec::new()).collect();
+            let mut emit = Emit::new();
             for (offset, element) in block[start..end].iter().enumerate() {
                 let idx = block_base + start + offset;
-                let mut emitted = 0u64;
-                generate(idx, element, &mut |key, cost, gate| {
-                    let successor = Successor::new(key, cost, gate);
+                emit.successors.clear();
+                generate(idx, element, &mut emit);
+                debug_assert!(emit.successors.len() < (1 << 16), "seq tag overflow");
+                for (emitted, &successor) in emit.successors.iter().enumerate() {
                     bufs[seen_ro.shard_index(successor.hash)].push(Generated {
-                        seq: ((idx as u64) << 16) | emitted,
+                        seq: ((idx as u64) << 16) | emitted as u64,
                         successor,
                     });
-                    emitted += 1;
-                });
-                debug_assert!(emitted < (1 << 16), "seq tag overflow");
+                }
             }
             bufs
         });
@@ -1033,7 +1090,7 @@ where
 /// back into global sequence order, bucketed by cost — reproducing the
 /// serial loop's pending-bucket contents exactly.
 fn merge_staged(staged: Vec<Vec<Pushed>>) -> BTreeMap<u32, Vec<Handle>> {
-    let mut out: BTreeMap<u32, Vec<Handle>> = BTreeMap::new();
+    let mut lists: Vec<(u32, Vec<Handle>)> = Vec::new();
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = staged
         .iter()
         .enumerate()
@@ -1043,13 +1100,13 @@ fn merge_staged(staged: Vec<Vec<Pushed>>) -> BTreeMap<u32, Vec<Handle>> {
     let mut cursors = vec![0usize; staged.len()];
     while let Some(Reverse((_, shard))) = heap.pop() {
         let push = &staged[shard][cursors[shard]];
-        out.entry(push.cost).or_default().push(push.handle);
+        push_by_cost(&mut lists, push.cost, push.handle);
         cursors[shard] += 1;
         if let Some(next) = staged[shard].get(cursors[shard]) {
             heap.push(Reverse((next.seq, shard)));
         }
     }
-    out
+    lists.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1437,34 +1494,46 @@ mod tests {
 
     /// Toy successor graph with heavy collisions (many words share a
     /// successor) and word-dependent costs, so both the first-seen dedup
-    /// rule and the within-level decrease-key rule are exercised.
-    fn toy_successor(word: u64, gate: u8) -> (u64, u32) {
+    /// rule and the within-level decrease-key rule are exercised. Odd
+    /// gates emit through [`Emit::push_hashed`], even ones through
+    /// [`Emit::push`], so both sink entries are on the tested path.
+    fn toy_successor(word: u64, gate: u8, emit: &mut Emit<u64>) {
         let next = (word / 3 + u64::from(gate) * 37) % 1024;
         let cost = 10 + ((word >> 3) % 3) as u32 + u32::from(gate % 2);
-        (next, cost)
+        if gate % 2 == 1 {
+            emit.push_hashed(next, next.table_hash(), cost, gate);
+        } else {
+            emit.push(next, cost, gate);
+        }
     }
 
-    /// Reference for `expand_inline` and `expand_bucket`: each successor
-    /// admitted into a `HashMap` the moment it is generated.
+    /// Reference for `expand_inline` and `expand_bucket`: every successor
+    /// emitted for the bucket, admitted into a `HashMap` in emit order.
     fn serial_reference(
         bucket: &[u64],
         seen: &mut HashMap<u64, TestMeta>,
     ) -> BTreeMap<u32, Vec<u64>> {
         let mut pending: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+        let mut emit = Emit::new();
         for &word in bucket {
             for gate in 0..6u8 {
-                let (next, next_cost) = toy_successor(word, gate);
-                match seen.entry(next) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(TestMeta::with(next_cost, gate));
-                        pending.entry(next_cost).or_default().push(next);
-                    }
-                    Entry::Occupied(mut slot) if slot.get().cost > next_cost => {
-                        slot.insert(TestMeta::with(next_cost, gate));
-                        pending.entry(next_cost).or_default().push(next);
-                    }
-                    Entry::Occupied(_) => {}
+                toy_successor(word, gate, &mut emit);
+            }
+        }
+        for Successor {
+            key, cost, gate, ..
+        } in emit.successors
+        {
+            match seen.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(TestMeta::with(cost, gate));
+                    pending.entry(cost).or_default().push(key);
                 }
+                Entry::Occupied(mut slot) if slot.get().cost > cost => {
+                    slot.insert(TestMeta::with(cost, gate));
+                    pending.entry(cost).or_default().push(key);
+                }
+                Entry::Occupied(_) => {}
             }
         }
         pending
@@ -1472,10 +1541,9 @@ mod tests {
 
     #[test]
     fn expand_bucket_matches_serial_reference() {
-        let generate = |_: usize, &word: &u64, emit: &mut dyn FnMut(u64, u32, u8)| {
+        let generate = |_: usize, &word: &u64, emit: &mut Emit<u64>| {
             for gate in 0..6u8 {
-                let (next, cost) = toy_successor(word, gate);
-                emit(next, cost, gate);
+                toy_successor(word, gate, emit);
             }
         };
         for len in BOUNDARY_LENS {

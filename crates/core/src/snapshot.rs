@@ -67,7 +67,7 @@ use mvq_obs::ProbeHandle;
 use crate::engine::{Meta, SearchEngine};
 use crate::par::{self, Handle, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
-use crate::word::fnv1a;
+use crate::word::{fnv1a, GateTable};
 use crate::CostModel;
 
 /// The snapshot format version this build writes (it reads versions 1
@@ -497,12 +497,13 @@ impl Header {
 /// (For the narrow width the bytes — and therefore the fingerprints of
 /// existing v1 snapshots — are unchanged.)
 fn library_fingerprint<M: MaskRepr>(engine_like: &LibraryTables<'_, M>) -> u64 {
+    let domain = engine_like.domain;
     let mut bytes = Vec::new();
     for images in engine_like.gate_images {
-        bytes.extend_from_slice(images);
+        bytes.extend_from_slice(&images[..domain]);
     }
     for images in engine_like.gate_inverse_images {
-        bytes.extend_from_slice(images);
+        bytes.extend_from_slice(&images[..domain]);
     }
     for banned in engine_like.gate_banned {
         banned.write_le(&mut bytes);
@@ -529,9 +530,12 @@ fn bucket_blocks<'a>(
     Ok((cost, words, gates))
 }
 
+/// What the library fingerprint covers. The image tables are padded
+/// [`GateTable`]s; only their `[..domain]` prefixes are the gates.
 struct LibraryTables<'a, M: MaskRepr> {
-    gate_images: &'a [Vec<u8>],
-    gate_inverse_images: &'a [Vec<u8>],
+    domain: usize,
+    gate_images: &'a [GateTable],
+    gate_inverse_images: &'a [GateTable],
     gate_banned: &'a [M],
     binary0: &'a [u8],
 }
@@ -539,6 +543,7 @@ struct LibraryTables<'a, M: MaskRepr> {
 impl<W: SearchWidth> SearchEngine<W> {
     fn library_tables(&self) -> LibraryTables<'_, W::Mask> {
         LibraryTables {
+            domain: self.library.domain().len(),
             gate_images: &self.gate_images,
             gate_inverse_images: &self.gate_inverse_images,
             gate_banned: &self.gate_banned,

@@ -30,7 +30,7 @@
 use std::fmt;
 use std::hash::Hash;
 
-use crate::word::{fold_mul, Packed, HASH_MUL, HASH_SEED};
+use crate::word::{fold_mul, GateTable, Packed, HASH_MUL, HASH_SEED};
 
 /// Keys of the `seen` tables: hashed once per discovery, and that one
 /// hash serves shard routing, the slot tag and the home slot.
@@ -90,8 +90,13 @@ pub trait WordRepr: Copy + Eq + Ord + Hash + ShardKey + fmt::Debug + Send + Sync
     /// The active image table.
     fn as_slice(&self) -> &[u8];
 
-    /// Post-composes through `table`: `out[i] = table[self[i]]`.
-    fn map_through(&self, table: &[u8]) -> Self;
+    /// Post-composes through `table`: `out[i] = table[self[i]]`. Every
+    /// `u8` indexes a [`GateTable`], so this never panics.
+    fn map_through(&self, table: &GateTable) -> Self;
+
+    /// [`Self::map_through`] and the result's [`ShardKey::table_hash`],
+    /// computed in one pass over the word.
+    fn map_hash(&self, table: &GateTable) -> (Self, u64);
 
     /// The image of 0-based domain index `index`.
     fn at(&self, index: usize) -> u8;
@@ -116,8 +121,13 @@ impl<const CAP: usize> WordRepr for Packed<CAP> {
         Packed::as_slice(self)
     }
 
-    fn map_through(&self, table: &[u8]) -> Self {
+    fn map_through(&self, table: &GateTable) -> Self {
         Packed::map_through(self, table)
+    }
+
+    #[inline]
+    fn map_hash(&self, table: &GateTable) -> (Self, u64) {
+        Packed::map_hash(self, table)
     }
 
     #[inline]

@@ -30,7 +30,7 @@ use std::ops::Index;
 /// let id = PackedWord::identity(38);
 /// assert_eq!(id.len(), 38);
 /// assert_eq!(id[37], 37);
-/// let w = id.map_through(id.as_slice());
+/// let w = id.map_through(&mvq_core::gate_table(id.as_slice()));
 /// assert_eq!(w, id);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -48,9 +48,36 @@ pub type PackedWord = Packed<64>;
 /// substrate's 255-point ceiling.
 pub type PackedWord256 = Packed<256>;
 
+/// A gate's 0-based image table padded to 256 entries, one per `u8`
+/// image, so [`Packed::map_through`] and [`Packed::map_hash`] index it
+/// without a bounds check. Entries past the gate's domain map a point to
+/// itself; the engine reads the `[..domain]` prefix wherever it needs
+/// the gate itself (snapshot fingerprint, inverse lookup).
+pub type GateTable = [u8; 256];
+
+/// Pads a gate's 0-based image table (at most 256 entries) to a
+/// [`GateTable`].
+///
+/// # Panics
+///
+/// Panics if `images` has more than 256 entries.
+pub fn gate_table(images: &[u8]) -> GateTable {
+    let mut table: GateTable = std::array::from_fn(|i| i as u8);
+    table[..images.len()].copy_from_slice(images);
+    table
+}
+
 impl<const CAP: usize> Packed<CAP> {
     /// Maximum domain size a word can cover.
     pub const CAPACITY: usize = CAP;
+
+    /// The lane kernels read the inline table as whole 8-byte lanes:
+    /// evaluating this fails the build for any capacity that maps or
+    /// hashes a word but is not a multiple of 8.
+    const WHOLE_LANES: () = assert!(
+        CAP.is_multiple_of(8),
+        "packed capacity must be a multiple of 8"
+    );
 
     /// The identity word on `len` indices.
     ///
@@ -104,14 +131,56 @@ impl<const CAP: usize> Packed<CAP> {
 
     /// Post-composes through `table`: `out[i] = table[self[i]]` — the word
     /// for "this cascade, then the gate whose image table is `table`".
+    /// Every `u8` indexes a [`GateTable`], so this never panics.
+    pub fn map_through(&self, table: &GateTable) -> Self {
+        self.map_lanes(table, |_| ())
+    }
+
+    /// [`Self::map_through`] fused with the result's `seen`-table hash
+    /// ([`ShardKey::table_hash`](crate::ShardKey::table_hash)): each
+    /// 8-byte lane is folded into the hash state as soon as it is mapped,
+    /// so the successor is read once. The hash is bit-identical to
+    /// hashing the returned word.
     ///
-    /// # Panics
+    /// # Examples
     ///
-    /// Panics (in debug) if an image falls outside `table`.
-    pub fn map_through(&self, table: &[u8]) -> Self {
+    /// ```
+    /// use mvq_core::{gate_table, PackedWord, ShardKey};
+    ///
+    /// let word = PackedWord::from_slice(&[2, 0, 1]);
+    /// let table = gate_table(&[1, 2, 0]);
+    /// let (next, hash) = word.map_hash(&table);
+    /// assert_eq!(next, word.map_through(&table));
+    /// assert_eq!(hash, next.table_hash());
+    /// ```
+    #[inline]
+    pub fn map_hash(&self, table: &GateTable) -> (Self, u64) {
+        let mut state = self.hash_seed();
+        let word = self.map_lanes(table, |lane| state = fold_lane(state, lane));
+        (word, fold_mul(state, HASH_MUL))
+    }
+
+    /// The shared gather of [`Self::map_through`] and [`Self::map_hash`]:
+    /// maps the active lanes through `table`, each in a fixed 8-byte
+    /// loop, zeroes the images past `len` in the last lane, stores each
+    /// lane and hands it to `lane_done` in order.
+    #[inline(always)]
+    fn map_lanes(&self, table: &GateTable, mut lane_done: impl FnMut(u64)) -> Self {
+        let () = Self::WHOLE_LANES;
+        let len = usize::from(self.len);
         let mut data = [0u8; CAP];
-        for (slot, &mid) in data.iter_mut().zip(self.as_slice()) {
-            *slot = table[mid as usize];
+        let mut lanes = self.data.chunks_exact(8).zip(data.chunks_exact_mut(8));
+        for (src, dst) in lanes.by_ref().take(len / 8) {
+            let lane = gather_lane(src, table);
+            dst.copy_from_slice(&lane.to_le_bytes());
+            lane_done(lane);
+        }
+        if len % 8 != 0 {
+            if let Some((src, dst)) = lanes.next() {
+                let lane = gather_lane(src, table) & (u64::MAX >> (64 - 8 * (len % 8)));
+                dst.copy_from_slice(&lane.to_le_bytes());
+                lane_done(lane);
+            }
         }
         Self {
             data,
@@ -154,23 +223,49 @@ impl<const CAP: usize> Packed<CAP> {
     /// seeds the state so prefix-equal words of different degrees differ.
     #[inline]
     pub(crate) fn table_hash(&self) -> u64 {
-        let end = (self.len as usize).div_ceil(8) * 8;
-        let active = &self.data[..end.min(CAP)];
-        let mut chunks = active.chunks_exact(8);
-        let mut state = HASH_SEED ^ u64::from(self.len);
-        for chunk in &mut chunks {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(chunk);
-            state = fold_mul(state ^ u64::from_le_bytes(bytes), HASH_MUL);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut bytes = [0u8; 8];
-            bytes[..rest.len()].copy_from_slice(rest);
-            state = fold_mul(state ^ u64::from_le_bytes(bytes), HASH_MUL);
-        }
+        let () = Self::WHOLE_LANES;
+        let lanes = usize::from(self.len).div_ceil(8);
+        let state = self
+            .data
+            .chunks_exact(8)
+            .take(lanes)
+            .fold(self.hash_seed(), |state, lane| {
+                fold_lane(state, read_lane(lane))
+            });
         fold_mul(state, HASH_MUL)
     }
+
+    /// The `seen`-table hash state before the first lane.
+    #[inline(always)]
+    fn hash_seed(&self) -> u64 {
+        HASH_SEED ^ u64::from(self.len)
+    }
+}
+
+/// Maps one 8-byte lane of images through `table`, as a little-endian
+/// `u64`. A `u8` always indexes a [`GateTable`], so the fixed 8-step
+/// loop has no bounds check.
+#[inline(always)]
+fn gather_lane(src: &[u8], table: &GateTable) -> u64 {
+    let mut out = [0u8; 8];
+    for (slot, &mid) in out.iter_mut().zip(src) {
+        *slot = table[usize::from(mid)];
+    }
+    u64::from_le_bytes(out)
+}
+
+/// An 8-byte lane of a word's inline table as a little-endian `u64`.
+#[inline(always)]
+fn read_lane(lane: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(lane);
+    u64::from_le_bytes(bytes)
+}
+
+/// Folds one 8-byte lane into the `seen`-table hash state.
+#[inline(always)]
+fn fold_lane(state: u64, lane: u64) -> u64 {
+    fold_mul(state ^ lane, HASH_MUL)
 }
 
 /// Seed of the `seen`-table hash (the fractional digits of π).
@@ -309,9 +404,10 @@ mod tests {
     fn map_through_composes() {
         // w = (0 1 2) cycle as table, composed with itself.
         let w = PackedWord::from_slice(&[1, 2, 0]);
-        let ww = w.map_through(w.as_slice());
+        let table = gate_table(w.as_slice());
+        let ww = w.map_through(&table);
         assert_eq!(ww.as_slice(), &[2, 0, 1]);
-        let www = ww.map_through(w.as_slice());
+        let www = ww.map_through(&table);
         assert_eq!(www, PackedWord::identity(3));
     }
 
@@ -362,7 +458,7 @@ mod tests {
         assert_eq!(w.as_slice(), &images[..]);
         assert_eq!(w[0], 175);
         let id = PackedWord256::identity(176);
-        assert_eq!(w.map_through(id.as_slice()), w);
+        assert_eq!(w.map_through(&gate_table(id.as_slice())), w);
     }
 
     #[test]
@@ -392,6 +488,60 @@ mod tests {
             FnvBuildHasher::default().hash_one(wide),
             "{wide:?}"
         );
+    }
+
+    #[test]
+    fn gate_table_pads_with_fixed_points() {
+        let table = gate_table(&[2, 0, 1]);
+        assert_eq!(&table[..3], &[2, 0, 1]);
+        assert!((3..256).all(|i| usize::from(table[i]) == i));
+    }
+
+    /// A seeded xorshift64 stream, so the kernel test's cases replay.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random permutation of all 256 byte values (Fisher–Yates).
+    fn random_table(rng: &mut u64) -> GateTable {
+        let mut table: GateTable = std::array::from_fn(|i| i as u8);
+        for i in (1..256).rev() {
+            table.swap(i, (xorshift(rng) % (i as u64 + 1)) as usize);
+        }
+        table
+    }
+
+    /// Checks the fused kernel on `CAP`-capacity words of each length in
+    /// `lens`: `map_hash` returns `map_through`'s word, `map_through`
+    /// matches a byte-at-a-time reference, and the hash is `table_hash`
+    /// of that word.
+    fn check_map_hash<const CAP: usize>(lens: &[usize], rng: &mut u64) {
+        for &len in lens {
+            for _ in 0..32 {
+                let images: Vec<u8> = (0..len).map(|_| xorshift(rng) as u8).collect();
+                let word = Packed::<CAP>::from_slice(&images);
+                let table = random_table(rng);
+                let (mapped, hash) = word.map_hash(&table);
+                let reference: Vec<u8> = images.iter().map(|&i| table[usize::from(i)]).collect();
+                assert_eq!(mapped, word.map_through(&table), "CAP {CAP}, len {len}");
+                assert_eq!(
+                    mapped,
+                    Packed::<CAP>::from_slice(&reference),
+                    "CAP {CAP}, len {len}"
+                );
+                assert_eq!(hash, mapped.table_hash(), "CAP {CAP}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_hash_matches_map_through_and_table_hash() {
+        let mut rng = 0x5eed_0fca_11ab_1e00;
+        check_map_hash::<64>(&[0, 1, 7, 8, 9, 38, 40, 63, 64], &mut rng);
+        check_map_hash::<256>(&[176, 255, 256], &mut rng);
     }
 
     #[test]
