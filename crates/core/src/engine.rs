@@ -6,7 +6,8 @@ use mvq_logic::{Gate, GateLibrary};
 use mvq_obs::ProbeHandle;
 use mvq_perm::Perm;
 
-use crate::par::{self, FrontierMeta, Handle, ShardedSeen};
+use crate::par;
+use crate::seen::{FrontierMeta, Handle, ShardedSeen};
 use crate::snapshot::DeferredFrontier;
 use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{gate_table, FnvBuildHasher, GateTable};

@@ -34,9 +34,10 @@
 //! assert!(result.circuit.verify_against_binary_perm(&known::peres_perm()));
 //! ```
 
-// `deny`, not `forbid`: the two sanctioned exceptions, both in `par`
-// with their SAFETY comments, are the worker pool's scoped-task lifetime
-// erasure and the `seen` slot prefetch; everything else stays safe code.
+// `deny`, not `forbid`: the two sanctioned exceptions, each with its
+// SAFETY comment, are the worker pool's scoped-task lifetime erasure
+// (`par`) and the `seen` slot prefetch (`seen`); everything else stays
+// safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -47,6 +48,7 @@ mod engine;
 pub mod known;
 mod mitm;
 mod par;
+mod seen;
 mod snapshot;
 mod spec;
 mod spectrum;

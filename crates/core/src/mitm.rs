@@ -30,7 +30,8 @@ use mvq_logic::Gate;
 use mvq_perm::Perm;
 
 use crate::engine::{trace_mask, SearchEngine, TraceIndex};
-use crate::par::{self, FrontierMeta, Handle, ShardedSeen};
+use crate::par;
+use crate::seen::{FrontierMeta, Handle, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{FnvBuildHasher, GateTable};
 use crate::{Circuit, Synthesis};

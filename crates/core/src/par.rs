@@ -7,13 +7,11 @@
 //! parallel per element; successor *insertion* into the `seen` map is
 //! where naive parallelism dies: one shared map means one lock.
 //!
-//! `seen` itself is built for the insert-heavy probe pattern of a level
-//! expansion ([`SeenTable`]): keys and metadata sit in discovery-order
-//! arenas, and an open-addressing table of 8-byte slots (a 32-bit hash
-//! tag plus an arena index) finds them. Each key is hashed once
-//! ([`ShardKey::table_hash`]), and expansion generates successors a
-//! batch at a time so their home slots can be prefetched before they are
-//! admitted in order ([`expand_inline`]).
+//! `seen` itself ([`crate::seen`]) is built for that insert-heavy
+//! probe pattern: each key is hashed once ([`ShardKey::table_hash`]),
+//! and expansion generates successors a batch at a time so their home
+//! slots can be prefetched before they are admitted in order
+//! ([`expand_inline`]).
 //!
 //! A frontier hands its successors to this module through an [`Emit`]
 //! sink: its `generate` callback pushes `(key, cost, gate)` records, with
@@ -31,12 +29,8 @@
 //! it attaches is the one `push` would have computed; debug builds
 //! assert this on every push.
 //!
-//! The arenas are also the only place a frontier element is stored:
-//! [`SeenTable::admit`] returns the arena index of the entry it created
-//! or lowered, [`ShardedSeen`] turns it into a 4-byte [`Handle`], and the
-//! pending cost buckets of both frontiers hold handles. Reading an
-//! element's key or metadata through its handle is one indexed load, with
-//! no hash, probe or key compare.
+//! Admission returns the [`Handle`] of the entry it created or lowered,
+//! and the pending cost buckets of both frontiers hold handles.
 //!
 //! The machinery here keeps the insert phase parallel **and** the
 //! results bit-identical to the serial engine:
@@ -80,6 +74,7 @@ use std::thread::JoinHandle;
 
 use mvq_obs::ProbeHandle;
 
+use crate::seen::{make_handle, FrontierMeta, Handle, SeenTable, ShardedSeen};
 use crate::width::ShardKey;
 
 /// Smallest number of items worth handing to a worker: a bucket shards
@@ -333,351 +328,10 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Frontier metadata common to both search directions: an exact cost and
-/// the library gate that produced the element along the cheapest path.
-pub(crate) trait FrontierMeta: Copy + Send + Sync {
-    /// The element's best-known cost.
-    fn cost(&self) -> u32;
-    /// Metadata for a discovery at `cost` via `gate`.
-    fn with(cost: u32, gate: u8) -> Self;
-}
-
-/// One `seen` shard: an open-addressing slot table over two arenas.
-///
-/// Keys and their metadata live in `keys` and `metas`, in discovery
-/// order. Each slot is one `u64`: the high 32 bits of the key's
-/// [`ShardKey::table_hash`] as a tag, above `index + 1` into the arenas
-/// (0 marks an empty slot). A key's home slot is the low bits of its
-/// hash, collisions probe linearly, and the table doubles before it
-/// passes half full. A probe reads 8-byte slots and compares a key only
-/// on a tag match, so most probes for a new key never touch the arenas,
-/// and [`Self::prefetch`] can pull a home slot into cache before the
-/// probe needs it.
-#[derive(Debug, Clone)]
-pub(crate) struct SeenTable<K, M> {
-    slots: Vec<u64>,
-    keys: Vec<K>,
-    metas: Vec<M>,
-}
-
-/// Slot count of an empty table (a power of two).
-const MIN_SLOTS: usize = 16;
-
-/// The tag half of a slot (and of a table hash).
-const TAG_MASK: u64 = !0xffff_ffff;
-
-impl<K: ShardKey, M: Copy> SeenTable<K, M> {
-    pub(crate) fn new() -> Self {
-        Self {
-            slots: vec![0; MIN_SLOTS],
-            keys: Vec::new(),
-            metas: Vec::new(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Probes for `key`: `Ok(index)` into the arenas when present,
-    /// `Err(position)` of the empty slot ending its probe run otherwise.
-    #[inline]
-    fn find(&self, key: &K, hash: u64) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut pos = hash as usize & mask;
-        loop {
-            let slot = self.slots[pos];
-            if slot == 0 {
-                return Err(pos);
-            }
-            if (slot ^ hash) & TAG_MASK == 0 {
-                let index = (slot as u32 - 1) as usize;
-                if self.keys[index] == *key {
-                    return Ok(index);
-                }
-            }
-            pos = (pos + 1) & mask;
-        }
-    }
-
-    /// Appends a new key to the arenas and claims the empty slot at
-    /// `pos` for it, doubling the table once it is over half full.
-    /// Returns the new entry's arena index.
-    #[inline]
-    fn push_at(&mut self, pos: usize, key: K, hash: u64, meta: M) -> usize {
-        let index = self.keys.len();
-        self.slots[pos] = (hash & TAG_MASK) | (index as u64 + 1);
-        self.keys.push(key);
-        self.metas.push(meta);
-        if self.keys.len() * 2 > self.slots.len() {
-            self.rehash(self.slots.len() * 2);
-        }
-        index
-    }
-
-    /// Rebuilds the slots at `count` (a power of two) from the key arena.
-    fn rehash(&mut self, count: usize) {
-        let mask = count - 1;
-        let mut slots = vec![0u64; count];
-        for (index, key) in self.keys.iter().enumerate() {
-            let hash = key.table_hash();
-            let mut pos = hash as usize & mask;
-            while slots[pos] != 0 {
-                pos = (pos + 1) & mask;
-            }
-            slots[pos] = (hash & TAG_MASK) | (index as u64 + 1);
-        }
-        self.slots = slots;
-    }
-
-    /// Sizes the slots and arenas for `additional` more keys.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        let wanted = (self.len() + additional)
-            .saturating_mul(2)
-            .next_power_of_two()
-            .max(MIN_SLOTS);
-        if wanted > self.slots.len() {
-            self.rehash(wanted);
-        }
-        self.keys.reserve(additional);
-        self.metas.reserve(additional);
-    }
-
-    /// Hints the CPU to fetch the home slot of `hash`. Admission order is
-    /// untouched; the probe that follows just finds its slot in cache.
-    #[inline]
-    pub(crate) fn prefetch(&self, hash: u64) {
-        prefetch_read(&self.slots[hash as usize & (self.slots.len() - 1)]);
-    }
-
-    pub(crate) fn get(&self, key: &K, hash: u64) -> Option<&M> {
-        self.find(key, hash).ok().map(|index| &self.metas[index])
-    }
-
-    /// The arena index of `key`, inserting it with `meta` when absent
-    /// (an existing entry keeps its metadata).
-    pub(crate) fn intern(&mut self, key: K, hash: u64, meta: M) -> usize {
-        match self.find(&key, hash) {
-            Ok(index) => index,
-            Err(pos) => self.push_at(pos, key, hash, meta),
-        }
-    }
-
-    /// The Dijkstra admission rule, shared by every frontier loop: admit
-    /// a successor iff its key is new or this discovery is cheaper than
-    /// the recorded one (lazy decrease-key). Returns the arena index of
-    /// the entry it created or lowered — the element the caller must push
-    /// into its pending bucket — or `None` when it changed nothing.
-    #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<usize>
-    where
-        M: FrontierMeta,
-    {
-        match self.find(&key, hash) {
-            Ok(index) if self.metas[index].cost() > cost => {
-                self.metas[index] = M::with(cost, gate);
-                Some(index)
-            }
-            Ok(_) => None,
-            Err(pos) => Some(self.push_at(pos, key, hash, M::with(cost, gate))),
-        }
-    }
-
-    /// The entries in discovery order.
-    fn into_entries(self) -> impl Iterator<Item = (K, M)> {
-        self.keys.into_iter().zip(self.metas)
-    }
-}
-
-/// Prefetches the cache line holding `slot` (a no-op off x86_64).
-#[inline(always)]
-fn prefetch_read(slot: &u64) {
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
-    // SAFETY: `_mm_prefetch` needs only SSE, which every x86_64 target
-    // has, and it never faults or writes: `slot` is a live reference, and
-    // a prefetch of any address is merely a cache hint.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(slot).cast::<i8>());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = slot;
-}
-
-/// A [`ShardedSeen`] entry's address: its arena index above the shard
-/// number, `(index << bits) | shard`. A single shard addresses just
-/// under 2³² entries, each of 64 shards just under 2²⁶.
-///
-/// Arenas are append-only and a rehash rebuilds only the slots, so a
-/// handle stays valid for the map's lifetime — except across
-/// [`ShardedSeen::reshard_for_threads`], which re-issues the handles it
-/// is given.
-pub(crate) type Handle = u32;
-
-/// Encodes the handle of arena entry `index` in shard `shard` of a map
-/// with `bits` shard bits.
-#[inline]
-fn make_handle(index: usize, shard: usize, bits: u32) -> Handle {
-    // `index + 1` must also fit a slot's low half, hence `<`.
-    assert!(
-        (index as u64) < u64::from(u32::MAX) >> bits,
-        "seen arena index overflows a handle"
-    );
-    ((index as u32) << bits) | shard as u32
-}
-
-/// A `seen` map split into `2^bits` [`SeenTable`] shards by key hash, so
-/// disjoint workers can insert concurrently without any lock.
-///
-/// Every operation hashes its key once with [`ShardKey::table_hash`]:
-/// the top `bits` bits pick the shard, and the same hash probes inside
-/// it. Serial engines use a single shard. Entries are addressed by
-/// [`Handle`]s, which [`Self::key`] and [`Self::meta`] read without
-/// hashing.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardedSeen<K, M> {
-    shards: Vec<SeenTable<K, M>>,
-    /// log2 of the shard count.
-    bits: u32,
-}
-
-impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
-    /// A map sharded appropriately for `threads` workers.
-    pub(crate) fn for_threads(threads: usize) -> Self {
-        Self::with_shards(shard_count_for(threads))
-    }
-
-    fn with_shards(count: usize) -> Self {
-        debug_assert!(count.is_power_of_two());
-        Self {
-            shards: (0..count).map(|_| SeenTable::new()).collect(),
-            bits: count.trailing_zeros(),
-        }
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning a key with table hash `hash`.
-    #[inline]
-    pub(crate) fn shard_index(&self, hash: u64) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            (hash >> (64 - self.bits)) as usize
-        }
-    }
-
-    #[inline]
-    fn shard(&self, hash: u64) -> &SeenTable<K, M> {
-        &self.shards[self.shard_index(hash)]
-    }
-
-    /// The shard and arena index `handle` addresses.
-    #[inline]
-    fn locate(&self, handle: Handle) -> (usize, usize) {
-        let shard = handle & ((1 << self.bits) - 1);
-        (shard as usize, (handle >> self.bits) as usize)
-    }
-
-    /// The key of the entry `handle` addresses.
-    #[inline]
-    pub(crate) fn key(&self, handle: Handle) -> &K {
-        let (shard, index) = self.locate(handle);
-        &self.shards[shard].keys[index]
-    }
-
-    /// The metadata of the entry `handle` addresses.
-    #[inline]
-    pub(crate) fn meta(&self, handle: Handle) -> &M {
-        let (shard, index) = self.locate(handle);
-        &self.shards[shard].metas[index]
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<&M> {
-        let hash = key.table_hash();
-        self.shard(hash).get(key, hash)
-    }
-
-    /// The handle of `key`'s entry, inserting it with `meta` when absent
-    /// (an existing entry keeps its metadata).
-    pub(crate) fn intern(&mut self, key: K, meta: M) -> Handle {
-        let hash = key.table_hash();
-        let shard = self.shard_index(hash);
-        let index = self.shards[shard].intern(key, hash, meta);
-        make_handle(index, shard, self.bits)
-    }
-
-    /// [`SeenTable::admit`] in the shard owning `key`, returning the
-    /// handle of the entry it created or lowered.
-    #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<Handle>
-    where
-        M: FrontierMeta,
-    {
-        let shard = self.shard_index(hash);
-        let index = self.shards[shard].admit(key, hash, cost, gate)?;
-        Some(make_handle(index, shard, self.bits))
-    }
-
-    /// [`SeenTable::prefetch`] in the shard owning `hash`.
-    #[inline]
-    pub(crate) fn prefetch(&self, hash: u64) {
-        self.shard(hash).prefetch(hash);
-    }
-
-    /// Total number of elements across shards.
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(SeenTable::len).sum()
-    }
-
-    /// Reserves capacity for `additional` elements, spread over shards.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        let per_shard = additional / self.shards.len() + 1;
-        for shard in &mut self.shards {
-            shard.reserve(per_shard);
-        }
-    }
-
-    /// Re-buckets the map for a new thread count (used when the degree of
-    /// parallelism changes on a warm engine). Contents are preserved;
-    /// entries move to new arena positions, so every handle in `handles`
-    /// is rewritten to address its entry's new place.
-    pub(crate) fn reshard_for_threads<'h>(
-        &mut self,
-        threads: usize,
-        handles: impl IntoIterator<Item = &'h mut Handle>,
-    ) {
-        let count = shard_count_for(threads);
-        if count == self.shards.len() {
-            return;
-        }
-        let mut next = Self::with_shards(count);
-        next.reserve(self.len());
-        // `moved[shard][index]`: the new handle of each old entry.
-        let moved: Vec<Vec<Handle>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|shard| {
-                shard
-                    .into_entries()
-                    .map(|(key, meta)| next.intern(key, meta))
-                    .collect()
-            })
-            .collect();
-        for handle in handles {
-            let (shard, index) = self.locate(*handle);
-            *handle = moved[shard][index];
-        }
-        *self = next;
-    }
-}
-
 /// Shard count for a worker count: 1 for serial engines (no shard-hash
 /// overhead), otherwise a few shards per worker so the contiguous
 /// phase-2 ranges stay balanced, capped at 64.
-fn shard_count_for(threads: usize) -> usize {
+pub(crate) fn shard_count_for(threads: usize) -> usize {
     if threads <= 1 {
         1
     } else {
@@ -978,7 +632,7 @@ where
         return expand_inline(bucket, seen, expected_new, generate);
     }
     let shard_count = seen.shard_count();
-    let bits = seen.bits;
+    let bits = seen.bits();
     seen.reserve(expected_new);
     let mut staged: Vec<Vec<Pushed>> = (0..shard_count).map(|_| Vec::new()).collect();
     let mut generated = 0u64;
@@ -1021,7 +675,7 @@ where
         // fixed distance ahead of the record being admitted.
         {
             let buffers = &buffers;
-            let mut shard_slices: &mut [SeenTable<K, M>] = &mut seen.shards;
+            let mut shard_slices: &mut [SeenTable<K, M>] = seen.shards_mut();
             let mut staged_slices: &mut [Vec<Pushed>] = &mut staged;
             let owners = workers.min(shard_count);
             let mut taken = 0usize;
@@ -1144,249 +798,6 @@ mod tests {
         assert_eq!(shard_count_for(4), 16);
         assert_eq!(shard_count_for(8), 32);
         assert_eq!(shard_count_for(64), 64);
-    }
-
-    #[test]
-    fn sharded_map_roundtrips_and_reshards() {
-        let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(4);
-        for k in 0..1000u64 {
-            map.intern(k, TestMeta::with(k as u32, 0));
-        }
-        assert_eq!(map.len(), 1000);
-        assert_eq!(map.get(&123).map(|m| m.cost), Some(123));
-        map.reshard_for_threads(1, []);
-        assert_eq!(map.shard_count(), 1);
-        assert_eq!(map.len(), 1000);
-        assert_eq!(map.get(&999).map(|m| m.cost), Some(999));
-        map.reshard_for_threads(8, []);
-        assert_eq!(map.shard_count(), 32);
-        assert_eq!(map.get(&0).map(|m| m.cost), Some(0));
-    }
-
-    /// A key whose table hash has a constant high half: every slot tag
-    /// matches, so every probe falls through to the key comparison.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    struct TagCollider(u32);
-
-    impl ShardKey for TagCollider {
-        fn table_hash(&self) -> u64 {
-            (0x5eed_7a95_u64 << 32) | u64::from(self.0.wrapping_mul(0x9e37_79b9))
-        }
-    }
-
-    /// Checks `table` against a `HashMap` holding the same entries, and
-    /// that the arenas keep discovery order.
-    fn assert_table_matches<K: ShardKey + std::fmt::Debug>(
-        table: &SeenTable<K, TestMeta>,
-        reference: &HashMap<K, TestMeta>,
-        order: &[K],
-    ) {
-        assert_eq!(table.len(), reference.len());
-        assert_eq!(table.keys, order, "arena order is discovery order");
-        assert!(table.len() * 2 <= table.slots.len(), "at most half full");
-        assert_eq!(
-            table.slots.iter().filter(|&&slot| slot != 0).count(),
-            table.len()
-        );
-        for (key, meta) in reference {
-            assert_eq!(table.get(key, key.table_hash()), Some(meta), "{key:?}");
-        }
-    }
-
-    #[test]
-    fn seen_table_grows_through_doublings() {
-        let mut table: SeenTable<u64, TestMeta> = SeenTable::new();
-        let mut reference = HashMap::new();
-        let mut order = Vec::new();
-        let mut sizes = vec![table.slots.len()];
-        for k in 0..1000u64 {
-            let key = k.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            let index = table.intern(key, key.table_hash(), TestMeta::with(k as u32, 1));
-            assert_eq!(index, k as usize, "inserted, in discovery order");
-            reference.insert(key, TestMeta::with(k as u32, 1));
-            order.push(key);
-            if sizes.last() != Some(&table.slots.len()) {
-                sizes.push(table.slots.len());
-            }
-        }
-        assert!(sizes.len() >= 4, "3+ doublings: {sizes:?}");
-        assert!(sizes.windows(2).all(|w| w[1] == 2 * w[0]), "{sizes:?}");
-        assert_table_matches(&table, &reference, &order);
-        for k in 1000..1100u64 {
-            assert_eq!(table.get(&k, k.table_hash()), None);
-        }
-    }
-
-    #[test]
-    fn seen_table_survives_tag_collisions() {
-        let mut table: SeenTable<TagCollider, TestMeta> = SeenTable::new();
-        let mut reference = HashMap::new();
-        let mut order = Vec::new();
-        for k in 0..300u32 {
-            let key = TagCollider(k);
-            assert_eq!(
-                table.admit(key, key.table_hash(), 50 - k % 7, 0),
-                Some(k as usize)
-            );
-            reference.insert(key, TestMeta::with(50 - k % 7, 0));
-            order.push(key);
-        }
-        for k in 0..300u32 {
-            let key = TagCollider(k);
-            // Equal cost never re-admits; a cheaper one decreases the key.
-            assert_eq!(table.admit(key, key.table_hash(), 50 - k % 7, 1), None);
-            assert_eq!(table.admit(key, key.table_hash(), 10, 2), Some(k as usize));
-            reference.insert(key, TestMeta::with(10, 2));
-        }
-        assert_eq!(
-            table.intern(
-                TagCollider(3),
-                TagCollider(3).table_hash(),
-                TestMeta::with(0, 9)
-            ),
-            3
-        );
-        assert_table_matches(&table, &reference, &order);
-        assert_eq!(
-            table.get(&TagCollider(300), TagCollider(300).table_hash()),
-            None
-        );
-    }
-
-    #[test]
-    fn reshard_one_to_eight_and_back_preserves_contents() {
-        let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(1);
-        for k in 0..5000u64 {
-            map.intern(k * 3, TestMeta::with(k as u32, (k % 7) as u8));
-        }
-        for threads in [8, 1] {
-            map.reshard_for_threads(threads, []);
-            assert_eq!(map.shard_count(), shard_count_for(threads));
-            assert_eq!(map.len(), 5000);
-            for k in 0..5000u64 {
-                assert_eq!(
-                    map.get(&(k * 3)),
-                    Some(&TestMeta::with(k as u32, (k % 7) as u8))
-                );
-                assert_eq!(map.get(&(k * 3 + 1)), None);
-            }
-            for shard in &map.shards {
-                assert!(shard.len() * 2 <= shard.slots.len());
-            }
-        }
-    }
-
-    /// Checks that `handles[k]` addresses the `k`-th key the test
-    /// inserted, and that `get` and `intern` find that same entry.
-    fn assert_handles_roundtrip(map: &mut ShardedSeen<u64, TestMeta>, handles: &[Handle]) {
-        for (k, &h) in handles.iter().enumerate() {
-            let key = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            assert_eq!(*map.key(h), key);
-            assert_eq!(*map.meta(h), TestMeta::with(k as u32, (k % 5) as u8));
-            assert!(std::ptr::eq(map.get(&key).unwrap(), map.meta(h)));
-            // Present: `intern` returns the existing handle, meta untouched.
-            assert_eq!(map.intern(key, TestMeta::with(0, 9)), h);
-            assert_eq!(map.meta(h).gate, (k % 5) as u8);
-        }
-    }
-
-    #[test]
-    fn handles_roundtrip_through_key_meta_and_intern() {
-        for count in [1, 2, 16, 64] {
-            let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::with_shards(count);
-            let mut handles: Vec<Handle> = (0..3000u64)
-                .map(|k| {
-                    let key = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    map.intern(key, TestMeta::with(k as u32, (k % 5) as u8))
-                })
-                .collect();
-            assert_eq!(map.len(), 3000, "{count} shards");
-            let mut distinct = handles.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert_eq!(distinct.len(), 3000, "{count} shards: handles are unique");
-            assert_handles_roundtrip(&mut map, &handles);
-            assert_eq!(map.get(&1), None);
-            // Resharding re-issues the handles it is given.
-            for threads in [1, 3, 16, 2] {
-                map.reshard_for_threads(threads, handles.iter_mut());
-                assert_eq!(map.shard_count(), shard_count_for(threads));
-                assert_handles_roundtrip(&mut map, &handles);
-            }
-        }
-    }
-
-    #[test]
-    fn handle_encoding_packs_index_above_shard() {
-        assert_eq!(make_handle(5, 0, 0), 5);
-        assert_eq!(make_handle(5, 3, 2), (5 << 2) | 3);
-        assert_eq!(make_handle((1 << 26) - 2, 63, 6), u32::MAX - 64);
-        let map: ShardedSeen<u64, TestMeta> = ShardedSeen::with_shards(64);
-        assert_eq!(map.locate((7 << 6) | 42), (42, 7));
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows a handle")]
-    fn handle_overflow_is_caught() {
-        make_handle(1 << 26, 0, 6);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
-
-        /// Random admit / insert / get sequences agree with a `HashMap`
-        /// running the same rules, including decrease-key, over a key
-        /// range that forces several doublings.
-        #[test]
-        fn seen_table_matches_hashmap(
-            ops in proptest::collection::vec((0u8..3, 0u64..400, 1u32..20, 0u8..18), 1..1500),
-        ) {
-            let mut table: SeenTable<u64, TestMeta> = SeenTable::new();
-            let mut reference: HashMap<u64, TestMeta> = HashMap::new();
-            let mut order = Vec::new();
-            for (op, key, cost, gate) in ops {
-                let hash = key.table_hash();
-                let meta = TestMeta::with(cost, gate);
-                if !reference.contains_key(&key) && op != 2 {
-                    order.push(key);
-                }
-                match op {
-                    0 => {
-                        let want = match reference.entry(key) {
-                            Entry::Vacant(slot) => {
-                                slot.insert(meta);
-                                true
-                            }
-                            Entry::Occupied(mut slot) if slot.get().cost > cost => {
-                                slot.insert(meta);
-                                true
-                            }
-                            Entry::Occupied(_) => false,
-                        };
-                        let got = table.admit(key, hash, cost, gate);
-                        proptest::prop_assert_eq!(got.is_some(), want);
-                        if let Some(index) = got {
-                            // The index addresses the entry just created or lowered.
-                            proptest::prop_assert_eq!(table.keys[index], key);
-                            proptest::prop_assert_eq!(table.metas[index], meta);
-                        }
-                    }
-                    1 => {
-                        let want = !reference.contains_key(&key);
-                        reference.entry(key).or_insert(meta);
-                        let before = table.len();
-                        let index = table.intern(key, hash, meta);
-                        proptest::prop_assert_eq!(table.len() > before, want);
-                        proptest::prop_assert_eq!(table.keys[index], key);
-                        proptest::prop_assert_eq!(&table.metas[index], &reference[&key]);
-                    }
-                    _ => {
-                        proptest::prop_assert_eq!(table.get(&key, hash), reference.get(&key));
-                    }
-                }
-            }
-            assert_table_matches(&table, &reference, &order);
-        }
     }
 
     /// Bucket lengths on both sides of the inline/sharded boundary

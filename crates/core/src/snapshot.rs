@@ -65,7 +65,8 @@ use mvq_logic::GateLibrary;
 use mvq_obs::ProbeHandle;
 
 use crate::engine::{Meta, SearchEngine};
-use crate::par::{self, Handle, ShardedSeen};
+use crate::par;
+use crate::seen::{Handle, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{fnv1a, GateTable};
 use crate::CostModel;

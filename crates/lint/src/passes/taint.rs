@@ -2,7 +2,7 @@
 //! modules through calls.
 //!
 //! The per-file `determinism` rule bans ambient time, randomness and
-//! default-hashed collections inside the five `mvq_core` search-state
+//! default-hashed collections inside the six `mvq_core` search-state
 //! modules, but a helper elsewhere that those modules call can smuggle
 //! the same nondeterminism back in. This pass roots at every non-test
 //! fn in the search-state modules and flags taint sources in any fn

@@ -156,7 +156,7 @@ impl fmt::Display for Violation {
 }
 
 /// The interprocedural passes need the same module lists.
-pub(crate) const fn determinism_modules() -> [&'static str; 5] {
+pub(crate) const fn determinism_modules() -> [&'static str; 6] {
     DETERMINISM_MODULES
 }
 
@@ -198,14 +198,16 @@ pub(crate) fn generic_args_name_fnv(tokens: &[Token], open: usize) -> bool {
 
 /// The `mvq_core` modules that hold reproducible search state: the
 /// engine's level tables, both meet-in-the-middle frontiers, the
-/// sharded parallel expansion, the census, and the snapshot codec.
+/// sharded parallel expansion, the `seen` maps, the census, and the
+/// snapshot codec.
 /// Bit-identical state at every thread count is the repo's headline
 /// claim, so these modules may not hash nondeterministically nor read
 /// ambient time/randomness.
-const DETERMINISM_MODULES: [&str; 5] = [
+const DETERMINISM_MODULES: [&str; 6] = [
     "crates/core/src/engine.rs",
     "crates/core/src/mitm.rs",
     "crates/core/src/par.rs",
+    "crates/core/src/seen.rs",
     "crates/core/src/census.rs",
     "crates/core/src/snapshot.rs",
 ];
