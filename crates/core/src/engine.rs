@@ -7,7 +7,7 @@ use mvq_obs::ProbeHandle;
 use mvq_perm::Perm;
 
 use crate::par;
-use crate::seen::{FrontierMeta, Handle, ShardedSeen};
+use crate::seen::{Handle, Meta, ShardedSeen};
 use crate::snapshot::DeferredFrontier;
 use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{gate_table, FnvBuildHasher, GateTable};
@@ -16,29 +16,6 @@ use crate::{Circuit, CostModel};
 /// A per-level S-trace join index: trace → indices into the level's
 /// word vector (the meet-in-the-middle probe structure).
 pub(crate) type TraceIndex<T> = HashMap<T, Vec<u32>, FnvBuildHasher>;
-
-/// Per-element search metadata: the word's best-known cost (final once
-/// its level is processed — Dijkstra with positive gate costs) and the
-/// library-gate index that produced it along the cheapest path so far
-/// (`u8::MAX` for the identity seed).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Meta {
-    pub(crate) cost: u32,
-    pub(crate) last_gate: u8,
-}
-
-impl FrontierMeta for Meta {
-    fn cost(&self) -> u32 {
-        self.cost
-    }
-
-    fn with(cost: u32, gate: u8) -> Self {
-        Self {
-            cost,
-            last_gate: gate,
-        }
-    }
-}
 
 /// A reversible-circuit equivalence class discovered by FMCF: the
 /// restriction to binary patterns, its minimal cost, and every witness
@@ -230,7 +207,7 @@ pub struct SearchEngine<W: SearchWidth> {
     pub(crate) pool: par::WorkerPool,
     /// Every discovered element of `A[∞]` with its metadata, sharded by
     /// word hash so parallel expansion can insert without locks.
-    pub(crate) seen: ShardedSeen<W::Word, Meta>,
+    pub(crate) seen: ShardedSeen<W::Word>,
     /// Pending frontier elements keyed by their (exact) cost, as handles
     /// into `seen` (which stores each word once).
     pub(crate) pending: BTreeMap<u32, Vec<Handle>>,
@@ -391,14 +368,8 @@ impl<W: SearchWidth> SearchEngine<W> {
         }
         let threads = threads.max(1);
         let identity = W::Word::identity(library.domain().len());
-        let mut seen: ShardedSeen<W::Word, Meta> = ShardedSeen::for_threads(threads);
-        let root = seen.intern(
-            identity,
-            Meta {
-                cost: 0,
-                last_gate: u8::MAX,
-            },
-        );
+        let mut seen: ShardedSeen<W::Word> = ShardedSeen::for_threads(threads);
+        let root = seen.intern(identity, Meta::ROOT);
         let mut pending = BTreeMap::new();
         pending.insert(0u32, vec![root]);
         Ok(Self {
@@ -604,10 +575,10 @@ impl<W: SearchWidth> SearchEngine<W> {
         // per word the gate leading back to its parent: `w = p·g`, so the
         // successor through `g⁻¹` is `p`, already in `seen` at cost
         // `cost − cost(g)`, which `admit` would always reject.
-        let bucket = par::par_map(&self.pool, &handles, |_, &h| *seen.key(h));
+        let bucket = par::par_map(&self.pool, &handles, |_, &h| seen.key(h));
         let inverse_gate = &self.inverse_gate;
         let back_gates = par::par_map(&self.pool, &handles, |_, &h| {
-            let last = usize::from(seen.meta(h).last_gate);
+            let last = usize::from(seen.meta(h).gate);
             inverse_gate.get(last).copied().unwrap_or(u8::MAX)
         });
 
@@ -890,17 +861,17 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// Reconstructs the gate cascade that produced `word`, walking the
-    /// `last_gate` chain back to the identity.
+    /// `gate` chain back to the identity.
     pub(crate) fn reconstruct(&self, word: &W::Word) -> Vec<Gate> {
         let mut gates = Vec::new();
         let mut current = *word;
         loop {
             // lint: allow(panic) reconstruction walks predecessor links that were stored on insert
             let meta = self.seen.get(&current).expect("witness is in A");
-            if meta.last_gate == u8::MAX {
+            if meta.gate == u8::MAX {
                 break;
             }
-            let gate_idx = meta.last_gate as usize;
+            let gate_idx = meta.gate as usize;
             gates.push(self.library.gates()[gate_idx].gate());
             // parent = current * gate⁻¹.
             current = current.map_through(&self.gate_inverse_images[gate_idx]);

@@ -34,10 +34,11 @@
 //! assert!(result.circuit.verify_against_binary_perm(&known::peres_perm()));
 //! ```
 
-// `deny`, not `forbid`: the two sanctioned exceptions, each with its
+// `deny`, not `forbid`: the sanctioned exceptions, each block with its
 // SAFETY comment, are the worker pool's scoped-task lifetime erasure
-// (`par`) and the `seen` slot prefetch (`seen`); everything else stays
-// safe code.
+// (`par`), the `seen` slot prefetch (`seen`), and the owned huge-page
+// mappings behind `seen`'s large buffers (`mapping`, the only module
+// that allows `unsafe` throughout); everything else stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -46,6 +47,7 @@ mod circuit;
 mod cost;
 mod engine;
 pub mod known;
+mod mapping;
 mod mitm;
 mod par;
 mod seen;

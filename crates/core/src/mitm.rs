@@ -31,36 +31,16 @@ use mvq_perm::Perm;
 
 use crate::engine::{trace_mask, SearchEngine, TraceIndex};
 use crate::par;
-use crate::seen::{FrontierMeta, Handle, ShardedSeen};
+use crate::seen::{Handle, Meta, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{FnvBuildHasher, GateTable};
 use crate::{Circuit, Synthesis};
-
-/// Backward-frontier metadata: the trace's best-known cost and the
-/// library gate whose *forward* application moves it one step toward the
-/// target along the cheapest path so far (`u8::MAX` for the target trace
-/// itself).
-#[derive(Debug, Clone, Copy)]
-struct BackMeta {
-    cost: u32,
-    gate: u8,
-}
-
-impl FrontierMeta for BackMeta {
-    fn cost(&self) -> u32 {
-        self.cost
-    }
-
-    fn with(cost: u32, gate: u8) -> Self {
-        Self { cost, gate }
-    }
-}
 
 /// Dijkstra frontier over S-traces, grown backward from a target trace.
 struct BackwardFrontier<W: SearchWidth> {
     /// Binary-set size: how many bytes of each trace are populated.
     k: usize,
-    seen: ShardedSeen<W::Trace, BackMeta>,
+    seen: ShardedSeen<W::Trace>,
     /// Pending traces by cost, as handles into `seen`.
     pending: BTreeMap<u32, Vec<Handle>>,
     completed: Option<u32>,
@@ -70,14 +50,8 @@ struct BackwardFrontier<W: SearchWidth> {
 
 impl<W: SearchWidth> BackwardFrontier<W> {
     fn new(target_trace: W::Trace, k: usize, threads: usize) -> Self {
-        let mut seen: ShardedSeen<W::Trace, BackMeta> = ShardedSeen::for_threads(threads);
-        let root = seen.intern(
-            target_trace,
-            BackMeta {
-                cost: 0,
-                gate: u8::MAX,
-            },
-        );
+        let mut seen: ShardedSeen<W::Trace> = ShardedSeen::for_threads(threads);
+        let root = seen.intern(target_trace, Meta::ROOT);
         let mut pending = BTreeMap::new();
         pending.insert(0u32, vec![root]);
         Self {
@@ -119,7 +93,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         // skip would not pay here.
         let seen = &self.seen;
         let handles = par::par_filter(&engine.pool, raw_bucket, |&h| seen.meta(h).cost == cost);
-        let bucket = par::par_map(&engine.pool, &handles, |_, &h| *seen.key(h));
+        let bucket = par::par_map(&engine.pool, &handles, |_, &h| seen.key(h));
         let k = self.k;
         let expected_new = par::growth_hint(
             bucket.len(),

@@ -74,7 +74,7 @@ use std::thread::JoinHandle;
 
 use mvq_obs::ProbeHandle;
 
-use crate::seen::{make_handle, FrontierMeta, Handle, SeenTable, ShardedSeen};
+use crate::seen::{make_handle, Handle, SeenTable, ShardedSeen};
 use crate::width::ShardKey;
 
 /// Smallest number of items worth handing to a worker: a bucket shards
@@ -547,15 +547,14 @@ const PREFETCH_DISTANCE: usize = 8;
 /// then the buffer is admitted in emit order — so the outcome is exactly
 /// that of admitting each successor as it is generated, with the slot
 /// cache misses overlapped.
-fn expand_inline<K, M, G>(
+fn expand_inline<K, G>(
     bucket: &[K],
-    seen: &mut ShardedSeen<K, M>,
+    seen: &mut ShardedSeen<K>,
     expected_new: usize,
     generate: G,
 ) -> Expansion
 where
     K: ShardKey,
-    M: FrontierMeta,
     G: Fn(usize, &K, &mut Emit<K>),
 {
     seen.reserve(expected_new);
@@ -614,17 +613,16 @@ pub(crate) fn append_pushes(
 /// A bucket too small for two workers (see [`par_chunks`]) runs through
 /// [`expand_inline`] on the calling thread; any other runs the sharded
 /// two-phase pipeline across the pool.
-pub(crate) fn expand_bucket<K, M, G>(
+pub(crate) fn expand_bucket<K, G>(
     pool: &WorkerPool,
     bucket: &[K],
-    seen: &mut ShardedSeen<K, M>,
+    seen: &mut ShardedSeen<K>,
     expected_new: usize,
     probe: &ProbeHandle,
     generate: G,
 ) -> Expansion
 where
     K: ShardKey,
-    M: FrontierMeta,
     G: Fn(usize, &K, &mut Emit<K>) + Sync,
 {
     let workers = workers_for(pool.threads(), bucket.len());
@@ -675,7 +673,7 @@ where
         // fixed distance ahead of the record being admitted.
         {
             let buffers = &buffers;
-            let mut shard_slices: &mut [SeenTable<K, M>] = seen.shards_mut();
+            let mut shard_slices: &mut [SeenTable<K>] = seen.shards_mut();
             let mut staged_slices: &mut [Vec<Pushed>] = &mut staged;
             let owners = workers.min(shard_count);
             let mut taken = 0usize;
@@ -769,20 +767,7 @@ mod tests {
     use std::collections::hash_map::Entry;
     use std::collections::HashMap;
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct TestMeta {
-        cost: u32,
-        gate: u8,
-    }
-
-    impl FrontierMeta for TestMeta {
-        fn cost(&self) -> u32 {
-            self.cost
-        }
-        fn with(cost: u32, gate: u8) -> Self {
-            Self { cost, gate }
-        }
-    }
+    use crate::seen::Meta;
 
     #[test]
     fn explicit_request_wins() {
@@ -920,10 +905,7 @@ mod tests {
 
     /// Reference for `expand_inline` and `expand_bucket`: every successor
     /// emitted for the bucket, admitted into a `HashMap` in emit order.
-    fn serial_reference(
-        bucket: &[u64],
-        seen: &mut HashMap<u64, TestMeta>,
-    ) -> BTreeMap<u32, Vec<u64>> {
+    fn serial_reference(bucket: &[u64], seen: &mut HashMap<u64, Meta>) -> BTreeMap<u32, Vec<u64>> {
         let mut pending: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         let mut emit = Emit::new();
         for &word in bucket {
@@ -937,11 +919,11 @@ mod tests {
         {
             match seen.entry(key) {
                 Entry::Vacant(slot) => {
-                    slot.insert(TestMeta::with(cost, gate));
+                    slot.insert(Meta { cost, gate });
                     pending.entry(cost).or_default().push(key);
                 }
                 Entry::Occupied(mut slot) if slot.get().cost > cost => {
-                    slot.insert(TestMeta::with(cost, gate));
+                    slot.insert(Meta { cost, gate });
                     pending.entry(cost).or_default().push(key);
                 }
                 Entry::Occupied(_) => {}
@@ -964,21 +946,21 @@ mod tests {
             assert_eq!(reference.is_empty(), len == 0);
             for threads in TEST_THREADS {
                 let pool = WorkerPool::new(threads);
-                let mut seen: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(threads);
+                let mut seen: ShardedSeen<u64> = ShardedSeen::for_threads(threads);
                 let probe = ProbeHandle::none();
                 let expansion = expand_bucket(&pool, &bucket, &mut seen, 1000, &probe, generate);
                 let case = format!("len {len}, threads {threads}");
                 let pushes: BTreeMap<u32, Vec<u64>> = expansion
                     .pushes
                     .iter()
-                    .map(|(&cost, handles)| (cost, handles.iter().map(|&h| *seen.key(h)).collect()))
+                    .map(|(&cost, handles)| (cost, handles.iter().map(|&h| seen.key(h)).collect()))
                     .collect();
                 assert_eq!(pushes, reference, "{case}");
                 assert_eq!(expansion.generated, 6 * len as u64, "{case}");
                 for handles in expansion.pushes.values() {
                     for &h in handles {
-                        let entry = seen.get(seen.key(h)).expect("pushed key is seen");
-                        assert!(std::ptr::eq(entry, seen.meta(h)), "{case}");
+                        let entry = seen.get(&seen.key(h)).expect("pushed key is seen");
+                        assert_eq!(entry, seen.meta(h), "{case}");
                     }
                 }
                 assert_eq!(seen.len(), reference_seen.len(), "{case}");

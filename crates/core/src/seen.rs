@@ -2,13 +2,51 @@
 //! discovered, with its best-known cost and the gate that produced it.
 //!
 //! `seen` is built for the insert-heavy probe pattern of a level
-//! expansion ([`SeenTable`]): keys and metadata sit in discovery-order
-//! arenas, and an open-addressing table of 8-byte slots (a 32-bit hash
-//! tag plus an arena index) finds them. Each key is hashed once
+//! expansion ([`SeenTable`]): entries sit in a discovery-order arena of
+//! `u64` records, and an open-addressing table of 8-byte slots (a 32-bit
+//! hash tag plus an arena index) finds them. Each key is hashed once
 //! ([`ShardKey::table_hash`]); [`SeenTable::prefetch`] lets expansion
 //! pull a successor's home slot into cache before admitting it.
 //!
-//! The arenas are also the only place a frontier element is stored:
+//! # Records
+//!
+//! An entry is one record of whole `u64` lanes: a meta lane
+//! (`cost | gate << 32`, see [`Meta`]) followed by the key's active
+//! lanes ([`ShardKey::write_lanes`]). A table stores the key *shape* (a
+//! word's degree) once, so records are sized to the domain rather than
+//! to the key type's capacity:
+//!
+//! | key | lanes | record |
+//! |---|---|---|
+//! | 3-wire word (38 images of `Packed<64>`) | 1 + 5 | 48 B |
+//! | 4-wire word (176 images of `Packed<256>`) | 1 + 22 | 184 B |
+//! | `u64` trace | 1 + 1 | 16 B |
+//! | `u128` trace | 1 + 2 | 24 B |
+//!
+//! A probe compares the stored lanes in place
+//! ([`ShardKey::eq_lanes`]) and reads the meta lane from the same
+//! record, so a duplicate costs one record read. A rehash folds the
+//! stored lanes straight into the table hash
+//! ([`ShardKey::hash_lanes`]); no key is rebuilt.
+//!
+//! # Chunks
+//!
+//! The arena is a list of chunks that never move: chunk `c` holds
+//! `16 << c` records, so growth allocates a new chunk instead of
+//! copying the old ones, and arena index `i` decodes with a
+//! leading-zero count and two shifts ([`chunk_of`]). Sizes start small,
+//! so a backward frontier of a few hundred traces allocates and zeroes
+//! about what it uses, and double, so a multi-million-word level takes a
+//! couple of dozen allocations.
+//!
+//! Slot tables and chunks of 2 MiB or more are owned huge-page mappings
+//! ([`crate::mapping`]), which come zeroed from the kernel and fault in
+//! 2 MiB at a time; the module docs there say why the hint goes on an
+//! owned mapping and never on malloc'd memory.
+//!
+//! # Handles
+//!
+//! The arena is also the only place a frontier element is stored:
 //! [`SeenTable::admit`] returns the arena index of the entry it created
 //! or lowered, [`ShardedSeen`] turns it into a 4-byte [`Handle`], and the
 //! pending cost buckets of both frontiers hold handles. Reading an
@@ -19,34 +57,94 @@
 //! key's table hash, so the sharded expansion in [`crate::par`] can
 //! adjudicate disjoint shards on different workers without a lock.
 
+use std::marker::PhantomData;
+
+use crate::mapping::LaneBuf;
 use crate::par::shard_count_for;
 use crate::width::ShardKey;
 
-/// Frontier metadata common to both search directions: an exact cost and
-/// the library gate that produced the element along the cheapest path.
-pub(crate) trait FrontierMeta: Copy + Send + Sync {
-    /// The element's best-known cost.
-    fn cost(&self) -> u32;
-    /// Metadata for a discovery at `cost` via `gate`.
-    fn with(cost: u32, gate: u8) -> Self;
+/// Per-entry search metadata, common to both search directions: the
+/// element's best-known cost (final once its level is processed —
+/// Dijkstra with positive gate costs) and the library gate on its
+/// cheapest path so far, `u8::MAX` for a frontier's root.
+///
+/// Forward, `gate` is the last gate of the cascade that produced the
+/// word; backward, it is the gate whose forward application moves the
+/// trace one step toward the target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Meta {
+    pub(crate) cost: u32,
+    pub(crate) gate: u8,
 }
 
-/// One `seen` shard: an open-addressing slot table over two arenas.
+impl Meta {
+    /// A frontier's root: cost 0, reached by no gate.
+    pub(crate) const ROOT: Self = Self {
+        cost: 0,
+        gate: u8::MAX,
+    };
+
+    /// The record's meta lane: `cost | gate << 32`.
+    #[inline]
+    fn lane(self) -> u64 {
+        u64::from(self.cost) | (u64::from(self.gate) << 32)
+    }
+
+    /// Decodes a meta lane.
+    #[inline]
+    fn from_lane(lane: u64) -> Self {
+        Self {
+            cost: lane as u32,
+            gate: (lane >> 32) as u8,
+        }
+    }
+}
+
+/// log2 of the first chunk's record count.
+const FIRST_CHUNK_BITS: u32 = 4;
+
+/// Records in the first chunk; chunk `c` holds `FIRST_CHUNK << c`.
+const FIRST_CHUNK: usize = 1 << FIRST_CHUNK_BITS;
+
+/// The chunk holding arena index `index`, and the record's position in
+/// it. Chunk `c` covers indices `FIRST_CHUNK·(2^c − 1) ..
+/// FIRST_CHUNK·(2^(c+1) − 1)`, so biasing the index by `FIRST_CHUNK`
+/// puts its chunk in the position of the top set bit.
+#[inline]
+fn chunk_of(index: usize) -> (usize, usize) {
+    let biased = index + FIRST_CHUNK;
+    let top = usize::BITS - 1 - biased.leading_zeros();
+    ((top - FIRST_CHUNK_BITS) as usize, biased ^ (1 << top))
+}
+
+/// An arena entry's index and where its record lives: chunk, and the
+/// record's first lane in it.
+#[derive(Clone, Copy)]
+struct Found {
+    index: usize,
+    chunk: usize,
+    start: usize,
+}
+
+/// One `seen` shard: an open-addressing slot table over a chunked
+/// record arena (see the module docs).
 ///
-/// Keys and their metadata live in `keys` and `metas`, in discovery
-/// order. Each slot is one `u64`: the high 32 bits of the key's
-/// [`ShardKey::table_hash`] as a tag, above `index + 1` into the arenas
+/// Each slot is one `u64`: the high 32 bits of the key's
+/// [`ShardKey::table_hash`] as a tag, above `index + 1` into the arena
 /// (0 marks an empty slot). A key's home slot is the low bits of its
 /// hash, collisions probe linearly, and the table doubles before it
 /// passes half full. A probe reads 8-byte slots and compares a key only
-/// on a tag match, so most probes for a new key never touch the arenas,
+/// on a tag match, so most probes for a new key never touch the arena,
 /// and [`Self::prefetch`] can pull a home slot into cache before the
 /// probe needs it.
-#[derive(Debug, Clone)]
-pub(crate) struct SeenTable<K, M> {
-    slots: Vec<u64>,
-    keys: Vec<K>,
-    metas: Vec<M>,
+#[derive(Debug)]
+pub(crate) struct SeenTable<K> {
+    slots: LaneBuf,
+    chunks: Vec<LaneBuf>,
+    len: usize,
+    /// The shape every key shares, fixed by the first insert.
+    shape: u16,
+    keys: PhantomData<K>,
 }
 
 /// Slot count of an empty table (a power of two).
@@ -55,23 +153,73 @@ const MIN_SLOTS: usize = 16;
 /// The tag half of a slot (and of a table hash).
 const TAG_MASK: u64 = !0xffff_ffff;
 
-impl<K: ShardKey, M: Copy> SeenTable<K, M> {
+impl<K: ShardKey> SeenTable<K> {
     pub(crate) fn new() -> Self {
         Self {
-            slots: vec![0; MIN_SLOTS],
-            keys: Vec::new(),
-            metas: Vec::new(),
+            slots: LaneBuf::zeroed(MIN_SLOTS),
+            chunks: Vec::new(),
+            len: 0,
+            shape: 0,
+            keys: PhantomData,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
-    /// Probes for `key`: `Ok(index)` into the arenas when present,
-    /// `Err(position)` of the empty slot ending its probe run otherwise.
+    /// Lanes per record: the meta lane plus the key's lanes. Derived
+    /// from the key type rather than stored, so it is a constant for
+    /// trace keys and the probe loop keeps fewer values live.
+    #[inline(always)]
+    fn stride(&self) -> usize {
+        1 + K::lane_count(self.shape)
+    }
+
+    /// Where arena entry `index`'s record lives.
     #[inline]
-    fn find(&self, key: &K, hash: u64) -> Result<usize, usize> {
+    fn locate(&self, index: usize) -> Found {
+        let (chunk, offset) = chunk_of(index);
+        Found {
+            index,
+            chunk,
+            start: offset * self.stride(),
+        }
+    }
+
+    #[inline]
+    fn record_at(&self, at: Found) -> &[u64] {
+        &self.chunks[at.chunk][at.start..at.start + self.stride()]
+    }
+
+    #[inline]
+    fn record_at_mut(&mut self, at: Found) -> &mut [u64] {
+        let end = at.start + self.stride();
+        &mut self.chunks[at.chunk][at.start..end]
+    }
+
+    /// The records in discovery order.
+    fn records(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        let mut left = self.len;
+        let stride = self.stride();
+        self.chunks.iter().enumerate().flat_map(move |(c, chunk)| {
+            let filled = (FIRST_CHUNK << c).min(left);
+            left -= filled;
+            chunk[..filled * stride].chunks_exact(stride)
+        })
+    }
+
+    /// Probes for `key`: `Ok` with its entry's arena index and record
+    /// position when present, `Err(position)` of the empty slot ending
+    /// its probe run otherwise.
+    #[inline]
+    fn find(&self, key: &K, hash: u64) -> Result<Found, usize> {
+        debug_assert!(
+            self.len == 0 || key.shape() == self.shape,
+            "one key length per seen table: {} against {}",
+            key.shape(),
+            self.shape
+        );
         let mask = self.slots.len() - 1;
         let mut pos = hash as usize & mask;
         loop {
@@ -80,36 +228,51 @@ impl<K: ShardKey, M: Copy> SeenTable<K, M> {
                 return Err(pos);
             }
             if (slot ^ hash) & TAG_MASK == 0 {
-                let index = (slot as u32 - 1) as usize;
-                if self.keys[index] == *key {
-                    return Ok(index);
+                let found = self.locate((slot as u32 - 1) as usize);
+                if key.eq_lanes(&self.record_at(found)[1..]) {
+                    return Ok(found);
                 }
             }
             pos = (pos + 1) & mask;
         }
     }
 
-    /// Appends a new key to the arenas and claims the empty slot at
-    /// `pos` for it, doubling the table once it is over half full.
-    /// Returns the new entry's arena index.
+    /// Appends a record for a new key to the arena and claims the empty
+    /// slot at `pos` for it, doubling the table once it is over half
+    /// full. Returns the new entry's arena index.
     #[inline]
-    fn push_at(&mut self, pos: usize, key: K, hash: u64, meta: M) -> usize {
-        let index = self.keys.len();
-        self.slots[pos] = (hash & TAG_MASK) | (index as u64 + 1);
-        self.keys.push(key);
-        self.metas.push(meta);
-        if self.keys.len() * 2 > self.slots.len() {
+    fn push_at(&mut self, pos: usize, key: &K, hash: u64, meta: Meta) -> usize {
+        if self.len == 0 {
+            self.shape = key.shape();
+        }
+        let at = self.locate(self.len);
+        if at.chunk == self.chunks.len() {
+            self.chunks
+                .push(LaneBuf::zeroed((FIRST_CHUNK << at.chunk) * self.stride()));
+        }
+        self.slots[pos] = (hash & TAG_MASK) | (at.index as u64 + 1);
+        self.len += 1;
+        let record = self.record_at_mut(at);
+        record[0] = meta.lane();
+        key.write_lanes(&mut record[1..]);
+        debug_assert!(
+            K::hash_lanes(&record[1..], key.shape()) == hash
+                && K::from_lanes(&record[1..], key.shape()) == *key,
+            "stored lanes hash and rebuild to their key"
+        );
+        if self.len * 2 > self.slots.len() {
             self.rehash(self.slots.len() * 2);
         }
-        index
+        at.index
     }
 
-    /// Rebuilds the slots at `count` (a power of two) from the key arena.
+    /// Rebuilds the slots at `count` (a power of two), hashing each
+    /// record's stored lanes.
     fn rehash(&mut self, count: usize) {
         let mask = count - 1;
-        let mut slots = vec![0u64; count];
-        for (index, key) in self.keys.iter().enumerate() {
-            let hash = key.table_hash();
+        let mut slots = LaneBuf::zeroed(count);
+        for (index, record) in self.records().enumerate() {
+            let hash = K::hash_lanes(&record[1..], self.shape);
             let mut pos = hash as usize & mask;
             while slots[pos] != 0 {
                 pos = (pos + 1) & mask;
@@ -119,17 +282,16 @@ impl<K: ShardKey, M: Copy> SeenTable<K, M> {
         self.slots = slots;
     }
 
-    /// Sizes the slots and arenas for `additional` more keys.
+    /// Sizes the slots for `additional` more keys. The arena needs no
+    /// reservation: it grows by whole chunks and never moves.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        let wanted = (self.len() + additional)
+        let wanted = (self.len + additional)
             .saturating_mul(2)
             .next_power_of_two()
             .max(MIN_SLOTS);
         if wanted > self.slots.len() {
             self.rehash(wanted);
         }
-        self.keys.reserve(additional);
-        self.metas.reserve(additional);
     }
 
     /// Hints the CPU to fetch the home slot of `hash`. Admission order is
@@ -139,16 +301,29 @@ impl<K: ShardKey, M: Copy> SeenTable<K, M> {
         prefetch_read(&self.slots[hash as usize & (self.slots.len() - 1)]);
     }
 
-    pub(crate) fn get(&self, key: &K, hash: u64) -> Option<&M> {
-        self.find(key, hash).ok().map(|index| &self.metas[index])
+    /// The key of arena entry `index`.
+    #[inline]
+    pub(crate) fn key(&self, index: usize) -> K {
+        K::from_lanes(&self.record_at(self.locate(index))[1..], self.shape)
+    }
+
+    /// The metadata of arena entry `index`.
+    #[inline]
+    pub(crate) fn meta(&self, index: usize) -> Meta {
+        Meta::from_lane(self.record_at(self.locate(index))[0])
+    }
+
+    pub(crate) fn get(&self, key: &K, hash: u64) -> Option<Meta> {
+        let found = self.find(key, hash).ok()?;
+        Some(Meta::from_lane(self.record_at(found)[0]))
     }
 
     /// The arena index of `key`, inserting it with `meta` when absent
     /// (an existing entry keeps its metadata).
-    pub(crate) fn intern(&mut self, key: K, hash: u64, meta: M) -> usize {
+    pub(crate) fn intern(&mut self, key: K, hash: u64, meta: Meta) -> usize {
         match self.find(&key, hash) {
-            Ok(index) => index,
-            Err(pos) => self.push_at(pos, key, hash, meta),
+            Ok(found) => found.index,
+            Err(pos) => self.push_at(pos, &key, hash, meta),
         }
     }
 
@@ -158,23 +333,30 @@ impl<K: ShardKey, M: Copy> SeenTable<K, M> {
     /// the entry it created or lowered — the element the caller must push
     /// into its pending bucket — or `None` when it changed nothing.
     #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<usize>
-    where
-        M: FrontierMeta,
-    {
+    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<usize> {
+        let meta = Meta { cost, gate };
         match self.find(&key, hash) {
-            Ok(index) if self.metas[index].cost() > cost => {
-                self.metas[index] = M::with(cost, gate);
-                Some(index)
+            Ok(found) => {
+                let lane = &mut self.record_at_mut(found)[0];
+                if Meta::from_lane(*lane).cost > cost {
+                    *lane = meta.lane();
+                    Some(found.index)
+                } else {
+                    None
+                }
             }
-            Ok(_) => None,
-            Err(pos) => Some(self.push_at(pos, key, hash, M::with(cost, gate))),
+            Err(pos) => Some(self.push_at(pos, &key, hash, meta)),
         }
     }
 
     /// The entries in discovery order.
-    fn into_entries(self) -> impl Iterator<Item = (K, M)> {
-        self.keys.into_iter().zip(self.metas)
+    fn entries(&self) -> impl Iterator<Item = (K, Meta)> + '_ {
+        self.records().map(|record| {
+            (
+                K::from_lanes(&record[1..], self.shape),
+                Meta::from_lane(record[0]),
+            )
+        })
     }
 }
 
@@ -224,14 +406,14 @@ pub(crate) fn make_handle(index: usize, shard: usize, bits: u32) -> Handle {
 /// it. Serial engines use a single shard. Entries are addressed by
 /// [`Handle`]s, which [`Self::key`] and [`Self::meta`] read without
 /// hashing.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardedSeen<K, M> {
-    shards: Vec<SeenTable<K, M>>,
+#[derive(Debug)]
+pub(crate) struct ShardedSeen<K> {
+    shards: Vec<SeenTable<K>>,
     /// log2 of the shard count.
     bits: u32,
 }
 
-impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
+impl<K: ShardKey> ShardedSeen<K> {
     /// A map sharded appropriately for `threads` workers.
     pub(crate) fn for_threads(threads: usize) -> Self {
         Self::with_shards(shard_count_for(threads))
@@ -256,7 +438,7 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
     }
 
     /// The shards, for workers that adjudicate disjoint shard ranges.
-    pub(crate) fn shards_mut(&mut self) -> &mut [SeenTable<K, M>] {
+    pub(crate) fn shards_mut(&mut self) -> &mut [SeenTable<K>] {
         &mut self.shards
     }
 
@@ -271,7 +453,7 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
     }
 
     #[inline]
-    fn shard(&self, hash: u64) -> &SeenTable<K, M> {
+    fn shard(&self, hash: u64) -> &SeenTable<K> {
         &self.shards[self.shard_index(hash)]
     }
 
@@ -282,28 +464,28 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
         (shard as usize, (handle >> self.bits) as usize)
     }
 
-    /// The key of the entry `handle` addresses.
+    /// The key of the entry `handle` addresses, rebuilt from its lanes.
     #[inline]
-    pub(crate) fn key(&self, handle: Handle) -> &K {
+    pub(crate) fn key(&self, handle: Handle) -> K {
         let (shard, index) = self.locate(handle);
-        &self.shards[shard].keys[index]
+        self.shards[shard].key(index)
     }
 
     /// The metadata of the entry `handle` addresses.
     #[inline]
-    pub(crate) fn meta(&self, handle: Handle) -> &M {
+    pub(crate) fn meta(&self, handle: Handle) -> Meta {
         let (shard, index) = self.locate(handle);
-        &self.shards[shard].metas[index]
+        self.shards[shard].meta(index)
     }
 
-    pub(crate) fn get(&self, key: &K) -> Option<&M> {
+    pub(crate) fn get(&self, key: &K) -> Option<Meta> {
         let hash = key.table_hash();
         self.shard(hash).get(key, hash)
     }
 
     /// The handle of `key`'s entry, inserting it with `meta` when absent
     /// (an existing entry keeps its metadata).
-    pub(crate) fn intern(&mut self, key: K, meta: M) -> Handle {
+    pub(crate) fn intern(&mut self, key: K, meta: Meta) -> Handle {
         let hash = key.table_hash();
         let shard = self.shard_index(hash);
         let index = self.shards[shard].intern(key, hash, meta);
@@ -313,10 +495,7 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
     /// [`SeenTable::admit`] in the shard owning `key`, returning the
     /// handle of the entry it created or lowered.
     #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<Handle>
-    where
-        M: FrontierMeta,
-    {
+    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<Handle> {
         let shard = self.shard_index(hash);
         let index = self.shards[shard].admit(key, hash, cost, gate)?;
         Some(make_handle(index, shard, self.bits))
@@ -357,11 +536,12 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
         let mut next = Self::with_shards(count);
         next.reserve(self.len());
         // `moved[shard][index]`: the new handle of each old entry.
-        let moved: Vec<Vec<Handle>> = std::mem::take(&mut self.shards)
-            .into_iter()
+        let moved: Vec<Vec<Handle>> = self
+            .shards
+            .iter()
             .map(|shard| {
                 shard
-                    .into_entries()
+                    .entries()
                     .map(|(key, meta)| next.intern(key, meta))
                     .collect()
             })
@@ -377,29 +557,19 @@ impl<K: ShardKey, M: Copy> ShardedSeen<K, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::word::Packed;
     use std::collections::hash_map::Entry;
     use std::collections::HashMap;
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct TestMeta {
-        cost: u32,
-        gate: u8,
-    }
-
-    impl FrontierMeta for TestMeta {
-        fn cost(&self) -> u32 {
-            self.cost
-        }
-        fn with(cost: u32, gate: u8) -> Self {
-            Self { cost, gate }
-        }
+    fn meta(cost: u32, gate: u8) -> Meta {
+        Meta { cost, gate }
     }
 
     #[test]
     fn sharded_map_roundtrips_and_reshards() {
-        let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(4);
+        let mut map: ShardedSeen<u64> = ShardedSeen::for_threads(4);
         for k in 0..1000u64 {
-            map.intern(k, TestMeta::with(k as u32, 0));
+            map.intern(k, meta(k as u32, 0));
         }
         assert_eq!(map.len(), 1000);
         assert_eq!(map.get(&123).map(|m| m.cost), Some(123));
@@ -419,40 +589,59 @@ mod tests {
 
     impl ShardKey for TagCollider {
         fn table_hash(&self) -> u64 {
-            (0x5eed_7a95_u64 << 32) | u64::from(self.0.wrapping_mul(0x9e37_79b9))
+            Self::hash_lanes(&[u64::from(self.0)], 4)
+        }
+        fn shape(&self) -> u16 {
+            4
+        }
+        fn lane_count(_: u16) -> usize {
+            1
+        }
+        fn write_lanes(&self, out: &mut [u64]) {
+            out[0] = u64::from(self.0);
+        }
+        fn eq_lanes(&self, stored: &[u64]) -> bool {
+            u64::from(self.0) == stored[0]
+        }
+        fn from_lanes(stored: &[u64], _: u16) -> Self {
+            Self(stored[0] as u32)
+        }
+        fn hash_lanes(stored: &[u64], _: u16) -> u64 {
+            (0x5eed_7a95_u64 << 32) | u64::from((stored[0] as u32).wrapping_mul(0x9e37_79b9))
         }
     }
 
     /// Checks `table` against a `HashMap` holding the same entries, and
-    /// that the arenas keep discovery order.
+    /// that the arena keeps discovery order.
     fn assert_table_matches<K: ShardKey + std::fmt::Debug>(
-        table: &SeenTable<K, TestMeta>,
-        reference: &HashMap<K, TestMeta>,
+        table: &SeenTable<K>,
+        reference: &HashMap<K, Meta>,
         order: &[K],
     ) {
         assert_eq!(table.len(), reference.len());
-        assert_eq!(table.keys, order, "arena order is discovery order");
+        let keys: Vec<K> = table.entries().map(|(key, _)| key).collect();
+        assert_eq!(keys, order, "arena order is discovery order");
         assert!(table.len() * 2 <= table.slots.len(), "at most half full");
         assert_eq!(
             table.slots.iter().filter(|&&slot| slot != 0).count(),
             table.len()
         );
         for (key, meta) in reference {
-            assert_eq!(table.get(key, key.table_hash()), Some(meta), "{key:?}");
+            assert_eq!(table.get(key, key.table_hash()), Some(*meta), "{key:?}");
         }
     }
 
     #[test]
     fn seen_table_grows_through_doublings() {
-        let mut table: SeenTable<u64, TestMeta> = SeenTable::new();
+        let mut table: SeenTable<u64> = SeenTable::new();
         let mut reference = HashMap::new();
         let mut order = Vec::new();
         let mut sizes = vec![table.slots.len()];
         for k in 0..1000u64 {
             let key = k.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            let index = table.intern(key, key.table_hash(), TestMeta::with(k as u32, 1));
+            let index = table.intern(key, key.table_hash(), meta(k as u32, 1));
             assert_eq!(index, k as usize, "inserted, in discovery order");
-            reference.insert(key, TestMeta::with(k as u32, 1));
+            reference.insert(key, meta(k as u32, 1));
             order.push(key);
             if sizes.last() != Some(&table.slots.len()) {
                 sizes.push(table.slots.len());
@@ -468,7 +657,7 @@ mod tests {
 
     #[test]
     fn seen_table_survives_tag_collisions() {
-        let mut table: SeenTable<TagCollider, TestMeta> = SeenTable::new();
+        let mut table: SeenTable<TagCollider> = SeenTable::new();
         let mut reference = HashMap::new();
         let mut order = Vec::new();
         for k in 0..300u32 {
@@ -477,7 +666,7 @@ mod tests {
                 table.admit(key, key.table_hash(), 50 - k % 7, 0),
                 Some(k as usize)
             );
-            reference.insert(key, TestMeta::with(50 - k % 7, 0));
+            reference.insert(key, meta(50 - k % 7, 0));
             order.push(key);
         }
         for k in 0..300u32 {
@@ -485,14 +674,10 @@ mod tests {
             // Equal cost never re-admits; a cheaper one decreases the key.
             assert_eq!(table.admit(key, key.table_hash(), 50 - k % 7, 1), None);
             assert_eq!(table.admit(key, key.table_hash(), 10, 2), Some(k as usize));
-            reference.insert(key, TestMeta::with(10, 2));
+            reference.insert(key, meta(10, 2));
         }
         assert_eq!(
-            table.intern(
-                TagCollider(3),
-                TagCollider(3).table_hash(),
-                TestMeta::with(0, 9)
-            ),
+            table.intern(TagCollider(3), TagCollider(3).table_hash(), meta(0, 9)),
             3
         );
         assert_table_matches(&table, &reference, &order);
@@ -504,19 +689,16 @@ mod tests {
 
     #[test]
     fn reshard_one_to_eight_and_back_preserves_contents() {
-        let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::for_threads(1);
+        let mut map: ShardedSeen<u64> = ShardedSeen::for_threads(1);
         for k in 0..5000u64 {
-            map.intern(k * 3, TestMeta::with(k as u32, (k % 7) as u8));
+            map.intern(k * 3, meta(k as u32, (k % 7) as u8));
         }
         for threads in [8, 1] {
             map.reshard_for_threads(threads, []);
             assert_eq!(map.shard_count(), shard_count_for(threads));
             assert_eq!(map.len(), 5000);
             for k in 0..5000u64 {
-                assert_eq!(
-                    map.get(&(k * 3)),
-                    Some(&TestMeta::with(k as u32, (k % 7) as u8))
-                );
+                assert_eq!(map.get(&(k * 3)), Some(meta(k as u32, (k % 7) as u8)));
                 assert_eq!(map.get(&(k * 3 + 1)), None);
             }
             for shard in &map.shards {
@@ -527,14 +709,14 @@ mod tests {
 
     /// Checks that `handles[k]` addresses the `k`-th key the test
     /// inserted, and that `get` and `intern` find that same entry.
-    fn assert_handles_roundtrip(map: &mut ShardedSeen<u64, TestMeta>, handles: &[Handle]) {
+    fn assert_handles_roundtrip(map: &mut ShardedSeen<u64>, handles: &[Handle]) {
         for (k, &h) in handles.iter().enumerate() {
             let key = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            assert_eq!(*map.key(h), key);
-            assert_eq!(*map.meta(h), TestMeta::with(k as u32, (k % 5) as u8));
-            assert!(std::ptr::eq(map.get(&key).unwrap(), map.meta(h)));
+            assert_eq!(map.key(h), key);
+            assert_eq!(map.meta(h), meta(k as u32, (k % 5) as u8));
+            assert_eq!(map.get(&key), Some(map.meta(h)));
             // Present: `intern` returns the existing handle, meta untouched.
-            assert_eq!(map.intern(key, TestMeta::with(0, 9)), h);
+            assert_eq!(map.intern(key, meta(0, 9)), h);
             assert_eq!(map.meta(h).gate, (k % 5) as u8);
         }
     }
@@ -542,18 +724,24 @@ mod tests {
     #[test]
     fn handles_roundtrip_through_key_meta_and_intern() {
         for count in [1, 2, 16, 64] {
-            let mut map: ShardedSeen<u64, TestMeta> = ShardedSeen::with_shards(count);
-            let mut handles: Vec<Handle> = (0..3000u64)
+            let mut map: ShardedSeen<u64> = ShardedSeen::with_shards(count);
+            // 64 shards × ~250 entries each crosses the chunk
+            // boundaries at 16, 48, 112 and 240 records in every shard.
+            let mut handles: Vec<Handle> = (0..16_000u64)
                 .map(|k| {
                     let key = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    map.intern(key, TestMeta::with(k as u32, (k % 5) as u8))
+                    map.intern(key, meta(k as u32, (k % 5) as u8))
                 })
                 .collect();
-            assert_eq!(map.len(), 3000, "{count} shards");
+            assert_eq!(map.len(), 16_000, "{count} shards");
+            assert!(
+                map.shards.iter().all(|shard| shard.chunks.len() >= 4),
+                "{count} shards: every shard spans 3+ chunk boundaries"
+            );
             let mut distinct = handles.clone();
             distinct.sort_unstable();
             distinct.dedup();
-            assert_eq!(distinct.len(), 3000, "{count} shards: handles are unique");
+            assert_eq!(distinct.len(), 16_000, "{count} shards: handles are unique");
             assert_handles_roundtrip(&mut map, &handles);
             assert_eq!(map.get(&1), None);
             // Resharding re-issues the handles it is given.
@@ -566,11 +754,88 @@ mod tests {
     }
 
     #[test]
+    fn handles_roundtrip_across_the_first_mapped_chunk() {
+        // 4-wire words: 184-byte records, so the 16384-record chunk 10 is
+        // the first one of 2 MiB or more.
+        let word = |k: u32| {
+            let mut images: Vec<u8> = (0..176u32).map(|i| ((i * 7 + k) % 251) as u8).collect();
+            images[..4].copy_from_slice(&k.to_le_bytes());
+            Packed::<256>::from_slice(&images)
+        };
+        let count = 16_368 + 500;
+        let mut map: ShardedSeen<Packed<256>> = ShardedSeen::with_shards(1);
+        let handles: Vec<Handle> = (0..count)
+            .map(|k| map.intern(word(k), meta(k, (k % 18) as u8)))
+            .collect();
+        let shard = &map.shards[0];
+        assert_eq!(shard.stride() * 8, 184);
+        assert_eq!(shard.chunks.len(), 11);
+        assert!(!shard.chunks[9].is_mapped(), "1.5 MiB stays on the heap");
+        assert!(shard.chunks[10].is_mapped() || cfg!(not(target_os = "linux")));
+        for (k, &h) in (0..count).zip(&handles) {
+            assert_eq!(map.key(h), word(k));
+            assert_eq!(map.meta(h), meta(k, (k % 18) as u8));
+            assert_eq!(map.intern(word(k), meta(0, 0)), h);
+        }
+    }
+
+    #[test]
+    fn chunk_of_decodes_geometric_chunks() {
+        assert_eq!(chunk_of(0), (0, 0));
+        assert_eq!(chunk_of(15), (0, 15));
+        assert_eq!(chunk_of(16), (1, 0));
+        assert_eq!(chunk_of(47), (1, 31));
+        assert_eq!(chunk_of(48), (2, 0));
+        let mut expected = (0, 0);
+        for index in 0..100_000 {
+            assert_eq!(chunk_of(index), expected, "{index}");
+            expected.1 += 1;
+            if expected.1 == FIRST_CHUNK << expected.0 {
+                expected = (expected.0 + 1, 0);
+            }
+        }
+    }
+
+    /// Builds a one-key table and returns its record size in bytes.
+    fn record_bytes<K: ShardKey>(key: K) -> usize {
+        let mut table = SeenTable::new();
+        table.intern(key, key.table_hash(), meta(0, 0));
+        table.stride() * 8
+    }
+
+    #[test]
+    fn record_strides_are_sized_to_the_domain() {
+        assert_eq!(record_bytes(Packed::<64>::identity(38)), 48, "3 wires");
+        assert_eq!(record_bytes(Packed::<256>::identity(176)), 184, "4 wires");
+        assert_eq!(record_bytes(7u64), 16, "u64 traces");
+        assert_eq!(record_bytes(7u128), 24, "u128 traces");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "one key length per seen table")]
+    fn mixed_key_lengths_trip_a_debug_assertion() {
+        let mut table = SeenTable::new();
+        let short = Packed::<64>::identity(38);
+        let long = Packed::<64>::identity(40);
+        table.intern(short, short.table_hash(), meta(0, 0));
+        table.intern(long, long.table_hash(), meta(0, 0));
+    }
+
+    #[test]
+    fn meta_lane_roundtrips() {
+        for m in [meta(0, u8::MAX), meta(u32::MAX, 0), meta(7, 17)] {
+            assert_eq!(Meta::from_lane(m.lane()), m);
+        }
+        assert_eq!(meta(3, 2).lane(), 3 | (2 << 32));
+    }
+
+    #[test]
     fn handle_encoding_packs_index_above_shard() {
         assert_eq!(make_handle(5, 0, 0), 5);
         assert_eq!(make_handle(5, 3, 2), (5 << 2) | 3);
         assert_eq!(make_handle((1 << 26) - 2, 63, 6), u32::MAX - 64);
-        let map: ShardedSeen<u64, TestMeta> = ShardedSeen::with_shards(64);
+        let map: ShardedSeen<u64> = ShardedSeen::with_shards(64);
         assert_eq!(map.locate((7 << 6) | 42), (42, 7));
     }
 
@@ -590,12 +855,12 @@ mod tests {
         fn seen_table_matches_hashmap(
             ops in proptest::collection::vec((0u8..3, 0u64..400, 1u32..20, 0u8..18), 1..1500),
         ) {
-            let mut table: SeenTable<u64, TestMeta> = SeenTable::new();
-            let mut reference: HashMap<u64, TestMeta> = HashMap::new();
+            let mut table: SeenTable<u64> = SeenTable::new();
+            let mut reference: HashMap<u64, Meta> = HashMap::new();
             let mut order = Vec::new();
             for (op, key, cost, gate) in ops {
                 let hash = key.table_hash();
-                let meta = TestMeta::with(cost, gate);
+                let m = meta(cost, gate);
                 if !reference.contains_key(&key) && op != 2 {
                     order.push(key);
                 }
@@ -603,11 +868,11 @@ mod tests {
                     0 => {
                         let want = match reference.entry(key) {
                             Entry::Vacant(slot) => {
-                                slot.insert(meta);
+                                slot.insert(m);
                                 true
                             }
                             Entry::Occupied(mut slot) if slot.get().cost > cost => {
-                                slot.insert(meta);
+                                slot.insert(m);
                                 true
                             }
                             Entry::Occupied(_) => false,
@@ -616,21 +881,21 @@ mod tests {
                         proptest::prop_assert_eq!(got.is_some(), want);
                         if let Some(index) = got {
                             // The index addresses the entry just created or lowered.
-                            proptest::prop_assert_eq!(table.keys[index], key);
-                            proptest::prop_assert_eq!(table.metas[index], meta);
+                            proptest::prop_assert_eq!(table.key(index), key);
+                            proptest::prop_assert_eq!(table.meta(index), m);
                         }
                     }
                     1 => {
                         let want = !reference.contains_key(&key);
-                        reference.entry(key).or_insert(meta);
+                        reference.entry(key).or_insert(m);
                         let before = table.len();
-                        let index = table.intern(key, hash, meta);
+                        let index = table.intern(key, hash, m);
                         proptest::prop_assert_eq!(table.len() > before, want);
-                        proptest::prop_assert_eq!(table.keys[index], key);
-                        proptest::prop_assert_eq!(&table.metas[index], &reference[&key]);
+                        proptest::prop_assert_eq!(table.key(index), key);
+                        proptest::prop_assert_eq!(table.meta(index), reference[&key]);
                     }
                     _ => {
-                        proptest::prop_assert_eq!(table.get(&key, hash), reference.get(&key));
+                        proptest::prop_assert_eq!(table.get(&key, hash), reference.get(&key).copied());
                     }
                 }
             }

@@ -64,9 +64,9 @@ use std::path::Path;
 use mvq_logic::GateLibrary;
 use mvq_obs::ProbeHandle;
 
-use crate::engine::{Meta, SearchEngine};
+use crate::engine::SearchEngine;
 use crate::par;
-use crate::seen::{Handle, ShardedSeen};
+use crate::seen::{Handle, Meta, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{fnv1a, GateTable};
 use crate::CostModel;
@@ -625,7 +625,7 @@ impl DeferredFrontier {
     /// to a never-snapshotted engine.
     pub(crate) fn merge_into<W: SearchWidth>(
         self,
-        seen: &mut ShardedSeen<W::Word, Meta>,
+        seen: &mut ShardedSeen<W::Word>,
         pending: &mut BTreeMap<u32, Vec<Handle>>,
     ) {
         seen.reserve(self.unique);
@@ -635,13 +635,7 @@ impl DeferredFrontier {
                 bucket_blocks(&mut r, self.domain_len).expect("validated at load");
             let mut bucket = Vec::with_capacity(gates.len());
             for (word, &gate) in words.chunks_exact(self.domain_len).zip(gates) {
-                bucket.push(seen.intern(
-                    W::Word::from_slice(word),
-                    Meta {
-                        cost,
-                        last_gate: gate,
-                    },
-                ));
+                bucket.push(seen.intern(W::Word::from_slice(word), Meta { cost, gate }));
             }
             pending.insert(cost, bucket);
         }
@@ -712,7 +706,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             }
             for word in words {
                 // lint: allow(panic) level words come from seen's own level lists
-                core.push(self.seen.get(word).expect("level word is seen").last_gate);
+                core.push(self.seen.get(word).expect("level word is seen").gate);
             }
             let class_keys = &self.class_levels[k];
             put_u32(&mut core, class_keys.len() as u32);
@@ -743,7 +737,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 frontier.extend_from_slice(self.seen.key(handle).as_slice());
             }
             for &handle in bucket {
-                frontier.push(self.seen.meta(handle).last_gate);
+                frontier.push(self.seen.meta(handle).gate);
             }
         }
 
@@ -1035,13 +1029,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 if gate != NO_GATE && gate as usize >= gate_count {
                     return Err(corrupt(format!("level path gate {gate} out of range")));
                 }
-                engine.seen.intern(
-                    *word,
-                    Meta {
-                        cost: k,
-                        last_gate: gate,
-                    },
-                );
+                engine.seen.intern(*word, Meta { cost: k, gate });
             }
             let class_count = r.u32()? as usize;
             class_total += class_count as u64;

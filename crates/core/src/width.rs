@@ -34,11 +34,37 @@ use crate::word::{fold_mul, GateTable, Packed, HASH_MUL, HASH_SEED};
 
 /// Keys of the `seen` tables: hashed once per discovery, and that one
 /// hash serves shard routing, the slot tag and the home slot.
+///
+/// A table stores each key as its active 8-byte lanes (see
+/// [`Self::write_lanes`]) and the key's *shape* once for all its keys,
+/// so a key must rebuild from its lanes and its shape alone. Every key
+/// of one table has the same shape.
 pub trait ShardKey: Copy + Eq + Hash + Send + Sync {
     /// A stable 64-bit hash, read 8 bytes at a time and mixed by folded
     /// multiplication. Its top bits pick the shard, its high 32 bits are
     /// the slot tag and its low bits the home slot.
     fn table_hash(&self) -> u64;
+
+    /// What a table stores once for all its keys besides their lanes: a
+    /// word's degree, an integer's byte width.
+    fn shape(&self) -> u16;
+
+    /// How many 8-byte lanes hold a key of shape `shape`.
+    fn lane_count(shape: u16) -> usize;
+
+    /// Writes the key's [`Self::lane_count`] lanes into `out`.
+    fn write_lanes(&self, out: &mut [u64]);
+
+    /// `true` iff `stored` holds this key's lanes, tested once over all
+    /// of them rather than lane by lane.
+    fn eq_lanes(&self, stored: &[u64]) -> bool;
+
+    /// The key of shape `shape` whose lanes are `stored`.
+    fn from_lanes(stored: &[u64], shape: u16) -> Self;
+
+    /// [`Self::table_hash`] of the key stored in `stored`, folded from
+    /// the lanes directly (bit-identical to rebuilding and hashing it).
+    fn hash_lanes(stored: &[u64], shape: u16) -> u64;
 }
 
 impl<const CAP: usize> ShardKey for Packed<CAP> {
@@ -46,20 +72,111 @@ impl<const CAP: usize> ShardKey for Packed<CAP> {
     fn table_hash(&self) -> u64 {
         Packed::table_hash(self)
     }
+
+    #[inline]
+    fn shape(&self) -> u16 {
+        self.len() as u16
+    }
+
+    #[inline]
+    fn lane_count(shape: u16) -> usize {
+        Packed::<CAP>::lane_count(shape)
+    }
+
+    #[inline]
+    fn write_lanes(&self, out: &mut [u64]) {
+        Packed::write_lanes(self, out);
+    }
+
+    #[inline]
+    fn eq_lanes(&self, stored: &[u64]) -> bool {
+        Packed::eq_lanes(self, stored)
+    }
+
+    #[inline]
+    fn from_lanes(stored: &[u64], shape: u16) -> Self {
+        Packed::from_lanes(stored, shape)
+    }
+
+    #[inline]
+    fn hash_lanes(stored: &[u64], shape: u16) -> u64 {
+        Packed::<CAP>::hash_lanes(stored, shape)
+    }
 }
 
 impl ShardKey for u64 {
     #[inline]
     fn table_hash(&self) -> u64 {
-        fold_mul(fold_mul(HASH_SEED ^ self, HASH_MUL), HASH_MUL)
+        Self::hash_lanes(&[*self], 8)
+    }
+
+    #[inline]
+    fn shape(&self) -> u16 {
+        8
+    }
+
+    #[inline]
+    fn lane_count(_: u16) -> usize {
+        1
+    }
+
+    #[inline]
+    fn write_lanes(&self, out: &mut [u64]) {
+        out[0] = *self;
+    }
+
+    #[inline]
+    fn eq_lanes(&self, stored: &[u64]) -> bool {
+        *self == stored[0]
+    }
+
+    #[inline]
+    fn from_lanes(stored: &[u64], _: u16) -> Self {
+        stored[0]
+    }
+
+    #[inline]
+    fn hash_lanes(stored: &[u64], _: u16) -> u64 {
+        fold_mul(fold_mul(HASH_SEED ^ stored[0], HASH_MUL), HASH_MUL)
     }
 }
 
 impl ShardKey for u128 {
     #[inline]
     fn table_hash(&self) -> u64 {
-        let low = fold_mul(HASH_SEED ^ *self as u64, HASH_MUL);
-        fold_mul(low ^ (*self >> 64) as u64, HASH_MUL)
+        Self::hash_lanes(&[*self as u64, (*self >> 64) as u64], 16)
+    }
+
+    #[inline]
+    fn shape(&self) -> u16 {
+        16
+    }
+
+    #[inline]
+    fn lane_count(_: u16) -> usize {
+        2
+    }
+
+    #[inline]
+    fn write_lanes(&self, out: &mut [u64]) {
+        out[0] = *self as u64;
+        out[1] = (*self >> 64) as u64;
+    }
+
+    #[inline]
+    fn eq_lanes(&self, stored: &[u64]) -> bool {
+        (*self as u64 ^ stored[0]) | ((*self >> 64) as u64 ^ stored[1]) == 0
+    }
+
+    #[inline]
+    fn from_lanes(stored: &[u64], _: u16) -> Self {
+        u128::from(stored[0]) | (u128::from(stored[1]) << 64)
+    }
+
+    #[inline]
+    fn hash_lanes(stored: &[u64], _: u16) -> u64 {
+        let low = fold_mul(HASH_SEED ^ stored[0], HASH_MUL);
+        fold_mul(low ^ stored[1], HASH_MUL)
     }
 }
 
@@ -408,6 +525,48 @@ mod tests {
         let high = low | (1u128 << 100);
         assert_ne!(low.table_hash(), high.table_hash());
         assert_ne!(low.table_hash() >> 32, high.table_hash() >> 32);
+    }
+
+    /// Stores `key` as lanes and checks that the lanes hash to its table
+    /// hash, compare equal to it (and unequal to `other`), and rebuild it.
+    fn check_lanes<K: ShardKey + fmt::Debug>(key: K, other: K) {
+        let mut lanes = vec![0u64; K::lane_count(key.shape())];
+        key.write_lanes(&mut lanes);
+        assert_eq!(
+            K::hash_lanes(&lanes, key.shape()),
+            key.table_hash(),
+            "{key:?}"
+        );
+        assert_eq!(K::from_lanes(&lanes, key.shape()), key);
+        assert!(key.eq_lanes(&lanes), "{key:?}");
+        assert!(!other.eq_lanes(&lanes), "{other:?} against {key:?}");
+    }
+
+    /// A word of `len` distinct-ish images, and the same word with its
+    /// last image changed.
+    fn word_pair<const CAP: usize>(len: usize) -> (Packed<CAP>, Packed<CAP>) {
+        let images: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+        let mut changed = images.clone();
+        changed[len - 1] ^= 0x80;
+        (Packed::from_slice(&images), Packed::from_slice(&changed))
+    }
+
+    #[test]
+    fn lanes_hash_compare_and_rebuild_like_the_key() {
+        for len in [1, 7, 8, 9, 38, 40, 64] {
+            let (word, other) = word_pair::<64>(len);
+            assert_eq!(<Packed<64>>::lane_count(word.shape()), len.div_ceil(8));
+            check_lanes(word, other);
+        }
+        for len in [176, 255, 256] {
+            let (word, other) = word_pair::<256>(len);
+            check_lanes(word, other);
+        }
+        for key in [0u64, 1, 0x0123_4567_89ab_cdef, u64::MAX] {
+            check_lanes(key, key ^ 1);
+            check_lanes(u128::from(key), u128::from(key) ^ (1 << 100));
+            check_lanes((u128::from(key) << 64) | 5, u128::from(key));
+        }
     }
 
     #[test]

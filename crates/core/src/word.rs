@@ -238,8 +238,66 @@ impl<const CAP: usize> Packed<CAP> {
     /// The `seen`-table hash state before the first lane.
     #[inline(always)]
     fn hash_seed(&self) -> u64 {
-        HASH_SEED ^ u64::from(self.len)
+        hash_seed(self.len)
     }
+
+    /// How many 8-byte lanes hold the images of a word of degree `len`.
+    #[inline]
+    pub(crate) fn lane_count(len: u16) -> usize {
+        usize::from(len).div_ceil(8)
+    }
+
+    /// Writes the active lanes into `out`, one per element; the zero
+    /// image tail pads the last lane.
+    #[inline]
+    pub(crate) fn write_lanes(&self, out: &mut [u64]) {
+        let () = Self::WHOLE_LANES;
+        for (slot, lane) in out.iter_mut().zip(self.data.chunks_exact(8)) {
+            *slot = read_lane(lane);
+        }
+    }
+
+    /// `true` iff `stored` holds this word's active lanes. Every lane is
+    /// XORed into one difference word before the single test, so a
+    /// mismatch in the first lane costs as much as one in the last.
+    #[inline]
+    pub(crate) fn eq_lanes(&self, stored: &[u64]) -> bool {
+        let () = Self::WHOLE_LANES;
+        self.data
+            .chunks_exact(8)
+            .zip(stored)
+            .fold(0, |diff, (lane, &s)| diff | (read_lane(lane) ^ s))
+            == 0
+    }
+
+    /// The word of degree `len` whose active lanes are `stored`.
+    #[inline]
+    pub(crate) fn from_lanes(stored: &[u64], len: u16) -> Self {
+        let () = Self::WHOLE_LANES;
+        let mut data = [0u8; CAP];
+        for (dst, lane) in data.chunks_exact_mut(8).zip(stored) {
+            dst.copy_from_slice(&lane.to_le_bytes());
+        }
+        Self { data, len }
+    }
+
+    /// [`Self::table_hash`] of the degree-`len` word whose active lanes
+    /// are `stored`, folded from the lanes without rebuilding the word.
+    #[inline]
+    pub(crate) fn hash_lanes(stored: &[u64], len: u16) -> u64 {
+        let state = stored
+            .iter()
+            .fold(hash_seed(len), |state, &lane| fold_lane(state, lane));
+        fold_mul(state, HASH_MUL)
+    }
+}
+
+/// The `seen`-table hash state of a degree-`len` word before its first
+/// lane: the length seeds it, so prefix-equal words of different degrees
+/// hash apart.
+#[inline(always)]
+fn hash_seed(len: u16) -> u64 {
+    HASH_SEED ^ u64::from(len)
 }
 
 /// Maps one 8-byte lane of images through `table`, as a little-endian

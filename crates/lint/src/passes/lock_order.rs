@@ -62,7 +62,8 @@ pub fn run(g: &Graph<'_>, out: &mut Vec<Violation>) {
 }
 
 /// A direct ranked acquisition at this call site, if any: `.lock()` /
-/// `.read()` / `.write()` with no arguments on a ranked field.
+/// `.read()` / `.write()` / `.try_read()` with no arguments on a ranked
+/// field.
 fn direct_acquisition(g: &Graph<'_>, callee: &Callee, empty_args: bool) -> Option<u32> {
     if !empty_args {
         return None;
@@ -70,7 +71,7 @@ fn direct_acquisition(g: &Graph<'_>, callee: &Callee, empty_args: bool) -> Optio
     let Callee::Method { name, recv } = callee else {
         return None;
     };
-    if !matches!(name.as_str(), "lock" | "read" | "write") {
+    if !matches!(name.as_str(), "lock" | "read" | "write" | "try_read") {
         return None;
     }
     match recv.last() {

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, TryLockError};
 use std::time::{Duration, Instant};
 
 use crate::lockrank::{
@@ -417,6 +417,54 @@ impl<W: SearchWidth> EngineHost<W> {
         self.engine.read().map_err(HostError::from)
     }
 
+    /// [`Self::engine_read`] for a request with a deadline: while a
+    /// level expansion holds the write lock, the request waits on
+    /// `landed` (never spinning) with its remaining budget instead of
+    /// queueing on the lock, and sheds with
+    /// [`HostError::DeadlineExceeded`] if the budget runs out first.
+    /// Any other writer (a heal, bidirectional preparation, a probe
+    /// install) is short, so the request blocks on the lock as usual.
+    fn engine_read_by(
+        &self,
+        deadline: Instant,
+        budget_ms: u64,
+    ) -> Result<ReadGuard<'_, SearchEngine<W>>, HostError> {
+        loop {
+            match self.engine.try_read() {
+                Ok(guard) => return Ok(guard),
+                Err(TryLockError::WouldBlock) => {}
+                // Heal below, once the poisoned guard has dropped.
+                Err(TryLockError::Poisoned(_)) => break,
+            };
+            let flight = self.flight_lock()?;
+            if !flight.expanding {
+                break;
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                drop(flight);
+                return Err(self.shed(budget_ms));
+            }
+            let (flight, timeout) = self.landed.wait_timeout(flight, remaining)?;
+            if timeout.timed_out() && flight.expanding {
+                drop(flight);
+                return Err(self.shed(budget_ms));
+            }
+            // A level landed (or the expander bailed): try the lock again.
+        }
+        self.engine_read()
+    }
+
+    /// Counts a request shed at its deadline and builds its error.
+    fn shed(&self, budget_ms: u64) -> HostError {
+        self.counters
+            .deadline_timeouts
+            .fetch_add(1, Ordering::Relaxed);
+        HostError::DeadlineExceeded {
+            deadline_ms: budget_ms,
+        }
+    }
+
     /// Write-side counterpart of [`Self::engine_read`].
     fn engine_write(&self) -> Result<WriteGuard<'_, SearchEngine<W>>, HostError> {
         if let Ok(guard) = self.engine.write() {
@@ -618,7 +666,7 @@ impl<W: SearchWidth> EngineHost<W> {
         let mut expansions = 0u64;
         loop {
             {
-                let engine = self.engine_read()?;
+                let engine = self.engine_read_by(deadline, budget_ms)?;
                 if let CachedSynthesis::Resolved(result) = engine.synthesize_cached(target, cb) {
                     let outcome = if missed {
                         &self.counters.cache_misses
@@ -810,21 +858,13 @@ impl<W: SearchWidth> EngineHost<W> {
     /// when it won the flight, 0 when it waited or nothing was needed),
     /// so callers can attribute work to requests in their trace lines.
     fn expand_shared(&self, cb: u32, deadline: Instant, budget_ms: u64) -> Result<u64, HostError> {
-        let shed = |host: &Self| {
-            host.counters
-                .deadline_timeouts
-                .fetch_add(1, Ordering::Relaxed);
-            Err(HostError::DeadlineExceeded {
-                deadline_ms: budget_ms,
-            })
-        };
         let mut flight = self.flight_lock()?;
         if flight.exhausted || flight.completed.is_some_and(|c| c >= cb) {
             return Ok(0);
         }
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
-            return shed(self);
+            return Err(self.shed(budget_ms));
         }
         if flight.expanding {
             self.counters
@@ -835,7 +875,7 @@ impl<W: SearchWidth> EngineHost<W> {
                 // Still behind the same (or a newer) expansion with no
                 // budget left: shed instead of pinning the worker.
                 drop(flight);
-                return shed(self);
+                return Err(self.shed(budget_ms));
             }
             // A level landed (or the expander bailed); let the caller
             // re-run its read before asking for more depth.
@@ -1435,5 +1475,69 @@ mod tests {
             .synthesize_with_options(&known::toffoli_perm(), 5, ServeStrategy::Uni, None)
             .unwrap()
             .is_some());
+    }
+
+    /// Stands in for an expander in the middle of a level: marks the
+    /// flight expanding, holds the engine write lock for `hold`, then
+    /// lands the way `expand_shared` does (lock released, flag cleared,
+    /// waiters woken). Returns once the write lock is held.
+    fn hold_write_lock<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        host: &'s EngineHost,
+        hold: Duration,
+    ) -> std::thread::ScopedJoinHandle<'s, ()> {
+        let (locked, is_locked) = std::sync::mpsc::channel();
+        let writer = scope.spawn(move || {
+            host.flight.lock().unwrap().expanding = true;
+            let engine = host.engine.write().unwrap();
+            locked.send(()).unwrap();
+            std::thread::sleep(hold);
+            drop(engine);
+            host.flight.lock().unwrap().expanding = false;
+            host.landed.notify_all();
+        });
+        is_locked.recv().unwrap();
+        writer
+    }
+
+    #[test]
+    fn deadline_sheds_while_a_level_holds_the_write_lock() {
+        let host = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 30_000);
+        host.census(4).unwrap();
+        std::thread::scope(|scope| {
+            let writer = hold_write_lock(scope, &host, Duration::from_millis(600));
+            // A miss and a hit the cached levels already resolve (the
+            // level being expanded is deeper than its bound): both wait
+            // out their budget, not the level.
+            for target in [known::toffoli_perm(), known::peres_perm()] {
+                let start = Instant::now();
+                let err = host
+                    .synthesize_with_options(&target, 5, ServeStrategy::Uni, Some(20))
+                    .unwrap_err();
+                assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 20 });
+                assert!(
+                    start.elapsed() < Duration::from_millis(400),
+                    "waited out the level"
+                );
+            }
+            writer.join().unwrap();
+        });
+        assert_eq!(host.stats().unwrap().deadline_timeouts, 2);
+    }
+
+    #[test]
+    fn deadline_waiter_is_served_when_the_level_lands() {
+        let host = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 30_000);
+        host.census(4).unwrap();
+        std::thread::scope(|scope| {
+            let writer = hold_write_lock(scope, &host, Duration::from_millis(100));
+            let served = host
+                .synthesize_with_options(&known::peres_perm(), 4, ServeStrategy::Uni, Some(10_000))
+                .unwrap()
+                .unwrap();
+            assert_eq!(served.cost, 4);
+            writer.join().unwrap();
+        });
+        assert_eq!(host.stats().unwrap().deadline_timeouts, 0);
     }
 }

@@ -27,10 +27,10 @@
 //! wait, so the witness pops the rank before blocking and re-checks the
 //! ordering when the lock is re-acquired.
 
-use std::sync::{Condvar, LockResult, Mutex, MutexGuard, RwLock};
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard, RwLock, TryLockResult};
 
 #[cfg(debug_assertions)]
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
 
 /// A position in the global acquisition order, plus a name for the
 /// panic message.
@@ -236,6 +236,26 @@ impl<T> RankedRwLock<T> {
             rank: self.rank,
             guard,
         })
+    }
+
+    /// [`RwLock::try_read`]: the rank is checked like a blocking read,
+    /// and popped again when the lock is not taken.
+    pub(crate) fn try_read(&self) -> TryLockResult<RankedReadGuard<'_, T>> {
+        stack::push(self.rank);
+        let make = |guard| RankedReadGuard {
+            rank: self.rank,
+            guard,
+        };
+        match self.inner.try_read() {
+            Ok(guard) => Ok(make(guard)),
+            Err(TryLockError::Poisoned(poisoned)) => Err(TryLockError::Poisoned(PoisonError::new(
+                make(poisoned.into_inner()),
+            ))),
+            Err(TryLockError::WouldBlock) => {
+                stack::pop(self.rank);
+                Err(TryLockError::WouldBlock)
+            }
+        }
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {
@@ -471,6 +491,11 @@ impl<T> RankedRwLock<T> {
     #[inline]
     pub(crate) fn write(&self) -> LockResult<std::sync::RwLockWriteGuard<'_, T>> {
         self.inner.write()
+    }
+
+    #[inline]
+    pub(crate) fn try_read(&self) -> TryLockResult<std::sync::RwLockReadGuard<'_, T>> {
+        self.inner.try_read()
     }
 
     #[inline]
