@@ -1298,13 +1298,28 @@ mod tests {
         }
     }
 
+    /// Expands a 3-wire engine under `model` to cost `cb`, with `counter`
+    /// installed as its probe if given, and returns the census
+    /// `(g_counts, b_counts, |A|)`.
+    fn climb(
+        model: CostModel,
+        threads: usize,
+        cb: u32,
+        counter: Option<&std::sync::Arc<WorkCounter>>,
+    ) -> (Vec<usize>, Vec<usize>, usize) {
+        let mut e = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+        if let Some(counter) = counter {
+            e.set_probe(ProbeHandle::new(counter.clone()));
+        }
+        e.expand_to_cost(cb);
+        (e.g_counts().to_vec(), e.b_counts().to_vec(), e.a_size())
+    }
+
     /// Expands a 3-wire engine under `model` to cost `cb` with a
     /// [`WorkCounter`] installed.
     fn counted_climb(model: CostModel, threads: usize, cb: u32) -> std::sync::Arc<WorkCounter> {
-        let counter = std::sync::Arc::new(WorkCounter::default());
-        let mut e = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
-        e.set_probe(ProbeHandle::new(counter.clone()));
-        e.expand_to_cost(cb);
+        let counter = std::sync::Arc::default();
+        climb(model, threads, cb, Some(&counter));
         counter
     }
 
@@ -1323,6 +1338,21 @@ mod tests {
             *counter.nodes.lock().unwrap(),
             [18, 162, 1017, 5364, 25761, 118888, 538191]
         );
+        // A probe must not change the search, serial or sharded: a probed
+        // and an unprobed census to cost 5 agree, and the probed one
+        // generates the same 256,500 successors at every thread count.
+        for threads in [1, 4] {
+            let counter = std::sync::Arc::default();
+            let probed = climb(CostModel::unit(), threads, 5, Some(&counter));
+            let unprobed = climb(CostModel::unit(), threads, 5, None);
+            assert_eq!(probed, unprobed, "{threads} threads");
+            let generated: Vec<u64> = counter.work.lock().unwrap().iter().map(|w| w.1).collect();
+            assert_eq!(
+                generated,
+                [18, 210, 1482, 8409, 42660, 203721],
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Lexing + parsing + per-file rules are pure functions of `(relative
 //! path, source text)`, so repeated `check_workspace` calls in one
-//! process (tests, the bench harness, a watch loop) reuse the previous
-//! run's `FileAnalysis` for every unchanged file and only re-analyze
-//! edits. The key hashes the path *and* the content: two identical
-//! files at different paths classify differently (test span rules,
-//! module lists), so they must not share an entry.
+//! process (tests, a watch loop) reuse the previous run's
+//! `FileAnalysis` for every unchanged file and only re-analyze edits.
+//! The key hashes the path *and* the content: two identical files at
+//! different paths classify differently (test span rules, module
+//! lists), so they must not share an entry.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

@@ -269,9 +269,7 @@ impl FileClass {
             test_class,
             determinism: DETERMINISM_MODULES.contains(&rel),
             panic_free: rel.starts_with("crates/serve/src/"),
-            thread_allowed: test_class
-                || THREAD_ALLOWLIST.contains(&rel)
-                || rel.starts_with("crates/bench/"),
+            thread_allowed: test_class || THREAD_ALLOWLIST.contains(&rel),
             persistence: PERSISTENCE_MODULES.contains(&rel),
             obs_increment: OBS_INCREMENT_MODULES.contains(&rel),
         }
@@ -940,7 +938,7 @@ mod tests {
         )
         .is_empty());
         assert!(check(
-            "crates/bench/src/bin/serve_load.rs",
+            "crates/bench/benches/synthesis.rs",
             "fn f() { std::thread::scope(|s| {}); }"
         )
         .is_empty());

@@ -1,11 +1,12 @@
 //! Minimal parser for the Prometheus text exposition format produced by
 //! [`crate::registry::Registry::render_prometheus`].
 //!
-//! Used by `serve_load`'s `--slo` gates (which judge the server from its
-//! *own* `/metrics` scrape rather than client-side timing) and by the
-//! integration tests that assert `/metrics` and `/stats` agree. It
-//! parses the subset this workspace emits: un-labelled counter/gauge
-//! samples and histogram `_bucket{le="…"}`/`_sum`/`_count` series.
+//! Used by the serve SLO gate in `tests/tests/serve_http.rs` (which judges
+//! the server from its *own* `/metrics` scrape rather than client-side
+//! timing) and by the integration tests that assert `/metrics` and
+//! `/stats` agree. It parses the subset this workspace emits:
+//! un-labelled counter/gauge samples and histogram
+//! `_bucket{le="…"}`/`_sum`/`_count` series.
 
 use std::collections::BTreeMap;
 

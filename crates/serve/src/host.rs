@@ -217,16 +217,16 @@ struct Flight {
 
 /// Service counters (all monotonic).
 #[derive(Debug, Default)]
-struct Counters {
-    synthesize_requests: AtomicU64,
-    census_requests: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    expansions: AtomicU64,
-    single_flight_waits: AtomicU64,
-    rejected: AtomicU64,
-    rebuilds: AtomicU64,
-    deadline_timeouts: AtomicU64,
+pub(crate) struct Counters {
+    pub(crate) synthesize_requests: AtomicU64,
+    pub(crate) census_requests: AtomicU64,
+    pub(crate) cache_hits: AtomicU64,
+    pub(crate) cache_misses: AtomicU64,
+    pub(crate) expansions: AtomicU64,
+    pub(crate) single_flight_waits: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) rebuilds: AtomicU64,
+    pub(crate) deadline_timeouts: AtomicU64,
 }
 
 /// A point-in-time view of one host's counters and engine state.
@@ -1121,6 +1121,24 @@ impl HostRegistry {
         all.sort_by_key(|s| (s.wires, s.model));
         Ok(all)
     }
+
+    /// One service counter summed over every live host. It reads the
+    /// hosts' atomics under the registry mutex alone, never an engine
+    /// lock, so a `/metrics` scrape cannot queue behind a level
+    /// expansion. A poisoned registry mutex is still read: the table
+    /// only maps models to hosts, and the values are atomics.
+    pub(crate) fn counter_total(&self, field: fn(&Counters) -> &AtomicU64) -> u64 {
+        let hosts = match self.hosts.lock() {
+            Ok(hosts) => hosts,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let narrow = hosts.narrow.values().map(|h| field(&h.counters));
+        let wide = hosts.wide.values().map(|h| field(&h.counters));
+        narrow
+            .chain(wide)
+            .map(|count| count.load(Ordering::Relaxed))
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -1523,6 +1541,49 @@ mod tests {
             writer.join().unwrap();
         });
         assert_eq!(host.stats().unwrap().deadline_timeouts, 2);
+    }
+
+    #[test]
+    fn metrics_host_counters_never_wait_on_an_engine_lock() {
+        let registry = Arc::new(HostRegistry::new(HostConfig {
+            threads: 1,
+            ..HostConfig::default()
+        }));
+        let host = registry
+            .install(SynthesisEngine::unit_cost_with_threads(1))
+            .unwrap();
+        host.census(2).unwrap();
+        let obs = crate::obs::ServeObs::new();
+        obs.register_host_counters(&registry);
+        let census_total = || {
+            obs.registry()
+                .counter_values()
+                .into_iter()
+                .find(|&(name, _)| name == "census_requests_total")
+                .map(|(_, value)| value)
+        };
+        // A scrape mid-level reads the atomics, not the engine.
+        std::thread::scope(|scope| {
+            let writer = hold_write_lock(scope, &host, Duration::from_millis(600));
+            let start = Instant::now();
+            assert_eq!(census_total(), Some(1));
+            assert!(
+                start.elapsed() < Duration::from_millis(200),
+                "the scrape waited on the level"
+            );
+            writer.join().unwrap();
+        });
+        // A poisoned engine does not reset the counters to 0.
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = host.engine.write().unwrap();
+                    panic!("injected writer panic");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert_eq!(census_total(), Some(1));
     }
 
     #[test]

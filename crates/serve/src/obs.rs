@@ -10,6 +10,7 @@
 //! so the two endpoints can never drift apart.
 
 use std::fmt;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use mvq_obs::{
@@ -17,15 +18,15 @@ use mvq_obs::{
 };
 use serde::{Content, Serialize};
 
-use crate::host::{HostRegistry, HostStats};
+use crate::host::{Counters, HostRegistry};
 use crate::json::render;
 
 /// How many of the slowest requests `GET /debug/slow` retains.
 const SLOW_RING_CAP: usize = 32;
 
 /// One host counter registration: metric name, help text, and the
-/// [`HostStats`] field summed across hosts at scrape time.
-type HostCounterSpec = (&'static str, &'static str, fn(&HostStats) -> u64);
+/// per-host atomic summed across hosts at scrape time.
+type HostCounterSpec = (&'static str, &'static str, fn(&Counters) -> &AtomicU64);
 
 /// The server's observability state (see the module docs).
 pub struct ServeObs {
@@ -115,66 +116,61 @@ impl ServeObs {
     /// Registers callback-backed counters over `hosts`' per-host
     /// atomics, summed across hosts at scrape time. Reading the live
     /// atomics (rather than mirroring them) is what keeps `/metrics`
-    /// and `/stats` identical by construction.
+    /// and `/stats` identical by construction; reading them without
+    /// engine locks is what keeps a scrape from waiting on a level.
     pub(crate) fn register_host_counters(&self, hosts: &Arc<HostRegistry>) {
-        fn sum(hosts: &HostRegistry, field: fn(&HostStats) -> u64) -> u64 {
-            hosts
-                .stats()
-                .map(|all| all.iter().map(field).sum())
-                .unwrap_or(0)
-        }
         let fields: [HostCounterSpec; 9] = [
             (
                 "synthesize_requests_total",
                 "POST /synthesize requests admitted, all hosts",
-                |s| s.synthesize_requests,
+                |c| &c.synthesize_requests,
             ),
             (
                 "census_requests_total",
                 "POST /census requests admitted, all hosts",
-                |s| s.census_requests,
+                |c| &c.census_requests,
             ),
             (
                 "cache_hits_total",
                 "Queries answered purely from the cached levels, all hosts",
-                |s| s.cache_hits,
+                |c| &c.cache_hits,
             ),
             (
                 "cache_misses_total",
                 "Queries not answered from the cached levels (expanded, waited on another \
                  request's expansion, or served bidirectionally), all hosts",
-                |s| s.cache_misses,
+                |c| &c.cache_misses,
             ),
             (
                 "expansions_total",
                 "Write-side level expansions performed, all hosts",
-                |s| s.expansions,
+                |c| &c.expansions,
             ),
             (
                 "single_flight_waits_total",
                 "Requests that waited on another request's expansion, all hosts",
-                |s| s.single_flight_waits,
+                |c| &c.single_flight_waits,
             ),
             (
                 "rejected_requests_total",
                 "Requests rejected by cost-bound admission, all hosts",
-                |s| s.rejected,
+                |c| &c.rejected,
             ),
             (
                 "rebuilds_total",
                 "Poisoned engines quarantined and rebuilt, all hosts",
-                |s| s.rebuilds,
+                |c| &c.rebuilds,
             ),
             (
                 "deadline_timeouts_total",
                 "Requests shed because their deadline passed mid-wait, all hosts",
-                |s| s.deadline_timeouts,
+                |c| &c.deadline_timeouts,
             ),
         ];
         for (name, help, field) in fields {
             let hosts = Arc::clone(hosts);
             self.registry
-                .counter_fn(name, help, move || sum(&hosts, field));
+                .counter_fn(name, help, move || hosts.counter_total(field));
         }
     }
 

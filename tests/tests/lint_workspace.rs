@@ -1,12 +1,13 @@
 //! The lint gate, exercised in-process: the committed tree must be
-//! clean under all ten rules, and — mutation-style — seeding a
-//! rank-inverted lock acquisition into a copy of the real `host.rs`
-//! must trip the interprocedural lock-order pass with the correct
-//! multi-frame call chain. The second half proves the pass actually
-//! *watches* the code the first half declares clean.
+//! clean under all ten rules within a 5 s budget, and — mutation-style
+//! — seeding a rank-inverted lock acquisition into a copy of the real
+//! `host.rs` must trip the interprocedural lock-order pass with the
+//! correct multi-frame call chain. The second half proves the pass
+//! actually *watches* the code the first half declares clean.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use mvq_lint::{check_workspace, Rule};
 
@@ -17,9 +18,15 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Wall-time budget for one cold workspace lint: CI runs it on every
+/// push, so it must stay cheap.
+const LINT_BUDGET: Duration = Duration::from_secs(5);
+
 #[test]
 fn committed_tree_is_lint_clean() {
+    let start = Instant::now();
     let report = check_workspace(&repo_root()).expect("lint walk");
+    let elapsed = start.elapsed();
     assert!(
         report.clean(),
         "the committed tree must pass all {} rules, got: {:#?}",
@@ -27,6 +34,10 @@ fn committed_tree_is_lint_clean() {
         report.violations
     );
     assert!(report.files_scanned > 100, "walk looks truncated");
+    assert!(
+        elapsed < LINT_BUDGET,
+        "workspace lint took {elapsed:?}, over the {LINT_BUDGET:?} budget"
+    );
 }
 
 /// Copies the real serve lock code into `root`, optionally appending

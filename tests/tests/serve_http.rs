@@ -1,7 +1,8 @@
 //! HTTP smoke suite: boots the real `mvq_serve` server on a loopback
 //! port and speaks raw HTTP/1.1 to it over `TcpStream` — the in-repo
 //! version of the CI serve-smoke job (known Toffoli answer, health
-//! probe, clean shutdown).
+//! probe, clean shutdown), plus the server-side `request_us` p99 SLO on
+//! a snapshot-warm 8-client mix.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,9 +19,13 @@ struct RunningServer {
 
 impl RunningServer {
     fn start(registry: HostRegistry) -> Self {
+        Self::with_workers(registry, 2)
+    }
+
+    fn with_workers(registry: HostRegistry, workers: usize) -> Self {
         let server = Server::bind("127.0.0.1:0", Arc::new(registry)).expect("bind loopback");
         let handle = server.handle().expect("handle");
-        let runner = std::thread::spawn(move || server.run(2));
+        let runner = std::thread::spawn(move || server.run(workers));
         Self {
             handle,
             runner: Some(runner),
@@ -258,6 +263,33 @@ fn malformed_requests_get_4xx_not_disconnects() {
     server.shutdown();
 }
 
+/// The snapshot-warm request mix: warm lookups over a spread of targets,
+/// two cost-7 targets served past the warm frontier (one forced
+/// bidirectional, one through the `auto` planner), a census read and a
+/// health probe.
+const WARM_MIX: [(&str, &str, &str); 8] = [
+    ("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#),
+    ("POST", "/synthesize", r#"{"target":"(5,7,6,8)","cb":5}"#),
+    ("POST", "/synthesize", r#"{"target":"(5,7)(6,8)","cb":3}"#),
+    ("POST", "/synthesize", r#"{"target":"(2,3)(5,8)","cb":5}"#),
+    (
+        "POST",
+        "/synthesize",
+        r#"{"target":"(6,7)","cb":7,"strategy":"bidi"}"#,
+    ),
+    (
+        "POST",
+        "/synthesize",
+        r#"{"target":"(3,5)(4,6,8)","cb":7,"strategy":"auto"}"#,
+    ),
+    ("POST", "/census", r#"{"cb":5}"#),
+    ("GET", "/healthz", ""),
+];
+
+/// Server-side SLO: `request_us` p99 over the 8-client warm mix, as the
+/// server's own `/metrics` scrape reports it.
+const REQUEST_P99_SLO_US: u64 = 250_000;
+
 #[test]
 fn snapshot_backed_server_answers_without_expansion() {
     // Pre-build a warm snapshot, boot the service from it, and check the
@@ -270,7 +302,7 @@ fn snapshot_backed_server_answers_without_expansion() {
     let registry = HostRegistry::new(test_config());
     let engine = SynthesisEngine::load_snapshot_with_threads(&path, 1).expect("load snapshot");
     registry.install(engine).expect("install");
-    let server = RunningServer::start(registry);
+    let server = RunningServer::with_workers(registry, 4);
 
     let (status, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#);
     assert_eq!(status, 200, "{body}");
@@ -279,6 +311,31 @@ fn snapshot_backed_server_answers_without_expansion() {
     assert_eq!(status, 200);
     assert!(body.contains("\"expansions\":0"), "{body}");
     assert!(body.contains("\"completed\":5"), "{body}");
+
+    // Eight clients on four workers, each walking the whole mix from its
+    // own offset: every reply is 200, the snapshot answers everything
+    // without expanding, and the server's own p99 stays inside the SLO.
+    std::thread::scope(|scope| {
+        for client in 0..8 {
+            let server = &server;
+            scope.spawn(move || {
+                for i in 0..WARM_MIX.len() {
+                    let (method, path, body) = WARM_MIX[(client + i) % WARM_MIX.len()];
+                    let (status, reply) = server.request(method, path, body);
+                    assert_eq!(status, 200, "{method} {path} {body}: {reply}");
+                }
+            });
+        }
+    });
+    let (status, body) = server.request("GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let scrape = mvq_obs::parse_scrape(&body);
+    assert_eq!(scrape.counters.get("expansions_total"), Some(&0), "{body}");
+    let p99 = scrape.histograms["request_us"].quantile(0.99);
+    assert!(
+        p99 <= REQUEST_P99_SLO_US,
+        "server-side request_us p99 {p99} µs over the {REQUEST_P99_SLO_US} µs SLO"
+    );
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
