@@ -23,6 +23,17 @@
 //! with a backward trace `T = trace(u)` (cost `b`) therefore yields, by
 //! construction, a *reasonable* cascade of cost `f + b` realizing the
 //! target: no post-hoc validation is needed.
+//!
+//! Backward levels are *settled* before they are *expanded*. Settling
+//! level `b` pops its pending bucket and drops stale copies, so every
+//! trace of cost ≤ `b` is known at its final cost; expanding it
+//! generates its predecessors, which only settling a deeper level needs.
+//! The frontier therefore stops at the level the join reaches and never
+//! generates that level's successors — for a cost-7 target on a cost-5
+//! warm engine, 246 generated traces instead of 1,662. Costs, witness
+//! counts and circuits do not change: the coverage invariant needs only
+//! the traces of cost ≤ `back_done` to be known, and the minimal-suffix
+//! walks read only strictly cheaper levels, which are expanded and final.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -37,50 +48,58 @@ use crate::word::{FnvBuildHasher, GateTable};
 use crate::{Circuit, Synthesis};
 
 /// Dijkstra frontier over S-traces, grown backward from a target trace.
+///
+/// A level is *settled* when its cheapest pending bucket is popped and
+/// its stale copies dropped: with positive gate costs, once every
+/// cheaper level has generated its predecessors nothing can still reach
+/// a trace at that cost more cheaply, so `levels[b]` is final and
+/// `settled = b` means every trace of cost ≤ `b` is known. A level is
+/// *expanded* when its predecessors are generated into `pending`, which
+/// only the next settle needs. So the deepest settled level stays
+/// unexpanded until a deeper one is asked for, and a query that joins
+/// at that level never pays for its (largest) successor set.
 struct BackwardFrontier<W: SearchWidth> {
     /// Binary-set size: how many bytes of each trace are populated.
     k: usize,
     seen: ShardedSeen<W::Trace>,
     /// Pending traces by cost, as handles into `seen`.
     pending: BTreeMap<u32, Vec<Handle>>,
-    completed: Option<u32>,
+    /// The deepest settled level.
+    settled: u32,
+    /// The settled level whose predecessors are not generated yet.
+    unexpanded: Option<u32>,
     /// Traces first reached at exact cost `b` (gap levels are empty).
     levels: Vec<Vec<W::Trace>>,
+    /// Successors generated so far: the deterministic work count.
+    #[cfg(test)]
+    generated: u64,
 }
 
 impl<W: SearchWidth> BackwardFrontier<W> {
+    /// A frontier with level 0 (the target trace alone) settled.
     fn new(target_trace: W::Trace, k: usize, threads: usize) -> Self {
         let mut seen: ShardedSeen<W::Trace> = ShardedSeen::for_threads(threads);
-        let root = seen.intern(target_trace, Meta::ROOT);
-        let mut pending = BTreeMap::new();
-        pending.insert(0u32, vec![root]);
+        seen.intern(target_trace, Meta::ROOT);
         Self {
             k,
             seen,
-            pending,
-            completed: None,
-            levels: Vec::new(),
+            pending: BTreeMap::new(),
+            settled: 0,
+            unexpanded: Some(0),
+            levels: vec![vec![target_trace]],
+            #[cfg(test)]
+            generated: 0,
         }
     }
 
     fn exhausted(&self) -> bool {
-        self.pending.is_empty()
+        self.pending.is_empty() && self.unexpanded.is_none()
     }
 
-    fn expand_to_cost(&mut self, cb: u32, engine: &SearchEngine<W>) {
-        while self.completed.is_none_or(|c| c < cb) {
-            if !self.expand_next_level(engine) {
-                break;
-            }
-        }
-    }
-
-    /// Expands one backward cost level. Returns `false` on exhaustion.
-    ///
-    /// Makes the same calls into [`crate::par`] as the forward engine:
-    /// small trace buckets expand inline, large ones across the engine's
-    /// pool, with bit-identical results either way.
-    fn expand_next_level(&mut self, engine: &SearchEngine<W>) -> bool {
+    /// Settles the next backward cost level, expanding the current
+    /// deepest one first. Returns `false` on exhaustion.
+    fn settle_next_level(&mut self, engine: &SearchEngine<W>) -> bool {
+        self.expand_settled(engine);
         let Some((&cost, _)) = self.pending.first_key_value() else {
             return false;
         };
@@ -88,16 +107,35 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         let raw_bucket = self.pending.remove(&cost).expect("bucket exists");
         // Lazy decrease-key, mirroring the forward engine: drop copies
         // superseded by a cheaper rediscovery, then gather the level's
-        // traces. Every edge is generated: traces are 8–16-byte keys and
-        // backward levels are small, so the forward engine's parent-edge
-        // skip would not pay here.
+        // traces.
         let seen = &self.seen;
         let handles = par::par_filter(&engine.pool, raw_bucket, |&h| seen.meta(h).cost == cost);
         let bucket = par::par_map(&engine.pool, &handles, |_, &h| seen.key(h));
+        self.levels.resize_with(cost as usize, Vec::new);
+        self.levels.push(bucket);
+        self.settled = cost;
+        self.unexpanded = Some(cost);
+        true
+    }
+
+    /// Generates the predecessors of the settled-but-unexpanded level,
+    /// if any, into `pending`.
+    ///
+    /// Makes the same calls into [`crate::par`] as the forward engine:
+    /// small trace buckets expand inline, large ones across the engine's
+    /// pool, with bit-identical results either way. Every edge is
+    /// generated: traces are 8–16-byte keys and backward levels are
+    /// small, so the forward engine's parent-edge skip would not pay here.
+    fn expand_settled(&mut self, engine: &SearchEngine<W>) {
+        let Some(cost) = self.unexpanded.take() else {
+            return;
+        };
+        let (earlier, rest) = self.levels.split_at(cost as usize);
+        let bucket = &rest[0];
         let k = self.k;
         let expected_new = par::growth_hint(
             bucket.len(),
-            self.levels.last().map_or(0, Vec::len),
+            earlier.last().map_or(0, Vec::len),
             engine.gate_images.len(),
         );
         let generate = |_: usize, &trace: &W::Trace, emit: &mut par::Emit<W::Trace>| {
@@ -113,19 +151,17 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         };
         let expansion = par::expand_bucket(
             &engine.pool,
-            &bucket,
+            bucket,
             &mut self.seen,
             expected_new,
             &engine.probe,
             generate,
         );
         par::append_pushes(&mut self.pending, expansion.pushes);
-        while self.levels.len() < cost as usize {
-            self.levels.push(Vec::new());
+        #[cfg(test)]
+        {
+            self.generated += expansion.generated;
         }
-        self.levels.push(bucket);
-        self.completed = Some(cost);
-        true
     }
 
     /// The forward gate cascade leading from `start` to the target trace.
@@ -247,23 +283,22 @@ impl<W: SearchWidth> SearchEngine<W> {
     ///
     /// Panics if `target.degree() != 2^n` for the library's wire count.
     pub fn synthesize_bidirectional(&mut self, target: &Perm, cb: u32) -> Option<Synthesis> {
-        let n = self.library.domain().wires();
         let (key, not_layer) = self.reduce_target(target);
         let k = self.binary0.len();
         let target_trace = self.target_trace(&key);
         let mut back: BackwardFrontier<W> = BackwardFrontier::new(target_trace, k, self.threads());
         let max_gate = self.max_gate_cost();
 
-        // Materialize both cost-0 levels before any join.
+        // Materialize the forward cost-0 level before any join (the
+        // backward one is settled on construction).
         self.expand_to_cost(0);
-        back.expand_to_cost(0, self);
 
         for c in 0..=cb {
             // Adaptive split: grow the currently-smaller frontier until
             // the coverage invariant holds for cost c.
             loop {
                 let fwd_done = self.completed.map_or(0, |v| v);
-                let back_done = back.completed.map_or(0, |v| v);
+                let back_done = back.settled;
                 if fwd_done + back_done >= c + (max_gate - 1) || fwd_done >= c || back_done >= c {
                     break;
                 }
@@ -284,12 +319,12 @@ impl<W: SearchWidth> SearchEngine<W> {
                 if grow_forward {
                     self.expand_next_level();
                 } else {
-                    back.expand_next_level(self);
+                    back.settle_next_level(self);
                 }
             }
 
             let fwd_done = self.completed.map_or(0, |v| v);
-            let back_done = back.completed.map_or(0, |v| v);
+            let back_done = back.settled;
             // Build the join indexes up front: `join_at_cost` runs on a
             // shared reference so the per-bucket scan can shard across
             // the worker pool.
@@ -299,18 +334,8 @@ impl<W: SearchWidth> SearchEngine<W> {
                     self.ensure_trace_index(f);
                 }
             }
-            if let Some((u, trace, count)) = self.join_at_cost(&back, c, fwd_done, back_done) {
-                self.probe.on(|p| p.bidi_split(fwd_done, back_done, c));
-                let mut gates = not_layer.clone();
-                gates.extend(self.reconstruct(&u));
-                gates.extend(back.suffix_gates(trace, self));
-                debug_assert_eq!(self.cost_model().cascade_cost(&gates), c);
-                return Some(Synthesis {
-                    circuit: Circuit::new(n, gates),
-                    cost: c,
-                    not_layer,
-                    implementation_count: count,
-                });
+            if let Some(syn) = self.resolve_at_cost(&back, c, fwd_done, &not_layer) {
+                return Some(syn);
             }
             // Both frontiers exhausted and out of joinable range: the
             // target is unreachable, stop early.
@@ -341,50 +366,42 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// cold engine, or a level's S-trace join index. Call
     /// [`Self::prepare_bidirectional`] under a write lock, then retry.
     pub fn synthesize_bidirectional_cached(&self, target: &Perm, cb: u32) -> CachedBidirectional {
-        let Some(fwd_done) = self.completed else {
-            return CachedBidirectional::NeedsPreparation;
-        };
-        let usable = fwd_done.min(cb);
-        if (0..=usable).any(|f| self.trace_index[f as usize].is_none()) {
-            return CachedBidirectional::NeedsPreparation;
+        match self.cached_bidirectional(target, cb) {
+            Some((result, _)) => CachedBidirectional::Resolved(result),
+            None => CachedBidirectional::NeedsPreparation,
         }
-        let n = self.library.domain().wires();
+    }
+
+    /// [`Self::synthesize_bidirectional_cached`] together with the
+    /// backward frontier it grew, or `None` when preparation is missing.
+    fn cached_bidirectional(
+        &self,
+        target: &Perm,
+        cb: u32,
+    ) -> Option<(Option<Synthesis>, BackwardFrontier<W>)> {
+        let usable = self.completed?.min(cb);
+        if (0..=usable).any(|f| self.trace_index[f as usize].is_none()) {
+            return None;
+        }
         let (key, not_layer) = self.reduce_target(target);
         let k = self.binary0.len();
         let mut back: BackwardFrontier<W> =
             BackwardFrontier::new(self.target_trace(&key), k, self.threads());
-        back.expand_to_cost(0, self);
         let max_gate = self.max_gate_cost();
         for c in 0..=cb {
-            // Fixed forward depth: grow only the backward frontier until
-            // the coverage invariant holds for cost c (the split choice
-            // never changes costs or witness counts, only where the work
-            // lands).
-            loop {
-                let back_done = back.completed.map_or(0, |v| v);
-                if usable + back_done >= c + (max_gate - 1) || back_done >= c || usable >= c {
-                    break;
-                }
-                if !back.expand_next_level(self) {
+            // Fixed forward depth: settle only backward levels until the
+            // coverage invariant holds for cost c (the split choice never
+            // changes costs or witness counts, only where the work lands).
+            while usable + back.settled < c + (max_gate - 1) && back.settled < c && usable < c {
+                if !back.settle_next_level(self) {
                     break; // backward space exhausted: every trace known
                 }
             }
-            let back_done = back.completed.map_or(0, |v| v);
-            if let Some((u, trace, count)) = self.join_at_cost(&back, c, usable, back_done) {
-                self.probe.on(|p| p.bidi_split(usable, back_done, c));
-                let mut gates = not_layer.clone();
-                gates.extend(self.reconstruct(&u));
-                gates.extend(back.suffix_gates(trace, self));
-                debug_assert_eq!(self.cost_model().cascade_cost(&gates), c);
-                return CachedBidirectional::Resolved(Some(Synthesis {
-                    circuit: Circuit::new(n, gates),
-                    cost: c,
-                    not_layer,
-                    implementation_count: count,
-                }));
+            if let Some(syn) = self.resolve_at_cost(&back, c, usable, &not_layer) {
+                return Some((Some(syn), back));
             }
         }
-        CachedBidirectional::Resolved(None)
+        Some((None, back))
     }
 
     /// Builds the shared state [`Self::synthesize_bidirectional_cached`]
@@ -416,6 +433,30 @@ impl<W: SearchWidth> SearchEngine<W> {
             })
     }
 
+    /// The minimal synthesis at total cost `c`, if the cached forward
+    /// levels (through `fwd_done`) join the backward frontier there: the
+    /// first witness's cascade behind `not_layer`, with the witness count.
+    fn resolve_at_cost(
+        &self,
+        back: &BackwardFrontier<W>,
+        c: u32,
+        fwd_done: u32,
+        not_layer: &[Gate],
+    ) -> Option<Synthesis> {
+        let (u, trace, count) = self.join_at_cost(back, c, fwd_done)?;
+        self.probe.on(|p| p.bidi_split(fwd_done, back.settled, c));
+        let mut gates = not_layer.to_vec();
+        gates.extend(self.reconstruct(&u));
+        gates.extend(back.suffix_gates(trace, self));
+        debug_assert_eq!(self.cost_model().cascade_cost(&gates), c);
+        Some(Synthesis {
+            circuit: Circuit::new(self.library.domain().wires(), gates),
+            cost: c,
+            not_layer: not_layer.to_vec(),
+            implementation_count: count,
+        })
+    }
+
     /// Joins the cached forward levels against the backward frontier at
     /// total cost `c`: returns the first witness (word, backward trace)
     /// in deterministic scan order plus the count of distinct minimal
@@ -433,11 +474,10 @@ impl<W: SearchWidth> SearchEngine<W> {
         back: &BackwardFrontier<W>,
         c: u32,
         fwd_done: u32,
-        back_done: u32,
     ) -> Option<(W::Word, W::Trace, usize)> {
         let mut first: Option<(W::Word, W::Trace)> = None;
         let mut distinct: HashSet<W::Word, FnvBuildHasher> = HashSet::default();
-        for b in 0..=back_done.min(c) {
+        for b in 0..=back.settled.min(c) {
             let f = c - b;
             if f > fwd_done {
                 continue;
@@ -765,6 +805,32 @@ mod tests {
         assert!(again
             .circuit
             .verify_against_binary_perm(&known::toffoli_perm()));
+    }
+
+    #[test]
+    fn deep_cached_queries_leave_the_joined_level_unexpanded() {
+        // Deterministic work gate: on a cost-5 warm engine at cb 7, a
+        // cost-7 target settles backward levels 0–2 but generates
+        // predecessors from levels 0–1 only (eager expansion of the
+        // joined level generated 1,662), and a cost-5 target joins at
+        // backward level 0 without generating anything (eagerly: 18).
+        for threads in [1, 4] {
+            let mut e =
+                SynthesisEngine::with_threads(GateLibrary::standard(3), CostModel::unit(), threads);
+            e.expand_to_cost(5);
+            e.prepare_bidirectional(7);
+            for (target, cost, count, generated) in [
+                (known::fredkin_perm(), 7, 16, 246),
+                (known::toffoli_perm(), 5, 4, 0),
+            ] {
+                let (syn, back) = e.cached_bidirectional(&target, 7).expect("prepared");
+                let syn = syn.expect("reachable");
+                assert_eq!(syn.cost, cost, "{threads} threads");
+                assert_eq!(syn.implementation_count, count, "{threads} threads");
+                assert!(syn.circuit.verify_against_binary_perm(&target));
+                assert_eq!(back.generated, generated, "{target}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -629,7 +629,7 @@ impl<W: SearchWidth> EngineHost<W> {
         let deadline = Instant::now() + Duration::from_millis(budget_ms);
         match strategy {
             ServeStrategy::Uni => self.serve_uni(target, cb, deadline, budget_ms),
-            ServeStrategy::Bidi => self.serve_bidi(target, cb, false),
+            ServeStrategy::Bidi => self.serve_bidi(target, cb),
             ServeStrategy::Auto => {
                 // Planner: one read-side peek at the warm frontier. A
                 // resolved answer is a plain cache hit; a target whose
@@ -650,7 +650,7 @@ impl<W: SearchWidth> EngineHost<W> {
                         ));
                     }
                 }
-                self.serve_bidi(target, cb, true)
+                self.serve_bidi(target, cb)
             }
         }
     }
@@ -692,11 +692,12 @@ impl<W: SearchWidth> EngineHost<W> {
     /// The bidirectional read path: the backward frontier is per-query,
     /// so everything past one-time shared preparation (forward level 0
     /// plus the cached levels' join indexes) runs under the read lock.
+    /// Every answer counts as a cache miss: a per-query backward search
+    /// is not an answer read purely from the cached levels.
     fn serve_bidi(
         &self,
         target: &Perm,
         cb: u32,
-        mut missed: bool,
     ) -> Result<(Option<Synthesis>, ServeTrace), HostError> {
         let mut expansions = 0u64;
         loop {
@@ -705,23 +706,17 @@ impl<W: SearchWidth> EngineHost<W> {
                 if let CachedBidirectional::Resolved(result) =
                     engine.synthesize_bidirectional_cached(target, cb)
                 {
-                    let outcome = if missed {
-                        &self.counters.cache_misses
-                    } else {
-                        &self.counters.cache_hits
-                    };
-                    outcome.fetch_add(1, Ordering::Relaxed);
+                    self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
                     return Ok((
                         result,
                         ServeTrace {
-                            cache_hit: !missed,
+                            cache_hit: false,
                             expansions,
                             resolved: ServeStrategy::Bidi,
                         },
                     ));
                 }
             }
-            missed = true;
             expansions += self.prepare_bidi(cb)?;
         }
     }
@@ -1252,6 +1247,25 @@ mod tests {
         assert_eq!(stats.completed, Some(0));
         assert_eq!(stats.expansions, 1);
         assert_eq!(stats.cache_misses, 1);
+    }
+
+    #[test]
+    fn explicit_bidi_answers_count_as_misses() {
+        // A bidirectional answer runs a per-query backward search, so it
+        // is never "answered purely from the cached levels" — not even
+        // once preparation is done and nothing expands.
+        let host = unit_host(7);
+        for _ in 0..2 {
+            let (syn, trace) = host
+                .synthesize_traced(&known::toffoli_perm(), 7, ServeStrategy::Bidi, None)
+                .unwrap();
+            assert_eq!(syn.unwrap().cost, 5);
+            assert!(!trace.cache_hit);
+        }
+        let stats = host.stats().unwrap();
+        assert_eq!(stats.expansions, 1); // forward level 0, first request only
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.cache_misses, 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use mvq_core::{known, Circuit, SynthesisEngine};
+use mvq_core::{known, CachedBidirectional, Circuit, CostModel, SynthesisEngine};
 use mvq_logic::{Gate, GateLibrary, Pattern};
 use mvq_perm::Perm;
 use proptest::prelude::*;
@@ -199,4 +199,72 @@ fn bidirectional_matches_unidirectional_on_all_classes_to_cost_7() {
     }
     // The bidirectional engine never had to build the deep levels.
     assert!(uni.a_size() > 10 * bidi.a_size());
+}
+
+/// Engines warmed to each forward depth and prepared for cached
+/// bidirectional queries up to `cb`, at 1 and 4 threads.
+fn prepared_engines(model: CostModel, depths: &[u32], cb: u32) -> Vec<SynthesisEngine> {
+    let mut engines = Vec::new();
+    for &depth in depths {
+        for threads in [1, 4] {
+            let mut e = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+            e.expand_to_cost(depth);
+            e.prepare_bidirectional(cb);
+            engines.push(e);
+        }
+    }
+    engines
+}
+
+/// Sends every class of cost ≤ `cb` under `model` through the cached
+/// bidirectional read path of each engine: it must resolve to the
+/// unidirectional cost and witness count with a verifying circuit, and
+/// to a definitive `None` one cost below.
+fn assert_cached_path_matches_uni(model: CostModel, engines: &[SynthesisEngine], cb: u32) {
+    let mut uni = SynthesisEngine::new(GateLibrary::standard(3), model);
+    for k in 0..=cb {
+        for (perm, _) in uni.reversible_circuits_at_cost(k) {
+            let a = uni.synthesize(&perm, cb).expect("reachable");
+            assert_eq!(a.cost, k, "unidirectional cost of {perm}");
+            for e in engines {
+                let depth = e.completed_cost().expect("warm");
+                let CachedBidirectional::Resolved(Some(b)) =
+                    e.synthesize_bidirectional_cached(&perm, cb)
+                else {
+                    panic!("{perm} unresolved at forward depth {depth}");
+                };
+                assert_eq!(b.cost, k, "cached cost of {perm} at forward depth {depth}");
+                assert_eq!(
+                    a.implementation_count, b.implementation_count,
+                    "cached witness count of {perm} at forward depth {depth}"
+                );
+                assert!(b.circuit.verify_against_binary_perm(&perm));
+                if k > 0 {
+                    assert!(
+                        matches!(
+                            e.synthesize_bidirectional_cached(&perm, k - 1),
+                            CachedBidirectional::Resolved(None)
+                        ),
+                        "{perm} under its cost at forward depth {depth}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[ignore = "exhaustive: resolves every class up to cost 7 through the cached \
+            bidirectional read path; run with --release -- --include-ignored"]
+fn cached_bidirectional_matches_unidirectional_at_fixed_forward_depths() {
+    // The read path a warm server answers deep targets with: the forward
+    // depth is pinned to the cache, and only the per-query backward
+    // frontier grows — all 1260 classes at forward depths 3 and 5.
+    let engines = prepared_engines(CostModel::unit(), &[3, 5], 7);
+    assert_cached_path_matches_uni(CostModel::unit(), &engines, 7);
+    // Feynman costs 3 here, so the coverage invariant's `max_gate − 1`
+    // slack decides where the backward frontier may stop.
+    let weighted = CostModel::weighted(1, 1, 3);
+    let engines = prepared_engines(weighted, &[3], 7);
+    assert_cached_path_matches_uni(weighted, &engines, 7);
 }
