@@ -22,7 +22,8 @@ pub(crate) struct FileAnalysis {
     pub lexed: Lexed,
     pub index: FileIndex,
     pub allows: Allows,
-    /// Per-file rule findings (the original six rules).
+    /// Per-file rule findings (`unsafe`, `threads`, `persistence` and
+    /// the metric-name half of `obs`).
     pub violations: Vec<Violation>,
 }
 
@@ -53,7 +54,7 @@ pub(crate) fn analyze(rel: &str, source: &str) -> Arc<FileAnalysis> {
     let lexed = lex(source);
     let index = parse(&lexed);
     let allows = Allows::parse(&lexed.comments);
-    let violations = check_lexed(rel, source, &lexed);
+    let violations = check_lexed(rel, source, &lexed, &index, &allows);
     let analysis = Arc::new(FileAnalysis {
         rel: rel.to_string(),
         lexed,

@@ -67,6 +67,23 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
 }
 
+/// `true` iff `tokens[i]` and `tokens[i + 1]` spell the path separator
+/// `::`.
+pub(crate) fn is_path_sep(tokens: &[Token], i: usize) -> bool {
+    tokens.get(i).is_some_and(|t| t.is_punct(':'))
+        && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
+}
+
+/// `true` iff `tokens[i]` is called as a method: `.name(`.
+pub(crate) fn is_method_call(tokens: &[Token], i: usize) -> bool {
+    i > 0 && tokens[i - 1].is_punct('.') && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+}
+
+/// `true` iff `tokens[i]` is invoked as a macro: `name!`.
+pub(crate) fn is_macro_call(tokens: &[Token], i: usize) -> bool {
+    tokens.get(i + 1).is_some_and(|t| t.is_punct('!'))
+}
+
 /// Lexes `source` into tokens and comments.
 ///
 /// Unterminated strings or block comments are tolerated (the rest of

@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 
 use crate::lexer::{Lexed, Token, TokenKind};
-use crate::rules::find_test_spans;
 
 /// A normalized type: smart pointers, lock wrappers, and `Result`/
 /// `Option` layers are stripped so `Arc<RankedRwLock<SearchEngine<W>>>`
@@ -160,6 +159,16 @@ pub struct FileIndex {
     /// `field: RankedMutex::new(CONST, …)` bindings: field → const name
     /// (non-test code only).
     pub rank_fields: Vec<(String, String)>,
+    /// Token-index ranges (inclusive) of `#[cfg(test)]` / `#[test]`
+    /// items, as found by [`find_test_spans`].
+    pub test_spans: Vec<(usize, usize)>,
+}
+
+impl FileIndex {
+    /// `true` iff token `i` sits inside a test item.
+    pub fn in_test_span(&self, i: usize) -> bool {
+        self.test_spans.iter().any(|&(s, e)| (s..=e).contains(&i))
+    }
 }
 
 /// Identifiers that continue a pattern rather than bind a name.
@@ -186,14 +195,15 @@ const ADAPTERS: [&str; 14] = [
 
 /// Parses one lexed file.
 pub fn parse(lexed: &Lexed) -> FileIndex {
-    let test_spans = find_test_spans(&lexed.tokens);
     let mut p = Parser {
         t: &lexed.tokens,
         i: 0,
-        idx: FileIndex::default(),
+        idx: FileIndex {
+            test_spans: find_test_spans(&lexed.tokens),
+            ..FileIndex::default()
+        },
         scopes: Vec::new(),
         pending: None,
-        test_spans,
     };
     p.run();
     p.idx
@@ -227,7 +237,6 @@ struct Parser<'a> {
     idx: FileIndex,
     scopes: Vec<ScopeKind>,
     pending: Option<Pending>,
-    test_spans: Vec<(usize, usize)>,
 }
 
 impl Parser<'_> {
@@ -243,10 +252,6 @@ impl Parser<'_> {
         i >= 1
             && self.tok(i).is_some_and(|t| t.is_punct(':'))
             && self.tok(i + 1).is_some_and(|t| t.is_punct(':'))
-    }
-
-    fn in_test_span(&self, i: usize) -> bool {
-        self.test_spans.iter().any(|&(s, e)| (s..=e).contains(&i))
     }
 
     /// The innermost enclosing fn item, if any.
@@ -524,7 +529,7 @@ impl Parser<'_> {
         if let Some(parent) = self.current_fn() {
             self.idx.fns[parent].children.push(fn_id);
         }
-        let is_test = self.in_test_span(name_tok);
+        let is_test = self.idx.in_test_span(name_tok);
         self.idx.fns.push(FnItem {
             name,
             self_type,
@@ -761,7 +766,7 @@ impl Parser<'_> {
         if self.is_ident_at(name_tok)
             && self.tok(name_tok + 1).is_some_and(|t| t.is_punct(':'))
             && self.tok(name_tok + 2).is_some_and(|t| t.is_ident("Rank"))
-            && !self.in_test_span(self.i)
+            && !self.idx.in_test_span(self.i)
         {
             let limit = self.t.len().min(name_tok + 64);
             let mut k = name_tok + 3;
@@ -1054,7 +1059,7 @@ impl Parser<'_> {
             if let Some(q) = &qualifier {
                 if (q == "RankedMutex" || q == "RankedRwLock")
                     && self.t[i].is_ident("new")
-                    && !self.in_test_span(i)
+                    && !self.idx.in_test_span(i)
                 {
                     self.record_rank_field(i);
                 }
@@ -1376,6 +1381,81 @@ pub fn is_adapter(name: &str) -> bool {
     ADAPTERS.contains(&name)
 }
 
+/// Finds token-index ranges belonging to `#[cfg(test)]` / `#[test]` /
+/// `#[cfg(all(test, …))]` items: the attribute, then (skipping any
+/// further attributes) the next item through its closing brace or
+/// semicolon. A test-only field or struct-literal entry ends at the
+/// brace that closes its enclosing item, which stays outside the span.
+pub(crate) fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        if !tokens[i].is_punct('#') || !tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
+            i += 1;
+            continue;
+        }
+        let (attr_end, mentions_test) = scan_attribute(tokens, i + 1);
+        if !mentions_test {
+            i = attr_end + 1;
+            continue;
+        }
+        // Skip any further attributes between this one and the item.
+        let mut j = attr_end + 1;
+        while j < tokens.len()
+            && tokens[j].is_punct('#')
+            && tokens.get(j + 1).is_some_and(|t| t.is_punct('['))
+        {
+            j = scan_attribute(tokens, j + 1).0 + 1;
+        }
+        // The item body: through the matching `}` of its first brace, a
+        // top-level `;` (e.g. `#[cfg(test)] use …;`), or up to the `}`
+        // of the enclosing item (e.g. `#[cfg(test)] generated: u64,`).
+        let mut depth = 0i32;
+        let mut end = j;
+        while end < tokens.len() {
+            let t = &tokens[end];
+            if t.is_punct('{') {
+                depth += 1;
+            } else if t.is_punct('}') {
+                depth -= 1;
+                if depth < 0 {
+                    end -= 1;
+                    break;
+                }
+                if depth == 0 {
+                    break;
+                }
+            } else if t.is_punct(';') && depth == 0 {
+                break;
+            }
+            end += 1;
+        }
+        spans.push((i, end));
+        i = end + 1;
+    }
+    spans
+}
+
+/// Scans a `[…]` attribute starting at `open` (the `[`); returns the
+/// index of the closing `]` and whether the ident `test` appears inside.
+fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
+    let mut depth = 0i32;
+    let mut mentions_test = false;
+    for (j, t) in tokens.iter().enumerate().skip(open) {
+        if t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(']') {
+            depth -= 1;
+            if depth == 0 {
+                return (j, mentions_test);
+            }
+        } else if t.is_ident("test") {
+            mentions_test = true;
+        }
+    }
+    (tokens.len().saturating_sub(1), mentions_test)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1506,6 +1586,18 @@ mod tests {
         );
         assert!(!idx.fns.iter().find(|f| f.name == "real").unwrap().is_test);
         assert!(idx.fns.iter().find(|f| f.name == "t").unwrap().is_test);
+    }
+
+    #[test]
+    fn test_only_fields_do_not_swallow_the_next_item() {
+        let idx = index(
+            "struct F {\n    k: usize,\n    #[cfg(test)]\n    generated: u64,\n}\n\
+             impl F {\n    fn new() -> Self {\n        Self {\n            k: 0,\n            \
+             #[cfg(test)]\n            generated: 0,\n        }\n    }\n    \
+             fn next(&self) {}\n}\n",
+        );
+        assert!(!idx.fns.iter().find(|f| f.name == "new").unwrap().is_test);
+        assert!(!idx.fns.iter().find(|f| f.name == "next").unwrap().is_test);
     }
 
     #[test]

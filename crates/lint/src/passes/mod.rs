@@ -1,30 +1,27 @@
-//! The interprocedural passes over the workspace call graph.
+//! The passes over the workspace call graph.
 //!
-//! Each pass picks a root set, walks the graph ([`Graph::reach`]) and
-//! reports offending *sites* with the full call chain from a nearest
-//! root. Suppression composes with the per-file rules: an edge whose
-//! call line carries a reasoned `// lint: allow(<key>)` cuts the whole
-//! subtree, and a site whose line carries one is skipped — the same
-//! annotation silences a finding at any frame.
+//! [`hazards`] defines `determinism`, `panic` and `obs` once each: a
+//! site in a root file is a zero-frame finding, and a site a root
+//! reaches elsewhere is reported with the full call chain from a
+//! nearest root. [`lock_order`] checks ranked lock acquisitions along
+//! every chain. An edge whose call line carries a reasoned
+//! `// lint: allow(<rule>)` cuts the whole subtree, and a site whose
+//! line carries one is skipped — the same annotation silences a finding
+//! at any frame.
 
+pub mod hazards;
 pub mod lock_order;
-pub mod panic_path;
-pub mod purity;
-pub mod taint;
 
 use crate::callgraph::{FileView, Graph};
-use crate::lexer::Token;
 use crate::parser::{FileIndex, FnItem};
 use crate::rules::{Frame, Rule, Violation};
 
-/// Runs every interprocedural pass over the parsed workspace.
+/// Runs every call-graph pass over the parsed workspace.
 pub fn run(views: &[FileView<'_>]) -> Vec<Violation> {
     let graph = Graph::build(views);
     let mut out = Vec::new();
     lock_order::run(&graph, &mut out);
-    panic_path::run(&graph, &mut out);
-    purity::run(&graph, &mut out);
-    taint::run(&graph, &mut out);
+    hazards::run(&graph, &mut out);
     out
 }
 
@@ -48,21 +45,6 @@ pub(crate) fn own_segments(index: &FileIndex, item: &FnItem) -> Vec<(usize, usiz
         segments.push((cursor, end));
     }
     segments
-}
-
-/// Calls `f` with every token index owned by `item` (body minus nested
-/// fn bodies).
-pub(crate) fn for_own_tokens(
-    tokens: &[Token],
-    index: &FileIndex,
-    item: &FnItem,
-    mut f: impl FnMut(usize, &Token),
-) {
-    for (s, e) in own_segments(index, item) {
-        for (i, tok) in tokens.iter().enumerate().take(e).skip(s) {
-            f(i, tok);
-        }
-    }
 }
 
 /// Reports a site reached through `path` unless its line carries a
@@ -96,16 +78,4 @@ pub(crate) fn push_reached_site(
         message,
         frames,
     });
-}
-
-/// The sorted reachable set from `roots` (deterministic pass output).
-pub(crate) fn sorted_reach(
-    g: &Graph<'_>,
-    roots: &[usize],
-    allow_key: &str,
-) -> Vec<(usize, Vec<(usize, u32)>)> {
-    let mut reached: Vec<(usize, Vec<(usize, u32)>)> =
-        g.reach(roots, allow_key).into_iter().collect();
-    reached.sort_by_key(|(id, _)| *id);
-    reached
 }

@@ -1,24 +1,30 @@
-//! The project-invariant rule passes.
+//! The rule set, the finding type, and the per-file rules.
 //!
-//! Each rule walks the token stream of one file (see [`crate::lexer`])
-//! with the file's workspace-relative path deciding which rules apply.
+//! Three rules are token scans of one file, keyed by its
+//! workspace-relative path: `unsafe`, `threads` and `persistence`, plus
+//! the metric-name half of `obs`. The hazards that can also arrive
+//! through a call — `determinism`, `panic` and the increment-path half
+//! of `obs` — are defined once each in [`crate::passes`], and
+//! `lock_order` lives there too.
+//!
 //! Test code — files under `tests/` or `benches/`, and `#[cfg(test)]` /
 //! `#[test]` items inside `src` files — is exempt from the behavioural
-//! rules (determinism, panic-freedom, concurrency) but **not** from the
-//! unsafe audit: a SAFETY justification is owed everywhere.
+//! rules but **not** from the unsafe audit: a SAFETY justification is
+//! owed everywhere.
 
 use std::fmt;
 
-use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
+use crate::lexer::{is_path_sep, Comment, Lexed, TokenKind};
+use crate::parser::FileIndex;
 
 /// The rule a violation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// Search-state modules must hash deterministically and never read
-    /// ambient time or randomness.
+    /// ambient time or randomness, directly or through any call chain.
     Determinism,
-    /// Request-path code in `crates/serve` must not panic without an
-    /// annotated justification.
+    /// The serve request path must not panic without an annotated
+    /// justification, in `crates/serve` or in any helper it reaches.
     PanicFreedom,
     /// Every `unsafe` needs an adjacent `// SAFETY:` comment.
     UnsafeAudit,
@@ -29,30 +35,19 @@ pub enum Rule {
     /// (no bare `fs::write` / `File::create`), so every published file
     /// is fsynced and keeps its `.bak` sibling.
     Persistence,
-    /// Metric increment-path code stays lock- and allocation-free
-    /// (request threads bump counters on every request), and every
-    /// counter/histogram registration names a snake_case metric with a
-    /// unit suffix.
+    /// The metric increment path stays lock-, allocation- and I/O-free
+    /// (request threads bump counters on every request), down every call
+    /// chain, and every counter/histogram registration names a
+    /// snake_case metric with a unit suffix.
     Obs,
     /// Interprocedural: ranked serve locks are only ever acquired in
     /// ascending rank order, on every static call path (the compile-time
     /// twin of the runtime lock-rank witness).
     LockOrder,
-    /// Interprocedural: no panic site (`unwrap`/`expect`/`panic!`/…) is
-    /// reachable from the serve request path through any call chain,
-    /// including helpers in other crates.
-    PanicPath,
-    /// Interprocedural: nothing reachable from the metric increment
-    /// path locks, allocates, or does I/O.
-    ObsPurity,
-    /// Interprocedural: no ambient time/randomness source is reachable
-    /// from the deterministic search-state modules through any call
-    /// chain.
-    DeterminismTaint,
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [Rule; 10] = [
+pub const ALL_RULES: [Rule; 7] = [
     Rule::Determinism,
     Rule::PanicFreedom,
     Rule::UnsafeAudit,
@@ -60,9 +55,6 @@ pub const ALL_RULES: [Rule; 10] = [
     Rule::Persistence,
     Rule::Obs,
     Rule::LockOrder,
-    Rule::PanicPath,
-    Rule::ObsPurity,
-    Rule::DeterminismTaint,
 ];
 
 impl Rule {
@@ -76,29 +68,14 @@ impl Rule {
             Rule::Persistence => "persistence",
             Rule::Obs => "obs",
             Rule::LockOrder => "lock_order",
-            Rule::PanicPath => "panic_path",
-            Rule::ObsPurity => "obs_purity",
-            Rule::DeterminismTaint => "determinism_taint",
         }
     }
 
-    /// The key accepted by `// lint: allow(<key>) <reason>`.
-    /// [`Rule::UnsafeAudit`] has no allow-key: the escape hatch *is* the
-    /// `// SAFETY:` comment the rule demands.
-    ///
-    /// The interprocedural passes share their per-file counterpart's key
-    /// (`panic_path` honours `allow(panic)`, and so on): a site vetted
-    /// for direct use is vetted however it is reached.
+    /// The key accepted by `// lint: allow(<key>) <reason>`: the rule's
+    /// name. [`Rule::UnsafeAudit`] has no allow-key: the escape hatch
+    /// *is* the `// SAFETY:` comment the rule demands.
     pub(crate) fn allow_key(self) -> Option<&'static str> {
-        match self {
-            Rule::Determinism | Rule::DeterminismTaint => Some("determinism"),
-            Rule::PanicFreedom | Rule::PanicPath => Some("panic"),
-            Rule::Concurrency => Some("threads"),
-            Rule::Persistence => Some("persistence"),
-            Rule::Obs | Rule::ObsPurity => Some("obs"),
-            Rule::LockOrder => Some("lock_order"),
-            Rule::UnsafeAudit => None,
-        }
+        (self != Rule::UnsafeAudit).then(|| self.name())
     }
 }
 
@@ -132,8 +109,9 @@ pub struct Violation {
     pub rule: Rule,
     /// What went wrong, with the fix spelled out.
     pub message: String,
-    /// For interprocedural findings: the call chain from the analysis
-    /// root to the site, outermost first. Empty for per-file findings.
+    /// For a site reached through calls: the call chain from the
+    /// analysis root to the site, outermost first. Empty for a site
+    /// written directly in a scoped file.
     pub frames: Vec<Frame>,
 }
 
@@ -155,63 +133,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The interprocedural passes need the same module lists.
-pub(crate) const fn determinism_modules() -> [&'static str; 6] {
-    DETERMINISM_MODULES
-}
-
-/// See [`determinism_modules`].
-pub(crate) const fn obs_increment_modules() -> [&'static str; 2] {
-    OBS_INCREMENT_MODULES
-}
-
-/// Scans the balanced `<…>` starting at `open` (which holds `<`) and
-/// reports whether any identifier inside names an FNV hasher. Shared
-/// between the per-file determinism rule and the interprocedural taint
-/// pass.
-pub(crate) fn generic_args_name_fnv(tokens: &[Token], open: usize) -> bool {
-    let mut depth = 0i32;
-    let mut saw_fnv = false;
-    // Bounded scan: a `<` that is really a comparison never closes,
-    // and we must not walk the rest of the file.
-    for j in open..tokens.len().min(open + 256) {
-        let t = &tokens[j];
-        if t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct('>') {
-            // `->` in fn-pointer types does not close a bracket.
-            if j > 0 && tokens[j - 1].is_punct('-') {
-                continue;
-            }
-            depth -= 1;
-            if depth == 0 {
-                return saw_fnv;
-            }
-        } else if t.kind == TokenKind::Ident && t.text.starts_with("Fnv") {
-            saw_fnv = true;
-        }
-    }
-    // Unclosed: treat as "not a generic application" (comparison
-    // expression) rather than a violation.
-    true
-}
-
-/// The `mvq_core` modules that hold reproducible search state: the
-/// engine's level tables, both meet-in-the-middle frontiers, the
-/// sharded parallel expansion, the `seen` maps, the census, and the
-/// snapshot codec.
-/// Bit-identical state at every thread count is the repo's headline
-/// claim, so these modules may not hash nondeterministically nor read
-/// ambient time/randomness.
-const DETERMINISM_MODULES: [&str; 6] = [
-    "crates/core/src/engine.rs",
-    "crates/core/src/mitm.rs",
-    "crates/core/src/par.rs",
-    "crates/core/src/seen.rs",
-    "crates/core/src/census.rs",
-    "crates/core/src/snapshot.rs",
-];
-
 /// Files allowed to call `thread::spawn` / `thread::scope`: the worker
 /// pool that everything else must route through, and the serve accept
 /// loop (connection handlers are not expansion work).
@@ -222,12 +143,6 @@ const THREAD_ALLOWLIST: [&str; 2] = ["crates/core/src/par.rs", "crates/serve/src
 /// a bare `fs::write` / `File::create` can publish a torn file and has
 /// no `.bak` rotation.
 const PERSISTENCE_MODULES: [&str; 1] = ["crates/core/src/snapshot.rs"];
-
-/// The `mvq_obs` modules holding the metric increment path (counter
-/// bumps, histogram records, probe callbacks). Request threads hit
-/// these on every request, so they must stay lock-free and
-/// allocation-free: atomics only.
-const OBS_INCREMENT_MODULES: [&str; 2] = ["crates/obs/src/metrics.rs", "crates/obs/src/probe.rs"];
 
 /// Registration methods whose first argument is a metric name, paired
 /// with whether the naming contract demands a unit suffix (gauges are
@@ -247,58 +162,36 @@ const UNIT_SUFFIXES: [&str; 3] = ["_us", "_bytes", "_total"];
 /// fit; a stale comment three screens up does not).
 const SAFETY_WINDOW: u32 = 8;
 
-/// Which rules apply to a file, derived from its workspace-relative
-/// path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FileClass {
-    /// Whole file is test/bench code.
-    pub(crate) test_class: bool,
-    determinism: bool,
-    panic_free: bool,
-    thread_allowed: bool,
-    persistence: bool,
-    obs_increment: bool,
+/// Whether the whole file at `rel` is test or bench code.
+pub(crate) fn is_test_file(rel: &str) -> bool {
+    rel.split('/')
+        .any(|part| part == "tests" || part == "benches")
 }
 
-impl FileClass {
-    pub(crate) fn of(rel: &str) -> Self {
-        let test_class = rel
-            .split('/')
-            .any(|part| part == "tests" || part == "benches");
-        Self {
-            test_class,
-            determinism: DETERMINISM_MODULES.contains(&rel),
-            panic_free: rel.starts_with("crates/serve/src/"),
-            thread_allowed: test_class || THREAD_ALLOWLIST.contains(&rel),
-            persistence: PERSISTENCE_MODULES.contains(&rel),
-            obs_increment: OBS_INCREMENT_MODULES.contains(&rel),
-        }
-    }
-}
-
-/// Lints one source file. `rel` is the workspace-relative path with
-/// forward slashes (it selects the applicable rules).
-pub fn check_source(rel: &str, source: &str) -> Vec<Violation> {
-    let lexed = lex(source);
-    check_lexed(rel, source, &lexed)
-}
-
-/// The per-file rule passes over an already-lexed file (the parse cache
-/// lexes once and shares the result with the interprocedural passes).
-pub(crate) fn check_lexed(rel: &str, source: &str, lexed: &Lexed) -> Vec<Violation> {
-    let class = FileClass::of(rel);
-    let allows = Allows::parse(&lexed.comments);
-    let file = FileCheck {
+/// The per-file rule passes over an already-lexed and parsed file (the
+/// parse cache runs them once per file content).
+pub(crate) fn check_lexed(
+    rel: &str,
+    source: &str,
+    lexed: &Lexed,
+    index: &FileIndex,
+    allows: &Allows,
+) -> Vec<Violation> {
+    let test_file = is_test_file(rel);
+    let mut file = FileCheck {
         rel,
-        class,
-        test_spans: find_test_spans(&lexed.tokens),
-        allows: &allows,
+        test_file,
+        thread_allowed: test_file || THREAD_ALLOWLIST.contains(&rel),
+        persistence: PERSISTENCE_MODULES.contains(&rel),
+        index,
+        allows,
         lexed,
         violations: Vec::new(),
     };
-    let mut violations = file.run();
-    if !class.test_class {
-        scan_metric_names(rel, source, &allows, &mut violations);
+    file.run();
+    let mut violations = file.violations;
+    if !test_file {
+        scan_metric_names(rel, source, lexed, index, allows, &mut violations);
     }
     violations
 }
@@ -340,48 +233,30 @@ impl Allows {
 
 struct FileCheck<'a> {
     rel: &'a str,
-    class: FileClass,
-    /// Token-index ranges covered by `#[cfg(test)]` / `#[test]` items.
-    test_spans: Vec<(usize, usize)>,
+    test_file: bool,
+    thread_allowed: bool,
+    persistence: bool,
+    index: &'a FileIndex,
     allows: &'a Allows,
     lexed: &'a Lexed,
     violations: Vec<Violation>,
 }
 
 impl FileCheck<'_> {
-    fn run(mut self) -> Vec<Violation> {
-        // Indexing (not iterating) because every rule pass borrows
-        // `self` mutably while peeking neighbouring tokens by index.
-        #[allow(clippy::needless_range_loop)]
+    fn run(&mut self) {
         for i in 0..self.lexed.tokens.len() {
             if self.lexed.tokens[i].kind != TokenKind::Ident {
                 continue;
             }
-            let in_test = self.class.test_class || self.in_test_span(i);
-            if self.class.determinism && !in_test {
-                self.determinism(i);
-            }
-            if self.class.panic_free && !in_test {
-                self.panic_freedom(i);
-            }
+            let in_test = self.test_file || self.index.in_test_span(i);
             self.unsafe_audit(i);
-            if !self.class.thread_allowed && !in_test {
+            if !self.thread_allowed && !in_test {
                 self.concurrency(i);
             }
-            if self.class.persistence && !in_test {
+            if self.persistence && !in_test {
                 self.persistence(i);
             }
-            if self.class.obs_increment && !in_test {
-                self.obs_increment(i);
-            }
         }
-        self.violations
-    }
-
-    fn in_test_span(&self, idx: usize) -> bool {
-        self.test_spans
-            .iter()
-            .any(|&(start, end)| (start..=end).contains(&idx))
     }
 
     /// Records `idx`'s token as a violation of `rule` unless an
@@ -398,134 +273,7 @@ impl FileCheck<'_> {
         );
     }
 
-    fn tok(&self, idx: usize) -> Option<&Token> {
-        self.lexed.tokens.get(idx)
-    }
-
-    fn is_path_sep(&self, idx: usize) -> bool {
-        self.tok(idx).is_some_and(|t| t.is_punct(':'))
-            && self.tok(idx + 1).is_some_and(|t| t.is_punct(':'))
-    }
-
-    // ── Rule 1: determinism ────────────────────────────────────────
-
-    fn determinism(&mut self, i: usize) {
-        let tokens = &self.lexed.tokens;
-        let text = tokens[i].text.as_str();
-        match text {
-            "HashMap" | "HashSet" => {
-                // `HashMap<…>` / `HashMap::<…>`: the generic args must
-                // name a deterministic hasher.
-                let open = if self.tok(i + 1).is_some_and(|t| t.is_punct('<')) {
-                    Some(i + 1)
-                } else if self.is_path_sep(i + 1)
-                    && self.tok(i + 3).is_some_and(|t| t.is_punct('<'))
-                {
-                    Some(i + 3)
-                } else {
-                    None
-                };
-                if let Some(open) = open {
-                    if !self.generic_args_name_fnv(open) {
-                        self.report(
-                            i,
-                            Rule::Determinism,
-                            format!(
-                                "`{text}` in a search-state module must name a deterministic \
-                                 hasher (e.g. `{text}<…, FnvBuildHasher>`) — the std default \
-                                 `RandomState` makes iteration order differ between runs"
-                            ),
-                        );
-                    }
-                } else if self.is_path_sep(i + 1)
-                    && self
-                        .tok(i + 3)
-                        .is_some_and(|t| t.text == "new" || t.text == "with_capacity")
-                {
-                    // `HashMap::new()` / `with_capacity()` only exist for
-                    // the RandomState default.
-                    self.report(
-                        i,
-                        Rule::Determinism,
-                        format!(
-                            "`{text}::{}` pins the nondeterministic `RandomState` hasher; \
-                             use `{text}::default()` on an `FnvBuildHasher`-typed binding \
-                             (or `with_capacity_and_hasher`)",
-                            self.tok(i + 3).map_or("new", |t| t.text.as_str()),
-                        ),
-                    );
-                }
-            }
-            "Instant" | "SystemTime" => {
-                self.report(
-                    i,
-                    Rule::Determinism,
-                    format!(
-                        "`{text}` is an ambient time source; search-state modules must be \
-                         reproducible — measure wall-clock at the caller (CLI/bench/serve) instead"
-                    ),
-                );
-            }
-            "thread_rng" | "random" => {
-                self.report(
-                    i,
-                    Rule::Determinism,
-                    format!("`{text}` injects ambient randomness into reproducible search state"),
-                );
-            }
-            "rand" if self.is_path_sep(i + 1) => {
-                self.report(
-                    i,
-                    Rule::Determinism,
-                    "the `rand` crate must not be used from search-state modules".to_string(),
-                );
-            }
-            _ => {}
-        }
-    }
-
-    /// Scans the balanced `<…>` starting at `open` (which holds `<`) and
-    /// reports whether any identifier inside names an FNV hasher.
-    fn generic_args_name_fnv(&self, open: usize) -> bool {
-        generic_args_name_fnv(&self.lexed.tokens, open)
-    }
-
-    // ── Rule 2: panic-freedom in serve ─────────────────────────────
-
-    fn panic_freedom(&mut self, i: usize) {
-        let tokens = &self.lexed.tokens;
-        let text = tokens[i].text.as_str();
-        let followed_by_bang = self.tok(i + 1).is_some_and(|t| t.is_punct('!'));
-        let method_call = i > 0
-            && tokens[i - 1].is_punct('.')
-            && self.tok(i + 1).is_some_and(|t| t.is_punct('('));
-        match text {
-            "unwrap" | "expect" if method_call => {
-                self.report(
-                    i,
-                    Rule::PanicFreedom,
-                    format!(
-                        "`.{text}()` on the serve request path can take the whole worker down; \
-                         return a typed `HostError` / map to a 4xx instead, or justify with \
-                         `// lint: allow(panic) <reason>`"
-                    ),
-                );
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if followed_by_bang => {
-                self.report(
-                    i,
-                    Rule::PanicFreedom,
-                    format!(
-                        "`{text}!` in serve request-path code; return a typed error, or justify \
-                         with `// lint: allow(panic) <reason>`"
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
-
-    // ── Rule 3: unsafe audit ───────────────────────────────────────
+    // ── unsafe audit ───────────────────────────────────────────────
 
     fn unsafe_audit(&mut self, i: usize) {
         let token = &self.lexed.tokens[i];
@@ -550,35 +298,32 @@ impl FileCheck<'_> {
         }
     }
 
-    // ── Rule 4: concurrency discipline ─────────────────────────────
+    // ── concurrency discipline ─────────────────────────────────────
 
     fn concurrency(&mut self, i: usize) {
-        let token = &self.lexed.tokens[i];
-        if token.text != "thread" || !self.is_path_sep(i + 1) {
+        let tokens = &self.lexed.tokens;
+        if tokens[i].text != "thread" || !is_path_sep(tokens, i + 1) {
             return;
         }
-        let Some(callee) = self.tok(i + 3) else {
+        let Some(callee) = tokens.get(i + 3) else {
             return;
         };
         if callee.text == "spawn" || callee.text == "scope" {
-            self.report(
-                i,
-                Rule::Concurrency,
-                format!(
-                    "`thread::{}` outside `par.rs` / the serve accept loop; route parallel \
-                     work through `par::WorkerPool` so thread counts stay centrally resolved",
-                    callee.text
-                ),
+            let message = format!(
+                "`thread::{}` outside `par.rs` / the serve accept loop; route parallel \
+                 work through `par::WorkerPool` so thread counts stay centrally resolved",
+                callee.text
             );
+            self.report(i, Rule::Concurrency, message);
         }
     }
 
-    // ── Rule 5: durable persistence ────────────────────────────────
+    // ── durable persistence ────────────────────────────────────────
 
     fn persistence(&mut self, i: usize) {
         let tokens = &self.lexed.tokens;
         let text = tokens[i].text.as_str();
-        if i < 3 || !self.is_path_sep(i - 2) {
+        if i < 3 || !is_path_sep(tokens, i - 2) {
             return;
         }
         let owner = tokens[i - 3].text.as_str();
@@ -588,50 +333,19 @@ impl FileCheck<'_> {
             _ => return,
         };
         if flagged {
-            self.report(
-                i,
-                Rule::Persistence,
-                format!(
-                    "`{owner}::{text}` in a persistence module publishes a file without fsync \
-                     or `.bak` rotation; route it through the durable-write helper, or justify \
-                     with `// lint: allow(persistence) <reason>`"
-                ),
+            let message = format!(
+                "`{owner}::{text}` in a persistence module publishes a file without fsync \
+                 or `.bak` rotation; route it through the durable-write helper, or justify \
+                 with `// lint: allow(persistence) <reason>`"
             );
-        }
-    }
-
-    // ── Rule 6: lock/alloc-free metric increments ──────────────────
-
-    fn obs_increment(&mut self, i: usize) {
-        let tokens = &self.lexed.tokens;
-        let text = tokens[i].text.as_str();
-        let followed_by_bang = self.tok(i + 1).is_some_and(|t| t.is_punct('!'));
-        let method_call = i > 0
-            && tokens[i - 1].is_punct('.')
-            && self.tok(i + 1).is_some_and(|t| t.is_punct('('));
-        let flagged = match text {
-            "Mutex" | "RwLock" | "Condvar" | "String" | "Vec" | "Box" => true,
-            "lock" | "to_string" | "to_owned" | "to_vec" => method_call,
-            "format" | "vec" => followed_by_bang,
-            _ => false,
-        };
-        if flagged {
-            self.report(
-                i,
-                Rule::Obs,
-                format!(
-                    "`{text}` in a metric increment-path module; counter bumps and histogram \
-                     records run on every request and must stay lock- and allocation-free \
-                     (atomics only), or justify with `// lint: allow(obs) <reason>`"
-                ),
-            );
+            self.report(i, Rule::Persistence, message);
         }
     }
 }
 
-/// Pushes a violation of `rule` at `rel:line` unless a
-/// `// lint: allow(<key>) <reason>` annotation covers the line (shared
-/// by the token passes and the raw-source metric-name scan).
+/// Pushes a zero-frame violation of `rule` at `rel:line` unless a
+/// `// lint: allow(<key>) <reason>` annotation covers the line; a
+/// reason-less annotation is itself the finding.
 pub(crate) fn report_with_allow(
     allows: &Allows,
     rel: &str,
@@ -666,23 +380,34 @@ pub(crate) fn report_with_allow(
 /// tokenize string-literal contents, so the token passes cannot see
 /// metric names. Applies everywhere outside test code — registrations
 /// live in obs and serve today, but a registration breaking the naming
-/// contract is wrong wherever it appears. Source after the first
-/// `#[cfg(test)]` is skipped (test modules sit at the bottom of files
-/// in this workspace).
-fn scan_metric_names(rel: &str, source: &str, allows: &Allows, out: &mut Vec<Violation>) {
-    let cut = source.find("#[cfg(test)]").unwrap_or(source.len());
-    let scanned = &source[..cut];
+/// contract is wrong wherever it appears. Names on lines inside the
+/// file's test spans are skipped.
+fn scan_metric_names(
+    rel: &str,
+    source: &str,
+    lexed: &Lexed,
+    index: &FileIndex,
+    allows: &Allows,
+    out: &mut Vec<Violation>,
+) {
+    let tokens = &lexed.tokens;
+    let in_test = |line: u32| {
+        index
+            .test_spans
+            .iter()
+            .any(|&(s, e)| (tokens[s].line..=tokens[e].line).contains(&line))
+    };
     for (method, needs_suffix) in REGISTRATION_METHODS {
         // Built at runtime so this file's own source never contains the
         // needle (the workspace lints itself).
         let needle = format!(".{method}(");
         let mut from = 0;
-        while let Some(pos) = scanned[from..].find(&needle) {
+        while let Some(pos) = source[from..].find(&needle) {
             let after = from + pos + needle.len();
             from = after;
             // The name may sit on the next line (rustfmt wraps long
             // registrations), so skip whitespace before the quote.
-            let rest = &scanned[after..];
+            let rest = &source[after..];
             let trimmed = rest.trim_start();
             let Some(name_rest) = trimmed.strip_prefix('"') else {
                 continue; // first argument is not a string literal
@@ -691,16 +416,12 @@ fn scan_metric_names(rel: &str, source: &str, allows: &Allows, out: &mut Vec<Vio
                 continue;
             };
             let name = &name_rest[..end];
-            let offset = after + (rest.len() - trimmed.len());
+            let line = line_of(source, after + (rest.len() - trimmed.len()));
+            if in_test(line) {
+                continue;
+            }
             if let Some(problem) = metric_name_problem(name, needs_suffix) {
-                report_with_allow(
-                    allows,
-                    rel,
-                    line_of(scanned, offset),
-                    Rule::Obs,
-                    problem,
-                    out,
-                );
+                report_with_allow(allows, rel, line, Rule::Obs, problem, out);
             }
         }
     }
@@ -733,81 +454,12 @@ fn line_of(source: &str, offset: usize) -> u32 {
     u32::try_from(newlines + 1).unwrap_or(u32::MAX)
 }
 
-/// Finds token-index ranges belonging to `#[cfg(test)]` / `#[test]` /
-/// `#[cfg(all(test, …))]` items: the attribute, then (skipping any
-/// further attributes) the next item through its closing brace or
-/// semicolon.
-pub(crate) fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !tokens[i].is_punct('#') || !tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            i += 1;
-            continue;
-        }
-        let (attr_end, mentions_test) = scan_attribute(tokens, i + 1);
-        if !mentions_test {
-            i = attr_end + 1;
-            continue;
-        }
-        // Skip any further attributes between this one and the item.
-        let mut j = attr_end + 1;
-        while j < tokens.len()
-            && tokens[j].is_punct('#')
-            && tokens.get(j + 1).is_some_and(|t| t.is_punct('['))
-        {
-            j = scan_attribute(tokens, j + 1).0 + 1;
-        }
-        // The item body: through the matching `}` of its first brace, or
-        // a top-level `;` (e.g. `#[cfg(test)] use …;`).
-        let mut depth = 0i32;
-        let mut end = j;
-        while end < tokens.len() {
-            let t = &tokens[end];
-            if t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if t.is_punct(';') && depth == 0 {
-                break;
-            }
-            end += 1;
-        }
-        spans.push((i, end));
-        i = end + 1;
-    }
-    spans
-}
-
-/// Scans a `[…]` attribute starting at `open` (the `[`); returns the
-/// index of the closing `]` and whether the ident `test` appears inside.
-fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
-    let mut depth = 0i32;
-    let mut mentions_test = false;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return (j, mentions_test);
-            }
-        } else if t.is_ident("test") {
-            mentions_test = true;
-        }
-    }
-    (tokens.len().saturating_sub(1), mentions_test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn check(rel: &str, source: &str) -> Vec<Violation> {
-        check_source(rel, source)
+        crate::check_source(rel, source)
     }
 
     const CORE: &str = "crates/core/src/engine.rs";
@@ -855,6 +507,45 @@ mod tests {
         .is_empty());
         // Other files may time freely.
         assert!(check("crates/cli/src/commands.rs", "fn f() { Instant::now(); }").is_empty());
+    }
+
+    #[test]
+    fn test_only_fields_do_not_hide_the_next_fn() {
+        let src = "struct F {\n    k: usize,\n    #[cfg(test)]\n    generated: u64,\n}\n\
+                   impl F {\n    fn new() -> Self {\n        let t = Instant::now();\n        \
+                   Self {\n            k: 0,\n            #[cfg(test)]\n            \
+                   generated: 0,\n        }\n    }\n}\n";
+        let v = check(CORE, src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (Rule::Determinism, 8), "{v:?}");
+    }
+
+    #[test]
+    fn root_file_sites_outside_fn_bodies_have_no_frames() {
+        let v = check(CORE, "pub fn f(s: HashSet<u8>) -> usize { s.len() }");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::Determinism);
+        assert!(v[0].frames.is_empty(), "{v:?}");
+        let v = check(
+            "crates/obs/src/metrics.rs",
+            "pub struct C {\n    v: std::sync::Mutex<u64>,\n}",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (Rule::Obs, 2), "{v:?}");
+        assert!(v[0].frames.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn root_file_sites_reached_by_another_root_are_reported_once() {
+        let v = check(
+            CORE,
+            "pub fn a() { b(); }\nfn b() -> u64 { let t = Instant::now(); 0 }",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].frames.is_empty(), "{v:?}");
+        let v = check(SERVE, "pub fn a() { b(); }\nfn b() { x.unwrap(); }");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].frames.is_empty(), "{v:?}");
     }
 
     #[test]
@@ -1023,6 +714,13 @@ mod tests {
             "fn f() {\n    // lint: allow(obs) scrape path, not the increment path\n    let v = Vec::new();\n}"
         )
         .is_empty());
+        // Printing and filesystem I/O written directly in the module.
+        let v = check(OBS, "fn f() { println!(\"bump\"); }");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("println!"), "{v:?}");
+        let v = check(OBS, "fn f() { let _ = std::fs::read(p); }");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("fs::"), "{v:?}");
         // …and modules off the increment path are out of scope.
         assert!(check(
             "crates/obs/src/registry.rs",
@@ -1069,6 +767,15 @@ mod tests {
             "#[cfg(test)]\nmod tests { fn t(r: &Registry) { r.counter(\"Bad\", \"h\"); } }"
         )
         .is_empty());
+        // A test-only field exempts itself, not the rest of the file.
+        let v = check(
+            REG,
+            "struct S {\n    #[cfg(test)]\n    seen: u64,\n}\n\
+             fn f(r: &Registry) {\n    r.counter(\"BadName\", \"h\");\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t(r: &Registry) { r.counter(\"Bad\", \"h\"); }\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 6, "{v:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The lint gate, exercised in-process: the committed tree must be
-//! clean under all ten rules within a 5 s budget, and — mutation-style
+//! clean under all seven rules within a 5 s budget, and — mutation-style
 //! — seeding a rank-inverted lock acquisition into a copy of the real
 //! `host.rs` must trip the interprocedural lock-order pass with the
 //! correct multi-frame call chain. The second half proves the pass
