@@ -14,8 +14,17 @@ use crate::word::{gate_table, FnvBuildHasher, GateTable};
 use crate::{Circuit, CostModel};
 
 /// A per-level S-trace join index: trace → indices into the level's
-/// word vector (the meet-in-the-middle probe structure).
+/// handle vector (the meet-in-the-middle probe structure).
 pub(crate) type TraceIndex<T> = HashMap<T, Vec<u32>, FnvBuildHasher>;
+
+/// A settled level left unexpanded, with the work count its expansion
+/// reports.
+#[derive(Debug, Clone, Copy)]
+struct SettledLevel {
+    cost: u32,
+    /// Superseded decrease-key copies dropped while settling it.
+    stale_dropped: u64,
+}
 
 /// A reversible-circuit equivalence class discovered by FMCF: the
 /// restriction to binary patterns, its minimal cost, and every witness
@@ -166,6 +175,15 @@ impl fmt::Display for SynthesisStrategy {
 /// [`SearchEngine::synthesize_bidirectional`] is the meet-in-the-middle
 /// variant.
 ///
+/// A level is *settled* when its bucket is popped, its stale copies are
+/// dropped and its classes are registered: `G[k]` is final from then on.
+/// It is *expanded* when its successors are generated, which only
+/// settling level `k + 1` needs. Builders ([`Self::expand_to_cost`],
+/// [`Self::expand_one_level`]) do both; queries and hosts
+/// ([`Self::synthesize`], [`Self::settle_one_level`]) only settle, and
+/// leave the deepest level's (largest) successor set ungenerated until a
+/// deeper level is asked for.
+///
 /// # Examples
 ///
 /// ```
@@ -216,15 +234,19 @@ pub struct SearchEngine<W: SearchWidth> {
     /// cached levels never pay for it). `None` on natively-built engines
     /// and after [`Self::ensure_frontier`].
     pub(crate) deferred_frontier: Option<DeferredFrontier>,
-    /// Highest cost whose level has been fully expanded.
+    /// Highest cost whose level has been settled.
     pub(crate) completed: Option<u32>,
-    /// `B[k]` for each completed level: the words first reached at exact
-    /// cost `k` (gap levels hold empty vectors, so indices equal costs).
-    pub(crate) levels: Vec<Vec<W::Word>>,
+    /// The settled level whose successors are not generated yet (always
+    /// the deepest settled level when present).
+    unexpanded: Option<SettledLevel>,
+    /// `B[k]` for each settled level: the words first reached at exact
+    /// cost `k`, as handles into `seen` (which stores each word once;
+    /// gap levels hold empty vectors, so indices equal costs).
+    pub(crate) levels: Vec<Vec<Handle>>,
     /// Per-level S-traces, parallel to `levels` (see [`Self::trace_of`]).
     pub(crate) level_traces: Vec<Vec<W::Trace>>,
     /// Lazily built per-level join index: S-trace → indices into the
-    /// level's word vector.
+    /// level's handle vector.
     pub(crate) trace_index: Vec<Option<TraceIndex<W::Trace>>>,
     /// Reversible classes: binary restriction → minimal cost + witnesses.
     pub(crate) classes: HashMap<W::Word, GClass<W>, FnvBuildHasher>,
@@ -387,6 +409,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             pending,
             deferred_frontier: None,
             completed: None,
+            unexpanded: None,
             levels: Vec::new(),
             level_traces: Vec::new(),
             trace_index: Vec::new(),
@@ -399,7 +422,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// Installs (or clears) the observability probe. The engine calls it
-    /// around level expansions, parallel bucket staging, bidirectional
+    /// around level steps, parallel bucket staging, bidirectional
     /// split decisions, and snapshot sections; with the default empty
     /// handle every hook is a single branch.
     pub fn set_probe(&mut self, probe: ProbeHandle) {
@@ -427,35 +450,39 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// Re-configures the degree of parallelism. Safe on a warm engine:
-    /// the sharded `seen` map is re-bucketed in place, the pending
-    /// handles are re-issued for its new layout, and cached levels are
-    /// untouched (results stay bit-identical for any thread count).
+    /// the sharded `seen` map is re-bucketed in place, the pending and
+    /// level handles are re-issued for its new layout (results stay
+    /// bit-identical for any thread count).
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
         self.pool = par::WorkerPool::new(threads);
-        self.seen
-            .reshard_for_threads(threads, self.pending.values_mut().flatten());
+        let handles = self.pending.values_mut().chain(&mut self.levels);
+        self.seen.reshard_for_threads(threads, handles.flatten());
     }
 
-    /// The highest cost whose level has been fully expanded, if any.
+    /// The highest cost whose level has been settled, if any: every
+    /// class of cost ≤ this is known, though the deepest level's
+    /// successors may not be generated yet.
     pub fn completed_cost(&self) -> Option<u32> {
         self.completed
     }
 
-    /// `|G[k]|` for every fully expanded level `k = 0, 1, …`.
+    /// `|G[k]|` for every settled level `k = 0, 1, …`.
     pub fn g_counts(&self) -> &[usize] {
         &self.g_counts
     }
 
-    /// `|B[k]|` (new quantum circuits at exact cost `k`) for every fully
-    /// expanded level.
+    /// `|B[k]|` (new quantum circuits at exact cost `k`) for every
+    /// settled level.
     pub fn b_counts(&self) -> &[usize] {
         &self.b_counts
     }
 
-    /// Total number of distinct quantum circuits discovered so far
-    /// (`|A[completed]|`), including frontier words a loaded snapshot has
-    /// not yet merged into the live maps.
+    /// Total number of distinct quantum circuits discovered so far: the
+    /// settled levels plus the successors generated from the expanded
+    /// ones (a settled level left unexpanded contributes none), including
+    /// frontier words a loaded snapshot has not yet merged into the live
+    /// maps.
     pub fn a_size(&self) -> usize {
         self.seen.len()
             + self
@@ -465,11 +492,12 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// The words of level `B[cost]`, in discovery order, if that level
-    /// has been expanded — the raw material for determinism audits
+    /// has been settled — the raw material for determinism audits
     /// across thread counts (gap levels under non-unit cost models are
-    /// empty slices).
-    pub fn level_words(&self, cost: u32) -> Option<&[W::Word]> {
-        self.levels.get(cost as usize).map(Vec::as_slice)
+    /// empty).
+    pub fn level_words(&self, cost: u32) -> Option<Vec<W::Word>> {
+        let handles = self.levels.get(cost as usize)?;
+        Some(handles.iter().map(|&h| self.seen.key(h)).collect())
     }
 
     /// The number of distinct reversible classes discovered so far —
@@ -503,7 +531,7 @@ impl<W: SearchWidth> SearchEngine<W> {
 
     /// `true` once the reachable search space is fully enumerated.
     pub(crate) fn exhausted(&self) -> bool {
-        self.pending.is_empty() && self.deferred_frontier.is_none()
+        self.pending.is_empty() && self.deferred_frontier.is_none() && self.unexpanded.is_none()
     }
 
     /// Merges the deferred frontier of a snapshot-loaded engine into the
@@ -518,45 +546,103 @@ impl<W: SearchWidth> SearchEngine<W> {
         }
     }
 
-    /// Expands FMCF levels until cost `cb` is fully processed.
+    /// Expands FMCF levels until every level of cost ≤ `cb` is settled
+    /// and expanded.
     ///
     /// Levels already expanded are reused; the search is cumulative.
     pub fn expand_to_cost(&mut self, cb: u32) {
+        self.climb_to(cb, true);
+        if self.unexpanded.is_some_and(|level| level.cost <= cb) {
+            self.expand_settled_level();
+        }
+    }
+
+    /// Settles and expands exactly one FMCF cost level (the public
+    /// single-step counterpart of [`Self::expand_to_cost`], for builders
+    /// that time or count each level). Returns `false` when the
+    /// reachable space is exhausted and no level was settled.
+    pub fn expand_one_level(&mut self) -> bool {
+        self.level_step(true)
+    }
+
+    /// Settles exactly one FMCF cost level, first generating the
+    /// successors of the level left unexpanded, if any. Returns `false`
+    /// when the reachable space is exhausted and no level was settled.
+    ///
+    /// Long-lived hosts use this to climb level by level, releasing
+    /// their engine lock and re-checking target resolution between
+    /// steps, so a shallow query never pays for a deep bound — and a
+    /// query answered at the deepest level never pays for that level's
+    /// successors.
+    pub fn settle_one_level(&mut self) -> bool {
+        self.level_step(false)
+    }
+
+    /// Takes level steps until cost `cb` is settled (or the space is
+    /// exhausted); without `expand`, each level is expanded only to
+    /// settle the next.
+    pub(crate) fn climb_to(&mut self, cb: u32, expand: bool) {
         while self.completed.is_none_or(|c| c < cb) {
-            if !self.expand_next_level() {
+            if !self.level_step(expand) {
                 break; // search space exhausted
             }
         }
     }
 
-    /// Expands exactly one FMCF cost level (the public single-step
-    /// counterpart of [`Self::expand_to_cost`]). Returns `false` when
-    /// the reachable space is exhausted and no level was expanded.
-    ///
-    /// Long-lived hosts use this to climb level by level, releasing
-    /// their engine lock and re-checking target resolution between
-    /// steps, so a shallow query never pays for a deep bound.
-    pub fn expand_one_level(&mut self) -> bool {
-        self.expand_next_level()
+    /// One level step, bracketed by one `level_started`/`level_finished`
+    /// probe pair: expands the level left unexpanded (if any), settles
+    /// the cheapest pending bucket, and, with `expand`, expands it too.
+    /// Returns `false` when no level was left to settle.
+    fn level_step(&mut self, expand: bool) -> bool {
+        mvq_fault::point!("expand.level");
+        self.ensure_frontier();
+        let next_bucket = || self.pending.keys().next().copied();
+        let Some(first) = self.unexpanded.map(|level| level.cost).or_else(next_bucket) else {
+            return false;
+        };
+        self.probe.on(|p| p.level_started(first));
+        let mut nodes = self.expand_settled();
+        let settled = self.settle_next_level();
+        if expand {
+            nodes += self.expand_settled();
+        }
+        self.level_finished(settled.unwrap_or(first), nodes);
+        settled.is_some()
     }
 
-    /// Expands exactly one cost level. Returns `false` when the reachable
-    /// space is exhausted.
+    /// Expands the level left unexpanded, if any, as a level step of its
+    /// own (a builder or a snapshot needs the full frontier).
+    pub(crate) fn expand_settled_level(&mut self) {
+        if let Some(level) = self.unexpanded {
+            self.probe.on(|p| p.level_started(level.cost));
+            let nodes = self.expand_settled();
+            self.level_finished(level.cost, nodes);
+        }
+    }
+
+    /// Closes a level step's probe bracket.
+    fn level_finished(&self, cost: u32, nodes: u64) {
+        if self.probe.is_set() {
+            // O(buckets), not O(words): Vec::len per pending bucket.
+            let frontier: u64 = self.pending.values().map(|b| b.len() as u64).sum();
+            self.probe.on(|p| p.level_finished(cost, nodes, frontier));
+        }
+    }
+
+    /// Settles the cheapest pending bucket: drops its stale copies,
+    /// registers its classes and records it as the next level. Returns
+    /// its cost, or `None` when nothing is pending.
     ///
     /// Each phase is one call into [`crate::par`], which runs a bucket
     /// inline when it is too small for two workers and through the
-    /// sharded rendezvous pipeline otherwise; the results are
-    /// bit-identical either way (same levels, same bucket order, same
-    /// lazy decrease-key outcomes).
-    pub(crate) fn expand_next_level(&mut self) -> bool {
-        mvq_fault::point!("expand.level");
-        self.ensure_frontier();
-        let Some((&cost, _)) = self.pending.first_key_value() else {
-            return false;
-        };
+    /// sharded pipeline otherwise; the results are bit-identical either
+    /// way (same levels, same bucket order, same lazy decrease-key
+    /// outcomes).
+    fn settle_next_level(&mut self) -> Option<u32> {
+        debug_assert!(self.unexpanded.is_none(), "settled levels expand in order");
+        let (&cost, _) = self.pending.first_key_value()?;
         // lint: allow(panic) first_key_value just proved the bucket key exists
         let raw_bucket = self.pending.remove(&cost).expect("bucket exists");
-        self.probe.on(|p| p.level_started(cost));
         // Lazy decrease-key: with non-uniform gate costs a word can be
         // re-admitted to a cheaper bucket after its first discovery; the
         // superseded copy stays behind in its original bucket and is
@@ -571,38 +657,76 @@ impl<W: SearchWidth> SearchEngine<W> {
         // Defensive: levels complete in ascending order.
         debug_assert!(self.completed.map_or(cost == 0, |c| cost > c));
 
-        // The level's words, gathered once (they become its record), and
-        // per word the gate leading back to its parent: `w = p·g`, so the
-        // successor through `g⁻¹` is `p`, already in `seen` at cost
-        // `cost − cost(g)`, which `admit` would always reject.
-        let bucket = par::par_map(&self.pool, &handles, |_, &h| seen.key(h));
+        // Collect the per-word S-traces for the level index, then
+        // register reversible classes (pre_G[cost] − earlier G's: the
+        // subtraction is implicit in first-seen-wins) from them.
+        // Registration stays serial so the class-discovery and witness
+        // order match the bucket order.
+        let traces = par::par_map(&self.pool, &handles, |_, &h| self.trace_of(&seen.key(h)));
+        let mut g_new: Vec<W::Word> = Vec::new();
+        for (&handle, &trace) in handles.iter().zip(&traces) {
+            if let Some(restriction) = self.restrict(trace) {
+                let word = self.seen.key(handle);
+                self.register_class(cost, word, restriction, &mut g_new);
+            }
+        }
+
+        // Record the level and its statistics. With non-unit costs some
+        // levels are empty; fill the gap so indices equal costs.
+        while self.levels.len() < cost as usize {
+            self.levels.push(Vec::new());
+            self.level_traces.push(Vec::new());
+            self.trace_index.push(None);
+            self.class_levels.push(Vec::new());
+            self.b_counts.push(0);
+            self.g_counts.push(0);
+        }
+        self.b_counts.push(handles.len());
+        self.g_counts.push(g_new.len());
+        self.levels.push(handles);
+        self.level_traces.push(traces);
+        self.trace_index.push(None);
+        self.class_levels.push(g_new);
+        self.completed = Some(cost);
+        self.unexpanded = Some(SettledLevel {
+            cost,
+            stale_dropped,
+        });
+        Some(cost)
+    }
+
+    /// Generates the successors of the level left unexpanded, if any,
+    /// into later buckets, and reports its work. Returns how many
+    /// handles entered the pending buckets.
+    fn expand_settled(&mut self) -> u64 {
+        let Some(SettledLevel {
+            cost,
+            stale_dropped,
+        }) = self.unexpanded.take()
+        else {
+            return 0;
+        };
+        let level = cost as usize;
+        // The level's words, gathered for this expansion only (`seen`
+        // keeps the one copy), and per word the gate leading back to its
+        // parent: `w = p·g`, so the successor through `g⁻¹` is `p`,
+        // already in `seen` at cost `cost − cost(g)`, which `admit`
+        // would always reject.
+        let handles = &self.levels[level];
+        let seen = &self.seen;
+        let bucket = par::par_map(&self.pool, handles, |_, &h| seen.key(h));
         let inverse_gate = &self.inverse_gate;
-        let back_gates = par::par_map(&self.pool, &handles, |_, &h| {
+        let back_gates = par::par_map(&self.pool, handles, |_, &h| {
             let last = usize::from(seen.meta(h).gate);
             inverse_gate.get(last).copied().unwrap_or(u8::MAX)
         });
 
-        // 1. Collect the per-word S-traces for the level index, then
-        //    register reversible classes (pre_G[cost] − earlier G's: the
-        //    subtraction is implicit in first-seen-wins) from them.
-        //    Registration stays serial so the class-discovery and witness
-        //    order match the bucket order.
-        let traces = par::par_map(&self.pool, &bucket, |_, w| self.trace_of(w));
-        let mut g_new: Vec<W::Word> = Vec::new();
-        for (word, &trace) in bucket.iter().zip(&traces) {
-            if let Some(restriction) = self.restrict(trace) {
-                self.register_class(cost, *word, restriction, &mut g_new);
-            }
-        }
-
-        // 2. Expand reasonable products into later buckets. The `seen`
-        //    reservation is sized from the frontier's measured growth
-        //    factor so deep levels don't rehash their way up.
-        let expected_new = par::growth_hint(
-            bucket.len(),
-            self.b_counts.last().copied().unwrap_or(0),
-            self.gate_images.len(),
-        );
+        // Expand reasonable products into later buckets. The `seen`
+        // reservation is sized from the frontier's measured growth
+        // factor so deep levels don't rehash their way up.
+        let previous = level.checked_sub(1).map_or(0, |p| self.b_counts[p]);
+        let expected_new = par::growth_hint(bucket.len(), previous, self.gate_images.len());
+        let traces = &self.level_traces[level];
         let gate_images = &self.gate_images;
         let gate_banned = &self.gate_banned;
         let gate_costs = &self.gate_costs;
@@ -626,34 +750,9 @@ impl<W: SearchWidth> SearchEngine<W> {
             &self.probe,
             generate,
         );
-        let nodes_added = par::append_pushes(&mut self.pending, expansion.pushes);
         self.probe
             .on(|p| p.level_work(cost, expansion.generated, stale_dropped));
-
-        // 3. Record the level and its statistics. With non-unit costs some
-        //    levels are empty; fill the gap so indices equal costs.
-        while self.levels.len() < cost as usize {
-            self.levels.push(Vec::new());
-            self.level_traces.push(Vec::new());
-            self.trace_index.push(None);
-            self.class_levels.push(Vec::new());
-            self.b_counts.push(0);
-            self.g_counts.push(0);
-        }
-        self.b_counts.push(bucket.len());
-        self.g_counts.push(g_new.len());
-        self.levels.push(bucket);
-        self.level_traces.push(traces);
-        self.trace_index.push(None);
-        self.class_levels.push(g_new);
-        self.completed = Some(cost);
-        if self.probe.is_set() {
-            // O(buckets), not O(words): Vec::len per pending bucket.
-            let frontier: u64 = self.pending.values().map(|b| b.len() as u64).sum();
-            self.probe
-                .on(|p| p.level_finished(cost, nodes_added, frontier));
-        }
-        true
+        par::append_pushes(&mut self.pending, expansion.pushes)
     }
 
     /// Folds one reversible word of the current level into the class
@@ -727,7 +826,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             if done > cb {
                 return None;
             }
-            if !self.expand_next_level() {
+            if !self.settle_one_level() {
                 return None;
             }
         }
@@ -954,7 +1053,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 acc.or_byte(i, (img - 1) as u8)
             });
         for level in 0..=cb {
-            self.expand_to_cost(level);
+            self.climb_to(level, false);
             if self.levels.len() <= level as usize {
                 return None; // search space exhausted below `level`
             }
@@ -965,7 +1064,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 .map(|(i, _)| i as u32)
                 .collect();
             if let Some(&first) = hits.first() {
-                let word = self.levels[level as usize][first as usize];
+                let word = self.seen.key(self.levels[level as usize][first as usize]);
                 let gates = self.reconstruct(&word);
                 return Some(Synthesis {
                     circuit: Circuit::new(n, gates),
@@ -1218,18 +1317,10 @@ mod tests {
         assert_eq!(narrow.b_counts(), wide.b_counts());
         assert_eq!(narrow.a_size(), wide.a_size());
         for k in 0..=4u32 {
-            let nw: Vec<&[u8]> = narrow
-                .level_words(k)
-                .unwrap()
-                .iter()
-                .map(|w| w.as_slice())
-                .collect();
-            let ww: Vec<&[u8]> = wide
-                .level_words(k)
-                .unwrap()
-                .iter()
-                .map(|w| w.as_slice())
-                .collect();
+            let (narrow_words, wide_words) =
+                (narrow.level_words(k).unwrap(), wide.level_words(k).unwrap());
+            let nw: Vec<&[u8]> = narrow_words.iter().map(|w| w.as_slice()).collect();
+            let ww: Vec<&[u8]> = wide_words.iter().map(|w| w.as_slice()).collect();
             assert_eq!(nw, ww, "level {k}");
         }
         let a = narrow.synthesize(&known::toffoli_perm(), 5).unwrap();

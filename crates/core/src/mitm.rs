@@ -289,9 +289,9 @@ impl<W: SearchWidth> SearchEngine<W> {
         let mut back: BackwardFrontier<W> = BackwardFrontier::new(target_trace, k, self.threads());
         let max_gate = self.max_gate_cost();
 
-        // Materialize the forward cost-0 level before any join (the
-        // backward one is settled on construction).
-        self.expand_to_cost(0);
+        // Settle the forward cost-0 level before any join (the backward
+        // one is settled on construction).
+        self.climb_to(0, false);
 
         for c in 0..=cb {
             // Adaptive split: grow the currently-smaller frontier until
@@ -317,7 +317,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                     fwd_size <= back_size
                 };
                 if grow_forward {
-                    self.expand_next_level();
+                    self.settle_one_level();
                 } else {
                     back.settle_next_level(self);
                 }
@@ -405,13 +405,13 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// Builds the shared state [`Self::synthesize_bidirectional_cached`]
-    /// reads: forward level 0 on a cold engine, plus the S-trace join
-    /// index of every cached level up to `cb`. Idempotent; returns the
-    /// number of forward levels expanded (0 or 1) so hosts can meter the
-    /// work.
+    /// reads: forward level 0 (settled) on a cold engine, plus the
+    /// S-trace join index of every cached level up to `cb`. Idempotent;
+    /// returns the number of forward level steps taken (0 or 1) so hosts
+    /// can meter the work.
     pub fn prepare_bidirectional(&mut self, cb: u32) -> usize {
         let mut expanded = 0;
-        if self.completed.is_none() && self.expand_next_level() {
+        if self.completed.is_none() && self.settle_one_level() {
             expanded = 1;
         }
         let top = self.completed.map_or(0, |c| c.min(cb));
@@ -475,7 +475,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         c: u32,
         fwd_done: u32,
     ) -> Option<(W::Word, W::Trace, usize)> {
-        let mut first: Option<(W::Word, W::Trace)> = None;
+        let mut first: Option<(Handle, W::Trace)> = None;
         let mut distinct: HashSet<W::Word, FnvBuildHasher> = HashSet::default();
         for b in 0..=back.settled.min(c) {
             let f = c - b;
@@ -510,7 +510,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 }
             }
         }
-        first.map(|(u, trace)| (u, trace, distinct.len()))
+        first.map(|(u, trace)| (self.seen.key(u), trace, distinct.len()))
     }
 
     /// Folds one backward trace into the join accumulators: every
@@ -522,16 +522,16 @@ impl<W: SearchWidth> SearchEngine<W> {
         back: &BackwardFrontier<W>,
         trace: W::Trace,
         index: &TraceIndex<W::Trace>,
-        level: &[W::Word],
+        level: &[Handle],
         distinct: &mut HashSet<W::Word, FnvBuildHasher>,
-        first: &mut Option<(W::Word, W::Trace)>,
+        first: &mut Option<(Handle, W::Trace)>,
     ) {
         let Some(matches) = index.get(&trace) else {
             return;
         };
         back.for_each_minimal_chain(trace, self, |chain| {
             for &word_idx in matches {
-                let u = level[word_idx as usize];
+                let u = self.seen.key(level[word_idx as usize]);
                 let joined = chain
                     .iter()
                     .fold(u, |w, &g| w.map_through(&self.gate_images[g as usize]));

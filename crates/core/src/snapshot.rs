@@ -27,6 +27,12 @@
 //!                  needs, nothing a query does
 //! ```
 //!
+//! A snapshot always holds fully expanded levels. An engine that settled
+//! its top level without generating its successors (a query or host
+//! climb) expands that level before writing, so the bytes are exactly
+//! those of an engine built with `expand_to_cost`, and a loaded engine
+//! has no unexpanded level.
+//!
 //! All integers are little-endian; words are raw image tables (the
 //! domain length is in the header, so no per-word framing) and S-traces
 //! are the width's packed integer (8 bytes narrow, 16 wide). Every
@@ -655,7 +661,8 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// state loadable (via the primary or its `.bak`).
     ///
     /// Takes `&mut self` because an engine that was itself loaded from a
-    /// snapshot must materialize its deferred frontier first.
+    /// snapshot must materialize its deferred frontier first, and a
+    /// settled top level must be expanded (see the module docs).
     ///
     /// # Errors
     ///
@@ -676,6 +683,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// a non-standard library.
     pub fn snapshot_to_bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
         self.ensure_frontier();
+        self.expand_settled_level();
         let wires = self.library.domain().wires();
         let fingerprint = library_fingerprint(&self.library_tables());
         let standard = GateLibrary::standard(wires);
@@ -696,17 +704,16 @@ impl<W: SearchWidth> SearchEngine<W> {
         let mut core = Vec::new();
         let mut class_total = 0u64;
         for k in 0..self.levels.len() {
-            let words = &self.levels[k];
-            put_u32(&mut core, words.len() as u32);
-            for word in words {
-                core.extend_from_slice(word.as_slice());
+            let handles = &self.levels[k];
+            put_u32(&mut core, handles.len() as u32);
+            for &handle in handles {
+                core.extend_from_slice(self.seen.key(handle).as_slice());
             }
             for &trace in &self.level_traces[k] {
                 trace.write_le(&mut core);
             }
-            for word in words {
-                // lint: allow(panic) level words come from seen's own level lists
-                core.push(self.seen.get(word).expect("level word is seen").gate);
+            for &handle in handles {
+                core.push(self.seen.meta(handle).gate);
             }
             let class_keys = &self.class_levels[k];
             put_u32(&mut core, class_keys.len() as u32);
@@ -1016,20 +1023,21 @@ impl<W: SearchWidth> SearchEngine<W> {
             if !all_bytes_below(word_block, domain_len) {
                 return Err(corrupt("level word image outside the domain"));
             }
-            let words: Vec<W::Word> = word_block
-                .chunks_exact(domain_len)
-                .map(W::Word::from_slice)
-                .collect();
             let mut traces = Vec::with_capacity(count);
             for _ in 0..count {
                 traces.push(W::Trace::read_le(r.take(W::Trace::BYTES)?));
             }
-            for word in &words {
+            let mut handles = Vec::with_capacity(count);
+            for word in word_block.chunks_exact(domain_len) {
                 let gate = r.u8()?;
                 if gate != NO_GATE && gate as usize >= gate_count {
                     return Err(corrupt(format!("level path gate {gate} out of range")));
                 }
-                engine.seen.intern(*word, Meta { cost: k, gate });
+                handles.push(
+                    engine
+                        .seen
+                        .intern(W::Word::from_slice(word), Meta { cost: k, gate }),
+                );
             }
             let class_count = r.u32()? as usize;
             class_total += class_count as u64;
@@ -1055,7 +1063,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             }
             engine.g_counts.push(class_count);
             engine.b_counts.push(count);
-            engine.levels.push(words);
+            engine.levels.push(handles);
             engine.level_traces.push(traces);
             engine.trace_index.push(None);
             engine.class_levels.push(class_keys);

@@ -25,16 +25,27 @@ use crate::metrics::{Counter, Gauge, Histogram};
 /// Engine-side observability events. Every method has a no-op default,
 /// so an engine without a probe installed pays only an `Option` check.
 pub trait Probe: Send + Sync {
-    /// A cost level is about to be expanded.
+    /// A level step is starting. A step settles the next cost level
+    /// (pops its bucket, drops stale copies, registers its classes),
+    /// first generating the successors of a settled level left
+    /// unexpanded, and, on a builder's full expansion, generates the new
+    /// level's successors too. A step that only expands a settled level
+    /// is bracketed the same way. `cost` is the first level the step
+    /// works on. Every start is closed by one
+    /// [`level_finished`](Probe::level_finished) within the same engine
+    /// call, on the same thread.
     fn level_started(&self, _cost: u32) {}
-    /// A cost level finished expanding: `nodes` new canonical words
-    /// were produced and the pending frontier now holds `frontier`
-    /// words.
+    /// A level step finished: it settled level `cost` (or expanded it,
+    /// when the step only expanded), `nodes` successors entered the
+    /// pending frontier during the step, and the frontier now holds
+    /// `frontier` words.
     fn level_finished(&self, _cost: u32, _nodes: u64, _frontier: u64) {}
-    /// The deterministic work of an expanded level: `generated`
+    /// The deterministic work of an expanded level, reported under that
+    /// level's cost by whichever step expanded it: `generated`
     /// successors were offered to the `seen` map, and `stale_dropped`
-    /// bucket entries were dropped as superseded decrease-key copies.
-    /// Both are identical for every thread count.
+    /// bucket entries were dropped as superseded decrease-key copies
+    /// when the level was settled. Both are identical for every thread
+    /// count.
     fn level_work(&self, _cost: u32, _generated: u64, _stale_dropped: u64) {}
     /// A parallel bucket expansion staged `total` pushes across
     /// `shards` shards; the fullest shard received `max_staged` and the
@@ -101,13 +112,13 @@ thread_local! {
 /// (scrape-path code in `registry.rs`) and handed in whole so this
 /// file never touches the registry lock.
 pub struct ProbeMetrics {
-    /// Wall time per expanded level (µs).
+    /// Wall time per level step (µs).
     pub level_expand_us: Arc<Histogram>,
     /// Total canonical words produced by expansions.
     pub level_nodes_total: Arc<Counter>,
-    /// Number of levels expanded.
+    /// Number of level steps.
     pub levels_expanded_total: Arc<Counter>,
-    /// Pending frontier size after the last expanded level.
+    /// Pending frontier size after the last level step.
     pub frontier_words: Arc<Gauge>,
     /// Staging imbalance of the last parallel bucket: how far the
     /// fullest shard sat above the mean, in percent.

@@ -166,16 +166,19 @@ impl Registry {
         ProbeMetrics {
             level_expand_us: self.histogram(
                 "level_expand_us",
-                "Wall time per expanded search level (microseconds)",
+                "Wall time per search level step: a settle plus the expansions it runs (microseconds)",
             ),
             level_nodes_total: self.counter(
                 "level_nodes_total",
                 "Canonical words produced by level expansions",
             ),
-            levels_expanded_total: self.counter("levels_expanded_total", "Search levels expanded"),
+            levels_expanded_total: self.counter(
+                "levels_expanded_total",
+                "Search level steps: settles, plus expansions of a settled level on their own",
+            ),
             frontier_words: self.gauge(
                 "frontier_words",
-                "Pending frontier size after the last expanded level",
+                "Pending frontier size after the last level step",
             ),
             shard_imbalance_last_pct: self.gauge(
                 "shard_imbalance_last_pct",

@@ -5,9 +5,10 @@
 //! (the overwhelming majority on a warm engine) take the `RwLock` read
 //! side and run concurrently through
 //! [`SynthesisEngine::synthesize_cached`]. Cache misses — targets whose
-//! class lives in a level not yet expanded — go through a **single
+//! class lives in a level not yet settled — go through a **single
 //! flight**: of all the requests needing deeper levels, exactly one
-//! acquires the write lock and expands **one level**, while the rest
+//! acquires the write lock and settles **one level** (generating the
+//! previous level's successors first), while the rest
 //! wait on a condvar; everyone re-runs their read when the level lands,
 //! so a shallow target never pays for depth only its bound (not its
 //! cost) asked for, and repeated misses cost one climb, not one per
@@ -246,8 +247,8 @@ pub struct HostStats {
     /// waited on another request's expansion, or were served
     /// bidirectionally (possibly with zero expansions).
     pub cache_misses: u64,
-    /// Write-side level expansions actually performed (one per landed
-    /// level, plus bidirectional preparation's level-0 expansions).
+    /// Write-side level steps actually performed (one per settled
+    /// level, plus bidirectional preparation's level-0 settles).
     pub expansions: u64,
     /// Times a request waited on another request's in-flight expansion
     /// instead of expanding itself.
@@ -260,11 +261,13 @@ pub struct HostStats {
     /// Requests shed (503) because their deadline passed while waiting
     /// behind the single-flight expansion.
     pub deadline_timeouts: u64,
-    /// Highest fully expanded level.
+    /// Highest settled level (its successors may not be generated yet).
     pub completed: Option<u32>,
     /// Distinct reversible classes discovered.
     pub classes_found: usize,
-    /// Distinct circuit-permutations discovered (`|A|`).
+    /// Distinct circuit-permutations discovered (`|A|`): the settled
+    /// levels plus the successors of the expanded ones, so it excludes
+    /// the unexpanded top level's successors.
     pub a_size: usize,
     /// Engine expansion threads.
     pub threads: usize,
@@ -282,7 +285,8 @@ pub struct CensusReply {
     pub b_counts: Vec<usize>,
     /// Total classes discovered by the shared engine so far.
     pub classes_found: usize,
-    /// Total circuit-permutations discovered so far.
+    /// Total circuit-permutations discovered so far (see
+    /// [`HostStats::a_size`]).
     pub a_size: usize,
 }
 
@@ -838,16 +842,19 @@ impl<W: SearchWidth> EngineHost<W> {
         Ok(())
     }
 
-    /// The single-flight expansion path: advance the engine **one level
-    /// per call** toward `cb` (or until the space is exhausted), with at
-    /// most one expander across all concurrent callers.
+    /// The single-flight expansion path: settle **one level per call**
+    /// toward `cb` (or until the space is exhausted), with at most one
+    /// expander across all concurrent callers.
     ///
-    /// Expanding level-by-level — instead of one monolithic
-    /// `expand_to_cost(cb)` — matters twice over: the caller's read loop
-    /// re-checks its query between levels, so a cost-2 target asked with
-    /// a deep bound stops expanding the moment level 2 lands instead of
-    /// riding the bound to level `cb`; and the write lock is released
-    /// between levels, so concurrent reads interleave with a long climb.
+    /// Climbing level-by-level — instead of one monolithic
+    /// `expand_to_cost(cb)` — matters three times over: the caller's read
+    /// loop re-checks its query between levels, so a cost-2 target asked
+    /// with a deep bound stops climbing the moment level 2 lands instead
+    /// of riding the bound to level `cb`; the write lock is released
+    /// between levels, so concurrent reads interleave with a long climb;
+    /// and [`SearchEngine::settle_one_level`] generates a level's
+    /// successors only when the next level is asked for, so the climb's
+    /// deepest level never pays for its (largest) successor set.
     ///
     /// Returns the number of expansions this call performed itself (1
     /// when it won the flight, 0 when it waited or nothing was needed),
@@ -882,7 +889,7 @@ impl<W: SearchWidth> EngineHost<W> {
         let (completed, exhausted) = {
             let mut engine = self.engine_write()?;
             mvq_fault::point!("serve.write");
-            let advanced = engine.expand_one_level();
+            let advanced = engine.settle_one_level();
             (engine.completed_cost(), !advanced)
         };
         self.counters.expansions.fetch_add(1, Ordering::Relaxed);
@@ -1317,14 +1324,87 @@ mod tests {
         });
         assert!(results.iter().all(|&r| r == (5, 4)));
         let stats = host.stats().unwrap();
-        // All eight raced for the same level-5 expansion: the engine only
-        // ever expanded levels 0–5 once (at most a few no-op write grabs).
+        // All eight raced for the same level-5 settle: the engine only
+        // ever settled levels 0–5 once (at most a few no-op write grabs).
         assert_eq!(stats.completed, Some(5));
         assert_eq!(stats.a_size, {
             let mut e = SynthesisEngine::unit_cost_with_threads(1);
-            e.expand_to_cost(5);
+            while e.completed_cost() != Some(5) {
+                e.settle_one_level();
+            }
             e.a_size()
         });
+    }
+
+    /// Records `(cost, generated)` for every level whose successors were
+    /// generated.
+    #[derive(Default)]
+    struct LevelWork(std::sync::Mutex<Vec<(u32, u64)>>);
+
+    impl mvq_obs::Probe for LevelWork {
+        fn level_work(&self, cost: u32, generated: u64, _stale_dropped: u64) {
+            self.0.lock().unwrap().push((cost, generated));
+        }
+    }
+
+    #[test]
+    fn cold_climb_leaves_the_answering_level_unexpanded() {
+        // Deterministic work gate: a cost-6 target at cb 6 settles levels
+        // 0–6 but generates successors from levels 0–5 only; expanding
+        // level 6 as well generated 941,504 more that nothing at cb 6
+        // reads.
+        let target: Perm = "(5,6,8,7)".parse::<Perm>().unwrap().extended(8);
+        for threads in [1, 4] {
+            let host = EngineHost::new(SynthesisEngine::unit_cost_with_threads(threads), 7);
+            let work = Arc::new(LevelWork::default());
+            host.set_probe(ProbeHandle::new(work.clone())).unwrap();
+            let syn = host
+                .synthesize_with_strategy(&target, 6, ServeStrategy::Uni)
+                .unwrap()
+                .unwrap();
+            assert_eq!((syn.cost, syn.implementation_count), (6, 4));
+            assert!(syn.circuit.verify_against_binary_perm(&target));
+            assert_eq!(
+                *work.0.lock().unwrap(),
+                [
+                    (0, 18),
+                    (1, 210),
+                    (2, 1482),
+                    (3, 8409),
+                    (4, 42660),
+                    (5, 203721)
+                ],
+                "{threads} threads"
+            );
+            assert_eq!(host.stats().unwrap().completed, Some(6));
+        }
+    }
+
+    #[test]
+    fn level_probe_pairs_close_within_each_climb_step() {
+        // Each level step (a settle, plus the previous level's deferred
+        // expansion) opens and closes its own probe bracket, so no timed
+        // level spans two requests.
+        let host = unit_host(7);
+        let registry = mvq_obs::Registry::new();
+        let metrics = registry.probe_metrics();
+        let (levels, level_us) = (
+            metrics.levels_expanded_total.clone(),
+            metrics.level_expand_us.clone(),
+        );
+        let probe = mvq_obs::RegistryProbe::new(metrics);
+        host.set_probe(ProbeHandle::new(Arc::new(probe))).unwrap();
+        let start = Instant::now();
+        host.census(3).unwrap();
+        let wall_us = start.elapsed().as_micros() as u64;
+        assert_eq!(levels.get(), 4);
+        let timed = level_us.snapshot();
+        assert_eq!(timed.count, 4);
+        assert!(
+            timed.sum <= wall_us,
+            "{} µs of levels in {wall_us} µs",
+            timed.sum
+        );
     }
 
     #[test]

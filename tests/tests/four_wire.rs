@@ -43,18 +43,10 @@ fn assert_state_identical<A: SearchWidth, B: SearchWidth>(
         "{label}: classes"
     );
     for cost in 0..=up_to {
-        let want: Vec<&[u8]> = reference
-            .level_words(cost)
-            .unwrap_or(&[])
-            .iter()
-            .map(|w| w.as_slice())
-            .collect();
-        let got: Vec<&[u8]> = other
-            .level_words(cost)
-            .unwrap_or(&[])
-            .iter()
-            .map(|w| w.as_slice())
-            .collect();
+        let reference_words = reference.level_words(cost).unwrap_or_default();
+        let other_words = other.level_words(cost).unwrap_or_default();
+        let want: Vec<&[u8]> = reference_words.iter().map(|w| w.as_slice()).collect();
+        let got: Vec<&[u8]> = other_words.iter().map(|w| w.as_slice()).collect();
         assert_eq!(want, got, "{label}: level {cost} words (order-sensitive)");
     }
 }

@@ -263,6 +263,77 @@ fn set_threads_on_warm_engine_keeps_expansion_identical() {
     assert_eq!(mixed.minimal_cost(&known::toffoli_perm(), 5), Some(5));
 }
 
+/// Settles a fresh 3-wire engine under `model` level by level, the way a
+/// host climbs, until cost `cb` is settled.
+fn settled_engine(model: CostModel, threads: usize, cb: u32) -> SynthesisEngine {
+    let mut e = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+    while e.completed_cost().is_none_or(|c| c < cb) {
+        assert!(e.settle_one_level(), "space exhausted below {cb}");
+    }
+    e
+}
+
+/// Settling levels (each expanded only when the next is settled, the
+/// deepest left unexpanded) must build the same search state as full
+/// expansion: the same levels in the same order, the same classes, and
+/// — once both expand one level deeper — the same `A` and the same new
+/// level. A snapshot of the settled engine expands its top level first
+/// and must be byte-identical.
+fn assert_settle_matches_expand(model: CostModel, cb: u32) {
+    for threads in [1, 4] {
+        let label = format!("{:?} to cost {cb}, threads={threads}", model.weights());
+        let mut settled = settled_engine(model, threads, cb);
+        let mut expanded = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+        expanded.expand_to_cost(cb);
+        assert_eq!(settled.g_counts(), expanded.g_counts(), "{label}: g_counts");
+        assert_eq!(settled.b_counts(), expanded.b_counts(), "{label}: b_counts");
+        assert_eq!(
+            settled.classes_found(),
+            expanded.classes_found(),
+            "{label}: classes"
+        );
+        for cost in 0..=cb {
+            assert_eq!(
+                settled.level_words(cost),
+                expanded.level_words(cost),
+                "{label}: level {cost} words (order-sensitive)"
+            );
+        }
+        assert_eq!(
+            settled.snapshot_to_bytes().expect("standard library"),
+            expanded.snapshot_to_bytes().expect("standard library"),
+            "{label}: snapshot bytes"
+        );
+
+        // A builder deepening a settled engine expands its top level
+        // inside the next full step.
+        let mut settled = settled_engine(model, threads, cb);
+        settled.expand_to_cost(cb + 1);
+        expanded.expand_to_cost(cb + 1);
+        assert_eq!(settled.a_size(), expanded.a_size(), "{label}: |A|");
+        assert_eq!(
+            settled.level_words(cb + 1),
+            expanded.level_words(cb + 1),
+            "{label}: level {} words",
+            cb + 1
+        );
+    }
+}
+
+#[test]
+fn settled_climbs_match_full_expansion() {
+    assert_settle_matches_expand(CostModel::unit(), 4);
+    // weighted(1,1,3) drops stale copies at level 7.
+    assert_settle_matches_expand(CostModel::weighted(1, 1, 3), 7);
+}
+
+#[test]
+#[ignore = "deep: expands the unit model to cost 7 twice per thread count; \
+            run with --release -- --include-ignored"]
+fn settled_unit_climb_to_cost_6_matches_full_expansion() {
+    assert_settle_matches_expand(CostModel::unit(), 6);
+}
+
 /// Records `(cost, generated, stale_dropped)` for every expanded level.
 #[derive(Default)]
 struct LevelWork(Mutex<Vec<(u32, u64, u64)>>);
