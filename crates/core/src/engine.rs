@@ -8,7 +8,7 @@ use mvq_perm::Perm;
 
 use crate::par;
 use crate::seen::{Handle, Meta, ShardedSeen};
-use crate::snapshot::DeferredFrontier;
+use crate::snapshot::{DeferredFrontier, SnapshotImage};
 use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{gate_table, FnvBuildHasher, GateTable};
 use crate::{Circuit, CostModel};
@@ -230,10 +230,16 @@ pub struct SearchEngine<W: SearchWidth> {
     /// into `seen` (which stores each word once).
     pub(crate) pending: BTreeMap<u32, Vec<Handle>>,
     /// Frontier section of a loaded snapshot, parsed and merged into
-    /// `seen`/`pending` on first expansion (queries answered from the
-    /// cached levels never pay for it). `None` on natively-built engines
-    /// and after [`Self::ensure_frontier`].
+    /// `seen`/`pending` by the first level step (queries answered from
+    /// the cached levels never pay for it). `None` on natively-built
+    /// engines and after [`Self::ensure_frontier`].
     pub(crate) deferred_frontier: Option<DeferredFrontier>,
+    /// The snapshot file this engine was loaded from, while its levels,
+    /// classes and pending buckets still equal it:
+    /// [`Self::snapshot_to_bytes`] returns it instead of serializing.
+    /// The first level step drops it (level steps are the only code
+    /// that changes that state).
+    pub(crate) image: Option<SnapshotImage>,
     /// Highest cost whose level has been settled.
     pub(crate) completed: Option<u32>,
     /// The settled level whose successors are not generated yet (always
@@ -408,6 +414,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             seen,
             pending,
             deferred_frontier: None,
+            image: None,
             completed: None,
             unexpanded: None,
             levels: Vec::new(),
@@ -535,14 +542,20 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// Merges the deferred frontier of a snapshot-loaded engine into the
-    /// live `seen`/`pending` maps. A no-op on natively-built engines.
+    /// live `seen`/`pending` maps, reported to the probe as the
+    /// `frontier_merge` snapshot section. A no-op on natively-built
+    /// engines and once merged.
     ///
-    /// Expansion calls this automatically; long-lived hosts call it
-    /// eagerly at startup so no query pays the (already checksummed)
-    /// merge cost mid-flight.
+    /// Every level step calls this first, so a host merges the frontier
+    /// on its first climb, under the write lock the climb holds anyway,
+    /// and a host that only serves the cached levels never merges it.
     pub fn ensure_frontier(&mut self) {
         if let Some(frontier) = self.deferred_frontier.take() {
-            frontier.merge_into::<W>(&mut self.seen, &mut self.pending);
+            self.probe
+                .on(|p| p.snapshot_section_started("frontier_merge"));
+            let bytes = frontier.merge_into::<W>(&mut self.seen, &mut self.pending);
+            self.probe
+                .on(|p| p.snapshot_section_finished("frontier_merge", bytes));
         }
     }
 
@@ -594,6 +607,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// the cheapest pending bucket, and, with `expand`, expands it too.
     /// Returns `false` when no level was left to settle.
     fn level_step(&mut self, expand: bool) -> bool {
+        self.image = None;
         mvq_fault::point!("expand.level");
         self.ensure_frontier();
         let next_bucket = || self.pending.keys().next().copied();
@@ -613,6 +627,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// Expands the level left unexpanded, if any, as a level step of its
     /// own (a builder or a snapshot needs the full frontier).
     pub(crate) fn expand_settled_level(&mut self) {
+        self.image = None;
         if let Some(level) = self.unexpanded {
             self.probe.on(|p| p.level_started(level.cost));
             let nodes = self.expand_settled();

@@ -37,8 +37,9 @@
 // `deny`, not `forbid`: the sanctioned exceptions, each block with its
 // SAFETY comment, are the worker pool's scoped-task lifetime erasure
 // (`par`), the `seen` slot prefetch (`seen`), and the owned huge-page
-// mappings behind `seen`'s large buffers (`mapping`, the only module
-// that allows `unsafe` throughout); everything else stays safe code.
+// mappings behind `seen`'s large buffers and loaded snapshot images
+// (`mapping`, the only module that allows `unsafe` throughout);
+// everything else stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -66,7 +67,8 @@ pub use mitm::CachedBidirectional;
 pub use mvq_obs::{Probe, ProbeHandle};
 pub use par::resolve_threads;
 pub use snapshot::{
-    snapshot_backup_path, SnapshotError, SnapshotSource, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
+    snapshot_backup_path, SnapshotError, SnapshotImage, SnapshotSource, SNAPSHOT_MIN_VERSION,
+    SNAPSHOT_VERSION,
 };
 pub use spec::{synthesize_spec, QuaternarySpec, SpecError, SpecSynthesis};
 pub use spectrum::CostSpectrum;

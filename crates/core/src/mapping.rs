@@ -1,5 +1,5 @@
-//! Zero-filled `u64` buffers for the `seen` tables, with the large ones
-//! in owned huge-page mappings.
+//! Zero-filled `u64` buffers for the `seen` tables and for loaded
+//! snapshot images, with the large ones in owned huge-page mappings.
 //!
 //! A [`LaneBuf`] of at least [`HUGE_PAGE`] bytes is, on Linux, an
 //! anonymous private mapping of its own: `mmap`, then
@@ -72,6 +72,23 @@ impl LaneBuf {
             len,
             mapped_bytes: 0,
         }
+    }
+
+    /// The lanes as `8 * len` bytes, in memory order.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        // SAFETY: the lanes are `8 * len` initialized bytes that `self`
+        // owns (see `deref`); `u8` has alignment 1 and no invalid bit
+        // patterns, and the borrow of `self` keeps the bytes alive and
+        // free of `&mut`.
+        unsafe { std::slice::from_raw_parts(self.base.as_ptr().cast::<u8>(), self.len * 8) }
+    }
+
+    /// [`Self::bytes`], writable.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `bytes`; every byte pattern is a valid `u64`
+        // lane, and `&mut self` makes this the only reference to the
+        // lanes for the borrow's lifetime.
+        unsafe { std::slice::from_raw_parts_mut(self.base.as_ptr().cast::<u8>(), self.len * 8) }
     }
 
     /// Whether the lanes live in an owned mapping.
@@ -261,6 +278,9 @@ mod tests {
         buf[len - 1] = u64::MAX;
         buf[0] = 1;
         assert_eq!((buf[0], buf[len - 1]), (1, u64::MAX));
+        buf.bytes_mut()[8] = 7;
+        assert_eq!(buf.bytes().len(), 8 * len);
+        assert_eq!(buf[1], u64::from_ne_bytes([7, 0, 0, 0, 0, 0, 0, 0]));
         drop(buf);
         // Dropped mappings are returned; mapping again works.
         assert_eq!(LaneBuf::zeroed(len)[len - 1], 0);

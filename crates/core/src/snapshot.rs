@@ -50,27 +50,42 @@
 //! are read as the narrow widths they were built with; this build
 //! always writes version 2.
 //!
-//! # Lazy frontier
+//! # Lazy frontier and the kept image
 //!
 //! Queries served from the cached levels (census reads, class lookups,
 //! circuit reconstruction) never touch the pending frontier, which is
 //! ~4× larger than the completed levels. Loading therefore materializes
-//! the levels and classes eagerly but keeps the (already checksummed and
-//! structurally validated) frontier section as raw bytes; the first
-//! level expansion merges it via [`SynthesisEngine::ensure_frontier`].
-//! Resumed expansion is bit-identical to a never-snapshotted engine:
-//! bucket order, stale decrease-key copies, and path metadata all
-//! round-trip exactly.
+//! the levels and classes eagerly but leaves the (already checksummed
+//! and structurally validated) frontier section where it is, in the
+//! loaded file's buffer; the first level step merges it via
+//! [`SynthesisEngine::ensure_frontier`]. Nothing merges it earlier: a
+//! warm host that never climbs never pays for it. Resumed expansion is
+//! bit-identical to a never-snapshotted engine: bucket order, stale
+//! decrease-key copies, and path metadata all round-trip exactly.
+//!
+//! The loaded file is read into one shared buffer, a [`SnapshotImage`],
+//! and an engine loaded from a current-version file keeps it as its
+//! *image* until its first level step: while the state still equals the
+//! file, [`SynthesisEngine::snapshot_to_bytes`] hands back that buffer
+//! instead of serializing again (a version 1 file keeps no image, since
+//! it re-serializes as version 2). An image of 2 MiB or more is an
+//! owned mapping of its own (on Linux; see `mapping`), so dropping its
+//! last holder returns the pages to the kernel instead of leaving a
+//! freed heap block of snapshot size in a process that loads and drops
+//! engines.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
+use std::ops::{Deref, Range};
 use std::path::Path;
+use std::sync::Arc;
 
 use mvq_logic::GateLibrary;
 use mvq_obs::ProbeHandle;
 
 use crate::engine::SearchEngine;
+use crate::mapping::LaneBuf;
 use crate::par;
 use crate::seen::{Handle, Meta, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
@@ -560,16 +575,94 @@ impl<W: SearchWidth> SearchEngine<W> {
 }
 
 // ---------------------------------------------------------------------
+// Image
+// ---------------------------------------------------------------------
+
+/// Snapshot bytes, shared: a clone hands out the same buffer.
+///
+/// [`SynthesisEngine::load_snapshot`] reads the file into one, and
+/// [`SynthesisEngine::snapshot_to_bytes`] returns one; it reads as a
+/// `[u8]`. A buffer of 2 MiB or more is an owned mapping (see the
+/// module docs).
+#[derive(Clone)]
+pub struct SnapshotImage(Arc<ImageBuf>);
+
+/// The bytes behind a [`SnapshotImage`]: the first `len` bytes of its
+/// lanes.
+struct ImageBuf {
+    lanes: LaneBuf,
+    len: usize,
+}
+
+impl ImageBuf {
+    fn zeroed(len: usize) -> Self {
+        Self {
+            lanes: LaneBuf::zeroed(len.div_ceil(8)),
+            len,
+        }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.lanes.bytes_mut()[..self.len]
+    }
+}
+
+impl SnapshotImage {
+    /// Whether `a` and `b` share one buffer.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// How many handles share `this` buffer (as [`Arc::strong_count`]).
+    pub fn handle_count(this: &Self) -> usize {
+        Arc::strong_count(&this.0)
+    }
+}
+
+impl Deref for SnapshotImage {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0.lanes.bytes()[..self.0.len]
+    }
+}
+
+impl From<&[u8]> for SnapshotImage {
+    /// Copies `bytes` into a new buffer.
+    fn from(bytes: &[u8]) -> Self {
+        let mut buf = ImageBuf::zeroed(bytes.len());
+        buf.bytes_mut().copy_from_slice(bytes);
+        Self(Arc::new(buf))
+    }
+}
+
+impl PartialEq for SnapshotImage {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for SnapshotImage {}
+
+impl fmt::Debug for SnapshotImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SnapshotImage({} bytes)", self.len())
+    }
+}
+
+// ---------------------------------------------------------------------
 // Deferred frontier
 // ---------------------------------------------------------------------
 
 /// The frontier section of a loaded snapshot, checksummed and
 /// structurally validated at load but merged into the live maps only
 /// when expansion first needs it (queries served from the cached levels
-/// skip the cost entirely).
+/// skip the cost entirely). It reads the section in place, as a range
+/// of the loaded file's shared buffer.
 #[derive(Clone)]
 pub(crate) struct DeferredFrontier {
-    bytes: Vec<u8>,
+    image: SnapshotImage,
+    section: Range<usize>,
     buckets: u32,
     unique: usize,
     domain_len: usize,
@@ -580,7 +673,7 @@ impl fmt::Debug for DeferredFrontier {
         f.debug_struct("DeferredFrontier")
             .field("buckets", &self.buckets)
             .field("unique", &self.unique)
-            .field("bytes", &self.bytes.len())
+            .field("bytes", &self.section.len())
             .finish()
     }
 }
@@ -628,14 +721,15 @@ impl DeferredFrontier {
     /// the path metadata; later copies are the stale bucket entries the
     /// lazy decrease-key rule leaves behind, kept in the bucket lists (as
     /// the existing entry's handle) so resumed expansion is bit-identical
-    /// to a never-snapshotted engine.
+    /// to a never-snapshotted engine. Returns the section's length in
+    /// bytes.
     pub(crate) fn merge_into<W: SearchWidth>(
         self,
         seen: &mut ShardedSeen<W::Word>,
         pending: &mut BTreeMap<u32, Vec<Handle>>,
-    ) {
+    ) -> u64 {
         seen.reserve(self.unique);
-        let mut r = Reader::new(&self.bytes);
+        let mut r = Reader::new(&self.image[self.section.clone()]);
         for _ in 0..self.buckets {
             let (cost, words, gates) =
                 bucket_blocks(&mut r, self.domain_len).expect("validated at load");
@@ -645,6 +739,7 @@ impl DeferredFrontier {
             }
             pending.insert(cost, bucket);
         }
+        self.section.len() as u64
     }
 }
 
@@ -660,9 +755,9 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// rename survives a crash. A failure mid-save leaves the previous
     /// state loadable (via the primary or its `.bak`).
     ///
-    /// Takes `&mut self` because an engine that was itself loaded from a
-    /// snapshot must materialize its deferred frontier first, and a
-    /// settled top level must be expanded (see the module docs).
+    /// Takes `&mut self` because a settled top level must be expanded
+    /// first, and an engine loaded from a version 1 file must merge its
+    /// deferred frontier (see the module docs).
     ///
     /// # Errors
     ///
@@ -675,13 +770,19 @@ impl<W: SearchWidth> SearchEngine<W> {
         durable_write(path, &bytes)
     }
 
-    /// [`Self::save_snapshot`] into an in-memory buffer.
+    /// [`Self::save_snapshot`] into an in-memory buffer. An engine loaded
+    /// from a current-version snapshot that has taken no level step since
+    /// returns the loaded buffer itself, shared, without serializing
+    /// (see the module docs).
     ///
     /// # Errors
     ///
     /// [`SnapshotError::LibraryMismatch`] when the engine was built over
     /// a non-standard library.
-    pub fn snapshot_to_bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
+    pub fn snapshot_to_bytes(&mut self) -> Result<SnapshotImage, SnapshotError> {
+        if let Some(image) = &self.image {
+            return Ok(image.clone());
+        }
         self.ensure_frontier();
         self.expand_settled_level();
         let wires = self.library.domain().wires();
@@ -783,7 +884,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         put_u64(&mut out, checksum64(&header_bytes));
         out.extend_from_slice(&core);
         out.extend_from_slice(&frontier);
-        Ok(out)
+        Ok(SnapshotImage::from(&out[..]))
     }
 }
 
@@ -819,8 +920,8 @@ impl<W: SearchWidth> SearchEngine<W> {
             "snapshot.load",
             return Err(corrupt("injected snapshot.load fault"))
         );
-        let bytes = std::fs::read(path)?;
-        Self::load_snapshot_from_bytes(&bytes, threads)
+        let image = read_image(path.as_ref())?;
+        Self::load_snapshot_from_bytes_with_probe(image, threads, ProbeHandle::none())
     }
 
     /// [`Self::load_snapshot_with_threads`] with last-good fallback:
@@ -873,14 +974,20 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// installed up front, so the load itself reports its section
     /// timings (the probe stays installed on the returned engine).
     ///
+    /// Pass a [`SnapshotImage`] to share the buffer: the engine reads its
+    /// deferred frontier from it and keeps it as its image (see the
+    /// module docs). A borrowed slice is copied into a new buffer once.
+    ///
     /// # Errors
     ///
     /// See [`Self::load_snapshot`].
     pub fn load_snapshot_from_bytes_with_probe(
-        bytes: &[u8],
+        image: impl Into<SnapshotImage>,
         threads: usize,
         probe: ProbeHandle,
     ) -> Result<Self, SnapshotError> {
+        let image: SnapshotImage = image.into();
+        let bytes = &image[..];
         // Framing: magic, version, header length.
         if bytes.len() < MAGIC.len() + 8 || &bytes[..MAGIC.len()] != MAGIC {
             return Err(SnapshotError::NotASnapshot);
@@ -1091,13 +1198,15 @@ impl<W: SearchWidth> SearchEngine<W> {
             .probe
             .on(|p| p.snapshot_section_finished("core_load", core.len() as u64));
 
-        // Frontier section: validate now, merge on first expansion.
+        // Frontier section: validate now, merge on the first level step.
         engine
             .probe
             .on(|p| p.snapshot_section_started("frontier_load"));
         DeferredFrontier::validate(frontier, &header, gate_count)?;
+        let frontier_start = body_start + core_len;
         engine.deferred_frontier = (header.frontier_buckets > 0).then(|| DeferredFrontier {
-            bytes: frontier.to_vec(),
+            image: image.clone(),
+            section: frontier_start..frontier_start + frontier_len,
             buckets: header.frontier_buckets,
             unique: usize_of(header.frontier_unique, "frontier word").unwrap_or(0),
             domain_len,
@@ -1105,8 +1214,24 @@ impl<W: SearchWidth> SearchEngine<W> {
         engine
             .probe
             .on(|p| p.snapshot_section_finished("frontier_load", frontier.len() as u64));
+        // A version 1 file re-serializes as version 2, so only a
+        // current-version file is the engine's image.
+        engine.image = (version == SNAPSHOT_VERSION).then_some(image);
         Ok(engine)
     }
+}
+
+/// Reads a whole snapshot file into one image, sized from the file's
+/// metadata so the read is a single allocation. (Snapshots are
+/// published by rename, so a file does not change while it is read.)
+fn read_image(path: &Path) -> io::Result<SnapshotImage> {
+    use std::io::Read;
+
+    let mut file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
+    let mut buf = ImageBuf::zeroed(len);
+    file.read_exact(buf.bytes_mut())?;
+    Ok(SnapshotImage(Arc::new(buf)))
 }
 
 #[cfg(test)]
@@ -1209,7 +1334,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_reported() {
-        let mut bytes = warm(1).snapshot_to_bytes().unwrap();
+        let mut bytes = warm(1).snapshot_to_bytes().unwrap().to_vec();
         bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&99u32.to_le_bytes());
         let err = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap_err();
         assert!(
@@ -1235,7 +1360,7 @@ mod tests {
         let bytes = warm(2).snapshot_to_bytes().unwrap();
         // One flip in every region: header, core, frontier (the end).
         for offset in [30, bytes.len() / 2, bytes.len() - 2] {
-            let mut corrupted = bytes.clone();
+            let mut corrupted = bytes.to_vec();
             corrupted[offset] ^= 0x40;
             let err = SynthesisEngine::load_snapshot_from_bytes(&corrupted, 1).unwrap_err();
             assert!(
@@ -1250,7 +1375,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = warm(1).snapshot_to_bytes().unwrap();
+        let mut bytes = warm(1).snapshot_to_bytes().unwrap().to_vec();
         bytes.extend_from_slice(b"junk");
         let err = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
@@ -1313,13 +1438,10 @@ mod tests {
         assert!(matches!(err, SnapshotError::WidthMismatch { .. }), "{err}");
     }
 
-    #[test]
-    fn version_1_files_still_load_as_narrow() {
-        // This build only writes v2, so lock the documented v1 contract
-        // with a synthesized v1 byte stream: strip the 3 width bytes
-        // from a narrow v2 header and patch version/framing/checksum.
-        let mut original = warm(3);
-        let v2 = original.snapshot_to_bytes().unwrap();
+    /// This build only writes v2, so the documented v1 contract is
+    /// locked with a synthesized v1 byte stream: strip the 3 width bytes
+    /// from a narrow v2 header and patch version/framing/checksum.
+    fn as_version_1(v2: &[u8]) -> Vec<u8> {
         let header_len = u32::from_le_bytes(v2[12..16].try_into().unwrap()) as usize;
         let header_start = 16;
         let v1_header = &v2[header_start..header_start + header_len - 3];
@@ -1330,6 +1452,13 @@ mod tests {
         v1.extend_from_slice(v1_header);
         v1.extend_from_slice(&checksum64(v1_header).to_le_bytes());
         v1.extend_from_slice(&v2[header_start + header_len + 8..]);
+        v1
+    }
+
+    #[test]
+    fn version_1_files_still_load_as_narrow() {
+        let mut original = warm(3);
+        let v1 = as_version_1(&original.snapshot_to_bytes().unwrap());
 
         let loaded = SynthesisEngine::load_snapshot_from_bytes(&v1, 1).unwrap();
         assert_eq!(original.g_counts(), loaded.g_counts());
@@ -1339,6 +1468,39 @@ mod tests {
         // The v1 widths are implicitly narrow: the wide engine refuses.
         let err = WideSynthesisEngine::load_snapshot_from_bytes(&v1, 1).unwrap_err();
         assert!(matches!(err, SnapshotError::WidthMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn version_1_load_keeps_no_image_and_writes_version_2() {
+        let v2 = warm(3).snapshot_to_bytes().unwrap();
+        let v1 = SnapshotImage::from(&as_version_1(&v2)[..]);
+        let mut loaded = SynthesisEngine::load_snapshot_from_bytes_with_probe(
+            v1.clone(),
+            1,
+            ProbeHandle::none(),
+        )
+        .unwrap();
+        assert!(loaded.image.is_none());
+        assert!(loaded.deferred_frontier.is_some());
+        assert_eq!(loaded.snapshot_to_bytes().unwrap(), v2);
+        // The frontier is merged and released; nothing holds the v1 file.
+        assert_eq!(SnapshotImage::handle_count(&v1), 1);
+    }
+
+    #[test]
+    fn large_images_are_mapped_and_hold_exactly_their_bytes() {
+        let huge = crate::mapping::HUGE_PAGE;
+        for len in [0, 13, huge + 5] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let image = SnapshotImage::from(&bytes[..]);
+            assert_eq!(&image[..], &bytes[..]);
+            let mapped = len >= huge
+                && cfg!(all(
+                    target_os = "linux",
+                    any(target_arch = "x86_64", target_arch = "aarch64")
+                ));
+            assert_eq!(image.0.lanes.is_mapped(), mapped, "{len} bytes");
+        }
     }
 
     #[test]

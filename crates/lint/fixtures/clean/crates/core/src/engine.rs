@@ -7,6 +7,12 @@ use std::collections::HashMap;
 type Seen = HashMap<u64, u32, FnvBuildHasher>;
 
 pub struct LevelTable {
+    // Test-only fields may hash with the std default; their spans hold
+    // the whole nested type, so nothing here is reported.
+    #[cfg(test)]
+    audit: BTreeMap<u32, HashMap<u64, u32>>,
+    #[cfg(test)]
+    pairs: (u32, HashMap<u64, u32>),
     seen: Seen,
 }
 

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use crate::lexer::Lexed;
 use crate::parser::{Callee, ChainSeg, FileIndex, FnItem, LocalHint, TypeShape};
-use crate::rules::{Allows, Frame};
+use crate::rules::{is_test_file, Allows, Frame};
 
 /// One file's parsed artifacts, borrowed from the parse cache.
 pub struct FileView<'a> {
@@ -261,6 +261,14 @@ impl<'a> Graph<'a> {
         self.fns[fn_id].item
     }
 
+    /// Whether `fn_id` is test code: a `#[cfg(test)]` / `#[test]` item,
+    /// or any function in a file under `tests/` or `benches/`. No
+    /// program path runs it, so no pass reaches or reports it (a trait
+    /// method a test file implements resolves by name only).
+    pub fn is_test(&self, fn_id: usize) -> bool {
+        self.item(fn_id).is_test || is_test_file(self.rel(fn_id))
+    }
+
     /// Allow-annotation lookup in `fn_id`'s file.
     pub fn allow(&self, fn_id: usize, line: u32, key: &str) -> Option<bool> {
         self.views[self.fns[fn_id].file].allows.lookup(line, key)
@@ -452,7 +460,7 @@ impl<'a> Graph<'a> {
                     continue;
                 }
                 for g_id in self.resolve(f, &call.callee) {
-                    if self.item(g_id).is_test || parent.contains_key(&g_id) {
+                    if self.is_test(g_id) || parent.contains_key(&g_id) {
                         continue;
                     }
                     parent.insert(g_id, Some((f, call.line)));

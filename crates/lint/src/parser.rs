@@ -1384,8 +1384,10 @@ pub fn is_adapter(name: &str) -> bool {
 /// Finds token-index ranges belonging to `#[cfg(test)]` / `#[test]` /
 /// `#[cfg(all(test, …))]` items: the attribute, then (skipping any
 /// further attributes) the next item through its closing brace or
-/// semicolon. A test-only field or struct-literal entry ends at the
-/// brace that closes its enclosing item, which stays outside the span.
+/// semicolon. A test-only field, variant, struct-literal entry or
+/// match arm ends at its top-level comma (or, if it is the last one,
+/// before the brace that closes its enclosing item), so later siblings
+/// stay outside the span.
 pub(crate) fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
@@ -1408,9 +1410,14 @@ pub(crate) fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
             j = scan_attribute(tokens, j + 1).0 + 1;
         }
         // The item body: through the matching `}` of its first brace, a
-        // top-level `;` (e.g. `#[cfg(test)] use …;`), or up to the `}`
-        // of the enclosing item (e.g. `#[cfg(test)] generated: u64,`).
+        // top-level `;` (e.g. `#[cfg(test)] use …;`), a top-level `,`
+        // of the enclosing item (e.g. `#[cfg(test)] generated: u64,`),
+        // or up to the `}` of the enclosing item. `<…>`, `(…)` and
+        // `[…]` nest, so `HashMap<u8, u8>`, `(u8, u8)` and `[u8; 4]`
+        // stay inside; a `where` clause's commas do not end its item.
         let mut depth = 0i32;
+        let mut nest = 0i32;
+        let mut in_where = false;
         let mut end = j;
         while end < tokens.len() {
             let t = &tokens[end];
@@ -1425,7 +1432,26 @@ pub(crate) fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
                 if depth == 0 {
                     break;
                 }
-            } else if t.is_punct(';') && depth == 0 {
+            } else if depth > 0 {
+                // Inside a body only its closing brace matters.
+            } else if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
+                nest += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                if nest == 0 {
+                    // The enclosing argument list or array closes.
+                    end -= 1;
+                    break;
+                }
+                nest -= 1;
+            } else if t.is_punct('>') {
+                // The `>` of `->` and `=>` closes nothing.
+                let arrow = tokens[end - 1].is_punct('-') || tokens[end - 1].is_punct('=');
+                if !arrow && nest > 0 {
+                    nest -= 1;
+                }
+            } else if t.is_ident("where") && nest == 0 {
+                in_where = true;
+            } else if nest == 0 && (t.is_punct(';') || t.is_punct(',') && !in_where) {
                 break;
             }
             end += 1;
@@ -1598,6 +1624,44 @@ mod tests {
         );
         assert!(!idx.fns.iter().find(|f| f.name == "new").unwrap().is_test);
         assert!(!idx.fns.iter().find(|f| f.name == "next").unwrap().is_test);
+    }
+
+    #[test]
+    fn test_only_field_ends_at_its_comma() {
+        let src = "struct F {\n    #[cfg(test)]\n    audit: BTreeMap<u8, (u8, [u8; 4])>,\n    \
+                   later: HashMap<u64, u32>,\n    #[cfg(test)]\n    last: fn(u8) -> Vec<u8>,\n}\n";
+        let lexed = lex(src);
+        let spans = find_test_spans(&lexed.tokens);
+        let text = |(s, e): (usize, usize)| -> Vec<&str> {
+            lexed.tokens[s..=e]
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect()
+        };
+        assert_eq!(spans.len(), 2, "{spans:?}");
+        // The first span holds the whole nested type and its comma…
+        assert_eq!(
+            text(spans[0]).concat(),
+            "#[cfg(test)]audit:BTreeMap<u8,(u8,[u8;4])>,"
+        );
+        // …so the later sibling is outside every span, and the last
+        // field's span stops before the struct's closing brace.
+        assert_eq!(text(spans[1]).concat(), "#[cfg(test)]last:fn(u8)->Vec<u8>,");
+        let later = lexed
+            .tokens
+            .iter()
+            .position(|t| t.is_ident("later"))
+            .unwrap();
+        let idx = index(src);
+        assert!(!idx.in_test_span(later));
+        // A `where` clause's commas do not end a test item early.
+        let src = "#[cfg(test)]\nfn h<T, U>(t: T) -> (T, U) where T: Clone, U: Copy {\n    \
+                   todo!()\n}\nfn after() {}\n";
+        let lexed = lex(src);
+        let body = lexed.tokens.iter().position(|t| t.is_ident("todo"));
+        let idx = index(src);
+        assert!(idx.in_test_span(body.unwrap()));
+        assert!(!idx.fns.iter().find(|f| f.name == "after").unwrap().is_test);
     }
 
     #[test]

@@ -133,9 +133,7 @@ impl Hazard {
             });
         }
         let roots: Vec<usize> = (0..g.fns.len())
-            .filter(|&id| {
-                self.is_root_file(g.rel(id)) && !g.item(id).is_test && (self.seed)(g.item(id))
-            })
+            .filter(|&id| self.is_root_file(g.rel(id)) && !g.is_test(id) && (self.seed)(g.item(id)))
             .collect();
         if roots.is_empty() {
             return;
@@ -145,7 +143,7 @@ impl Hazard {
         reached.sort_by_key(|(id, _)| *id);
         for (id, path) in reached {
             let item = g.item(id);
-            if self.is_root_file(g.rel(id)) || item.is_test {
+            if self.is_root_file(g.rel(id)) || g.is_test(id) {
                 continue;
             }
             let view = &g.views[g.fns[id].file];

@@ -54,7 +54,7 @@ pub fn run(g: &Graph<'_>, out: &mut Vec<Violation>) {
         summarize(g, id, &mut summaries, &mut visiting);
     }
     for id in 0..g.fns.len() {
-        if g.item(id).is_test {
+        if g.is_test(id) {
             continue;
         }
         walk_fn(g, id, &summaries, out);
@@ -102,7 +102,7 @@ fn summarize(
             continue;
         }
         for callee_id in g.resolve(id, &call.callee) {
-            if g.item(callee_id).is_test {
+            if g.is_test(callee_id) {
                 continue;
             }
             let callee_summary = summarize(g, callee_id, summaries, visiting);

@@ -54,7 +54,9 @@ pub trait Probe: Send + Sync {
     /// The bidirectional planner split a cost bound `cb` into forward
     /// and backward halves.
     fn bidi_split(&self, _forward_cb: u32, _backward_cb: u32, _cb: u32) {}
-    /// A snapshot section (save or load side) is starting.
+    /// A snapshot section is starting: a save or load side section, or
+    /// `frontier_merge`, the deferred frontier of a loaded engine merged
+    /// by its first level step.
     fn snapshot_section_started(&self, _section: &'static str) {}
     /// A snapshot section finished, having carried `bytes` bytes.
     fn snapshot_section_finished(&self, _section: &'static str, _bytes: u64) {}

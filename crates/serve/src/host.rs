@@ -37,7 +37,8 @@ use crate::lockrank::{
 };
 use mvq_core::{
     CachedBidirectional, CachedSynthesis, CostModel, EngineError, Narrow, ProbeHandle,
-    SearchEngine, SearchWidth, Synthesis, SynthesisEngine, Wide, WideSynthesisEngine,
+    SearchEngine, SearchWidth, SnapshotImage, Synthesis, SynthesisEngine, Wide,
+    WideSynthesisEngine,
 };
 use mvq_perm::Perm;
 
@@ -306,20 +307,20 @@ pub struct EngineHost<W: SearchWidth = Narrow> {
 }
 
 /// Everything a poisoned host needs to rebuild itself: the last-good
-/// engine state captured at construction (serialized snapshot bytes)
-/// plus the cold-rebuild parameters. Guarded by its own rank-15 mutex
-/// so concurrent victims of one poisoning serialize on a single rebuild.
+/// engine state captured at construction (snapshot bytes) plus the
+/// cold-rebuild parameters. Guarded by its own rank-15 mutex so
+/// concurrent victims of one poisoning serialize on a single rebuild.
 #[derive(Debug)]
 struct Recovery {
-    /// Serialized construction-time engine state (for a host that
-    /// started cold these are the bytes of a cold engine, so the rebuild
-    /// *is* a cold start); `None` when the engine's library cannot be
-    /// snapshotted (non-standard), in which case the host cannot
-    /// self-heal and stays failed.
-    last_good: Option<Vec<u8>>,
+    /// Construction-time engine state as snapshot bytes: for a host
+    /// built from a snapshot, the loaded file's own buffer, shared with
+    /// the engine (no second copy); for a host that started cold, the
+    /// bytes of a cold engine, so the rebuild *is* a cold start. `None`
+    /// when the engine's library cannot be snapshotted (non-standard),
+    /// in which case the host cannot self-heal and stays failed.
+    last_good: Option<SnapshotImage>,
     threads: usize,
-    /// Observability probe to re-install on rebuilt engines: an engine
-    /// reloaded from snapshot bytes carries no probe of its own.
+    /// Observability probe installed on rebuilt engines as they load.
     probe: ProbeHandle,
 }
 
@@ -341,8 +342,9 @@ impl<W: SearchWidth> EngineHost<W> {
     /// `max_cost_bound`. Requests run under the default 30-second
     /// deadline cap; see [`Self::with_limits`].
     ///
-    /// A snapshot-loaded engine's deferred frontier is materialized here,
-    /// up front, so no query pays the merge cost mid-flight.
+    /// A snapshot-loaded engine's deferred frontier stays deferred: the
+    /// cached levels answer without it, and the first climb merges it
+    /// under the write lock that climb holds anyway.
     pub fn new(engine: SearchEngine<W>, max_cost_bound: u32) -> Self {
         Self::with_limits(
             engine,
@@ -358,13 +360,14 @@ impl<W: SearchWidth> EngineHost<W> {
     /// Construction also captures the engine's state as the host's
     /// last-good rebuild source: if a later request panics while holding
     /// the engine lock, the next request quarantines the poisoned engine
-    /// and rebuilds from these bytes instead of failing forever.
+    /// and rebuilds from these bytes instead of failing forever. A
+    /// snapshot-loaded engine hands over the buffer it was loaded from,
+    /// so construction neither serializes nor copies it.
     pub fn with_limits(
         mut engine: SearchEngine<W>,
         max_cost_bound: u32,
         max_deadline_ms: u64,
     ) -> Self {
-        engine.ensure_frontier();
         let recovery = Recovery {
             last_good: engine.snapshot_to_bytes().ok(),
             threads: engine.threads(),
@@ -491,9 +494,11 @@ impl<W: SearchWidth> EngineHost<W> {
     /// Quarantines a poisoned host and rebuilds it: the engine is
     /// replaced by one reloaded from the last-good snapshot bytes
     /// captured at construction (cold-built if the host started cold),
-    /// the flight state is reset, poison is cleared, and waiters are
-    /// woken. Concurrent victims serialize on the recovery lock — the
-    /// first rebuilds, the rest see an already-healed engine and return.
+    /// reading the shared buffer in place and leaving its frontier
+    /// deferred for the next climb; the flight state is reset, poison is
+    /// cleared, and waiters are woken. Concurrent victims serialize on
+    /// the recovery lock — the first rebuilds, the rest see an
+    /// already-healed engine and return.
     ///
     /// # Errors
     ///
@@ -509,11 +514,15 @@ impl<W: SearchWidth> EngineHost<W> {
             // Another victim healed while we waited on the recovery lock.
             return Ok(());
         }
-        let mut engine = match &recovery.last_good {
-            Some(bytes) => SearchEngine::<W>::load_snapshot_from_bytes(bytes, recovery.threads)
-                .map_err(|err| {
-                    HostError::Engine(format!("host rebuild from last-good state failed: {err}"))
-                })?,
+        let engine = match &recovery.last_good {
+            Some(bytes) => SearchEngine::<W>::load_snapshot_from_bytes_with_probe(
+                bytes.clone(),
+                recovery.threads,
+                recovery.probe.clone(),
+            )
+            .map_err(|err| {
+                HostError::Engine(format!("host rebuild from last-good state failed: {err}"))
+            })?,
             None => {
                 return Err(HostError::Engine(
                     "poisoned host has no last-good state to rebuild from \
@@ -522,8 +531,6 @@ impl<W: SearchWidth> EngineHost<W> {
                 ))
             }
         };
-        engine.ensure_frontier();
-        engine.set_probe(recovery.probe.clone());
         let completed = engine.completed_cost();
         {
             // Swap through the poisoned guard, then clear: readers keep
@@ -1558,6 +1565,80 @@ mod tests {
             .unwrap()
             .is_some());
         assert_eq!(host.stats().unwrap().rebuilds, 1);
+    }
+
+    /// Records the snapshot sections an engine reports, by name.
+    #[derive(Default)]
+    struct Sections(std::sync::Mutex<Vec<&'static str>>);
+
+    impl mvq_obs::Probe for Sections {
+        fn snapshot_section_finished(&self, section: &'static str, _bytes: u64) {
+            self.0.lock().unwrap().push(section);
+        }
+    }
+
+    impl Sections {
+        fn count(&self, section: &str) -> usize {
+            self.0
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|&&s| s == section)
+                .count()
+        }
+    }
+
+    #[test]
+    fn snapshot_host_merges_its_frontier_on_the_first_climb_only() {
+        let mut warm = SynthesisEngine::unit_cost_with_threads(1);
+        warm.expand_to_cost(3);
+        let image = warm.snapshot_to_bytes().unwrap();
+        let sections = Arc::new(Sections::default());
+        let engine = SynthesisEngine::load_snapshot_from_bytes_with_probe(
+            image.clone(),
+            1,
+            ProbeHandle::new(sections.clone()),
+        )
+        .unwrap();
+        let a_size = engine.a_size();
+        let host = Arc::new(EngineHost::new(engine, 7));
+        let last_good = || host.recovery.lock().unwrap().last_good.clone().unwrap();
+
+        // Building the host neither merges the frontier nor serializes:
+        // its last-good state is the loaded buffer itself.
+        assert_eq!(sections.count("frontier_merge"), 0);
+        assert_eq!(sections.count("core_save"), 0);
+        assert!(SnapshotImage::ptr_eq(&last_good(), &image));
+        assert_eq!(host.census(3).unwrap().a_size, a_size);
+
+        // Healing reloads that buffer and leaves the frontier deferred.
+        let panicked = std::thread::spawn({
+            let host = Arc::clone(&host);
+            move || {
+                let _guard = host.engine.write().unwrap();
+                panic!("injected writer panic");
+            }
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(host.census(3).unwrap().a_size, a_size);
+        assert_eq!(host.stats().unwrap().rebuilds, 1);
+        assert_eq!(sections.count("core_load"), 2, "the heal reloaded");
+        assert_eq!(sections.count("frontier_merge"), 0);
+        assert_eq!(sections.count("core_save"), 0);
+        assert!(SnapshotImage::ptr_eq(&last_good(), &image));
+
+        // The first climb merges it, once, and answers like a private
+        // engine.
+        let mut private = SynthesisEngine::unit_cost_with_threads(1);
+        for target in [known::peres_perm(), known::toffoli_perm()] {
+            let served = host.synthesize(&target, 6).unwrap().unwrap();
+            let want = private.synthesize(&target, 6).unwrap();
+            assert_eq!(served.circuit.to_string(), want.circuit.to_string());
+            assert_eq!(served.implementation_count, want.implementation_count);
+            assert_eq!(sections.count("frontier_merge"), 1);
+        }
+        assert_eq!(host.stats().unwrap().completed, Some(5));
     }
 
     #[test]

@@ -174,6 +174,58 @@ fn worker_panic_is_contained_and_the_host_heals() {
     server.shutdown();
 }
 
+/// A host warm-started from a snapshot heals from the buffer it was
+/// loaded from: the rebuild reads it in place and leaves the frontier
+/// deferred, so the climb after the heal runs the lazy merge — and the
+/// answers up to cost 6 still equal a never-faulted serial engine's.
+#[test]
+fn snapshot_host_heals_from_its_image_and_climbs_exactly() {
+    let _serial = serial();
+    let mut warm = SynthesisEngine::unit_cost_with_threads(1);
+    warm.expand_to_cost(3);
+    let bytes = warm.snapshot_to_bytes().expect("standard library");
+    let registry = HostRegistry::new(test_config());
+    let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).expect("load snapshot");
+    registry.install(loaded).expect("install");
+    let _armed = Armed::plan("serve.write=panic@1");
+    let server = RunningServer::start(registry, 2);
+
+    // The first climb panics under the write lock; the retry heals.
+    let peres = r#"{"target":"(5,7,6,8)","cb":6,"strategy":"uni"}"#;
+    let (status, response) = server.request("POST", "/synthesize", peres);
+    assert_eq!(status, 503, "{response}");
+    let (status, response) = server.request("POST", "/synthesize", peres);
+    assert_eq!(status, 200, "{response}");
+
+    let mut reference = SynthesisEngine::unit_cost_with_threads(1);
+    for target in [
+        "(5,7,6,8)",
+        "(7,8)",
+        "(5,6,8,7)",
+        "(5,7)(6,8)",
+        "(2,4,3)(5,6)",
+    ] {
+        let parsed = mvq_core::known::parse_target_on(target, 8).expect("valid target");
+        let want = reference.synthesize(&parsed, 6).expect("within cost 6");
+        let body = format!(r#"{{"target":"{target}","cb":6,"strategy":"uni"}}"#);
+        let (status, response) = server.request("POST", "/synthesize", &body);
+        assert_eq!(status, 200, "{response}");
+        for field in [
+            format!("\"cost\":{}", want.cost),
+            format!("\"implementation_count\":{}", want.implementation_count),
+            format!("\"circuit\":\"{}\"", want.circuit),
+        ] {
+            assert!(response.contains(&field), "{target}: {field} in {response}");
+        }
+    }
+    let (status, stats) = server.request("GET", "/stats", "");
+    assert_eq!(status, 200, "{stats}");
+    assert_eq!(json_u64(&stats, "rebuilds"), 1, "{stats}");
+    assert_eq!(json_u64(&stats, "completed"), 6, "{stats}");
+
+    server.shutdown();
+}
+
 /// Truncating the primary snapshot at *every* section boundary (and a
 /// few mid-section points) falls back to the `.bak` — never a crash,
 /// never a half-loaded engine.

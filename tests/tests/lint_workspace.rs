@@ -67,12 +67,14 @@ pub struct SearchEngine<W> {
 }
 
 impl<W> SearchEngine<W> {
-    pub fn load_snapshot_from_bytes(bytes: &[u8], threads: usize) -> Result<Self, String> {
-        let _ = (bytes, threads);
+    pub fn load_snapshot_from_bytes_with_probe(
+        image: impl Into<crate::snapshot::SnapshotImage>,
+        threads: usize,
+        probe: W,
+    ) -> Result<Self, String> {
+        let _ = (image.into(), threads, probe);
         Err(String::new())
     }
-
-    pub fn ensure_frontier(&mut self) {}
 
     pub fn set_probe(&mut self, probe: W) {
         self.probe = Some(probe);

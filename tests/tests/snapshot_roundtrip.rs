@@ -5,8 +5,9 @@
 //! files must fail with a typed error — never UB or a silently-empty
 //! cache.
 
-use mvq_core::{known, CostModel, SnapshotError, SynthesisEngine};
+use mvq_core::{known, CostModel, ProbeHandle, SnapshotError, SnapshotImage, SynthesisEngine};
 use mvq_logic::GateLibrary;
+use mvq_serve::EngineHost;
 use proptest::prelude::*;
 
 fn engine(model: CostModel, threads: usize) -> SynthesisEngine {
@@ -74,7 +75,7 @@ fn every_damaged_byte_fails_loudly() {
     small.expand_to_cost(1);
     let bytes = small.snapshot_to_bytes().unwrap();
     for offset in 0..bytes.len() {
-        let mut damaged = bytes.clone();
+        let mut damaged = bytes.to_vec();
         damaged[offset] ^= 0xA5;
         assert!(
             SynthesisEngine::load_snapshot_from_bytes(&damaged, 1).is_err(),
@@ -111,6 +112,59 @@ fn bidirectional_on_loaded_engine_matches_native() {
         );
         assert!(got.circuit.verify_against_binary_perm(&target));
     }
+}
+
+#[test]
+fn loaded_engine_returns_its_input_bytes_until_it_climbs() {
+    let mut snapshotted = engine(CostModel::unit(), 1);
+    snapshotted.expand_to_cost(3);
+    let image = snapshotted.snapshot_to_bytes().unwrap();
+
+    // A borrowed slice is copied once; the copy is the engine's image.
+    let mut copied = SynthesisEngine::load_snapshot_from_bytes(&image, 1).unwrap();
+    let again = copied.snapshot_to_bytes().unwrap();
+    assert_eq!(
+        again, image,
+        "a never-mutated engine returns its input bytes"
+    );
+    assert!(!SnapshotImage::ptr_eq(&again, &image));
+    assert!(SnapshotImage::ptr_eq(
+        &again,
+        &copied.snapshot_to_bytes().unwrap()
+    ));
+
+    // A shared buffer is kept as is: the engine holds it twice (image and
+    // deferred frontier), and a host built from it adds only its
+    // last-good handle — no second copy.
+    let mut loaded =
+        SynthesisEngine::load_snapshot_from_bytes_with_probe(image.clone(), 1, ProbeHandle::none())
+            .unwrap();
+    assert!(SnapshotImage::ptr_eq(
+        &loaded.snapshot_to_bytes().unwrap(),
+        &image
+    ));
+    assert_eq!(SnapshotImage::handle_count(&image), 3);
+    let host = EngineHost::new(loaded, 7);
+    assert_eq!(SnapshotImage::handle_count(&image), 4);
+    drop(host);
+    assert_eq!(SnapshotImage::handle_count(&image), 1);
+
+    // One settled level drops the image and merges the frontier; the
+    // bytes are then derived again and equal a native engine's.
+    loaded =
+        SynthesisEngine::load_snapshot_from_bytes_with_probe(image.clone(), 1, ProbeHandle::none())
+            .unwrap();
+    assert!(loaded.settle_one_level());
+    assert_eq!(
+        SnapshotImage::handle_count(&image),
+        1,
+        "image and frontier released"
+    );
+    let derived = loaded.snapshot_to_bytes().unwrap();
+    let mut native = engine(CostModel::unit(), 1);
+    native.expand_to_cost(4);
+    assert_eq!(derived, native.snapshot_to_bytes().unwrap());
+    assert_ne!(derived, image);
 }
 
 #[test]
