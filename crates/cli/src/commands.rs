@@ -433,7 +433,7 @@ fn install_serve_snapshot(
                 match WideSynthesisEngine::load_snapshot_from_bytes(&bytes, threads) {
                     Ok(engine) => {
                         announce_snapshot(&shown.to_string(), &engine);
-                        registry.install_wide(engine)?;
+                        registry.install(engine)?;
                         return Ok(true);
                     }
                     Err(err) if err.is_corruption() => err,

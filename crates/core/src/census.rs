@@ -76,7 +76,7 @@ impl Census {
     ///
     /// This module is part of the reproducible search state, so it never
     /// reads the clock (`mvq_lint`'s determinism rule); wall-clock
-    /// measurement belongs to the callers (CLI, benches).
+    /// measurement belongs to the callers (the CLI, `perfbench`).
     pub fn compute_with<W: SearchWidth>(engine: &mut SearchEngine<W>, cb: u32) -> Self {
         let coset = 1usize << engine.library().domain().wires();
         engine.expand_to_cost(cb);

@@ -1,10 +1,10 @@
-//! The engine host: one warm [`SynthesisEngine`] shared by many
+//! The engine host: one warm [`SearchEngine`] shared by many
 //! concurrent queries.
 //!
 //! Reads scale, writes funnel. Queries answered by the cached levels
 //! (the overwhelming majority on a warm engine) take the `RwLock` read
 //! side and run concurrently through
-//! [`SynthesisEngine::synthesize_cached`]. Cache misses — targets whose
+//! [`SearchEngine::synthesize_cached`]. Cache misses — targets whose
 //! class lives in a level not yet settled — go through a **single
 //! flight**: of all the requests needing deeper levels, exactly one
 //! acquires the write lock and settles **one level** (generating the
@@ -37,8 +37,7 @@ use crate::lockrank::{
 };
 use mvq_core::{
     CachedBidirectional, CachedSynthesis, CostModel, EngineError, Narrow, ProbeHandle,
-    SearchEngine, SearchWidth, SnapshotImage, Synthesis, SynthesisEngine, Wide,
-    WideSynthesisEngine,
+    SearchEngine, SearchWidth, SnapshotImage, Synthesis, Wide,
 };
 use mvq_perm::Perm;
 
@@ -569,7 +568,7 @@ impl<W: SearchWidth> EngineHost<W> {
     /// shared cache when possible.
     ///
     /// The result is bit-identical to a serial
-    /// [`SynthesisEngine::synthesize`] call on a private engine — costs,
+    /// [`SearchEngine::synthesize`] call on a private engine — costs,
     /// witness counts, and circuits — for any number of concurrent
     /// callers.
     ///
@@ -578,52 +577,25 @@ impl<W: SearchWidth> EngineHost<W> {
     /// [`HostError::CostBoundExceeded`] when `cb` exceeds the admission
     /// limit; [`HostError::Poisoned`] after a panicked writer.
     pub fn synthesize(&self, target: &Perm, cb: u32) -> Result<Option<Synthesis>, HostError> {
-        self.synthesize_with_strategy(target, cb, ServeStrategy::Uni)
+        self.synthesize_traced(target, cb, ServeStrategy::Uni, None)
+            .map(|(synthesis, _)| synthesis)
     }
 
-    /// [`Self::synthesize`] with an explicit serving strategy (see
-    /// [`ServeStrategy`]); costs and witness counts are identical across
-    /// strategies — only where the search work lands differs.
+    /// [`Self::synthesize`] with an explicit serving strategy and a
+    /// per-request deadline, also reporting per-request serving facts
+    /// ([`ServeTrace`]) for the transport's trace line.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Self::synthesize`].
-    pub fn synthesize_with_strategy(
-        &self,
-        target: &Perm,
-        cb: u32,
-        strategy: ServeStrategy,
-    ) -> Result<Option<Synthesis>, HostError> {
-        self.synthesize_with_options(target, cb, strategy, None)
-    }
-
-    /// [`Self::synthesize_with_strategy`] with a per-request deadline:
-    /// once `deadline_ms` (capped by the host's `max_deadline_ms`)
-    /// passes while the request waits behind the single-flight
-    /// expansion, it sheds with [`HostError::DeadlineExceeded`] instead
-    /// of pinning a worker.
+    /// Costs and witness counts are identical across strategies (see
+    /// [`ServeStrategy`]) — only where the search work lands differs.
+    /// Once `deadline_ms` (capped by the host's `max_deadline_ms`;
+    /// `None` means the cap) passes while the request waits behind the
+    /// single-flight expansion, it sheds with
+    /// [`HostError::DeadlineExceeded`] instead of pinning a worker.
     ///
     /// # Errors
     ///
     /// Same as [`Self::synthesize`], plus
     /// [`HostError::DeadlineExceeded`].
-    pub fn synthesize_with_options(
-        &self,
-        target: &Perm,
-        cb: u32,
-        strategy: ServeStrategy,
-        deadline_ms: Option<u64>,
-    ) -> Result<Option<Synthesis>, HostError> {
-        self.synthesize_traced(target, cb, strategy, deadline_ms)
-            .map(|(synthesis, _)| synthesis)
-    }
-
-    /// [`Self::synthesize_with_options`] that also reports per-request
-    /// serving facts ([`ServeTrace`]) for the transport's trace line.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::synthesize_with_options`].
     pub fn synthesize_traced(
         &self,
         target: &Perm,
@@ -911,9 +883,10 @@ impl<W: SearchWidth> EngineHost<W> {
 }
 
 /// The two per-width host tables behind one lock (one lock order, no
-/// cross-width deadlock; the model cap spans both).
+/// cross-width deadlock; the model cap spans both). Public only so
+/// [`HostWidth`] can name it; the crate does not export it.
 #[derive(Debug, Default)]
-struct HostTables {
+pub struct HostTables {
     narrow: HashMap<CostModel, Arc<EngineHost<Narrow>>>,
     wide: HashMap<CostModel, Arc<EngineHost<Wide>>>,
 }
@@ -921,6 +894,35 @@ struct HostTables {
 impl HostTables {
     fn total(&self) -> usize {
         self.narrow.len() + self.wide.len()
+    }
+}
+
+/// A search width the [`HostRegistry`] keeps a host table for:
+/// [`Narrow`] engines serve `wires = 3` traffic, [`Wide`] engines
+/// `wires = 4`. Sealed: an implementation has to name the unexported
+/// `HostTables`, so these two are the only ones.
+pub trait HostWidth: SearchWidth {
+    /// The wire count this width's table serves.
+    const WIRES: usize;
+
+    /// This width's table among the registry's tables.
+    #[doc(hidden)]
+    fn table_for(tables: &mut HostTables) -> &mut HashMap<CostModel, Arc<EngineHost<Self>>>;
+}
+
+impl HostWidth for Narrow {
+    const WIRES: usize = 3;
+
+    fn table_for(tables: &mut HostTables) -> &mut HashMap<CostModel, Arc<EngineHost<Self>>> {
+        &mut tables.narrow
+    }
+}
+
+impl HostWidth for Wide {
+    const WIRES: usize = 4;
+
+    fn table_for(tables: &mut HostTables) -> &mut HashMap<CostModel, Arc<EngineHost<Self>>> {
+        &mut tables.wide
     }
 }
 
@@ -938,7 +940,7 @@ pub struct HostRegistry {
 
 impl HostRegistry {
     /// An empty registry; hosts are created lazily by
-    /// [`Self::host_for`] / [`Self::wide_host_for`].
+    /// [`Self::host_for`].
     pub fn new(config: HostConfig) -> Self {
         Self {
             config,
@@ -980,69 +982,33 @@ impl HostRegistry {
         }
     }
 
-    /// Best-effort probe installation on a freshly created host.
-    fn probe_new_host<W: SearchWidth>(&self, host: &EngineHost<W>) {
-        let probe = self.probe();
-        if probe.is_set() {
-            let _ = host.set_probe(probe);
-        }
-    }
-
-    /// Installs a pre-warmed 3-wire engine (e.g. loaded from a snapshot)
-    /// as the host for its own cost model, replacing any existing host.
+    /// Installs a pre-warmed engine (e.g. loaded from a snapshot) as
+    /// the host for its own cost model in its width's table, replacing
+    /// any existing host.
     ///
     /// # Errors
     ///
-    /// [`HostError::Engine`] if the engine is not a 3-wire engine (the
-    /// narrow table serves `wires = 3` traffic, and a smaller register
-    /// would panic target reduction mid-request);
-    /// [`HostError::Poisoned`] if the registry lock is poisoned.
-    pub fn install(&self, engine: SynthesisEngine) -> Result<Arc<EngineHost>, HostError> {
+    /// [`HostError::Engine`] if the engine's wire count is not the one
+    /// its width's table serves (a smaller register would panic target
+    /// reduction mid-request); [`HostError::Poisoned`] if the registry
+    /// lock is poisoned.
+    pub fn install<W: HostWidth>(
+        &self,
+        engine: SearchEngine<W>,
+    ) -> Result<Arc<EngineHost<W>>, HostError> {
         let wires = engine.library().domain().wires();
-        if wires != 3 {
+        if wires != W::WIRES {
             return Err(HostError::Engine(format!(
-                "the service hosts 3-wire engines in its narrow table, got {wires} wires"
+                "the service hosts {}-wire engines at this width, got {wires} wires",
+                W::WIRES
             )));
         }
         // Read the model before the engine moves into the host: taking
         // `host.engine.read()` (rank 20) before `hosts.lock()` (rank 10)
         // here would invert the acquisition order that `stats()` uses.
         let model = *engine.cost_model();
-        let host = Arc::new(EngineHost::with_limits(
-            engine,
-            self.config.max_cost_bound,
-            self.config.max_deadline_ms,
-        ));
-        self.probe_new_host(&host);
-        self.hosts.lock()?.narrow.insert(model, Arc::clone(&host));
-        Ok(host)
-    }
-
-    /// [`Self::install`] for a pre-warmed 4-wire (wide) engine.
-    ///
-    /// # Errors
-    ///
-    /// [`HostError::Engine`] if the engine's library is not 4-wire;
-    /// [`HostError::Poisoned`] if the registry lock is poisoned.
-    pub fn install_wide(
-        &self,
-        engine: WideSynthesisEngine,
-    ) -> Result<Arc<EngineHost<Wide>>, HostError> {
-        let wires = engine.library().domain().wires();
-        if wires != 4 {
-            return Err(HostError::Engine(format!(
-                "the service hosts 4-wire engines in its wide table, got {wires} wires"
-            )));
-        }
-        // Same rank discipline as `install`: model first, lock second.
-        let model = *engine.cost_model();
-        let host = Arc::new(EngineHost::with_limits(
-            engine,
-            self.config.max_cost_bound,
-            self.config.max_deadline_ms,
-        ));
-        self.probe_new_host(&host);
-        self.hosts.lock()?.wide.insert(model, Arc::clone(&host));
+        let host = self.new_host(engine);
+        W::table_for(&mut *self.hosts.lock()?).insert(model, Arc::clone(&host));
         Ok(host)
     }
 
@@ -1050,48 +1016,39 @@ impl HostRegistry {
         mvq_core::resolve_threads((self.config.threads > 0).then_some(self.config.threads))
     }
 
-    /// The 3-wire host for `model`, creating a cold engine if this is
-    /// the model's first request.
-    ///
-    /// # Errors
-    ///
-    /// [`HostError::TooManyModels`] past the configured limit;
-    /// [`HostError::Engine`] if the cold engine cannot be built;
-    /// [`HostError::Poisoned`] if the registry lock is poisoned.
-    pub fn host_for(&self, model: CostModel) -> Result<Arc<EngineHost>, HostError> {
-        let mut hosts = self.hosts.lock()?;
-        if let Some(host) = hosts.narrow.get(&model) {
-            return Ok(Arc::clone(host));
-        }
-        if hosts.total() >= self.config.max_models {
-            return Err(HostError::TooManyModels {
-                limit: self.config.max_models,
-            });
-        }
-        let engine = SynthesisEngine::try_with_threads(
-            mvq_logic::GateLibrary::standard(3),
-            model,
-            self.threads(),
-        )?;
-        let host = Arc::new(EngineHost::with_limits(
+    /// A host for `engine` under the registry's limits, with the
+    /// registry's probe installed best-effort.
+    fn new_host<W: SearchWidth>(&self, engine: SearchEngine<W>) -> Arc<EngineHost<W>> {
+        // Typed so `mvq_lint` resolves `set_probe` below to the host's
+        // (ranks 15 and 20), not the registry's (rank 10, which
+        // `host_for` holds while it calls this).
+        let host: Arc<EngineHost<W>> = Arc::new(EngineHost::with_limits(
             engine,
             self.config.max_cost_bound,
             self.config.max_deadline_ms,
         ));
-        self.probe_new_host(&host);
-        hosts.narrow.insert(model, Arc::clone(&host));
-        Ok(host)
+        let probe = self.probe();
+        if probe.is_set() {
+            let _ = host.set_probe(probe);
+        }
+        host
     }
 
-    /// The 4-wire host for `model`, creating a cold wide engine if this
-    /// is the model's first request.
+    /// The host for `model` in width `W`'s table, creating a cold
+    /// engine if this is the model's first request at that width.
     ///
     /// # Errors
     ///
-    /// See [`Self::host_for`].
-    pub fn wide_host_for(&self, model: CostModel) -> Result<Arc<EngineHost<Wide>>, HostError> {
+    /// [`HostError::TooManyModels`] past the configured limit (which
+    /// spans both widths); [`HostError::Engine`] if the cold engine
+    /// cannot be built; [`HostError::Poisoned`] if the registry lock is
+    /// poisoned.
+    pub fn host_for<W: HostWidth>(
+        &self,
+        model: CostModel,
+    ) -> Result<Arc<EngineHost<W>>, HostError> {
         let mut hosts = self.hosts.lock()?;
-        if let Some(host) = hosts.wide.get(&model) {
+        if let Some(host) = W::table_for(&mut hosts).get(&model) {
             return Ok(Arc::clone(host));
         }
         if hosts.total() >= self.config.max_models {
@@ -1099,18 +1056,13 @@ impl HostRegistry {
                 limit: self.config.max_models,
             });
         }
-        let engine = WideSynthesisEngine::try_with_threads(
-            mvq_logic::GateLibrary::standard(4),
+        let engine = SearchEngine::<W>::try_with_threads(
+            mvq_logic::GateLibrary::standard(W::WIRES),
             model,
             self.threads(),
         )?;
-        let host = Arc::new(EngineHost::with_limits(
-            engine,
-            self.config.max_cost_bound,
-            self.config.max_deadline_ms,
-        ));
-        self.probe_new_host(&host);
-        hosts.wide.insert(model, Arc::clone(&host));
+        let host = self.new_host(engine);
+        W::table_for(&mut hosts).insert(model, Arc::clone(&host));
         Ok(host)
     }
 
@@ -1153,7 +1105,7 @@ impl HostRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvq_core::known;
+    use mvq_core::{known, SynthesisEngine, WideSynthesisEngine};
 
     fn unit_host(limit: u32) -> EngineHost {
         EngineHost::new(SynthesisEngine::unit_cost_with_threads(1), limit)
@@ -1247,7 +1199,8 @@ mod tests {
     fn bidi_strategy_serves_deep_targets_without_deep_levels() {
         let host = unit_host(7);
         let syn = host
-            .synthesize_with_strategy(&known::fredkin_perm(), 7, ServeStrategy::Bidi)
+            .synthesize_traced(&known::fredkin_perm(), 7, ServeStrategy::Bidi, None)
+            .map(|(s, _)| s)
             .unwrap()
             .unwrap();
         assert_eq!(syn.cost, 7);
@@ -1287,7 +1240,8 @@ mod tests {
         let host = unit_host(7);
         host.census(4).unwrap(); // warm to cost 4
         let peres = host
-            .synthesize_with_strategy(&known::peres_perm(), 7, ServeStrategy::Auto)
+            .synthesize_traced(&known::peres_perm(), 7, ServeStrategy::Auto, None)
+            .map(|(s, _)| s)
             .unwrap()
             .unwrap();
         assert_eq!(peres.cost, 4);
@@ -1296,7 +1250,8 @@ mod tests {
                                               // Fredkin (cost 7) lies past the warm frontier: auto switches to
                                               // the bidirectional path instead of expanding levels 5–7.
         let deep = host
-            .synthesize_with_strategy(&known::fredkin_perm(), 7, ServeStrategy::Auto)
+            .synthesize_traced(&known::fredkin_perm(), 7, ServeStrategy::Auto, None)
+            .map(|(s, _)| s)
             .unwrap()
             .unwrap();
         assert_eq!(deep.cost, 7);
@@ -1307,7 +1262,8 @@ mod tests {
                                            // Uni answers for targets within the warm frontier agree with
                                            // auto answers (cost and witness count).
         let uni = host
-            .synthesize_with_strategy(&known::peres_perm(), 7, ServeStrategy::Uni)
+            .synthesize_traced(&known::peres_perm(), 7, ServeStrategy::Uni, None)
+            .map(|(s, _)| s)
             .unwrap()
             .unwrap();
         assert_eq!(uni.cost, peres.cost);
@@ -1366,7 +1322,8 @@ mod tests {
             let work = Arc::new(LevelWork::default());
             host.set_probe(ProbeHandle::new(work.clone())).unwrap();
             let syn = host
-                .synthesize_with_strategy(&target, 6, ServeStrategy::Uni)
+                .synthesize_traced(&target, 6, ServeStrategy::Uni, None)
+                .map(|(s, _)| s)
                 .unwrap()
                 .unwrap();
             assert_eq!((syn.cost, syn.implementation_count), (6, 4));
@@ -1422,11 +1379,15 @@ mod tests {
             max_models: 2,
             ..HostConfig::default()
         });
-        let unit = registry.host_for(CostModel::unit()).unwrap();
-        let again = registry.host_for(CostModel::unit()).unwrap();
+        let unit = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
+        let again = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
         assert!(Arc::ptr_eq(&unit, &again));
-        registry.host_for(CostModel::weighted(1, 2, 3)).unwrap();
-        let err = registry.host_for(CostModel::weighted(2, 2, 1)).unwrap_err();
+        registry
+            .host_for::<Narrow>(CostModel::weighted(1, 2, 3))
+            .unwrap();
+        let err = registry
+            .host_for::<Narrow>(CostModel::weighted(2, 2, 1))
+            .unwrap_err();
         assert_eq!(err, HostError::TooManyModels { limit: 2 });
         assert_eq!(registry.stats().unwrap().len(), 2);
     }
@@ -1439,7 +1400,7 @@ mod tests {
             max_models: 4,
             ..HostConfig::default()
         });
-        let host = registry.wide_host_for(CostModel::unit()).unwrap();
+        let host = registry.host_for::<Wide>(CostModel::unit()).unwrap();
         // The 4-wire CNOT D ^= A costs 1.
         let target = mvq_core::known::parse_target_on("(9,10)(11,12)(13,14)(15,16)", 16).unwrap();
         let syn = host.synthesize(&target, 2).unwrap().unwrap();
@@ -1448,7 +1409,7 @@ mod tests {
         assert_eq!(stats.wires, 4);
         // Narrow and wide hosts for the same model coexist and count
         // toward one cap.
-        registry.host_for(CostModel::unit()).unwrap();
+        registry.host_for::<Narrow>(CostModel::unit()).unwrap();
         assert_eq!(registry.stats().unwrap().len(), 2);
     }
 
@@ -1460,12 +1421,14 @@ mod tests {
             max_models: 2,
             ..HostConfig::default()
         });
-        registry.host_for(CostModel::unit()).unwrap();
-        registry.wide_host_for(CostModel::unit()).unwrap();
-        let err = registry.host_for(CostModel::weighted(1, 2, 3)).unwrap_err();
+        registry.host_for::<Narrow>(CostModel::unit()).unwrap();
+        registry.host_for::<Wide>(CostModel::unit()).unwrap();
+        let err = registry
+            .host_for::<Narrow>(CostModel::weighted(1, 2, 3))
+            .unwrap_err();
         assert_eq!(err, HostError::TooManyModels { limit: 2 });
         let err = registry
-            .wide_host_for(CostModel::weighted(1, 2, 3))
+            .host_for::<Wide>(CostModel::weighted(1, 2, 3))
             .unwrap_err();
         assert_eq!(err, HostError::TooManyModels { limit: 2 });
     }
@@ -1491,7 +1454,7 @@ mod tests {
             CostModel::unit(),
             1,
         );
-        let err = registry.install_wide(three_wire_wide).unwrap_err();
+        let err = registry.install(three_wire_wide).unwrap_err();
         assert!(matches!(err, HostError::Engine(_)), "{err}");
         assert!(registry.stats().unwrap().is_empty());
     }
@@ -1516,7 +1479,7 @@ mod tests {
             threads: 1,
             ..HostConfig::default()
         });
-        registry.host_for(CostModel::unit()).unwrap();
+        registry.host_for::<Narrow>(CostModel::unit()).unwrap();
         let stats = registry.stats().unwrap();
         assert_eq!(stats.len(), 1);
     }
@@ -1530,7 +1493,7 @@ mod tests {
         let mut warm = SynthesisEngine::unit_cost_with_threads(1);
         warm.expand_to_cost(4);
         registry.install(warm).unwrap();
-        let host = registry.host_for(CostModel::unit()).unwrap();
+        let host = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
         assert_eq!(host.stats().unwrap().completed, Some(4));
     }
 
@@ -1647,12 +1610,14 @@ mod tests {
         host.census(4).unwrap(); // warm to cost 4
                                  // A zero budget is fine for a cache hit: no waiting happens.
         let hit = host
-            .synthesize_with_options(&known::peres_perm(), 4, ServeStrategy::Uni, Some(0))
+            .synthesize_traced(&known::peres_perm(), 4, ServeStrategy::Uni, Some(0))
+            .map(|(s, _)| s)
             .unwrap();
         assert!(hit.is_some());
         // A miss with a zero budget sheds before expanding.
         let err = host
-            .synthesize_with_options(&known::toffoli_perm(), 5, ServeStrategy::Uni, Some(0))
+            .synthesize_traced(&known::toffoli_perm(), 5, ServeStrategy::Uni, Some(0))
+            .map(|(s, _)| s)
             .unwrap_err();
         assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 0 });
         assert_eq!(host.stats().unwrap().deadline_timeouts, 1);
@@ -1660,12 +1625,14 @@ mod tests {
         // for more than the cap runs under the cap.
         let capped = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 0);
         let err = capped
-            .synthesize_with_options(&known::toffoli_perm(), 5, ServeStrategy::Uni, Some(10_000))
+            .synthesize_traced(&known::toffoli_perm(), 5, ServeStrategy::Uni, Some(10_000))
+            .map(|(s, _)| s)
             .unwrap_err();
         assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 0 });
         // And the same miss succeeds once a real budget lets it expand.
         assert!(host
-            .synthesize_with_options(&known::toffoli_perm(), 5, ServeStrategy::Uni, None)
+            .synthesize_traced(&known::toffoli_perm(), 5, ServeStrategy::Uni, None)
+            .map(|(s, _)| s)
             .unwrap()
             .is_some());
     }
@@ -1705,7 +1672,8 @@ mod tests {
             for target in [known::toffoli_perm(), known::peres_perm()] {
                 let start = Instant::now();
                 let err = host
-                    .synthesize_with_options(&target, 5, ServeStrategy::Uni, Some(20))
+                    .synthesize_traced(&target, 5, ServeStrategy::Uni, Some(20))
+                    .map(|(s, _)| s)
                     .unwrap_err();
                 assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 20 });
                 assert!(
@@ -1768,7 +1736,8 @@ mod tests {
         std::thread::scope(|scope| {
             let writer = hold_write_lock(scope, &host, Duration::from_millis(100));
             let served = host
-                .synthesize_with_options(&known::peres_perm(), 4, ServeStrategy::Uni, Some(10_000))
+                .synthesize_traced(&known::peres_perm(), 4, ServeStrategy::Uni, Some(10_000))
+                .map(|(s, _)| s)
                 .unwrap()
                 .unwrap();
             assert_eq!(served.cost, 4);

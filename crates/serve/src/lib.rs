@@ -55,8 +55,8 @@ mod obs;
 mod server;
 
 pub use host::{
-    CensusReply, EngineHost, HostConfig, HostError, HostRegistry, HostStats, ServeStrategy,
-    ServeTrace,
+    CensusReply, EngineHost, HostConfig, HostError, HostRegistry, HostStats, HostWidth,
+    ServeStrategy, ServeTrace,
 };
 pub use http::{read_request, write_response, Request};
 pub use json::{CensusRequest, ModelSpec, SynthesizeReply, SynthesizeRequest};

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mvq_core::{CostModel, SearchWidth};
+use mvq_core::{CostModel, Narrow, SearchWidth, Wide};
 use mvq_obs::TraceId;
 
 use crate::host::{EngineHost, HostError, HostRegistry, ServeStrategy};
@@ -587,7 +587,7 @@ fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, Str
         // level, so an *implicit* bound stays shallow — clients must
         // ask for deep wide expansions explicitly.
         synthesize_on(
-            ctx.registry.wide_host_for(model),
+            ctx.registry.host_for::<Wide>(model),
             &target,
             parsed.cb,
             WIDE_DEFAULT_CB,
@@ -597,7 +597,7 @@ fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, Str
         )
     } else {
         synthesize_on(
-            ctx.registry.host_for(model),
+            ctx.registry.host_for::<Narrow>(model),
             &target,
             parsed.cb,
             u32::MAX,
@@ -658,13 +658,13 @@ fn census(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, String,
             meta.wires = Some(wires);
             if wires == 4 {
                 census_on(
-                    ctx.registry.wide_host_for(model),
+                    ctx.registry.host_for::<Wide>(model),
                     &parsed,
                     WIDE_DEFAULT_CB,
                     meta,
                 )
             } else {
-                census_on(ctx.registry.host_for(model), &parsed, 6, meta)
+                census_on(ctx.registry.host_for::<Narrow>(model), &parsed, 6, meta)
             }
         }
         Err(reply) => reply,

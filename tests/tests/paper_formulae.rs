@@ -1,6 +1,7 @@
 //! E2: every permutation formula and banned set printed in Section 3 of
 //! the paper, recomputed from first principles.
 
+use mvq_core::{CostModel, SynthesisEngine, EXPECTED_TABLE_2};
 use mvq_logic::{Gate, GateLibrary, PatternDomain, TruthTable};
 
 #[test]
@@ -20,6 +21,28 @@ fn table_1_truth_table_and_permutation() {
 fn domain_size_is_38() {
     // 64 − 27 + 1 = 38 permutable patterns.
     assert_eq!(PatternDomain::permutable(3).len(), 38);
+}
+
+/// §2's domain reduction loses nothing: the search over the 38
+/// permutable patterns builds the same levels as the search over all 64
+/// base-4 patterns — same `|G[k]|`, same `|B[k]|`, same `|A|` — to
+/// cost 3.
+#[test]
+fn reduced_domain_search_matches_full_domain() {
+    let mut reduced = SynthesisEngine::unit_cost_with_threads(1);
+    reduced.expand_to_cost(3);
+    let mut full = SynthesisEngine::with_threads(
+        GateLibrary::with_domain(PatternDomain::full(3)),
+        CostModel::unit(),
+        1,
+    );
+    full.expand_to_cost(3);
+    assert_eq!(reduced.library().domain().len(), 38);
+    assert_eq!(full.library().domain().len(), 64);
+    assert_eq!(reduced.g_counts(), &EXPECTED_TABLE_2[..=3]);
+    assert_eq!(full.g_counts(), reduced.g_counts());
+    assert_eq!(full.b_counts(), reduced.b_counts());
+    assert_eq!(full.a_size(), reduced.a_size());
 }
 
 #[test]

@@ -143,10 +143,12 @@ fn auto_strategy_matches_forced_uni() {
     let auto_host = EngineHost::new(SynthesisEngine::unit_cost_with_threads(1), 7);
     for target in &targets {
         let uni = uni_host
-            .synthesize_with_strategy(target, CB, ServeStrategy::Uni)
+            .synthesize_traced(target, CB, ServeStrategy::Uni, None)
+            .map(|(s, _)| s)
             .expect("admitted");
         let auto = auto_host
-            .synthesize_with_strategy(target, CB, ServeStrategy::Auto)
+            .synthesize_traced(target, CB, ServeStrategy::Auto, None)
+            .map(|(s, _)| s)
             .expect("admitted");
         assert_eq!(
             uni.as_ref().map(|s| (s.cost, s.implementation_count)),

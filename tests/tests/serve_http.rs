@@ -2,14 +2,18 @@
 //! port and speaks raw HTTP/1.1 to it over `TcpStream` — the in-repo
 //! version of the CI serve-smoke job (known Toffoli answer, health
 //! probe, clean shutdown), plus the server-side `request_us` p99 SLO on
-//! a snapshot-warm 8-client mix.
+//! a snapshot-warm 8-client mix. Every found `/synthesize` answer, on
+//! either width and through any strategy, is parsed back from its
+//! rendered circuit and re-verified against the requested permutation
+//! through `mvq_sim`'s exact unitary.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mvq_core::SynthesisEngine;
+use mvq_core::known::parse_target_on;
+use mvq_core::{Circuit, SynthesisEngine};
 use mvq_serve::{HostConfig, HostRegistry, Server, ServerHandle};
 
 struct RunningServer {
@@ -49,11 +53,14 @@ impl RunningServer {
             .nth(1)
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("bad response: {response}"));
-        let body = response
+        let reply = response
             .split_once("\r\n\r\n")
             .map(|(_, b)| b.to_string())
             .unwrap_or_default();
-        (status, body)
+        if path == "/synthesize" && status == 200 && reply.contains("\"found\":true") {
+            assert_realizes_request(body, &reply);
+        }
+        (status, reply)
     }
 
     fn shutdown(mut self) {
@@ -74,6 +81,36 @@ impl Drop for RunningServer {
             let _ = runner.join();
         }
     }
+}
+
+/// The string value of `"key":"…"` in a flat JSON object (neither the
+/// service's replies nor these tests' requests escape quotes in values).
+fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let start = json.find(&format!("\"{key}\":\""))? + key.len() + 4;
+    json[start..].split('"').next()
+}
+
+/// Re-verifies a found `/synthesize` reply against physics: its
+/// rendered circuit parses back, on the request's register, and its
+/// exact unitary (`mvq_sim`) is the requested permutation.
+fn assert_realizes_request(request: &str, reply: &str) {
+    let wires = if request.contains("\"wires\":4") {
+        4
+    } else {
+        3
+    };
+    let target = json_str(request, "target").expect("request names a target");
+    let target = parse_target_on(target, 1 << wires).expect("served target parses");
+    let rendered = json_str(reply, "circuit").expect("found reply carries a circuit");
+    let parsed: Circuit = rendered
+        .parse()
+        .unwrap_or_else(|err| panic!("served circuit `{rendered}` does not parse: {err}"));
+    let circuit = Circuit::new(wires, parsed.gates().to_vec());
+    assert_eq!(circuit.to_string(), rendered, "render → parse round trip");
+    assert!(
+        circuit.verify_against_binary_perm(&target),
+        "served circuit `{rendered}` does not realize {target} on {wires} wires"
+    );
 }
 
 fn test_config() -> HostConfig {

@@ -1,6 +1,6 @@
 //! E3: the Table 2 census. The fast test covers k ≤ 5; the full paper
 //! bound (cb = 7, ~15 s in release, minutes in debug) is `#[ignore]`d and
-//! run explicitly by the bench harness / `cargo test -- --ignored`.
+//! run by the CI `oracles` job / `cargo test --release -- --ignored`.
 
 use mvq_core::{Census, EXPECTED_TABLE_2};
 
