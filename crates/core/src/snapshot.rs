@@ -580,8 +580,8 @@ impl<W: SearchWidth> SearchEngine<W> {
 
 /// Snapshot bytes, shared: a clone hands out the same buffer.
 ///
-/// [`SynthesisEngine::load_snapshot`] reads the file into one, and
-/// [`SynthesisEngine::snapshot_to_bytes`] returns one; it reads as a
+/// [`SearchEngine::load_snapshot`] reads the file into one, and
+/// [`SearchEngine::snapshot_to_bytes`] returns one; it reads as a
 /// `[u8]`. A buffer of 2 MiB or more is an owned mapping (see the
 /// module docs).
 #[derive(Clone)]

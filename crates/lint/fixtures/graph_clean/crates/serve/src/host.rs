@@ -1,22 +1,17 @@
-//! The sanctioned shapes: ascending acquisition, conditional guards
-//! that die with their body, and reasoned suppressions.
+//! The sanctioned shapes: ascending acquisition (also after a condvar
+//! wait), conditional guards that die with their body, drop glue run
+//! with nothing held, and reasoned suppressions.
 
 pub struct Host {
-    registry: RankedMutex<Tables>,
-    engine: RankedRwLock<Engine>,
-    flight: RankedMutex<Flight>,
+    // lint: lock-order(registry < engine < flight)
+    registry: Mutex<Tables>,
+    engine: RwLock<Engine>,
+    flight: Mutex<Flight>,
+    landed: Condvar,
 }
 
 impl Host {
-    pub fn new() -> Self {
-        Self {
-            registry: RankedMutex::new(REGISTRY_RANK, Tables::new()),
-            engine: RankedRwLock::new(ENGINE_RANK, Engine::new()),
-            flight: RankedMutex::new(FLIGHT_RANK, Flight::new()),
-        }
-    }
-
-    /// Ascending ranks: 10 then 20 — fine.
+    /// Ascending order: `registry`, then `engine` — fine.
     pub fn ordered(&self) {
         let r = self.registry.lock();
         let e = self.engine.write();
@@ -39,6 +34,26 @@ impl Host {
         drop(r);
     }
 
+    /// The wait hands the registry guard back; the engine lock above
+    /// it is still taken in ascending order.
+    pub fn read_after_wait(&self, dur: Duration) {
+        let r = self.registry.lock();
+        let (r, _timeout) = self.landed.wait_timeout(r, dur);
+        let e = self.engine.read();
+        drop(e);
+        drop(r);
+    }
+
+    /// The flight guard dies with its block; the reset's drop glue
+    /// re-takes `flight` at the closing brace, with nothing held.
+    pub fn reset_after_flight(&self) {
+        let reset = FlightReset(self);
+        {
+            let f = self.flight.lock();
+            drop(f);
+        }
+    }
+
     /// A vetted inversion, suppressed at the acquisition site.
     pub fn pinned(&self) {
         let f = self.flight.lock();
@@ -59,5 +74,15 @@ impl Host {
     pub fn audited(&self) -> u32 {
         // lint: allow(panic) helper is vetted: its input is a compile-time constant
         vetted()
+    }
+}
+
+/// Clears the flight state however the expansion exits.
+struct FlightReset<'a>(&'a Host);
+
+impl Drop for FlightReset<'_> {
+    fn drop(&mut self) {
+        let f = self.0.flight.lock();
+        drop(f);
     }
 }

@@ -20,7 +20,7 @@
 //! typed-receiver hits: extra edges cost chain noise, missing edges
 //! cost soundness, and the fixture corpus locks the balance.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::lexer::Lexed;
 use crate::parser::{Callee, ChainSeg, FileIndex, FnItem, LocalHint, TypeShape};
@@ -180,8 +180,10 @@ pub struct Graph<'a> {
     known_types: HashSet<String>,
     structs: HashMap<String, &'a HashMap<String, TypeShape>>,
     aliases: HashMap<String, TypeShape>,
-    /// Ranked lock field name → rank order.
-    pub field_ranks: BTreeMap<String, u32>,
+    /// Lock field names in their declared acquisition order, lowest
+    /// first: the first `// lint: lock-order(…)` annotation in workspace
+    /// order (empty when the tree declares none).
+    pub lock_order: Vec<String>,
 }
 
 impl<'a> Graph<'a> {
@@ -196,12 +198,11 @@ impl<'a> Graph<'a> {
             known_types: HashSet::new(),
             structs: HashMap::new(),
             aliases: HashMap::new(),
-            field_ranks: BTreeMap::new(),
+            lock_order: Vec::new(),
         };
-        let mut const_orders: HashMap<&str, u32> = HashMap::new();
         for (file_i, view) in views.iter().enumerate() {
-            for rc in &view.index.rank_consts {
-                const_orders.insert(&rc.name, rc.order);
+            if g.lock_order.is_empty() {
+                g.lock_order.clone_from(&view.allows.lock_order);
             }
             for name in &view.index.types {
                 g.known_types.insert(name.clone());
@@ -239,16 +240,22 @@ impl<'a> Graph<'a> {
                 }
             }
         }
-        // Field → order, resolved through the rank constants (bindings
-        // and constants may live in different files).
-        for view in views {
-            for (field, const_name) in &view.index.rank_fields {
-                if let Some(order) = const_orders.get(const_name.as_str()) {
-                    g.field_ranks.insert(field.clone(), *order);
-                }
-            }
-        }
         g
+    }
+
+    /// The rank of lock field `field`: its position in the declared
+    /// order.
+    pub fn lock_rank(&self, field: &str) -> Option<u32> {
+        let at = self.lock_order.iter().position(|name| name == field)?;
+        u32::try_from(at).ok()
+    }
+
+    /// The `Drop::drop` fn of workspace type `ty`, if it implements one.
+    pub fn drop_glue(&self, ty: &str) -> Option<usize> {
+        let ids = self.methods.get(&(ty.to_string(), "drop".to_string()))?;
+        ids.iter()
+            .copied()
+            .find(|&id| self.item(id).trait_name.as_deref() == Some("Drop"))
     }
 
     /// The workspace-relative path of `fn_id`'s file.
@@ -262,7 +269,7 @@ impl<'a> Graph<'a> {
     }
 
     /// Whether `fn_id` is test code: a `#[cfg(test)]` / `#[test]` item,
-    /// or any function in a file under `tests/` or `benches/`. No
+    /// or any function in a file under `tests/`. No
     /// program path runs it, so no pass reaches or reports it (a trait
     /// method a test file implements resolves by name only).
     pub fn is_test(&self, fn_id: usize) -> bool {

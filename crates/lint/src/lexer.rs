@@ -16,8 +16,8 @@ pub enum TokenKind {
     /// One punctuation character (`<`, `:`, `#`, …). Multi-character
     /// operators arrive as consecutive tokens.
     Punct,
-    /// A numeric literal (`10`, `0xFF`, `1_000u64`). The parser reads
-    /// rank orders out of these; the token rules treat them as opaque.
+    /// A numeric literal (`10`, `0xFF`, `1_000u64`). The parser follows
+    /// tuple fields through these; the token rules treat them as opaque.
     Number,
 }
 
@@ -338,8 +338,8 @@ impl Lexer {
     }
 
     /// Numbers are emitted as [`TokenKind::Number`] tokens: the token
-    /// rules skip them, while the item parser reads lock-rank orders out
-    /// of them. Digits plus any suffix or float tail are one token so
+    /// rules skip them, while the item parser follows tuple fields
+    /// (`self.0`) through them. Digits plus any suffix or float tail are one token so
     /// `1e5`, `0xFF`, `1_000u64` never shed ident fragments — but a `.`
     /// is only part of the number when a digit follows, so method calls
     /// on literals (`1.to_string()`) are not swallowed.

@@ -5,7 +5,7 @@
 //! out syn/miri/loom, so the pass is hand-rolled: a small comment- and
 //! string-aware lexer ([`lexer`]) feeds the per-file rules ([`rules`]),
 //! and an item-level parser ([`parser`]) feeds a workspace call graph
-//! ([`callgraph`]) for the call-graph passes ([`passes`]). Seven rules,
+//! ([`callgraph`]) for the call-graph passes (`passes`). Seven rules,
 //! one per hazard:
 //!
 //! | rule | kind | scope | invariant |
@@ -16,7 +16,7 @@
 //! | `threads` | file | workspace-wide | `thread::spawn`/`scope` only in `par.rs` and the serve accept loop |
 //! | `persistence` | file | snapshot codec | file publication goes through the durable-write helper, never bare `fs::write`/`File::create` |
 //! | `obs` | reach + file | `mvq_obs` increment path and every fn it reaches; registrations workspace-wide | no locks, allocations or I/O where counters bump; registered metric names are snake_case with a unit suffix (`_us`/`_bytes`/`_total`) |
-//! | `lock_order` | graph | serve ranked locks, every fn | every static path acquires ranks strictly ascending while a guard is live |
+//! | `lock_order` | graph | the serve locks ordered by a `// lint: lock-order(a < b < …)` annotation, every fn | every static path acquires them strictly in the declared order while a guard is live, counting guards condvar waits hand back and locks `Drop` glue takes |
 //!
 //! A *reach* rule reports a site in its root files with no frames, and
 //! a site in any other fn a root reaches with the call chain.
@@ -174,9 +174,10 @@ impl fmt::Display for Report {
 }
 
 /// Lints the workspace rooted at `root`: every `.rs` file under
-/// `crates/`, `tests/`, and `examples/` (skipping [`SKIP_DIRS`]) gets
-/// the per-file rules, then the call-graph passes run over the whole
-/// workspace. Parsing is content-cached and spread over worker threads.
+/// `crates/`, `tests/`, and `examples/` (skipping build output, the
+/// fixture corpus and the vendored shims) gets the per-file rules,
+/// then the call-graph passes run over the whole workspace. Parsing is
+/// content-cached and spread over worker threads.
 ///
 /// # Errors
 ///

@@ -2,11 +2,10 @@
 //!
 //! The interprocedural passes need just enough structure to build a
 //! workspace call graph: function items (with impl/trait attribution
-//! and parameter/return types), struct field types, type aliases, call
-//! expressions with their receiver chains, and the lock-rank constants
-//! plus the fields bound to them. Everything is recovered from the
-//! [`crate::lexer`] token stream in one linear walk — no `syn`, no
-//! allocation of a real AST. The parser is deliberately tolerant:
+//! and parameter/return types), struct field types, type aliases, and
+//! call expressions with their receiver chains. Everything is recovered
+//! from the [`crate::lexer`] token stream in one linear walk — no `syn`,
+//! no allocation of a real AST. The parser is deliberately tolerant:
 //! anything it cannot classify is skipped, and downstream resolution
 //! treats missing information as "unknown" rather than guessing.
 
@@ -15,7 +14,7 @@ use std::collections::HashMap;
 use crate::lexer::{Lexed, Token, TokenKind};
 
 /// A normalized type: smart pointers, lock wrappers, and `Result`/
-/// `Option` layers are stripped so `Arc<RankedRwLock<SearchEngine<W>>>`
+/// `Option` layers are stripped so `Arc<RwLock<SearchEngine<W>>>`
 /// and `SearchEngine` compare equal; containers keep their element
 /// shape so `.values()`/`.iter()` can be followed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +74,7 @@ pub struct CallSite {
     /// Token index of the callee name (liveness walks key on this).
     pub tok: usize,
     /// `true` when the argument list is empty (`.lock()` vs
-    /// `.read(&mut buf)` — ranked acquisitions take no arguments).
+    /// `.read(&mut buf)` — lock acquisitions take no arguments).
     pub empty_args: bool,
 }
 
@@ -131,15 +130,6 @@ pub struct FnItem {
     pub is_test: bool,
 }
 
-/// A `const NAME: Rank = Rank { order: N, … }` lock-rank definition.
-#[derive(Debug)]
-pub struct RankConst {
-    /// The constant's name.
-    pub name: String,
-    /// Its `order` value.
-    pub order: u32,
-}
-
 /// Everything the parser recovered from one file.
 #[derive(Debug, Default)]
 pub struct FileIndex {
@@ -154,13 +144,8 @@ pub struct FileIndex {
     pub traits: Vec<String>,
     /// `type Alias = Target;` items, normalized.
     pub aliases: HashMap<String, TypeShape>,
-    /// Lock-rank constants defined here (non-test code only).
-    pub rank_consts: Vec<RankConst>,
-    /// `field: RankedMutex::new(CONST, …)` bindings: field → const name
-    /// (non-test code only).
-    pub rank_fields: Vec<(String, String)>,
     /// Token-index ranges (inclusive) of `#[cfg(test)]` / `#[test]`
-    /// items, as found by [`find_test_spans`].
+    /// items, as found by `find_test_spans`.
     pub test_spans: Vec<(usize, usize)>,
 }
 
@@ -291,7 +276,6 @@ impl Parser<'_> {
                     "struct" => self.struct_item(),
                     "enum" | "union" => self.enum_item(),
                     "type" => self.type_alias(),
-                    "const" => self.const_item(),
                     "let" => self.let_bind(),
                     "for" => self.for_bind(),
                     _ => self.maybe_call(),
@@ -346,7 +330,7 @@ impl Parser<'_> {
         j
     }
 
-    /// Parses a type path at `j` (`serve::lockrank::ReadGuard<'a, T>`),
+    /// Parses a type path at `j` (`std::sync::RwLockReadGuard<'a, T>`),
     /// returning `(last_segment, index_past_path_and_generics)`.
     fn path_at(&self, mut j: usize) -> Option<(String, usize)> {
         if !self.is_ident_at(j) {
@@ -759,36 +743,6 @@ impl Parser<'_> {
         self.i = k + 1;
     }
 
-    /// `const NAME: Rank = Rank { … order: N … }` rank definitions.
-    /// Other consts just advance.
-    fn const_item(&mut self) {
-        let name_tok = self.i + 1;
-        if self.is_ident_at(name_tok)
-            && self.tok(name_tok + 1).is_some_and(|t| t.is_punct(':'))
-            && self.tok(name_tok + 2).is_some_and(|t| t.is_ident("Rank"))
-            && !self.idx.in_test_span(self.i)
-        {
-            let limit = self.t.len().min(name_tok + 64);
-            let mut k = name_tok + 3;
-            while k < limit && !self.t[k].is_punct(';') {
-                if self.t[k].is_ident("order")
-                    && self.tok(k + 1).is_some_and(|t| t.is_punct(':'))
-                    && self.tok(k + 2).is_some_and(|t| t.kind == TokenKind::Number)
-                {
-                    if let Ok(order) = self.t[k + 2].text.parse::<u32>() {
-                        self.idx.rank_consts.push(RankConst {
-                            name: self.t[name_tok].text.clone(),
-                            order,
-                        });
-                    }
-                    break;
-                }
-                k += 1;
-            }
-        }
-        self.i += 1;
-    }
-
     /// Records a typed `let` binding for the innermost fn, then lets the
     /// main loop re-walk the RHS tokens (so calls inside it are seen).
     fn let_bind(&mut self) {
@@ -1025,9 +979,6 @@ impl Parser<'_> {
             return;
         }
         let Some(fn_id) = self.current_fn() else {
-            // Rank field bindings can sit in any fn (constructors) —
-            // but `RankedMutex::new` outside a fn body is config, not
-            // code; skip.
             return;
         };
         let name = self.t[i].text.clone();
@@ -1055,15 +1006,6 @@ impl Parser<'_> {
             Callee::Method { name, recv }
         } else if i >= 2 && self.is_path_sep(i - 2) {
             let qualifier = self.path_qualifier(i);
-            // `field: RankedMutex::new(CONST, …)` rank bindings.
-            if let Some(q) = &qualifier {
-                if (q == "RankedMutex" || q == "RankedRwLock")
-                    && self.t[i].is_ident("new")
-                    && !self.idx.in_test_span(i)
-                {
-                    self.record_rank_field(i);
-                }
-            }
             Callee::Path { qualifier, name }
         } else {
             Callee::Free { name }
@@ -1117,42 +1059,6 @@ impl Parser<'_> {
             }
         }
         None
-    }
-
-    /// At `RankedMutex::new` (name index `name_i`): if this initializes
-    /// a struct-literal field (`field: RankedMutex::new(CONST, …)`),
-    /// record the field → rank-const binding.
-    fn record_rank_field(&mut self, name_i: usize) {
-        if name_i < 5 {
-            return;
-        }
-        let q = name_i - 3; // the qualifier ident of `Qual::new`
-        if self.t[q].kind != TokenKind::Ident {
-            return;
-        }
-        // Before the qualifier: a single `:` (struct-literal field
-        // separator — not `::`), preceded by the field name.
-        let colon = q - 1;
-        if !self.t[colon].is_punct(':') || self.t[colon - 1].is_punct(':') {
-            return;
-        }
-        let field = &self.t[colon - 1];
-        if field.kind != TokenKind::Ident {
-            return;
-        }
-        // First argument must be a bare constant name.
-        if !self.tok(name_i + 1).is_some_and(|t| t.is_punct('(')) {
-            return;
-        }
-        let Some(c) = self.tok(name_i + 2) else {
-            return;
-        };
-        if c.kind != TokenKind::Ident {
-            return;
-        }
-        self.idx
-            .rank_fields
-            .push((field.text.clone(), c.text.clone()));
     }
 
     /// Builds the receiver chain of the method call whose name sits at
@@ -1227,7 +1133,7 @@ impl Parser<'_> {
 
 /// The wrapper types normalization strips down to their (first
 /// non-lifetime) type argument.
-const WRAPPERS: [&str; 24] = [
+const WRAPPERS: [&str; 16] = [
     "Arc",
     "Rc",
     "Box",
@@ -1238,17 +1144,9 @@ const WRAPPERS: [&str; 24] = [
     "OnceLock",
     "Mutex",
     "RwLock",
-    "RankedMutex",
-    "RankedRwLock",
     "MutexGuard",
     "RwLockReadGuard",
     "RwLockWriteGuard",
-    "RankedReadGuard",
-    "RankedWriteGuard",
-    "RankedMutexGuard",
-    "ReadGuard",
-    "WriteGuard",
-    "LockGuard",
     "LockResult",
     "PoisonError",
     "ManuallyDrop",
@@ -1502,7 +1400,7 @@ mod tests {
             "SearchEngine"
         );
         assert_eq!(
-            shape("Result<WriteGuard<'_, SearchEngine<W>>, HostError>")
+            shape("Result<RwLockWriteGuard<'_, SearchEngine<W>>, HostError>")
                 .unwrap()
                 .head,
             "SearchEngine"
@@ -1572,23 +1470,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_consts_and_fields_are_discovered() {
-        let idx = index(
-            "pub const ENGINE_RANK: Rank = Rank { order: 20, name: \"engine\" };\nstruct H { engine: RankedRwLock<Engine> }\nimpl H {\n fn new() -> Self {\n  Self { engine: RankedRwLock::new(ENGINE_RANK, Engine::new()) }\n }\n}\n",
-        );
-        assert_eq!(idx.rank_consts.len(), 1);
-        assert_eq!(idx.rank_consts[0].name, "ENGINE_RANK");
-        assert_eq!(idx.rank_consts[0].order, 20);
-        assert!(idx
-            .rank_fields
-            .iter()
-            .any(|(f, c)| f == "engine" && c == "ENGINE_RANK"));
-    }
-
-    #[test]
     fn guard_returning_fns_are_flagged() {
         let idx = index(
-            "impl H {\n fn flight_lock(&self) -> Result<LockGuard<'_, Flight>, E> {\n  self.flight.lock().map_err(E::from)\n }\n fn plain(&self) -> u32 { 0 }\n}\n",
+            "impl H {\n fn flight_lock(&self) -> Result<MutexGuard<'_, Flight>, E> {\n  self.flight.lock().map_err(E::from)\n }\n fn plain(&self) -> u32 { 0 }\n}\n",
         );
         assert!(idx.fns[0].ret_mentions_guard);
         assert!(!idx.fns[1].ret_mentions_guard);

@@ -3,7 +3,7 @@
 //! [`hazards`] defines `determinism`, `panic` and `obs` once each: a
 //! site in a root file is a zero-frame finding, and a site a root
 //! reaches elsewhere is reported with the full call chain from a
-//! nearest root. [`lock_order`] checks ranked lock acquisitions along
+//! nearest root. [`lock_order`] checks the declared lock order along
 //! every chain. An edge whose call line carries a reasoned
 //! `// lint: allow(<rule>)` cuts the whole subtree, and a site whose
 //! line carries one is skipped — the same annotation silences a finding

@@ -4,13 +4,13 @@
 //! workspace-relative path: `unsafe`, `threads` and `persistence`, plus
 //! the metric-name half of `obs`. The hazards that can also arrive
 //! through a call — `determinism`, `panic` and the increment-path half
-//! of `obs` — are defined once each in [`crate::passes`], and
+//! of `obs` — are defined once each in `crate::passes`, and
 //! `lock_order` lives there too.
 //!
-//! Test code — files under `tests/` or `benches/`, and `#[cfg(test)]` /
-//! `#[test]` items inside `src` files — is exempt from the behavioural
-//! rules but **not** from the unsafe audit: a SAFETY justification is
-//! owed everywhere.
+//! Test code — files under `tests/`, and `#[cfg(test)]` / `#[test]`
+//! items inside `src` files — is exempt from the behavioural rules but
+//! **not** from the unsafe audit: a SAFETY justification is owed
+//! everywhere.
 
 use std::fmt;
 
@@ -40,9 +40,9 @@ pub enum Rule {
     /// chain, and every counter/histogram registration names a
     /// snake_case metric with a unit suffix.
     Obs,
-    /// Interprocedural: ranked serve locks are only ever acquired in
-    /// ascending rank order, on every static call path (the compile-time
-    /// twin of the runtime lock-rank witness).
+    /// Interprocedural: the serve locks are only ever acquired in the
+    /// order a `// lint: lock-order(…)` annotation declares, on every
+    /// static call path.
     LockOrder,
 }
 
@@ -162,10 +162,9 @@ const UNIT_SUFFIXES: [&str; 3] = ["_us", "_bytes", "_total"];
 /// fit; a stale comment three screens up does not).
 const SAFETY_WINDOW: u32 = 8;
 
-/// Whether the whole file at `rel` is test or bench code.
+/// Whether the whole file at `rel` is test code.
 pub(crate) fn is_test_file(rel: &str) -> bool {
-    rel.split('/')
-        .any(|part| part == "tests" || part == "benches")
+    rel.split('/').any(|part| part == "tests")
 }
 
 /// The per-file rule passes over an already-lexed and parsed file (the
@@ -196,28 +195,46 @@ pub(crate) fn check_lexed(
     violations
 }
 
-/// Parsed `// lint: allow(<key>) <reason>` annotations, by line.
+/// A file's `// lint: …` annotations: the per-line
+/// `allow(<key>) <reason>` escapes, and the lock order a
+/// `lock-order(a < b < …)` line declares.
 pub(crate) struct Allows {
     /// `(line the comment ends on, key, reason_present)`.
     entries: Vec<(u32, String, bool)>,
+    /// Lock field names, lowest first, from the file's first
+    /// `// lint: lock-order(…)` annotation (empty without one).
+    pub(crate) lock_order: Vec<String>,
 }
 
 impl Allows {
     pub(crate) fn parse(comments: &[Comment]) -> Self {
-        let entries = comments
-            .iter()
-            .filter_map(|c| {
-                let rest = c.text.strip_prefix("lint:")?.trim_start();
-                let rest = rest.strip_prefix("allow(")?;
-                let (key, reason) = rest.split_once(')')?;
-                Some((
+        let mut entries = Vec::new();
+        let mut lock_order = Vec::new();
+        for c in comments {
+            let Some(rest) = c.text.strip_prefix("lint:") else {
+                continue;
+            };
+            let rest = rest.trim_start();
+            if let Some((key, reason)) = rest.strip_prefix("allow(").and_then(|r| r.split_once(')'))
+            {
+                entries.push((
                     c.end_line,
                     key.trim().to_string(),
                     !reason.trim().is_empty(),
-                ))
-            })
-            .collect();
-        Self { entries }
+                ));
+            } else if let Some((order, _)) = rest
+                .strip_prefix("lock-order(")
+                .and_then(|r| r.split_once(')'))
+            {
+                if lock_order.is_empty() {
+                    lock_order = order.split('<').map(|n| n.trim().to_string()).collect();
+                }
+            }
+        }
+        Self {
+            entries,
+            lock_order,
+        }
     }
 
     /// Whether `line` (or the line above it) carries `allow(key)`.
@@ -628,11 +645,13 @@ mod tests {
             "fn f() { std::thread::scope(|s| {}); }"
         )
         .is_empty());
-        assert!(check(
-            "crates/bench/benches/synthesis.rs",
-            "fn f() { std::thread::scope(|s| {}); }"
-        )
-        .is_empty());
+        // A `benches/` directory is not test code.
+        let v = check(
+            "crates/sim/benches/load.rs",
+            "fn f() { std::thread::scope(|s| {}); }",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::Concurrency);
         // Test files and #[cfg(test)] regions may spawn.
         assert!(check("tests/tests/x.rs", "fn f() { std::thread::spawn(|| {}); }").is_empty());
         assert!(check(
@@ -776,6 +795,19 @@ mod tests {
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 6, "{v:?}");
+    }
+
+    #[test]
+    fn lock_order_annotation_is_parsed() {
+        let lexed = crate::lexer::lex(
+            "// lint: allow(panic) vetted\n\
+             // lint: lock-order(hosts < recovery <engine< flight)\n\
+             // lint: lock-order(ignored < second)\n",
+        );
+        let allows = Allows::parse(&lexed.comments);
+        assert_eq!(allows.lock_order, ["hosts", "recovery", "engine", "flight"]);
+        assert_eq!(allows.lookup(2, "panic"), Some(true));
+        assert!(Allows::parse(&[]).lock_order.is_empty());
     }
 
     #[test]

@@ -50,7 +50,6 @@
 mod host;
 mod http;
 mod json;
-mod lockrank;
 mod obs;
 mod server;
 

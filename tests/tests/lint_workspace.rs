@@ -1,9 +1,10 @@
 //! The lint gate, exercised in-process: the committed tree must be
 //! clean under all seven rules within a 5 s budget, and — mutation-style
-//! — seeding a rank-inverted lock acquisition into a copy of the real
-//! `host.rs` must trip the interprocedural lock-order pass with the
-//! correct multi-frame call chain. The second half proves the pass
-//! actually *watches* the code the first half declares clean.
+//! — seeding a lock-order inversion into a copy of the real `host.rs`
+//! must trip the interprocedural lock-order pass with the correct call
+//! chain, for every shape of inversion the pass tracks. The second half
+//! proves the pass actually *watches* the code the first half declares
+//! clean.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -40,7 +41,7 @@ fn committed_tree_is_lint_clean() {
     );
 }
 
-/// Copies the real serve lock code into `root`, optionally appending
+/// Copies the real serve host into `root`, optionally appending
 /// `extra` to `host.rs`. A minimal `SearchEngine` stub stands in for
 /// `crates/core` so that method calls through engine guards resolve to
 /// their real (lock-free) receiver type instead of falling back by
@@ -52,7 +53,6 @@ fn stage_serve_copy(root: &Path, extra: &str) {
     let mut host = fs::read_to_string(src_dir.join("host.rs")).expect("read host.rs");
     host.push_str(extra);
     fs::write(dst_dir.join("host.rs"), host).expect("write host.rs");
-    fs::copy(src_dir.join("lockrank.rs"), dst_dir.join("lockrank.rs")).expect("copy lockrank.rs");
     let core_dir = root.join("crates/core/src");
     fs::create_dir_all(&core_dir).expect("create core stub dir");
     fs::write(core_dir.join("engine.rs"), ENGINE_STUB).expect("write engine stub");
@@ -86,7 +86,99 @@ impl<W> SearchEngine<W> {
 }
 "#;
 
-const SEED: &str = r#"
+/// One seeded inversion: source appended to the staged `host.rs`, plus
+/// what its single finding must say and the call chain it must carry.
+struct Seed {
+    source: &'static str,
+    message: &'static str,
+    frames: &'static [&'static str],
+}
+
+const SEEDS: [Seed; 5] = [
+    // (a) A guard moved into a call in a returning branch is still held
+    // after the branch.
+    Seed {
+        source: r#"
+impl<W: SearchWidth> EngineHost<W> {
+    fn moved_in_branch_seed(&self, early: bool) -> Result<u64, HostError> {
+        let flight = self.flight_lock()?;
+        if early {
+            return Ok(release(flight));
+        }
+        let engine = self.engine_read()?;
+        drop(engine);
+        drop(flight);
+        Ok(0)
+    }
+}
+
+fn release<T>(guard: T) -> u64 {
+    drop(guard);
+    0
+}
+"#,
+        message: "call chain acquires `recovery` while holding `flight`",
+        frames: &["moved_in_branch_seed", "engine_read", "heal"],
+    },
+    // (b) The same, with the guard dropped in the branch.
+    Seed {
+        source: r#"
+impl<W: SearchWidth> EngineHost<W> {
+    fn dropped_in_branch_seed(&self, early: bool) -> Result<u64, HostError> {
+        let flight = self.flight_lock()?;
+        if early {
+            drop(flight);
+            return Ok(0);
+        }
+        let engine = self.engine_read()?;
+        drop(engine);
+        drop(flight);
+        Ok(0)
+    }
+}
+"#,
+        message: "call chain acquires `recovery` while holding `flight`",
+        frames: &["dropped_in_branch_seed", "engine_read", "heal"],
+    },
+    // (c) The guard a condvar wait hands back, held across a read.
+    Seed {
+        source: r#"
+impl<W: SearchWidth> EngineHost<W> {
+    fn condvar_wait_seed(&self, budget: Duration) -> Result<u64, HostError> {
+        let flight = self.flight_lock()?;
+        let (flight, _timeout) = self.landed.wait_timeout(flight, budget)?;
+        let engine = self.engine_read()?;
+        drop(engine);
+        drop(flight);
+        Ok(0)
+    }
+}
+"#,
+        message: "call chain acquires `recovery` while holding `flight`",
+        frames: &["condvar_wait_seed", "engine_read", "heal"],
+    },
+    // (d) A `FlightReset` dropped while the flight guard is held: its
+    // drop glue re-takes `flight`.
+    Seed {
+        source: r#"
+impl<W: SearchWidth> EngineHost<W> {
+    fn drop_glue_seed(&self) -> Result<u64, HostError> {
+        let reset = FlightReset(self);
+        let flight = self.flight_lock()?;
+        drop(reset);
+        drop(flight);
+        Ok(0)
+    }
+}
+"#,
+        message: "drop glue acquires `flight` while holding `flight`",
+        frames: &["drop_glue_seed", "drop"],
+    },
+    // (e) Holding the flight guard while the `engine_write` chain takes
+    // a lower lock: the pass reports the lowest one it reaches, the
+    // recovery lock taken inside `heal`.
+    Seed {
+        source: r#"
 impl<W: SearchWidth> EngineHost<W> {
     fn rank_inversion_seed(&self) -> Result<u32, HostError> {
         let flight = self.flight_lock()?;
@@ -96,46 +188,36 @@ impl<W: SearchWidth> EngineHost<W> {
         Ok(0)
     }
 }
-"#;
+"#,
+        message: "call chain acquires `recovery` while holding `flight`",
+        frames: &["rank_inversion_seed", "engine_write", "heal"],
+    },
+];
 
 #[test]
 fn seeded_rank_inversion_is_caught_with_the_call_chain() {
     let base = std::env::temp_dir().join(format!("mvq_lint_mutation_{}", std::process::id()));
     let unmutated = base.join("unmutated");
-    let mutated = base.join("mutated");
     stage_serve_copy(&unmutated, "");
-    stage_serve_copy(&mutated, SEED);
 
-    // Control: the extracted pair alone is clean, so whatever the
-    // mutated copy reports comes from the seed.
+    // Control: the extracted pair alone is clean, so whatever a mutated
+    // copy reports comes from its seed.
     let control = check_workspace(&unmutated).expect("lint walk");
     assert!(control.clean(), "control copy: {:#?}", control.violations);
 
-    let report = check_workspace(&mutated).expect("lint walk");
-    let lock_findings: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == Rule::LockOrder)
-        .collect();
-    assert_eq!(
-        report.violations.len(),
-        lock_findings.len(),
-        "{:#?}",
-        report.violations
-    );
-    assert_eq!(lock_findings.len(), 1, "{:#?}", report.violations);
-    let v = lock_findings[0];
-    assert_eq!(v.file, "crates/serve/src/host.rs");
-    // Holding the flight guard (rank 30) while the engine_write chain
-    // acquires a lower rank — the pass reports the lowest transitive
-    // acquisition, the recovery lock (rank 15) taken inside `heal`.
-    assert!(v.message.contains("rank 15"), "{}", v.message);
-    assert!(v.message.contains("rank 30"), "{}", v.message);
-    assert!(v.frames.len() >= 2, "{:#?}", v.frames);
-    assert_eq!(v.frames[0].function, "rank_inversion_seed");
-    assert_eq!(v.frames[1].function, "engine_write", "{:#?}", v.frames);
-    assert_eq!(v.frames.last().unwrap().function, "heal", "{:#?}", v.frames);
-    assert_eq!(v.frames.last().unwrap().line, v.line);
+    for (i, seed) in SEEDS.iter().enumerate() {
+        let mutated = base.join(format!("mutated_{i}"));
+        stage_serve_copy(&mutated, seed.source);
+        let report = check_workspace(&mutated).expect("lint walk");
+        assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
+        let v = &report.violations[0];
+        assert_eq!(v.rule, Rule::LockOrder, "{v}");
+        assert_eq!(v.file, "crates/serve/src/host.rs");
+        assert!(v.message.contains(seed.message), "{v}");
+        let frames: Vec<&str> = v.frames.iter().map(|f| f.function.as_str()).collect();
+        assert_eq!(frames, seed.frames, "{v}");
+        assert_eq!(v.frames.last().unwrap().line, v.line);
+    }
 
     fs::remove_dir_all(&base).ok();
 }
