@@ -413,37 +413,32 @@ fn install_serve_snapshot(
     // degrading); Err = healthy but incompatible (fatal).
     let attempt = |file: &std::path::Path| -> Result<bool, Box<dyn Error>> {
         let shown = file.display();
-        let bytes = match std::fs::read(file) {
-            Ok(bytes) => bytes,
-            Err(err) => {
-                eprintln!("warning: snapshot {shown} unreadable ({err})");
-                return Ok(false);
-            }
-        };
         // The file's recorded widths decide which engine loads it: try
         // the narrow engine, fall back to the wide one on its
         // (header-only) width mismatch.
-        let torn = match SynthesisEngine::load_snapshot_from_bytes(&bytes, threads) {
+        let failed = match SynthesisEngine::load_snapshot_with_threads(file, threads) {
             Ok(engine) => {
                 announce_snapshot(&shown.to_string(), &engine);
                 registry.install(engine)?;
                 return Ok(true);
             }
             Err(SnapshotError::WidthMismatch { .. }) => {
-                match WideSynthesisEngine::load_snapshot_from_bytes(&bytes, threads) {
+                match WideSynthesisEngine::load_snapshot_with_threads(file, threads) {
                     Ok(engine) => {
                         announce_snapshot(&shown.to_string(), &engine);
                         registry.install(engine)?;
                         return Ok(true);
                     }
-                    Err(err) if err.is_corruption() => err,
-                    Err(err) => return Err(err.into()),
+                    Err(err) => err,
                 }
             }
-            Err(err) if err.is_corruption() => err,
-            Err(err) => return Err(err.into()),
+            Err(err) => err,
         };
-        eprintln!("warning: snapshot {shown} is torn ({torn})");
+        match failed {
+            SnapshotError::Io(err) => eprintln!("warning: snapshot {shown} unreadable ({err})"),
+            err if err.is_corruption() => eprintln!("warning: snapshot {shown} is torn ({err})"),
+            err => return Err(err.into()),
+        }
         Ok(false)
     };
     if attempt(std::path::Path::new(path))? {

@@ -1,6 +1,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 use mvq_logic::{Gate, GateLibrary};
 use mvq_obs::ProbeHandle;
@@ -251,9 +252,10 @@ pub struct SearchEngine<W: SearchWidth> {
     pub(crate) levels: Vec<Vec<Handle>>,
     /// Per-level S-traces, parallel to `levels` (see [`Self::trace_of`]).
     pub(crate) level_traces: Vec<Vec<W::Trace>>,
-    /// Lazily built per-level join index: S-trace → indices into the
-    /// level's handle vector.
-    pub(crate) trace_index: Vec<Option<TraceIndex<W::Trace>>>,
+    /// Per-level join index: S-trace → indices into the level's handle
+    /// vector, built by the first query that joins against the level
+    /// (see [`Self::trace_index`]).
+    pub(crate) trace_index: Vec<OnceLock<TraceIndex<W::Trace>>>,
     /// Reversible classes: binary restriction → minimal cost + witnesses.
     pub(crate) classes: HashMap<W::Word, GClass<W>, FnvBuildHasher>,
     /// Per-level index of class keys: the restrictions first realized at
@@ -537,7 +539,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// `true` once the reachable search space is fully enumerated.
-    pub(crate) fn exhausted(&self) -> bool {
+    pub fn exhausted(&self) -> bool {
         self.pending.is_empty() && self.deferred_frontier.is_none() && self.unexpanded.is_none()
     }
 
@@ -691,7 +693,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         while self.levels.len() < cost as usize {
             self.levels.push(Vec::new());
             self.level_traces.push(Vec::new());
-            self.trace_index.push(None);
+            self.trace_index.push(OnceLock::new());
             self.class_levels.push(Vec::new());
             self.b_counts.push(0);
             self.g_counts.push(0);
@@ -700,7 +702,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         self.g_counts.push(g_new.len());
         self.levels.push(handles);
         self.level_traces.push(traces);
-        self.trace_index.push(None);
+        self.trace_index.push(OnceLock::new());
         self.class_levels.push(g_new);
         self.completed = Some(cost);
         self.unexpanded = Some(SettledLevel {
@@ -798,26 +800,19 @@ impl<W: SearchWidth> SearchEngine<W> {
         }
     }
 
-    /// Builds (once) the S-trace join index for level `f`.
-    pub(crate) fn ensure_trace_index(&mut self, f: u32) {
-        let f = f as usize;
-        if self.trace_index[f].is_none() {
+    /// The S-trace join index for level `f`, built on first use. The
+    /// build runs through a shared reference, so concurrent readers of a
+    /// warm engine build each level's index once, without a writer.
+    pub(crate) fn trace_index(&self, f: u32) -> &TraceIndex<W::Trace> {
+        let traces = &self.level_traces[f as usize];
+        self.trace_index[f as usize].get_or_init(|| {
             let mut index: TraceIndex<W::Trace> =
-                HashMap::with_capacity_and_hasher(self.level_traces[f].len(), Default::default());
-            for (i, &trace) in self.level_traces[f].iter().enumerate() {
+                HashMap::with_capacity_and_hasher(traces.len(), Default::default());
+            for (i, &trace) in traces.iter().enumerate() {
                 index.entry(trace).or_default().push(i as u32);
             }
-            self.trace_index[f] = Some(index);
-        }
-    }
-
-    /// The S-trace join index for level `f` (built by
-    /// [`Self::ensure_trace_index`]).
-    pub(crate) fn trace_index_ref(&self, f: u32) -> &TraceIndex<W::Trace> {
-        self.trace_index[f as usize]
-            .as_ref()
-            // lint: allow(panic) callers run ensure_trace_index for the level first (internal contract)
-            .expect("ensure_trace_index was called for this level")
+            index
+        })
     }
 
     /// The paper's MCE (Minimum_Cost_Expressing) algorithm: synthesizes a

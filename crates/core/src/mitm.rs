@@ -325,15 +325,6 @@ impl<W: SearchWidth> SearchEngine<W> {
 
             let fwd_done = self.completed.map_or(0, |v| v);
             let back_done = back.settled;
-            // Build the join indexes up front: `join_at_cost` runs on a
-            // shared reference so the per-bucket scan can shard across
-            // the worker pool.
-            for b in 0..=back_done.min(c) {
-                let f = c - b;
-                if f <= fwd_done && !back.levels[b as usize].is_empty() {
-                    self.ensure_trace_index(f);
-                }
-            }
             if let Some(syn) = self.resolve_at_cost(&back, c, fwd_done, &not_layer) {
                 return Some(syn);
             }
@@ -361,10 +352,11 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// cost by the deepest backward level, so nothing below `cb` is
     /// missed.
     ///
-    /// Returns [`CachedBidirectional::NeedsPreparation`] when shared
-    /// state only a writer may build is missing — forward level 0 on a
-    /// cold engine, or a level's S-trace join index. Call
-    /// [`Self::prepare_bidirectional`] under a write lock, then retry.
+    /// The join indexes of the cached levels are built on first use,
+    /// through the shared reference. Returns
+    /// [`CachedBidirectional::NeedsPreparation`] only on a cold engine
+    /// (no forward level settled yet): settle one under a write lock,
+    /// then retry.
     pub fn synthesize_bidirectional_cached(&self, target: &Perm, cb: u32) -> CachedBidirectional {
         match self.cached_bidirectional(target, cb) {
             Some((result, _)) => CachedBidirectional::Resolved(result),
@@ -373,16 +365,13 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// [`Self::synthesize_bidirectional_cached`] together with the
-    /// backward frontier it grew, or `None` when preparation is missing.
+    /// backward frontier it grew, or `None` on a cold engine.
     fn cached_bidirectional(
         &self,
         target: &Perm,
         cb: u32,
     ) -> Option<(Option<Synthesis>, BackwardFrontier<W>)> {
         let usable = self.completed?.min(cb);
-        if (0..=usable).any(|f| self.trace_index[f as usize].is_none()) {
-            return None;
-        }
         let (key, not_layer) = self.reduce_target(target);
         let k = self.binary0.len();
         let mut back: BackwardFrontier<W> =
@@ -404,19 +393,20 @@ impl<W: SearchWidth> SearchEngine<W> {
         Some((None, back))
     }
 
-    /// Builds the shared state [`Self::synthesize_bidirectional_cached`]
-    /// reads: forward level 0 (settled) on a cold engine, plus the
-    /// S-trace join index of every cached level up to `cb`. Idempotent;
-    /// returns the number of forward level steps taken (0 or 1) so hosts
-    /// can meter the work.
+    /// Eager warm-up for [`Self::synthesize_bidirectional_cached`]:
+    /// settles forward level 0 on a cold engine, then builds the S-trace
+    /// join index of every cached level up to `cb` (which queries would
+    /// otherwise build on first use). Idempotent; returns the number of
+    /// forward level steps taken (0 or 1).
     pub fn prepare_bidirectional(&mut self, cb: u32) -> usize {
         let mut expanded = 0;
         if self.completed.is_none() && self.settle_one_level() {
             expanded = 1;
         }
-        let top = self.completed.map_or(0, |c| c.min(cb));
-        for f in 0..=top {
-            self.ensure_trace_index(f);
+        if let Some(done) = self.completed {
+            for f in 0..=done.min(cb) {
+                self.trace_index(f);
+            }
         }
         expanded
     }
@@ -462,9 +452,8 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// in deterministic scan order plus the count of distinct minimal
     /// cascades, or `None` when nothing joins at this cost.
     ///
-    /// Requires the S-trace index of every joinable forward level
-    /// (`ensure_trace_index`) to be built already — the scan runs on a
-    /// shared reference so each backward bucket goes through
+    /// The scan runs on a shared reference (each joined level's S-trace
+    /// index is built on first use), so each backward bucket goes through
     /// [`par::par_chunks`]: every chunk (the whole bucket, when it is too
     /// small to shard) folds a private distinct set and first-witness
     /// candidate, merged in chunk order for bit-identical results at any
@@ -486,7 +475,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             if bucket.is_empty() {
                 continue;
             }
-            let index = self.trace_index_ref(f);
+            let index = self.trace_index(f);
             let level = &self.levels[f as usize];
             let partials = par::par_chunks(&self.pool, bucket.len(), |start, end| {
                 let mut local = HashSet::default();
@@ -555,10 +544,9 @@ pub enum CachedBidirectional {
     /// definitive `None` — cost- and count-identical to a mutable
     /// [`SearchEngine::synthesize_bidirectional`] call.
     Resolved(Option<Synthesis>),
-    /// Shared state only a writer may build is missing (forward level 0
-    /// or a level's S-trace join index). Call
-    /// [`SearchEngine::prepare_bidirectional`] under a write lock, then
-    /// retry.
+    /// No forward level is settled yet (a cold engine). Settle one under
+    /// a write lock ([`SearchEngine::settle_one_level`] or
+    /// [`SearchEngine::prepare_bidirectional`]), then retry.
     NeedsPreparation,
 }
 
@@ -770,13 +758,30 @@ mod tests {
             e.synthesize_bidirectional_cached(&known::fredkin_perm(), 7),
             CachedBidirectional::NeedsPreparation
         ));
-        assert_eq!(e.prepare_bidirectional(7), 1);
-        // Forward level 0 alone now decides any query read-only; the
-        // backward frontier carries the full depth per query.
+        assert!(e.settle_one_level());
+        // Forward level 0 alone now decides any query read-only (its
+        // join index is built on first use); the backward frontier
+        // carries the full depth per query.
+        for target in [
+            Perm::identity(8),
+            known::peres_perm(),
+            known::toffoli_perm(),
+            known::fredkin_perm(),
+        ] {
+            for cb in [0, 4, 7] {
+                assert!(
+                    matches!(
+                        e.synthesize_bidirectional_cached(&target, cb),
+                        CachedBidirectional::Resolved(_)
+                    ),
+                    "{target} at cb {cb}"
+                );
+            }
+        }
         let CachedBidirectional::Resolved(Some(syn)) =
             e.synthesize_bidirectional_cached(&known::fredkin_perm(), 7)
         else {
-            panic!("prepared engine must resolve");
+            panic!("a settled level 0 must resolve");
         };
         assert_eq!(syn.cost, 7);
         assert_eq!(syn.implementation_count, 16);
@@ -787,18 +792,17 @@ mod tests {
         let CachedBidirectional::Resolved(missed) =
             e.synthesize_bidirectional_cached(&known::fredkin_perm(), 6)
         else {
-            panic!("prepared engine must resolve");
+            panic!("a settled level 0 must resolve");
         };
         assert!(missed.is_none());
-        // Deepening the forward cache invalidates the missing indexes;
-        // re-preparation is cheap (no expansion) and the warmer levels
-        // shorten the backward legs.
+        // Deepening the forward cache needs no preparation either: the
+        // new levels' indexes are built by the first join, and the
+        // warmer levels shorten the backward legs.
         e.expand_to_cost(3);
-        assert_eq!(e.prepare_bidirectional(7), 0);
         let CachedBidirectional::Resolved(Some(again)) =
             e.synthesize_bidirectional_cached(&known::toffoli_perm(), 7)
         else {
-            panic!("prepared engine must resolve");
+            panic!("a warm engine must resolve");
         };
         assert_eq!(again.cost, 5);
         assert_eq!(again.implementation_count, 4);

@@ -79,7 +79,7 @@ use std::fmt;
 use std::io;
 use std::ops::{Deref, Range};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mvq_logic::GateLibrary;
 use mvq_obs::ProbeHandle;
@@ -1172,7 +1172,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             engine.b_counts.push(count);
             engine.levels.push(handles);
             engine.level_traces.push(traces);
-            engine.trace_index.push(None);
+            engine.trace_index.push(OnceLock::new());
             engine.class_levels.push(class_keys);
         }
         r.finish("core")?;

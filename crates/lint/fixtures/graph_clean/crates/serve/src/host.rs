@@ -1,6 +1,8 @@
 //! The sanctioned shapes: ascending acquisition (also after a condvar
 //! wait), conditional guards that die with their body, drop glue run
-//! with nothing held, and reasoned suppressions.
+//! with nothing held, reasoned suppressions, and calls whose callee the
+//! graph types exactly (through a generic parameter, or a binding
+//! wrapped in `Arc::new`).
 
 pub struct Host {
     // lint: lock-order(registry < engine < flight)
@@ -69,6 +71,28 @@ impl Host {
         safe_value()
     }
 
+    /// `W::table()` names the generic parameter's method, not the free
+    /// `table` helper whose unwrap no serve path reaches.
+    pub fn width_table<W: Width>(&self) -> u32 {
+        W::table()
+    }
+
+    /// Takes the registry lock.
+    pub fn touch(&self) {
+        let r = self.registry.lock();
+        drop(r);
+    }
+
+    /// Holding the engine, touches a fresh `Arc`-wrapped `Inner`: the
+    /// binding is typed through `Arc::new`, so the call is
+    /// `Inner::touch` (no lock), not `Host::touch` (below `engine`).
+    pub fn touch_inner(&self) {
+        let e = self.engine.read();
+        let inner = Arc::new(Inner::new());
+        inner.touch();
+        drop(e);
+    }
+
     /// Serve request path whose *call edge* carries the suppression —
     /// the helper itself has no annotation.
     pub fn audited(&self) -> u32 {
@@ -84,5 +108,33 @@ impl Drop for FlightReset<'_> {
     fn drop(&mut self) {
         let f = self.0.flight.lock();
         drop(f);
+    }
+}
+
+/// A per-width constant, read through a generic parameter.
+pub trait Width {
+    fn table() -> u32;
+}
+
+pub struct Narrow;
+
+impl Width for Narrow {
+    fn table() -> u32 {
+        3
+    }
+}
+
+/// Shares its method name with the lock-taking `Host::touch`.
+pub struct Inner {
+    hits: u32,
+}
+
+impl Inner {
+    pub fn new() -> Self {
+        Inner { hits: 0 }
+    }
+
+    pub fn touch(&self) {
+        let _ = self.hits;
     }
 }

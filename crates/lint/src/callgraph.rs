@@ -14,7 +14,11 @@
 //!   (`get`, `insert`, `lock`, …) whose fallback would drown the graph
 //!   in false edges.
 //! * **Qualified paths** (`Type::method`, `module::helper`) resolve
-//!   through the type/alias table or the free-function table.
+//!   through the type/alias table or the free-function table. A
+//!   qualifier naming one of the caller's generic parameters
+//!   (`W::table_for(…)`) resolves by method name like an untyped
+//!   receiver; any other upper-case qualifier the workspace does not
+//!   define is a foreign type (`Arc::new`) and resolves to nothing.
 //!
 //! The result is a deliberate over-approximation everywhere except
 //! typed-receiver hits: extra edges cost chain noise, missing edges
@@ -421,11 +425,15 @@ impl<'a> Graph<'a> {
                 } else {
                     q.clone()
                 };
+                if self.item(caller).generics.contains(&q) {
+                    return self.by_name(name);
+                }
                 let q = self.resolve_alias_head(&q).head;
                 if let Some(ids) = self.methods.get(&(q.clone(), name.clone())) {
                     return ids.clone();
                 }
-                if self.known_types.contains(&q) {
+                if self.known_types.contains(&q) || q.starts_with(|c: char| c.is_ascii_uppercase())
+                {
                     return Vec::new();
                 }
                 // `module::helper(…)` — a module path, not a type.
@@ -440,12 +448,18 @@ impl<'a> Graph<'a> {
                         return Vec::new();
                     }
                 }
-                if STD_METHOD_NAMES.contains(&name.as_str()) {
-                    return Vec::new();
-                }
-                self.by_name_methods.get(name).cloned().unwrap_or_default()
+                self.by_name(name)
             }
         }
+    }
+
+    /// Every workspace method named `name`: the fallback for a callee
+    /// whose type is unknown, suppressed for common std method names.
+    fn by_name(&self, name: &str) -> Vec<usize> {
+        if STD_METHOD_NAMES.contains(&name) {
+            return Vec::new();
+        }
+        self.by_name_methods.get(name).cloned().unwrap_or_default()
     }
 
     /// Breadth-first reachability from `roots` over resolved call

@@ -108,6 +108,10 @@ pub struct FnItem {
     pub self_type: Option<String>,
     /// The trait being implemented/declared, if any.
     pub trait_name: Option<String>,
+    /// Type-parameter names in scope: the fn header's own plus, for a
+    /// method, its impl header's (`impl<W> Host<W> { fn f<T>() }` →
+    /// `["W", "T"]`).
+    pub generics: Vec<String>,
     /// 1-based line of the `fn` name.
     pub line: u32,
     /// Token index of the name (for test-span membership).
@@ -196,10 +200,12 @@ pub fn parse(lexed: &Lexed) -> FileIndex {
 
 /// What the next `{` opens.
 enum Pending {
-    /// An `impl`/`trait` block for `ty`.
+    /// An `impl`/`trait` block for `ty`, with the impl header's
+    /// type parameters.
     Impl {
         ty: String,
         trait_name: Option<String>,
+        generics: Vec<String>,
     },
     /// The body of `fns[fn_id]`.
     Fn { fn_id: usize },
@@ -209,6 +215,7 @@ enum ScopeKind {
     Impl {
         ty: String,
         trait_name: Option<String>,
+        generics: Vec<String>,
     },
     Fn {
         fn_id: usize,
@@ -252,7 +259,15 @@ impl Parser<'_> {
             let tok = &self.t[self.i];
             if tok.is_punct('{') {
                 let kind = match self.pending.take() {
-                    Some(Pending::Impl { ty, trait_name }) => ScopeKind::Impl { ty, trait_name },
+                    Some(Pending::Impl {
+                        ty,
+                        trait_name,
+                        generics,
+                    }) => ScopeKind::Impl {
+                        ty,
+                        trait_name,
+                        generics,
+                    },
                     Some(Pending::Fn { fn_id }) => {
                         self.idx.fns[fn_id].body = Some((self.i, self.i));
                         ScopeKind::Fn { fn_id }
@@ -309,6 +324,35 @@ impl Parser<'_> {
             j += 1;
         }
         j
+    }
+
+    /// The type-parameter names declared by the `<…>` group at `open`
+    /// (`<'a, W: SearchWidth, const N: usize>` → `["W"]`): idents that
+    /// open a parameter, skipping lifetimes, const parameters and
+    /// anything nested in bounds.
+    fn generic_params(&self, open: usize) -> Vec<String> {
+        let mut names = Vec::new();
+        let (mut angles, mut groups) = (0i32, 0i32);
+        for j in open..self.skip_angles(open) {
+            let t = &self.t[j];
+            if t.is_punct('<') {
+                angles += 1;
+            } else if t.is_punct('>') && !self.t[j - 1].is_punct('-') {
+                angles -= 1;
+            } else if t.is_punct('(') || t.is_punct('[') {
+                groups += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                groups -= 1;
+            } else if angles == 1
+                && groups == 0
+                && t.kind == TokenKind::Ident
+                && !t.is_ident("const")
+                && (self.t[j - 1].is_punct('<') || self.t[j - 1].is_punct(','))
+            {
+                names.push(t.text.clone());
+            }
+        }
+        names
     }
 
     /// Skips a balanced paren/bracket/brace group starting at `j`;
@@ -374,7 +418,9 @@ impl Parser<'_> {
     /// `impl<…> Type {` / `impl<…> Trait for Type {`.
     fn impl_header(&mut self) {
         let mut j = self.i + 1;
+        let mut generics = Vec::new();
         if self.tok(j).is_some_and(|t| t.is_punct('<')) {
+            generics = self.generic_params(j);
             j = self.skip_angles(j);
         }
         // Skip leading `&`/`mut`/`dyn` on the (trait or self) type.
@@ -418,7 +464,11 @@ impl Parser<'_> {
             if !self.idx.types.contains(&ty) {
                 self.idx.types.push(ty.clone());
             }
-            self.pending = Some(Pending::Impl { ty, trait_name });
+            self.pending = Some(Pending::Impl {
+                ty,
+                trait_name,
+                generics,
+            });
             self.i = j;
         } else {
             self.i = j;
@@ -445,6 +495,7 @@ impl Parser<'_> {
             self.pending = Some(Pending::Impl {
                 ty: name.clone(),
                 trait_name: Some(name),
+                generics: Vec::new(),
             });
             self.i = j;
         } else {
@@ -463,7 +514,9 @@ impl Parser<'_> {
         let name = self.t[name_tok].text.clone();
         let line = self.t[name_tok].line;
         let mut j = name_tok + 1;
+        let mut generics = Vec::new();
         if self.tok(j).is_some_and(|t| t.is_punct('<')) {
+            generics = self.generic_params(j);
             j = self.skip_angles(j);
         }
         if !self.tok(j).is_some_and(|t| t.is_punct('(')) {
@@ -506,7 +559,14 @@ impl Parser<'_> {
             .rev()
             .find(|s| !matches!(s, ScopeKind::Other))
         {
-            Some(ScopeKind::Impl { ty, trait_name }) => (Some(ty.clone()), trait_name.clone()),
+            Some(ScopeKind::Impl {
+                ty,
+                trait_name,
+                generics: outer,
+            }) => {
+                generics.extend(outer.iter().cloned());
+                (Some(ty.clone()), trait_name.clone())
+            }
             _ => (None, None),
         };
         let fn_id = self.idx.fns.len();
@@ -518,6 +578,7 @@ impl Parser<'_> {
             name,
             self_type,
             trait_name,
+            generics,
             line,
             name_tok,
             body: None,
@@ -823,13 +884,35 @@ impl Parser<'_> {
             };
             arm
         } else {
-            eq + 1
+            self.pointer_inner(eq + 1)
         };
         if let Some(chain) = self.forward_chain(rhs) {
             self.idx.fns[fn_id].binds.push(LocalBind {
                 name,
                 hint: LocalHint::Chain(chain),
             });
+        }
+    }
+
+    /// `Arc::new(expr);` / `Box::new(expr);` / `Rc::new(expr);` at `j`:
+    /// the pointer derefs to `expr`, so the binding is typed by the
+    /// chain inside (its start is returned); any other value starts at
+    /// `j` itself.
+    fn pointer_inner(&self, j: usize) -> usize {
+        let wraps = self
+            .tok(j)
+            .is_some_and(|t| t.is_ident("Arc") || t.is_ident("Box") || t.is_ident("Rc"))
+            && self.is_path_sep(j + 1)
+            && self.tok(j + 3).is_some_and(|t| t.is_ident("new"))
+            && self.tok(j + 4).is_some_and(|t| t.is_punct('('));
+        let whole = wraps
+            && self
+                .tok(self.skip_group(j + 4, '(', ')'))
+                .is_some_and(|t| t.is_punct(';'));
+        if whole {
+            j + 5
+        } else {
+            j
         }
     }
 
@@ -1428,6 +1511,36 @@ mod tests {
         assert_eq!(idx.fns.len(), 1);
         assert_eq!(idx.fns[0].name, "probe");
         assert_eq!(idx.fns[0].self_type.as_deref(), Some("EngineHost"));
+    }
+
+    #[test]
+    fn fns_record_their_own_and_impl_generic_params() {
+        let idx = index(
+            "impl<'a, W: SearchWidth> Host<'a, W> {\n fn f<T: Fn(A, B) -> C, const N: usize>(&self) {}\n fn g(&self) { fn nested<U>() {} }\n}\nfn free<X>() {}\n",
+        );
+        let generics = |name: &str| &idx.fns.iter().find(|f| f.name == name).unwrap().generics;
+        assert_eq!(generics("f"), &["T", "W"]);
+        assert_eq!(generics("g"), &["W"]);
+        assert_eq!(generics("nested"), &["U"]);
+        assert_eq!(generics("free"), &["X"]);
+    }
+
+    #[test]
+    fn pointer_wrapped_lets_are_typed_by_the_inner_chain() {
+        let idx = index(
+            "fn f() {\n let h = Arc::new(Host::with_limits(a, b));\n let j = Box::new(x).y();\n}\n",
+        );
+        let binds = &idx.fns[0].binds;
+        let h = binds.iter().find(|b| b.name == "h").unwrap();
+        assert!(
+            matches!(&h.hint, LocalHint::Chain(c) if c[..] == [ChainSeg::Ident("Host".to_string()), ChainSeg::Call("with_limits".to_string())]),
+            "{h:?}"
+        );
+        let j = binds.iter().find(|b| b.name == "j").unwrap();
+        assert!(
+            matches!(&j.hint, LocalHint::Chain(c) if c[0] == ChainSeg::Ident("Box".to_string())),
+            "{j:?}"
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! serving strategy ([`ServeStrategy::Bidi`], picked automatically by
 //! [`ServeStrategy::Auto`] for targets past the warm frontier) pins the
 //! forward depth to the warm cache and meets a per-query backward
-//! frontier on the read side.
+//! frontier on the read side (a cold engine climbs to level 0 first).
+//! Every query, whatever its strategy, and the census run through one
+//! wait-and-climb loop (`EngineHost::climb`).
 //!
 //! Admission control keeps the flight short: every query carries a cost
 //! bound, and bounds above the host's limit are rejected up front, so a
@@ -82,6 +84,33 @@ impl ServeStrategy {
             Self::Uni => "uni",
             Self::Bidi => "bidi",
             Self::Auto => "auto",
+        }
+    }
+
+    /// One read-side attempt at `target` under this strategy: the answer
+    /// and the strategy that resolved it, or `None` when only a deeper
+    /// level can decide (for `Bidi`, only on a cold engine).
+    fn answer<W: SearchWidth>(
+        self,
+        engine: &SearchEngine<W>,
+        target: &Perm,
+        cb: u32,
+    ) -> Option<(Option<Synthesis>, Self)> {
+        match self {
+            Self::Uni => match engine.synthesize_cached(target, cb) {
+                CachedSynthesis::Resolved(result) => Some((result, Self::Uni)),
+                CachedSynthesis::NeedsExpansion => None,
+            },
+            Self::Bidi => match engine.synthesize_bidirectional_cached(target, cb) {
+                CachedBidirectional::Resolved(result) => Some((result, Self::Bidi)),
+                CachedBidirectional::NeedsPreparation => None,
+            },
+            // Planner: targets the cached levels resolve are served from
+            // them; a target past the warm frontier goes bidirectional
+            // rather than deepening the shared cache.
+            Self::Auto => Self::Uni
+                .answer(engine, target, cb)
+                .or_else(|| Self::Bidi.answer(engine, target, cb)),
         }
     }
 }
@@ -207,12 +236,6 @@ impl From<EngineError> for HostError {
 struct Flight {
     /// A writer is currently expanding.
     expanding: bool,
-    /// Last known completed level (mirrors the engine, readable without
-    /// touching the engine lock).
-    completed: Option<u32>,
-    /// The search space ran out below a requested bound — no further
-    /// expansion can help.
-    exhausted: bool,
 }
 
 /// Service counters (all monotonic).
@@ -247,7 +270,7 @@ pub struct HostStats {
     /// bidirectionally (possibly with zero expansions).
     pub cache_misses: u64,
     /// Write-side level steps actually performed (one per settled
-    /// level, plus bidirectional preparation's level-0 settles).
+    /// level).
     pub expansions: u64,
     /// Times a request waited on another request's in-flight expansion
     /// instead of expanding itself.
@@ -379,14 +402,9 @@ impl<W: SearchWidth> EngineHost<W> {
             threads: engine.threads(),
             probe: engine.probe().clone(),
         };
-        let flight = Flight {
-            expanding: false,
-            completed: engine.completed_cost(),
-            exhausted: false,
-        };
         Self {
             engine: RwLock::new(engine),
-            flight: Mutex::new(flight),
+            flight: Mutex::new(Flight { expanding: false }),
             landed: Condvar::new(),
             recovery: Mutex::new(recovery),
             limit: max_cost_bound,
@@ -435,8 +453,8 @@ impl<W: SearchWidth> EngineHost<W> {
     /// `landed` (never spinning) with its remaining budget instead of
     /// queueing on the lock, and sheds with
     /// [`HostError::DeadlineExceeded`] if the budget runs out first.
-    /// Any other writer (a heal, bidirectional preparation, a probe
-    /// install) is short, so the request blocks on the lock as usual.
+    /// Any other writer (a heal, a probe install) is short, so the
+    /// request blocks on the lock as usual.
     fn engine_read_by(
         &self,
         deadline: Instant,
@@ -537,7 +555,6 @@ impl<W: SearchWidth> EngineHost<W> {
                 ))
             }
         };
-        let completed = engine.completed_cost();
         {
             // Swap through the poisoned guard, then clear: readers keep
             // seeing the poison (and queue up behind the recovery lock)
@@ -555,8 +572,6 @@ impl<W: SearchWidth> EngineHost<W> {
                 Err(poisoned) => poisoned.into_inner(),
             };
             flight.expanding = false;
-            flight.completed = completed;
-            flight.exhausted = false;
         }
         self.flight.clear_poison();
         self.landed.notify_all();
@@ -616,119 +631,7 @@ impl<W: SearchWidth> EngineHost<W> {
             .synthesize_requests
             .fetch_add(1, Ordering::Relaxed);
         let budget_ms = self.budget_ms(deadline_ms);
-        let deadline = Instant::now() + Duration::from_millis(budget_ms);
-        match strategy {
-            ServeStrategy::Uni => self.serve_uni(target, cb, deadline, budget_ms),
-            ServeStrategy::Bidi => self.serve_bidi(target, cb),
-            ServeStrategy::Auto => {
-                // Planner: one read-side peek at the warm frontier. A
-                // resolved answer is a plain cache hit; a target whose
-                // estimated depth exceeds the expanded levels goes
-                // bidirectional rather than deepening the shared cache.
-                {
-                    let engine = self.engine_read()?;
-                    if let CachedSynthesis::Resolved(result) = engine.synthesize_cached(target, cb)
-                    {
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((
-                            result,
-                            ServeTrace {
-                                cache_hit: true,
-                                expansions: 0,
-                                resolved: ServeStrategy::Uni,
-                            },
-                        ));
-                    }
-                }
-                self.serve_bidi(target, cb)
-            }
-        }
-    }
-
-    fn serve_uni(
-        &self,
-        target: &Perm,
-        cb: u32,
-        deadline: Instant,
-        budget_ms: u64,
-    ) -> Result<(Option<Synthesis>, ServeTrace), HostError> {
-        let mut missed = false;
-        let mut expansions = 0u64;
-        loop {
-            {
-                let engine = self.engine_read_by(deadline, budget_ms)?;
-                if let CachedSynthesis::Resolved(result) = engine.synthesize_cached(target, cb) {
-                    let outcome = if missed {
-                        &self.counters.cache_misses
-                    } else {
-                        &self.counters.cache_hits
-                    };
-                    outcome.fetch_add(1, Ordering::Relaxed);
-                    return Ok((
-                        result,
-                        ServeTrace {
-                            cache_hit: !missed,
-                            expansions,
-                            resolved: ServeStrategy::Uni,
-                        },
-                    ));
-                }
-            }
-            missed = true;
-            expansions += self.expand_shared(cb, deadline, budget_ms)?;
-        }
-    }
-
-    /// The bidirectional read path: the backward frontier is per-query,
-    /// so everything past one-time shared preparation (forward level 0
-    /// plus the cached levels' join indexes) runs under the read lock.
-    /// Every answer counts as a cache miss: a per-query backward search
-    /// is not an answer read purely from the cached levels.
-    fn serve_bidi(
-        &self,
-        target: &Perm,
-        cb: u32,
-    ) -> Result<(Option<Synthesis>, ServeTrace), HostError> {
-        let mut expansions = 0u64;
-        loop {
-            {
-                let engine = self.engine_read()?;
-                if let CachedBidirectional::Resolved(result) =
-                    engine.synthesize_bidirectional_cached(target, cb)
-                {
-                    self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    return Ok((
-                        result,
-                        ServeTrace {
-                            cache_hit: false,
-                            expansions,
-                            resolved: ServeStrategy::Bidi,
-                        },
-                    ));
-                }
-            }
-            expansions += self.prepare_bidi(cb)?;
-        }
-    }
-
-    /// Builds the bidirectional path's shared state (idempotent, so
-    /// concurrent misses just serialize on the write lock and all but
-    /// the first no-op). Counts and returns any forward expansion it
-    /// performs.
-    fn prepare_bidi(&self, cb: u32) -> Result<u64, HostError> {
-        let (expanded, completed) = {
-            let mut engine = self.engine_write()?;
-            let expanded = engine.prepare_bidirectional(cb);
-            (expanded, engine.completed_cost())
-        };
-        if expanded > 0 {
-            self.counters
-                .expansions
-                .fetch_add(expanded as u64, Ordering::Relaxed);
-            let mut flight = self.flight_lock()?;
-            flight.completed = completed;
-        }
-        Ok(expanded as u64)
+        self.climb(cb, budget_ms, |engine| strategy.answer(engine, target, cb))
     }
 
     /// The census counts up to `cb`, expanding (single-flight) only if
@@ -752,38 +655,59 @@ impl<W: SearchWidth> EngineHost<W> {
         self.counters
             .census_requests
             .fetch_add(1, Ordering::Relaxed);
-        let budget_ms = self.max_deadline_ms;
+        self.climb(cb, self.max_deadline_ms, |engine| {
+            if !engine.exhausted() && engine.completed_cost().is_none_or(|c| c < cb) {
+                return None;
+            }
+            let levels = engine.g_counts().len().min(cb as usize + 1);
+            let reply = CensusReply {
+                cb,
+                g_counts: engine.g_counts()[..levels].to_vec(),
+                b_counts: engine.b_counts()[..levels].to_vec(),
+                classes_found: engine.classes_found(),
+                a_size: engine.a_size(),
+            };
+            Some((reply, ServeStrategy::Uni))
+        })
+    }
+
+    /// The one wait-and-climb loop behind every query: reads the engine
+    /// (waiting out an in-flight level within the request's budget) and
+    /// asks `read` for an answer; on a miss, settles one level through
+    /// the single flight ([`Self::expand_shared`]) and reads again.
+    ///
+    /// `read` returns the answer with the strategy that resolved it. The
+    /// request counts as a cache hit only when the first read answered
+    /// it from the cached levels (resolved as [`ServeStrategy::Uni`]):
+    /// a per-query backward search, or any climb, is a miss.
+    fn climb<T>(
+        &self,
+        cb: u32,
+        budget_ms: u64,
+        mut read: impl FnMut(&SearchEngine<W>) -> Option<(T, ServeStrategy)>,
+    ) -> Result<(T, ServeTrace), HostError> {
         let deadline = Instant::now() + Duration::from_millis(budget_ms);
         let mut missed = false;
         let mut expansions = 0u64;
         loop {
-            let ready = {
-                let flight = self.flight_lock()?;
-                flight.exhausted || flight.completed.is_some_and(|c| c >= cb)
+            let answer = {
+                let engine = self.engine_read_by(deadline, budget_ms)?;
+                read(&engine)
             };
-            if ready {
-                let engine = self.engine_read()?;
-                let levels = engine.g_counts().len().min(cb as usize + 1);
-                let outcome = if missed {
-                    &self.counters.cache_misses
-                } else {
+            if let Some((answer, resolved)) = answer {
+                let cache_hit = !missed && resolved == ServeStrategy::Uni;
+                let outcome = if cache_hit {
                     &self.counters.cache_hits
+                } else {
+                    &self.counters.cache_misses
                 };
                 outcome.fetch_add(1, Ordering::Relaxed);
-                return Ok((
-                    CensusReply {
-                        cb,
-                        g_counts: engine.g_counts()[..levels].to_vec(),
-                        b_counts: engine.b_counts()[..levels].to_vec(),
-                        classes_found: engine.classes_found(),
-                        a_size: engine.a_size(),
-                    },
-                    ServeTrace {
-                        cache_hit: !missed,
-                        expansions,
-                        resolved: ServeStrategy::Uni,
-                    },
-                ));
+                let trace = ServeTrace {
+                    cache_hit,
+                    expansions,
+                    resolved,
+                };
+                return Ok((answer, trace));
             }
             missed = true;
             expansions += self.expand_shared(cb, deadline, budget_ms)?;
@@ -847,9 +771,6 @@ impl<W: SearchWidth> EngineHost<W> {
     /// so callers can attribute work to requests in their trace lines.
     fn expand_shared(&self, cb: u32, deadline: Instant, budget_ms: u64) -> Result<u64, HostError> {
         let mut flight = self.flight_lock()?;
-        if flight.exhausted || flight.completed.is_some_and(|c| c >= cb) {
-            return Ok(0);
-        }
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(self.shed(budget_ms));
@@ -872,19 +793,22 @@ impl<W: SearchWidth> EngineHost<W> {
         flight.expanding = true;
         drop(flight);
         let reset = FlightReset(self);
-        let (completed, exhausted) = {
+        let settled = {
             let mut engine = self.engine_write()?;
-            mvq_fault::point!("serve.write");
-            let advanced = engine.settle_one_level();
-            (engine.completed_cost(), !advanced)
+            // Another request may have climbed past `cb` (or run the
+            // space dry) since this one read: then there is nothing to do.
+            let needed = !engine.exhausted() && engine.completed_cost().is_none_or(|c| c < cb);
+            if needed {
+                mvq_fault::point!("serve.write");
+                engine.settle_one_level();
+            }
+            needed
         };
-        self.counters.expansions.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut flight = self.flight_lock()?;
-            flight.completed = completed;
-            flight.exhausted = exhausted;
-        }
         drop(reset); // clears `expanding`, wakes waiters
+        if !settled {
+            return Ok(0);
+        }
+        self.counters.expansions.fetch_add(1, Ordering::Relaxed);
         Ok(1)
     }
 }
@@ -1026,10 +950,7 @@ impl HostRegistry {
     /// A host for `engine` under the registry's limits, with the
     /// registry's probe installed best-effort.
     fn new_host<W: SearchWidth>(&self, engine: SearchEngine<W>) -> Arc<EngineHost<W>> {
-        // Typed so `mvq_lint` resolves `set_probe` below to the host's
-        // (`recovery` and `engine`), not the registry's (`hosts`, which
-        // `host_for` holds while it calls this).
-        let host: Arc<EngineHost<W>> = Arc::new(EngineHost::with_limits(
+        let host = Arc::new(EngineHost::with_limits(
             engine,
             self.config.max_cost_bound,
             self.config.max_deadline_ms,
@@ -1216,8 +1137,8 @@ mod tests {
             .circuit
             .verify_against_binary_perm(&known::fredkin_perm()));
         let stats = host.stats().unwrap();
-        // Preparation expanded forward level 0 only; the depth lived in
-        // the per-query backward frontier.
+        // The climb settled forward level 0 only; the depth lived in the
+        // per-query backward frontier.
         assert_eq!(stats.completed, Some(0));
         assert_eq!(stats.expansions, 1);
         assert_eq!(stats.cache_misses, 1);
@@ -1227,7 +1148,7 @@ mod tests {
     fn explicit_bidi_answers_count_as_misses() {
         // A bidirectional answer runs a per-query backward search, so it
         // is never "answered purely from the cached levels" — not even
-        // once preparation is done and nothing expands.
+        // once level 0 is settled and nothing expands.
         let host = unit_host(7);
         for _ in 0..2 {
             let (syn, trace) = host
@@ -1660,26 +1581,71 @@ mod tests {
     fn deadline_sheds_while_a_level_holds_the_write_lock() {
         let host = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 30_000);
         host.census(4).unwrap();
+        let strategies = [ServeStrategy::Uni, ServeStrategy::Auto, ServeStrategy::Bidi];
         std::thread::scope(|scope| {
             let writer = hold_write_lock(scope, &host, Duration::from_millis(600));
             // A miss and a hit the cached levels already resolve (the
-            // level being expanded is deeper than its bound): both wait
-            // out their budget, not the level.
-            for target in [known::toffoli_perm(), known::peres_perm()] {
-                let start = Instant::now();
-                let err = host
-                    .synthesize_traced(&target, 5, ServeStrategy::Uni, Some(20))
-                    .map(|(s, _)| s)
-                    .unwrap_err();
-                assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 20 });
-                assert!(
-                    start.elapsed() < Duration::from_millis(400),
-                    "waited out the level"
-                );
+            // level being expanded is deeper than its bound): under
+            // every strategy, both wait out their budget, not the level.
+            for strategy in strategies {
+                for target in [known::toffoli_perm(), known::peres_perm()] {
+                    let start = Instant::now();
+                    let err = host
+                        .synthesize_traced(&target, 5, strategy, Some(20))
+                        .map(|(s, _)| s)
+                        .unwrap_err();
+                    assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 20 });
+                    assert!(
+                        start.elapsed() < Duration::from_millis(400),
+                        "{strategy} waited out the level"
+                    );
+                }
             }
             writer.join().unwrap();
         });
-        assert_eq!(host.stats().unwrap().deadline_timeouts, 2);
+        assert_eq!(host.stats().unwrap().deadline_timeouts, 6);
+    }
+
+    #[test]
+    fn warm_bidi_reads_build_join_indexes_without_a_writer() {
+        // The cached levels' join indexes are built by the reader that
+        // first needs them: a deep bidirectional query on a warm host
+        // never asks for the write lock, so it is served while another
+        // reader holds the engine.
+        let host = Arc::new(unit_host(7));
+        host.census(4).unwrap();
+        let reader = host.engine.read().unwrap();
+        let (sent, served) = std::sync::mpsc::channel();
+        std::thread::spawn({
+            let host = Arc::clone(&host);
+            move || {
+                let reply =
+                    host.synthesize_traced(&known::fredkin_perm(), 7, ServeStrategy::Bidi, None);
+                let _ = sent.send(reply.map(|(syn, _)| syn.map(|s| s.cost)));
+            }
+        });
+        let cost = served.recv_timeout(Duration::from_secs(5));
+        drop(reader);
+        assert_eq!(cost, Ok(Ok(Some(7))));
+        assert_eq!(host.stats().unwrap().completed, Some(4));
+    }
+
+    #[test]
+    fn cold_auto_settles_level_0_through_the_flight() {
+        // On a cold host neither read answers; the climb settles level 0
+        // through the single flight, and the second read resolves a
+        // cost-0 target from the cached levels (still a miss).
+        let host = unit_host(7);
+        let (syn, trace) = host
+            .synthesize_traced(&Perm::identity(8), 7, ServeStrategy::Auto, None)
+            .unwrap();
+        assert_eq!(syn.unwrap().cost, 0);
+        assert!(!trace.cache_hit);
+        assert_eq!(trace.expansions, 1);
+        assert_eq!(trace.resolved, ServeStrategy::Uni);
+        let stats = host.stats().unwrap();
+        assert_eq!((stats.completed, stats.expansions), (Some(0), 1));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
     }
 
     #[test]

@@ -6,20 +6,21 @@
 //! robustness contract: the server keeps answering (every request gets
 //! a 200 or a 503 + `Retry-After`, never a hang), poisoned hosts
 //! rebuild themselves, torn snapshots fall back to the `.bak`, and the
-//! post-fault results are bit-identical to an uninjected run.
+//! post-fault results are bit-identical to an uninjected run. Every
+//! found `/synthesize` answer is also re-verified against physics by
+//! the shared harness (`mvq_tests::request`).
 //!
 //! The failpoint registry is process-global, so the tests serialize on
 //! a static mutex and disarm through a drop guard (panic-safe).
 
 #![cfg(feature = "fault-injection")]
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use mvq_core::{SnapshotSource, SynthesisEngine};
-use mvq_serve::{HostConfig, HostRegistry, Server, ServerHandle};
+use mvq_serve::{HostConfig, HostRegistry};
+use mvq_tests::{request, test_config, RunningServer, SharedSink};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -44,75 +45,6 @@ impl Armed {
 impl Drop for Armed {
     fn drop(&mut self) {
         mvq_fault::disarm_all();
-    }
-}
-
-struct RunningServer {
-    handle: ServerHandle,
-    runner: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl RunningServer {
-    fn start(registry: HostRegistry, workers: usize) -> Self {
-        let server = Server::bind("127.0.0.1:0", Arc::new(registry)).expect("bind loopback");
-        let handle = server.handle().expect("handle");
-        let runner = std::thread::spawn(move || server.run(workers));
-        Self {
-            handle,
-            runner: Some(runner),
-        }
-    }
-
-    /// One request over its own connection; returns the status and the
-    /// full response text (headers included, for `Retry-After` checks).
-    fn request(&self, method: &str, path: &str, body: &str) -> (u16, String) {
-        raw_request(&self.handle, method, path, body)
-    }
-
-    fn shutdown(mut self) {
-        self.handle.shutdown();
-        self.runner
-            .take()
-            .expect("still running")
-            .join()
-            .expect("server thread")
-            .expect("server run");
-    }
-}
-
-impl Drop for RunningServer {
-    fn drop(&mut self) {
-        if let Some(runner) = self.runner.take() {
-            self.handle.shutdown();
-            let _ = runner.join();
-        }
-    }
-}
-
-fn raw_request(handle: &ServerHandle, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("timeout");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: chaos\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad response: {response}"));
-    (status, response)
-}
-
-fn test_config() -> HostConfig {
-    HostConfig {
-        threads: 1,
-        ..HostConfig::default()
     }
 }
 
@@ -141,21 +73,21 @@ fn worker_panic_is_contained_and_the_host_heals() {
 
     // The very first expansion panics: this request gets a 503 with a
     // Retry-After hint, not a hung or reset connection.
-    let (status, response) = server.request(
+    let (status, head, response) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(7,8)","cb":5,"strategy":"uni"}"#,
     );
     assert_eq!(status, 503, "{response}");
-    assert!(response.contains("Retry-After: 1"), "{response}");
+    assert!(head.contains("Retry-After: 1"), "{head}");
 
     // The server is still alive…
-    let (status, _) = server.request("GET", "/healthz", "");
+    let (status, _, _) = server.request("GET", "/healthz", "");
     assert_eq!(status, 200);
 
     // …and the retried request heals the poisoned host and gets the
     // known Toffoli answer (cost 5, 4 minimal implementations).
-    let (status, response) = server.request(
+    let (status, _, response) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(7,8)","cb":5,"strategy":"uni"}"#,
@@ -167,7 +99,7 @@ fn worker_panic_is_contained_and_the_host_heals() {
         "{response}"
     );
 
-    let (status, stats) = server.request("GET", "/stats", "");
+    let (status, _, stats) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{stats}");
     assert_eq!(json_u64(&stats, "rebuilds"), 1, "{stats}");
 
@@ -192,9 +124,9 @@ fn snapshot_host_heals_from_its_image_and_climbs_exactly() {
 
     // The first climb panics under the write lock; the retry heals.
     let peres = r#"{"target":"(5,7,6,8)","cb":6,"strategy":"uni"}"#;
-    let (status, response) = server.request("POST", "/synthesize", peres);
+    let (status, _, response) = server.request("POST", "/synthesize", peres);
     assert_eq!(status, 503, "{response}");
-    let (status, response) = server.request("POST", "/synthesize", peres);
+    let (status, _, response) = server.request("POST", "/synthesize", peres);
     assert_eq!(status, 200, "{response}");
 
     let mut reference = SynthesisEngine::unit_cost_with_threads(1);
@@ -208,7 +140,7 @@ fn snapshot_host_heals_from_its_image_and_climbs_exactly() {
         let parsed = mvq_core::known::parse_target_on(target, 8).expect("valid target");
         let want = reference.synthesize(&parsed, 6).expect("within cost 6");
         let body = format!(r#"{{"target":"{target}","cb":6,"strategy":"uni"}}"#);
-        let (status, response) = server.request("POST", "/synthesize", &body);
+        let (status, _, response) = server.request("POST", "/synthesize", &body);
         assert_eq!(status, 200, "{response}");
         for field in [
             format!("\"cost\":{}", want.cost),
@@ -218,7 +150,7 @@ fn snapshot_host_heals_from_its_image_and_climbs_exactly() {
             assert!(response.contains(&field), "{target}: {field} in {response}");
         }
     }
-    let (status, stats) = server.request("GET", "/stats", "");
+    let (status, _, stats) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{stats}");
     assert_eq!(json_u64(&stats, "rebuilds"), 1, "{stats}");
     assert_eq!(json_u64(&stats, "completed"), 6, "{stats}");
@@ -373,7 +305,7 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
     let statuses: Vec<u16> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|client| {
-                let handle = server.handle.clone();
+                let addr = server.addr();
                 let targets = &targets;
                 scope.spawn(move || {
                     let mut seen = Vec::new();
@@ -382,7 +314,7 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
                         let body = format!(
                             r#"{{"target":"{target}","cb":6,"strategy":"uni","deadline_ms":2000}}"#
                         );
-                        let (status, _) = raw_request(&handle, "POST", "/synthesize", &body);
+                        let (status, _, _) = request(addr, "POST", "/synthesize", &body);
                         seen.push(status);
                     }
                     seen
@@ -401,7 +333,7 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
     );
 
     // The injected panic forced at least one self-rebuild.
-    let (status, stats) = server.request("GET", "/stats", "");
+    let (status, _, stats) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{stats}");
     assert!(json_u64(&stats, "rebuilds") >= 1, "{stats}");
 
@@ -412,7 +344,7 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
         let parsed = mvq_core::known::parse_target_on(target, 8).expect("valid target");
         let want = reference.synthesize(&parsed, 6);
         let body = format!(r#"{{"target":"{target}","cb":6,"strategy":"uni"}}"#);
-        let (status, response) = server.request("POST", "/synthesize", &body);
+        let (status, _, response) = server.request("POST", "/synthesize", &body);
         assert_eq!(status, 200, "{response}");
         match want {
             None => assert!(response.contains("\"found\":false"), "{response}"),
@@ -452,24 +384,24 @@ fn deadline_waiters_shed_with_503_and_retry_after() {
     std::thread::scope(|scope| {
         let slow = scope.spawn(|| {
             // Becomes the expander; its first level is delayed 400 ms.
-            raw_request(&server.handle, "POST", "/census", r#"{"cb":5}"#)
+            server.request("POST", "/census", r#"{"cb":5}"#)
         });
         std::thread::sleep(Duration::from_millis(100));
-        let (status, response) = server.request(
+        let (status, head, response) = server.request(
             "POST",
             "/synthesize",
             r#"{"target":"(7,8)","cb":5,"strategy":"uni","deadline_ms":1}"#,
         );
         assert_eq!(status, 503, "{response}");
-        assert!(response.contains("Retry-After: 1"), "{response}");
+        assert!(head.contains("Retry-After: 1"), "{head}");
         assert!(response.contains("deadline"), "{response}");
 
-        let (status, response) = slow.join().expect("slow client");
+        let (status, _, response) = slow.join().expect("slow client");
         assert_eq!(status, 200, "{response}");
         assert!(response.contains("\"g_counts\""), "{response}");
     });
 
-    let (status, stats) = server.request("GET", "/stats", "");
+    let (status, _, stats) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{stats}");
     assert!(json_u64(&stats, "deadline_timeouts") >= 1, "{stats}");
 
@@ -484,48 +416,23 @@ fn faulted_request_emits_exactly_one_failure_trace_line() {
     let _serial = serial();
     let _armed = Armed::plan("serve.write=panic@1");
 
-    #[derive(Clone, Default)]
-    struct SharedSink(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("sink").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     let sink = SharedSink::default();
-    let server = Server::bind("127.0.0.1:0", Arc::new(HostRegistry::new(test_config())))
-        .expect("bind loopback");
-    let obs = server.obs();
-    obs.trace().set_sink(Box::new(sink.clone()));
-    obs.trace().set_level(mvq_obs::LogLevel::Info);
-    let handle = server.handle().expect("handle");
-    let runner = std::thread::spawn(move || server.run(2));
+    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    server.obs().trace().set_sink(Box::new(sink.clone()));
+    server.obs().trace().set_level(mvq_obs::LogLevel::Info);
 
     // The first expansion panics under the engine write lock.
-    let (status, response) = raw_request(
-        &handle,
+    let (status, _, response) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(7,8)","cb":5,"strategy":"uni"}"#,
     );
     assert_eq!(status, 503, "{response}");
+    server.shutdown();
 
-    handle.shutdown();
-    runner.join().expect("server thread").expect("server run");
-
-    let raw = sink.0.lock().expect("sink").clone();
-    let lines: Vec<&str> = std::str::from_utf8(&raw)
-        .expect("trace lines are UTF-8")
-        .lines()
-        .collect();
+    let lines = sink.lines();
     assert_eq!(lines.len(), 1, "exactly one trace line: {lines:#?}");
-    let line = lines[0];
+    let line = &lines[0];
     assert!(line.contains(r#""outcome":"error""#), "{line}");
     assert!(line.contains(r#""status":503"#), "{line}");
     assert!(line.contains(r#""path":"/synthesize""#), "{line}");

@@ -4,13 +4,9 @@
 //! clients — every request must show up once in each view, with the
 //! same counts.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
 use mvq_obs::{parse_scrape, Histogram, LogLevel};
-use mvq_serve::{HostConfig, HostRegistry, ServeObs, Server, ServerHandle};
+use mvq_serve::{HostConfig, HostRegistry};
+use mvq_tests::{request, RunningServer, SharedSink};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -66,98 +62,12 @@ proptest! {
 // Live-server agreement: /metrics == /stats == trace lines.
 // ---------------------------------------------------------------------
 
-/// In-memory trace sink shared with the server's `TraceLog`.
-#[derive(Clone, Default)]
-struct SharedSink(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for SharedSink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("sink").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl SharedSink {
-    fn lines(&self) -> Vec<String> {
-        String::from_utf8(self.0.lock().expect("sink").clone())
-            .expect("trace lines are UTF-8")
-            .lines()
-            .map(str::to_string)
-            .collect()
-    }
-}
-
-struct RunningServer {
-    handle: ServerHandle,
-    obs: Arc<ServeObs>,
-    runner: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl RunningServer {
-    fn start(registry: HostRegistry, workers: usize, sink: SharedSink) -> Self {
-        let server = Server::bind("127.0.0.1:0", Arc::new(registry)).expect("bind loopback");
-        let obs = server.obs();
-        obs.trace().set_sink(Box::new(sink));
-        obs.trace().set_level(LogLevel::Info);
-        let handle = server.handle().expect("handle");
-        let runner = std::thread::spawn(move || server.run(workers));
-        Self {
-            handle,
-            obs,
-            runner: Some(runner),
-        }
-    }
-
-    fn request(&self, method: &str, path: &str, body: &str) -> (u16, String) {
-        request_at(self.handle.addr(), method, path, body)
-    }
-
-    fn shutdown(mut self) {
-        self.handle.shutdown();
-        self.runner
-            .take()
-            .expect("still running")
-            .join()
-            .expect("server thread")
-            .expect("server run");
-    }
-}
-
-impl Drop for RunningServer {
-    fn drop(&mut self) {
-        if let Some(runner) = self.runner.take() {
-            self.handle.shutdown();
-            let _ = runner.join();
-        }
-    }
-}
-
-fn request_at(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("timeout");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad response: {response}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+/// A running server whose trace lines land in `sink`.
+fn traced_server(registry: HostRegistry, workers: usize, sink: &SharedSink) -> RunningServer {
+    let server = RunningServer::start(registry, workers);
+    server.obs().trace().set_sink(Box::new(sink.clone()));
+    server.obs().trace().set_level(LogLevel::Info);
+    server
 }
 
 /// The scripted per-client workload: five requests that succeed and one
@@ -180,21 +90,21 @@ const CLIENT_SCRIPT: [(&str, &str, &str, u16); 6] = [
 fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
     const CLIENTS: usize = 8;
     let sink = SharedSink::default();
-    let server = RunningServer::start(
+    let server = traced_server(
         HostRegistry::new(HostConfig {
             threads: 1,
             ..HostConfig::default()
         }),
         4,
-        sink.clone(),
+        &sink,
     );
 
-    let addr = server.handle.addr();
+    let addr = server.addr();
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
             scope.spawn(move || {
                 for (method, path, body, want) in CLIENT_SCRIPT {
-                    let (status, body_out) = request_at(addr, method, path, body);
+                    let (status, _, body_out) = request(addr, method, path, body);
                     assert_eq!(status, want, "{method} {path}: {body_out}");
                 }
             });
@@ -205,7 +115,7 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
     // Scrape after the clients quiesce, so the counter identity is
     // exact. The /metrics body is rendered before its own request is
     // counted, so it sees precisely the client traffic.
-    let (status, metrics_body) = server.request("GET", "/metrics", "");
+    let (status, _, metrics_body) = server.request("GET", "/metrics", "");
     assert_eq!(status, 200, "{metrics_body}");
     let scrape = parse_scrape(&metrics_body);
     // A miss is any query the cached levels did not answer — including
@@ -240,7 +150,7 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
     // scrape reported appears verbatim in its "metrics" object (the
     // request counters have moved by the /metrics request itself, so
     // compare only the host-derived ones, which are quiescent).
-    let (status, stats_body) = server.request("GET", "/stats", "");
+    let (status, _, stats_body) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{stats_body}");
     for name in [
         "synthesize_requests_total",
@@ -262,7 +172,7 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
     }
 
     // /debug/slow serves retained trace lines.
-    let (status, slow_body) = server.request("GET", "/debug/slow", "");
+    let (status, _, slow_body) = server.request("GET", "/debug/slow", "");
     assert_eq!(status, 200, "{slow_body}");
     assert!(slow_body.starts_with(r#"{"slowest":["#), "{slow_body}");
 
@@ -292,9 +202,9 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
 #[test]
 fn trace_level_off_emits_nothing() {
     let sink = SharedSink::default();
-    let server = RunningServer::start(HostRegistry::new(HostConfig::default()), 1, sink.clone());
-    server.obs.trace().set_level(LogLevel::Off);
-    let (status, _) = server.request("GET", "/healthz", "");
+    let server = traced_server(HostRegistry::new(HostConfig::default()), 1, &sink);
+    server.obs().trace().set_level(LogLevel::Off);
+    let (status, _, _) = server.request("GET", "/healthz", "");
     assert_eq!(status, 200);
     server.shutdown();
     assert!(sink.lines().is_empty(), "{:#?}", sink.lines());

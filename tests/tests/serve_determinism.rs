@@ -159,8 +159,8 @@ fn auto_strategy_matches_forced_uni() {
             assert!(syn.circuit.verify_against_binary_perm(target), "{target}");
         }
     }
-    // The auto host never deepened its shared forward levels past the
-    // one preparation level; the uni host climbed to the bound.
+    // The auto host never deepened its shared forward levels past
+    // level 0; the uni host climbed to the bound.
     assert_eq!(auto_host.stats().unwrap().completed, Some(0));
     assert_eq!(uni_host.stats().unwrap().completed, Some(5));
 }

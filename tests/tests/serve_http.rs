@@ -9,150 +9,45 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
-use mvq_core::known::parse_target_on;
-use mvq_core::{Circuit, SynthesisEngine};
-use mvq_serve::{HostConfig, HostRegistry, Server, ServerHandle};
-
-struct RunningServer {
-    handle: ServerHandle,
-    runner: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl RunningServer {
-    fn start(registry: HostRegistry) -> Self {
-        Self::with_workers(registry, 2)
-    }
-
-    fn with_workers(registry: HostRegistry, workers: usize) -> Self {
-        let server = Server::bind("127.0.0.1:0", Arc::new(registry)).expect("bind loopback");
-        let handle = server.handle().expect("handle");
-        let runner = std::thread::spawn(move || server.run(workers));
-        Self {
-            handle,
-            runner: Some(runner),
-        }
-    }
-
-    fn request(&self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(self.handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .expect("timeout");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(request.as_bytes()).expect("send");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("receive");
-        let status: u16 = response
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad response: {response}"));
-        let reply = response
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        if path == "/synthesize" && status == 200 && reply.contains("\"found\":true") {
-            assert_realizes_request(body, &reply);
-        }
-        (status, reply)
-    }
-
-    fn shutdown(mut self) {
-        self.handle.shutdown();
-        self.runner
-            .take()
-            .expect("still running")
-            .join()
-            .expect("server thread")
-            .expect("server run");
-    }
-}
-
-impl Drop for RunningServer {
-    fn drop(&mut self) {
-        if let Some(runner) = self.runner.take() {
-            self.handle.shutdown();
-            let _ = runner.join();
-        }
-    }
-}
-
-/// The string value of `"key":"…"` in a flat JSON object (neither the
-/// service's replies nor these tests' requests escape quotes in values).
-fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let start = json.find(&format!("\"{key}\":\""))? + key.len() + 4;
-    json[start..].split('"').next()
-}
-
-/// Re-verifies a found `/synthesize` reply against physics: its
-/// rendered circuit parses back, on the request's register, and its
-/// exact unitary (`mvq_sim`) is the requested permutation.
-fn assert_realizes_request(request: &str, reply: &str) {
-    let wires = if request.contains("\"wires\":4") {
-        4
-    } else {
-        3
-    };
-    let target = json_str(request, "target").expect("request names a target");
-    let target = parse_target_on(target, 1 << wires).expect("served target parses");
-    let rendered = json_str(reply, "circuit").expect("found reply carries a circuit");
-    let parsed: Circuit = rendered
-        .parse()
-        .unwrap_or_else(|err| panic!("served circuit `{rendered}` does not parse: {err}"));
-    let circuit = Circuit::new(wires, parsed.gates().to_vec());
-    assert_eq!(circuit.to_string(), rendered, "render → parse round trip");
-    assert!(
-        circuit.verify_against_binary_perm(&target),
-        "served circuit `{rendered}` does not realize {target} on {wires} wires"
-    );
-}
-
-fn test_config() -> HostConfig {
-    HostConfig {
-        threads: 1,
-        ..HostConfig::default()
-    }
-}
+use mvq_core::SynthesisEngine;
+use mvq_serve::{HostConfig, HostRegistry};
+use mvq_tests::{test_config, RunningServer};
 
 #[test]
 fn endpoints_answer_known_results() {
-    let server = RunningServer::start(HostRegistry::new(test_config()));
+    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
 
-    let (status, body) = server.request("GET", "/healthz", "");
+    let (status, _, body) = server.request("GET", "/healthz", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"status\":\"ok\""), "{body}");
 
     // The known Toffoli answer: cost 5, 4 minimal implementations.
-    let (status, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#);
+    let (status, _, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"found\":true"), "{body}");
     assert!(body.contains("\"cost\":5"), "{body}");
     assert!(body.contains("\"implementation_count\":4"), "{body}");
 
     // Verified Table 2 prefix through the service.
-    let (status, body) = server.request("POST", "/census", r#"{"cb":3}"#);
+    let (status, _, body) = server.request("POST", "/census", r#"{"cb":3}"#);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"g_counts\":[1,6,24,51]"), "{body}");
 
     // An unreachable bound is a definitive not-found, not an error.
-    let (status, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":4}"#);
+    let (status, _, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":4}"#);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"found\":false"), "{body}");
 
     // Weighted-model routing spins up a second host.
-    let (status, body) = server.request(
+    let (status, _, body) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(5,7,6,8)","cb":8,"model":{"v":2,"v_dagger":2,"feynman":1}}"#,
     );
     assert_eq!(status, 400, "{body}"); // cb 8 over the admission limit
-    let (status, body) = server.request(
+    let (status, _, body) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(5,7,6,8)","cb":7,"model":{"v":2,"v_dagger":2,"feynman":1}}"#,
@@ -160,7 +55,7 @@ fn endpoints_answer_known_results() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"cost\":7"), "{body}");
 
-    let (status, body) = server.request("GET", "/stats", "");
+    let (status, _, body) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"models\":2"), "{body}");
     assert!(body.contains("\"cache_hits\""), "{body}");
@@ -170,14 +65,17 @@ fn endpoints_answer_known_results() {
 
 #[test]
 fn four_wire_requests_route_to_the_wide_host() {
-    let server = RunningServer::start(HostRegistry::new(HostConfig {
-        threads: 1,
-        max_cost_bound: 3,
-        ..HostConfig::default()
-    }));
+    let server = RunningServer::start(
+        HostRegistry::new(HostConfig {
+            threads: 1,
+            max_cost_bound: 3,
+            ..HostConfig::default()
+        }),
+        2,
+    );
 
     // The 4-wire CNOT D ^= A: cost 1 through the wide host.
-    let (status, body) = server.request(
+    let (status, _, body) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(9,10)(11,12)(13,14)(15,16)","wires":4,"cb":2}"#,
@@ -188,7 +86,7 @@ fn four_wire_requests_route_to_the_wide_host() {
 
     // A defaulted (no-cb) wide request clamps its implicit bound to
     // the host's admission limit (3 here) instead of being rejected.
-    let (status, body) = server.request(
+    let (status, _, body) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(9,10)(11,12)(13,14)(15,16)","wires":4}"#,
@@ -198,12 +96,12 @@ fn four_wire_requests_route_to_the_wide_host() {
     assert!(body.contains("\"cost\":1"), "{body}");
 
     // The 4-wire census prefix.
-    let (status, body) = server.request("POST", "/census", r#"{"wires":4,"cb":2}"#);
+    let (status, _, body) = server.request("POST", "/census", r#"{"wires":4,"cb":2}"#);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"g_counts\":[1,12,96]"), "{body}");
 
     // A 4-wire target given without wires: rejected as a 3-wire parse.
-    let (status, body) = server.request(
+    let (status, _, body) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(9,10)(11,12)(13,14)(15,16)","cb":2}"#,
@@ -211,23 +109,23 @@ fn four_wire_requests_route_to_the_wide_host() {
     assert_eq!(status, 400, "{body}");
 
     // Unsupported wire counts are a clean 400.
-    let (status, body) = server.request("POST", "/census", r#"{"wires":5,"cb":2}"#);
+    let (status, _, body) = server.request("POST", "/census", r#"{"wires":5,"cb":2}"#);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("unsupported wires"), "{body}");
 
     // Malformed requests never created a host: only the wide one is
     // live so far (a bad target must not cost a model-cap slot).
-    let (status, body) = server.request("GET", "/stats", "");
+    let (status, _, body) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"models\":1"), "{body}");
     assert!(!body.contains("\"wires\":3"), "{body}");
 
     // A valid 3-wire request spins up the narrow host alongside.
-    let (status, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":2}"#);
+    let (status, _, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":2}"#);
     assert_eq!(status, 200, "{body}");
 
     // Stats label each host with its wire count.
-    let (status, body) = server.request("GET", "/stats", "");
+    let (status, _, body) = server.request("GET", "/stats", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"wires\":3"), "{body}");
     assert!(body.contains("\"wires\":4"), "{body}");
@@ -237,8 +135,8 @@ fn four_wire_requests_route_to_the_wide_host() {
 
 #[test]
 fn oversized_content_length_gets_413_before_any_body_read() {
-    let server = RunningServer::start(HostRegistry::new(test_config()));
-    let mut stream = TcpStream::connect(server.handle.addr()).expect("connect");
+    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
@@ -253,7 +151,7 @@ fn oversized_content_length_gets_413_before_any_body_read() {
     assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
 
     // A signed Content-Length is malformed: 400.
-    let mut stream = TcpStream::connect(server.handle.addr()).expect("connect");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .write_all(b"POST /census HTTP/1.1\r\nHost: t\r\nContent-Length: +2\r\n\r\n{}")
         .expect("send");
@@ -267,34 +165,37 @@ fn oversized_content_length_gets_413_before_any_body_read() {
 #[test]
 fn malformed_requests_get_4xx_not_disconnects() {
     // A tight admission limit keeps the default-census check cheap.
-    let server = RunningServer::start(HostRegistry::new(HostConfig {
-        threads: 1,
-        max_cost_bound: 3,
-        ..HostConfig::default()
-    }));
-    let (status, body) = server.request("POST", "/synthesize", "this is not json");
+    let server = RunningServer::start(
+        HostRegistry::new(HostConfig {
+            threads: 1,
+            max_cost_bound: 3,
+            ..HostConfig::default()
+        }),
+        2,
+    );
+    let (status, _, body) = server.request("POST", "/synthesize", "this is not json");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("error"), "{body}");
-    let (status, _) = server.request("POST", "/synthesize", r#"{"cb":3}"#);
+    let (status, _, _) = server.request("POST", "/synthesize", r#"{"cb":3}"#);
     assert_eq!(status, 400);
-    let (status, _) = server.request("POST", "/synthesize", r#"{"target":"(1,9)"}"#);
+    let (status, _, _) = server.request("POST", "/synthesize", r#"{"target":"(1,9)"}"#);
     assert_eq!(status, 400);
-    let (status, _) = server.request(
+    let (status, _, _) = server.request(
         "POST",
         "/synthesize",
         r#"{"target":"(7,8)","model":{"v":0,"v_dagger":1,"feynman":1}}"#,
     );
     assert_eq!(status, 400);
-    let (status, _) = server.request("GET", "/nope", "");
+    let (status, _, _) = server.request("GET", "/nope", "");
     assert_eq!(status, 404);
-    let (status, _) = server.request("DELETE", "/healthz", "");
+    let (status, _, _) = server.request("DELETE", "/healthz", "");
     assert_eq!(status, 405);
     // Explicit census bounds go through admission like /synthesize.
-    let (status, body) = server.request("POST", "/census", r#"{"cb":9}"#);
+    let (status, _, body) = server.request("POST", "/census", r#"{"cb":9}"#);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("admission limit"), "{body}");
     // …while the bodyless default is capped by the limit, not rejected.
-    let (status, body) = server.request("POST", "/census", "");
+    let (status, _, body) = server.request("POST", "/census", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"cb\":3"), "{body}");
     server.shutdown();
@@ -339,12 +240,12 @@ fn snapshot_backed_server_answers_without_expansion() {
     let registry = HostRegistry::new(test_config());
     let engine = SynthesisEngine::load_snapshot_with_threads(&path, 1).expect("load snapshot");
     registry.install(engine).expect("install");
-    let server = RunningServer::with_workers(registry, 4);
+    let server = RunningServer::start(registry, 4);
 
-    let (status, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#);
+    let (status, _, body) = server.request("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"cost\":5"), "{body}");
-    let (status, body) = server.request("GET", "/stats", "");
+    let (status, _, body) = server.request("GET", "/stats", "");
     assert_eq!(status, 200);
     assert!(body.contains("\"expansions\":0"), "{body}");
     assert!(body.contains("\"completed\":5"), "{body}");
@@ -358,13 +259,13 @@ fn snapshot_backed_server_answers_without_expansion() {
             scope.spawn(move || {
                 for i in 0..WARM_MIX.len() {
                     let (method, path, body) = WARM_MIX[(client + i) % WARM_MIX.len()];
-                    let (status, reply) = server.request(method, path, body);
+                    let (status, _, reply) = server.request(method, path, body);
                     assert_eq!(status, 200, "{method} {path} {body}: {reply}");
                 }
             });
         }
     });
-    let (status, body) = server.request("GET", "/metrics", "");
+    let (status, _, body) = server.request("GET", "/metrics", "");
     assert_eq!(status, 200);
     let scrape = mvq_obs::parse_scrape(&body);
     assert_eq!(scrape.counters.get("expansions_total"), Some(&0), "{body}");
@@ -380,20 +281,13 @@ fn snapshot_backed_server_answers_without_expansion() {
 
 #[test]
 fn shutdown_endpoint_stops_the_server() {
-    let server = RunningServer::start(HostRegistry::new(test_config()));
-    let addr = server.handle.addr();
-    let (status, body) = server.request("POST", "/shutdown", "");
+    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let addr = server.addr();
+    let (status, _, body) = server.request("POST", "/shutdown", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("shutting down"), "{body}");
     // The run loop exits; joining must not hang.
-    let mut server = server;
-    server
-        .runner
-        .take()
-        .expect("still running")
-        .join()
-        .expect("server thread")
-        .expect("clean exit");
+    server.join();
     // New connections are no longer served.
     std::thread::sleep(Duration::from_millis(50));
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err();
