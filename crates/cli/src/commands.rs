@@ -6,7 +6,7 @@ use std::sync::Arc;
 use mvq_automata::ControlledRng;
 use mvq_core::{
     universal, Census, Circuit, CostModel, Narrow, SearchEngine, SearchWidth, SnapshotError,
-    SynthesisEngine, SynthesisStrategy, Wide, WideSynthesisEngine, EXPECTED_TABLE_2, PAPER_TABLE_2,
+    Strategy, SynthesisEngine, Wide, WideSynthesisEngine, EXPECTED_TABLE_2, PAPER_TABLE_2,
 };
 use mvq_logic::{Gate, GateLibrary, PatternDomain, TruthTable};
 use mvq_perm::Perm;
@@ -32,11 +32,14 @@ COMMANDS:
            [--model M]              missing); M is unit | V,VD,F |
                                     weighted(V,VD,F)
     synth <perm> [--cb N] [--all]   minimal-cost synthesis of a reversible
-          [--strategy uni|bidi]     function given in cycle notation on the
+          [--strategy S]            function given in cycle notation on the
           [--threads T]             2^n binary patterns, e.g. \"(7,8)\";
-          [--snapshot FILE]         `bidi` meets in the middle from the
-          [--wires 2|3|4]           target side (faster for deep targets);
-          [--model M]               T defaults to MVQ_THREADS or the
+          [--snapshot FILE]         S is uni (default), bidi or auto: `bidi`
+          [--wires 2|3|4]           meets in the middle from the target side
+          [--model M]               (faster for deep targets), `auto` uses
+                                    the settled levels when they decide and
+                                    meets in the middle otherwise; T
+                                    defaults to MVQ_THREADS or the
                                     available parallelism (0 = auto)
     serve [--addr A] [--threads T]  long-lived synthesis service (HTTP/1.1 +
           [--snapshot FILE]         JSON): /synthesize /census /healthz
@@ -275,14 +278,14 @@ fn synth_run<W: SearchWidth>(args: &Args, wires: usize) -> CommandResult {
         .positional(1)
         .ok_or_else(|| ParseArgsError::new("synth needs a permutation, e.g. \"(7,8)\""))?;
     let cb: u32 = args.option("cb", if wires == 4 { 4 } else { 7 })?;
-    let strategy: SynthesisStrategy = args.option("strategy", SynthesisStrategy::default())?;
+    let strategy: Strategy = args.option("strategy", Strategy::Uni)?;
     let model = model_arg(args)?;
     let threads = thread_count(args)?;
     let target = mvq_core::known::parse_target_on(text, 1 << wires)
         .map_err(|detail| Box::new(ParseArgsError::new(detail)) as Box<dyn Error>)?;
     let (mut engine, loaded_depth) = snapshot_engine::<W>(args, wires, model, threads)?;
     if args.flag("all") {
-        if strategy != SynthesisStrategy::Unidirectional {
+        if strategy != Strategy::Uni {
             return Err(Box::new(ParseArgsError::new(
                 "--all enumerates the unidirectional level sets; \
                  drop --strategy or use --strategy uni",
@@ -638,6 +641,14 @@ mod tests {
         assert!(run(&["synth", "(7,8)", "--cb", "6", "--strategy", "bidi"]).is_ok());
         assert!(run(&["synth", "(7,8)", "--cb", "6", "--strategy", "bidirectional"]).is_ok());
         assert!(run(&["synth", "(7,8)", "--cb", "6", "--strategy", "uni"]).is_ok());
+    }
+
+    #[test]
+    fn synth_auto_strategy() {
+        assert!(run(&["synth", "(7,8)", "--cb", "6", "--strategy", "auto"]).is_ok());
+        assert!(run(&["synth", "(5,6,8,7)", "--cb", "5", "--strategy", "AUTO"]).is_ok());
+        // --all enumerates unidirectional level sets only.
+        assert!(run(&["synth", "(7,8)", "--all", "--strategy", "auto"]).is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@ use mvq_logic::{Gate, GateLibrary};
 use mvq_obs::ProbeHandle;
 use mvq_perm::Perm;
 
+use crate::mitm::BackwardFrontier;
 use crate::par;
 use crate::seen::{Handle, Meta, ShardedSeen};
 use crate::snapshot::{DeferredFrontier, SnapshotImage};
@@ -106,60 +107,97 @@ pub struct Synthesis {
     pub implementation_count: usize,
 }
 
-/// The outcome of a read-only [`SearchEngine::synthesize_cached`]
-/// query against the cached levels.
+/// One read-only MCE attempt at a [`Query`] ([`SearchEngine::answer`]).
 #[derive(Debug, Clone)]
-pub enum CachedSynthesis {
-    /// The cache is authoritative: the minimal circuit within the bound,
-    /// or a definitive `None` (identical to what a mutable
-    /// [`SearchEngine::synthesize`] call would return).
-    Resolved(Option<Synthesis>),
-    /// The class is undiscovered and deeper levels could still contain
-    /// it — the query must go through an expanding (writer) path.
-    NeedsExpansion,
+pub enum Answer<T = Option<Synthesis>> {
+    /// The levels decide the query — a minimal circuit within the bound,
+    /// or a definitive `None`, with the cost and witness count the
+    /// mutable [`SearchEngine::synthesize_with`] returns — tagged with the
+    /// strategy that resolved it ([`Strategy::Auto`] resolves as `Uni` or `Bidi`).
+    Resolved(T, Strategy),
+    /// Only a deeper forward level can decide: settle one
+    /// ([`SearchEngine::settle_one_level`]), then answer the same query
+    /// again.
+    NeedsLevel,
 }
 
-/// Which MCE front-end a query should use.
+/// Which MCE front-end answers a query.
 ///
-/// [`Unidirectional`](SynthesisStrategy::Unidirectional) is the paper's
-/// original formulation: expand FMCF levels from the identity until the
-/// target's class appears. [`Bidirectional`](SynthesisStrategy::Bidirectional)
-/// meets in the middle: a second frontier grows from the target side, so a
-/// cost-`2t` target is reached with two cost-`t` level sets instead of one
-/// cost-`2t` set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SynthesisStrategy {
+/// [`Uni`](Strategy::Uni) is the paper's formulation: settle FMCF levels
+/// from the identity until the target's class appears.
+/// [`Bidi`](Strategy::Bidi) meets in the middle: a backward frontier
+/// grows from the target side and joins the forward levels, so a
+/// cost-`2t` target is reached with two cost-`t` level sets instead of
+/// one cost-`2t` set. [`Auto`](Strategy::Auto) answers from the cached
+/// levels when they decide the query and meets in the middle otherwise.
+/// Costs and witness counts are identical across strategies; only where
+/// the search work lands differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Strategy {
     /// Single frontier from the identity (the paper's MCE).
-    #[default]
-    Unidirectional,
-    /// Meet-in-the-middle: identity frontier joined against a frontier
-    /// expanded backward from the target.
-    Bidirectional,
+    Uni,
+    /// Meet-in-the-middle: forward levels joined against a backward
+    /// frontier grown from the target.
+    Bidi,
+    /// `Uni` when the cached levels decide the query, `Bidi` otherwise.
+    Auto,
 }
 
-impl FromStr for SynthesisStrategy {
+impl Strategy {
+    /// The canonical lowercase name (`uni` / `bidi` / `auto`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Uni => "uni",
+            Self::Bidi => "bidi",
+            Self::Auto => "auto",
+        }
+    }
+}
+
+impl FromStr for Strategy {
     type Err = String;
 
-    /// Accepts `unidirectional`/`uni` and `bidirectional`/`bidi`
-    /// (case-insensitive).
+    /// Accepts `uni`/`unidirectional`, `bidi`/`bidirectional`, and
+    /// `auto` (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
-            "unidirectional" | "uni" => Ok(Self::Unidirectional),
-            "bidirectional" | "bidi" => Ok(Self::Bidirectional),
+            "unidirectional" | "uni" => Ok(Self::Uni),
+            "bidirectional" | "bidi" => Ok(Self::Bidi),
+            "auto" => Ok(Self::Auto),
             other => Err(format!(
-                "unknown strategy `{other}` (expected `unidirectional` or `bidirectional`)"
+                "unknown strategy `{other}` (expected `uni`, `bidi`, or `auto`)"
             )),
         }
     }
 }
 
-impl fmt::Display for SynthesisStrategy {
+impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Unidirectional => write!(f, "unidirectional"),
-            Self::Bidirectional => write!(f, "bidirectional"),
-        }
+        f.write_str(self.as_str())
     }
+}
+
+/// A target reduced once for MCE ([`SearchEngine::query`]) — its
+/// Theorem 2 NOT layer, class key and S-trace — plus what its
+/// [`SearchEngine::answer`] calls carry from one to the next: the
+/// backward frontier and the total cost its joins have ruled out, so a
+/// level settled between two answers does not restart either.
+pub struct Query<W: SearchWidth> {
+    strategy: Strategy,
+    pub(crate) cb: u32,
+    key: W::Word,
+    pub(crate) not_layer: Vec<Gate>,
+    pub(crate) target_trace: W::Trace,
+    /// Whether a `Bidi` answer on a warm engine may ask for a forward
+    /// level (the adaptive split). Only the mutable loop
+    /// ([`SearchEngine::synthesize_with`]) sets it: a reader's query
+    /// pins the forward depth to the cache.
+    pub(crate) split: bool,
+    /// The backward frontier, built by the first `Bidi` answer on a warm
+    /// engine.
+    pub(crate) back: Option<BackwardFrontier<W>>,
+    /// The lowest total cost the `Bidi` join has not ruled out yet.
+    pub(crate) cost: u32,
 }
 
 /// The paper's FMCF + MCE engines over one gate library and cost model,
@@ -817,7 +855,8 @@ impl<W: SearchWidth> SearchEngine<W> {
 
     /// The paper's MCE (Minimum_Cost_Expressing) algorithm: synthesizes a
     /// minimal-cost implementation of the reversible function `target`
-    /// (a permutation of `{1, …, 2^n}`), searching up to cost `cb`.
+    /// (a permutation of `{1, …, 2^n}`), searching up to cost `cb`
+    /// ([`Self::synthesize_with`] under [`Strategy::Uni`]).
     ///
     /// Returns `None` if the target's minimal cost exceeds `cb`
     /// (the paper's `flag = 0` case) — including on a *warm* engine whose
@@ -827,88 +866,119 @@ impl<W: SearchWidth> SearchEngine<W> {
     ///
     /// Panics if `target.degree() != 2^n` for the library's wire count.
     pub fn synthesize(&mut self, target: &Perm, cb: u32) -> Option<Synthesis> {
-        let (key, not_layer) = self.reduce_target(target);
-        loop {
-            if let Some(resolved) = self.lookup_class(&key, &not_layer, cb) {
-                return resolved;
-            }
-            let done = self.completed.map_or(0, |c| c + 1);
-            if done > cb {
-                return None;
-            }
-            if !self.settle_one_level() {
-                return None;
-            }
-        }
+        self.synthesize_with(Strategy::Uni, target, cb)
     }
 
-    /// Read-only MCE against the cached levels: answers from the class
-    /// table alone, never expanding a level.
-    ///
-    /// Returns [`CachedSynthesis::Resolved`] when the cache is
-    /// authoritative for `(target, cb)` — a minimal circuit within the
-    /// bound, or a definitive `None` (the class cost exceeds `cb`, the
-    /// levels already cover `cb`, or the search space is exhausted) —
-    /// and [`CachedSynthesis::NeedsExpansion`] when only deeper levels
-    /// can decide. The resolved value is bit-identical to what
-    /// [`Self::synthesize`] would return, which lets concurrent readers
-    /// share one warm engine and funnel only cache misses to a writer.
+    /// Runs MCE under `strategy`: the one mutable loop, answering the
+    /// target's [`Query`] and settling a forward level whenever the
+    /// answer asks for one. Under [`Strategy::Bidi`] the split is
+    /// adaptive (see [`Self::synthesize_bidirectional`]).
     ///
     /// # Panics
     ///
     /// Panics if `target.degree() != 2^n` for the library's wire count.
-    pub fn synthesize_cached(&self, target: &Perm, cb: u32) -> CachedSynthesis {
-        let (key, not_layer) = self.reduce_target(target);
-        if let Some(resolved) = self.lookup_class(&key, &not_layer, cb) {
-            return CachedSynthesis::Resolved(resolved);
-        }
-        if self.completed.map_or(0, |c| c + 1) > cb || self.exhausted() {
-            CachedSynthesis::Resolved(None)
-        } else {
-            CachedSynthesis::NeedsExpansion
+    pub fn synthesize_with(
+        &mut self,
+        strategy: Strategy,
+        target: &Perm,
+        cb: u32,
+    ) -> Option<Synthesis> {
+        let mut query = self.query(target, cb, strategy);
+        query.split = true;
+        self.settle_until_resolved(&mut query)
+    }
+
+    /// Answers `query`, settling one forward level per
+    /// [`Answer::NeedsLevel`]. Every strategy asks only while the engine
+    /// is not exhausted, and a settle that finds no level leaves it
+    /// exhausted, so the loop ends.
+    pub(crate) fn settle_until_resolved(&mut self, query: &mut Query<W>) -> Option<Synthesis> {
+        loop {
+            match self.answer(query) {
+                Answer::Resolved(result, _) => return result,
+                Answer::NeedsLevel => {
+                    self.settle_one_level();
+                }
+            }
         }
     }
 
-    /// The class-table half of MCE: `Some(result)` when the cache decides
-    /// the query (hit within the bound, or a class whose minimal cost
-    /// exceeds `cb` — further expansion can never help), `None` when the
-    /// class has not been discovered yet.
-    fn lookup_class(
-        &self,
-        key: &W::Word,
-        not_layer: &[Gate],
-        cb: u32,
-    ) -> Option<Option<Synthesis>> {
-        let class = self.classes.get(key)?;
+    /// Reduces `target` once for MCE under `strategy` within cost `cb`:
+    /// the Theorem 2 NOT layer, the class key and the S-trace a
+    /// [`Self::answer`] call reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target.degree() != 2^n` for the library's wire count.
+    pub fn query(&self, target: &Perm, cb: u32, strategy: Strategy) -> Query<W> {
+        let (key, not_layer) = self.reduce_target(target);
+        Query {
+            strategy,
+            cb,
+            key,
+            not_layer,
+            target_trace: self.target_trace(&key),
+            split: false,
+            back: None,
+            cost: 0,
+        }
+    }
+
+    /// Read-only MCE: answers `query` from the settled forward levels,
+    /// never settling one.
+    ///
+    /// - [`Strategy::Uni`] looks the target's class up. It resolves when
+    ///   the class is known, the levels cover the bound, or the space is
+    ///   exhausted.
+    /// - [`Strategy::Bidi`] joins the levels against the query's backward
+    ///   frontier. A reader's query asks for a level only on a cold
+    ///   engine; the forward depth stays pinned to the cache.
+    /// - [`Strategy::Auto`] is `Uni`'s answer when that resolves, and
+    ///   `Bidi`'s otherwise.
+    ///
+    /// A resolved answer is bit-identical to what [`Self::synthesize_with`]
+    /// returns under `Uni` (and cost- and count-identical under every
+    /// strategy), which lets concurrent readers share one warm engine and
+    /// funnel only [`Answer::NeedsLevel`] to a writer.
+    pub fn answer(&self, query: &mut Query<W>) -> Answer {
+        match query.strategy {
+            Strategy::Uni => self.answer_uni(query),
+            Strategy::Bidi => self.answer_bidi(query),
+            Strategy::Auto => match self.answer_uni(query) {
+                Answer::NeedsLevel => self.answer_bidi(query),
+                resolved => resolved,
+            },
+        }
+    }
+
+    /// The class-table half of MCE: a hit within the bound, a class
+    /// whose minimal cost exceeds the bound (no level can help), or a
+    /// definitive `None` once the levels cover the bound or the space is
+    /// exhausted; otherwise a deeper level may hold the class.
+    fn answer_uni(&self, query: &Query<W>) -> Answer {
+        let Some(class) = self.classes.get(&query.key) else {
+            if self.completed.map_or(0, |c| c + 1) > query.cb || self.exhausted() {
+                return Answer::Resolved(None, Strategy::Uni);
+            }
+            return Answer::NeedsLevel;
+        };
         debug_assert!(self.completed.is_some_and(|c| c >= class.cost));
         // The class cost is minimal by construction; on a warm engine it
         // may exceed the caller's bound, in which case no further
         // expansion can ever help.
-        if class.cost > cb {
-            return Some(None);
+        if class.cost > query.cb {
+            return Answer::Resolved(None, Strategy::Uni);
         }
         let n = self.library.domain().wires();
-        let mut gates = not_layer.to_vec();
+        let mut gates = query.not_layer.clone();
         gates.extend(self.reconstruct(&class.witnesses[0]));
-        Some(Some(Synthesis {
+        let synthesis = Synthesis {
             circuit: Circuit::new(n, gates),
             cost: class.cost,
-            not_layer: not_layer.to_vec(),
+            not_layer: query.not_layer.clone(),
             implementation_count: class.witnesses.len(),
-        }))
-    }
-
-    /// Runs MCE with an explicit [`SynthesisStrategy`].
-    pub fn synthesize_with(
-        &mut self,
-        strategy: SynthesisStrategy,
-        target: &Perm,
-        cb: u32,
-    ) -> Option<Synthesis> {
-        match strategy {
-            SynthesisStrategy::Unidirectional => self.synthesize(target, cb),
-            SynthesisStrategy::Bidirectional => self.synthesize_bidirectional(target, cb),
-        }
+        };
+        Answer::Resolved(Some(synthesis), Strategy::Uni)
     }
 
     /// Strips the Theorem 2 NOT layer from `target` and returns the
@@ -947,13 +1017,13 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// The paper reports 2 such implementations for Peres and 4 for
     /// Toffoli.
     pub fn synthesize_all(&mut self, target: &Perm, cb: u32) -> Vec<Synthesis> {
-        let Some(first) = self.synthesize(target, cb) else {
+        let mut query = self.query(target, cb, Strategy::Uni);
+        let Some(first) = self.settle_until_resolved(&mut query) else {
             return Vec::new();
         };
         let n = self.library.domain().wires();
-        let (key, _) = self.reduce_target(target);
-        let class = self.classes.get(&key).expect("synthesize found the class");
-        let witnesses = class.witnesses.clone();
+        // A `Uni` answer within the bound is a class hit.
+        let witnesses = &self.classes[&query.key].witnesses;
         witnesses
             .iter()
             .map(|w| {
@@ -1358,23 +1428,18 @@ mod tests {
 
     #[test]
     fn strategy_parses_and_displays() {
-        assert_eq!(
-            "bidirectional".parse::<SynthesisStrategy>().unwrap(),
-            SynthesisStrategy::Bidirectional
-        );
-        assert_eq!(
-            "UNI".parse::<SynthesisStrategy>().unwrap(),
-            SynthesisStrategy::Unidirectional
-        );
-        assert!("sideways".parse::<SynthesisStrategy>().is_err());
-        assert_eq!(
-            SynthesisStrategy::Bidirectional.to_string(),
-            "bidirectional"
-        );
-        assert_eq!(
-            SynthesisStrategy::default(),
-            SynthesisStrategy::Unidirectional
-        );
+        for (names, strategy) in [
+            (["uni", "unidirectional", "UNI"], Strategy::Uni),
+            (["bidi", "bidirectional", "Bidirectional"], Strategy::Bidi),
+            (["auto", "AUTO", "Auto"], Strategy::Auto),
+        ] {
+            for name in names {
+                assert_eq!(name.parse::<Strategy>().unwrap(), strategy, "{name}");
+            }
+            assert_eq!(strategy.to_string(), names[0]);
+            assert_eq!(strategy.as_str().parse::<Strategy>().unwrap(), strategy);
+        }
+        assert!("sideways".parse::<Strategy>().is_err());
     }
 
     /// Records each level's deterministic work counts, in level order.

@@ -16,7 +16,9 @@
 //!    (Minimum_Cost_Expressing): given any target reversible function it
 //!    strips a NOT-gate coset layer (Theorem 2) and factors the remainder
 //!    into a minimal gate cascade — reproducing the Peres (Figures 4, 8)
-//!    and Toffoli (Figure 9) syntheses.
+//!    and Toffoli (Figure 9) syntheses. Every MCE entry point, and the
+//!    service's readers, resolve a target through the read-only
+//!    [`SearchEngine::answer`] under one [`Strategy`].
 //! 4. [`universal`] analyses the structure of `G[4]`: the 24 control-gate
 //!    circuits, their universality, and the g1–g4 representatives
 //!    (Figures 4–7).
@@ -62,7 +64,7 @@ mod word;
 pub use census::{Census, CensusRow, EXPECTED_TABLE_2, PAPER_TABLE_2};
 pub use circuit::{Circuit, ParseCircuitError};
 pub use cost::{CostModel, ParseCostModelError};
-pub use engine::{CachedSynthesis, EngineError, SearchEngine, Synthesis, SynthesisStrategy};
+pub use engine::{Answer, EngineError, Query, SearchEngine, Strategy, Synthesis};
 pub use mitm::CachedBidirectional;
 pub use mvq_obs::{Probe, ProbeHandle};
 pub use par::resolve_threads;

@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, HashSet};
 use mvq_logic::Gate;
 use mvq_perm::Perm;
 
-use crate::engine::{trace_mask, SearchEngine, TraceIndex};
+use crate::engine::{trace_mask, Answer, Query, SearchEngine, Strategy, TraceIndex};
 use crate::par;
 use crate::seen::{Handle, Meta, ShardedSeen};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
@@ -58,7 +58,7 @@ use crate::{Circuit, Synthesis};
 /// only the next settle needs. So the deepest settled level stays
 /// unexpanded until a deeper one is asked for, and a query that joins
 /// at that level never pays for its (largest) successor set.
-struct BackwardFrontier<W: SearchWidth> {
+pub(crate) struct BackwardFrontier<W: SearchWidth> {
     /// Binary-set size: how many bytes of each trace are populated.
     k: usize,
     seen: ShardedSeen<W::Trace>,
@@ -255,8 +255,8 @@ fn apply_to_trace<W: SearchWidth>(trace: W::Trace, table: &GateTable, k: usize) 
 }
 
 impl<W: SearchWidth> SearchEngine<W> {
-    /// Meet-in-the-middle MCE: synthesizes a minimal-cost implementation
-    /// of `target` by joining the cached forward levels against a
+    /// Meet-in-the-middle MCE: [`Self::synthesize_with`] under
+    /// [`Strategy::Bidi`], joining the cached forward levels against a
     /// backward frontier expanded from the target side.
     ///
     /// Produces cost-identical results to [`Self::synthesize`] (including
@@ -269,13 +269,9 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// The split is *adaptive*: instead of always meeting at `⌈c/2⌉`,
     /// each step grows whichever frontier currently holds fewer elements
     /// (forward words vs backward traces), until the two depths jointly
-    /// cover cost `c`. Coverage invariant: every cost-`c` cascade splits
-    /// at its longest suffix of cost ≤ `back_done`, leaving a prefix of
-    /// cost at most `c − back_done + max_gate − 1` — so
-    /// `fwd_done + back_done ≥ c + max_gate − 1` (or either side alone
-    /// reaching `c`) guarantees every minimal witness is joined. The
-    /// choice of split never changes costs or witness counts, only how
-    /// the work divides between the frontiers.
+    /// cover cost `c` (see [`Self::answer`]). The choice of split
+    /// never changes costs or witness counts, only how the work divides
+    /// between the frontiers.
     ///
     /// Returns `None` if the target's minimal cost exceeds `cb`.
     ///
@@ -283,114 +279,81 @@ impl<W: SearchWidth> SearchEngine<W> {
     ///
     /// Panics if `target.degree() != 2^n` for the library's wire count.
     pub fn synthesize_bidirectional(&mut self, target: &Perm, cb: u32) -> Option<Synthesis> {
-        let (key, not_layer) = self.reduce_target(target);
-        let k = self.binary0.len();
-        let target_trace = self.target_trace(&key);
-        let mut back: BackwardFrontier<W> = BackwardFrontier::new(target_trace, k, self.threads());
-        let max_gate = self.max_gate_cost();
-
-        // Settle the forward cost-0 level before any join (the backward
-        // one is settled on construction).
-        self.climb_to(0, false);
-
-        for c in 0..=cb {
-            // Adaptive split: grow the currently-smaller frontier until
-            // the coverage invariant holds for cost c.
-            loop {
-                let fwd_done = self.completed.map_or(0, |v| v);
-                let back_done = back.settled;
-                if fwd_done + back_done >= c + (max_gate - 1) || fwd_done >= c || back_done >= c {
-                    break;
-                }
-                let fwd_exhausted = self.exhausted();
-                let back_exhausted = back.exhausted();
-                if fwd_exhausted && back_exhausted {
-                    break;
-                }
-                let grow_forward = if fwd_exhausted {
-                    false
-                } else if back_exhausted {
-                    true
-                } else {
-                    let fwd_size = self.levels.get(fwd_done as usize).map_or(0, Vec::len);
-                    let back_size = back.levels.get(back_done as usize).map_or(0, Vec::len);
-                    fwd_size <= back_size
-                };
-                if grow_forward {
-                    self.settle_one_level();
-                } else {
-                    back.settle_next_level(self);
-                }
-            }
-
-            let fwd_done = self.completed.map_or(0, |v| v);
-            let back_done = back.settled;
-            if let Some(syn) = self.resolve_at_cost(&back, c, fwd_done, &not_layer) {
-                return Some(syn);
-            }
-            // Both frontiers exhausted and out of joinable range: the
-            // target is unreachable, stop early.
-            if self.exhausted() && back.exhausted() && c >= fwd_done + back_done {
-                return None;
-            }
-        }
-        None
+        self.synthesize_with(Strategy::Bidi, target, cb)
     }
 
     /// Read-only meet-in-the-middle MCE against the engine's cached
-    /// forward levels: the backward frontier is per-query (never shared),
-    /// so concurrent readers can serve deep targets without taking a
-    /// write lock.
+    /// forward levels: [`Self::answer`] on a reader's [`Strategy::Bidi`]
+    /// query, whose backward frontier is per-query (never shared), so
+    /// concurrent readers can serve deep targets without taking a write
+    /// lock.
     ///
     /// Resolution is cost- and count-identical to
-    /// [`Self::synthesize_bidirectional`]: the forward depth is pinned to
-    /// what the cache already holds (capped at `cb`), and only the
-    /// backward frontier grows until the coverage invariant holds.
-    /// Definitive `None` is sound even when the backward frontier
-    /// exhausts first: joining the identity word (forward level 0)
-    /// against a full suffix chain bounds any reachable target's minimal
-    /// cost by the deepest backward level, so nothing below `cb` is
-    /// missed.
-    ///
-    /// The join indexes of the cached levels are built on first use,
-    /// through the shared reference. Returns
+    /// [`Self::synthesize_bidirectional`]. Returns
     /// [`CachedBidirectional::NeedsPreparation`] only on a cold engine
     /// (no forward level settled yet): settle one under a write lock,
     /// then retry.
     pub fn synthesize_bidirectional_cached(&self, target: &Perm, cb: u32) -> CachedBidirectional {
-        match self.cached_bidirectional(target, cb) {
-            Some((result, _)) => CachedBidirectional::Resolved(result),
-            None => CachedBidirectional::NeedsPreparation,
+        match self.answer(&mut self.query(target, cb, Strategy::Bidi)) {
+            Answer::Resolved(result, _) => CachedBidirectional::Resolved(result),
+            Answer::NeedsLevel => CachedBidirectional::NeedsPreparation,
         }
     }
 
-    /// [`Self::synthesize_bidirectional_cached`] together with the
-    /// backward frontier it grew, or `None` on a cold engine.
-    fn cached_bidirectional(
-        &self,
-        target: &Perm,
-        cb: u32,
-    ) -> Option<(Option<Synthesis>, BackwardFrontier<W>)> {
-        let usable = self.completed?.min(cb);
-        let (key, not_layer) = self.reduce_target(target);
-        let k = self.binary0.len();
-        let mut back: BackwardFrontier<W> =
-            BackwardFrontier::new(self.target_trace(&key), k, self.threads());
+    /// The [`Strategy::Bidi`] half of [`Self::answer`]: the one
+    /// coverage-and-join loop, over the query's own backward frontier.
+    ///
+    /// For each total cost `c` up to the bound, the backward frontier
+    /// grows until the two depths cover `c`. Coverage invariant: every
+    /// cost-`c` cascade splits at its longest suffix of cost ≤
+    /// `back_done`, leaving a prefix of cost at most
+    /// `c − back_done + max_gate − 1`, so `fwd_done + back_done ≥
+    /// c + max_gate − 1` (or either side alone reaching `c`) guarantees
+    /// every minimal witness is joined. Definitive `None` is sound even
+    /// when the backward frontier exhausts first: joining the identity
+    /// word (forward level 0) against a full suffix chain bounds any
+    /// reachable target's minimal cost by the deepest backward level.
+    ///
+    /// The forward depth is the settled one, capped at the bound. A
+    /// cold engine needs a level. So does a mutable loop's query
+    /// whenever the adaptive split prefers the forward side: its deepest
+    /// level is no larger than the backward one, or the backward side is
+    /// exhausted, and the forward side is not.
+    pub(crate) fn answer_bidi(&self, query: &mut Query<W>) -> Answer {
+        let Some(completed) = self.completed else {
+            return Answer::NeedsLevel;
+        };
+        let fwd_done = completed.min(query.cb);
         let max_gate = self.max_gate_cost();
-        for c in 0..=cb {
-            // Fixed forward depth: settle only backward levels until the
-            // coverage invariant holds for cost c (the split choice never
-            // changes costs or witness counts, only where the work lands).
-            while usable + back.settled < c + (max_gate - 1) && back.settled < c && usable < c {
+        let (k, threads) = (self.binary0.len(), self.threads());
+        let back = query
+            .back
+            .get_or_insert_with(|| BackwardFrontier::new(query.target_trace, k, threads));
+        while query.cost <= query.cb {
+            let c = query.cost;
+            while fwd_done + back.settled < c + (max_gate - 1) && fwd_done < c && back.settled < c {
+                if query.split && !self.exhausted() {
+                    let fwd_size = self.levels.get(completed as usize).map_or(0, Vec::len);
+                    let back_size = back.levels.get(back.settled as usize).map_or(0, Vec::len);
+                    if back.exhausted() || fwd_size <= back_size {
+                        return Answer::NeedsLevel;
+                    }
+                }
                 if !back.settle_next_level(self) {
                     break; // backward space exhausted: every trace known
                 }
             }
-            if let Some(syn) = self.resolve_at_cost(&back, c, usable, &not_layer) {
-                return Some((Some(syn), back));
+            if let Some(syn) = self.resolve_at_cost(back, c, fwd_done, &query.not_layer) {
+                return Answer::Resolved(Some(syn), Strategy::Bidi);
             }
+            // Both frontiers exhausted and out of joinable range: the
+            // target is unreachable, stop early.
+            if self.exhausted() && back.exhausted() && c >= fwd_done + back.settled {
+                break;
+            }
+            query.cost += 1;
         }
-        Some((None, back))
+        Answer::Resolved(None, Strategy::Bidi)
     }
 
     /// Eager warm-up for [`Self::synthesize_bidirectional_cached`]:
@@ -413,7 +376,7 @@ impl<W: SearchWidth> SearchEngine<W> {
 
     /// The S-trace pinned by a reduced target word: the 0-based domain
     /// index each binary pattern must map to.
-    fn target_trace(&self, key: &W::Word) -> W::Trace {
+    pub(crate) fn target_trace(&self, key: &W::Word) -> W::Trace {
         let binary = self.library.binary_set();
         key.as_slice()
             .iter()
@@ -553,7 +516,7 @@ pub enum CachedBidirectional {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{known, CostModel, SynthesisEngine, SynthesisStrategy};
+    use crate::{known, CostModel, SynthesisEngine};
     use mvq_logic::GateLibrary;
 
     #[test]
@@ -827,8 +790,12 @@ mod tests {
                 (known::fredkin_perm(), 7, 16, 246),
                 (known::toffoli_perm(), 5, 4, 0),
             ] {
-                let (syn, back) = e.cached_bidirectional(&target, 7).expect("prepared");
+                let mut query = e.query(&target, 7, Strategy::Bidi);
+                let Answer::Resolved(syn, _) = e.answer(&mut query) else {
+                    panic!("prepared");
+                };
                 let syn = syn.expect("reachable");
+                let back = query.back.expect("a warm engine builds the frontier");
                 assert_eq!(syn.cost, cost, "{threads} threads");
                 assert_eq!(syn.implementation_count, count, "{threads} threads");
                 assert!(syn.circuit.verify_against_binary_perm(&target));
@@ -841,8 +808,66 @@ mod tests {
     fn strategy_dispatch_reaches_bidirectional() {
         let mut e = SynthesisEngine::unit_cost();
         let syn = e
-            .synthesize_with(SynthesisStrategy::Bidirectional, &known::peres_perm(), 5)
+            .synthesize_with(Strategy::Bidi, &known::peres_perm(), 5)
             .expect("reachable");
         assert_eq!(syn.cost, 4);
+        // Forward levels stopped at half cost, as under
+        // `synthesize_bidirectional`; `auto` agrees on cost and count.
+        assert_eq!(e.completed, Some(2));
+        let auto = SynthesisEngine::unit_cost()
+            .synthesize_with(Strategy::Auto, &known::peres_perm(), 5)
+            .expect("reachable");
+        assert_eq!(
+            (auto.cost, auto.implementation_count),
+            (syn.cost, syn.implementation_count)
+        );
+    }
+
+    #[test]
+    fn cold_adaptive_split_is_pinned() {
+        // Where the adaptive split lands on a cold 1-thread engine at
+        // cb 9: cost, witnesses, forward levels settled to, |A|, and the
+        // backward successors generated. The mutable loop keeps one
+        // backward frontier across the forward settles between its
+        // answers; a frontier rebuilt after each settle would generate
+        // more.
+        let weighted = CostModel::weighted(1, 1, 3);
+        for (target, model, cost, count, forward, a_size, generated) in [
+            (known::peres_perm(), CostModel::unit(), 4, 2, 2, 181, 246),
+            (known::toffoli_perm(), CostModel::unit(), 5, 4, 2, 181, 1662),
+            (
+                known::fredkin_perm(),
+                CostModel::unit(),
+                7,
+                16,
+                3,
+                1198,
+                6960,
+            ),
+            (known::toffoli_perm(), weighted, 7, 4, 4, 817, 3582),
+        ] {
+            let new = || SynthesisEngine::with_threads(GateLibrary::standard(3), model, 1);
+            let mut e = new();
+            let syn = e.synthesize_bidirectional(&target, 9).expect("reachable");
+            assert_eq!(
+                (syn.cost, syn.implementation_count),
+                (cost, count),
+                "{target}"
+            );
+            assert!(syn.circuit.verify_against_binary_perm(&target));
+            assert_eq!(
+                (e.completed, e.a_size()),
+                (Some(forward), a_size),
+                "{target}"
+            );
+            // The same loop, with its query kept to read the frontier.
+            let mut e = new();
+            let mut query = e.query(&target, 9, Strategy::Bidi);
+            query.split = true;
+            let again = e.settle_until_resolved(&mut query).expect("reachable");
+            assert_eq!(again.circuit.to_string(), syn.circuit.to_string());
+            let back = query.back.expect("warm after the first settle");
+            assert_eq!(back.generated, generated, "{target}");
+        }
     }
 }

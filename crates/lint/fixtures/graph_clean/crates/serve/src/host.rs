@@ -1,8 +1,8 @@
 //! The sanctioned shapes: ascending acquisition (also after a condvar
-//! wait), conditional guards that die with their body, drop glue run
-//! with nothing held, reasoned suppressions, and calls whose callee the
-//! graph types exactly (through a generic parameter, or a binding
-//! wrapped in `Arc::new`).
+//! wait), conditional guards that die with their body, a guard that is
+//! a temporary in a call argument, drop glue run with nothing held,
+//! reasoned suppressions, and calls whose callee the graph types exactly
+//! (through a generic parameter, or a binding wrapped in `Arc::new`).
 
 pub struct Host {
     // lint: lock-order(registry < engine < flight)
@@ -34,6 +34,20 @@ impl Host {
     fn heal(&self) {
         let r = self.registry.lock();
         drop(r);
+    }
+
+    /// The engine guard is a temporary inside the call's argument: it
+    /// drops at the `;`, not with `answer`, so the registry lock `heal`
+    /// takes next is acquired with nothing held.
+    pub fn read_into_call(&self) -> Result<u32, Poisoned> {
+        let answer = measure(&*self.engine_guard()?);
+        self.heal();
+        Ok(answer)
+    }
+
+    /// Hands the engine read guard to the caller.
+    fn engine_guard(&self) -> Result<RwLockReadGuard<'_, Engine>, Poisoned> {
+        self.engine.read()
     }
 
     /// The wait hands the registry guard back; the engine lock above
@@ -99,6 +113,12 @@ impl Host {
         // lint: allow(panic) helper is vetted: its input is a compile-time constant
         vetted()
     }
+}
+
+/// Reads an engine without taking any lock.
+fn measure(engine: &Engine) -> u32 {
+    let _ = engine;
+    0
 }
 
 /// Clears the flight state however the expansion exits.

@@ -15,7 +15,10 @@
 //!
 //! * a guard bound by `let` lives to the end of its block, an unbound
 //!   (temporary) guard dies at the statement's `;`, and an `if let` /
-//!   `while let` guard lives only inside the conditional's body;
+//!   `while let` guard lives only inside the conditional's body. A `let`
+//!   binds a guard only when the initializer's value is the guard (see
+//!   [`is_let_value`]); a guard inside a call argument, behind `&*` or
+//!   under a further method call is a temporary;
 //! * `drop(x)`, or passing `x` by value into a call, ends the innermost
 //!   binding named `x`. Inside a nested block (a branch that returns,
 //!   say) it ends it only until that block closes: after the block the
@@ -195,6 +198,9 @@ struct LetCtx {
     depth: i32,
     /// `if let` / `while let`: the binding lives only in the body.
     cond: bool,
+    /// Token index of the initializer's first token (`None` for a
+    /// `let x;` declaration).
+    init: Option<usize>,
 }
 
 impl LetCtx {
@@ -295,10 +301,15 @@ impl<'g, 'a> Walk<'g, 'a> {
             .filter(|t| t.kind == TokenKind::Ident && !PATTERN_SKIP.contains(&t.text.as_str()))
             .map(|t| t.text.clone())
             .collect();
+        let after = i + 1 + pattern.len();
         let ctx = LetCtx {
             names,
             depth: self.depth,
             cond,
+            init: tokens
+                .get(after)
+                .filter(|t| t.is_punct('='))
+                .map(|_| after + 1),
         };
         if let Some(drop_fn) = let_glue(self.g, tokens, i, end) {
             self.locals.push(Local {
@@ -411,7 +422,7 @@ impl<'g, 'a> Walk<'g, 'a> {
     fn call(&mut self, call: &CallSite) {
         if let Some(rank) = direct_acquisition(self.g, &call.callee, call.empty_args) {
             self.acquire(rank, call.line);
-            self.bind_guard(rank, call.line);
+            self.bind_guard(rank, call);
             return;
         }
         let held = self.held();
@@ -425,7 +436,7 @@ impl<'g, 'a> Walk<'g, 'a> {
                 if let (true, Some(rank)) =
                     (self.g.item(callee_id).ret_mentions_guard, summary.ret_guard)
                 {
-                    self.bind_guard(rank, call.line);
+                    self.bind_guard(rank, call);
                     bound = true;
                 }
             }
@@ -485,19 +496,162 @@ impl<'g, 'a> Walk<'g, 'a> {
         );
     }
 
-    /// Binds a fresh guard: to the innermost pending `let` if one is
-    /// open (at the conditional's body depth for `if let`/`while let`),
-    /// otherwise as an unnamed temporary that dies at the statement end.
-    fn bind_guard(&mut self, rank: u32, line: u32) {
-        let (names, depth) = match self.lets.last() {
+    /// Binds the guard `call` acquires: to the innermost pending `let`
+    /// when the guard is its initializer's value (at the conditional's
+    /// body depth for `if let`/`while let`), otherwise as an unnamed
+    /// temporary that dies at the statement end.
+    fn bind_guard(&mut self, rank: u32, call: &CallSite) {
+        let g = self.g;
+        let tokens = &g.views[g.fns[self.id].file].lexed.tokens;
+        let value_of = |l: &&LetCtx| l.init.is_some_and(|i| is_let_value(tokens, i, call.tok));
+        let (names, depth) = match self.lets.last().filter(value_of) {
             Some(l) => (l.names.clone(), l.scope()),
             None => (Vec::new(), self.depth),
         };
         self.locals.push(Local {
-            holds: Holds::Guard { rank, line },
+            holds: Holds::Guard {
+                rank,
+                line: call.line,
+            },
             names,
             depth,
             moved_at: None,
         });
+    }
+}
+
+/// Whether the call named at token `tok` yields the value of the `let`
+/// initializer starting at token `init`, so the `let` binds its guard.
+///
+/// The call must end a plain receiver path — after an optional `&` (a
+/// borrow extends the temporary's life to the binding's) or `match` —
+/// and only `?`, `.unwrap()`, `.expect(…)` and `.map_err(…)` may follow
+/// it, up to the statement's end (`;`, an `if let` body's `{`, or a
+/// `let … else`). Under `match`, the arms must be the poison recovery
+/// `{ Ok(g) => g, Err(p) => p.into_inner() }`. Any other guard in the
+/// initializer is a temporary: inside a call argument, behind `&*`, or
+/// under a further method call.
+fn is_let_value(tokens: &[Token], init: usize, tok: usize) -> bool {
+    let Some(first) = tokens.get(init) else {
+        return false;
+    };
+    let scrutinee = first.is_ident("match");
+    let mut head = init;
+    if scrutinee {
+        head += 1;
+    } else if first.is_punct('&') && !tokens.get(init + 1).is_some_and(|t| t.is_punct('*')) {
+        head += 1 + usize::from(tokens.get(init + 1).is_some_and(|t| t.is_ident("mut")));
+    }
+    let mut nesting = 0i32;
+    for t in tokens.get(head..tok).unwrap_or_default() {
+        if t.is_punct('(') || t.is_punct('[') {
+            nesting += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            nesting -= 1;
+        } else if nesting == 0
+            && !(t.kind == TokenKind::Ident || t.is_punct('.') || t.is_punct(':'))
+        {
+            return false;
+        }
+    }
+    if nesting != 0 {
+        return false; // the call sits inside an argument list or group
+    }
+    let Some(mut k) = past_parens(tokens, tok + 1) else {
+        return false;
+    };
+    loop {
+        if tokens.get(k).is_some_and(|t| t.is_punct('?')) {
+            k += 1;
+            continue;
+        }
+        let wrapper = tokens.get(k).is_some_and(|t| t.is_punct('.'))
+            && tokens
+                .get(k + 1)
+                .is_some_and(|t| matches!(t.text.as_str(), "unwrap" | "expect" | "map_err"));
+        match past_parens(tokens, k + 2) {
+            Some(next) if wrapper => k = next,
+            _ => break,
+        }
+    }
+    let Some(end) = tokens.get(k) else {
+        return false;
+    };
+    if scrutinee {
+        return end.is_punct('{') && poison_arms(tokens.get(k + 1..).unwrap_or_default());
+    }
+    end.is_punct(';') || end.is_punct('{') || end.is_ident("else")
+}
+
+/// The index just past the parenthesized group opening at `open`, or
+/// `None` when no `(` opens there or it never closes.
+fn past_parens(tokens: &[Token], open: usize) -> Option<usize> {
+    if !tokens.get(open)?.is_punct('(') {
+        return None;
+    }
+    let mut nesting = 0i32;
+    for (k, t) in tokens.iter().enumerate().skip(open) {
+        if t.is_punct('(') {
+            nesting += 1;
+        } else if t.is_punct(')') {
+            nesting -= 1;
+            if nesting == 0 {
+                return Some(k + 1);
+            }
+        }
+    }
+    None
+}
+
+/// Whether `arms` open with `Ok(g) => g, Err(p) => p.into_inner()`: a
+/// match that hands back the guard, poisoned or not.
+fn poison_arms(arms: &[Token]) -> bool {
+    let text: Vec<&str> = arms.iter().take(19).map(|t| t.text.as_str()).collect();
+    text.len() == 19
+        && text[..2] == ["Ok", "("]
+        && text[3..6] == [")", "=", ">"]
+        && text[6] == text[2]
+        && text[7..10] == [",", "Err", "("]
+        && text[11..14] == [")", "=", ">"]
+        && text[14] == text[10]
+        && text[15..] == [".", "into_inner", "(", ")"]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_let_value;
+    use crate::lexer::lex;
+
+    /// Whether `let x = {init}` binds the guard of its `read()` call.
+    fn binds(init: &str) -> bool {
+        let tokens = lex(&format!("let x = {init}")).tokens;
+        let call = tokens.iter().position(|t| t.is_ident("read")).unwrap();
+        is_let_value(&tokens, 3, call)
+    }
+
+    #[test]
+    fn a_let_binds_only_the_guard_its_initializer_yields() {
+        for init in [
+            "self.engine.read();",
+            "self.read()?;",
+            "self.engine.read().unwrap();",
+            "self.engine.read().expect(\"engine lock\");",
+            "self.engine.read().map_err(HostError::from)?;",
+            "match self.engine.read() { Ok(g) => g, Err(p) => p.into_inner(), };",
+            "self.engine.read() else { return; };",
+            "self.engine.read() { drop(x); }",
+            "&self.engine.read().unwrap();",
+        ] {
+            assert!(binds(init), "{init}");
+        }
+        for init in [
+            "measure(&*self.engine.read()?);",
+            "&*self.engine.read().unwrap();",
+            "self.engine.read()?.len();",
+            "match self.engine.read() { Ok(g) => g.len(), Err(_) => 0, };",
+            "(self.engine.read(), 1);",
+        ] {
+            assert!(!binds(init), "{init}");
+        }
     }
 }

@@ -15,8 +15,8 @@
 //! request.
 //!
 //! Deep targets can skip the climb altogether: the bidirectional
-//! serving strategy ([`ServeStrategy::Bidi`], picked automatically by
-//! [`ServeStrategy::Auto`] for targets past the warm frontier) pins the
+//! serving strategy ([`Strategy::Bidi`], picked automatically by
+//! [`Strategy::Auto`] for targets past the warm frontier) pins the
 //! forward depth to the warm cache and meets a per-query backward
 //! frontier on the read side (a cold engine climbs to level 0 first).
 //! Every query, whatever its strategy, and the census run through one
@@ -28,6 +28,7 @@
 //! miss) on a multi-second expansion.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
@@ -37,89 +38,10 @@ use std::sync::{
 use std::time::{Duration, Instant};
 
 use mvq_core::{
-    CachedBidirectional, CachedSynthesis, CostModel, EngineError, Narrow, ProbeHandle,
-    SearchEngine, SearchWidth, SnapshotImage, Synthesis, Wide,
+    Answer, CostModel, EngineError, Narrow, ProbeHandle, SearchEngine, SearchWidth, SnapshotImage,
+    Strategy, Synthesis, Wide,
 };
 use mvq_perm::Perm;
-
-/// How a host answers a `/synthesize` query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeStrategy {
-    /// Serve from the shared forward levels, expanding them (one level
-    /// at a time, single-flight) up to the target's cost on a miss.
-    Uni,
-    /// Meet in the middle: pin the forward depth to whatever the cache
-    /// already holds and run a per-query backward frontier entirely on
-    /// the read side — deep targets never deepen the shared levels.
-    Bidi,
-    /// The planner default: targets the warm frontier already resolves
-    /// are served as plain cache hits; anything past it (estimated
-    /// depth exceeds the expanded levels) switches to the
-    /// bidirectional path instead of paying for deeper forward levels.
-    #[default]
-    Auto,
-}
-
-impl std::str::FromStr for ServeStrategy {
-    type Err = String;
-
-    /// Accepts `uni`/`unidirectional`, `bidi`/`bidirectional`, and
-    /// `auto` (case-insensitive).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "unidirectional" | "uni" => Ok(Self::Uni),
-            "bidirectional" | "bidi" => Ok(Self::Bidi),
-            "auto" => Ok(Self::Auto),
-            other => Err(format!(
-                "unknown strategy `{other}` (expected `uni`, `bidi`, or `auto`)"
-            )),
-        }
-    }
-}
-
-impl ServeStrategy {
-    /// The canonical lowercase name (`uni` / `bidi` / `auto`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Uni => "uni",
-            Self::Bidi => "bidi",
-            Self::Auto => "auto",
-        }
-    }
-
-    /// One read-side attempt at `target` under this strategy: the answer
-    /// and the strategy that resolved it, or `None` when only a deeper
-    /// level can decide (for `Bidi`, only on a cold engine).
-    fn answer<W: SearchWidth>(
-        self,
-        engine: &SearchEngine<W>,
-        target: &Perm,
-        cb: u32,
-    ) -> Option<(Option<Synthesis>, Self)> {
-        match self {
-            Self::Uni => match engine.synthesize_cached(target, cb) {
-                CachedSynthesis::Resolved(result) => Some((result, Self::Uni)),
-                CachedSynthesis::NeedsExpansion => None,
-            },
-            Self::Bidi => match engine.synthesize_bidirectional_cached(target, cb) {
-                CachedBidirectional::Resolved(result) => Some((result, Self::Bidi)),
-                CachedBidirectional::NeedsPreparation => None,
-            },
-            // Planner: targets the cached levels resolve are served from
-            // them; a target past the warm frontier goes bidirectional
-            // rather than deepening the shared cache.
-            Self::Auto => Self::Uni
-                .answer(engine, target, cb)
-                .or_else(|| Self::Bidi.answer(engine, target, cb)),
-        }
-    }
-}
-
-impl fmt::Display for ServeStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// Per-request serving facts, reported by the `*_traced` methods for
 /// the transport layer's structured trace line.
@@ -131,9 +53,9 @@ pub struct ServeTrace {
     /// another request's in-flight expansion does not count).
     pub expansions: u64,
     /// The strategy the request was actually served with
-    /// ([`ServeStrategy::Auto`] resolves to `Uni` on a warm cache hit
-    /// and `Bidi` past the warm frontier).
-    pub resolved: ServeStrategy,
+    /// ([`Strategy::Auto`] resolves to `Uni` on a warm cache hit and
+    /// `Bidi` past the warm frontier).
+    pub resolved: Strategy,
 }
 
 /// Tuning knobs for an [`EngineHost`] / [`HostRegistry`].
@@ -321,8 +243,8 @@ pub struct EngineHost<W: SearchWidth = Narrow> {
     // The serve locks are only ever acquired upward in one total order,
     // so no two threads can wait on each other: the registry's `hosts`
     // tables first, then `recovery` (below `engine`, so a heal may run
-    // from `stats()` under `hosts` and from request paths, then take
-    // the engine lock upward), then `engine`, then `flight` with its
+    // from a probe install under `hosts` and from request paths, then
+    // take the engine lock upward), then `engine`, then `flight` with its
     // condvar `landed`. `mvq_lint`'s `lock_order` pass checks every
     // static path against the next line.
     // lint: lock-order(hosts < recovery < engine < flight)
@@ -333,6 +255,35 @@ pub struct EngineHost<W: SearchWidth = Narrow> {
     limit: u32,
     max_deadline_ms: u64,
     counters: Counters,
+    /// The cost model weights and wire count, fixed at construction.
+    model: (u32, u32, u32),
+    wires: usize,
+    gauges: Gauges,
+}
+
+/// The engine facts [`HostStats`] reports, published by every change
+/// to them — construction, each landed level, a heal — so a stats read
+/// takes no engine lock and never waits on a level. Each value is read
+/// on its own: one stats snapshot may mix two adjacent levels.
+#[derive(Debug, Default)]
+struct Gauges {
+    /// The highest settled level, or `u64::MAX` on a cold engine.
+    completed: AtomicU64,
+    classes_found: AtomicU64,
+    a_size: AtomicU64,
+    threads: AtomicU64,
+}
+
+impl Gauges {
+    fn publish<W: SearchWidth>(&self, engine: &SearchEngine<W>) {
+        let completed = engine.completed_cost().map_or(u64::MAX, u64::from);
+        self.completed.store(completed, Ordering::Relaxed);
+        let classes = engine.classes_found() as u64;
+        self.classes_found.store(classes, Ordering::Relaxed);
+        self.a_size.store(engine.a_size() as u64, Ordering::Relaxed);
+        self.threads
+            .store(engine.threads() as u64, Ordering::Relaxed);
+    }
 }
 
 /// Everything a poisoned host needs to rebuild itself: the last-good
@@ -402,7 +353,12 @@ impl<W: SearchWidth> EngineHost<W> {
             threads: engine.threads(),
             probe: engine.probe().clone(),
         };
+        let gauges = Gauges::default();
+        gauges.publish(&engine);
         Self {
+            model: engine.cost_model().weights(),
+            wires: engine.library().domain().wires(),
+            gauges,
             engine: RwLock::new(engine),
             flight: Mutex::new(Flight { expanding: false }),
             landed: Condvar::new(),
@@ -564,6 +520,7 @@ impl<W: SearchWidth> EngineHost<W> {
                 Err(poisoned) => poisoned.into_inner(),
             };
             *slot = engine;
+            self.gauges.publish(&slot);
         }
         self.engine.clear_poison();
         {
@@ -599,7 +556,7 @@ impl<W: SearchWidth> EngineHost<W> {
     /// [`HostError::CostBoundExceeded`] when `cb` exceeds the admission
     /// limit; [`HostError::Poisoned`] after a panicked writer.
     pub fn synthesize(&self, target: &Perm, cb: u32) -> Result<Option<Synthesis>, HostError> {
-        self.synthesize_traced(target, cb, ServeStrategy::Uni, None)
+        self.synthesize_traced(target, cb, Strategy::Uni, None)
             .map(|(synthesis, _)| synthesis)
     }
 
@@ -608,7 +565,7 @@ impl<W: SearchWidth> EngineHost<W> {
     /// ([`ServeTrace`]) for the transport's trace line.
     ///
     /// Costs and witness counts are identical across strategies (see
-    /// [`ServeStrategy`]) — only where the search work lands differs.
+    /// [`Strategy`]) — only where the search work lands differs.
     /// Once `deadline_ms` (capped by the host's `max_deadline_ms`;
     /// `None` means the cap) passes while the request waits behind the
     /// single-flight expansion, it sheds with
@@ -622,7 +579,7 @@ impl<W: SearchWidth> EngineHost<W> {
         &self,
         target: &Perm,
         cb: u32,
-        strategy: ServeStrategy,
+        strategy: Strategy,
         deadline_ms: Option<u64>,
     ) -> Result<(Option<Synthesis>, ServeTrace), HostError> {
         self.admit(cb)?;
@@ -631,7 +588,10 @@ impl<W: SearchWidth> EngineHost<W> {
             .synthesize_requests
             .fetch_add(1, Ordering::Relaxed);
         let budget_ms = self.budget_ms(deadline_ms);
-        self.climb(cb, budget_ms, |engine| strategy.answer(engine, target, cb))
+        let mut query = None;
+        self.climb(cb, budget_ms, |engine| {
+            engine.answer(query.get_or_insert_with(|| engine.query(target, cb, strategy)))
+        })
     }
 
     /// The census counts up to `cb`, expanding (single-flight) only if
@@ -657,7 +617,7 @@ impl<W: SearchWidth> EngineHost<W> {
             .fetch_add(1, Ordering::Relaxed);
         self.climb(cb, self.max_deadline_ms, |engine| {
             if !engine.exhausted() && engine.completed_cost().is_none_or(|c| c < cb) {
-                return None;
+                return Answer::NeedsLevel;
             }
             let levels = engine.g_counts().len().min(cb as usize + 1);
             let reply = CensusReply {
@@ -667,35 +627,33 @@ impl<W: SearchWidth> EngineHost<W> {
                 classes_found: engine.classes_found(),
                 a_size: engine.a_size(),
             };
-            Some((reply, ServeStrategy::Uni))
+            Answer::Resolved(reply, Strategy::Uni)
         })
     }
 
     /// The one wait-and-climb loop behind every query: reads the engine
     /// (waiting out an in-flight level within the request's budget) and
-    /// asks `read` for an answer; on a miss, settles one level through
-    /// the single flight ([`Self::expand_shared`]) and reads again.
+    /// asks `read` for an answer; on [`Answer::NeedsLevel`], settles one
+    /// level through the single flight ([`Self::expand_shared`]) and
+    /// reads again.
     ///
-    /// `read` returns the answer with the strategy that resolved it. The
-    /// request counts as a cache hit only when the first read answered
-    /// it from the cached levels (resolved as [`ServeStrategy::Uni`]):
-    /// a per-query backward search, or any climb, is a miss.
+    /// The request counts as a cache hit only when the first read
+    /// answered it from the cached levels (resolved as
+    /// [`Strategy::Uni`]): a per-query backward search, or any climb, is
+    /// a miss.
     fn climb<T>(
         &self,
         cb: u32,
         budget_ms: u64,
-        mut read: impl FnMut(&SearchEngine<W>) -> Option<(T, ServeStrategy)>,
+        mut read: impl FnMut(&SearchEngine<W>) -> Answer<T>,
     ) -> Result<(T, ServeTrace), HostError> {
         let deadline = Instant::now() + Duration::from_millis(budget_ms);
         let mut missed = false;
         let mut expansions = 0u64;
         loop {
-            let answer = {
-                let engine = self.engine_read_by(deadline, budget_ms)?;
-                read(&engine)
-            };
-            if let Some((answer, resolved)) = answer {
-                let cache_hit = !missed && resolved == ServeStrategy::Uni;
+            let answer = read(&*self.engine_read_by(deadline, budget_ms)?);
+            if let Answer::Resolved(answer, resolved) = answer {
+                let cache_hit = !missed && resolved == Strategy::Uni;
                 let outcome = if cache_hit {
                     &self.counters.cache_hits
                 } else {
@@ -714,17 +672,15 @@ impl<W: SearchWidth> EngineHost<W> {
         }
     }
 
-    /// A point-in-time stats snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`HostError::Poisoned`] after a panicked writer.
-    pub fn stats(&self) -> Result<HostStats, HostError> {
-        let engine = self.engine_read()?;
-        let c = &self.counters;
+    /// A point-in-time stats snapshot, read from atomics alone: it
+    /// takes no engine lock, so it never waits on a level and never
+    /// heals a poisoned engine (the next request does).
+    pub fn stats(&self) -> Result<HostStats, Infallible> {
+        let (c, g) = (&self.counters, &self.gauges);
+        let completed = g.completed.load(Ordering::Relaxed);
         Ok(HostStats {
-            model: engine.cost_model().weights(),
-            wires: engine.library().domain().wires(),
+            model: self.model,
+            wires: self.wires,
             synthesize_requests: c.synthesize_requests.load(Ordering::Relaxed),
             census_requests: c.census_requests.load(Ordering::Relaxed),
             cache_hits: c.cache_hits.load(Ordering::Relaxed),
@@ -734,10 +690,10 @@ impl<W: SearchWidth> EngineHost<W> {
             rejected: c.rejected.load(Ordering::Relaxed),
             rebuilds: c.rebuilds.load(Ordering::Relaxed),
             deadline_timeouts: c.deadline_timeouts.load(Ordering::Relaxed),
-            completed: engine.completed_cost(),
-            classes_found: engine.classes_found(),
-            a_size: engine.a_size(),
-            threads: engine.threads(),
+            completed: u32::try_from(completed).ok(),
+            classes_found: g.classes_found.load(Ordering::Relaxed) as usize,
+            a_size: g.a_size.load(Ordering::Relaxed) as usize,
+            threads: g.threads.load(Ordering::Relaxed) as usize,
         })
     }
 
@@ -801,6 +757,7 @@ impl<W: SearchWidth> EngineHost<W> {
             if needed {
                 mvq_fault::point!("serve.write");
                 engine.settle_one_level();
+                self.gauges.publish(&engine);
             }
             needed
         };
@@ -936,7 +893,7 @@ impl HostRegistry {
         }
         // Read the model before the engine moves into the host: taking
         // `host.engine.read()` before `hosts.lock()` here would invert
-        // the acquisition order that `stats()` uses.
+        // the declared lock order.
         let model = *engine.cost_model();
         let host = self.new_host(engine);
         W::table_for(&mut *self.hosts.lock()?).insert(model, Arc::clone(&host));
@@ -995,18 +952,16 @@ impl HostRegistry {
     }
 
     /// Stats snapshots for every live host, in (wires, model) order.
+    /// Like [`EngineHost::stats`], it takes no engine lock.
     ///
     /// # Errors
     ///
-    /// [`HostError::Poisoned`] if any lock is poisoned.
+    /// [`HostError::Poisoned`] if the registry lock is poisoned.
     pub fn stats(&self) -> Result<Vec<HostStats>, HostError> {
         let hosts = self.hosts.lock()?;
-        let mut all: Vec<HostStats> = hosts
-            .narrow
-            .values()
-            .map(|h| h.stats())
-            .chain(hosts.wide.values().map(|h| h.stats()))
-            .collect::<Result<_, _>>()?;
+        let narrow = hosts.narrow.values().map(|h| h.stats());
+        let wide = hosts.wide.values().map(|h| h.stats());
+        let mut all: Vec<HostStats> = narrow.chain(wide).map(|Ok(s)| s).collect();
         all.sort_by_key(|s| (s.wires, s.model));
         Ok(all)
     }
@@ -1127,7 +1082,7 @@ mod tests {
     fn bidi_strategy_serves_deep_targets_without_deep_levels() {
         let host = unit_host(7);
         let syn = host
-            .synthesize_traced(&known::fredkin_perm(), 7, ServeStrategy::Bidi, None)
+            .synthesize_traced(&known::fredkin_perm(), 7, Strategy::Bidi, None)
             .map(|(s, _)| s)
             .unwrap()
             .unwrap();
@@ -1152,7 +1107,7 @@ mod tests {
         let host = unit_host(7);
         for _ in 0..2 {
             let (syn, trace) = host
-                .synthesize_traced(&known::toffoli_perm(), 7, ServeStrategy::Bidi, None)
+                .synthesize_traced(&known::toffoli_perm(), 7, Strategy::Bidi, None)
                 .unwrap();
             assert_eq!(syn.unwrap().cost, 5);
             assert!(!trace.cache_hit);
@@ -1168,7 +1123,7 @@ mod tests {
         let host = unit_host(7);
         host.census(4).unwrap(); // warm to cost 4
         let peres = host
-            .synthesize_traced(&known::peres_perm(), 7, ServeStrategy::Auto, None)
+            .synthesize_traced(&known::peres_perm(), 7, Strategy::Auto, None)
             .map(|(s, _)| s)
             .unwrap()
             .unwrap();
@@ -1178,7 +1133,7 @@ mod tests {
                                               // Fredkin (cost 7) lies past the warm frontier: auto switches to
                                               // the bidirectional path instead of expanding levels 5–7.
         let deep = host
-            .synthesize_traced(&known::fredkin_perm(), 7, ServeStrategy::Auto, None)
+            .synthesize_traced(&known::fredkin_perm(), 7, Strategy::Auto, None)
             .map(|(s, _)| s)
             .unwrap()
             .unwrap();
@@ -1190,7 +1145,7 @@ mod tests {
                                            // Uni answers for targets within the warm frontier agree with
                                            // auto answers (cost and witness count).
         let uni = host
-            .synthesize_traced(&known::peres_perm(), 7, ServeStrategy::Uni, None)
+            .synthesize_traced(&known::peres_perm(), 7, Strategy::Uni, None)
             .map(|(s, _)| s)
             .unwrap()
             .unwrap();
@@ -1250,7 +1205,7 @@ mod tests {
             let work = Arc::new(LevelWork::default());
             host.set_probe(ProbeHandle::new(work.clone())).unwrap();
             let syn = host
-                .synthesize_traced(&target, 6, ServeStrategy::Uni, None)
+                .synthesize_traced(&target, 6, Strategy::Uni, None)
                 .map(|(s, _)| s)
                 .unwrap()
                 .unwrap();
@@ -1387,18 +1342,45 @@ mod tests {
         assert!(registry.stats().unwrap().is_empty());
     }
 
-    /// The registry's `stats()` takes each host's engine lock while it
-    /// holds `hosts`, the acquisition order the lock-order annotation
-    /// declares; the call completes.
     #[test]
-    fn registry_then_engine_acquisition_is_legal() {
+    fn registry_reads_never_wait_on_a_held_engine() {
+        // `stats()` reads each host's published gauges, so neither it nor
+        // what queues on the registry lock behind it — a `/metrics`
+        // counter total, a request to another host — waits on a level
+        // that holds one host's engine write lock.
         let registry = HostRegistry::new(HostConfig {
             threads: 1,
             ..HostConfig::default()
         });
-        registry.host_for::<Narrow>(CostModel::unit()).unwrap();
-        let stats = registry.stats().unwrap();
-        assert_eq!(stats.len(), 1);
+        let busy = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
+        let model = CostModel::weighted(1, 2, 3);
+        let other = registry.host_for::<Narrow>(model).unwrap();
+        busy.census(3).unwrap();
+        other.census(3).unwrap();
+        let cnot: Perm = "(5,7)(6,8)".parse::<Perm>().unwrap().extended(8);
+        let bound = Duration::from_secs(1);
+        std::thread::scope(|scope| {
+            let writer = hold_write_lock(scope, &busy, Duration::from_millis(1500));
+            let start = Instant::now();
+            let stats = registry.stats().unwrap();
+            assert!(start.elapsed() < bound, "stats waited on the level");
+            let depths: Vec<Option<u32>> = stats.iter().map(|s| s.completed).collect();
+            assert_eq!(depths, [Some(3), Some(3)]);
+            let start = Instant::now();
+            assert_eq!(registry.counter_total(|c| &c.census_requests), 2);
+            assert!(start.elapsed() < bound, "the counter total waited");
+            let start = Instant::now();
+            let (syn, trace) = registry
+                .host_for::<Narrow>(model)
+                .unwrap()
+                .synthesize_traced(&cnot, 3, Strategy::Uni, None)
+                .unwrap();
+            assert!(start.elapsed() < bound, "the other host's hit waited");
+            // Two controlled-V gates (cost 1 each) make the CNOT.
+            assert_eq!(syn.unwrap().cost, 2);
+            assert!(trace.cache_hit);
+            writer.join().unwrap();
+        });
     }
 
     #[test]
@@ -1527,13 +1509,13 @@ mod tests {
         host.census(4).unwrap(); // warm to cost 4
                                  // A zero budget is fine for a cache hit: no waiting happens.
         let hit = host
-            .synthesize_traced(&known::peres_perm(), 4, ServeStrategy::Uni, Some(0))
+            .synthesize_traced(&known::peres_perm(), 4, Strategy::Uni, Some(0))
             .map(|(s, _)| s)
             .unwrap();
         assert!(hit.is_some());
         // A miss with a zero budget sheds before expanding.
         let err = host
-            .synthesize_traced(&known::toffoli_perm(), 5, ServeStrategy::Uni, Some(0))
+            .synthesize_traced(&known::toffoli_perm(), 5, Strategy::Uni, Some(0))
             .map(|(s, _)| s)
             .unwrap_err();
         assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 0 });
@@ -1542,13 +1524,13 @@ mod tests {
         // for more than the cap runs under the cap.
         let capped = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 0);
         let err = capped
-            .synthesize_traced(&known::toffoli_perm(), 5, ServeStrategy::Uni, Some(10_000))
+            .synthesize_traced(&known::toffoli_perm(), 5, Strategy::Uni, Some(10_000))
             .map(|(s, _)| s)
             .unwrap_err();
         assert_eq!(err, HostError::DeadlineExceeded { deadline_ms: 0 });
         // And the same miss succeeds once a real budget lets it expand.
         assert!(host
-            .synthesize_traced(&known::toffoli_perm(), 5, ServeStrategy::Uni, None)
+            .synthesize_traced(&known::toffoli_perm(), 5, Strategy::Uni, None)
             .map(|(s, _)| s)
             .unwrap()
             .is_some());
@@ -1581,7 +1563,7 @@ mod tests {
     fn deadline_sheds_while_a_level_holds_the_write_lock() {
         let host = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 30_000);
         host.census(4).unwrap();
-        let strategies = [ServeStrategy::Uni, ServeStrategy::Auto, ServeStrategy::Bidi];
+        let strategies = [Strategy::Uni, Strategy::Auto, Strategy::Bidi];
         std::thread::scope(|scope| {
             let writer = hold_write_lock(scope, &host, Duration::from_millis(600));
             // A miss and a hit the cached levels already resolve (the
@@ -1619,8 +1601,7 @@ mod tests {
         std::thread::spawn({
             let host = Arc::clone(&host);
             move || {
-                let reply =
-                    host.synthesize_traced(&known::fredkin_perm(), 7, ServeStrategy::Bidi, None);
+                let reply = host.synthesize_traced(&known::fredkin_perm(), 7, Strategy::Bidi, None);
                 let _ = sent.send(reply.map(|(syn, _)| syn.map(|s| s.cost)));
             }
         });
@@ -1637,12 +1618,12 @@ mod tests {
         // cost-0 target from the cached levels (still a miss).
         let host = unit_host(7);
         let (syn, trace) = host
-            .synthesize_traced(&Perm::identity(8), 7, ServeStrategy::Auto, None)
+            .synthesize_traced(&Perm::identity(8), 7, Strategy::Auto, None)
             .unwrap();
         assert_eq!(syn.unwrap().cost, 0);
         assert!(!trace.cache_hit);
         assert_eq!(trace.expansions, 1);
-        assert_eq!(trace.resolved, ServeStrategy::Uni);
+        assert_eq!(trace.resolved, Strategy::Uni);
         let stats = host.stats().unwrap();
         assert_eq!((stats.completed, stats.expansions), (Some(0), 1));
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
@@ -1698,7 +1679,7 @@ mod tests {
         std::thread::scope(|scope| {
             let writer = hold_write_lock(scope, &host, Duration::from_millis(100));
             let served = host
-                .synthesize_traced(&known::peres_perm(), 4, ServeStrategy::Uni, Some(10_000))
+                .synthesize_traced(&known::peres_perm(), 4, Strategy::Uni, Some(10_000))
                 .map(|(s, _)| s)
                 .unwrap()
                 .unwrap();

@@ -80,7 +80,7 @@ pub struct SynthesizeRequest {
     /// Serving strategy: `"uni"`, `"bidi"`, or `"auto"` (the default —
     /// the planner serves warm-frontier targets from the cache and
     /// routes deeper ones through the bidirectional path). Validated
-    /// against [`crate::ServeStrategy`] by the server.
+    /// against [`mvq_core::Strategy`] by the server.
     pub strategy: Option<String>,
     /// The longest this request may block behind the single-flight
     /// expansion, in milliseconds, before it sheds with a 503 +

@@ -12,7 +12,7 @@
 //!    misses funnel through a single-flight expansion path, so N
 //!    concurrent requests needing the same level pay for one expansion.
 //!    Per-query cost-bound admission keeps deep queries from starving
-//!    shallow ones, and a per-query serving strategy ([`ServeStrategy`])
+//!    shallow ones, and a per-query [`mvq_core::Strategy`]
 //!    lets deep targets meet in the middle on the read side instead of
 //!    deepening the shared forward levels.
 //! 2. **Snapshots** (in `mvq_core`): the service cold-starts warm by
@@ -54,10 +54,12 @@ mod obs;
 mod server;
 
 pub use host::{
-    CensusReply, EngineHost, HostConfig, HostError, HostRegistry, HostStats, HostWidth,
-    ServeStrategy, ServeTrace,
+    CensusReply, EngineHost, HostConfig, HostError, HostRegistry, HostStats, HostWidth, ServeTrace,
 };
 pub use http::{read_request, write_response, Request};
 pub use json::{CensusRequest, ModelSpec, SynthesizeReply, SynthesizeRequest};
+/// The serving strategy under its earlier name; new code names
+/// [`mvq_core::Strategy`].
+pub use mvq_core::Strategy as ServeStrategy;
 pub use obs::ServeObs;
 pub use server::{Server, ServerHandle};

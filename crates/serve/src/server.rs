@@ -31,10 +31,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mvq_core::{CostModel, Narrow, SearchWidth, Wide};
+use mvq_core::{CostModel, Narrow, SearchWidth, Strategy, Wide};
 use mvq_obs::TraceId;
 
-use crate::host::{EngineHost, HostError, HostRegistry, ServeStrategy};
+use crate::host::{EngineHost, HostError, HostRegistry};
 use crate::http::{read_request, write_response, write_response_typed, Request};
 use crate::json::{error_body, render, CensusRequest, SynthesizeReply, SynthesizeRequest};
 use crate::obs::{ServeObs, TraceFields};
@@ -528,7 +528,7 @@ fn synthesize_on<W: SearchWidth>(
     target: &mvq_perm::Perm,
     cb: Option<u32>,
     default_cb: u32,
-    strategy: ServeStrategy,
+    strategy: Strategy,
     deadline_ms: Option<u64>,
     meta: &mut RequestMeta,
 ) -> (u16, String, bool) {
@@ -568,7 +568,7 @@ fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, Str
     };
     meta.wires = Some(wires);
     let strategy = match parsed.strategy.as_deref().map(str::parse) {
-        None => ServeStrategy::Auto,
+        None => Strategy::Auto,
         Some(Ok(strategy)) => strategy,
         Some(Err(detail)) => return (400, error_body(&detail), false),
     };

@@ -182,23 +182,36 @@ fn bidirectional_matches_unidirectional_on_all_classes_to_cost_7() {
     // Cost 7 is deliberately included: witness counting at that depth
     // regressed once (one canonical suffix per backward trace), and only
     // an exhaustive sweep catches the dozens of affected classes.
+    // `auto` answers from its own settled levels where they decide and
+    // meets in the middle past them, on a third engine.
     let mut uni = SynthesisEngine::unit_cost();
     let mut bidi = SynthesisEngine::unit_cost();
+    let mut auto = SynthesisEngine::unit_cost();
     for k in 0..=7u32 {
         for (perm, _) in uni.reversible_circuits_at_cost(k) {
             let a = uni.synthesize(&perm, 7).expect("reachable");
             let b = bidi.synthesize_bidirectional(&perm, 7).expect("reachable");
+            let c = auto
+                .synthesize_with(mvq_core::Strategy::Auto, &perm, 7)
+                .expect("reachable");
             assert_eq!(a.cost, k, "unidirectional cost of {perm}");
             assert_eq!(b.cost, k, "bidirectional cost of {perm}");
+            assert_eq!(c.cost, k, "auto cost of {perm}");
             assert_eq!(
                 a.implementation_count, b.implementation_count,
                 "witness count of {perm}"
             );
+            assert_eq!(
+                a.implementation_count, c.implementation_count,
+                "auto witness count of {perm}"
+            );
             assert!(b.circuit.verify_against_binary_perm(&perm));
+            assert!(c.circuit.verify_against_binary_perm(&perm));
         }
     }
-    // The bidirectional engine never had to build the deep levels.
+    // Neither meet-in-the-middle engine had to build the deep levels.
     assert!(uni.a_size() > 10 * bidi.a_size());
+    assert!(uni.a_size() > 10 * auto.a_size());
 }
 
 /// Engines settled to each forward depth — the state a host's climb

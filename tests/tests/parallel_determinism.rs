@@ -7,9 +7,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use mvq_core::{
-    known, CostModel, Narrow, SearchEngine, SearchWidth, SynthesisEngine, SynthesisStrategy, Wide,
-};
+use mvq_core::{known, CostModel, Narrow, SearchEngine, SearchWidth, SynthesisEngine, Wide};
 use mvq_logic::GateLibrary;
 use mvq_perm::Perm;
 use proptest::prelude::*;
@@ -420,10 +418,12 @@ proptest! {
         strategy_bit in any::<bool>(),
     ) {
         let target = Perm::from_images(&images).expect("shuffled bijection");
+        // `mvq_core::Strategy`, spelled out: proptest's prelude has a
+        // `Strategy` trait of its own.
         let strategy = if strategy_bit {
-            SynthesisStrategy::Bidirectional
+            mvq_core::Strategy::Bidi
         } else {
-            SynthesisStrategy::Unidirectional
+            mvq_core::Strategy::Uni
         };
         let mut engines = warm_engines().lock().expect("no poisoning");
         let reference = engines[0]

@@ -8,9 +8,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mvq_core::{known, SynthesisEngine};
+use mvq_core::{known, Strategy, SynthesisEngine};
 use mvq_perm::Perm;
-use mvq_serve::{EngineHost, ServeStrategy};
+use mvq_serve::EngineHost;
 
 const CLIENTS: usize = 8;
 const CB: u32 = 5;
@@ -143,11 +143,11 @@ fn auto_strategy_matches_forced_uni() {
     let auto_host = EngineHost::new(SynthesisEngine::unit_cost_with_threads(1), 7);
     for target in &targets {
         let uni = uni_host
-            .synthesize_traced(target, CB, ServeStrategy::Uni, None)
+            .synthesize_traced(target, CB, Strategy::Uni, None)
             .map(|(s, _)| s)
             .expect("admitted");
         let auto = auto_host
-            .synthesize_traced(target, CB, ServeStrategy::Auto, None)
+            .synthesize_traced(target, CB, Strategy::Auto, None)
             .map(|(s, _)| s)
             .expect("admitted");
         assert_eq!(
