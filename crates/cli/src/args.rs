@@ -94,6 +94,29 @@ impl Args {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// Refuses every flag or option `command` does not take, so a
+    /// mistyped or retired option fails instead of being ignored.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unaccepted option, in alphabetical order.
+    pub fn accept_only(&self, command: &str, accepted: &[&str]) -> Result<(), ParseArgsError> {
+        let mut unknown: Vec<&str> = self
+            .flags
+            .iter()
+            .chain(self.options.keys())
+            .map(String::as_str)
+            .filter(|name| !accepted.contains(name))
+            .collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            None => Ok(()),
+            Some(name) => Err(ParseArgsError::new(format!(
+                "unknown option --{name} for {command}"
+            ))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -195,15 +218,24 @@ mod tests {
     }
 
     #[test]
-    fn threads_option_parses_as_usize() {
-        let args = Args::parse(&raw(&["census", "--threads", "8"]), &[]).unwrap();
-        assert_eq!(args.option("threads", 0usize).unwrap(), 8);
-        // Absent → default (0 = auto-detect downstream).
-        let args = Args::parse(&raw(&["census"]), &[]).unwrap();
-        assert_eq!(args.option("threads", 0usize).unwrap(), 0);
-        // Negative values are not a usize.
-        let args = Args::parse(&raw(&["census", "--threads", "-2"]), &[]).unwrap();
-        assert!(args.option("threads", 0usize).is_err());
+    fn usize_option_rejects_negatives() {
+        let args = Args::parse(&raw(&["serve", "--workers", "8"]), &[]).unwrap();
+        assert_eq!(args.option("workers", 4usize).unwrap(), 8);
+        let args = Args::parse(&raw(&["serve"]), &[]).unwrap();
+        assert_eq!(args.option("workers", 4usize).unwrap(), 4);
+        let args = Args::parse(&raw(&["serve", "--workers", "-2"]), &[]).unwrap();
+        assert!(args.option("workers", 4usize).is_err());
+    }
+
+    #[test]
+    fn accept_only_names_the_first_unaccepted_option() {
+        let args = Args::parse(&raw(&["census", "--cb", "4", "--all"]), &["all"]).unwrap();
+        assert!(args.accept_only("synth", &["cb", "all"]).is_ok());
+        let err = args.accept_only("census", &["cb"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --all for census");
+        let args = Args::parse(&raw(&["census", "--zeta", "1", "--bogus", "2"]), &[]).unwrap();
+        let err = args.accept_only("census", &["cb"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --bogus for census");
     }
 
     #[test]

@@ -26,22 +26,20 @@ USAGE:
     mvq <command> [options]
 
 COMMANDS:
-    census [--cb N] [--threads T]   reproduce Table 2 up to cost N (default 6;
+    census [--cb N]                 reproduce Table 2 up to cost N (default 6;
            [--snapshot FILE]        3 on 4 wires) — warm-start from / write
            [--wires 2|3|4]          back a level-cache snapshot (created if
            [--model M]              missing); M is unit | V,VD,F |
                                     weighted(V,VD,F)
     synth <perm> [--cb N] [--all]   minimal-cost synthesis of a reversible
           [--strategy S]            function given in cycle notation on the
-          [--threads T]             2^n binary patterns, e.g. \"(7,8)\";
-          [--snapshot FILE]         S is uni (default), bidi or auto: `bidi`
-          [--wires 2|3|4]           meets in the middle from the target side
-          [--model M]               (faster for deep targets), `auto` uses
+          [--snapshot FILE]         2^n binary patterns, e.g. \"(7,8)\";
+          [--wires 2|3|4]           S is uni (default), bidi or auto: `bidi`
+          [--model M]               meets in the middle from the target side
+                                    (faster for deep targets), `auto` uses
                                     the settled levels when they decide and
-                                    meets in the middle otherwise; T
-                                    defaults to MVQ_THREADS or the
-                                    available parallelism (0 = auto)
-    serve [--addr A] [--threads T]  long-lived synthesis service (HTTP/1.1 +
+                                    meets in the middle otherwise
+    serve [--addr A]                long-lived synthesis service (HTTP/1.1 +
           [--snapshot FILE]         JSON): /synthesize /census /healthz
           [--max-cb N]              /stats /metrics /debug/slow /shutdown;
           [--workers W]             warm-starts from FILE (falling back to
@@ -50,7 +48,7 @@ COMMANDS:
           [--log LEVEL]             handler threads (default 4); PLAN (or
                                     $MVQ_FAULTS) arms failpoints in
                                     `fault-injection` builds, e.g.
-                                    \"snapshot.rename=err@2;pool.task=panic\";
+                                    \"snapshot.rename=err@2;expand.level=panic@5\";
                                     LEVEL (or $MVQ_LOG) is off | info | debug —
                                     info emits one JSON trace line per request
     verify <circuit> <perm>         check a cascade (e.g. VCB*FBA*VCA*V+CB)
@@ -65,9 +63,42 @@ COMMANDS:
     help                            this message
 ";
 
+/// The options (and flags) each subcommand takes; [`dispatch`] refuses
+/// any other before the command runs.
+const ACCEPTED: &[(&str, &[&str])] = &[
+    ("help", &[]),
+    ("census", &["cb", "snapshot", "wires", "model"]),
+    (
+        "synth",
+        &["cb", "all", "strategy", "snapshot", "wires", "model"],
+    ),
+    (
+        "serve",
+        &[
+            "addr",
+            "snapshot",
+            "max-cb",
+            "workers",
+            "max-models",
+            "faults",
+            "log",
+        ],
+    ),
+    ("verify", &[]),
+    ("gate", &[]),
+    ("table", &["wires"]),
+    ("universal", &[]),
+    ("rng", &["samples", "seed"]),
+    ("spectrum", &["cb"]),
+];
+
 /// Dispatches a raw argument vector to the matching subcommand.
 pub fn dispatch(argv: &[String]) -> CommandResult {
     let args = Args::parse(argv, &["all"])?;
+    let command = args.positional(0).unwrap_or("help");
+    if let Some((_, accepted)) = ACCEPTED.iter().find(|(name, _)| *name == command) {
+        args.accept_only(command, accepted)?;
+    }
     // Every command honours `$MVQ_FAULTS`, so snapshot/expansion drills
     // work on one-shot runs too; `serve --faults` re-arms over this.
     arm_faults("")?;
@@ -89,15 +120,6 @@ pub fn dispatch(argv: &[String]) -> CommandResult {
             "unknown command `{other}`"
         )))),
     }
-}
-
-/// Resolves `--threads` (0 or absent = auto: `MVQ_THREADS`, then the
-/// machine's available parallelism).
-fn thread_count(args: &Args) -> Result<usize, ParseArgsError> {
-    let requested: usize = args.option("threads", 0)?;
-    Ok(mvq_core::resolve_threads(
-        (requested > 0).then_some(requested),
-    ))
 }
 
 /// Resolves `--wires` (default 3).
@@ -125,13 +147,11 @@ fn snapshot_engine<W: SearchWidth>(
     args: &Args,
     wires: usize,
     model: CostModel,
-    threads: usize,
 ) -> Result<(SearchEngine<W>, Option<u32>), Box<dyn Error>> {
     let cold = || -> Result<SearchEngine<W>, Box<dyn Error>> {
-        Ok(SearchEngine::<W>::try_with_threads(
+        Ok(SearchEngine::<W>::try_new(
             GateLibrary::standard(wires),
             model,
-            threads,
         )?)
     };
     let Some(path) = args
@@ -142,7 +162,7 @@ fn snapshot_engine<W: SearchWidth>(
         return Ok((cold()?, None));
     };
     if std::path::Path::new(&path).exists() || mvq_core::snapshot_backup_path(&path).exists() {
-        let (engine, source) = match SearchEngine::<W>::load_snapshot_resilient(&path, threads) {
+        let (engine, source) = match SearchEngine::<W>::load_snapshot_resilient(&path) {
             Ok(loaded) => loaded,
             Err(err) if err.is_corruption() => {
                 // A torn snapshot (with no usable backup) must not kill
@@ -236,8 +256,7 @@ fn census_run<W: SearchWidth>(args: &Args, wires: usize) -> CommandResult {
     // one; keep the default bound shallow there.
     let cb: u32 = args.option("cb", if wires == 4 { 3 } else { 6 })?;
     let model = model_arg(args)?;
-    let threads = thread_count(args)?;
-    let (mut engine, loaded_depth) = snapshot_engine::<W>(args, wires, model, threads)?;
+    let (mut engine, loaded_depth) = snapshot_engine::<W>(args, wires, model)?;
     // Wall-clock is measured here, at the edge: `mvq_core`'s
     // search-state modules are clock-free by lint rule.
     let start = std::time::Instant::now();
@@ -245,7 +264,7 @@ fn census_run<W: SearchWidth>(args: &Args, wires: usize) -> CommandResult {
     let elapsed = start.elapsed();
     snapshot_writeback(args, &mut engine, loaded_depth)?;
     println!("{census}");
-    println!("(wires: {wires}, threads: {threads}, elapsed: {elapsed:.2?})");
+    println!("(wires: {wires}, elapsed: {elapsed:.2?})");
     if wires == 3 && model == CostModel::unit() {
         println!();
         println!("paper (printed): {PAPER_TABLE_2:?}");
@@ -280,10 +299,9 @@ fn synth_run<W: SearchWidth>(args: &Args, wires: usize) -> CommandResult {
     let cb: u32 = args.option("cb", if wires == 4 { 4 } else { 7 })?;
     let strategy: Strategy = args.option("strategy", Strategy::Uni)?;
     let model = model_arg(args)?;
-    let threads = thread_count(args)?;
     let target = mvq_core::known::parse_target_on(text, 1 << wires)
         .map_err(|detail| Box::new(ParseArgsError::new(detail)) as Box<dyn Error>)?;
-    let (mut engine, loaded_depth) = snapshot_engine::<W>(args, wires, model, threads)?;
+    let (mut engine, loaded_depth) = snapshot_engine::<W>(args, wires, model)?;
     if args.flag("all") {
         if strategy != Strategy::Uni {
             return Err(Box::new(ParseArgsError::new(
@@ -326,7 +344,6 @@ fn synth_run<W: SearchWidth>(args: &Args, wires: usize) -> CommandResult {
 
 fn serve(args: &Args) -> CommandResult {
     let addr: String = args.option("addr", "127.0.0.1:7878".to_string())?;
-    let threads: usize = args.option("threads", 0)?;
     let max_cb: u32 = args.option("max-cb", 7)?;
     let workers: usize = args.option("workers", 4)?;
     let max_models: usize = args.option("max-models", 8)?;
@@ -351,13 +368,11 @@ fn serve(args: &Args) -> CommandResult {
     }
     let registry = Arc::new(HostRegistry::new(HostConfig {
         max_cost_bound: max_cb,
-        threads,
         max_models,
         ..HostConfig::default()
     }));
     if !snapshot.is_empty() {
-        let resolved = mvq_core::resolve_threads((threads > 0).then_some(threads));
-        install_serve_snapshot(&registry, &snapshot, resolved)?;
+        install_serve_snapshot(&registry, &snapshot)?;
     }
     let server = Server::bind(addr.as_str(), registry)?;
     if let Some(level) = log_level {
@@ -407,11 +422,7 @@ fn arm_faults(plan: &str) -> CommandResult {
 /// diagnostic. A torn snapshot must not keep the service down; only a
 /// *healthy* snapshot that mismatches the configuration (an over-wide
 /// library, a full registry) stays fatal.
-fn install_serve_snapshot(
-    registry: &Arc<HostRegistry>,
-    path: &str,
-    threads: usize,
-) -> CommandResult {
+fn install_serve_snapshot(registry: &Arc<HostRegistry>, path: &str) -> CommandResult {
     // Ok(true) = installed; Ok(false) = unreadable or torn (keep
     // degrading); Err = healthy but incompatible (fatal).
     let attempt = |file: &std::path::Path| -> Result<bool, Box<dyn Error>> {
@@ -419,14 +430,14 @@ fn install_serve_snapshot(
         // The file's recorded widths decide which engine loads it: try
         // the narrow engine, fall back to the wide one on its
         // (header-only) width mismatch.
-        let failed = match SynthesisEngine::load_snapshot_with_threads(file, threads) {
+        let failed = match SynthesisEngine::load_snapshot(file) {
             Ok(engine) => {
                 announce_snapshot(&shown.to_string(), &engine);
                 registry.install(engine)?;
                 return Ok(true);
             }
             Err(SnapshotError::WidthMismatch { .. }) => {
-                match WideSynthesisEngine::load_snapshot_with_threads(file, threads) {
+                match WideSynthesisEngine::load_snapshot(file) {
                     Ok(engine) => {
                         announce_snapshot(&shown.to_string(), &engine);
                         registry.install(engine)?;
@@ -659,12 +670,70 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_accepted() {
-        assert!(run(&["census", "--cb", "2", "--threads", "4"]).is_ok());
-        assert!(run(&["synth", "(7,8)", "--cb", "6", "--threads", "2"]).is_ok());
-        // 0 = auto-detect.
-        assert!(run(&["census", "--cb", "2", "--threads", "0"]).is_ok());
-        assert!(run(&["synth", "(7,8)", "--cb", "6", "--threads", "x"]).is_err());
+    fn threads_flag_rejected() {
+        // Expansion is serial: a script still passing --threads fails
+        // loudly instead of being ignored.
+        let err = run(&["census", "--threads", "2"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --threads for census");
+        assert!(run(&["synth", "(7,8)", "--cb", "2", "--threads", "2"]).is_err());
+        let err = run(&["serve", "--threads", "2"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --threads for serve");
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        let err = run(&["census", "--bogus", "4", "--wires", "2"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --bogus for census");
+        let err = run(&["synth", "(7,8)", "--cbb", "8"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --cbb for synth");
+        // A flag another command takes is refused too.
+        let err = run(&["census", "--cb", "1", "--all"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --all for census");
+        assert!(run(&["universal", "--cb", "2"]).is_err());
+    }
+
+    #[test]
+    fn every_option_in_the_help_text_parses() {
+        // Each `[--name …]` in a command's help block is accepted by that
+        // command, and each accepted option is in its help block.
+        let mut listed: Vec<(String, String)> = Vec::new();
+        let mut command = String::new();
+        for line in USAGE.lines() {
+            if let Some(name) = line.strip_prefix("    ").and_then(|l| l.split(' ').next()) {
+                if !name.is_empty() {
+                    command = name.to_string();
+                }
+            }
+            for part in line.split("[--").skip(1) {
+                let option = part.split([' ', ']']).next().unwrap_or_default();
+                listed.push((command.clone(), option.to_string()));
+            }
+        }
+        assert!(listed.len() >= 20, "{listed:?}");
+        for (command, option) in &listed {
+            let (_, accepted) = ACCEPTED
+                .iter()
+                .find(|(name, _)| name == command)
+                .unwrap_or_else(|| panic!("{command} has no accepted-option list"));
+            assert!(accepted.contains(&option.as_str()), "{command} --{option}");
+            let args = Args::parse(
+                &[command.clone(), format!("--{option}"), "1".into()],
+                &["all"],
+            )
+            .unwrap();
+            assert!(
+                args.accept_only(command, accepted).is_ok(),
+                "{command} --{option}"
+            );
+        }
+        for (command, accepted) in ACCEPTED {
+            for option in *accepted {
+                assert!(
+                    listed.iter().any(|(c, o)| c == command && o == option),
+                    "{command} --{option} is accepted but not in the help text"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@ use mvq_logic::{Gate, GateLibrary};
 use mvq_obs::ProbeHandle;
 use mvq_perm::Perm;
 
+use crate::expand::{self, Emit};
 use crate::mitm::BackwardFrontier;
-use crate::par;
-use crate::seen::{Handle, Meta, ShardedSeen};
+use crate::seen::{Handle, Meta, SeenTable};
 use crate::snapshot::{DeferredFrontier, SnapshotImage};
 use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{gate_table, FnvBuildHasher, GateTable};
@@ -257,14 +257,8 @@ pub struct SearchEngine<W: SearchWidth> {
     /// Domain index (0-based) → rank in the binary set, `u8::MAX` if the
     /// pattern is not binary.
     binary_rank: Vec<u8>,
-    /// Persistent expansion workers, and with them the degree of
-    /// parallelism (spawned lazily on the first sharded bucket; shared
-    /// by the forward frontier, the backward frontier, and the
-    /// meet-in-the-middle join, so hot paths never re-spawn threads).
-    pub(crate) pool: par::WorkerPool,
-    /// Every discovered element of `A[∞]` with its metadata, sharded by
-    /// word hash so parallel expansion can insert without locks.
-    pub(crate) seen: ShardedSeen<W::Word>,
+    /// Every discovered element of `A[∞]` with its metadata.
+    pub(crate) seen: SeenTable<W::Word>,
     /// Pending frontier elements keyed by their (exact) cost, as handles
     /// into `seen` (which stores each word once).
     pub(crate) pending: BTreeMap<u32, Vec<Handle>>,
@@ -317,16 +311,16 @@ impl SearchEngine<Narrow> {
         Self::new(GateLibrary::standard(3), CostModel::unit())
     }
 
-    /// [`Self::unit_cost`] with an explicit degree of parallelism.
-    pub fn unit_cost_with_threads(threads: usize) -> Self {
-        Self::with_threads(GateLibrary::standard(3), CostModel::unit(), threads)
+    /// [`Self::unit_cost`]; the thread count is ignored (expansion is
+    /// serial). Kept only for the benchmark harness, which still passes
+    /// one.
+    pub fn unit_cost_with_threads(_threads: usize) -> Self {
+        Self::unit_cost()
     }
 }
 
 impl<W: SearchWidth> SearchEngine<W> {
-    /// Engine over an explicit library and cost model, with the degree of
-    /// parallelism resolved from `MVQ_THREADS` / the available
-    /// parallelism (see [`crate::resolve_threads`]).
+    /// Engine over an explicit library and cost model.
     ///
     /// # Panics
     ///
@@ -337,15 +331,14 @@ impl<W: SearchWidth> SearchEngine<W> {
         Self::try_new(library, model).unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// Engine over an explicit library, cost model, and thread count
-    /// (`threads = 1` is the serial engine; results are bit-identical
-    /// for every thread count).
+    /// [`Self::new`]; the thread count is ignored (expansion is serial).
+    /// Kept only for the benchmark harness, which still passes one.
     ///
     /// # Panics
     ///
     /// Panics under the same library limits as [`Self::new`].
-    pub fn with_threads(library: GateLibrary, model: CostModel, threads: usize) -> Self {
-        Self::try_with_threads(library, model, threads).unwrap_or_else(|err| panic!("{err}"))
+    pub fn with_threads(library: GateLibrary, model: CostModel, _threads: usize) -> Self {
+        Self::new(library, model)
     }
 
     /// Fallible [`Self::new`] — the form long-lived services should use,
@@ -359,19 +352,6 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// width's word/mask capacity, or [`EngineError::BinarySetTooLarge`]
     /// over the width's S-trace slots.
     pub fn try_new(library: GateLibrary, model: CostModel) -> Result<Self, EngineError> {
-        Self::try_with_threads(library, model, par::resolve_threads(None))
-    }
-
-    /// Fallible [`Self::with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_new`].
-    pub fn try_with_threads(
-        library: GateLibrary,
-        model: CostModel,
-        threads: usize,
-    ) -> Result<Self, EngineError> {
         if library.gates().len() > usize::from(u8::MAX) {
             return Err(EngineError::TooManyGates {
                 gates: library.gates().len(),
@@ -434,9 +414,8 @@ impl<W: SearchWidth> SearchEngine<W> {
         for (rank, &idx) in binary0.iter().enumerate() {
             binary_rank[idx as usize] = rank as u8;
         }
-        let threads = threads.max(1);
         let identity = W::Word::identity(library.domain().len());
-        let mut seen: ShardedSeen<W::Word> = ShardedSeen::for_threads(threads);
+        let mut seen: SeenTable<W::Word> = SeenTable::new();
         let root = seen.intern(identity, Meta::ROOT);
         let mut pending = BTreeMap::new();
         pending.insert(0u32, vec![root]);
@@ -450,7 +429,6 @@ impl<W: SearchWidth> SearchEngine<W> {
             gate_costs,
             binary0,
             binary_rank,
-            pool: par::WorkerPool::new(threads),
             seen,
             pending,
             deferred_frontier: None,
@@ -469,9 +447,9 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// Installs (or clears) the observability probe. The engine calls it
-    /// around level steps, parallel bucket staging, bidirectional
-    /// split decisions, and snapshot sections; with the default empty
-    /// handle every hook is a single branch.
+    /// around level steps, bidirectional split decisions, and snapshot
+    /// sections; with the default empty handle every hook is a single
+    /// branch.
     pub fn set_probe(&mut self, probe: ProbeHandle) {
         self.probe = probe;
     }
@@ -489,22 +467,6 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// The cost model in use.
     pub fn cost_model(&self) -> &CostModel {
         &self.model
-    }
-
-    /// The degree of parallelism used for level expansion.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Re-configures the degree of parallelism. Safe on a warm engine:
-    /// the sharded `seen` map is re-bucketed in place, the pending and
-    /// level handles are re-issued for its new layout (results stay
-    /// bit-identical for any thread count).
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.pool = par::WorkerPool::new(threads);
-        let handles = self.pending.values_mut().chain(&mut self.levels);
-        self.seen.reshard_for_threads(threads, handles.flatten());
     }
 
     /// The highest cost whose level has been settled, if any: every
@@ -539,9 +501,8 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// The words of level `B[cost]`, in discovery order, if that level
-    /// has been settled — the raw material for determinism audits
-    /// across thread counts (gap levels under non-unit cost models are
-    /// empty).
+    /// has been settled — the raw material for determinism audits (gap
+    /// levels under non-unit cost models are empty).
     pub fn level_words(&self, cost: u32) -> Option<Vec<W::Word>> {
         let handles = self.levels.get(cost as usize)?;
         Some(handles.iter().map(|&h| self.seen.key(h)).collect())
@@ -687,17 +648,11 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// Settles the cheapest pending bucket: drops its stale copies,
     /// registers its classes and records it as the next level. Returns
     /// its cost, or `None` when nothing is pending.
-    ///
-    /// Each phase is one call into [`crate::par`], which runs a bucket
-    /// inline when it is too small for two workers and through the
-    /// sharded pipeline otherwise; the results are bit-identical either
-    /// way (same levels, same bucket order, same lazy decrease-key
-    /// outcomes).
     fn settle_next_level(&mut self) -> Option<u32> {
         debug_assert!(self.unexpanded.is_none(), "settled levels expand in order");
         let (&cost, _) = self.pending.first_key_value()?;
         // lint: allow(panic) first_key_value just proved the bucket key exists
-        let raw_bucket = self.pending.remove(&cost).expect("bucket exists");
+        let mut handles = self.pending.remove(&cost).expect("bucket exists");
         // Lazy decrease-key: with non-uniform gate costs a word can be
         // re-admitted to a cheaper bucket after its first discovery; the
         // superseded copy stays behind in its original bucket and is
@@ -705,9 +660,8 @@ impl<W: SearchWidth> SearchEngine<W> {
         // costs are positive, so a word whose recorded cost still equals
         // this bucket's cost is final (Dijkstra). The check reads the
         // entry through its handle: no hash, probe or key compare.
-        let raw_len = raw_bucket.len();
-        let seen = &self.seen;
-        let handles = par::par_filter(&self.pool, raw_bucket, |&h| seen.meta(h).cost == cost);
+        let raw_len = handles.len();
+        handles.retain(|&h| self.seen.meta(h).cost == cost);
         let stale_dropped = (raw_len - handles.len()) as u64;
         // Defensive: levels complete in ascending order.
         debug_assert!(self.completed.map_or(cost == 0, |c| cost > c));
@@ -717,7 +671,10 @@ impl<W: SearchWidth> SearchEngine<W> {
         // subtraction is implicit in first-seen-wins) from them.
         // Registration stays serial so the class-discovery and witness
         // order match the bucket order.
-        let traces = par::par_map(&self.pool, &handles, |_, &h| self.trace_of(&seen.key(h)));
+        let traces: Vec<W::Trace> = handles
+            .iter()
+            .map(|&h| self.trace_of(&self.seen.key(h)))
+            .collect();
         let mut g_new: Vec<W::Word> = Vec::new();
         for (&handle, &trace) in handles.iter().zip(&traces) {
             if let Some(restriction) = self.restrict(trace) {
@@ -768,25 +725,26 @@ impl<W: SearchWidth> SearchEngine<W> {
         // already in `seen` at cost `cost − cost(g)`, which `admit`
         // would always reject.
         let handles = &self.levels[level];
-        let seen = &self.seen;
-        let bucket = par::par_map(&self.pool, handles, |_, &h| seen.key(h));
-        let inverse_gate = &self.inverse_gate;
-        let back_gates = par::par_map(&self.pool, handles, |_, &h| {
-            let last = usize::from(seen.meta(h).gate);
-            inverse_gate.get(last).copied().unwrap_or(u8::MAX)
-        });
+        let bucket: Vec<W::Word> = handles.iter().map(|&h| self.seen.key(h)).collect();
+        let back_gates: Vec<u8> = handles
+            .iter()
+            .map(|&h| {
+                let last = usize::from(self.seen.meta(h).gate);
+                self.inverse_gate.get(last).copied().unwrap_or(u8::MAX)
+            })
+            .collect();
 
         // Expand reasonable products into later buckets. The `seen`
         // reservation is sized from the frontier's measured growth
         // factor so deep levels don't rehash their way up.
         let previous = level.checked_sub(1).map_or(0, |p| self.b_counts[p]);
-        let expected_new = par::growth_hint(bucket.len(), previous, self.gate_images.len());
+        let expected_new = expand::growth_hint(bucket.len(), previous, self.gate_images.len());
         let traces = &self.level_traces[level];
         let gate_images = &self.gate_images;
         let gate_banned = &self.gate_banned;
         let gate_costs = &self.gate_costs;
         let binary_len = self.binary0.len();
-        let generate = |idx: usize, word: &W::Word, emit: &mut par::Emit<W::Word>| {
+        let generate = |idx: usize, word: &W::Word, emit: &mut Emit<W::Word>| {
             let image_mask = trace_mask::<W>(traces[idx], binary_len);
             let back_gate = usize::from(back_gates[idx]);
             for (gate_idx, table) in gate_images.iter().enumerate() {
@@ -797,17 +755,10 @@ impl<W: SearchWidth> SearchEngine<W> {
                 emit.push_hashed(next, hash, cost + gate_costs[gate_idx], gate_idx as u8);
             }
         };
-        let expansion = par::expand_bucket(
-            &self.pool,
-            &bucket,
-            &mut self.seen,
-            expected_new,
-            &self.probe,
-            generate,
-        );
+        let expansion = expand::expand_bucket(&bucket, &mut self.seen, expected_new, generate);
         self.probe
             .on(|p| p.level_work(cost, expansion.generated, stale_dropped));
-        par::append_pushes(&mut self.pending, expansion.pushes)
+        expand::append_pushes(&mut self.pending, expansion.pushes)
     }
 
     /// Folds one reversible word of the current level into the class
@@ -1469,11 +1420,10 @@ mod tests {
     /// `(g_counts, b_counts, |A|)`.
     fn climb(
         model: CostModel,
-        threads: usize,
         cb: u32,
         counter: Option<&std::sync::Arc<WorkCounter>>,
     ) -> (Vec<usize>, Vec<usize>, usize) {
-        let mut e = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+        let mut e = SynthesisEngine::new(GateLibrary::standard(3), model);
         if let Some(counter) = counter {
             e.set_probe(ProbeHandle::new(counter.clone()));
         }
@@ -1483,15 +1433,15 @@ mod tests {
 
     /// Expands a 3-wire engine under `model` to cost `cb` with a
     /// [`WorkCounter`] installed.
-    fn counted_climb(model: CostModel, threads: usize, cb: u32) -> std::sync::Arc<WorkCounter> {
+    fn counted_climb(model: CostModel, cb: u32) -> std::sync::Arc<WorkCounter> {
         let counter = std::sync::Arc::default();
-        climb(model, threads, cb, Some(&counter));
+        climb(model, cb, Some(&counter));
         counter
     }
 
     #[test]
     fn unit_climb_work_counts_are_pinned() {
-        let counter = counted_climb(CostModel::unit(), 1, 6);
+        let counter = counted_climb(CostModel::unit(), 6);
         let work = counter.work.lock().unwrap().clone();
         let costs: Vec<u32> = work.iter().map(|w| w.0).collect();
         assert_eq!(costs, [0, 1, 2, 3, 4, 5, 6]);
@@ -1504,26 +1454,21 @@ mod tests {
             *counter.nodes.lock().unwrap(),
             [18, 162, 1017, 5364, 25761, 118888, 538191]
         );
-        // A probe must not change the search, serial or sharded: a probed
-        // and an unprobed census to cost 5 agree, and the probed one
-        // generates the same 256,500 successors at every thread count.
-        for threads in [1, 4] {
-            let counter = std::sync::Arc::default();
-            let probed = climb(CostModel::unit(), threads, 5, Some(&counter));
-            let unprobed = climb(CostModel::unit(), threads, 5, None);
-            assert_eq!(probed, unprobed, "{threads} threads");
-            let generated: Vec<u64> = counter.work.lock().unwrap().iter().map(|w| w.1).collect();
-            assert_eq!(
-                generated,
-                [18, 210, 1482, 8409, 42660, 203721],
-                "{threads} threads"
-            );
-        }
+        // A probe must not change the search: a probed and an unprobed
+        // census to cost 5 agree, and the probed one generates the same
+        // 256,500 successors.
+        let counter = std::sync::Arc::default();
+        let probed = climb(CostModel::unit(), 5, Some(&counter));
+        let unprobed = climb(CostModel::unit(), 5, None);
+        assert_eq!(probed, unprobed);
+        let generated: Vec<u64> = counter.work.lock().unwrap().iter().map(|w| w.1).collect();
+        assert_eq!(generated, [18, 210, 1482, 8409, 42660, 203721]);
+        assert_eq!(generated.iter().sum::<u64>(), 256_500);
     }
 
     #[test]
     fn weighted_climb_drops_stale_copies() {
-        let counter = counted_climb(CostModel::weighted(1, 1, 3), 1, 7);
+        let counter = counted_climb(CostModel::weighted(1, 1, 3), 7);
         let work = counter.work.lock().unwrap().clone();
         assert!(work.iter().any(|w| w.2 > 0), "{work:?}");
         assert_eq!(
@@ -1548,7 +1493,7 @@ mod tests {
     /// `inverse_gate` of the standard library at `wires` wires, checked
     /// against the gates' domain images.
     fn assert_inverse_table<W: SearchWidth>(wires: usize) {
-        let e = SearchEngine::<W>::with_threads(GateLibrary::standard(wires), CostModel::unit(), 1);
+        let e = SearchEngine::<W>::new(GateLibrary::standard(wires), CostModel::unit());
         let domain = e.library.domain().len();
         assert_eq!(e.inverse_gate.len(), e.gate_images.len());
         for (i, &inv) in e.inverse_gate.iter().enumerate() {

@@ -37,10 +37,9 @@
 //! ```
 
 // `deny`, not `forbid`: the sanctioned exceptions, each block with its
-// SAFETY comment, are the worker pool's scoped-task lifetime erasure
-// (`par`), the `seen` slot prefetch (`seen`), and the owned huge-page
-// mappings behind `seen`'s large buffers and loaded snapshot images
-// (`mapping`, the only module that allows `unsafe` throughout);
+// SAFETY comment, are the `seen` slot prefetch (`seen`) and the owned
+// huge-page mappings behind `seen`'s large buffers and loaded snapshot
+// images (`mapping`, the only module that allows `unsafe` throughout);
 // everything else stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,10 +48,10 @@ mod census;
 mod circuit;
 mod cost;
 mod engine;
+mod expand;
 pub mod known;
 mod mapping;
 mod mitm;
-mod par;
 mod seen;
 mod snapshot;
 mod spec;
@@ -67,7 +66,6 @@ pub use cost::{CostModel, ParseCostModelError};
 pub use engine::{Answer, EngineError, Query, SearchEngine, Strategy, Synthesis};
 pub use mitm::CachedBidirectional;
 pub use mvq_obs::{Probe, ProbeHandle};
-pub use par::resolve_threads;
 pub use snapshot::{
     snapshot_backup_path, SnapshotError, SnapshotImage, SnapshotSource, SNAPSHOT_MIN_VERSION,
     SNAPSHOT_VERSION,

@@ -17,9 +17,8 @@
 //! builds and drops engines. A mapping goes back to the kernel whole on
 //! drop.
 //!
-//! Besides the worker pool's lifetime erasure and the slot prefetch,
-//! this module holds the crate's only `unsafe`; each block carries its
-//! `SAFETY` argument.
+//! Besides the `seen` slot prefetch, this module holds the crate's only
+//! `unsafe`; each block carries its `SAFETY` argument.
 
 #![allow(unsafe_code)]
 

@@ -41,8 +41,8 @@ use mvq_logic::Gate;
 use mvq_perm::Perm;
 
 use crate::engine::{trace_mask, Answer, Query, SearchEngine, Strategy, TraceIndex};
-use crate::par;
-use crate::seen::{Handle, Meta, ShardedSeen};
+use crate::expand::{self, Emit};
+use crate::seen::{Handle, Meta, SeenTable};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{FnvBuildHasher, GateTable};
 use crate::{Circuit, Synthesis};
@@ -61,7 +61,7 @@ use crate::{Circuit, Synthesis};
 pub(crate) struct BackwardFrontier<W: SearchWidth> {
     /// Binary-set size: how many bytes of each trace are populated.
     k: usize,
-    seen: ShardedSeen<W::Trace>,
+    seen: SeenTable<W::Trace>,
     /// Pending traces by cost, as handles into `seen`.
     pending: BTreeMap<u32, Vec<Handle>>,
     /// The deepest settled level.
@@ -77,8 +77,8 @@ pub(crate) struct BackwardFrontier<W: SearchWidth> {
 
 impl<W: SearchWidth> BackwardFrontier<W> {
     /// A frontier with level 0 (the target trace alone) settled.
-    fn new(target_trace: W::Trace, k: usize, threads: usize) -> Self {
-        let mut seen: ShardedSeen<W::Trace> = ShardedSeen::for_threads(threads);
+    fn new(target_trace: W::Trace, k: usize) -> Self {
+        let mut seen: SeenTable<W::Trace> = SeenTable::new();
         seen.intern(target_trace, Meta::ROOT);
         Self {
             k,
@@ -104,13 +104,15 @@ impl<W: SearchWidth> BackwardFrontier<W> {
             return false;
         };
         // lint: allow(panic) first_key_value just proved the bucket key exists
-        let raw_bucket = self.pending.remove(&cost).expect("bucket exists");
+        let handles = self.pending.remove(&cost).expect("bucket exists");
         // Lazy decrease-key, mirroring the forward engine: drop copies
         // superseded by a cheaper rediscovery, then gather the level's
         // traces.
-        let seen = &self.seen;
-        let handles = par::par_filter(&engine.pool, raw_bucket, |&h| seen.meta(h).cost == cost);
-        let bucket = par::par_map(&engine.pool, &handles, |_, &h| seen.key(h));
+        let bucket: Vec<W::Trace> = handles
+            .iter()
+            .filter(|&&h| self.seen.meta(h).cost == cost)
+            .map(|&h| self.seen.key(h))
+            .collect();
         self.levels.resize_with(cost as usize, Vec::new);
         self.levels.push(bucket);
         self.settled = cost;
@@ -119,11 +121,8 @@ impl<W: SearchWidth> BackwardFrontier<W> {
     }
 
     /// Generates the predecessors of the settled-but-unexpanded level,
-    /// if any, into `pending`.
-    ///
-    /// Makes the same calls into [`crate::par`] as the forward engine:
-    /// small trace buckets expand inline, large ones across the engine's
-    /// pool, with bit-identical results either way. Every edge is
+    /// if any, into `pending`, through the same admit loop as the
+    /// forward engine ([`expand::expand_bucket`]). Every edge is
     /// generated: traces are 8–16-byte keys and backward levels are
     /// small, so the forward engine's parent-edge skip would not pay here.
     fn expand_settled(&mut self, engine: &SearchEngine<W>) {
@@ -133,12 +132,12 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         let (earlier, rest) = self.levels.split_at(cost as usize);
         let bucket = &rest[0];
         let k = self.k;
-        let expected_new = par::growth_hint(
+        let expected_new = expand::growth_hint(
             bucket.len(),
             earlier.last().map_or(0, Vec::len),
             engine.gate_images.len(),
         );
-        let generate = |_: usize, &trace: &W::Trace, emit: &mut par::Emit<W::Trace>| {
+        let generate = |_: usize, &trace: &W::Trace, emit: &mut Emit<W::Trace>| {
             for gate_idx in 0..engine.gate_images.len() {
                 let prev = apply_to_trace::<W>(trace, &engine.gate_inverse_images[gate_idx], k);
                 // Forward reasonability of `gate_idx` at the moment it
@@ -149,15 +148,8 @@ impl<W: SearchWidth> BackwardFrontier<W> {
                 emit.push(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
             }
         };
-        let expansion = par::expand_bucket(
-            &engine.pool,
-            bucket,
-            &mut self.seen,
-            expected_new,
-            &engine.probe,
-            generate,
-        );
-        par::append_pushes(&mut self.pending, expansion.pushes);
+        let expansion = expand::expand_bucket(bucket, &mut self.seen, expected_new, generate);
+        expand::append_pushes(&mut self.pending, expansion.pushes);
         #[cfg(test)]
         {
             self.generated += expansion.generated;
@@ -325,10 +317,10 @@ impl<W: SearchWidth> SearchEngine<W> {
         };
         let fwd_done = completed.min(query.cb);
         let max_gate = self.max_gate_cost();
-        let (k, threads) = (self.binary0.len(), self.threads());
+        let k = self.binary0.len();
         let back = query
             .back
-            .get_or_insert_with(|| BackwardFrontier::new(query.target_trace, k, threads));
+            .get_or_insert_with(|| BackwardFrontier::new(query.target_trace, k));
         while query.cost <= query.cb {
             let c = query.cost;
             while fwd_done + back.settled < c + (max_gate - 1) && fwd_done < c && back.settled < c {
@@ -416,11 +408,8 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// cascades, or `None` when nothing joins at this cost.
     ///
     /// The scan runs on a shared reference (each joined level's S-trace
-    /// index is built on first use), so each backward bucket goes through
-    /// [`par::par_chunks`]: every chunk (the whole bucket, when it is too
-    /// small to shard) folds a private distinct set and first-witness
-    /// candidate, merged in chunk order for bit-identical results at any
-    /// thread count.
+    /// index is built on first use) and folds every backward bucket, in
+    /// order, into one distinct set and first-witness candidate.
     fn join_at_cost(
         &self,
         back: &BackwardFrontier<W>,
@@ -440,26 +429,8 @@ impl<W: SearchWidth> SearchEngine<W> {
             }
             let index = self.trace_index(f);
             let level = &self.levels[f as usize];
-            let partials = par::par_chunks(&self.pool, bucket.len(), |start, end| {
-                let mut local = HashSet::default();
-                let mut local_first = None;
-                for &trace in &bucket[start..end] {
-                    self.join_trace(back, trace, index, level, &mut local, &mut local_first);
-                }
-                (local, local_first)
-            });
-            // Deterministic merge in chunk order: the distinct set is
-            // order-insensitive, and the first chunk holding a witness
-            // holds the serial scan's first witness.
-            for (local, local_first) in partials {
-                if distinct.is_empty() {
-                    distinct = local;
-                } else {
-                    distinct.extend(local);
-                }
-                if first.is_none() {
-                    first = local_first;
-                }
+            for &trace in bucket {
+                self.join_trace(back, trace, index, level, &mut distinct, &mut first);
             }
         }
         first.map(|(u, trace)| (self.seen.key(u), trace, distinct.len()))
@@ -781,26 +752,23 @@ mod tests {
         // predecessors from levels 0–1 only (eager expansion of the
         // joined level generated 1,662), and a cost-5 target joins at
         // backward level 0 without generating anything (eagerly: 18).
-        for threads in [1, 4] {
-            let mut e =
-                SynthesisEngine::with_threads(GateLibrary::standard(3), CostModel::unit(), threads);
-            e.expand_to_cost(5);
-            e.prepare_bidirectional(7);
-            for (target, cost, count, generated) in [
-                (known::fredkin_perm(), 7, 16, 246),
-                (known::toffoli_perm(), 5, 4, 0),
-            ] {
-                let mut query = e.query(&target, 7, Strategy::Bidi);
-                let Answer::Resolved(syn, _) = e.answer(&mut query) else {
-                    panic!("prepared");
-                };
-                let syn = syn.expect("reachable");
-                let back = query.back.expect("a warm engine builds the frontier");
-                assert_eq!(syn.cost, cost, "{threads} threads");
-                assert_eq!(syn.implementation_count, count, "{threads} threads");
-                assert!(syn.circuit.verify_against_binary_perm(&target));
-                assert_eq!(back.generated, generated, "{target}, {threads} threads");
-            }
+        let mut e = SynthesisEngine::unit_cost();
+        e.expand_to_cost(5);
+        e.prepare_bidirectional(7);
+        for (target, cost, count, generated) in [
+            (known::fredkin_perm(), 7, 16, 246),
+            (known::toffoli_perm(), 5, 4, 0),
+        ] {
+            let mut query = e.query(&target, 7, Strategy::Bidi);
+            let Answer::Resolved(syn, _) = e.answer(&mut query) else {
+                panic!("prepared");
+            };
+            let syn = syn.expect("reachable");
+            let back = query.back.expect("a warm engine builds the frontier");
+            assert_eq!(syn.cost, cost, "{target}");
+            assert_eq!(syn.implementation_count, count, "{target}");
+            assert!(syn.circuit.verify_against_binary_perm(&target));
+            assert_eq!(back.generated, generated, "{target}");
         }
     }
 
@@ -825,8 +793,7 @@ mod tests {
 
     #[test]
     fn cold_adaptive_split_is_pinned() {
-        // Where the adaptive split lands on a cold 1-thread engine at
-        // cb 9: cost, witnesses, forward levels settled to, |A|, and the
+        // Where the adaptive split lands on a cold engine at cb 9: cost, witnesses, forward levels settled to, |A|, and the
         // backward successors generated. The mutable loop keeps one
         // backward frontier across the forward settles between its
         // answers; a frontier rebuilt after each settle would generate
@@ -846,7 +813,7 @@ mod tests {
             ),
             (known::toffoli_perm(), weighted, 7, 4, 4, 817, 3582),
         ] {
-            let new = || SynthesisEngine::with_threads(GateLibrary::standard(3), model, 1);
+            let new = || SynthesisEngine::new(GateLibrary::standard(3), model);
             let mut e = new();
             let syn = e.synthesize_bidirectional(&target, 9).expect("reachable");
             assert_eq!(

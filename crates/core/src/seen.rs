@@ -47,20 +47,15 @@
 //! # Handles
 //!
 //! The arena is also the only place a frontier element is stored:
-//! [`SeenTable::admit`] returns the arena index of the entry it created
-//! or lowered, [`ShardedSeen`] turns it into a 4-byte [`Handle`], and the
-//! pending cost buckets of both frontiers hold handles. Reading an
-//! element's key or metadata through its handle is one indexed load, with
-//! no hash, probe or key compare.
-//!
-//! [`ShardedSeen`] splits the map into shards by the top bits of the
-//! key's table hash, so the sharded expansion in [`crate::par`] can
-//! adjudicate disjoint shards on different workers without a lock.
+//! [`SeenTable::admit`] and [`SeenTable::intern`] return the 4-byte
+//! [`Handle`] (the arena index) of the entry they created, lowered or
+//! found, and the pending cost buckets of both frontiers hold handles.
+//! Reading an element's key or metadata through its handle is one
+//! indexed load, with no hash, probe or key compare.
 
 use std::marker::PhantomData;
 
 use crate::mapping::LaneBuf;
-use crate::par::shard_count_for;
 use crate::width::ShardKey;
 
 /// Per-entry search metadata, common to both search directions: the
@@ -126,8 +121,8 @@ struct Found {
     start: usize,
 }
 
-/// One `seen` shard: an open-addressing slot table over a chunked
-/// record arena (see the module docs).
+/// A frontier's `seen` map: an open-addressing slot table over a
+/// chunked record arena (see the module docs).
 ///
 /// Each slot is one `u64`: the high 32 bits of the key's
 /// [`ShardKey::table_hash`] as a tag, above `index + 1` into the arena
@@ -301,55 +296,61 @@ impl<K: ShardKey> SeenTable<K> {
         prefetch_read(&self.slots[hash as usize & (self.slots.len() - 1)]);
     }
 
-    /// The key of arena entry `index`.
+    /// The key of the entry `handle` addresses, rebuilt from its lanes.
     #[inline]
-    pub(crate) fn key(&self, index: usize) -> K {
-        K::from_lanes(&self.record_at(self.locate(index))[1..], self.shape)
+    pub(crate) fn key(&self, handle: Handle) -> K {
+        K::from_lanes(
+            &self.record_at(self.locate(handle as usize))[1..],
+            self.shape,
+        )
     }
 
-    /// The metadata of arena entry `index`.
+    /// The metadata of the entry `handle` addresses.
     #[inline]
-    pub(crate) fn meta(&self, index: usize) -> Meta {
-        Meta::from_lane(self.record_at(self.locate(index))[0])
+    pub(crate) fn meta(&self, handle: Handle) -> Meta {
+        Meta::from_lane(self.record_at(self.locate(handle as usize))[0])
     }
 
-    pub(crate) fn get(&self, key: &K, hash: u64) -> Option<Meta> {
-        let found = self.find(key, hash).ok()?;
+    pub(crate) fn get(&self, key: &K) -> Option<Meta> {
+        let found = self.find(key, key.table_hash()).ok()?;
         Some(Meta::from_lane(self.record_at(found)[0]))
     }
 
-    /// The arena index of `key`, inserting it with `meta` when absent
+    /// The handle of `key`'s entry, inserting it with `meta` when absent
     /// (an existing entry keeps its metadata).
-    pub(crate) fn intern(&mut self, key: K, hash: u64, meta: Meta) -> usize {
+    pub(crate) fn intern(&mut self, key: K, meta: Meta) -> Handle {
+        let hash = key.table_hash();
         match self.find(&key, hash) {
-            Ok(found) => found.index,
-            Err(pos) => self.push_at(pos, &key, hash, meta),
+            Ok(found) => handle(found.index),
+            Err(pos) => handle(self.push_at(pos, &key, hash, meta)),
         }
     }
 
     /// The Dijkstra admission rule, shared by every frontier loop: admit
     /// a successor iff its key is new or this discovery is cheaper than
-    /// the recorded one (lazy decrease-key). Returns the arena index of
-    /// the entry it created or lowered — the element the caller must push
-    /// into its pending bucket — or `None` when it changed nothing.
+    /// the recorded one (lazy decrease-key). `hash` is the key's
+    /// [`ShardKey::table_hash`]. Returns the handle of the entry it
+    /// created or lowered — the element the caller must push into its
+    /// pending bucket — or `None` when it changed nothing.
     #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<usize> {
+    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<Handle> {
         let meta = Meta { cost, gate };
         match self.find(&key, hash) {
             Ok(found) => {
                 let lane = &mut self.record_at_mut(found)[0];
                 if Meta::from_lane(*lane).cost > cost {
                     *lane = meta.lane();
-                    Some(found.index)
+                    Some(handle(found.index))
                 } else {
                     None
                 }
             }
-            Err(pos) => Some(self.push_at(pos, &key, hash, meta)),
+            Err(pos) => Some(handle(self.push_at(pos, &key, hash, meta))),
         }
     }
 
     /// The entries in discovery order.
+    #[cfg(test)]
     fn entries(&self) -> impl Iterator<Item = (K, Meta)> + '_ {
         self.records().map(|record| {
             (
@@ -376,182 +377,20 @@ fn prefetch_read(slot: &u64) {
     let _ = slot;
 }
 
-/// A [`ShardedSeen`] entry's address: its arena index above the shard
-/// number, `(index << bits) | shard`. A single shard addresses just
-/// under 2³² entries, each of 64 shards just under 2²⁶.
-///
-/// Arenas are append-only and a rehash rebuilds only the slots, so a
-/// handle stays valid for the map's lifetime — except across
-/// [`ShardedSeen::reshard_for_threads`], which re-issues the handles it
-/// is given.
+/// A [`SeenTable`] entry's address: its arena index. The arena is
+/// append-only and a rehash rebuilds only the slots, so a handle stays
+/// valid for the table's lifetime.
 pub(crate) type Handle = u32;
 
-/// Encodes the handle of arena entry `index` in shard `shard` of a map
-/// with `bits` shard bits.
+/// The handle of arena entry `index`.
 #[inline]
-pub(crate) fn make_handle(index: usize, shard: usize, bits: u32) -> Handle {
+fn handle(index: usize) -> Handle {
     // `index + 1` must also fit a slot's low half, hence `<`.
     assert!(
-        (index as u64) < u64::from(u32::MAX) >> bits,
+        (index as u64) < u64::from(u32::MAX),
         "seen arena index overflows a handle"
     );
-    ((index as u32) << bits) | shard as u32
-}
-
-/// A `seen` map split into `2^bits` [`SeenTable`] shards by key hash, so
-/// disjoint workers can insert concurrently without any lock.
-///
-/// Every operation hashes its key once with [`ShardKey::table_hash`]:
-/// the top `bits` bits pick the shard, and the same hash probes inside
-/// it. Serial engines use a single shard. Entries are addressed by
-/// [`Handle`]s, which [`Self::key`] and [`Self::meta`] read without
-/// hashing.
-#[derive(Debug)]
-pub(crate) struct ShardedSeen<K> {
-    shards: Vec<SeenTable<K>>,
-    /// log2 of the shard count.
-    bits: u32,
-}
-
-impl<K: ShardKey> ShardedSeen<K> {
-    /// A map sharded appropriately for `threads` workers.
-    pub(crate) fn for_threads(threads: usize) -> Self {
-        Self::with_shards(shard_count_for(threads))
-    }
-
-    fn with_shards(count: usize) -> Self {
-        debug_assert!(count.is_power_of_two());
-        Self {
-            shards: (0..count).map(|_| SeenTable::new()).collect(),
-            bits: count.trailing_zeros(),
-        }
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// log2 of the shard count: the low bits of a [`Handle`] that name
-    /// its shard.
-    pub(crate) fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// The shards, for workers that adjudicate disjoint shard ranges.
-    pub(crate) fn shards_mut(&mut self) -> &mut [SeenTable<K>] {
-        &mut self.shards
-    }
-
-    /// The shard owning a key with table hash `hash`.
-    #[inline]
-    pub(crate) fn shard_index(&self, hash: u64) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            (hash >> (64 - self.bits)) as usize
-        }
-    }
-
-    #[inline]
-    fn shard(&self, hash: u64) -> &SeenTable<K> {
-        &self.shards[self.shard_index(hash)]
-    }
-
-    /// The shard and arena index `handle` addresses.
-    #[inline]
-    fn locate(&self, handle: Handle) -> (usize, usize) {
-        let shard = handle & ((1 << self.bits) - 1);
-        (shard as usize, (handle >> self.bits) as usize)
-    }
-
-    /// The key of the entry `handle` addresses, rebuilt from its lanes.
-    #[inline]
-    pub(crate) fn key(&self, handle: Handle) -> K {
-        let (shard, index) = self.locate(handle);
-        self.shards[shard].key(index)
-    }
-
-    /// The metadata of the entry `handle` addresses.
-    #[inline]
-    pub(crate) fn meta(&self, handle: Handle) -> Meta {
-        let (shard, index) = self.locate(handle);
-        self.shards[shard].meta(index)
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<Meta> {
-        let hash = key.table_hash();
-        self.shard(hash).get(key, hash)
-    }
-
-    /// The handle of `key`'s entry, inserting it with `meta` when absent
-    /// (an existing entry keeps its metadata).
-    pub(crate) fn intern(&mut self, key: K, meta: Meta) -> Handle {
-        let hash = key.table_hash();
-        let shard = self.shard_index(hash);
-        let index = self.shards[shard].intern(key, hash, meta);
-        make_handle(index, shard, self.bits)
-    }
-
-    /// [`SeenTable::admit`] in the shard owning `key`, returning the
-    /// handle of the entry it created or lowered.
-    #[inline]
-    pub(crate) fn admit(&mut self, key: K, hash: u64, cost: u32, gate: u8) -> Option<Handle> {
-        let shard = self.shard_index(hash);
-        let index = self.shards[shard].admit(key, hash, cost, gate)?;
-        Some(make_handle(index, shard, self.bits))
-    }
-
-    /// [`SeenTable::prefetch`] in the shard owning `hash`.
-    #[inline]
-    pub(crate) fn prefetch(&self, hash: u64) {
-        self.shard(hash).prefetch(hash);
-    }
-
-    /// Total number of elements across shards.
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(SeenTable::len).sum()
-    }
-
-    /// Reserves capacity for `additional` elements, spread over shards.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        let per_shard = additional / self.shards.len() + 1;
-        for shard in &mut self.shards {
-            shard.reserve(per_shard);
-        }
-    }
-
-    /// Re-buckets the map for a new thread count (used when the degree of
-    /// parallelism changes on a warm engine). Contents are preserved;
-    /// entries move to new arena positions, so every handle in `handles`
-    /// is rewritten to address its entry's new place.
-    pub(crate) fn reshard_for_threads<'h>(
-        &mut self,
-        threads: usize,
-        handles: impl IntoIterator<Item = &'h mut Handle>,
-    ) {
-        let count = shard_count_for(threads);
-        if count == self.shards.len() {
-            return;
-        }
-        let mut next = Self::with_shards(count);
-        next.reserve(self.len());
-        // `moved[shard][index]`: the new handle of each old entry.
-        let moved: Vec<Vec<Handle>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .entries()
-                    .map(|(key, meta)| next.intern(key, meta))
-                    .collect()
-            })
-            .collect();
-        for handle in handles {
-            let (shard, index) = self.locate(*handle);
-            *handle = moved[shard][index];
-        }
-        *self = next;
-    }
+    index as u32
 }
 
 #[cfg(test)]
@@ -563,23 +402,6 @@ mod tests {
 
     fn meta(cost: u32, gate: u8) -> Meta {
         Meta { cost, gate }
-    }
-
-    #[test]
-    fn sharded_map_roundtrips_and_reshards() {
-        let mut map: ShardedSeen<u64> = ShardedSeen::for_threads(4);
-        for k in 0..1000u64 {
-            map.intern(k, meta(k as u32, 0));
-        }
-        assert_eq!(map.len(), 1000);
-        assert_eq!(map.get(&123).map(|m| m.cost), Some(123));
-        map.reshard_for_threads(1, []);
-        assert_eq!(map.shard_count(), 1);
-        assert_eq!(map.len(), 1000);
-        assert_eq!(map.get(&999).map(|m| m.cost), Some(999));
-        map.reshard_for_threads(8, []);
-        assert_eq!(map.shard_count(), 32);
-        assert_eq!(map.get(&0).map(|m| m.cost), Some(0));
     }
 
     /// A key whose table hash has a constant high half: every slot tag
@@ -627,7 +449,7 @@ mod tests {
             table.len()
         );
         for (key, meta) in reference {
-            assert_eq!(table.get(key, key.table_hash()), Some(*meta), "{key:?}");
+            assert_eq!(table.get(key), Some(*meta), "{key:?}");
         }
     }
 
@@ -639,8 +461,8 @@ mod tests {
         let mut sizes = vec![table.slots.len()];
         for k in 0..1000u64 {
             let key = k.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            let index = table.intern(key, key.table_hash(), meta(k as u32, 1));
-            assert_eq!(index, k as usize, "inserted, in discovery order");
+            let handle = table.intern(key, meta(k as u32, 1));
+            assert_eq!(handle as usize, k as usize, "inserted, in discovery order");
             reference.insert(key, meta(k as u32, 1));
             order.push(key);
             if sizes.last() != Some(&table.slots.len()) {
@@ -651,7 +473,7 @@ mod tests {
         assert!(sizes.windows(2).all(|w| w[1] == 2 * w[0]), "{sizes:?}");
         assert_table_matches(&table, &reference, &order);
         for k in 1000..1100u64 {
-            assert_eq!(table.get(&k, k.table_hash()), None);
+            assert_eq!(table.get(&k), None);
         }
     }
 
@@ -662,10 +484,7 @@ mod tests {
         let mut order = Vec::new();
         for k in 0..300u32 {
             let key = TagCollider(k);
-            assert_eq!(
-                table.admit(key, key.table_hash(), 50 - k % 7, 0),
-                Some(k as usize)
-            );
+            assert_eq!(table.admit(key, key.table_hash(), 50 - k % 7, 0), Some(k));
             reference.insert(key, meta(50 - k % 7, 0));
             order.push(key);
         }
@@ -673,84 +492,38 @@ mod tests {
             let key = TagCollider(k);
             // Equal cost never re-admits; a cheaper one decreases the key.
             assert_eq!(table.admit(key, key.table_hash(), 50 - k % 7, 1), None);
-            assert_eq!(table.admit(key, key.table_hash(), 10, 2), Some(k as usize));
+            assert_eq!(table.admit(key, key.table_hash(), 10, 2), Some(k));
             reference.insert(key, meta(10, 2));
         }
-        assert_eq!(
-            table.intern(TagCollider(3), TagCollider(3).table_hash(), meta(0, 9)),
-            3
-        );
+        assert_eq!(table.intern(TagCollider(3), meta(0, 9)), 3);
         assert_table_matches(&table, &reference, &order);
-        assert_eq!(
-            table.get(&TagCollider(300), TagCollider(300).table_hash()),
-            None
-        );
-    }
-
-    #[test]
-    fn reshard_one_to_eight_and_back_preserves_contents() {
-        let mut map: ShardedSeen<u64> = ShardedSeen::for_threads(1);
-        for k in 0..5000u64 {
-            map.intern(k * 3, meta(k as u32, (k % 7) as u8));
-        }
-        for threads in [8, 1] {
-            map.reshard_for_threads(threads, []);
-            assert_eq!(map.shard_count(), shard_count_for(threads));
-            assert_eq!(map.len(), 5000);
-            for k in 0..5000u64 {
-                assert_eq!(map.get(&(k * 3)), Some(meta(k as u32, (k % 7) as u8)));
-                assert_eq!(map.get(&(k * 3 + 1)), None);
-            }
-            for shard in &map.shards {
-                assert!(shard.len() * 2 <= shard.slots.len());
-            }
-        }
-    }
-
-    /// Checks that `handles[k]` addresses the `k`-th key the test
-    /// inserted, and that `get` and `intern` find that same entry.
-    fn assert_handles_roundtrip(map: &mut ShardedSeen<u64>, handles: &[Handle]) {
-        for (k, &h) in handles.iter().enumerate() {
-            let key = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            assert_eq!(map.key(h), key);
-            assert_eq!(map.meta(h), meta(k as u32, (k % 5) as u8));
-            assert_eq!(map.get(&key), Some(map.meta(h)));
-            // Present: `intern` returns the existing handle, meta untouched.
-            assert_eq!(map.intern(key, meta(0, 9)), h);
-            assert_eq!(map.meta(h).gate, (k % 5) as u8);
-        }
+        assert_eq!(table.get(&TagCollider(300)), None);
     }
 
     #[test]
     fn handles_roundtrip_through_key_meta_and_intern() {
-        for count in [1, 2, 16, 64] {
-            let mut map: ShardedSeen<u64> = ShardedSeen::with_shards(count);
-            // 64 shards × ~250 entries each crosses the chunk
-            // boundaries at 16, 48, 112 and 240 records in every shard.
-            let mut handles: Vec<Handle> = (0..16_000u64)
-                .map(|k| {
-                    let key = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    map.intern(key, meta(k as u32, (k % 5) as u8))
-                })
-                .collect();
-            assert_eq!(map.len(), 16_000, "{count} shards");
-            assert!(
-                map.shards.iter().all(|shard| shard.chunks.len() >= 4),
-                "{count} shards: every shard spans 3+ chunk boundaries"
-            );
-            let mut distinct = handles.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert_eq!(distinct.len(), 16_000, "{count} shards: handles are unique");
-            assert_handles_roundtrip(&mut map, &handles);
-            assert_eq!(map.get(&1), None);
-            // Resharding re-issues the handles it is given.
-            for threads in [1, 3, 16, 2] {
-                map.reshard_for_threads(threads, handles.iter_mut());
-                assert_eq!(map.shard_count(), shard_count_for(threads));
-                assert_handles_roundtrip(&mut map, &handles);
-            }
+        let mut table: SeenTable<u64> = SeenTable::new();
+        // 16,000 entries cross the chunk boundaries at 16, 48, 112, …
+        // records many times over.
+        let key = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let handles: Vec<Handle> = (0..16_000u64)
+            .map(|k| table.intern(key(k), meta(k as u32, (k % 5) as u8)))
+            .collect();
+        assert_eq!(table.len(), 16_000);
+        assert!(table.chunks.len() >= 10, "many chunk boundaries crossed");
+        assert!(
+            handles.iter().enumerate().all(|(k, &h)| h as usize == k),
+            "a handle is the arena index, in discovery order"
+        );
+        for (k, &h) in (0..).zip(&handles) {
+            assert_eq!(table.key(h), key(k));
+            assert_eq!(table.meta(h), meta(k as u32, (k % 5) as u8));
+            assert_eq!(table.get(&key(k)), Some(table.meta(h)));
+            // Present: `intern` returns the existing handle, meta untouched.
+            assert_eq!(table.intern(key(k), meta(0, 9)), h);
+            assert_eq!(table.meta(h).gate, (k % 5) as u8);
         }
+        assert_eq!(table.get(&1), None);
     }
 
     #[test]
@@ -763,19 +536,18 @@ mod tests {
             Packed::<256>::from_slice(&images)
         };
         let count = 16_368 + 500;
-        let mut map: ShardedSeen<Packed<256>> = ShardedSeen::with_shards(1);
+        let mut table: SeenTable<Packed<256>> = SeenTable::new();
         let handles: Vec<Handle> = (0..count)
-            .map(|k| map.intern(word(k), meta(k, (k % 18) as u8)))
+            .map(|k| table.intern(word(k), meta(k, (k % 18) as u8)))
             .collect();
-        let shard = &map.shards[0];
-        assert_eq!(shard.stride() * 8, 184);
-        assert_eq!(shard.chunks.len(), 11);
-        assert!(!shard.chunks[9].is_mapped(), "1.5 MiB stays on the heap");
-        assert!(shard.chunks[10].is_mapped() || cfg!(not(target_os = "linux")));
+        assert_eq!(table.stride() * 8, 184);
+        assert_eq!(table.chunks.len(), 11);
+        assert!(!table.chunks[9].is_mapped(), "1.5 MiB stays on the heap");
+        assert!(table.chunks[10].is_mapped() || cfg!(not(target_os = "linux")));
         for (k, &h) in (0..count).zip(&handles) {
-            assert_eq!(map.key(h), word(k));
-            assert_eq!(map.meta(h), meta(k, (k % 18) as u8));
-            assert_eq!(map.intern(word(k), meta(0, 0)), h);
+            assert_eq!(table.key(h), word(k));
+            assert_eq!(table.meta(h), meta(k, (k % 18) as u8));
+            assert_eq!(table.intern(word(k), meta(0, 0)), h);
         }
     }
 
@@ -799,7 +571,7 @@ mod tests {
     /// Builds a one-key table and returns its record size in bytes.
     fn record_bytes<K: ShardKey>(key: K) -> usize {
         let mut table = SeenTable::new();
-        table.intern(key, key.table_hash(), meta(0, 0));
+        table.intern(key, meta(0, 0));
         table.stride() * 8
     }
 
@@ -818,8 +590,8 @@ mod tests {
         let mut table = SeenTable::new();
         let short = Packed::<64>::identity(38);
         let long = Packed::<64>::identity(40);
-        table.intern(short, short.table_hash(), meta(0, 0));
-        table.intern(long, long.table_hash(), meta(0, 0));
+        table.intern(short, meta(0, 0));
+        table.intern(long, meta(0, 0));
     }
 
     #[test]
@@ -831,18 +603,9 @@ mod tests {
     }
 
     #[test]
-    fn handle_encoding_packs_index_above_shard() {
-        assert_eq!(make_handle(5, 0, 0), 5);
-        assert_eq!(make_handle(5, 3, 2), (5 << 2) | 3);
-        assert_eq!(make_handle((1 << 26) - 2, 63, 6), u32::MAX - 64);
-        let map: ShardedSeen<u64> = ShardedSeen::with_shards(64);
-        assert_eq!(map.locate((7 << 6) | 42), (42, 7));
-    }
-
-    #[test]
     #[should_panic(expected = "overflows a handle")]
     fn handle_overflow_is_caught() {
-        make_handle(1 << 26, 0, 6);
+        handle(u32::MAX as usize);
     }
 
     proptest::proptest! {
@@ -879,23 +642,23 @@ mod tests {
                         };
                         let got = table.admit(key, hash, cost, gate);
                         proptest::prop_assert_eq!(got.is_some(), want);
-                        if let Some(index) = got {
-                            // The index addresses the entry just created or lowered.
-                            proptest::prop_assert_eq!(table.key(index), key);
-                            proptest::prop_assert_eq!(table.meta(index), m);
+                        if let Some(handle) = got {
+                            // The handle addresses the entry just created or lowered.
+                            proptest::prop_assert_eq!(table.key(handle), key);
+                            proptest::prop_assert_eq!(table.meta(handle), m);
                         }
                     }
                     1 => {
                         let want = !reference.contains_key(&key);
                         reference.entry(key).or_insert(m);
                         let before = table.len();
-                        let index = table.intern(key, hash, m);
+                        let handle = table.intern(key, m);
                         proptest::prop_assert_eq!(table.len() > before, want);
-                        proptest::prop_assert_eq!(table.key(index), key);
-                        proptest::prop_assert_eq!(table.meta(index), reference[&key]);
+                        proptest::prop_assert_eq!(table.key(handle), key);
+                        proptest::prop_assert_eq!(table.meta(handle), reference[&key]);
                     }
                     _ => {
-                        proptest::prop_assert_eq!(table.get(&key, hash), reference.get(&key).copied());
+                        proptest::prop_assert_eq!(table.get(&key), reference.get(&key).copied());
                     }
                 }
             }

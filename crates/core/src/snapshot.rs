@@ -86,8 +86,7 @@ use mvq_obs::ProbeHandle;
 
 use crate::engine::SearchEngine;
 use crate::mapping::LaneBuf;
-use crate::par;
-use crate::seen::{Handle, Meta, ShardedSeen};
+use crate::seen::{Handle, Meta, SeenTable};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{fnv1a, GateTable};
 use crate::CostModel;
@@ -725,7 +724,7 @@ impl DeferredFrontier {
     /// bytes.
     pub(crate) fn merge_into<W: SearchWidth>(
         self,
-        seen: &mut ShardedSeen<W::Word>,
+        seen: &mut SeenTable<W::Word>,
         pending: &mut BTreeMap<u32, Vec<Handle>>,
     ) -> u64 {
         seen.reserve(self.unique);
@@ -788,7 +787,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         let wires = self.library.domain().wires();
         let fingerprint = library_fingerprint(&self.library_tables());
         let standard = GateLibrary::standard(wires);
-        let standard_engine = SearchEngine::<W>::try_with_threads(standard, self.model, 1)
+        let standard_engine = SearchEngine::<W>::try_new(standard, self.model)
             .map_err(|err| SnapshotError::LibraryMismatch(err.to_string()))?;
         if library_fingerprint(&standard_engine.library_tables()) != fingerprint {
             return Err(SnapshotError::LibraryMismatch(format!(
@@ -893,9 +892,7 @@ impl<W: SearchWidth> SearchEngine<W> {
 // ---------------------------------------------------------------------
 
 impl<W: SearchWidth> SearchEngine<W> {
-    /// Loads a snapshot, resolving the thread count like
-    /// [`SearchEngine::new`] (`MVQ_THREADS`, then the available
-    /// parallelism).
+    /// Loads a snapshot file.
     ///
     /// # Errors
     ///
@@ -904,27 +901,29 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// width mismatch against this engine's [`SearchWidth`], or a
     /// library this build cannot reconstruct.
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        Self::load_snapshot_with_threads(path, par::resolve_threads(None))
+        mvq_fault::point!(
+            "snapshot.load",
+            return Err(corrupt("injected snapshot.load fault"))
+        );
+        let image = read_image(path.as_ref())?;
+        Self::load_snapshot_image(image, ProbeHandle::none())
     }
 
-    /// [`Self::load_snapshot`] with an explicit degree of parallelism.
+    /// [`Self::load_snapshot`]; the thread count is ignored (expansion
+    /// is serial). Kept only for the benchmark harness, which still
+    /// passes one.
     ///
     /// # Errors
     ///
     /// See [`Self::load_snapshot`].
     pub fn load_snapshot_with_threads(
         path: impl AsRef<Path>,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Self, SnapshotError> {
-        mvq_fault::point!(
-            "snapshot.load",
-            return Err(corrupt("injected snapshot.load fault"))
-        );
-        let image = read_image(path.as_ref())?;
-        Self::load_snapshot_from_bytes_with_probe(image, threads, ProbeHandle::none())
+        Self::load_snapshot(path)
     }
 
-    /// [`Self::load_snapshot_with_threads`] with last-good fallback:
+    /// [`Self::load_snapshot`] with last-good fallback:
     /// when the primary at `path` is missing or fails with a
     /// corruption-class error ([`SnapshotError::is_corruption`]), the
     /// `.bak` sibling written by [`Self::save_snapshot`] is tried before
@@ -938,10 +937,9 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// backup also fails to load.
     pub fn load_snapshot_resilient(
         path: impl AsRef<Path>,
-        threads: usize,
     ) -> Result<(Self, SnapshotSource), SnapshotError> {
         let path = path.as_ref();
-        let primary_error = match Self::load_snapshot_with_threads(path, threads) {
+        let primary_error = match Self::load_snapshot(path) {
             Ok(engine) => return Ok((engine, SnapshotSource::Primary)),
             Err(err) => err,
         };
@@ -950,7 +948,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         if !primary_error.is_corruption() && !missing {
             return Err(primary_error);
         }
-        match Self::load_snapshot_with_threads(snapshot_backup_path(path), threads) {
+        match Self::load_snapshot(snapshot_backup_path(path)) {
             Ok(engine) => Ok((
                 engine,
                 SnapshotSource::Backup {
@@ -966,12 +964,27 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// # Errors
     ///
     /// See [`Self::load_snapshot`].
-    pub fn load_snapshot_from_bytes(bytes: &[u8], threads: usize) -> Result<Self, SnapshotError> {
-        Self::load_snapshot_from_bytes_with_probe(bytes, threads, ProbeHandle::none())
+    pub fn load_snapshot_from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Self::load_snapshot_image(bytes, ProbeHandle::none())
     }
 
-    /// [`Self::load_snapshot_from_bytes`] with an observability probe
-    /// installed up front, so the load itself reports its section
+    /// [`Self::load_snapshot_image`]; the thread count is ignored
+    /// (expansion is serial). Kept only for the benchmark harness, which
+    /// still passes one.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::load_snapshot`].
+    pub fn load_snapshot_from_bytes_with_probe(
+        image: impl Into<SnapshotImage>,
+        _threads: usize,
+        probe: ProbeHandle,
+    ) -> Result<Self, SnapshotError> {
+        Self::load_snapshot_image(image, probe)
+    }
+
+    /// Rebuilds an engine from snapshot bytes with an observability
+    /// probe installed up front, so the load itself reports its section
     /// timings (the probe stays installed on the returned engine).
     ///
     /// Pass a [`SnapshotImage`] to share the buffer: the engine reads its
@@ -981,9 +994,8 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// # Errors
     ///
     /// See [`Self::load_snapshot`].
-    pub fn load_snapshot_from_bytes_with_probe(
+    pub fn load_snapshot_image(
         image: impl Into<SnapshotImage>,
-        threads: usize,
         probe: ProbeHandle,
     ) -> Result<Self, SnapshotError> {
         let image: SnapshotImage = image.into();
@@ -1074,8 +1086,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         }
         let model = CostModel::weighted(v, vd, f);
         let library = GateLibrary::standard(header.wires as usize);
-        let threads = threads.max(1);
-        let mut engine = SearchEngine::<W>::try_with_threads(library, model, threads)
+        let mut engine = SearchEngine::<W>::try_new(library, model)
             .map_err(|err| SnapshotError::LibraryMismatch(err.to_string()))?;
         let tables = engine.library_tables();
         if engine.gate_images.len() != header.gate_count as usize
@@ -1101,7 +1112,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 .ok_or_else(|| corrupt("frontier word count exceeds |A|"))?,
             "completed word",
         )?;
-        engine.seen = ShardedSeen::for_threads(threads);
+        engine.seen = SeenTable::new();
         engine.seen.reserve(completed_words);
         engine.pending = BTreeMap::new();
         engine.levels = Vec::with_capacity(header.level_count as usize);
@@ -1240,7 +1251,7 @@ mod tests {
     use crate::{known, SynthesisEngine, WideSynthesisEngine};
 
     fn warm(depth: u32) -> SynthesisEngine {
-        let mut e = SynthesisEngine::unit_cost_with_threads(1);
+        let mut e = SynthesisEngine::unit_cost();
         e.expand_to_cost(depth);
         e
     }
@@ -1249,7 +1260,7 @@ mod tests {
     fn roundtrip_preserves_levels_and_classes() {
         let mut original = warm(4);
         let bytes = original.snapshot_to_bytes().unwrap();
-        let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         assert_eq!(original.g_counts(), loaded.g_counts());
         assert_eq!(original.b_counts(), loaded.b_counts());
         assert_eq!(original.a_size(), loaded.a_size());
@@ -1263,7 +1274,7 @@ mod tests {
     fn loaded_engine_answers_queries_identically() {
         let mut original = warm(5);
         let bytes = original.snapshot_to_bytes().unwrap();
-        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         let want = original.synthesize(&known::toffoli_perm(), 6).unwrap();
         let got = loaded.synthesize(&known::toffoli_perm(), 6).unwrap();
         assert_eq!(want.cost, got.cost);
@@ -1278,7 +1289,7 @@ mod tests {
         let mut reference = warm(5);
         let mut snapshotted = warm(3);
         let bytes = snapshotted.snapshot_to_bytes().unwrap();
-        let mut resumed = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let mut resumed = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         resumed.expand_to_cost(5);
         assert_eq!(reference.g_counts(), resumed.g_counts());
         assert_eq!(reference.b_counts(), resumed.b_counts());
@@ -1297,14 +1308,11 @@ mod tests {
 
     #[test]
     fn weighted_model_roundtrips() {
-        let mut original = SynthesisEngine::with_threads(
-            GateLibrary::standard(3),
-            CostModel::weighted(1, 2, 3),
-            1,
-        );
+        let mut original =
+            SynthesisEngine::new(GateLibrary::standard(3), CostModel::weighted(1, 2, 3));
         original.expand_to_cost(5);
         let bytes = original.snapshot_to_bytes().unwrap();
-        let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         assert_eq!(loaded.cost_model().weights(), (1, 2, 3));
         assert_eq!(original.g_counts(), loaded.g_counts());
         assert_eq!(original.b_counts(), loaded.b_counts());
@@ -1312,13 +1320,13 @@ mod tests {
 
     #[test]
     fn unexpanded_engine_roundtrips() {
-        let mut fresh = SynthesisEngine::unit_cost_with_threads(1);
+        let mut fresh = SynthesisEngine::unit_cost();
         let bytes = fresh.snapshot_to_bytes().unwrap();
-        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         assert_eq!(loaded.a_size(), 1); // the identity, still pending
         assert_eq!(loaded.completed_cost(), None);
         loaded.expand_to_cost(2);
-        let mut reference = SynthesisEngine::unit_cost_with_threads(1);
+        let mut reference = SynthesisEngine::unit_cost();
         reference.expand_to_cost(2);
         assert_eq!(reference.g_counts(), loaded.g_counts());
         assert_eq!(reference.a_size(), loaded.a_size());
@@ -1326,9 +1334,9 @@ mod tests {
 
     #[test]
     fn bad_magic_is_not_a_snapshot() {
-        let err = SynthesisEngine::load_snapshot_from_bytes(b"definitely not", 1).unwrap_err();
+        let err = SynthesisEngine::load_snapshot_from_bytes(b"definitely not").unwrap_err();
         assert!(matches!(err, SnapshotError::NotASnapshot), "{err}");
-        let err = SynthesisEngine::load_snapshot_from_bytes(b"", 1).unwrap_err();
+        let err = SynthesisEngine::load_snapshot_from_bytes(b"").unwrap_err();
         assert!(matches!(err, SnapshotError::NotASnapshot), "{err}");
     }
 
@@ -1336,7 +1344,7 @@ mod tests {
     fn wrong_version_is_reported() {
         let mut bytes = warm(1).snapshot_to_bytes().unwrap().to_vec();
         bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&99u32.to_le_bytes());
-        let err = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap_err();
+        let err = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap_err();
         assert!(
             matches!(err, SnapshotError::UnsupportedVersion(99)),
             "{err}"
@@ -1347,7 +1355,7 @@ mod tests {
     fn truncation_is_reported() {
         let bytes = warm(2).snapshot_to_bytes().unwrap();
         for cut in [bytes.len() / 2, bytes.len() - 1, 20] {
-            let err = SynthesisEngine::load_snapshot_from_bytes(&bytes[..cut], 1).unwrap_err();
+            let err = SynthesisEngine::load_snapshot_from_bytes(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Truncated { .. }),
                 "cut at {cut}: {err}"
@@ -1362,7 +1370,7 @@ mod tests {
         for offset in [30, bytes.len() / 2, bytes.len() - 2] {
             let mut corrupted = bytes.to_vec();
             corrupted[offset] ^= 0x40;
-            let err = SynthesisEngine::load_snapshot_from_bytes(&corrupted, 1).unwrap_err();
+            let err = SynthesisEngine::load_snapshot_from_bytes(&corrupted).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1377,34 +1385,31 @@ mod tests {
     fn trailing_garbage_is_rejected() {
         let mut bytes = warm(1).snapshot_to_bytes().unwrap().to_vec();
         bytes.extend_from_slice(b"junk");
-        let err = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap_err();
+        let err = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 
     #[test]
     fn two_wire_snapshot_roundtrips() {
-        let mut original =
-            SynthesisEngine::with_threads(GateLibrary::standard(2), CostModel::unit(), 1);
+        let mut original = SynthesisEngine::new(GateLibrary::standard(2), CostModel::unit());
         original.expand_to_cost(3);
         let bytes = original.snapshot_to_bytes().unwrap();
-        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         let target: mvq_perm::Perm = "(3,4)".parse::<mvq_perm::Perm>().unwrap().extended(4);
         assert_eq!(loaded.minimal_cost(&target, 3), Some(1));
     }
 
     #[test]
     fn wide_engine_snapshot_roundtrips() {
-        let mut original =
-            WideSynthesisEngine::with_threads(GateLibrary::standard(4), CostModel::unit(), 1);
+        let mut original = WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit());
         original.expand_to_cost(2);
         let bytes = original.snapshot_to_bytes().unwrap();
-        let mut loaded = WideSynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let mut loaded = WideSynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         assert_eq!(original.g_counts(), loaded.g_counts());
         assert_eq!(original.b_counts(), loaded.b_counts());
         assert_eq!(original.a_size(), loaded.a_size());
         // Resumed expansion matches a never-snapshotted engine.
-        let mut reference =
-            WideSynthesisEngine::with_threads(GateLibrary::standard(4), CostModel::unit(), 1);
+        let mut reference = WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit());
         reference.expand_to_cost(3);
         loaded.expand_to_cost(3);
         assert_eq!(reference.g_counts(), loaded.g_counts());
@@ -1415,11 +1420,10 @@ mod tests {
     fn width_mismatch_is_a_typed_error() {
         // A wide snapshot offered to the narrow engine (and vice versa)
         // fails with WidthMismatch, not a misparse.
-        let mut wide =
-            WideSynthesisEngine::with_threads(GateLibrary::standard(4), CostModel::unit(), 1);
+        let mut wide = WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit());
         wide.expand_to_cost(1);
         let wide_bytes = wide.snapshot_to_bytes().unwrap();
-        let err = SynthesisEngine::load_snapshot_from_bytes(&wide_bytes, 1).unwrap_err();
+        let err = SynthesisEngine::load_snapshot_from_bytes(&wide_bytes).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1434,7 +1438,7 @@ mod tests {
         );
 
         let narrow_bytes = warm(2).snapshot_to_bytes().unwrap();
-        let err = WideSynthesisEngine::load_snapshot_from_bytes(&narrow_bytes, 1).unwrap_err();
+        let err = WideSynthesisEngine::load_snapshot_from_bytes(&narrow_bytes).unwrap_err();
         assert!(matches!(err, SnapshotError::WidthMismatch { .. }), "{err}");
     }
 
@@ -1460,13 +1464,13 @@ mod tests {
         let mut original = warm(3);
         let v1 = as_version_1(&original.snapshot_to_bytes().unwrap());
 
-        let loaded = SynthesisEngine::load_snapshot_from_bytes(&v1, 1).unwrap();
+        let loaded = SynthesisEngine::load_snapshot_from_bytes(&v1).unwrap();
         assert_eq!(original.g_counts(), loaded.g_counts());
         assert_eq!(original.b_counts(), loaded.b_counts());
         assert_eq!(original.a_size(), loaded.a_size());
 
         // The v1 widths are implicitly narrow: the wide engine refuses.
-        let err = WideSynthesisEngine::load_snapshot_from_bytes(&v1, 1).unwrap_err();
+        let err = WideSynthesisEngine::load_snapshot_from_bytes(&v1).unwrap_err();
         assert!(matches!(err, SnapshotError::WidthMismatch { .. }), "{err}");
     }
 
@@ -1474,12 +1478,8 @@ mod tests {
     fn version_1_load_keeps_no_image_and_writes_version_2() {
         let v2 = warm(3).snapshot_to_bytes().unwrap();
         let v1 = SnapshotImage::from(&as_version_1(&v2)[..]);
-        let mut loaded = SynthesisEngine::load_snapshot_from_bytes_with_probe(
-            v1.clone(),
-            1,
-            ProbeHandle::none(),
-        )
-        .unwrap();
+        let mut loaded =
+            SynthesisEngine::load_snapshot_image(v1.clone(), ProbeHandle::none()).unwrap();
         assert!(loaded.image.is_none());
         assert!(loaded.deferred_frontier.is_some());
         assert_eq!(loaded.snapshot_to_bytes().unwrap(), v2);

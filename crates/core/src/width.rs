@@ -16,7 +16,7 @@
 //! * [`Narrow`] — `[u8; 64]` words, `u64` traces, `u64` masks: the
 //!   historical representation (the word's inline length field widened
 //!   from `u8` to `u16` to share one struct with [`Wide`], so hashes
-//!   and shard routing differ from pre-widening builds; all search
+//!   and slot placement differ from pre-widening builds; all search
 //!   *results* are unchanged, proptest-checked against the wide
 //!   engine).
 //! * [`Wide`] — `[u8; 256]` words, `u128` traces (16 packed bytes),
@@ -33,7 +33,7 @@ use std::hash::Hash;
 use crate::word::{fold_mul, GateTable, Packed, HASH_MUL, HASH_SEED};
 
 /// Keys of the `seen` tables: hashed once per discovery, and that one
-/// hash serves shard routing, the slot tag and the home slot.
+/// hash serves the slot tag and the home slot.
 ///
 /// A table stores each key as its active 8-byte lanes (see
 /// [`Self::write_lanes`]) and the key's *shape* once for all its keys,
@@ -41,8 +41,8 @@ use crate::word::{fold_mul, GateTable, Packed, HASH_MUL, HASH_SEED};
 /// of one table has the same shape.
 pub trait ShardKey: Copy + Eq + Hash + Send + Sync {
     /// A stable 64-bit hash, read 8 bytes at a time and mixed by folded
-    /// multiplication. Its top bits pick the shard, its high 32 bits are
-    /// the slot tag and its low bits the home slot.
+    /// multiplication. Its high 32 bits are the slot tag and its low
+    /// bits the home slot.
     fn table_hash(&self) -> u64;
 
     /// What a table stores once for all its keys besides their lanes: a
@@ -519,8 +519,8 @@ mod tests {
 
     #[test]
     fn shard_hash_u128_differs_from_truncation() {
-        // The 128-bit table hash (whose top bits route shards) must see
-        // the high bytes.
+        // The 128-bit table hash (whose high half is the slot tag) must
+        // see the high bytes.
         let low = 42u128;
         let high = low | (1u128 << 100);
         assert_ne!(low.table_hash(), high.table_hash());
@@ -571,14 +571,14 @@ mod tests {
 
     #[test]
     fn table_hash_spreads_nearby_keys() {
-        // Adjacent keys land in distinct home slots of a small table and
-        // in distinct top-bit shards often enough for linear probing and
-        // shard routing to stay balanced.
+        // Adjacent keys land in distinct home slots of a small table, and
+        // their top bits (the tag's) spread too, often enough for linear
+        // probing and tag filtering to stay effective.
         let homes: std::collections::HashSet<u64> =
             (0..64u64).map(|k| k.table_hash() & 1023).collect();
         assert!(homes.len() > 56, "{} distinct homes", homes.len());
-        let shards: std::collections::HashSet<u64> =
+        let tops: std::collections::HashSet<u64> =
             (0..64u64).map(|k| k.table_hash() >> 61).collect();
-        assert_eq!(shards.len(), 8);
+        assert_eq!(tops.len(), 8);
     }
 }

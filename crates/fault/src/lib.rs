@@ -6,7 +6,7 @@
 //! explicit plan string:
 //!
 //! ```text
-//! snapshot.rename=err@2;pool.task=panic;expand.level=delay(25)@4
+//! snapshot.rename=err@2;serve.write=panic;expand.level=delay(25)@4
 //! ```
 //!
 //! Each clause is `site=action[@n]`. The action fires exactly once, on

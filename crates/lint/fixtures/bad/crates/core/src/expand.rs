@@ -1,5 +1,6 @@
-//! Fixture counterpart: `par.rs` is the allowlisted home of thread
-//! creation — the same call that is a violation anywhere else.
+//! Fixture: a search-core module fanning work out to threads.
+//! Seeded violation: `thread::scope` outside the serve accept loop (the
+//! search core is serial).
 
 pub fn run_sharded(shards: usize) -> usize {
     std::thread::scope(|scope| {

@@ -13,7 +13,7 @@
 //! | `determinism` | reach | `mvq_core` search-state modules, and every fn they reach | `HashMap`/`HashSet` name `FnvBuildHasher`; no `Instant`/`SystemTime`/randomness |
 //! | `panic` | reach | `crates/serve/src` request path, and every fn it reaches | no `unwrap`/`expect`/`panic!`/`unreachable!` without `// lint: allow(panic) <reason>` |
 //! | `unsafe` | file | workspace-wide (tests included) | every `unsafe` carries an adjacent `// SAFETY:` comment |
-//! | `threads` | file | workspace-wide | `thread::spawn`/`scope` only in `par.rs` and the serve accept loop |
+//! | `threads` | file | workspace-wide | `thread::spawn`/`scope` only in the serve accept loop (the search core is serial) |
 //! | `persistence` | file | snapshot codec | file publication goes through the durable-write helper, never bare `fs::write`/`File::create` |
 //! | `obs` | reach + file | `mvq_obs` increment path and every fn it reaches; registrations workspace-wide | no locks, allocations or I/O where counters bump; registered metric names are snake_case with a unit suffix (`_us`/`_bytes`/`_total`) |
 //! | `lock_order` | graph | the serve locks ordered by a `// lint: lock-order(a < b < …)` annotation, every fn | every static path acquires them strictly in the declared order while a guard is live, counting guards condvar waits hand back and locks `Drop` glue takes |

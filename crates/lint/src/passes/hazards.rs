@@ -18,15 +18,15 @@ use crate::rules::{is_test_file, report_with_allow, Rule, Violation};
 use super::{own_segments, push_reached_site};
 
 /// The `mvq_core` modules that hold reproducible search state: the
-/// engine's level tables, both meet-in-the-middle frontiers, the
-/// sharded parallel expansion, the `seen` maps, the census, and the
-/// snapshot codec. Bit-identical state at every thread count is the
-/// repo's headline claim, so these modules may not hash
-/// nondeterministically nor read ambient time/randomness.
+/// engine's level tables, both meet-in-the-middle frontiers, the level
+/// expansion, the `seen` maps, the census, and the snapshot codec.
+/// Bit-identical, replayable search state is the repo's headline
+/// claim, so these modules may not hash nondeterministically nor read
+/// ambient time/randomness.
 const DETERMINISM_MODULES: [&str; 6] = [
     "crates/core/src/engine.rs",
     "crates/core/src/mitm.rs",
-    "crates/core/src/par.rs",
+    "crates/core/src/expand.rs",
     "crates/core/src/seen.rs",
     "crates/core/src/census.rs",
     "crates/core/src/snapshot.rs",

@@ -28,8 +28,8 @@ pub enum Rule {
     PanicFreedom,
     /// Every `unsafe` needs an adjacent `// SAFETY:` comment.
     UnsafeAudit,
-    /// Threads are spawned only by `par::WorkerPool` and the serve
-    /// accept loop.
+    /// Threads are spawned only by the serve accept loop: the search
+    /// core is serial.
     Concurrency,
     /// Snapshot-path writes must go through the durable-write helper
     /// (no bare `fs::write` / `File::create`), so every published file
@@ -133,10 +133,10 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Files allowed to call `thread::spawn` / `thread::scope`: the worker
-/// pool that everything else must route through, and the serve accept
-/// loop (connection handlers are not expansion work).
-const THREAD_ALLOWLIST: [&str; 2] = ["crates/core/src/par.rs", "crates/serve/src/server.rs"];
+/// Files allowed to call `thread::spawn` / `thread::scope`: only the
+/// serve accept loop, whose connection handlers are not search work.
+/// The search core is serial.
+const THREAD_ALLOWLIST: [&str; 1] = ["crates/serve/src/server.rs"];
 
 /// Modules that publish files other processes load back (the snapshot
 /// codec). Every write there must go through the durable-write helper —
@@ -327,8 +327,8 @@ impl FileCheck<'_> {
         };
         if callee.text == "spawn" || callee.text == "scope" {
             let message = format!(
-                "`thread::{}` outside `par.rs` / the serve accept loop; route parallel \
-                 work through `par::WorkerPool` so thread counts stay centrally resolved",
+                "`thread::{}` outside the serve accept loop; the search core is serial, \
+                 and only the server spawns its connection handlers",
                 callee.text
             );
             self.report(i, Rule::Concurrency, message);
@@ -634,12 +634,13 @@ mod tests {
         );
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::Concurrency);
-        assert!(check(
-            "crates/core/src/par.rs",
-            "fn f() { std::thread::spawn(|| {}); }"
-        )
-        .iter()
-        .all(|v| v.rule != Rule::Concurrency));
+        // The search core is serial: its expansion module may not spawn.
+        let v = check(
+            "crates/core/src/expand.rs",
+            "fn f() { std::thread::spawn(|| {}); }",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::Concurrency);
         assert!(check(
             "crates/serve/src/server.rs",
             "fn f() { std::thread::scope(|s| {}); }"

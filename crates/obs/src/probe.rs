@@ -3,7 +3,7 @@
 //! The search engine cannot read the clock — `mvq_lint`'s determinism
 //! rule bans `Instant` from the core modules so replays stay
 //! byte-identical. Instead the engine announces *events* through the
-//! [`Probe`] trait (level started/finished, bucket sharded, bidi split
+//! [`Probe`] trait (level started/finished, level work, bidi split
 //! chosen, snapshot section written) and the probe implementation on the
 //! other side of the trait boundary does the timing. [`RegistryProbe`]
 //! is that implementation: it timestamps paired events with thread-local
@@ -44,12 +44,11 @@ pub trait Probe: Send + Sync {
     /// level's cost by whichever step expanded it: `generated`
     /// successors were offered to the `seen` map, and `stale_dropped`
     /// bucket entries were dropped as superseded decrease-key copies
-    /// when the level was settled. Both are identical for every thread
-    /// count.
+    /// when the level was settled. Both are deterministic.
     fn level_work(&self, _cost: u32, _generated: u64, _stale_dropped: u64) {}
-    /// A parallel bucket expansion staged `total` pushes across
-    /// `shards` shards; the fullest shard received `max_staged` and the
-    /// emptiest `min_staged`.
+    /// Retired: the engine expands serially and nothing calls this. The
+    /// no-op default stays only because the benchmark harness still
+    /// overrides it.
     fn bucket_sharded(&self, _min_staged: u64, _max_staged: u64, _total: u64, _shards: u64) {}
     /// The bidirectional planner split a cost bound `cb` into forward
     /// and backward halves.
@@ -122,11 +121,6 @@ pub struct ProbeMetrics {
     pub levels_expanded_total: Arc<Counter>,
     /// Pending frontier size after the last level step.
     pub frontier_words: Arc<Gauge>,
-    /// Staging imbalance of the last parallel bucket: how far the
-    /// fullest shard sat above the mean, in percent.
-    pub shard_imbalance_last_pct: Arc<Gauge>,
-    /// Parallel bucket expansions observed.
-    pub sharded_buckets_total: Arc<Counter>,
     /// Bidirectional split decisions taken.
     pub bidi_splits_total: Arc<Counter>,
     /// Forward cost bound of the last bidi split.
@@ -180,20 +174,6 @@ impl Probe for RegistryProbe {
         self.metrics
             .frontier_words
             .set(frontier.min(i64::MAX as u64) as i64);
-    }
-
-    fn bucket_sharded(&self, _min_staged: u64, max_staged: u64, total: u64, shards: u64) {
-        self.metrics.sharded_buckets_total.inc();
-        if shards > 0 && total > 0 {
-            let mean = total / shards;
-            let pct = max_staged
-                .saturating_mul(100)
-                .checked_div(mean)
-                .map_or(0, |ratio| ratio.saturating_sub(100));
-            self.metrics
-                .shard_imbalance_last_pct
-                .set(pct.min(i64::MAX as u64) as i64);
-        }
     }
 
     fn bidi_split(&self, forward_cb: u32, backward_cb: u32, _cb: u32) {

@@ -180,12 +180,6 @@ impl Registry {
                 "frontier_words",
                 "Pending frontier size after the last level step",
             ),
-            shard_imbalance_last_pct: self.gauge(
-                "shard_imbalance_last_pct",
-                "Fullest shard's staging excess over the mean, percent (last bucket)",
-            ),
-            sharded_buckets_total: self
-                .counter("sharded_buckets_total", "Parallel bucket expansions"),
             bidi_splits_total: self.counter("bidi_splits_total", "Bidirectional split decisions"),
             bidi_forward_cb: self.gauge(
                 "bidi_forward_cb",

@@ -64,8 +64,8 @@ pub struct HostConfig {
     /// Admission limit: queries with a cost bound above this are
     /// rejected instead of expanding the shared engine arbitrarily deep.
     pub max_cost_bound: u32,
-    /// Engine expansion threads (0 = resolve like
-    /// [`mvq_core::resolve_threads`]).
+    /// Ignored: expansion is serial. Kept only because the benchmark
+    /// harness still sets it.
     pub threads: usize,
     /// Most cost models a registry will host concurrently.
     pub max_models: usize,
@@ -213,8 +213,6 @@ pub struct HostStats {
     /// levels plus the successors of the expanded ones, so it excludes
     /// the unexpanded top level's successors.
     pub a_size: usize,
-    /// Engine expansion threads.
-    pub threads: usize,
 }
 
 /// The census counts a service query returns (a read-only slice of the
@@ -271,7 +269,6 @@ struct Gauges {
     completed: AtomicU64,
     classes_found: AtomicU64,
     a_size: AtomicU64,
-    threads: AtomicU64,
 }
 
 impl Gauges {
@@ -281,8 +278,6 @@ impl Gauges {
         let classes = engine.classes_found() as u64;
         self.classes_found.store(classes, Ordering::Relaxed);
         self.a_size.store(engine.a_size() as u64, Ordering::Relaxed);
-        self.threads
-            .store(engine.threads() as u64, Ordering::Relaxed);
     }
 }
 
@@ -299,7 +294,6 @@ struct Recovery {
     /// when the engine's library cannot be snapshotted (non-standard),
     /// in which case the host cannot self-heal and stays failed.
     last_good: Option<SnapshotImage>,
-    threads: usize,
     /// Observability probe installed on rebuilt engines as they load.
     probe: ProbeHandle,
 }
@@ -350,7 +344,6 @@ impl<W: SearchWidth> EngineHost<W> {
     ) -> Self {
         let recovery = Recovery {
             last_good: engine.snapshot_to_bytes().ok(),
-            threads: engine.threads(),
             probe: engine.probe().clone(),
         };
         let gauges = Gauges::default();
@@ -495,14 +488,14 @@ impl<W: SearchWidth> EngineHost<W> {
             return Ok(());
         }
         let engine = match &recovery.last_good {
-            Some(bytes) => SearchEngine::<W>::load_snapshot_from_bytes_with_probe(
-                bytes.clone(),
-                recovery.threads,
-                recovery.probe.clone(),
-            )
-            .map_err(|err| {
-                HostError::Engine(format!("host rebuild from last-good state failed: {err}"))
-            })?,
+            Some(bytes) => {
+                SearchEngine::<W>::load_snapshot_image(bytes.clone(), recovery.probe.clone())
+                    .map_err(|err| {
+                        HostError::Engine(format!(
+                            "host rebuild from last-good state failed: {err}"
+                        ))
+                    })?
+            }
             None => {
                 return Err(HostError::Engine(
                     "poisoned host has no last-good state to rebuild from \
@@ -693,7 +686,6 @@ impl<W: SearchWidth> EngineHost<W> {
             completed: u32::try_from(completed).ok(),
             classes_found: g.classes_found.load(Ordering::Relaxed) as usize,
             a_size: g.a_size.load(Ordering::Relaxed) as usize,
-            threads: g.threads.load(Ordering::Relaxed) as usize,
         })
     }
 
@@ -900,10 +892,6 @@ impl HostRegistry {
         Ok(host)
     }
 
-    fn threads(&self) -> usize {
-        mvq_core::resolve_threads((self.config.threads > 0).then_some(self.config.threads))
-    }
-
     /// A host for `engine` under the registry's limits, with the
     /// registry's probe installed best-effort.
     fn new_host<W: SearchWidth>(&self, engine: SearchEngine<W>) -> Arc<EngineHost<W>> {
@@ -941,11 +929,7 @@ impl HostRegistry {
                 limit: self.config.max_models,
             });
         }
-        let engine = SearchEngine::<W>::try_with_threads(
-            mvq_logic::GateLibrary::standard(W::WIRES),
-            model,
-            self.threads(),
-        )?;
+        let engine = SearchEngine::<W>::try_new(mvq_logic::GateLibrary::standard(W::WIRES), model)?;
         let host = self.new_host(engine);
         W::table_for(&mut hosts).insert(model, Arc::clone(&host));
         Ok(host)
@@ -991,14 +975,14 @@ mod tests {
     use mvq_core::{known, SynthesisEngine, WideSynthesisEngine};
 
     fn unit_host(limit: u32) -> EngineHost {
-        EngineHost::new(SynthesisEngine::unit_cost_with_threads(1), limit)
+        EngineHost::new(SynthesisEngine::unit_cost(), limit)
     }
 
     #[test]
     fn serves_toffoli_like_a_private_engine() {
         let host = unit_host(7);
         let served = host.synthesize(&known::toffoli_perm(), 6).unwrap().unwrap();
-        let mut private = SynthesisEngine::unit_cost_with_threads(1);
+        let mut private = SynthesisEngine::unit_cost();
         let want = private.synthesize(&known::toffoli_perm(), 6).unwrap();
         assert_eq!(served.cost, want.cost);
         assert_eq!(served.implementation_count, want.implementation_count);
@@ -1174,7 +1158,7 @@ mod tests {
         // ever settled levels 0–5 once (at most a few no-op write grabs).
         assert_eq!(stats.completed, Some(5));
         assert_eq!(stats.a_size, {
-            let mut e = SynthesisEngine::unit_cost_with_threads(1);
+            let mut e = SynthesisEngine::unit_cost();
             while e.completed_cost() != Some(5) {
                 e.settle_one_level();
             }
@@ -1200,31 +1184,28 @@ mod tests {
         // level 6 as well generated 941,504 more that nothing at cb 6
         // reads.
         let target: Perm = "(5,6,8,7)".parse::<Perm>().unwrap().extended(8);
-        for threads in [1, 4] {
-            let host = EngineHost::new(SynthesisEngine::unit_cost_with_threads(threads), 7);
-            let work = Arc::new(LevelWork::default());
-            host.set_probe(ProbeHandle::new(work.clone())).unwrap();
-            let syn = host
-                .synthesize_traced(&target, 6, Strategy::Uni, None)
-                .map(|(s, _)| s)
-                .unwrap()
-                .unwrap();
-            assert_eq!((syn.cost, syn.implementation_count), (6, 4));
-            assert!(syn.circuit.verify_against_binary_perm(&target));
-            assert_eq!(
-                *work.0.lock().unwrap(),
-                [
-                    (0, 18),
-                    (1, 210),
-                    (2, 1482),
-                    (3, 8409),
-                    (4, 42660),
-                    (5, 203721)
-                ],
-                "{threads} threads"
-            );
-            assert_eq!(host.stats().unwrap().completed, Some(6));
-        }
+        let host = EngineHost::new(SynthesisEngine::unit_cost(), 7);
+        let work = Arc::new(LevelWork::default());
+        host.set_probe(ProbeHandle::new(work.clone())).unwrap();
+        let syn = host
+            .synthesize_traced(&target, 6, Strategy::Uni, None)
+            .map(|(s, _)| s)
+            .unwrap()
+            .unwrap();
+        assert_eq!((syn.cost, syn.implementation_count), (6, 4));
+        assert!(syn.circuit.verify_against_binary_perm(&target));
+        assert_eq!(
+            *work.0.lock().unwrap(),
+            [
+                (0, 18),
+                (1, 210),
+                (2, 1482),
+                (3, 8409),
+                (4, 42660),
+                (5, 203721)
+            ]
+        );
+        assert_eq!(host.stats().unwrap().completed, Some(6));
     }
 
     #[test]
@@ -1258,7 +1239,6 @@ mod tests {
     fn registry_creates_and_caps_models() {
         let registry = HostRegistry::new(HostConfig {
             max_cost_bound: 7,
-            threads: 1,
             max_models: 2,
             ..HostConfig::default()
         });
@@ -1279,7 +1259,6 @@ mod tests {
     fn wide_host_serves_4_wire_targets() {
         let registry = HostRegistry::new(HostConfig {
             max_cost_bound: 3,
-            threads: 1,
             max_models: 4,
             ..HostConfig::default()
         });
@@ -1300,7 +1279,6 @@ mod tests {
     fn model_cap_spans_both_widths() {
         let registry = HostRegistry::new(HostConfig {
             max_cost_bound: 3,
-            threads: 1,
             max_models: 2,
             ..HostConfig::default()
         });
@@ -1321,22 +1299,12 @@ mod tests {
         // Regression: installing a 2-wire snapshot used to park it in
         // the table that serves wires = 3 traffic, where the first
         // request's target reduction would panic the worker.
-        let registry = HostRegistry::new(HostConfig {
-            threads: 1,
-            ..HostConfig::default()
-        });
-        let two_wire = SynthesisEngine::with_threads(
-            mvq_logic::GateLibrary::standard(2),
-            CostModel::unit(),
-            1,
-        );
+        let registry = HostRegistry::new(HostConfig::default());
+        let two_wire = SynthesisEngine::new(mvq_logic::GateLibrary::standard(2), CostModel::unit());
         let err = registry.install(two_wire).unwrap_err();
         assert!(matches!(err, HostError::Engine(_)), "{err}");
-        let three_wire_wide = WideSynthesisEngine::with_threads(
-            mvq_logic::GateLibrary::standard(3),
-            CostModel::unit(),
-            1,
-        );
+        let three_wire_wide =
+            WideSynthesisEngine::new(mvq_logic::GateLibrary::standard(3), CostModel::unit());
         let err = registry.install(three_wire_wide).unwrap_err();
         assert!(matches!(err, HostError::Engine(_)), "{err}");
         assert!(registry.stats().unwrap().is_empty());
@@ -1348,10 +1316,7 @@ mod tests {
         // what queues on the registry lock behind it — a `/metrics`
         // counter total, a request to another host — waits on a level
         // that holds one host's engine write lock.
-        let registry = HostRegistry::new(HostConfig {
-            threads: 1,
-            ..HostConfig::default()
-        });
+        let registry = HostRegistry::new(HostConfig::default());
         let busy = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
         let model = CostModel::weighted(1, 2, 3);
         let other = registry.host_for::<Narrow>(model).unwrap();
@@ -1385,11 +1350,8 @@ mod tests {
 
     #[test]
     fn install_replaces_the_model_host() {
-        let registry = HostRegistry::new(HostConfig {
-            threads: 1,
-            ..HostConfig::default()
-        });
-        let mut warm = SynthesisEngine::unit_cost_with_threads(1);
+        let registry = HostRegistry::new(HostConfig::default());
+        let mut warm = SynthesisEngine::unit_cost();
         warm.expand_to_cost(4);
         registry.install(warm).unwrap();
         let host = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
@@ -1452,16 +1414,13 @@ mod tests {
 
     #[test]
     fn snapshot_host_merges_its_frontier_on_the_first_climb_only() {
-        let mut warm = SynthesisEngine::unit_cost_with_threads(1);
+        let mut warm = SynthesisEngine::unit_cost();
         warm.expand_to_cost(3);
         let image = warm.snapshot_to_bytes().unwrap();
         let sections = Arc::new(Sections::default());
-        let engine = SynthesisEngine::load_snapshot_from_bytes_with_probe(
-            image.clone(),
-            1,
-            ProbeHandle::new(sections.clone()),
-        )
-        .unwrap();
+        let engine =
+            SynthesisEngine::load_snapshot_image(image.clone(), ProbeHandle::new(sections.clone()))
+                .unwrap();
         let a_size = engine.a_size();
         let host = Arc::new(EngineHost::new(engine, 7));
         let last_good = || host.recovery.lock().unwrap().last_good.clone().unwrap();
@@ -1492,7 +1451,7 @@ mod tests {
 
         // The first climb merges it, once, and answers like a private
         // engine.
-        let mut private = SynthesisEngine::unit_cost_with_threads(1);
+        let mut private = SynthesisEngine::unit_cost();
         for target in [known::peres_perm(), known::toffoli_perm()] {
             let served = host.synthesize(&target, 6).unwrap().unwrap();
             let want = private.synthesize(&target, 6).unwrap();
@@ -1505,7 +1464,7 @@ mod tests {
 
     #[test]
     fn deadline_sheds_waiters_but_not_cache_hits() {
-        let host = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 200);
+        let host = EngineHost::with_limits(SynthesisEngine::unit_cost(), 7, 200);
         host.census(4).unwrap(); // warm to cost 4
                                  // A zero budget is fine for a cache hit: no waiting happens.
         let hit = host
@@ -1522,7 +1481,7 @@ mod tests {
         assert_eq!(host.stats().unwrap().deadline_timeouts, 1);
         // Budgets are capped by the host's configured maximum: asking
         // for more than the cap runs under the cap.
-        let capped = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 0);
+        let capped = EngineHost::with_limits(SynthesisEngine::unit_cost(), 7, 0);
         let err = capped
             .synthesize_traced(&known::toffoli_perm(), 5, Strategy::Uni, Some(10_000))
             .map(|(s, _)| s)
@@ -1561,7 +1520,7 @@ mod tests {
 
     #[test]
     fn deadline_sheds_while_a_level_holds_the_write_lock() {
-        let host = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 30_000);
+        let host = EngineHost::with_limits(SynthesisEngine::unit_cost(), 7, 30_000);
         host.census(4).unwrap();
         let strategies = [Strategy::Uni, Strategy::Auto, Strategy::Bidi];
         std::thread::scope(|scope| {
@@ -1631,13 +1590,8 @@ mod tests {
 
     #[test]
     fn metrics_host_counters_never_wait_on_an_engine_lock() {
-        let registry = Arc::new(HostRegistry::new(HostConfig {
-            threads: 1,
-            ..HostConfig::default()
-        }));
-        let host = registry
-            .install(SynthesisEngine::unit_cost_with_threads(1))
-            .unwrap();
+        let registry = Arc::new(HostRegistry::new(HostConfig::default()));
+        let host = registry.install(SynthesisEngine::unit_cost()).unwrap();
         host.census(2).unwrap();
         let obs = crate::obs::ServeObs::new();
         obs.register_host_counters(&registry);
@@ -1674,7 +1628,7 @@ mod tests {
 
     #[test]
     fn deadline_waiter_is_served_when_the_level_lands() {
-        let host = EngineHost::with_limits(SynthesisEngine::unit_cost_with_threads(1), 7, 30_000);
+        let host = EngineHost::with_limits(SynthesisEngine::unit_cost(), 7, 30_000);
         host.census(4).unwrap();
         std::thread::scope(|scope| {
             let writer = hold_write_lock(scope, &host, Duration::from_millis(100));

@@ -229,7 +229,6 @@ impl Serialize for HostStats {
             ),
             ("classes_found", Content::U64(self.classes_found as u64)),
             ("a_size", Content::U64(self.a_size as u64)),
-            ("threads", Content::U64(self.threads as u64)),
         ])
     }
 }

@@ -32,10 +32,7 @@
 //! use std::sync::Arc;
 //! use mvq_serve::{HostConfig, HostRegistry, Server};
 //!
-//! let registry = Arc::new(HostRegistry::new(HostConfig {
-//!     threads: 1,
-//!     ..HostConfig::default()
-//! }));
+//! let registry = Arc::new(HostRegistry::new(HostConfig::default()));
 //! let server = Server::bind("127.0.0.1:0", registry).unwrap();
 //! let handle = server.handle().unwrap();
 //! let runner = std::thread::spawn(move || server.run(2));

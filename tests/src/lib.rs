@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use mvq_core::known::parse_target_on;
 use mvq_core::Circuit;
-use mvq_serve::{HostConfig, HostRegistry, ServeObs, Server, ServerHandle};
+use mvq_serve::{HostRegistry, ServeObs, Server, ServerHandle};
 
 /// A live server on a loopback port, shut down (and joined) on drop.
 pub struct RunningServer {
@@ -135,14 +135,6 @@ pub fn assert_realizes_request(request: &str, reply: &str) {
         circuit.verify_against_binary_perm(&target),
         "served circuit `{rendered}` does not realize {target} on {wires} wires"
     );
-}
-
-/// The host configuration the suites serve under: one engine thread.
-pub fn test_config() -> HostConfig {
-    HostConfig {
-        threads: 1,
-        ..HostConfig::default()
-    }
 }
 
 /// In-memory trace sink, shared with a server's trace log.

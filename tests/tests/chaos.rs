@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use mvq_core::{SnapshotSource, SynthesisEngine};
 use mvq_serve::{HostConfig, HostRegistry};
-use mvq_tests::{request, test_config, RunningServer, SharedSink};
+use mvq_tests::{request, RunningServer, SharedSink};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -69,7 +69,7 @@ fn json_u64(body: &str, key: &str) -> u64 {
 fn worker_panic_is_contained_and_the_host_heals() {
     let _serial = serial();
     let _armed = Armed::plan("serve.write=panic@1");
-    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let server = RunningServer::start(HostRegistry::new(HostConfig::default()), 2);
 
     // The very first expansion panics: this request gets a 503 with a
     // Retry-After hint, not a hung or reset connection.
@@ -113,11 +113,11 @@ fn worker_panic_is_contained_and_the_host_heals() {
 #[test]
 fn snapshot_host_heals_from_its_image_and_climbs_exactly() {
     let _serial = serial();
-    let mut warm = SynthesisEngine::unit_cost_with_threads(1);
+    let mut warm = SynthesisEngine::unit_cost();
     warm.expand_to_cost(3);
     let bytes = warm.snapshot_to_bytes().expect("standard library");
-    let registry = HostRegistry::new(test_config());
-    let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).expect("load snapshot");
+    let registry = HostRegistry::new(HostConfig::default());
+    let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).expect("load snapshot");
     registry.install(loaded).expect("install");
     let _armed = Armed::plan("serve.write=panic@1");
     let server = RunningServer::start(registry, 2);
@@ -129,7 +129,7 @@ fn snapshot_host_heals_from_its_image_and_climbs_exactly() {
     let (status, _, response) = server.request("POST", "/synthesize", peres);
     assert_eq!(status, 200, "{response}");
 
-    let mut reference = SynthesisEngine::unit_cost_with_threads(1);
+    let mut reference = SynthesisEngine::unit_cost();
     for target in [
         "(5,7,6,8)",
         "(7,8)",
@@ -169,7 +169,7 @@ fn torn_primary_falls_back_to_backup_at_every_boundary() {
     let path = dir.join("levels.snap");
 
     // Two saves: the second rotates the first (depth 2) to `.bak`.
-    let mut engine = SynthesisEngine::unit_cost_with_threads(1);
+    let mut engine = SynthesisEngine::unit_cost();
     engine.expand_to_cost(2);
     engine.save_snapshot(&path).expect("first save");
     engine.expand_to_cost(3);
@@ -198,7 +198,7 @@ fn torn_primary_falls_back_to_backup_at_every_boundary() {
     for cut in cuts {
         assert!(cut < healthy.len(), "cut {cut} is not a truncation");
         std::fs::write(&path, &healthy[..cut]).expect("tear primary");
-        let (loaded, source) = SynthesisEngine::load_snapshot_resilient(&path, 1)
+        let (loaded, source) = SynthesisEngine::load_snapshot_resilient(&path)
             .unwrap_or_else(|err| panic!("truncation at {cut} did not fall back: {err}"));
         assert!(
             matches!(source, SnapshotSource::Backup { .. }),
@@ -215,7 +215,7 @@ fn torn_primary_falls_back_to_backup_at_every_boundary() {
     // callers (the CLI, the server) degrade to a cold start.
     std::fs::write(&path, &healthy[..8]).expect("tear primary");
     std::fs::remove_file(mvq_core::snapshot_backup_path(&path)).expect("drop backup");
-    let err = SynthesisEngine::load_snapshot_resilient(&path, 1).expect_err("both torn");
+    let err = SynthesisEngine::load_snapshot_resilient(&path).expect_err("both torn");
     assert!(err.is_corruption(), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -230,7 +230,7 @@ fn snapshot_rename_fault_leaves_the_last_good_file_intact() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("levels.snap");
 
-    let mut engine = SynthesisEngine::unit_cost_with_threads(1);
+    let mut engine = SynthesisEngine::unit_cost();
     engine.expand_to_cost(2);
     engine.save_snapshot(&path).expect("seed save");
     let before = std::fs::read(&path).expect("read seed");
@@ -245,7 +245,7 @@ fn snapshot_rename_fault_leaves_the_last_good_file_intact() {
     // The published file is byte-identical to the last good save…
     assert_eq!(std::fs::read(&path).expect("reread"), before);
     assert_eq!(
-        SynthesisEngine::load_snapshot_with_threads(&path, 1)
+        SynthesisEngine::load_snapshot(&path)
             .expect("still loads")
             .completed_cost(),
         Some(2)
@@ -262,7 +262,7 @@ fn snapshot_rename_fault_leaves_the_last_good_file_intact() {
     // The retry (the ordinal fired once) publishes the deeper save.
     engine.save_snapshot(&path).expect("retry save");
     assert_eq!(
-        SynthesisEngine::load_snapshot_with_threads(&path, 1)
+        SynthesisEngine::load_snapshot(&path)
             .expect("loads")
             .completed_cost(),
         Some(3)
@@ -285,7 +285,6 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
     let targets = ["(7,8)", "(5,7,6,8)", "(5,7)(6,8)", "(2,4,3)(5,6)"];
     let server = RunningServer::start(
         HostRegistry::new(HostConfig {
-            threads: 1,
             max_deadline_ms: 2_500,
             ..HostConfig::default()
         }),
@@ -297,7 +296,7 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
     let dir = std::env::temp_dir().join(format!("mvq_chaos_sweep_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let snap = dir.join("mid-drill.snap");
-    let mut saver = SynthesisEngine::unit_cost_with_threads(1);
+    let mut saver = SynthesisEngine::unit_cost();
     saver.expand_to_cost(1);
     assert!(saver.save_snapshot(&snap).is_err(), "rename fault fires");
     assert!(!snap.exists(), "no torn file published");
@@ -339,7 +338,7 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
 
     // Faults off: every answer matches a never-injected engine exactly.
     mvq_fault::disarm_all();
-    let mut reference = SynthesisEngine::unit_cost_with_threads(1);
+    let mut reference = SynthesisEngine::unit_cost();
     for target in targets {
         let parsed = mvq_core::known::parse_target_on(target, 8).expect("valid target");
         let want = reference.synthesize(&parsed, 6);
@@ -379,7 +378,7 @@ fn chaos_sweep_server_keeps_answering_and_recovers_exactly() {
 fn deadline_waiters_shed_with_503_and_retry_after() {
     let _serial = serial();
     let _armed = Armed::plan("expand.level=delay(400)@1");
-    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let server = RunningServer::start(HostRegistry::new(HostConfig::default()), 2);
 
     std::thread::scope(|scope| {
         let slow = scope.spawn(|| {
@@ -417,7 +416,7 @@ fn faulted_request_emits_exactly_one_failure_trace_line() {
     let _armed = Armed::plan("serve.write=panic@1");
 
     let sink = SharedSink::default();
-    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let server = RunningServer::start(HostRegistry::new(HostConfig::default()), 2);
     server.obs().trace().set_sink(Box::new(sink.clone()));
     server.obs().trace().set_level(mvq_obs::LogLevel::Info);
 

@@ -216,18 +216,16 @@ fn bidirectional_matches_unidirectional_on_all_classes_to_cost_7() {
 
 /// Engines settled to each forward depth — the state a host's climb
 /// leaves, with the deepest level unexpanded — and prepared for cached
-/// bidirectional queries up to `cb`, at 1 and 4 threads.
+/// bidirectional queries up to `cb`.
 fn prepared_engines(model: CostModel, depths: &[u32], cb: u32) -> Vec<SynthesisEngine> {
     let mut engines = Vec::new();
     for &depth in depths {
-        for threads in [1, 4] {
-            let mut e = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
-            while e.completed_cost().is_none_or(|c| c < depth) {
-                assert!(e.settle_one_level(), "space exhausted below {depth}");
-            }
-            e.prepare_bidirectional(cb);
-            engines.push(e);
+        let mut e = SynthesisEngine::new(GateLibrary::standard(3), model);
+        while e.completed_cost().is_none_or(|c| c < depth) {
+            assert!(e.settle_one_level(), "space exhausted below {depth}");
         }
+        e.prepare_bidirectional(cb);
+        engines.push(e);
     }
     engines
 }

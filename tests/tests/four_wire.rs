@@ -1,7 +1,6 @@
 //! The n = 4 suite: the widened search core (256-pattern words, u128
 //! S-traces, bitset banned masks) must behave exactly like the narrow
-//! core scaled up — thread-count-independent levels, strategy-agreeing
-//! syntheses, warm-bound semantics, and snapshot round-trips on the
+//! core scaled up — pinned census counts, strategy-agreeing syntheses, warm-bound semantics, and snapshot round-trips on the
 //! 4-wire library — and the widening must leave every 3-wire result
 //! byte-identical (narrow vs wide engines over the same library).
 
@@ -17,8 +16,8 @@ use proptest::prelude::*;
 /// flipping `D` pairs them up.
 const CNOT_DA: &str = "(9,10)(11,12)(13,14)(15,16)";
 
-fn wide_unit(threads: usize) -> WideSynthesisEngine {
-    WideSynthesisEngine::with_threads(GateLibrary::standard(4), CostModel::unit(), threads)
+fn wide_unit() -> WideSynthesisEngine {
+    WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit())
 }
 
 fn cnot_da() -> Perm {
@@ -54,8 +53,8 @@ fn assert_state_identical<A: SearchWidth, B: SearchWidth>(
 #[test]
 fn four_wire_census_counts_are_pinned() {
     // Golden counts for the 36-gate 4-wire library (measured once from
-    // the widened engine, stable across threads and versions).
-    let mut e = wide_unit(1);
+    // the widened engine, stable across versions).
+    let mut e = wide_unit();
     e.expand_to_cost(3);
     assert_eq!(e.g_counts(), &[1, 12, 96, 542]);
     assert_eq!(e.b_counts(), &[1, 36, 684, 9354]);
@@ -63,44 +62,31 @@ fn four_wire_census_counts_are_pinned() {
 }
 
 #[test]
-fn four_wire_levels_bit_identical_across_thread_counts() {
-    let mut serial = wide_unit(1);
-    serial.expand_to_cost(3);
-    for threads in [2, 4] {
-        let mut parallel = wide_unit(threads);
-        parallel.expand_to_cost(3);
-        assert_state_identical(&serial, &parallel, 3, &format!("threads {threads}"));
-    }
-}
-
-#[test]
 fn four_wire_uni_and_bidi_agree_cold_and_warm() {
     let cnot = cnot_da();
-    for threads in [1, 2] {
-        // Cold engines, one per strategy.
-        let mut uni = wide_unit(threads);
-        let mut bidi = wide_unit(threads);
-        let a = uni.synthesize(&cnot, 3).expect("cost 1");
-        let b = bidi.synthesize_bidirectional(&cnot, 3).expect("cost 1");
-        assert_eq!(a.cost, 1, "threads {threads}");
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.implementation_count, b.implementation_count);
-        assert!(a.circuit.verify_against_binary_perm(&cnot));
-        assert!(b.circuit.verify_against_binary_perm(&cnot));
+    // Cold engines, one per strategy.
+    let mut uni = wide_unit();
+    let mut bidi = wide_unit();
+    let a = uni.synthesize(&cnot, 3).expect("cost 1");
+    let b = bidi.synthesize_bidirectional(&cnot, 3).expect("cost 1");
+    assert_eq!(a.cost, 1);
+    assert_eq!(a.cost, b.cost);
+    assert_eq!(a.implementation_count, b.implementation_count);
+    assert!(a.circuit.verify_against_binary_perm(&cnot));
+    assert!(b.circuit.verify_against_binary_perm(&cnot));
 
-        // Warm: the same engines answer again (and honor the bound).
-        assert!(uni.synthesize(&cnot, 0).is_none(), "warm bound");
-        assert!(bidi.synthesize_bidirectional(&cnot, 0).is_none());
-        let warm = uni.synthesize(&cnot, 3).expect("warm hit");
-        assert_eq!(warm.circuit.to_string(), a.circuit.to_string());
-    }
+    // Warm: the same engines answer again (and honor the bound).
+    assert!(uni.synthesize(&cnot, 0).is_none(), "warm bound");
+    assert!(bidi.synthesize_bidirectional(&cnot, 0).is_none());
+    let warm = uni.synthesize(&cnot, 3).expect("warm hit");
+    assert_eq!(warm.circuit.to_string(), a.circuit.to_string());
 }
 
 #[test]
 fn four_wire_low_cost_classes_agree_between_strategies() {
-    let mut enumerator = wide_unit(1);
-    let mut uni = wide_unit(1);
-    let mut bidi = wide_unit(1);
+    let mut enumerator = wide_unit();
+    let mut uni = wide_unit();
+    let mut bidi = wide_unit();
     let mut checked = 0;
     for k in 0..=2u32 {
         for (perm, circuit) in enumerator.reversible_circuits_at_cost(k) {
@@ -123,38 +109,30 @@ fn four_wire_low_cost_classes_agree_between_strategies() {
 
 #[test]
 fn four_wire_snapshot_roundtrip_resumes_bit_identically() {
-    let mut reference = wide_unit(1);
+    let mut reference = wide_unit();
     reference.expand_to_cost(3);
 
-    let mut snapshotted = wide_unit(1);
+    let mut snapshotted = wide_unit();
     snapshotted.expand_to_cost(2);
     let bytes = snapshotted.snapshot_to_bytes().expect("serialize");
 
-    for threads in [1, 2, 4] {
-        let mut resumed =
-            WideSynthesisEngine::load_snapshot_from_bytes(&bytes, threads).expect("load");
-        assert_eq!(resumed.completed_cost(), Some(2));
-        resumed.expand_to_cost(3);
-        assert_state_identical(
-            &reference,
-            &resumed,
-            3,
-            &format!("snapshot resume, threads {threads}"),
-        );
-        // The resumed engine answers queries like the reference.
-        let cnot = cnot_da();
-        let want = reference.synthesize(&cnot, 3).expect("cost 1");
-        let got = resumed.synthesize(&cnot, 3).expect("cost 1");
-        assert_eq!(want.circuit.to_string(), got.circuit.to_string());
-    }
+    let mut resumed = WideSynthesisEngine::load_snapshot_from_bytes(&bytes).expect("load");
+    assert_eq!(resumed.completed_cost(), Some(2));
+    resumed.expand_to_cost(3);
+    assert_state_identical(&reference, &resumed, 3, "snapshot resume");
+    // The resumed engine answers queries like the reference.
+    let cnot = cnot_da();
+    let want = reference.synthesize(&cnot, 3).expect("cost 1");
+    let got = resumed.synthesize(&cnot, 3).expect("cost 1");
+    assert_eq!(want.circuit.to_string(), got.circuit.to_string());
 }
 
 #[test]
 fn four_wire_snapshot_rejects_the_narrow_engine() {
-    let mut wide = wide_unit(1);
+    let mut wide = wide_unit();
     wide.expand_to_cost(1);
     let bytes = wide.snapshot_to_bytes().expect("serialize");
-    let err = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap_err();
+    let err = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap_err();
     assert!(
         matches!(err, SnapshotError::WidthMismatch { .. }),
         "expected WidthMismatch, got {err}"
@@ -166,8 +144,8 @@ fn four_wire_weighted_model_is_dijkstra_exact() {
     // Asymmetric weights exercise the decrease-key path at the wide
     // width; both strategies must agree with the enumerated class cost.
     let model = CostModel::weighted(1, 2, 3);
-    let mut enumerator = WideSynthesisEngine::with_threads(GateLibrary::standard(4), model, 1);
-    let mut bidi = WideSynthesisEngine::with_threads(GateLibrary::standard(4), model, 1);
+    let mut enumerator = WideSynthesisEngine::new(GateLibrary::standard(4), model);
+    let mut bidi = WideSynthesisEngine::new(GateLibrary::standard(4), model);
     for k in 0..=2u32 {
         for (perm, circuit) in enumerator.reversible_circuits_at_cost(k) {
             assert_eq!(model.cascade_cost(circuit.gates()), k, "witness of {perm}");
@@ -190,11 +168,10 @@ proptest! {
         vd in 1u32..=3,
         f in 1u32..=3,
         depth in 0u32..=3,
-        threads in 1usize..=2,
     ) {
         let model = CostModel::weighted(v, vd, f);
-        let mut narrow = SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
-        let mut wide = WideSynthesisEngine::with_threads(GateLibrary::standard(3), model, threads);
+        let mut narrow = SynthesisEngine::new(GateLibrary::standard(3), model);
+        let mut wide = WideSynthesisEngine::new(GateLibrary::standard(3), model);
         narrow.expand_to_cost(depth);
         wide.expand_to_cost(depth);
         assert_state_identical(&narrow, &wide, depth, "narrow vs wide");

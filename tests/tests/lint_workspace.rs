@@ -67,12 +67,11 @@ pub struct SearchEngine<W> {
 }
 
 impl<W> SearchEngine<W> {
-    pub fn load_snapshot_from_bytes_with_probe(
+    pub fn load_snapshot_image(
         image: impl Into<crate::snapshot::SnapshotImage>,
-        threads: usize,
         probe: W,
     ) -> Result<Self, String> {
-        let _ = (image.into(), threads, probe);
+        let _ = (image.into(), probe);
         Err(String::new())
     }
 

@@ -90,14 +90,7 @@ const CLIENT_SCRIPT: [(&str, &str, &str, u16); 6] = [
 fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
     const CLIENTS: usize = 8;
     let sink = SharedSink::default();
-    let server = traced_server(
-        HostRegistry::new(HostConfig {
-            threads: 1,
-            ..HostConfig::default()
-        }),
-        4,
-        &sink,
-    );
+    let server = traced_server(HostRegistry::new(HostConfig::default()), 4, &sink);
 
     let addr = server.addr();
     std::thread::scope(|scope| {

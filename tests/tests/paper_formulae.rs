@@ -29,12 +29,11 @@ fn domain_size_is_38() {
 /// cost 3.
 #[test]
 fn reduced_domain_search_matches_full_domain() {
-    let mut reduced = SynthesisEngine::unit_cost_with_threads(1);
+    let mut reduced = SynthesisEngine::unit_cost();
     reduced.expand_to_cost(3);
-    let mut full = SynthesisEngine::with_threads(
+    let mut full = SynthesisEngine::new(
         GateLibrary::with_domain(PatternDomain::full(3)),
         CostModel::unit(),
-        1,
     );
     full.expand_to_cost(3);
     assert_eq!(reduced.library().domain().len(), 38);

@@ -254,7 +254,7 @@ fn engine<W: SearchWidth>(
     model: CostModel,
     stale: &Arc<StaleLog>,
 ) -> SearchEngine<W> {
-    let mut engine = SearchEngine::<W>::with_threads(GateLibrary::standard(wires), model, 1);
+    let mut engine = SearchEngine::<W>::new(GateLibrary::standard(wires), model);
     engine.set_probe(ProbeHandle::new(stale.clone()));
     engine
 }
@@ -306,17 +306,13 @@ fn snapshot_loaded_climb_matches_the_reference() {
     // A loaded engine merges its deferred frontier on its first level
     // step; the levels it climbs to from there must be the reference's.
     for (model, cb) in [(CostModel::unit(), 5), (weighted(), 7)] {
-        let mut snapshotted =
-            SearchEngine::<Narrow>::with_threads(GateLibrary::standard(3), model, 1);
+        let mut snapshotted = SearchEngine::<Narrow>::new(GateLibrary::standard(3), model);
         snapshotted.expand_to_cost(3);
         let bytes = snapshotted.snapshot_to_bytes().expect("standard library");
         let stale = Arc::new(StaleLog::default());
-        let mut loaded = SearchEngine::<Narrow>::load_snapshot_from_bytes_with_probe(
-            bytes,
-            1,
-            ProbeHandle::new(stale.clone()),
-        )
-        .expect("load");
+        let mut loaded =
+            SearchEngine::<Narrow>::load_snapshot_image(bytes, ProbeHandle::new(stale.clone()))
+                .expect("load");
         let mut reference = Reference::new(3, model);
         for _ in 0..=3 {
             assert!(reference.step());

@@ -1,5 +1,5 @@
 //! Service-concurrency determinism audit (the `mvq_serve` counterpart of
-//! `parallel_determinism.rs`): the same query mix must produce
+//! `settle_determinism.rs`): the same query mix must produce
 //! **bit-identical** results — costs, witness counts, and circuits —
 //! through (a) serial engine calls, (b) the in-process engine host with
 //! 8 client threads, and (c) a snapshot round-trip (save → load →
@@ -26,7 +26,7 @@ fn outcome(result: Option<mvq_core::Synthesis>) -> Outcome {
 /// the three named gates (Fredkin's cost 7 exceeds the bound, so its
 /// definitive `None` is part of the contract), and a NOT-layer target.
 fn query_mix() -> Vec<Perm> {
-    let mut enumerator = SynthesisEngine::unit_cost_with_threads(1);
+    let mut enumerator = SynthesisEngine::unit_cost();
     let mut targets = Vec::new();
     for k in 0..=4u32 {
         for (perm, _) in enumerator.reversible_circuits_at_cost(k) {
@@ -43,7 +43,7 @@ fn query_mix() -> Vec<Perm> {
 
 /// Serial reference: one private engine, one query at a time.
 fn serial_reference(targets: &[Perm]) -> Vec<Outcome> {
-    let mut engine = SynthesisEngine::unit_cost_with_threads(1);
+    let mut engine = SynthesisEngine::unit_cost();
     targets
         .iter()
         .map(|t| outcome(engine.synthesize(t, CB)))
@@ -85,7 +85,7 @@ fn host_with_8_clients_matches_serial_engine() {
     let want = serial_reference(&targets);
     // Cold host: the first wave of clients races through the
     // single-flight expansion path while the rest resolve as readers.
-    let host = EngineHost::new(SynthesisEngine::unit_cost_with_threads(1), 7);
+    let host = EngineHost::new(SynthesisEngine::unit_cost(), 7);
     let got = through_host(&host, &targets);
     assert_eq!(want, got, "host outcomes diverge from serial outcomes");
     let stats = host.stats().unwrap();
@@ -109,12 +109,12 @@ fn snapshot_roundtrip_preserves_service_results() {
     let want = serial_reference(&targets);
 
     // Save a warm engine, reload it, and serve the same mix.
-    let mut warm = SynthesisEngine::unit_cost_with_threads(1);
+    let mut warm = SynthesisEngine::unit_cost();
     warm.expand_to_cost(CB);
     let bytes = warm.snapshot_to_bytes().expect("serialize warm engine");
 
     // (c1) serial queries on the loaded engine.
-    let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).expect("load");
+    let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).expect("load");
     let serial_loaded: Vec<Outcome> = targets
         .iter()
         .map(|t| outcome(loaded.synthesize(t, CB)))
@@ -122,7 +122,7 @@ fn snapshot_roundtrip_preserves_service_results() {
     assert_eq!(want, serial_loaded, "snapshot round-trip changed results");
 
     // (c2) 8 concurrent clients over a host built from the snapshot.
-    let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).expect("load");
+    let loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).expect("load");
     let host = Arc::new(EngineHost::new(loaded, 7));
     let got = through_host(&host, &targets);
     assert_eq!(want, got, "snapshot-backed host diverges from serial");
@@ -139,8 +139,8 @@ fn auto_strategy_matches_forced_uni() {
     // strategies may surface different (equally minimal) witness
     // circuits.
     let targets = query_mix();
-    let uni_host = EngineHost::new(SynthesisEngine::unit_cost_with_threads(1), 7);
-    let auto_host = EngineHost::new(SynthesisEngine::unit_cost_with_threads(1), 7);
+    let uni_host = EngineHost::new(SynthesisEngine::unit_cost(), 7);
+    let auto_host = EngineHost::new(SynthesisEngine::unit_cost(), 7);
     for target in &targets {
         let uni = uni_host
             .synthesize_traced(target, CB, Strategy::Uni, None)
@@ -170,10 +170,7 @@ fn concurrent_bounds_respect_warm_engine_semantics() {
     // Mixed bounds from many clients: under-bound queries must stay
     // `None` even while other clients warm the same shared engine past
     // their bound (the PR 2 warm-bound regression, service edition).
-    let host = Arc::new(EngineHost::new(
-        SynthesisEngine::unit_cost_with_threads(1),
-        7,
-    ));
+    let host = Arc::new(EngineHost::new(SynthesisEngine::unit_cost(), 7));
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let bounded = Arc::clone(&host);

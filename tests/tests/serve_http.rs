@@ -13,11 +13,11 @@ use std::time::Duration;
 
 use mvq_core::SynthesisEngine;
 use mvq_serve::{HostConfig, HostRegistry};
-use mvq_tests::{test_config, RunningServer};
+use mvq_tests::RunningServer;
 
 #[test]
 fn endpoints_answer_known_results() {
-    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let server = RunningServer::start(HostRegistry::new(HostConfig::default()), 2);
 
     let (status, _, body) = server.request("GET", "/healthz", "");
     assert_eq!(status, 200, "{body}");
@@ -67,7 +67,6 @@ fn endpoints_answer_known_results() {
 fn four_wire_requests_route_to_the_wide_host() {
     let server = RunningServer::start(
         HostRegistry::new(HostConfig {
-            threads: 1,
             max_cost_bound: 3,
             ..HostConfig::default()
         }),
@@ -135,7 +134,7 @@ fn four_wire_requests_route_to_the_wide_host() {
 
 #[test]
 fn oversized_content_length_gets_413_before_any_body_read() {
-    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let server = RunningServer::start(HostRegistry::new(HostConfig::default()), 2);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -167,7 +166,6 @@ fn malformed_requests_get_4xx_not_disconnects() {
     // A tight admission limit keeps the default-census check cheap.
     let server = RunningServer::start(
         HostRegistry::new(HostConfig {
-            threads: 1,
             max_cost_bound: 3,
             ..HostConfig::default()
         }),
@@ -232,13 +230,13 @@ const REQUEST_P99_SLO_US: u64 = 250_000;
 fn snapshot_backed_server_answers_without_expansion() {
     // Pre-build a warm snapshot, boot the service from it, and check the
     // Toffoli answer is served with zero expansions.
-    let mut warm = SynthesisEngine::unit_cost_with_threads(1);
+    let mut warm = SynthesisEngine::unit_cost();
     warm.expand_to_cost(5);
     let path = std::env::temp_dir().join(format!("mvq_serve_http_{}.snap", std::process::id()));
     warm.save_snapshot(&path).expect("write snapshot");
 
-    let registry = HostRegistry::new(test_config());
-    let engine = SynthesisEngine::load_snapshot_with_threads(&path, 1).expect("load snapshot");
+    let registry = HostRegistry::new(HostConfig::default());
+    let engine = SynthesisEngine::load_snapshot(&path).expect("load snapshot");
     registry.install(engine).expect("install");
     let server = RunningServer::start(registry, 4);
 
@@ -281,7 +279,7 @@ fn snapshot_backed_server_answers_without_expansion() {
 
 #[test]
 fn shutdown_endpoint_stops_the_server() {
-    let server = RunningServer::start(HostRegistry::new(test_config()), 2);
+    let server = RunningServer::start(HostRegistry::new(HostConfig::default()), 2);
     let addr = server.addr();
     let (status, _, body) = server.request("POST", "/shutdown", "");
     assert_eq!(status, 200, "{body}");

@@ -1,7 +1,6 @@
 //! Snapshot round-trip and robustness suite: the level tables must
 //! survive save → load byte-for-byte for arbitrary cost models and
-//! depths, resumed expansion (including after `set_threads` resharding)
-//! must be bit-identical to a never-snapshotted engine, and damaged
+//! depths, resumed expansion must be bit-identical to a never-snapshotted engine, and damaged
 //! files must fail with a typed error — never UB or a silently-empty
 //! cache.
 
@@ -10,8 +9,8 @@ use mvq_logic::GateLibrary;
 use mvq_serve::EngineHost;
 use proptest::prelude::*;
 
-fn engine(model: CostModel, threads: usize) -> SynthesisEngine {
-    SynthesisEngine::with_threads(GateLibrary::standard(3), model, threads)
+fn engine(model: CostModel) -> SynthesisEngine {
+    SynthesisEngine::new(GateLibrary::standard(3), model)
 }
 
 /// Level-by-level equality, including word order within every level.
@@ -30,23 +29,20 @@ fn assert_levels_identical(a: &SynthesisEngine, b: &SynthesisEngine, up_to: u32,
 }
 
 #[test]
-fn loaded_set_threads_expansion_matches_native() {
-    // The satellite regression: a snapshot-loaded engine resharded via
-    // `set_threads` must keep expanding bit-identically — the loaded
-    // `seen` maps need the same FNV shard layout as a natively-expanded
-    // engine.
-    let mut reference = engine(CostModel::unit(), 1);
+fn loaded_expansion_matches_native() {
+    // A snapshot-loaded engine must keep expanding bit-identically: the
+    // loaded `seen` table hands out the same handles, in the same
+    // order, as a natively-expanded one.
+    let mut reference = engine(CostModel::unit());
     reference.expand_to_cost(5);
-    let mut snapshotted = engine(CostModel::unit(), 1);
-    snapshotted.expand_to_cost(3);
-    let bytes = snapshotted.snapshot_to_bytes().unwrap();
-    for threads in [1, 2, 4, 8] {
-        let mut resumed = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
-        resumed.set_threads(threads);
-        assert_eq!(resumed.threads(), threads);
+    let want = reference.synthesize(&known::toffoli_perm(), 6).unwrap();
+    for depth in [3, 4] {
+        let mut snapshotted = engine(CostModel::unit());
+        snapshotted.expand_to_cost(depth);
+        let bytes = snapshotted.snapshot_to_bytes().unwrap();
+        let mut resumed = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         resumed.expand_to_cost(5);
-        assert_levels_identical(&reference, &resumed, 5, &format!("threads={threads}"));
-        let want = reference.synthesize(&known::toffoli_perm(), 6).unwrap();
+        assert_levels_identical(&reference, &resumed, 5, &format!("from cost {depth}"));
         let got = resumed.synthesize(&known::toffoli_perm(), 6).unwrap();
         assert_eq!(want.circuit.to_string(), got.circuit.to_string());
         assert_eq!(want.implementation_count, got.implementation_count);
@@ -54,31 +50,17 @@ fn loaded_set_threads_expansion_matches_native() {
 }
 
 #[test]
-fn load_with_threads_then_reshard_down() {
-    // Load sharded, reshard down to serial, keep expanding.
-    let mut reference = engine(CostModel::unit(), 1);
-    reference.expand_to_cost(5);
-    let mut snapshotted = engine(CostModel::unit(), 1);
-    snapshotted.expand_to_cost(4);
-    let bytes = snapshotted.snapshot_to_bytes().unwrap();
-    let mut resumed = SynthesisEngine::load_snapshot_from_bytes(&bytes, 4).unwrap();
-    resumed.set_threads(1);
-    resumed.expand_to_cost(5);
-    assert_levels_identical(&reference, &resumed, 5, "reshard 4→1");
-}
-
-#[test]
 fn every_damaged_byte_fails_loudly() {
     // Sweep a corruption byte across the whole (small) file: every
     // position must produce an error, never a silently-wrong engine.
-    let mut small = engine(CostModel::unit(), 1);
+    let mut small = engine(CostModel::unit());
     small.expand_to_cost(1);
     let bytes = small.snapshot_to_bytes().unwrap();
     for offset in 0..bytes.len() {
         let mut damaged = bytes.to_vec();
         damaged[offset] ^= 0xA5;
         assert!(
-            SynthesisEngine::load_snapshot_from_bytes(&damaged, 1).is_err(),
+            SynthesisEngine::load_snapshot_from_bytes(&damaged).is_err(),
             "flip at byte {offset}/{} loaded successfully",
             bytes.len()
         );
@@ -91,12 +73,12 @@ fn bidirectional_on_loaded_engine_matches_native() {
     // adaptive split against the loaded levels and deferred frontier;
     // against a native engine in the same starting state it must be
     // circuit-identical.
-    let mut native = engine(CostModel::unit(), 1);
+    let mut native = engine(CostModel::unit());
     native.expand_to_cost(3);
-    let mut snapshotted = engine(CostModel::unit(), 1);
+    let mut snapshotted = engine(CostModel::unit());
     snapshotted.expand_to_cost(3);
     let bytes = snapshotted.snapshot_to_bytes().unwrap();
-    let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+    let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
     for target in [known::fredkin_perm(), known::toffoli_perm()] {
         let want = native.synthesize_bidirectional(&target, 7).unwrap();
         let got = loaded.synthesize_bidirectional(&target, 7).unwrap();
@@ -116,12 +98,12 @@ fn bidirectional_on_loaded_engine_matches_native() {
 
 #[test]
 fn loaded_engine_returns_its_input_bytes_until_it_climbs() {
-    let mut snapshotted = engine(CostModel::unit(), 1);
+    let mut snapshotted = engine(CostModel::unit());
     snapshotted.expand_to_cost(3);
     let image = snapshotted.snapshot_to_bytes().unwrap();
 
     // A borrowed slice is copied once; the copy is the engine's image.
-    let mut copied = SynthesisEngine::load_snapshot_from_bytes(&image, 1).unwrap();
+    let mut copied = SynthesisEngine::load_snapshot_from_bytes(&image).unwrap();
     let again = copied.snapshot_to_bytes().unwrap();
     assert_eq!(
         again, image,
@@ -137,8 +119,7 @@ fn loaded_engine_returns_its_input_bytes_until_it_climbs() {
     // deferred frontier), and a host built from it adds only its
     // last-good handle — no second copy.
     let mut loaded =
-        SynthesisEngine::load_snapshot_from_bytes_with_probe(image.clone(), 1, ProbeHandle::none())
-            .unwrap();
+        SynthesisEngine::load_snapshot_image(image.clone(), ProbeHandle::none()).unwrap();
     assert!(SnapshotImage::ptr_eq(
         &loaded.snapshot_to_bytes().unwrap(),
         &image
@@ -151,9 +132,7 @@ fn loaded_engine_returns_its_input_bytes_until_it_climbs() {
 
     // One settled level drops the image and merges the frontier; the
     // bytes are then derived again and equal a native engine's.
-    loaded =
-        SynthesisEngine::load_snapshot_from_bytes_with_probe(image.clone(), 1, ProbeHandle::none())
-            .unwrap();
+    loaded = SynthesisEngine::load_snapshot_image(image.clone(), ProbeHandle::none()).unwrap();
     assert!(loaded.settle_one_level());
     assert_eq!(
         SnapshotImage::handle_count(&image),
@@ -161,7 +140,7 @@ fn loaded_engine_returns_its_input_bytes_until_it_climbs() {
         "image and frontier released"
     );
     let derived = loaded.snapshot_to_bytes().unwrap();
-    let mut native = engine(CostModel::unit(), 1);
+    let mut native = engine(CostModel::unit());
     native.expand_to_cost(4);
     assert_eq!(derived, native.snapshot_to_bytes().unwrap());
     assert_ne!(derived, image);
@@ -187,10 +166,10 @@ proptest! {
         depth in 0u32..=4,
     ) {
         let model = CostModel::weighted(v, vd, f);
-        let mut original = engine(model, 1);
+        let mut original = engine(model);
         original.expand_to_cost(depth);
         let bytes = original.snapshot_to_bytes().unwrap();
-        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes, 1).unwrap();
+        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         prop_assert_eq!(original.g_counts(), loaded.g_counts());
         prop_assert_eq!(original.b_counts(), loaded.b_counts());
         prop_assert_eq!(original.a_size(), loaded.a_size());
@@ -217,12 +196,12 @@ proptest! {
     /// Truncation at any length fails loudly.
     #[test]
     fn truncation_never_loads(cut_permille in 0usize..1000) {
-        let mut small = engine(CostModel::unit(), 1);
+        let mut small = engine(CostModel::unit());
         small.expand_to_cost(1);
         let bytes = small.snapshot_to_bytes().unwrap();
         let cut = bytes.len() * cut_permille / 1000;
         prop_assert!(cut < bytes.len());
-        prop_assert!(SynthesisEngine::load_snapshot_from_bytes(&bytes[..cut], 1).is_err());
+        prop_assert!(SynthesisEngine::load_snapshot_from_bytes(&bytes[..cut]).is_err());
     }
 }
 
@@ -239,8 +218,7 @@ fn snapshot_bytes_are_pinned() {
     // The on-disk v2 format is independent of how `seen` is stored or
     // hashed in memory: these digests were recorded before the slot
     // table replaced the `HashMap`, and they must never move unless the
-    // format version does. Thread counts 1 and 2 exercise the inline
-    // and the sharded expansion paths.
+    // format version does.
     let pins: [(&str, usize, u64); 3] = [
         ("narrow unit cb 5", 6_190_106, 0xb475_dd85_9e94_67ea),
         (
@@ -250,29 +228,19 @@ fn snapshot_bytes_are_pinned() {
         ),
         ("wide unit cb 3", 20_639_134, 0xd2e8_7d01_b50e_8beb),
     ];
-    for threads in [1, 2] {
-        let mut narrow = engine(CostModel::unit(), threads);
-        narrow.expand_to_cost(5);
-        let mut weighted = engine(CostModel::weighted(1, 2, 3), threads);
-        weighted.expand_to_cost(6);
-        let mut wide = mvq_core::WideSynthesisEngine::with_threads(
-            GateLibrary::standard(4),
-            CostModel::unit(),
-            threads,
-        );
-        wide.expand_to_cost(3);
-        let got = [
-            narrow.snapshot_to_bytes().unwrap(),
-            weighted.snapshot_to_bytes().unwrap(),
-            wide.snapshot_to_bytes().unwrap(),
-        ];
-        for ((label, len, digest), bytes) in pins.iter().zip(&got) {
-            assert_eq!(bytes.len(), *len, "{label} (threads = {threads}): length");
-            assert_eq!(
-                fnv_digest(bytes),
-                *digest,
-                "{label} (threads = {threads}): digest"
-            );
-        }
+    let mut narrow = engine(CostModel::unit());
+    narrow.expand_to_cost(5);
+    let mut weighted = engine(CostModel::weighted(1, 2, 3));
+    weighted.expand_to_cost(6);
+    let mut wide = mvq_core::WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit());
+    wide.expand_to_cost(3);
+    let got = [
+        narrow.snapshot_to_bytes().unwrap(),
+        weighted.snapshot_to_bytes().unwrap(),
+        wide.snapshot_to_bytes().unwrap(),
+    ];
+    for ((label, len, digest), bytes) in pins.iter().zip(&got) {
+        assert_eq!(bytes.len(), *len, "{label}: length");
+        assert_eq!(fnv_digest(bytes), *digest, "{label}: digest");
     }
 }

@@ -107,11 +107,11 @@ fn orbit_counts<W: SearchWidth>(engine: &mut SearchEngine<W>, cb: u32) -> Vec<us
 }
 
 fn narrow(n: usize) -> SearchEngine<mvq_core::Narrow> {
-    SearchEngine::with_threads(GateLibrary::standard(n), CostModel::unit(), 1)
+    SearchEngine::new(GateLibrary::standard(n), CostModel::unit())
 }
 
 fn wide() -> WideSynthesisEngine {
-    WideSynthesisEngine::with_threads(GateLibrary::standard(4), CostModel::unit(), 1)
+    WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit())
 }
 
 #[test]
@@ -141,10 +141,9 @@ fn four_wire_levels_are_unions_of_relabeling_orbits() {
 #[test]
 fn weighted_levels_are_unions_of_relabeling_orbits() {
     // The closure holds for any cost model that prices gates by kind.
-    let mut engine = SearchEngine::<mvq_core::Narrow>::with_threads(
+    let mut engine = SearchEngine::<mvq_core::Narrow>::new(
         GateLibrary::standard(3),
         CostModel::weighted(1, 1, 3),
-        1,
     );
     assert_eq!(orbit_counts(&mut engine, 6), [1, 2, 11, 21, 67, 189, 516]);
 }
