@@ -10,7 +10,7 @@ use mvq_core::{
 };
 use mvq_logic::{Gate, GateLibrary, PatternDomain, TruthTable};
 use mvq_perm::Perm;
-use mvq_serve::{HostConfig, HostRegistry, Server};
+use mvq_serve::{HostConfig, HostRegistry, HostWidth, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -94,7 +94,11 @@ const ACCEPTED: &[(&str, &[&str])] = &[
 
 /// Dispatches a raw argument vector to the matching subcommand.
 pub fn dispatch(argv: &[String]) -> CommandResult {
-    let args = Args::parse(argv, &["all"])?;
+    let args = Args::parse(argv, &["all", "help"])?;
+    if args.flag("help") {
+        println!("{USAGE}");
+        return Ok(());
+    }
     let command = args.positional(0).unwrap_or("help");
     if let Some((_, accepted)) = ACCEPTED.iter().find(|(name, _)| *name == command) {
         args.accept_only(command, accepted)?;
@@ -103,7 +107,7 @@ pub fn dispatch(argv: &[String]) -> CommandResult {
     // work on one-shot runs too; `serve --faults` re-arms over this.
     arm_faults("")?;
     match args.positional(0) {
-        None | Some("help") | Some("--help") => {
+        None | Some("help") => {
             println!("{USAGE}");
             Ok(())
         }
@@ -417,52 +421,44 @@ fn arm_faults(plan: &str) -> CommandResult {
     Ok(())
 }
 
-/// Warm-starts the serve registry with the degradation ladder: the
-/// primary snapshot, then its `.bak`, then a cold start with a
-/// diagnostic. A torn snapshot must not keep the service down; only a
-/// *healthy* snapshot that mismatches the configuration (an over-wide
-/// library, a full registry) stays fatal.
-fn install_serve_snapshot(registry: &Arc<HostRegistry>, path: &str) -> CommandResult {
-    // Ok(true) = installed; Ok(false) = unreadable or torn (keep
-    // degrading); Err = healthy but incompatible (fatal).
-    let attempt = |file: &std::path::Path| -> Result<bool, Box<dyn Error>> {
-        let shown = file.display();
-        // The file's recorded widths decide which engine loads it: try
-        // the narrow engine, fall back to the wide one on its
-        // (header-only) width mismatch.
-        let failed = match SynthesisEngine::load_snapshot(file) {
-            Ok(engine) => {
-                announce_snapshot(&shown.to_string(), &engine);
-                registry.install(engine)?;
-                return Ok(true);
-            }
-            Err(SnapshotError::WidthMismatch { .. }) => {
-                match WideSynthesisEngine::load_snapshot(file) {
-                    Ok(engine) => {
-                        announce_snapshot(&shown.to_string(), &engine);
-                        registry.install(engine)?;
-                        return Ok(true);
-                    }
-                    Err(err) => err,
-                }
-            }
-            Err(err) => err,
-        };
-        match failed {
-            SnapshotError::Io(err) => eprintln!("warning: snapshot {shown} unreadable ({err})"),
-            err if err.is_corruption() => eprintln!("warning: snapshot {shown} is torn ({err})"),
-            err => return Err(err.into()),
-        }
-        Ok(false)
+/// Warm-starts the serve registry through the one snapshot fallback
+/// chain, [`SearchEngine::load_snapshot_resilient`] (the primary file,
+/// then its `.bak`): on the narrow engine first, then on the wide one,
+/// which loads a wide primary and a wide backup behind a torn primary.
+/// A torn or unreadable snapshot must not keep the service down: it
+/// serves cold with a warning. Only a *healthy* snapshot that
+/// mismatches the configuration (an over-wide library, a full
+/// registry) stays fatal.
+fn install_serve_snapshot(registry: &HostRegistry, path: &str) -> CommandResult {
+    let narrow = match SynthesisEngine::load_snapshot_resilient(path) {
+        Ok(loaded) => return install_snapshot(registry, path, loaded),
+        Err(err) => err,
     };
-    if attempt(std::path::Path::new(path))? {
-        return Ok(());
-    }
-    let backup = mvq_core::snapshot_backup_path(path);
-    if backup.exists() && attempt(&backup)? {
-        return Ok(());
+    let failed = match WideSynthesisEngine::load_snapshot_resilient(path) {
+        Ok(loaded) => return install_snapshot(registry, path, loaded),
+        Err(wide) if matches!(narrow, SnapshotError::WidthMismatch { .. }) => wide,
+        Err(_) => narrow,
+    };
+    match failed {
+        SnapshotError::Io(err) => eprintln!("warning: snapshot {path} unreadable ({err})"),
+        err if err.is_corruption() => eprintln!("warning: snapshot {path} is torn ({err})"),
+        err => return Err(err.into()),
     }
     eprintln!("warning: no usable snapshot at {path}; serving cold");
+    Ok(())
+}
+
+/// Installs an engine [`install_serve_snapshot`] loaded.
+fn install_snapshot<W: HostWidth>(
+    registry: &HostRegistry,
+    path: &str,
+    (engine, source): (SearchEngine<W>, mvq_core::SnapshotSource),
+) -> CommandResult {
+    if let mvq_core::SnapshotSource::Backup { primary_error } = source {
+        eprintln!("warning: snapshot {path} is torn ({primary_error}); loading its backup");
+    }
+    announce_snapshot(path, &engine);
+    registry.install(engine)?;
     Ok(())
 }
 
@@ -618,6 +614,7 @@ mod tests {
     fn help_runs() {
         assert!(run(&["help"]).is_ok());
         assert!(run(&[]).is_ok());
+        assert!(run(&["--help"]).is_ok());
     }
 
     #[test]
@@ -837,6 +834,38 @@ mod tests {
         let repaired = SynthesisEngine::load_snapshot(&path).unwrap();
         assert_eq!(repaired.completed_cost(), Some(2));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn serve_snapshot_degrades_torn_files_and_rejects_misfits() {
+        let dir = std::env::temp_dir().join(format!("mvq_cli_serve_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.snap");
+        let path_text = path.to_string_lossy().to_string();
+        let registry = || HostRegistry::new(HostConfig::default());
+        // Torn primary and backup, or no file at all: serve cold.
+        std::fs::write(&path, b"torn mid-write").unwrap();
+        std::fs::write(mvq_core::snapshot_backup_path(&path), b"torn too").unwrap();
+        let cold = registry();
+        assert!(install_serve_snapshot(&cold, &path_text).is_ok());
+        let missing = dir.join("missing.snap").to_string_lossy().to_string();
+        assert!(install_serve_snapshot(&cold, &missing).is_ok());
+        assert!(cold.stats().unwrap().is_empty());
+        // A torn primary falls back to a wide backup.
+        let mut wide = WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit());
+        wide.expand_to_cost(1);
+        wide.save_snapshot(mvq_core::snapshot_backup_path(&path))
+            .unwrap();
+        let warm = registry();
+        assert!(install_serve_snapshot(&warm, &path_text).is_ok());
+        let stats = warm.stats().unwrap();
+        assert_eq!((stats[0].wires, stats[0].completed), (4, Some(1)));
+        // A healthy snapshot the service cannot host is fatal.
+        SynthesisEngine::new(GateLibrary::standard(2), CostModel::unit())
+            .save_snapshot(&path)
+            .unwrap();
+        assert!(install_serve_snapshot(&registry(), &path_text).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

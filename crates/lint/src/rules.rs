@@ -147,11 +147,12 @@ const PERSISTENCE_MODULES: [&str; 1] = ["crates/core/src/snapshot.rs"];
 /// Registration methods whose first argument is a metric name, paired
 /// with whether the naming contract demands a unit suffix (gauges are
 /// instantaneous readings, so they carry none).
-const REGISTRATION_METHODS: [(&str, bool); 4] = [
+const REGISTRATION_METHODS: [(&str, bool); 5] = [
     ("counter", true),
-    ("counter_fn", true),
+    ("labelled_counter", true),
     ("histogram", true),
     ("gauge", false),
+    ("labelled_gauge", false),
 ];
 
 /// The unit suffixes the metric naming contract accepts.
@@ -765,10 +766,15 @@ mod tests {
         // A rustfmt-wrapped registration: the name sits on its own line.
         let v = check(
             REG,
-            "fn f(r: &Registry) {\n    r.counter_fn(\n        \"wrapped\",\n        \"h\",\n        || 1,\n    );\n}",
+            "fn f(r: &Registry) {\n    r.labelled_counter(\n        \"wrapped\",\n        \"h\",\n        &labels,\n    );\n}",
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 3);
+        let v = check(
+            REG,
+            "fn f(r: &Registry) { r.labelled_gauge(\"Depth\", \"h\", &l); }",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
         // Contract-following names pass; gauges need no suffix.
         assert!(check(
             REG,

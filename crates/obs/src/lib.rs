@@ -6,10 +6,9 @@
 //! - [`metrics`]: lock-free [`Counter`] / [`Gauge`] / log2 [`Histogram`]
 //!   primitives — the increment path, machine-checked (by `mvq_lint`'s
 //!   `obs` rule) to never lock or allocate.
-//! - [`registry`]: named registration and Prometheus text rendering —
-//!   the scrape path behind `GET /metrics`, including callback-backed
-//!   counters that read atomics owned elsewhere so `/metrics` and
-//!   `/stats` can never disagree.
+//! - [`registry`]: named, optionally labelled registration, and the
+//!   Prometheus text and JSON renderings of one table — the scrape path
+//!   behind `GET /metrics` and `/stats`, which therefore never disagree.
 //! - [`trace`]: deterministic [`TraceId`]s, the levelled [`TraceLog`]
 //!   emitting one structured JSON line per request, and the [`SlowRing`]
 //!   behind `GET /debug/slow`.
@@ -139,11 +138,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registered twice")]
+    #[should_panic(expected = "registered twice, as different kinds")]
     fn registry_rejects_duplicates() {
         let r = Registry::new();
         r.counter("dup_total", "first");
-        r.counter("dup_total", "second");
+        r.histogram("dup_total", "second");
+    }
+
+    #[test]
+    fn reregistering_a_series_returns_its_handle() {
+        let r = Registry::new();
+        let unit = r.labelled_counter("hits_total", "Hits", &[("model", "1,1,1")]);
+        unit.add(3);
+        let again = r.labelled_counter("hits_total", "Hits", &[("model", "1,1,1")]);
+        assert!(Arc::ptr_eq(&unit, &again));
+        let other = r.labelled_counter("hits_total", "Hits", &[("model", "1,1,3")]);
+        other.inc();
+        assert!(Arc::ptr_eq(
+            &r.counter("plain_total", "P"),
+            &r.counter("plain_total", "P")
+        ));
+        let text = r.render_prometheus();
+        assert_eq!(
+            text.matches("# TYPE hits_total counter").count(),
+            1,
+            "{text}"
+        );
+        assert!(text.contains("hits_total{model=\"1,1,1\"} 3\n"), "{text}");
+        assert!(text.contains("hits_total{model=\"1,1,3\"} 1\n"), "{text}");
+        assert!(r.render_json().contains(r#""hits_total":4"#));
     }
 
     #[test]
@@ -151,9 +174,14 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("events_total", "Events");
         c.add(7);
-        r.counter_fn("callback_total", "Callback-backed", || 42);
+        let labels = [("wires", "3"), ("model", "1,1,1")];
+        r.labelled_counter("host_total", "Per host", &labels)
+            .add(42);
+        r.labelled_counter("host_total", "Per host", &[("wires", "4")])
+            .add(5);
         let g = r.gauge("frontier_words", "Frontier");
         g.set(-3);
+        r.labelled_gauge("completed", "Depth", &labels).set(-1);
         let h = r.histogram("latency_us", "Latency");
         for v in [1u64, 2, 3, 1000, 100_000] {
             h.record(v);
@@ -161,15 +189,26 @@ mod tests {
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE events_total counter"));
         assert!(text.contains("events_total 7"));
-        assert!(text.contains("callback_total 42"));
+        assert!(text.contains("host_total{wires=\"3\",model=\"1,1,1\"} 42"));
         assert!(text.contains("frontier_words -3"));
         assert!(text.contains("latency_us_bucket{le=\"+Inf\"} 5"));
+        // Empty buckets (4..=7, and every one past 100_000) are skipped.
+        assert!(!text.contains("latency_us_bucket{le=\"7\"}"), "{text}");
+        assert!(!text.contains("latency_us_bucket{le=\"262143\"}"), "{text}");
         assert!(text.contains("latency_us_count 5"));
 
         let scrape = parse_scrape(&text);
         assert_eq!(scrape.counters["events_total"], 7);
-        assert_eq!(scrape.counters["callback_total"], 42);
+        assert_eq!(
+            scrape.counters[r#"host_total{wires="3",model="1,1,1"}"#],
+            42
+        );
+        assert_eq!(scrape.counters[r#"host_total{wires="4"}"#], 5);
+        assert_eq!(scrape.counter_sum("host_total"), Some(47));
+        assert_eq!(scrape.counter_sum("events_total"), Some(7));
+        assert_eq!(scrape.counter_sum("host"), None);
         assert_eq!(scrape.gauges["frontier_words"], -3);
+        assert_eq!(scrape.gauges[r#"completed{wires="3",model="1,1,1"}"#], -1);
         let hist = &scrape.histograms["latency_us"];
         assert_eq!(hist.count, 5);
         assert_eq!(hist.sum, 101_006);

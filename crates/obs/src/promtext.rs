@@ -5,7 +5,7 @@
 //! the server from its *own* `/metrics` scrape rather than client-side
 //! timing) and by the integration tests that assert `/metrics` and
 //! `/stats` agree. It parses the subset this workspace emits:
-//! un-labelled counter/gauge samples and histogram
+//! counter and gauge samples, labelled or not, and histogram
 //! `_bucket{le="…"}`/`_sum`/`_count` series.
 
 use std::collections::BTreeMap;
@@ -44,12 +44,30 @@ impl ScrapedHistogram {
 /// A parsed `/metrics` scrape.
 #[derive(Debug, Clone, Default)]
 pub struct Scrape {
-    /// Counter samples by name.
+    /// Counter samples by series: the bare name, or the name with its
+    /// label block as rendered (`expansions_total{wires="3",model="1,1,1"}`).
     pub counters: BTreeMap<String, u64>,
-    /// Gauge samples by name.
+    /// Gauge samples by series, keyed like `counters`.
     pub gauges: BTreeMap<String, i64>,
     /// Histogram series by base name.
     pub histograms: BTreeMap<String, ScrapedHistogram>,
+}
+
+impl Scrape {
+    /// The sum of every series of counter `name`, labelled or not —
+    /// the total `/stats` reports for it; `None` when no series has
+    /// that name.
+    pub fn counter_sum(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .filter(|(series, _)| {
+                series
+                    .strip_prefix(name)
+                    .is_some_and(|labels| labels.is_empty() || labels.starts_with('{'))
+            })
+            .map(|(_, &value)| value)
+            .reduce(|sum, value| sum + value)
+    }
 }
 
 /// Parses a Prometheus text scrape. Unknown or malformed lines are
@@ -73,13 +91,14 @@ pub fn parse_scrape(text: &str) -> Scrape {
         let Some((series, value)) = line.rsplit_once(' ') else {
             continue;
         };
-        if let Some((name, label)) = series.split_once('{') {
-            // Only histogram buckets carry labels in our exposition.
-            let Some(base) = name.strip_suffix("_bucket") else {
-                continue;
-            };
-            let Some(le) = label
-                .strip_prefix("le=\"")
+        let name = series.split_once('{').map_or(series, |(name, _)| name);
+        if let Some(base) = name
+            .strip_suffix("_bucket")
+            .filter(|base| types.get(base) == Some(&"histogram"))
+        {
+            let Some(le) = series
+                .strip_prefix(name)
+                .and_then(|label| label.strip_prefix("{le=\""))
                 .and_then(|rest| rest.strip_suffix("\"}"))
             else {
                 continue;
@@ -116,7 +135,7 @@ pub fn parse_scrape(text: &str) -> Scrape {
                 scrape.histograms.entry(base.to_string()).or_default().count = count;
             }
         } else {
-            match types.get(series) {
+            match types.get(name) {
                 Some(&"counter") => {
                     if let Ok(v) = value.parse() {
                         scrape.counters.insert(series.to_string(), v);

@@ -47,7 +47,7 @@ impl LogLevel {
 /// request serial within the connection. Displays as `w3-c12-r1`.
 /// Worker 0 is reserved for the acceptor thread (overload sheds are
 /// written before a worker is involved).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TraceId {
     /// Worker index (0 = acceptor).
     pub worker: u32,

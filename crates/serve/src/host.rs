@@ -30,7 +30,6 @@
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
     TryLockError,
@@ -41,6 +40,7 @@ use mvq_core::{
     Answer, CostModel, EngineError, Narrow, ProbeHandle, SearchEngine, SearchWidth, SnapshotImage,
     Strategy, Synthesis, Wide,
 };
+use mvq_obs::{Counter, Gauge, Registry};
 use mvq_perm::Perm;
 
 /// Per-request serving facts, reported by the `*_traced` methods for
@@ -160,20 +160,6 @@ struct Flight {
     expanding: bool,
 }
 
-/// Service counters (all monotonic).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) synthesize_requests: AtomicU64,
-    pub(crate) census_requests: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
-    pub(crate) expansions: AtomicU64,
-    pub(crate) single_flight_waits: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) rebuilds: AtomicU64,
-    pub(crate) deadline_timeouts: AtomicU64,
-}
-
 /// A point-in-time view of one host's counters and engine state.
 #[derive(Debug, Clone)]
 pub struct HostStats {
@@ -252,32 +238,114 @@ pub struct EngineHost<W: SearchWidth = Narrow> {
     recovery: Mutex<Recovery>,
     limit: u32,
     max_deadline_ms: u64,
-    counters: Counters,
     /// The cost model weights and wire count, fixed at construction.
     model: (u32, u32, u32),
     wires: usize,
-    gauges: Gauges,
+    metrics: HostMetrics,
 }
 
-/// The engine facts [`HostStats`] reports, published by every change
-/// to them — construction, each landed level, a heal — so a stats read
-/// takes no engine lock and never waits on a level. Each value is read
-/// on its own: one stats snapshot may mix two adjacent levels.
-#[derive(Debug, Default)]
-struct Gauges {
-    /// The highest settled level, or `u64::MAX` on a cold engine.
-    completed: AtomicU64,
-    classes_found: AtomicU64,
-    a_size: AtomicU64,
+/// One host's series in a metrics [`Registry`], labelled by its
+/// `(wires, model)`: nine monotone counters, and the engine facts
+/// [`HostStats`] reports as gauges. The gauges are published by every
+/// change to those facts — construction, each landed level, a heal — so
+/// a stats read or a scrape takes no engine lock and never waits on a
+/// level. Each value is read on its own: one stats snapshot may mix two
+/// adjacent levels.
+#[derive(Debug)]
+struct HostMetrics {
+    synthesize_requests: Arc<Counter>,
+    census_requests: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    expansions: Arc<Counter>,
+    single_flight_waits: Arc<Counter>,
+    rejected: Arc<Counter>,
+    rebuilds: Arc<Counter>,
+    deadline_timeouts: Arc<Counter>,
+    /// The highest settled level, or −1 on a cold engine.
+    completed: Arc<Gauge>,
+    classes_found: Arc<Gauge>,
+    a_size: Arc<Gauge>,
 }
 
-impl Gauges {
+impl HostMetrics {
+    /// Registers (or finds, for a host replacing one with the same
+    /// labels) the series of a host over `wires` wires and `model`.
+    fn register(registry: &Registry, wires: usize, model: (u32, u32, u32)) -> Self {
+        let wires = wires.to_string();
+        let model = format!("{},{},{}", model.0, model.1, model.2);
+        let labels = [("wires", wires.as_str()), ("model", model.as_str())];
+        Self {
+            synthesize_requests: registry.labelled_counter(
+                "synthesize_requests_total",
+                "POST /synthesize requests admitted",
+                &labels,
+            ),
+            census_requests: registry.labelled_counter(
+                "census_requests_total",
+                "POST /census requests admitted",
+                &labels,
+            ),
+            cache_hits: registry.labelled_counter(
+                "cache_hits_total",
+                "Queries answered purely from the cached levels",
+                &labels,
+            ),
+            cache_misses: registry.labelled_counter(
+                "cache_misses_total",
+                "Queries not answered from the cached levels (expanded, waited on another \
+                 request's expansion, or served bidirectionally)",
+                &labels,
+            ),
+            expansions: registry.labelled_counter(
+                "expansions_total",
+                "Write-side level expansions performed",
+                &labels,
+            ),
+            single_flight_waits: registry.labelled_counter(
+                "single_flight_waits_total",
+                "Requests that waited on another request's expansion",
+                &labels,
+            ),
+            rejected: registry.labelled_counter(
+                "rejected_requests_total",
+                "Requests rejected by cost-bound admission",
+                &labels,
+            ),
+            rebuilds: registry.labelled_counter(
+                "rebuilds_total",
+                "Poisoned engines quarantined and rebuilt",
+                &labels,
+            ),
+            deadline_timeouts: registry.labelled_counter(
+                "deadline_timeouts_total",
+                "Requests shed because their deadline passed mid-wait",
+                &labels,
+            ),
+            completed: registry.labelled_gauge(
+                "completed",
+                "Highest settled level (-1 while the engine is cold)",
+                &labels,
+            ),
+            classes_found: registry.labelled_gauge(
+                "classes_found",
+                "Distinct reversible classes discovered",
+                &labels,
+            ),
+            a_size: registry.labelled_gauge(
+                "a_size",
+                "Distinct circuit-permutations discovered",
+                &labels,
+            ),
+        }
+    }
+
+    /// Publishes `engine`'s facts into the gauges.
     fn publish<W: SearchWidth>(&self, engine: &SearchEngine<W>) {
-        let completed = engine.completed_cost().map_or(u64::MAX, u64::from);
-        self.completed.store(completed, Ordering::Relaxed);
-        let classes = engine.classes_found() as u64;
-        self.classes_found.store(classes, Ordering::Relaxed);
-        self.a_size.store(engine.a_size() as u64, Ordering::Relaxed);
+        let completed = engine.completed_cost().map_or(-1, i64::from);
+        self.completed.set(completed);
+        self.classes_found.set(engine.classes_found() as i64);
+        self.a_size.set(engine.a_size() as i64);
     }
 }
 
@@ -337,28 +405,38 @@ impl<W: SearchWidth> EngineHost<W> {
     /// and rebuilds from these bytes instead of failing forever. A
     /// snapshot-loaded engine hands over the buffer it was loaded from,
     /// so construction neither serializes nor copies it.
-    pub fn with_limits(
+    ///
+    /// The host's counters and gauges live in a private registry; a
+    /// [`HostRegistry`]'s hosts share the registry its server renders.
+    pub fn with_limits(engine: SearchEngine<W>, max_cost_bound: u32, max_deadline_ms: u64) -> Self {
+        Self::registered(engine, max_cost_bound, max_deadline_ms, &Registry::new())
+    }
+
+    /// [`Self::with_limits`] with the host's series in `registry`.
+    fn registered(
         mut engine: SearchEngine<W>,
         max_cost_bound: u32,
         max_deadline_ms: u64,
+        registry: &Registry,
     ) -> Self {
         let recovery = Recovery {
             last_good: engine.snapshot_to_bytes().ok(),
             probe: engine.probe().clone(),
         };
-        let gauges = Gauges::default();
-        gauges.publish(&engine);
+        let model = engine.cost_model().weights();
+        let wires = engine.library().domain().wires();
+        let metrics = HostMetrics::register(registry, wires, model);
+        metrics.publish(&engine);
         Self {
-            model: engine.cost_model().weights(),
-            wires: engine.library().domain().wires(),
-            gauges,
+            model,
+            wires,
+            metrics,
             engine: RwLock::new(engine),
             flight: Mutex::new(Flight { expanding: false }),
             landed: Condvar::new(),
             recovery: Mutex::new(recovery),
             limit: max_cost_bound,
             max_deadline_ms,
-            counters: Counters::default(),
         }
     }
 
@@ -437,9 +515,7 @@ impl<W: SearchWidth> EngineHost<W> {
 
     /// Counts a request shed at its deadline and builds its error.
     fn shed(&self, budget_ms: u64) -> HostError {
-        self.counters
-            .deadline_timeouts
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.deadline_timeouts.inc();
         HostError::DeadlineExceeded {
             deadline_ms: budget_ms,
         }
@@ -513,7 +589,7 @@ impl<W: SearchWidth> EngineHost<W> {
                 Err(poisoned) => poisoned.into_inner(),
             };
             *slot = engine;
-            self.gauges.publish(&slot);
+            self.metrics.publish(&slot);
         }
         self.engine.clear_poison();
         {
@@ -525,7 +601,7 @@ impl<W: SearchWidth> EngineHost<W> {
         }
         self.flight.clear_poison();
         self.landed.notify_all();
-        self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.metrics.rebuilds.inc();
         drop(recovery);
         Ok(())
     }
@@ -577,9 +653,7 @@ impl<W: SearchWidth> EngineHost<W> {
     ) -> Result<(Option<Synthesis>, ServeTrace), HostError> {
         self.admit(cb)?;
         mvq_fault::point!("serve.read");
-        self.counters
-            .synthesize_requests
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.synthesize_requests.inc();
         let budget_ms = self.budget_ms(deadline_ms);
         let mut query = None;
         self.climb(cb, budget_ms, |engine| {
@@ -605,9 +679,7 @@ impl<W: SearchWidth> EngineHost<W> {
     /// Same as [`Self::census`].
     pub fn census_traced(&self, cb: u32) -> Result<(CensusReply, ServeTrace), HostError> {
         self.admit(cb)?;
-        self.counters
-            .census_requests
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.census_requests.inc();
         self.climb(cb, self.max_deadline_ms, |engine| {
             if !engine.exhausted() && engine.completed_cost().is_none_or(|c| c < cb) {
                 return Answer::NeedsLevel;
@@ -648,11 +720,11 @@ impl<W: SearchWidth> EngineHost<W> {
             if let Answer::Resolved(answer, resolved) = answer {
                 let cache_hit = !missed && resolved == Strategy::Uni;
                 let outcome = if cache_hit {
-                    &self.counters.cache_hits
+                    &self.metrics.cache_hits
                 } else {
-                    &self.counters.cache_misses
+                    &self.metrics.cache_misses
                 };
-                outcome.fetch_add(1, Ordering::Relaxed);
+                outcome.inc();
                 let trace = ServeTrace {
                     cache_hit,
                     expansions,
@@ -665,33 +737,32 @@ impl<W: SearchWidth> EngineHost<W> {
         }
     }
 
-    /// A point-in-time stats snapshot, read from atomics alone: it
-    /// takes no engine lock, so it never waits on a level and never
-    /// heals a poisoned engine (the next request does).
+    /// A point-in-time stats snapshot, read from the host's metric
+    /// handles alone: it takes no engine lock, so it never waits on a
+    /// level and never heals a poisoned engine (the next request does).
     pub fn stats(&self) -> Result<HostStats, Infallible> {
-        let (c, g) = (&self.counters, &self.gauges);
-        let completed = g.completed.load(Ordering::Relaxed);
+        let m = &self.metrics;
         Ok(HostStats {
             model: self.model,
             wires: self.wires,
-            synthesize_requests: c.synthesize_requests.load(Ordering::Relaxed),
-            census_requests: c.census_requests.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            expansions: c.expansions.load(Ordering::Relaxed),
-            single_flight_waits: c.single_flight_waits.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            rebuilds: c.rebuilds.load(Ordering::Relaxed),
-            deadline_timeouts: c.deadline_timeouts.load(Ordering::Relaxed),
-            completed: u32::try_from(completed).ok(),
-            classes_found: g.classes_found.load(Ordering::Relaxed) as usize,
-            a_size: g.a_size.load(Ordering::Relaxed) as usize,
+            synthesize_requests: m.synthesize_requests.get(),
+            census_requests: m.census_requests.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
+            expansions: m.expansions.get(),
+            single_flight_waits: m.single_flight_waits.get(),
+            rejected: m.rejected.get(),
+            rebuilds: m.rebuilds.get(),
+            deadline_timeouts: m.deadline_timeouts.get(),
+            completed: u32::try_from(m.completed.get()).ok(),
+            classes_found: m.classes_found.get() as usize,
+            a_size: m.a_size.get() as usize,
         })
     }
 
     fn admit(&self, cb: u32) -> Result<(), HostError> {
         if cb > self.limit {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            self.metrics.rejected.inc();
             return Err(HostError::CostBoundExceeded {
                 requested: cb,
                 limit: self.limit,
@@ -724,9 +795,7 @@ impl<W: SearchWidth> EngineHost<W> {
             return Err(self.shed(budget_ms));
         }
         if flight.expanding {
-            self.counters
-                .single_flight_waits
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.single_flight_waits.inc();
             let (flight, timeout) = self.landed.wait_timeout(flight, remaining)?;
             if timeout.timed_out() && flight.expanding {
                 // Still behind the same (or a newer) expansion with no
@@ -749,7 +818,7 @@ impl<W: SearchWidth> EngineHost<W> {
             if needed {
                 mvq_fault::point!("serve.write");
                 engine.settle_one_level();
-                self.gauges.publish(&engine);
+                self.metrics.publish(&engine);
             }
             needed
         };
@@ -757,7 +826,7 @@ impl<W: SearchWidth> EngineHost<W> {
         if !settled {
             return Ok(0);
         }
-        self.counters.expansions.fetch_add(1, Ordering::Relaxed);
+        self.metrics.expansions.inc();
         Ok(1)
     }
 }
@@ -812,6 +881,9 @@ impl HostWidth for Wide {
 pub struct HostRegistry {
     config: HostConfig,
     hosts: Mutex<HostTables>,
+    /// The metrics every host registers its series into, and the server
+    /// bound over this registry renders.
+    metrics: Arc<Registry>,
     /// The observability probe every hosted engine reports into, set
     /// once by the transport layer at bind time; hosts created later
     /// inherit it at construction.
@@ -825,8 +897,14 @@ impl HostRegistry {
         Self {
             config,
             hosts: Mutex::new(HostTables::default()),
+            metrics: Arc::new(Registry::new()),
             probe: OnceLock::new(),
         }
+    }
+
+    /// The metrics registry the hosts' series live in.
+    pub(crate) fn metrics(&self) -> &Arc<Registry> {
+        &self.metrics
     }
 
     /// The registry's configuration.
@@ -864,7 +942,8 @@ impl HostRegistry {
 
     /// Installs a pre-warmed engine (e.g. loaded from a snapshot) as
     /// the host for its own cost model in its width's table, replacing
-    /// any existing host.
+    /// any existing host. The new host continues the replaced one's
+    /// counter series.
     ///
     /// # Errors
     ///
@@ -895,10 +974,11 @@ impl HostRegistry {
     /// A host for `engine` under the registry's limits, with the
     /// registry's probe installed best-effort.
     fn new_host<W: SearchWidth>(&self, engine: SearchEngine<W>) -> Arc<EngineHost<W>> {
-        let host = Arc::new(EngineHost::with_limits(
+        let host = Arc::new(EngineHost::registered(
             engine,
             self.config.max_cost_bound,
             self.config.max_deadline_ms,
+            &self.metrics,
         ));
         let probe = self.probe();
         if probe.is_set() {
@@ -949,24 +1029,6 @@ impl HostRegistry {
         all.sort_by_key(|s| (s.wires, s.model));
         Ok(all)
     }
-
-    /// One service counter summed over every live host. It reads the
-    /// hosts' atomics under the registry mutex alone, never an engine
-    /// lock, so a `/metrics` scrape cannot queue behind a level
-    /// expansion. A poisoned registry mutex is still read: the table
-    /// only maps models to hosts, and the values are atomics.
-    pub(crate) fn counter_total(&self, field: fn(&Counters) -> &AtomicU64) -> u64 {
-        let hosts = match self.hosts.lock() {
-            Ok(hosts) => hosts,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let narrow = hosts.narrow.values().map(|h| field(&h.counters));
-        let wide = hosts.wide.values().map(|h| field(&h.counters));
-        narrow
-            .chain(wide)
-            .map(|count| count.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -976,6 +1038,12 @@ mod tests {
 
     fn unit_host(limit: u32) -> EngineHost {
         EngineHost::new(SynthesisEngine::unit_cost(), limit)
+    }
+
+    /// Counter `name` summed over every host's series, as a `/metrics`
+    /// scrape of `registry` reports it.
+    fn scraped_total(registry: &HostRegistry, name: &str) -> Option<u64> {
+        mvq_obs::parse_scrape(&registry.metrics().render_prometheus()).counter_sum(name)
     }
 
     #[test]
@@ -1273,6 +1341,10 @@ mod tests {
         // toward one cap.
         registry.host_for::<Narrow>(CostModel::unit()).unwrap();
         assert_eq!(registry.stats().unwrap().len(), 2);
+        // Each is its own labelled series; the cold one's depth reads −1.
+        let scrape = mvq_obs::parse_scrape(&registry.metrics().render_prometheus());
+        assert_eq!(scrape.gauges[r#"completed{wires="4",model="1,1,1"}"#], 1);
+        assert_eq!(scrape.gauges[r#"completed{wires="3",model="1,1,1"}"#], -1);
     }
 
     #[test]
@@ -1313,9 +1385,8 @@ mod tests {
     #[test]
     fn registry_reads_never_wait_on_a_held_engine() {
         // `stats()` reads each host's published gauges, so neither it nor
-        // what queues on the registry lock behind it — a `/metrics`
-        // counter total, a request to another host — waits on a level
-        // that holds one host's engine write lock.
+        // a `/metrics` scrape nor a request to another host waits on a
+        // level that holds one host's engine write lock.
         let registry = HostRegistry::new(HostConfig::default());
         let busy = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
         let model = CostModel::weighted(1, 2, 3);
@@ -1332,8 +1403,8 @@ mod tests {
             let depths: Vec<Option<u32>> = stats.iter().map(|s| s.completed).collect();
             assert_eq!(depths, [Some(3), Some(3)]);
             let start = Instant::now();
-            assert_eq!(registry.counter_total(|c| &c.census_requests), 2);
-            assert!(start.elapsed() < bound, "the counter total waited");
+            assert_eq!(scraped_total(&registry, "census_requests_total"), Some(2));
+            assert!(start.elapsed() < bound, "the scrape waited");
             let start = Instant::now();
             let (syn, trace) = registry
                 .host_for::<Narrow>(model)
@@ -1590,19 +1661,11 @@ mod tests {
 
     #[test]
     fn metrics_host_counters_never_wait_on_an_engine_lock() {
-        let registry = Arc::new(HostRegistry::new(HostConfig::default()));
+        let registry = HostRegistry::new(HostConfig::default());
         let host = registry.install(SynthesisEngine::unit_cost()).unwrap();
         host.census(2).unwrap();
-        let obs = crate::obs::ServeObs::new();
-        obs.register_host_counters(&registry);
-        let census_total = || {
-            obs.registry()
-                .counter_values()
-                .into_iter()
-                .find(|&(name, _)| name == "census_requests_total")
-                .map(|(_, value)| value)
-        };
-        // A scrape mid-level reads the atomics, not the engine.
+        let census_total = || scraped_total(&registry, "census_requests_total");
+        // A scrape mid-level reads the counters, not the engine.
         std::thread::scope(|scope| {
             let writer = hold_write_lock(scope, &host, Duration::from_millis(600));
             let start = Instant::now();
@@ -1624,6 +1687,75 @@ mod tests {
         });
         assert!(panicked.is_err());
         assert_eq!(census_total(), Some(1));
+    }
+
+    #[test]
+    fn metrics_render_while_the_hosts_mutex_is_held() {
+        // A scrape reads the metrics registry alone: a cold host being
+        // built under `hosts` (or anything else holding it) cannot stall
+        // it.
+        let registry = HostRegistry::new(HostConfig::default());
+        registry
+            .host_for::<Narrow>(CostModel::unit())
+            .unwrap()
+            .census(1)
+            .unwrap();
+        let hosts = registry.hosts.lock().unwrap();
+        let (sent, rendered) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| sent.send(scraped_total(&registry, "census_requests_total")));
+            let total = rendered.recv_timeout(Duration::from_secs(1));
+            drop(hosts);
+            assert_eq!(total, Ok(Some(1)), "the scrape waited on `hosts`");
+        });
+    }
+
+    #[test]
+    fn host_counters_stay_monotone_across_heal_and_install() {
+        let registry = HostRegistry::new(HostConfig::default());
+        let host = registry.host_for::<Narrow>(CostModel::unit()).unwrap();
+        host.census(2).unwrap();
+        host.synthesize(&known::peres_perm(), 5).unwrap();
+        let totals = |registry: &HostRegistry| {
+            [
+                "census_requests_total",
+                "synthesize_requests_total",
+                "expansions_total",
+            ]
+            .map(|name| scraped_total(registry, name).unwrap())
+        };
+        let before = totals(&registry);
+        assert_eq!(before, [1, 1, 5]);
+        // A heal rebuilds the engine; the counters carry on from where
+        // they were, and the gauges follow the rebuilt engine.
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = host.engine.write().unwrap();
+                    panic!("injected writer panic");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        host.census(1).unwrap();
+        assert_eq!(totals(&registry), [2, 1, 7]);
+        assert_eq!(host.stats().unwrap().rebuilds, 1);
+        assert_eq!(host.stats().unwrap().completed, Some(1));
+        // A host installed in place of one with the same labels continues
+        // its series, and its gauges report the installed engine.
+        let mut warm = SynthesisEngine::unit_cost();
+        warm.expand_to_cost(3);
+        let replaced = registry.install(warm).unwrap();
+        replaced.census(3).unwrap();
+        assert_eq!(totals(&registry), [3, 1, 7]);
+        let stats = replaced.stats().unwrap();
+        assert_eq!((stats.census_requests, stats.rebuilds), (3, 1));
+        assert_eq!(stats.completed, Some(3));
+        let scrape = mvq_obs::parse_scrape(&registry.metrics().render_prometheus());
+        assert_eq!(
+            scrape.gauges[r#"completed{wires="3",model="1,1,1"}"#], 3,
+            "{scrape:?}"
+        );
     }
 
     #[test]

@@ -187,35 +187,13 @@ pub fn write_response(
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    write_response_with(writer, status, body, keep_alive, &[])
+    write_response_typed(writer, status, "application/json", body, keep_alive, &[])
 }
 
-/// [`write_response`] with extra headers (e.g. `Retry-After` on a 503),
-/// still framed into a single `write_all`.
-///
-/// # Errors
-///
-/// Any underlying I/O error.
-pub fn write_response_with(
-    writer: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    write_response_typed(
-        writer,
-        status,
-        "application/json",
-        body,
-        keep_alive,
-        extra_headers,
-    )
-}
-
-/// [`write_response_with`] with an explicit `Content-Type` (the
-/// `/metrics` endpoint answers in Prometheus text format, everything
-/// else is JSON), still framed into a single `write_all`.
+/// [`write_response`] with an explicit `Content-Type` (the `/metrics`
+/// endpoint answers in Prometheus text format, everything else is JSON)
+/// and extra headers (e.g. `Retry-After` on a 503), still framed into a
+/// single `write_all`.
 ///
 /// # Errors
 ///
@@ -382,7 +360,15 @@ mod tests {
     #[test]
     fn extra_headers_land_before_the_blank_line() {
         let mut out = Vec::new();
-        write_response_with(&mut out, 503, "{}", false, &[("Retry-After", "1")]).unwrap();
+        write_response_typed(
+            &mut out,
+            503,
+            "application/json",
+            "{}",
+            false,
+            &[("Retry-After", "1")],
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");

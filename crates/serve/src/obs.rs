@@ -1,16 +1,18 @@
 //! Server-side observability: the metrics registry, structured request
 //! tracing, and the search-probe wiring.
 //!
-//! One [`ServeObs`] lives behind each [`crate::Server`]. It owns the
-//! lock-free metrics (`mvq_obs`), the levelled trace log (one JSON line
+//! One [`ServeObs`] lives behind each [`crate::Server`]. It registers the
+//! transport's metrics in the [`crate::HostRegistry`]'s `mvq_obs`
+//! registry, where every host already keeps its counters and engine
+//! gauges as series labelled by `(wires, model)`; `GET /metrics` and the
+//! `"metrics"` object of `GET /stats` are two renderings of that one
+//! table, so the endpoints cannot drift apart, and neither takes a host
+//! or engine lock. It also owns the levelled trace log (one JSON line
 //! per request at `info`), the slowest-requests ring served at
 //! `GET /debug/slow`, and the [`RegistryProbe`] every hosted engine
-//! reports into. The host counters exposed at `GET /metrics` are
-//! callback-backed reads of the same atomics the `/stats` JSON renders,
-//! so the two endpoints can never drift apart.
+//! reports into.
 
 use std::fmt;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use mvq_obs::{
@@ -18,19 +20,14 @@ use mvq_obs::{
 };
 use serde::{Content, Serialize};
 
-use crate::host::{Counters, HostRegistry};
 use crate::json::render;
 
 /// How many of the slowest requests `GET /debug/slow` retains.
 const SLOW_RING_CAP: usize = 32;
 
-/// One host counter registration: metric name, help text, and the
-/// per-host atomic summed across hosts at scrape time.
-type HostCounterSpec = (&'static str, &'static str, fn(&Counters) -> &AtomicU64);
-
 /// The server's observability state (see the module docs).
 pub struct ServeObs {
-    registry: Registry,
+    registry: Arc<Registry>,
     trace: TraceLog,
     slow: SlowRing,
     probe: ProbeHandle,
@@ -50,10 +47,9 @@ impl fmt::Debug for ServeObs {
 }
 
 impl ServeObs {
-    /// A fresh observability bundle with the serve metric family and
-    /// the search-probe metric family registered.
-    pub(crate) fn new() -> Arc<Self> {
-        let registry = Registry::new();
+    /// An observability bundle with the serve metric family and the
+    /// search-probe metric family registered in `registry`.
+    pub(crate) fn new(registry: Arc<Registry>) -> Arc<Self> {
         let probe = ProbeHandle::new(Arc::new(RegistryProbe::new(registry.probe_metrics())));
         let request_us = registry.histogram(
             "request_us",
@@ -113,106 +109,6 @@ impl ServeObs {
         self.probe.clone()
     }
 
-    /// Registers callback-backed counters over `hosts`' per-host
-    /// atomics, summed across hosts at scrape time. Reading the live
-    /// atomics (rather than mirroring them) is what keeps `/metrics`
-    /// and `/stats` identical by construction; reading them without
-    /// engine locks is what keeps a scrape from waiting on a level.
-    pub(crate) fn register_host_counters(&self, hosts: &Arc<HostRegistry>) {
-        let fields: [HostCounterSpec; 9] = [
-            (
-                "synthesize_requests_total",
-                "POST /synthesize requests admitted, all hosts",
-                |c| &c.synthesize_requests,
-            ),
-            (
-                "census_requests_total",
-                "POST /census requests admitted, all hosts",
-                |c| &c.census_requests,
-            ),
-            (
-                "cache_hits_total",
-                "Queries answered purely from the cached levels, all hosts",
-                |c| &c.cache_hits,
-            ),
-            (
-                "cache_misses_total",
-                "Queries not answered from the cached levels (expanded, waited on another \
-                 request's expansion, or served bidirectionally), all hosts",
-                |c| &c.cache_misses,
-            ),
-            (
-                "expansions_total",
-                "Write-side level expansions performed, all hosts",
-                |c| &c.expansions,
-            ),
-            (
-                "single_flight_waits_total",
-                "Requests that waited on another request's expansion, all hosts",
-                |c| &c.single_flight_waits,
-            ),
-            (
-                "rejected_requests_total",
-                "Requests rejected by cost-bound admission, all hosts",
-                |c| &c.rejected,
-            ),
-            (
-                "rebuilds_total",
-                "Poisoned engines quarantined and rebuilt, all hosts",
-                |c| &c.rebuilds,
-            ),
-            (
-                "deadline_timeouts_total",
-                "Requests shed because their deadline passed mid-wait, all hosts",
-                |c| &c.deadline_timeouts,
-            ),
-        ];
-        for (name, help, field) in fields {
-            let hosts = Arc::clone(hosts);
-            self.registry
-                .counter_fn(name, help, move || hosts.counter_total(field));
-        }
-    }
-
-    /// The registry as a JSON object for the `/stats` merge:
-    /// `{"counters":{…},"gauges":{…},"histograms":{name:{count,sum,p50,p90,p99}}}`.
-    /// Metric names are static `snake_case`, so no JSON escaping is
-    /// needed.
-    pub(crate) fn render_stats_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from(r#"{"counters":{"#);
-        for (i, (name, value)) in self.registry.counter_values().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, r#""{name}":{value}"#);
-        }
-        out.push_str(r#"},"gauges":{"#);
-        for (i, (name, value)) in self.registry.gauge_values().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, r#""{name}":{value}"#);
-        }
-        out.push_str(r#"},"histograms":{"#);
-        for (i, (name, snap)) in self.registry.histogram_snapshots().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                r#""{name}":{{"count":{},"sum":{},"p50":{},"p90":{},"p99":{}}}"#,
-                snap.count,
-                snap.sum,
-                snap.quantile(0.5),
-                snap.quantile(0.9),
-                snap.quantile(0.99),
-            );
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// The single per-request completion point: counts the response,
     /// records the latency histograms, offers the line to the slow
     /// ring, and emits it at `info`. Called exactly once per request —
@@ -221,8 +117,8 @@ impl ServeObs {
         self.http_requests_total.inc();
         self.request_us.record(fields.total_us);
         match fields.path {
-            "/synthesize" => self.synthesize_us.record(fields.total_us),
-            "/census" => self.census_us.record(fields.total_us),
+            Some("/synthesize") => self.synthesize_us.record(fields.total_us),
+            Some("/census") => self.census_us.record(fields.total_us),
             _ => {}
         }
         if let Some(us) = fields.queue_us {
@@ -237,22 +133,28 @@ impl ServeObs {
     }
 }
 
-/// Everything one request's trace line carries. Fields that do not
-/// apply to an endpoint render as JSON `null`, so every line has the
-/// same schema (documented in the README's Observability section).
+/// Everything one request's trace line carries. The handlers fill in
+/// what applies to their endpoint; the rest renders as JSON `null`, so
+/// every line has the same schema (documented in the README's
+/// Observability section).
+#[derive(Default)]
 pub(crate) struct TraceFields<'a> {
     /// Deterministic request id (`w3-c12-r1`).
     pub id: TraceId,
-    /// Request method (`-` when the request never parsed).
-    pub method: &'a str,
-    /// Request path (`-` when the request never parsed).
-    pub path: &'a str,
+    /// Request method (`None`, rendered `-`, when the request never
+    /// parsed).
+    pub method: Option<&'a str>,
+    /// Request path (`None`, rendered `-`, when the request never
+    /// parsed).
+    pub path: Option<&'a str>,
     /// Response status code.
     pub status: u16,
-    /// `ok` / `invalid` / `timeout` / `error` / `shed`.
-    pub outcome: &'static str,
+    /// `ok` / `invalid` / `timeout` / `error` / `shed`; `None` takes
+    /// the class the status implies (a 503 can be a deadline `timeout`
+    /// or a panic `error`, so handlers may say which).
+    pub outcome: Option<&'static str>,
     /// The synthesize target, verbatim from the request.
-    pub target: Option<&'a str>,
+    pub target: Option<String>,
     /// Register width the request ran on.
     pub wires: Option<usize>,
     /// The serving strategy actually used (`auto` resolves).
@@ -269,6 +171,17 @@ pub(crate) struct TraceFields<'a> {
     pub total_us: u64,
 }
 
+/// The outcome class a status code implies when no handler said
+/// otherwise.
+fn outcome_for(status: u16) -> &'static str {
+    match status {
+        200..=299 => "ok",
+        500 => "error",
+        503 => "shed",
+        _ => "invalid",
+    }
+}
+
 impl Serialize for TraceFields<'_> {
     fn serialize(&self) -> Content {
         fn text(v: &str) -> Content {
@@ -279,13 +192,16 @@ impl Serialize for TraceFields<'_> {
         }
         Content::Map(vec![
             ("trace".to_string(), text(&self.id.to_string())),
-            ("method".to_string(), text(self.method)),
-            ("path".to_string(), text(self.path)),
+            ("method".to_string(), text(self.method.unwrap_or("-"))),
+            ("path".to_string(), text(self.path.unwrap_or("-"))),
             ("status".to_string(), Content::U64(self.status.into())),
-            ("outcome".to_string(), text(self.outcome)),
+            (
+                "outcome".to_string(),
+                text(self.outcome.unwrap_or_else(|| outcome_for(self.status))),
+            ),
             (
                 "target".to_string(),
-                self.target.map_or(Content::Null, text),
+                self.target.as_deref().map_or(Content::Null, text),
             ),
             ("wires".to_string(), num(self.wires.map(|w| w as u64))),
             (

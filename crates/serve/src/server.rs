@@ -126,8 +126,7 @@ impl Server {
     ///
     /// Any socket-level bind failure.
     pub fn bind(addr: impl ToSocketAddrs, registry: Arc<HostRegistry>) -> io::Result<Self> {
-        let obs = ServeObs::new();
-        obs.register_host_counters(&registry);
+        let obs = ServeObs::new(Arc::clone(registry.metrics()));
         registry.set_probe(obs.probe());
         Ok(Self {
             listener: TcpListener::bind(addr)?,
@@ -250,32 +249,6 @@ struct Ctx {
     addr: SocketAddr,
 }
 
-/// Per-request facts the handlers report up to the transport layer for
-/// the trace line. `None` renders as JSON `null`.
-#[derive(Default)]
-struct RequestMeta {
-    target: Option<String>,
-    wires: Option<usize>,
-    strategy: Option<&'static str>,
-    cache: Option<bool>,
-    expansions: Option<u64>,
-    engine_us: Option<u64>,
-    /// Overrides the status-derived outcome (e.g. a 503 can be a
-    /// deadline `timeout` or a panic `error`).
-    outcome: Option<&'static str>,
-}
-
-/// The outcome class a status code implies when no handler said
-/// otherwise.
-fn outcome_for(status: u16) -> &'static str {
-    match status {
-        200..=299 => "ok",
-        500 => "error",
-        503 => "shed",
-        _ => "invalid",
-    }
-}
-
 /// Sheds a connection the worker queue has no room for: an immediate
 /// best-effort 503 + `Retry-After` on the accept thread, without ever
 /// reading the request (a slow client must not stall accepts).
@@ -298,18 +271,10 @@ fn shed_overload(conn: Conn, ctx: &Ctx) {
             conn: conn.id,
             req: 0,
         },
-        method: "-",
-        path: "-",
         status: 503,
-        outcome: "shed",
-        target: None,
-        wires: None,
-        strategy: None,
-        cache: None,
-        expansions: None,
         queue_us: Some(elapsed),
-        engine_us: None,
         total_us: elapsed,
+        ..TraceFields::default()
     });
 }
 
@@ -339,30 +304,42 @@ fn handle_connection(conn: Conn, worker: u32, ctx: &Ctx) -> io::Result<()> {
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
             Ok(None) => return Ok(()), // client closed cleanly
-            Err(err) if err.kind() == io::ErrorKind::InvalidData => {
-                let result = write_response(&mut writer, 400, &error_body(&err.to_string()), false);
-                finish_unparsed(ctx, id, 400, queue_us.take());
+            Err(err) => {
+                // Bad framing or an oversized body: answer, and trace the
+                // request with no method or path.
+                let status = match err.kind() {
+                    io::ErrorKind::InvalidData => 400,
+                    io::ErrorKind::FileTooLarge => 413,
+                    _ => return Err(err),
+                };
+                let result =
+                    write_response(&mut writer, status, &error_body(&err.to_string()), false);
+                ctx.obs.finish_request(&TraceFields {
+                    id,
+                    status,
+                    queue_us: queue_us.take(),
+                    ..TraceFields::default()
+                });
                 result?;
                 return Ok(());
             }
-            Err(err) if err.kind() == io::ErrorKind::FileTooLarge => {
-                let result = write_response(&mut writer, 413, &error_body(&err.to_string()), false);
-                finish_unparsed(ctx, id, 413, queue_us.take());
-                result?;
-                return Ok(());
-            }
-            Err(err) => return Err(err),
         };
         let started = Instant::now();
         let keep_alive = request.keep_alive() && !ctx.shutdown.load(Ordering::SeqCst);
-        let mut meta = RequestMeta::default();
+        let mut trace = TraceFields {
+            id,
+            method: Some(&request.method),
+            path: Some(&request.path),
+            queue_us: queue_us.take(),
+            ..TraceFields::default()
+        };
         // Contain handler panics (e.g. an engine panicking mid-expansion)
         // to this request: the client still gets a response, the
         // connection and worker survive, and the poisoned host rebuilds
         // itself when the next request touches it.
-        let routed = catch_unwind(AssertUnwindSafe(|| route(&request, ctx, &mut meta)));
+        let routed = catch_unwind(AssertUnwindSafe(|| route(&request, ctx, &mut trace)));
         let (status, body, shutdown_after) = routed.unwrap_or_else(|_| {
-            meta.outcome = Some("error");
+            trace.outcome = Some("error");
             (
                 503,
                 error_body("request handler panicked; the host is rebuilding, retry shortly"),
@@ -387,21 +364,9 @@ fn handle_connection(conn: Conn, worker: u32, ctx: &Ctx) -> io::Result<()> {
             keep_alive && !shutdown_after,
             retry,
         );
-        ctx.obs.finish_request(&TraceFields {
-            id,
-            method: &request.method,
-            path: &request.path,
-            status,
-            outcome: meta.outcome.unwrap_or_else(|| outcome_for(status)),
-            target: meta.target.as_deref(),
-            wires: meta.wires,
-            strategy: meta.strategy,
-            cache: meta.cache,
-            expansions: meta.expansions,
-            queue_us: queue_us.take(),
-            engine_us: meta.engine_us,
-            total_us: us(started.elapsed()),
-        });
+        trace.status = status;
+        trace.total_us = us(started.elapsed());
+        ctx.obs.finish_request(&trace);
         write_result?;
         if shutdown_after {
             ctx.shutdown.store(true, Ordering::SeqCst);
@@ -414,28 +379,8 @@ fn handle_connection(conn: Conn, worker: u32, ctx: &Ctx) -> io::Result<()> {
     }
 }
 
-/// Traces a request that never parsed (bad framing / oversized body):
-/// method and path are unknown, so the line carries `-` placeholders.
-fn finish_unparsed(ctx: &Ctx, id: TraceId, status: u16, queue_us: Option<u64>) {
-    ctx.obs.finish_request(&TraceFields {
-        id,
-        method: "-",
-        path: "-",
-        status,
-        outcome: "invalid",
-        target: None,
-        wires: None,
-        strategy: None,
-        cache: None,
-        expansions: None,
-        queue_us,
-        engine_us: None,
-        total_us: 0,
-    });
-}
-
 /// Dispatches one request. Returns `(status, body, shutdown_after)`.
-fn route(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, String, bool) {
+fn route(request: &Request, ctx: &Ctx, trace: &mut TraceFields<'_>) -> (u16, String, bool) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => (
             200,
@@ -471,22 +416,22 @@ fn route(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, String, 
                         hosts.len(),
                         ctx.obs.sheds_total.get(),
                         hosts.join(","),
-                        ctx.obs.render_stats_json(),
+                        ctx.obs.registry().render_json(),
                     ),
                     false,
                 )
             }
-            Err(err) => host_error(&err, meta),
+            Err(err) => host_error(&err, trace),
         },
-        ("POST", "/synthesize") => synthesize(request, ctx, meta),
-        ("POST", "/census") => census(request, ctx, meta),
+        ("POST", "/synthesize") => synthesize(request, ctx, trace),
+        ("POST", "/census") => census(request, ctx, trace),
         ("POST", "/shutdown") => (200, r#"{"status":"shutting down"}"#.to_string(), true),
         ("GET" | "POST", _) => (404, error_body("no such endpoint"), false),
         _ => (405, error_body("method not allowed"), false),
     }
 }
 
-fn host_error(err: &HostError, meta: &mut RequestMeta) -> (u16, String, bool) {
+fn host_error(err: &HostError, trace: &mut TraceFields<'_>) -> (u16, String, bool) {
     let (status, outcome) = match err {
         HostError::CostBoundExceeded { .. } => (400, "invalid"),
         HostError::TooManyModels { .. } => (429, "invalid"),
@@ -494,7 +439,7 @@ fn host_error(err: &HostError, meta: &mut RequestMeta) -> (u16, String, bool) {
         // A deadline shed is load, not failure: 503 so clients retry.
         HostError::DeadlineExceeded { .. } => (503, "timeout"),
     };
-    meta.outcome = Some(outcome);
+    trace.outcome = Some(outcome);
     (status, error_body(&err.to_string()), false)
 }
 
@@ -530,34 +475,34 @@ fn synthesize_on<W: SearchWidth>(
     default_cb: u32,
     strategy: Strategy,
     deadline_ms: Option<u64>,
-    meta: &mut RequestMeta,
+    trace: &mut TraceFields<'_>,
 ) -> (u16, String, bool) {
     let host = match host {
         Ok(host) => host,
-        Err(err) => return host_error(&err, meta),
+        Err(err) => return host_error(&err, trace),
     };
     let cb = cb.unwrap_or_else(|| default_cb.min(host.cost_bound_limit()));
     let engine_started = Instant::now();
     let result = host.synthesize_traced(target, cb, strategy, deadline_ms);
-    meta.engine_us = Some(us(engine_started.elapsed()));
+    trace.engine_us = Some(us(engine_started.elapsed()));
     match result {
-        Ok((synthesis, trace)) => {
-            meta.strategy = Some(trace.resolved.as_str());
-            meta.cache = Some(trace.cache_hit);
-            meta.expansions = Some(trace.expansions);
+        Ok((synthesis, served)) => {
+            trace.strategy = Some(served.resolved.as_str());
+            trace.cache = Some(served.cache_hit);
+            trace.expansions = Some(served.expansions);
             (200, render(&SynthesizeReply { cb, synthesis }), false)
         }
-        Err(err) => host_error(&err, meta),
+        Err(err) => host_error(&err, trace),
     }
 }
 
-fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, String, bool) {
+fn synthesize(request: &Request, ctx: &Ctx, trace: &mut TraceFields<'_>) -> (u16, String, bool) {
     let body = String::from_utf8_lossy(&request.body);
     let parsed: SynthesizeRequest = match serde_json::from_str(&body) {
         Ok(parsed) => parsed,
         Err(err) => return (400, error_body(&err.to_string()), false),
     };
-    meta.target = Some(parsed.target.clone());
+    trace.target = Some(parsed.target.clone());
     let model = match resolve_model(parsed.model) {
         Ok(model) => model,
         Err(detail) => return (400, error_body(&detail), false),
@@ -566,7 +511,7 @@ fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, Str
         Ok(wires) => wires,
         Err(reply) => return reply,
     };
-    meta.wires = Some(wires);
+    trace.wires = Some(wires);
     let strategy = match parsed.strategy.as_deref().map(str::parse) {
         None => Strategy::Auto,
         Some(Ok(strategy)) => strategy,
@@ -574,7 +519,7 @@ fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, Str
     };
     // The requested strategy; `synthesize_on` overwrites this with the
     // resolved one (`auto` → `uni`/`bidi`) once the host reports it.
-    meta.strategy = Some(strategy.as_str());
+    trace.strategy = Some(strategy.as_str());
     // Validate the target before resolving a host: a malformed request
     // must not cost a model-cap slot on a cold registry.
     let target = match mvq_core::known::parse_target_on(&parsed.target, 1 << wires) {
@@ -593,7 +538,7 @@ fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, Str
             WIDE_DEFAULT_CB,
             strategy,
             parsed.deadline_ms,
-            meta,
+            trace,
         )
     } else {
         synthesize_on(
@@ -603,7 +548,7 @@ fn synthesize(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, Str
             u32::MAX,
             strategy,
             parsed.deadline_ms,
-            meta,
+            trace,
         )
     }
 }
@@ -613,11 +558,11 @@ fn census_on<W: SearchWidth>(
     host: Result<Arc<EngineHost<W>>, HostError>,
     parsed: &CensusRequest,
     default_cb: u32,
-    meta: &mut RequestMeta,
+    trace: &mut TraceFields<'_>,
 ) -> (u16, String, bool) {
     let host = match host {
         Ok(host) => host,
-        Err(err) => return host_error(&err, meta),
+        Err(err) => return host_error(&err, trace),
     };
     // An explicit bound goes through admission like /synthesize (over
     // the limit → 400); only the default is capped by the limit.
@@ -626,19 +571,19 @@ fn census_on<W: SearchWidth>(
         .unwrap_or_else(|| default_cb.min(host.cost_bound_limit()));
     let engine_started = Instant::now();
     let result = host.census_traced(cb);
-    meta.engine_us = Some(us(engine_started.elapsed()));
+    trace.engine_us = Some(us(engine_started.elapsed()));
     match result {
-        Ok((reply, trace)) => {
-            meta.strategy = Some(trace.resolved.as_str());
-            meta.cache = Some(trace.cache_hit);
-            meta.expansions = Some(trace.expansions);
+        Ok((reply, served)) => {
+            trace.strategy = Some(served.resolved.as_str());
+            trace.cache = Some(served.cache_hit);
+            trace.expansions = Some(served.expansions);
             (200, render(&reply), false)
         }
-        Err(err) => host_error(&err, meta),
+        Err(err) => host_error(&err, trace),
     }
 }
 
-fn census(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, String, bool) {
+fn census(request: &Request, ctx: &Ctx, trace: &mut TraceFields<'_>) -> (u16, String, bool) {
     let body = String::from_utf8_lossy(&request.body);
     let body = if body.trim().is_empty() {
         "{}".into()
@@ -655,16 +600,16 @@ fn census(request: &Request, ctx: &Ctx, meta: &mut RequestMeta) -> (u16, String,
     };
     match validate_wires(parsed.wires) {
         Ok(wires) => {
-            meta.wires = Some(wires);
+            trace.wires = Some(wires);
             if wires == 4 {
                 census_on(
                     ctx.registry.host_for::<Wide>(model),
                     &parsed,
                     WIDE_DEFAULT_CB,
-                    meta,
+                    trace,
                 )
             } else {
-                census_on(ctx.registry.host_for::<Narrow>(model), &parsed, 6, meta)
+                census_on(ctx.registry.host_for::<Narrow>(model), &parsed, 6, trace)
             }
         }
         Err(reply) => reply,

@@ -70,9 +70,10 @@ fn traced_server(registry: HostRegistry, workers: usize, sink: &SharedSink) -> R
     server
 }
 
-/// The scripted per-client workload: five requests that succeed and one
-/// malformed body that must still be traced.
-const CLIENT_SCRIPT: [(&str, &str, &str, u16); 6] = [
+/// The scripted per-client workload: six requests that succeed — one on
+/// a second, weighted cost model — and one malformed body that must
+/// still be traced.
+const CLIENT_SCRIPT: [(&str, &str, &str, u16); 7] = [
     ("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#, 200),
     ("POST", "/synthesize", r#"{"target":"(7,8)","cb":6}"#, 200),
     (
@@ -82,6 +83,12 @@ const CLIENT_SCRIPT: [(&str, &str, &str, u16); 6] = [
         200,
     ),
     ("POST", "/census", r#"{"cb":3}"#, 200),
+    (
+        "POST",
+        "/synthesize",
+        r#"{"target":"(5,7)(6,8)","cb":3,"model":{"v":1,"v_dagger":1,"feynman":3}}"#,
+        200,
+    ),
     ("GET", "/healthz", "", 200),
     ("POST", "/synthesize", "definitely not json", 400),
 ];
@@ -120,14 +127,25 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
         ),
         "{metrics_body}"
     );
+    // Each counter's total over its series: the host counters carry one
+    // series per (wires, model).
     let counter = |name: &str| {
-        *scrape
-            .counters
-            .get(name)
+        scrape
+            .counter_sum(name)
             .unwrap_or_else(|| panic!("{name} missing from /metrics:\n{metrics_body}"))
     };
     assert_eq!(counter("http_requests_total"), traffic as u64);
-    assert_eq!(counter("synthesize_requests_total"), (CLIENTS * 3) as u64);
+    assert_eq!(counter("synthesize_requests_total"), (CLIENTS * 4) as u64);
+    let series = |model: &str| {
+        let name = format!(r#"synthesize_requests_total{{wires="3",model="{model}"}}"#);
+        scrape.counters.get(&name).copied()
+    };
+    assert_eq!(
+        series("1,1,1"),
+        Some((CLIENTS * 3) as u64),
+        "{metrics_body}"
+    );
+    assert_eq!(series("1,1,3"), Some(CLIENTS as u64), "{metrics_body}");
     assert_eq!(counter("census_requests_total"), CLIENTS as u64);
     assert_eq!(counter("sheds_total"), 0);
     assert!(counter("expansions_total") > 0, "cold engine must expand");
@@ -139,8 +157,8 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
     let request_hist = &scrape.histograms["request_us"];
     assert_eq!(request_hist.count, traffic as u64);
 
-    // /stats must embed the very same registry: every counter the
-    // scrape reported appears verbatim in its "metrics" object (the
+    // /stats must embed the very same registry: every counter's total
+    // over its series appears verbatim in its "metrics" object (the
     // request counters have moved by the /metrics request itself, so
     // compare only the host-derived ones, which are quiescent).
     let (status, _, stats_body) = server.request("GET", "/stats", "");
@@ -186,7 +204,7 @@ fn metrics_stats_and_trace_lines_agree_under_concurrent_clients() {
         .collect();
     assert_eq!(ids.len(), lines.len(), "trace ids must be unique");
     let count_with = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
-    assert_eq!(count_with(r#""outcome":"ok""#), CLIENTS * 5 + 3);
+    assert_eq!(count_with(r#""outcome":"ok""#), CLIENTS * 6 + 3);
     assert_eq!(count_with(r#""outcome":"invalid""#), CLIENTS);
     // The malformed-body lines keep the full schema, nulls included.
     assert_eq!(count_with(r#""target":null"#), CLIENTS * 2 + 3 + CLIENTS);

@@ -266,7 +266,7 @@ fn snapshot_backed_server_answers_without_expansion() {
     let (status, _, body) = server.request("GET", "/metrics", "");
     assert_eq!(status, 200);
     let scrape = mvq_obs::parse_scrape(&body);
-    assert_eq!(scrape.counters.get("expansions_total"), Some(&0), "{body}");
+    assert_eq!(scrape.counter_sum("expansions_total"), Some(0), "{body}");
     let p99 = scrape.histograms["request_us"].quantile(0.99);
     assert!(
         p99 <= REQUEST_P99_SLO_US,
