@@ -275,7 +275,8 @@ fn census_run<W: SearchWidth>(args: &Args, wires: usize) -> CommandResult {
         println!("verified:        {EXPECTED_TABLE_2:?}");
         for (k, mine, paper) in census.diff_vs_paper() {
             println!(
-                "note: k = {k}: measured {mine} vs paper {paper} (paper slip; see EXPERIMENTS.md)"
+                "note: k = {k}: measured {mine} vs paper {paper} (paper slip; see README, \
+                 \"Table 2: the k = 2 and k = 3 rows\")"
             );
         }
     }
@@ -834,6 +835,36 @@ mod tests {
         let repaired = SynthesisEngine::load_snapshot(&path).unwrap();
         assert_eq!(repaired.completed_cost(), Some(2));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn older_snapshot_versions_start_cold_and_are_rewritten() {
+        let dir = std::env::temp_dir().join(format!("mvq_cli_v2_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.snap");
+        let path_text = path.to_string_lossy().to_string();
+        // A current file with its version field set to 2 stands in for
+        // a file an older build wrote.
+        let mut old = SynthesisEngine::unit_cost();
+        old.expand_to_cost(2);
+        let mut bytes = old.snapshot_to_bytes().unwrap().to_vec();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            SynthesisEngine::load_snapshot(&path),
+            Err(mvq_core::SnapshotError::UnsupportedVersion(2))
+        ));
+        // `census` warns, starts cold and writes the current version.
+        assert!(run(&["census", "--cb", "3", "--snapshot", &path_text]).is_ok());
+        let rewritten = SynthesisEngine::load_snapshot(&path).unwrap();
+        assert_eq!(rewritten.completed_cost(), Some(3));
+        // So does `serve --snapshot`: an unreadable version serves cold.
+        std::fs::write(&path, &bytes).unwrap();
+        std::fs::remove_file(mvq_core::snapshot_backup_path(&path)).ok();
+        let registry = HostRegistry::new(HostConfig::default());
+        assert!(install_serve_snapshot(&registry, &path_text).is_ok());
+        assert!(registry.stats().unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

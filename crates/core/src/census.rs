@@ -77,10 +77,13 @@ impl Census {
     /// This module is part of the reproducible search state, so it never
     /// reads the clock (`mvq_lint`'s determinism rule); wall-clock
     /// measurement belongs to the callers (the CLI, `perfbench`).
+    ///
+    /// The census settles levels `0..=cb` and leaves the top level
+    /// unexpanded: no row reads the successors of cost `cb + 1`.
     pub fn compute_with<W: SearchWidth>(engine: &mut SearchEngine<W>, cb: u32) -> Self {
         let coset = 1usize << engine.library().domain().wires();
-        engine.expand_to_cost(cb);
-        let rows = engine
+        engine.climb_to(cb, false);
+        let rows: Vec<CensusRow> = engine
             .g_counts()
             .iter()
             .zip(engine.b_counts())
@@ -93,10 +96,8 @@ impl Census {
                 b_count: b,
             })
             .collect();
-        Self {
-            rows,
-            a_size: engine.a_size(),
-        }
+        let a_size = rows.iter().map(|row| row.b_count).sum();
+        Self { rows, a_size }
     }
 
     /// The census rows, cost ascending.
@@ -104,7 +105,9 @@ impl Census {
         &self.rows
     }
 
-    /// `|A[cb]|`: total distinct quantum circuits discovered.
+    /// `|A|` up to the bound: `Σ |B[k]|` over `k ≤ cb`, the distinct
+    /// quantum circuits of cost at most `cb` (not the engine's
+    /// [`SearchEngine::a_size`], which also counts queued successors).
     pub fn a_size(&self) -> usize {
         self.a_size
     }
@@ -152,7 +155,12 @@ impl fmt::Display for Census {
             write!(f, "{:>8}", row.s8_count)?;
         }
         writeln!(f)?;
-        write!(f, "(|A| = {} circuits explored)", self.a_size)
+        write!(
+            f,
+            "(|A| = {} circuits of cost ≤ {})",
+            self.a_size,
+            self.rows.len().saturating_sub(1)
+        )
     }
 }
 

@@ -15,9 +15,62 @@ use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{gate_table, FnvBuildHasher, GateTable};
 use crate::{Circuit, CostModel};
 
-/// A per-level S-trace join index: trace → indices into the level's
-/// handle vector (the meet-in-the-middle probe structure).
-pub(crate) type TraceIndex<T> = HashMap<T, Vec<u32>, FnvBuildHasher>;
+/// A per-level S-trace join index (the meet-in-the-middle probe
+/// structure): the level's word indices grouped by trace, ascending
+/// within each group, in one array. `groups` numbers each distinct trace
+/// by first appearance, and `spans` holds each group's `(start, len)` in
+/// `positions`.
+#[derive(Debug)]
+pub(crate) struct TraceIndex<T> {
+    groups: HashMap<T, u32, FnvBuildHasher>,
+    spans: Vec<(u32, u32)>,
+    positions: Vec<u32>,
+}
+
+impl<T: TraceRepr> TraceIndex<T> {
+    /// Indexes `traces` in two passes: count each group, then place
+    /// each word index at its group's next free slot.
+    fn build(traces: &[T]) -> Self {
+        let mut groups: HashMap<T, u32, FnvBuildHasher> = HashMap::default();
+        let mut spans: Vec<(u32, u32)> = Vec::new();
+        let group_of: Vec<u32> = traces
+            .iter()
+            .map(|&trace| {
+                let next = spans.len() as u32;
+                let group = *groups.entry(trace).or_insert(next);
+                if group == next {
+                    spans.push((0, 0));
+                }
+                spans[group as usize].1 += 1;
+                group
+            })
+            .collect();
+        // Each span's start, then its length again as the fill cursor.
+        let mut start = 0;
+        for span in &mut spans {
+            let len = span.1;
+            *span = (start, 0);
+            start += len;
+        }
+        let mut positions = vec![0; traces.len()];
+        for (i, &group) in group_of.iter().enumerate() {
+            let span = &mut spans[group as usize];
+            positions[(span.0 + span.1) as usize] = i as u32;
+            span.1 += 1;
+        }
+        Self {
+            groups,
+            spans,
+            positions,
+        }
+    }
+
+    /// The indices of the level's words with `trace`, ascending.
+    pub(crate) fn get(&self, trace: &T) -> Option<&[u32]> {
+        let (start, len) = self.spans[*self.groups.get(trace)? as usize];
+        Some(&self.positions[start as usize..][..len as usize])
+    }
+}
 
 /// A settled level left unexpanded, with the work count its expansion
 /// reports.
@@ -257,6 +310,10 @@ pub struct SearchEngine<W: SearchWidth> {
     /// Domain index (0-based) → rank in the binary set, `u8::MAX` if the
     /// pattern is not binary.
     binary_rank: Vec<u8>,
+    /// Whether the binary set is the domain's first patterns, in order
+    /// (every standard library): a word's S-trace is then its leading
+    /// image bytes.
+    binary_prefix: bool,
     /// Every discovered element of `A[∞]` with its metadata.
     pub(crate) seen: SeenTable<W::Word>,
     /// Pending frontier elements keyed by their (exact) cost, as handles
@@ -410,6 +467,10 @@ impl<W: SearchWidth> SearchEngine<W> {
             .iter()
             .map(|&p| (p - 1) as u8)
             .collect();
+        let binary_prefix = binary0
+            .iter()
+            .enumerate()
+            .all(|(i, &idx)| usize::from(idx) == i);
         let mut binary_rank = vec![u8::MAX; library.domain().len()];
         for (rank, &idx) in binary0.iter().enumerate() {
             binary_rank[idx as usize] = rank as u8;
@@ -429,6 +490,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             gate_costs,
             binary0,
             binary_rank,
+            binary_prefix,
             seen,
             pending,
             deferred_frontier: None,
@@ -524,6 +586,9 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// equal, which turns the Section 4 level scan and the
     /// meet-in-the-middle join into single integer comparisons.
     pub(crate) fn trace_of(&self, word: &W::Word) -> W::Trace {
+        if self.binary_prefix {
+            return W::Trace::from_le_prefix(&word.as_slice()[..self.binary0.len()]);
+        }
         let mut trace = W::Trace::ZERO;
         for (i, &idx) in self.binary0.iter().enumerate() {
             trace = trace.or_byte(i, word.at(idx as usize));
@@ -554,7 +619,12 @@ impl<W: SearchWidth> SearchEngine<W> {
         if let Some(frontier) = self.deferred_frontier.take() {
             self.probe
                 .on(|p| p.snapshot_section_started("frontier_merge"));
-            let bytes = frontier.merge_into::<W>(&mut self.seen, &mut self.pending);
+            let bytes = frontier.merge_into::<W>(
+                &mut self.seen,
+                &mut self.pending,
+                &self.gate_images,
+                &self.gate_costs,
+            );
             self.probe
                 .on(|p| p.snapshot_section_finished("frontier_merge", bytes));
         }
@@ -794,14 +864,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// warm engine build each level's index once, without a writer.
     pub(crate) fn trace_index(&self, f: u32) -> &TraceIndex<W::Trace> {
         let traces = &self.level_traces[f as usize];
-        self.trace_index[f as usize].get_or_init(|| {
-            let mut index: TraceIndex<W::Trace> =
-                HashMap::with_capacity_and_hasher(traces.len(), Default::default());
-            for (i, &trace) in traces.iter().enumerate() {
-                index.entry(trace).or_default().push(i as u32);
-            }
-            index
-        })
+        self.trace_index[f as usize].get_or_init(|| TraceIndex::build(traces))
     }
 
     /// The paper's MCE (Minimum_Cost_Expressing) algorithm: synthesizes a
@@ -1111,7 +1174,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// Restriction of a word to the binary index set, if closed, read off
     /// the word's S-trace (`trace.byte(i)` is where the word sends the
     /// `i`-th binary pattern).
-    fn restrict(&self, trace: W::Trace) -> Option<W::Word> {
+    pub(crate) fn restrict(&self, trace: W::Trace) -> Option<W::Word> {
         // The stack buffer must cover every width's binary set; a wider
         // future width would silently truncate restrictions otherwise.
         const {

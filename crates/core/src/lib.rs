@@ -67,8 +67,7 @@ pub use engine::{Answer, EngineError, Query, SearchEngine, Strategy, Synthesis};
 pub use mitm::CachedBidirectional;
 pub use mvq_obs::{Probe, ProbeHandle};
 pub use snapshot::{
-    snapshot_backup_path, SnapshotError, SnapshotImage, SnapshotSource, SNAPSHOT_MIN_VERSION,
-    SNAPSHOT_VERSION,
+    snapshot_backup_path, SnapshotError, SnapshotImage, SnapshotSource, SNAPSHOT_VERSION,
 };
 pub use spec::{synthesize_spec, QuaternarySpec, SpecError, SpecSynthesis};
 pub use spectrum::CostSpectrum;

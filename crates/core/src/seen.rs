@@ -311,15 +311,37 @@ impl<K: ShardKey> SeenTable<K> {
         Meta::from_lane(self.record_at(self.locate(handle as usize))[0])
     }
 
+    /// [`Self::key`] and [`Self::meta`] from one record read.
+    #[inline]
+    pub(crate) fn entry(&self, handle: Handle) -> (K, Meta) {
+        let record = self.record_at(self.locate(handle as usize));
+        (
+            K::from_lanes(&record[1..], self.shape),
+            Meta::from_lane(record[0]),
+        )
+    }
+
     pub(crate) fn get(&self, key: &K) -> Option<Meta> {
         let found = self.find(key, key.table_hash()).ok()?;
         Some(Meta::from_lane(self.record_at(found)[0]))
     }
 
+    /// The handle of `key`'s entry, if present.
+    pub(crate) fn handle_of(&self, key: &K) -> Option<Handle> {
+        let found = self.find(key, key.table_hash()).ok()?;
+        Some(handle(found.index))
+    }
+
     /// The handle of `key`'s entry, inserting it with `meta` when absent
     /// (an existing entry keeps its metadata).
     pub(crate) fn intern(&mut self, key: K, meta: Meta) -> Handle {
-        let hash = key.table_hash();
+        self.intern_hashed(key, key.table_hash(), meta)
+    }
+
+    /// [`Self::intern`] with the key's [`ShardKey::table_hash`] already
+    /// computed (a fused [`crate::WordRepr::map_hash`] returns it).
+    #[inline]
+    pub(crate) fn intern_hashed(&mut self, key: K, hash: u64, meta: Meta) -> Handle {
         match self.find(&key, hash) {
             Ok(found) => handle(found.index),
             Err(pos) => handle(self.push_at(pos, &key, hash, meta)),

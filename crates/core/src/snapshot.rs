@@ -2,14 +2,13 @@
 //! serialization of a warm [`SynthesisEngine`].
 //!
 //! `expand_to_cost` dominates every cold query, yet the state it builds —
-//! the per-cost level tables (`levels`/`level_traces`), the class table
-//! with its witnesses, and the Dijkstra frontier — is plain data. A
-//! snapshot writes that state once so every later process cold-starts
-//! warm: loading the paper's cost-5 levels takes milliseconds where
-//! recomputing them takes ~100 ms, and the ratio grows geometrically
-//! with depth.
+//! the per-cost level tables, the class table with its witnesses, and the
+//! Dijkstra frontier — is plain data. A snapshot writes that state once
+//! so every later process cold-starts warm: loading the paper's cost-5
+//! levels takes milliseconds where recomputing them takes ~100 ms, and
+//! the ratio grows geometrically with depth.
 //!
-//! # File layout (version 2)
+//! # File layout (version 3)
 //!
 //! ```text
 //! magic "MVQSNAP\0" · version u32
@@ -18,14 +17,40 @@
 //!   image-table fingerprint) · cost-model weights · completed level ·
 //!   section table (lengths + checksums) · element counts ·
 //!   packed widths (word capacity, trace slots)
-//! core section     levels: words + S-traces + path gates, per cost;
-//!                  classes: restriction + witnesses, nested in the
-//!                  level that founded them (so class cost = level index
-//!                  and the byte stream is deterministic)
-//! frontier section pending Dijkstra buckets: (word, path gate) entries
-//!                  in bucket order — everything resuming the search
-//!                  needs, nothing a query does
+//! core section     per level: count · parent positions (u32 each) ·
+//!                  path gates (u8 each) · classes founded at this
+//!                  level: witness count · witness positions (u32 each,
+//!                  indices into the level)
+//! frontier section per pending bucket, cost ascending: cost · count ·
+//!                  parent positions (u32 each) · path gates (u8 each)
 //! ```
+//!
+//! # Words by derivation
+//!
+//! Every word but the identity is some earlier word times one library
+//! gate: the word's recorded path gate `g` (the last gate of its
+//! cheapest cascade), behind its *parent* `w·g⁻¹`, which is settled at
+//! the word's cost minus `g`'s. So a word is stored as `(parent
+//! position, gate)`, 5 bytes, where a raw image table takes the domain's
+//! length (38 bytes at 3 wires, 176 at 4). A *position* indexes the
+//! settled levels concatenated in cost order; the identity, alone at
+//! level 0 and reached by no gate, is stored as `(0, 0xff)`. A class
+//! witness is its position in its level, and its class key (the binary
+//! restriction) is recomputed from it. S-traces are recomputed from the
+//! words.
+//!
+//! The loader makes one forward pass: every parent sits in an earlier
+//! level, so it derives each word as its parent's image table mapped
+//! through the gate table, hashing it in the same pass, and interns it
+//! with that hash. The `seen` arena then holds the level words in
+//! position order, so a position *is* the word's handle.
+//!
+//! A frontier entry is derived the same way, except for a stale
+//! decrease-key copy of a word that is already settled: it is stored as
+//! `(position, 0xff)`, the settled word's own position. A stale copy of
+//! a frontier word repeats its live entry's `(parent, gate)`, so it
+//! re-derives to the same handle. (Before any level is settled, the
+//! frontier is the identity root, stored as `(0, 0xff)` too.)
 //!
 //! A snapshot always holds fully expanded levels. An engine that settled
 //! its top level without generating its successors (a query or host
@@ -33,22 +58,39 @@
 //! those of an engine built with `expand_to_cost`, and a loaded engine
 //! has no unexpanded level.
 //!
-//! All integers are little-endian; words are raw image tables (the
-//! domain length is in the header, so no per-word framing) and S-traces
-//! are the width's packed integer (8 bytes narrow, 16 wide). Every
-//! section is independently FNV-1a-checksummed and fully verified at
-//! load — a corrupt, truncated, or wrong-version file fails with a
-//! typed [`SnapshotError`], never a silently-empty cache.
+//! # Validation
+//!
+//! Every section is independently FNV-1a-checksummed and fully verified
+//! at load, so a damaged, truncated, or wrong-version file fails with a
+//! typed [`SnapshotError`], never a silently-empty cache. Behind the
+//! checksums the loader checks the structure the engine relies on, so a
+//! file that passes them but breaks it fails with
+//! [`SnapshotError::Corrupt`]:
+//!
+//! - a parent position precedes its word's level, and a gate indexes the
+//!   library; the parent's cost plus the gate's equals the level's cost;
+//! - no level word is derived twice, and the distinct words match the
+//!   header's count;
+//! - a witness lies in its level, witnesses ascend, every witness
+//!   restricts to its class's key, and no class is founded twice;
+//! - frontier buckets ascend above the completed level. A derived entry's
+//!   path cost lies above the completed level and at or below its
+//!   bucket's cost, with equality at the first (lowest) bucket holding
+//!   that `(parent, gate)`; the distinct pairs match the header's count
+//!   of frontier words.
+//!
+//! After these checks the deferred frontier merge cannot fail.
 //!
 //! # Versions and widths
 //!
-//! Version 2 records the engine's packed widths (word capacity and
-//! trace slots) so a snapshot can only be loaded by an engine of the
-//! same [`SearchWidth`](crate::SearchWidth) — a mismatch fails with the
-//! typed [`SnapshotError::WidthMismatch`], never a misparse. Version 1
-//! files (written before the 4-wire widening) carry no width fields and
-//! are read as the narrow widths they were built with; this build
-//! always writes version 2.
+//! A snapshot records the engine's packed widths (word capacity and
+//! trace slots), so it can only be loaded by an engine of the same
+//! [`SearchWidth`](crate::SearchWidth) — a mismatch fails with the typed
+//! [`SnapshotError::WidthMismatch`], never a misparse. This build reads
+//! and writes version 3 only. Version 1 and 2 files (raw image tables)
+//! fail with [`SnapshotError::UnsupportedVersion`], which the CLI and the
+//! server treat as an unusable snapshot: they warn and start cold, and
+//! the CLI's write-back replaces the file with version 3.
 //!
 //! # Lazy frontier and the kept image
 //!
@@ -56,23 +98,21 @@
 //! circuit reconstruction) never touch the pending frontier, which is
 //! ~4× larger than the completed levels. Loading therefore materializes
 //! the levels and classes eagerly but leaves the (already checksummed
-//! and structurally validated) frontier section where it is, in the
-//! loaded file's buffer; the first level step merges it via
+//! and validated) frontier section where it is, in the loaded file's
+//! buffer; the first level step merges it via
 //! [`SynthesisEngine::ensure_frontier`]. Nothing merges it earlier: a
 //! warm host that never climbs never pays for it. Resumed expansion is
 //! bit-identical to a never-snapshotted engine: bucket order, stale
 //! decrease-key copies, and path metadata all round-trip exactly.
 //!
 //! The loaded file is read into one shared buffer, a [`SnapshotImage`],
-//! and an engine loaded from a current-version file keeps it as its
-//! *image* until its first level step: while the state still equals the
-//! file, [`SynthesisEngine::snapshot_to_bytes`] hands back that buffer
-//! instead of serializing again (a version 1 file keeps no image, since
-//! it re-serializes as version 2). An image of 2 MiB or more is an
-//! owned mapping of its own (on Linux; see `mapping`), so dropping its
-//! last holder returns the pages to the kernel instead of leaving a
-//! freed heap block of snapshot size in a process that loads and drops
-//! engines.
+//! and a loaded engine keeps it as its *image* until its first level
+//! step: while the state still equals the file,
+//! [`SynthesisEngine::snapshot_to_bytes`] hands back that buffer instead
+//! of serializing again. An image of 2 MiB or more is an owned mapping
+//! of its own (on Linux; see `mapping`), so dropping its last holder
+//! returns the pages to the kernel instead of leaving a freed heap block
+//! of snapshot size in a process that loads and drops engines.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -87,20 +127,19 @@ use mvq_obs::ProbeHandle;
 use crate::engine::SearchEngine;
 use crate::mapping::LaneBuf;
 use crate::seen::{Handle, Meta, SeenTable};
-use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
+use crate::width::{MaskRepr, SearchWidth, ShardKey, TraceRepr, WordRepr};
 use crate::word::{fnv1a, GateTable};
 use crate::CostModel;
 
-/// The snapshot format version this build writes (it reads versions 1
-/// and 2; see the module docs).
-pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// The oldest snapshot version this build still reads.
-pub const SNAPSHOT_MIN_VERSION: u32 = 1;
+/// The snapshot format version this build reads and writes (see the
+/// module docs).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"MVQSNAP\0";
 
-/// The identity sentinel in path metadata (no producing gate).
+/// The identity sentinel in path metadata (no producing gate). In a
+/// stored `(position, gate)` pair it marks a word stored by its own
+/// position rather than derived (see the module docs).
 const NO_GATE: u8 = u8::MAX;
 
 /// An error produced while writing or reading a snapshot.
@@ -148,8 +187,7 @@ impl fmt::Display for SnapshotError {
             Self::NotASnapshot => write!(f, "not a mvq snapshot (bad magic)"),
             Self::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported snapshot version {v} (this build reads versions \
-                 {SNAPSHOT_MIN_VERSION}\u{2013}{SNAPSHOT_VERSION})"
+                "unsupported snapshot version {v} (this build reads version {SNAPSHOT_VERSION})"
             ),
             Self::Truncated { expected, actual } => write!(
                 f,
@@ -235,10 +273,11 @@ fn corrupt(detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(detail.into())
 }
 
-/// Cheap structural sniff of an existing snapshot file: magic, version
-/// range, plausible header length, header checksum. Used to decide
-/// whether an about-to-be-overwritten primary is worth keeping as the
-/// `.bak` — a torn primary must never clobber a good backup.
+/// Cheap structural sniff of an existing snapshot file: magic, version,
+/// plausible header length, header checksum. Used to decide whether an
+/// about-to-be-overwritten primary is worth keeping as the `.bak` — a
+/// torn primary, or one of a version this build cannot read, must never
+/// clobber a good backup.
 fn sniff_snapshot(path: &Path) -> bool {
     let Ok(bytes) = std::fs::read(path) else {
         return false;
@@ -248,7 +287,7 @@ fn sniff_snapshot(path: &Path) -> bool {
         return false;
     }
     let version = u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return false;
     }
     let header_len =
@@ -345,14 +384,6 @@ fn checksum64(bytes: &[u8]) -> u64 {
     state.wrapping_mul(FNV_PRIME)
 }
 
-/// `true` iff every byte of `block` is a valid image under `limit`
-/// (a contiguous max-scan the optimizer vectorizes, unlike a per-word
-/// early-exit loop).
-fn all_bytes_below(block: &[u8], limit: usize) -> bool {
-    let max = block.iter().fold(0u8, |m, &b| m.max(b));
-    (max as usize) < limit || block.is_empty()
-}
-
 // ---------------------------------------------------------------------
 // Byte codec
 // ---------------------------------------------------------------------
@@ -409,6 +440,22 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A block of `count` little-endian `u32`s, as [`u32s`] reads it.
+    fn u32_block(&mut self, count: usize) -> Result<&'a [u8], SnapshotError> {
+        self.take(
+            count
+                .checked_mul(4)
+                .ok_or_else(|| corrupt("block size overflows"))?,
+        )
+    }
+
+    /// `count` stored `(position, gate)` pairs: all positions, then all
+    /// gates.
+    fn paths(&mut self, count: usize) -> Result<(&'a [u8], &'a [u8]), SnapshotError> {
+        let positions = self.u32_block(count)?;
+        Ok((positions, self.take(count)?))
+    }
+
     fn finish(&self, section: &str) -> Result<(), SnapshotError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -419,6 +466,14 @@ impl<'a> Reader<'a> {
             )))
         }
     }
+}
+
+/// The little-endian `u32`s of a [`Reader::u32_block`].
+fn u32s(block: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    block
+        .chunks_exact(4)
+        // lint: allow(panic) chunks_exact(4) yields exactly 4 bytes
+        .map(|chunk| u32::from_le_bytes(chunk.try_into().unwrap()))
 }
 
 /// A `usize` from a `u64` field, guarding 32-bit hosts.
@@ -447,9 +502,9 @@ struct Header {
     core_checksum: u64,
     frontier_len: u64,
     frontier_checksum: u64,
-    /// Packed word capacity of the writing engine (v2; 64 implied in v1).
+    /// Packed word capacity of the writing engine.
     word_capacity: u16,
-    /// Packed trace slots of the writing engine (v2; 8 implied in v1).
+    /// Packed trace slots of the writing engine.
     trace_slots: u8,
 }
 
@@ -480,7 +535,7 @@ impl Header {
         out
     }
 
-    fn parse(bytes: &[u8], version: u32) -> Result<Self, SnapshotError> {
+    fn parse(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(bytes);
         let header = Self {
             wires: r.u8()?,
@@ -503,10 +558,8 @@ impl Header {
             core_checksum: r.u64()?,
             frontier_len: r.u64()?,
             frontier_checksum: r.u64()?,
-            // Version 1 predates the width fields: it was only ever
-            // written by the narrow engine.
-            word_capacity: if version >= 2 { r.u16()? } else { 64 },
-            trace_slots: if version >= 2 { r.u8()? } else { 8 },
+            word_capacity: r.u16()?,
+            trace_slots: r.u8()?,
         };
         r.finish("header")?;
         Ok(header)
@@ -515,8 +568,6 @@ impl Header {
 
 /// A stable fingerprint of everything the engine derives from a library:
 /// image tables, inverse tables, banned masks, and the binary set.
-/// (For the narrow width the bytes — and therefore the fingerprints of
-/// existing v1 snapshots — are unchanged.)
 fn library_fingerprint<M: MaskRepr>(engine_like: &LibraryTables<'_, M>) -> u64 {
     let domain = engine_like.domain;
     let mut bytes = Vec::new();
@@ -533,22 +584,13 @@ fn library_fingerprint<M: MaskRepr>(engine_like: &LibraryTables<'_, M>) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Entry layout of one frontier bucket after its `(cost, count)` prefix:
-/// all words contiguous, then all path gates contiguous (so validation
-/// and merge scan whole blocks instead of interleaved records).
-fn bucket_blocks<'a>(
-    r: &mut Reader<'a>,
-    domain_len: usize,
-) -> Result<(u32, &'a [u8], &'a [u8]), SnapshotError> {
+/// One frontier bucket: its cost, then its entries as stored
+/// `(position, gate)` pairs (see [`Reader::paths`]).
+fn bucket_paths<'a>(r: &mut Reader<'a>) -> Result<(u32, &'a [u8], &'a [u8]), SnapshotError> {
     let cost = r.u32()?;
-    let entries = usize_of(r.u64()?, "frontier bucket entry")?;
-    let words = r.take(
-        entries
-            .checked_mul(domain_len)
-            .ok_or_else(|| corrupt("frontier bucket size overflows"))?,
-    )?;
-    let gates = r.take(entries)?;
-    Ok((cost, words, gates))
+    let entries = r.u32()? as usize;
+    let (positions, gates) = r.paths(entries)?;
+    Ok((cost, positions, gates))
 }
 
 /// What the library fingerprint covers. The image tables are padded
@@ -653,17 +695,20 @@ impl fmt::Debug for SnapshotImage {
 // Deferred frontier
 // ---------------------------------------------------------------------
 
-/// The frontier section of a loaded snapshot, checksummed and
-/// structurally validated at load but merged into the live maps only
-/// when expansion first needs it (queries served from the cached levels
-/// skip the cost entirely). It reads the section in place, as a range
-/// of the loaded file's shared buffer.
+/// The frontier section of a loaded snapshot, checksummed and validated
+/// at load but merged into the live maps only when expansion first needs
+/// it (queries served from the cached levels skip the cost entirely). It
+/// reads the section in place, as a range of the loaded file's shared
+/// buffer.
 #[derive(Clone)]
 pub(crate) struct DeferredFrontier {
     image: SnapshotImage,
     section: Range<usize>,
     buckets: u32,
     unique: usize,
+    /// Settled words; 0 while no level is settled and the frontier is
+    /// the identity root.
+    settled: usize,
     domain_len: usize,
 }
 
@@ -683,58 +728,128 @@ impl DeferredFrontier {
         self.unique
     }
 
-    /// Walks the section once, checking every structural invariant the
-    /// merge relies on, so the merge itself cannot fail.
-    fn validate(bytes: &[u8], header: &Header, gate_count: usize) -> Result<(), SnapshotError> {
+    /// Walks the section once, checking every invariant the merge relies
+    /// on (see the module docs), so the merge itself cannot fail.
+    /// `level_ends[k]` is the position one past level `k`'s last word.
+    fn validate(
+        bytes: &[u8],
+        header: &Header,
+        level_ends: &[usize],
+        gate_costs: &[u32],
+    ) -> Result<(), SnapshotError> {
+        let settled = level_ends.last().copied().unwrap_or(0);
+        let completed = header.completed.map(u64::from);
+        let gate_count = gate_costs.len();
+        // One bit per possible (parent, gate) pair: set at the pair's
+        // first (lowest-bucket) entry.
+        let mut first_seen = vec![0u64; (settled * gate_count).div_ceil(64)];
+        let mut unique = 0u64;
         let mut r = Reader::new(bytes);
-        let domain_len = header.domain_len as usize;
         let mut previous_cost: Option<u32> = None;
+        // The last parent's level, as `start..end` positions and its
+        // cost: a bucket's parents mostly come in level order, so the
+        // search over `level_ends` rarely runs.
+        let mut level = (0..0, 0u64);
         for _ in 0..header.frontier_buckets {
-            let (cost, words, gates) = bucket_blocks(&mut r, domain_len)?;
+            let (cost, positions, gates) = bucket_paths(&mut r)?;
             if previous_cost.is_some_and(|p| p >= cost) {
                 return Err(corrupt("frontier buckets out of cost order"));
             }
-            if let Some(completed) = header.completed {
-                if cost <= completed {
-                    return Err(corrupt(format!(
-                        "frontier bucket at cost {cost} inside the completed range"
-                    )));
-                }
+            if completed.is_some_and(|c| u64::from(cost) <= c) {
+                return Err(corrupt(format!(
+                    "frontier bucket at cost {cost} inside the completed range"
+                )));
             }
             previous_cost = Some(cost);
-            if !all_bytes_below(words, domain_len) {
-                return Err(corrupt("frontier word image outside the domain"));
-            }
-            if !gates
-                .iter()
-                .all(|&g| g == NO_GATE || (g as usize) < gate_count)
-            {
-                return Err(corrupt("frontier path gate out of range"));
+            for (position, &gate) in u32s(positions).zip(gates) {
+                let position = position as usize;
+                if gate == NO_GATE {
+                    if settled == 0 {
+                        // The root of an engine with no settled level.
+                        if cost != 0 || position != 0 {
+                            return Err(corrupt("frontier root outside bucket 0"));
+                        }
+                        unique += 1;
+                    } else if position >= settled {
+                        return Err(corrupt("stale frontier copy of an unsettled word"));
+                    }
+                    continue;
+                }
+                if usize::from(gate) >= gate_count {
+                    return Err(corrupt(format!("frontier path gate {gate} out of range")));
+                }
+                if position >= settled {
+                    return Err(corrupt("frontier parent is not a settled word"));
+                }
+                if !level.0.contains(&position) {
+                    let k = level_ends.partition_point(|&end| end <= position);
+                    let start = k.checked_sub(1).map_or(0, |j| level_ends[j]);
+                    level = (start..level_ends[k], k as u64);
+                }
+                let path = level.1 + u64::from(gate_costs[usize::from(gate)]);
+                if completed.is_some_and(|c| path <= c) || path > u64::from(cost) {
+                    return Err(corrupt(format!(
+                        "frontier word of path cost {path} in bucket {cost}"
+                    )));
+                }
+                let bit = position * gate_count + usize::from(gate);
+                if first_seen[bit / 64] & (1 << (bit % 64)) == 0 {
+                    first_seen[bit / 64] |= 1 << (bit % 64);
+                    unique += 1;
+                    if path != u64::from(cost) {
+                        return Err(corrupt(format!(
+                            "frontier word of path cost {path} first queued at cost {cost}"
+                        )));
+                    }
+                }
             }
         }
-        r.finish("frontier")
+        r.finish("frontier")?;
+        if unique != header.frontier_unique {
+            return Err(corrupt(format!(
+                "frontier holds {unique} distinct words, header declares {}",
+                header.frontier_unique
+            )));
+        }
+        Ok(())
     }
 
-    /// Replays the buckets (cost-ascending) into the live maps. The
-    /// first occurrence of a word is its cheapest — that copy carries
-    /// the path metadata; later copies are the stale bucket entries the
-    /// lazy decrease-key rule leaves behind, kept in the bucket lists (as
-    /// the existing entry's handle) so resumed expansion is bit-identical
-    /// to a never-snapshotted engine. Returns the section's length in
-    /// bytes.
+    /// Replays the buckets (cost-ascending) into the live maps, deriving
+    /// each word from its settled parent. The first entry of a word is
+    /// its cheapest — it founds the entry with the word's path metadata;
+    /// later ones are the stale bucket entries the lazy decrease-key rule
+    /// leaves behind, kept in the bucket lists (as the existing entry's
+    /// handle) so resumed expansion is bit-identical to a
+    /// never-snapshotted engine. Returns the section's length in bytes.
     pub(crate) fn merge_into<W: SearchWidth>(
         self,
         seen: &mut SeenTable<W::Word>,
         pending: &mut BTreeMap<u32, Vec<Handle>>,
+        gate_images: &[GateTable],
+        gate_costs: &[u32],
     ) -> u64 {
         seen.reserve(self.unique);
         let mut r = Reader::new(&self.image[self.section.clone()]);
         for _ in 0..self.buckets {
-            let (cost, words, gates) =
-                bucket_blocks(&mut r, self.domain_len).expect("validated at load");
+            // lint: allow(panic) the section was validated at load
+            let (cost, positions, gates) = bucket_paths(&mut r).expect("validated at load");
             let mut bucket = Vec::with_capacity(gates.len());
-            for (word, &gate) in words.chunks_exact(self.domain_len).zip(gates) {
-                bucket.push(seen.intern(W::Word::from_slice(word), Meta { cost, gate }));
+            for (position, &gate) in u32s(positions).zip(gates) {
+                let handle = if gate != NO_GATE {
+                    let gate = usize::from(gate);
+                    let (parent_word, parent) = seen.entry(position);
+                    let (word, hash) = parent_word.map_hash(&gate_images[gate]);
+                    let meta = Meta {
+                        cost: parent.cost + gate_costs[gate],
+                        gate: gate as u8,
+                    };
+                    seen.intern_hashed(word, hash, meta)
+                } else if self.settled == 0 {
+                    seen.intern(W::Word::identity(self.domain_len), Meta::ROOT)
+                } else {
+                    position
+                };
+                bucket.push(handle);
             }
             pending.insert(cost, bucket);
         }
@@ -746,6 +861,15 @@ impl DeferredFrontier {
 // Save
 // ---------------------------------------------------------------------
 
+/// Appends stored `(position, gate)` pairs: all positions, then all
+/// gates.
+fn put_paths(out: &mut Vec<u8>, paths: &[(u32, u8)]) {
+    for &(position, _) in paths {
+        put_u32(out, position);
+    }
+    out.extend(paths.iter().map(|&(_, gate)| gate));
+}
+
 impl<W: SearchWidth> SearchEngine<W> {
     /// Serializes the engine's warm state to `path` durably: a
     /// per-process-unique temp sibling is written and fsynced, any
@@ -755,8 +879,8 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// state loadable (via the primary or its `.bak`).
     ///
     /// Takes `&mut self` because a settled top level must be expanded
-    /// first, and an engine loaded from a version 1 file must merge its
-    /// deferred frontier (see the module docs).
+    /// first, and a loaded engine must merge its deferred frontier (see
+    /// the module docs).
     ///
     /// # Errors
     ///
@@ -770,9 +894,9 @@ impl<W: SearchWidth> SearchEngine<W> {
     }
 
     /// [`Self::save_snapshot`] into an in-memory buffer. An engine loaded
-    /// from a current-version snapshot that has taken no level step since
-    /// returns the loaded buffer itself, shared, without serializing
-    /// (see the module docs).
+    /// from a snapshot that has taken no level step since returns the
+    /// loaded buffer itself, shared, without serializing (see the module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -798,54 +922,78 @@ impl<W: SearchWidth> SearchEngine<W> {
         let domain_len = self.library.domain().len();
         let binary_len = self.binary0.len();
 
-        // Core section: levels (words, traces, path gates) with their
-        // classes nested in the level that founded them.
+        // Every settled word's position: its index in the levels,
+        // concatenated in cost order.
+        let mut position = vec![u32::MAX; self.seen.len()];
+        for (at, &handle) in self.levels.iter().flatten().enumerate() {
+            position[handle as usize] = at as u32;
+        }
+        // A word's stored pair: its parent's position and its path gate
+        // (the identity root's pair is `(0, NO_GATE)`).
+        let derivation = |handle: Handle| -> (u32, u8) {
+            let gate = self.seen.meta(handle).gate;
+            if gate == NO_GATE {
+                return (0, NO_GATE);
+            }
+            let parent = self
+                .seen
+                .key(handle)
+                .map_through(&self.gate_inverse_images[usize::from(gate)]);
+            let parent = self
+                .seen
+                .handle_of(&parent)
+                // lint: allow(panic) a word's parent was expanded, so it is settled in `seen`
+                .expect("a word's parent is settled");
+            debug_assert_ne!(position[parent as usize], u32::MAX, "parent is settled");
+            (position[parent as usize], gate)
+        };
+
+        // Core section: levels as derivations, with their classes nested
+        // in the level that founded them (so class cost = level index and
+        // the byte stream is deterministic).
         self.probe.on(|p| p.snapshot_section_started("core_save"));
         let mut core = Vec::new();
         let mut class_total = 0u64;
-        for k in 0..self.levels.len() {
-            let handles = &self.levels[k];
+        let mut level_start = 0u32;
+        for (k, handles) in self.levels.iter().enumerate() {
             put_u32(&mut core, handles.len() as u32);
-            for &handle in handles {
-                core.extend_from_slice(self.seen.key(handle).as_slice());
-            }
-            for &trace in &self.level_traces[k] {
-                trace.write_le(&mut core);
-            }
-            for &handle in handles {
-                core.push(self.seen.meta(handle).gate);
-            }
+            let paths: Vec<(u32, u8)> = handles.iter().map(|&h| derivation(h)).collect();
+            put_paths(&mut core, &paths);
             let class_keys = &self.class_levels[k];
             put_u32(&mut core, class_keys.len() as u32);
             class_total += class_keys.len() as u64;
             for key in class_keys {
                 let class = &self.classes[key];
                 debug_assert_eq!(class.cost, k as u32);
-                core.extend_from_slice(key.as_slice());
                 put_u32(&mut core, class.witnesses.len() as u32);
                 for witness in &class.witnesses {
-                    core.extend_from_slice(witness.as_slice());
+                    // lint: allow(panic) every witness is a settled level word
+                    let handle = self.seen.handle_of(witness).expect("witness is in A");
+                    put_u32(&mut core, position[handle as usize] - level_start);
                 }
             }
+            level_start += handles.len() as u32;
         }
 
         self.probe
             .on(|p| p.snapshot_section_finished("core_save", core.len() as u64));
 
-        // Frontier section: the pending Dijkstra buckets, in order
-        // (words then gates per bucket — see `bucket_blocks`).
+        // Frontier section: the pending Dijkstra buckets, in order. A
+        // settled word (a stale copy) is stored by its own position.
         self.probe
             .on(|p| p.snapshot_section_started("frontier_save"));
         let mut frontier = Vec::new();
         for (&cost, bucket) in &self.pending {
             put_u32(&mut frontier, cost);
-            put_u64(&mut frontier, bucket.len() as u64);
-            for &handle in bucket {
-                frontier.extend_from_slice(self.seen.key(handle).as_slice());
-            }
-            for &handle in bucket {
-                frontier.push(self.seen.meta(handle).gate);
-            }
+            put_u32(&mut frontier, bucket.len() as u32);
+            let paths: Vec<(u32, u8)> = bucket
+                .iter()
+                .map(|&h| match position[h as usize] {
+                    u32::MAX => derivation(h),
+                    settled => (settled, NO_GATE),
+                })
+                .collect();
+            put_paths(&mut frontier, &paths);
         }
 
         self.probe
@@ -1007,7 +1155,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         let mut r = Reader::new(&bytes[MAGIC.len()..]);
         // lint: allow(panic) reader holds at least the 8 header-prefix bytes checked above
         let version = r.u32().expect("length checked");
-        if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         // lint: allow(panic) reader holds at least the 8 header-prefix bytes checked above
@@ -1033,7 +1181,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         if checksum64(header_bytes) != stored_header_checksum {
             return Err(SnapshotError::ChecksumMismatch("header"));
         }
-        let header = Header::parse(header_bytes, version)?;
+        let header = Header::parse(header_bytes)?;
         if header.word_capacity as usize != W::Word::CAPACITY
             || header.trace_slots as usize != W::Trace::SLOTS
         {
@@ -1101,10 +1249,9 @@ impl<W: SearchWidth> SearchEngine<W> {
         }
         engine.probe = probe;
         let domain_len = header.domain_len as usize;
-        let binary_len = header.binary_len as usize;
         let gate_count = engine.gate_images.len();
 
-        // Core section → levels, traces, path metadata, classes.
+        // Core section → levels, path metadata, traces, classes.
         let completed_words = usize_of(
             header
                 .a_size
@@ -1121,55 +1268,96 @@ impl<W: SearchWidth> SearchEngine<W> {
         engine.class_levels = Vec::with_capacity(header.level_count as usize);
         engine.g_counts = Vec::with_capacity(header.level_count as usize);
         engine.b_counts = Vec::with_capacity(header.level_count as usize);
+        let mut level_ends = Vec::with_capacity(header.level_count as usize);
         engine.probe.on(|p| p.snapshot_section_started("core_load"));
         let mut r = Reader::new(core);
         let mut class_total = 0u64;
-        let read_word = |r: &mut Reader<'_>, len: usize| -> Result<W::Word, SnapshotError> {
-            let bytes = r.take(len)?;
-            if bytes.iter().any(|&b| b as usize >= domain_len) {
-                return Err(corrupt("word image outside the domain"));
-            }
-            Ok(W::Word::from_slice(bytes))
-        };
         for k in 0..header.level_count {
             let count = r.u32()? as usize;
-            let word_block = r.take(
-                count
-                    .checked_mul(domain_len)
-                    .ok_or_else(|| corrupt("level size overflows"))?,
-            )?;
-            if !all_bytes_below(word_block, domain_len) {
-                return Err(corrupt("level word image outside the domain"));
-            }
-            let mut traces = Vec::with_capacity(count);
-            for _ in 0..count {
-                traces.push(W::Trace::read_le(r.take(W::Trace::BYTES)?));
-            }
+            let (positions, gates) = r.paths(count)?;
+            // The arena holds the earlier levels, so the next handle is
+            // the next position.
+            let level_start = engine.seen.len();
             let mut handles = Vec::with_capacity(count);
-            for word in word_block.chunks_exact(domain_len) {
-                let gate = r.u8()?;
-                if gate != NO_GATE && gate as usize >= gate_count {
-                    return Err(corrupt(format!("level path gate {gate} out of range")));
+            let mut traces = Vec::with_capacity(count);
+            // Each word is interned one step late, so its home slot is
+            // fetched while the next word is derived.
+            let mut queued: Option<(W::Word, u64, Meta)> = None;
+            let paths = u32s(positions).zip(gates).map(Some).chain([None]);
+            for (i, path) in paths.enumerate() {
+                let derived = match path {
+                    None => None,
+                    Some((parent, &NO_GATE)) => {
+                        if k != 0 || parent != 0 || i != 0 {
+                            return Err(corrupt(
+                                "a level word other than the identity has no path gate",
+                            ));
+                        }
+                        let root = W::Word::identity(domain_len);
+                        Some((root, root.table_hash(), Meta::ROOT))
+                    }
+                    Some((parent, &gate)) => {
+                        if usize::from(gate) >= gate_count {
+                            return Err(corrupt(format!("level path gate {gate} out of range")));
+                        }
+                        if parent as usize >= level_start {
+                            return Err(corrupt(format!(
+                                "level {k} word's parent {parent} is not in an earlier level"
+                            )));
+                        }
+                        let (parent_word, parent_meta) = engine.seen.entry(parent);
+                        let gate_cost = engine.gate_costs[usize::from(gate)];
+                        if u64::from(parent_meta.cost) + u64::from(gate_cost) != u64::from(k) {
+                            return Err(corrupt(format!(
+                                "level {k} word derived at path cost {} + {gate_cost}",
+                                parent_meta.cost
+                            )));
+                        }
+                        let (word, hash) =
+                            parent_word.map_hash(&engine.gate_images[usize::from(gate)]);
+                        engine.seen.prefetch(hash);
+                        Some((word, hash, Meta { cost: k, gate }))
+                    }
+                };
+                if let Some((word, hash, meta)) = std::mem::replace(&mut queued, derived) {
+                    let handle = engine.seen.intern_hashed(word, hash, meta);
+                    if handle as usize != level_start + handles.len() {
+                        return Err(corrupt(format!("level {k} repeats an earlier word")));
+                    }
+                    traces.push(engine.trace_of(&word));
+                    handles.push(handle);
                 }
-                handles.push(
-                    engine
-                        .seen
-                        .intern(W::Word::from_slice(word), Meta { cost: k, gate }),
-                );
             }
             let class_count = r.u32()? as usize;
             class_total += class_count as u64;
             let mut class_keys = Vec::with_capacity(class_count);
             for _ in 0..class_count {
-                let key = read_word(&mut r, binary_len)?;
                 let witness_count = r.u32()? as usize;
                 if witness_count == 0 {
                     return Err(corrupt("class without witnesses"));
                 }
+                let mut key = None;
+                let mut previous = None;
                 let mut witnesses = Vec::with_capacity(witness_count);
-                for _ in 0..witness_count {
-                    witnesses.push(read_word(&mut r, domain_len)?);
+                for at in u32s(r.u32_block(witness_count)?) {
+                    let at = at as usize;
+                    if at >= count || previous.is_some_and(|p| p >= at) {
+                        return Err(corrupt(format!(
+                            "level {k} class witness {at} out of order or range"
+                        )));
+                    }
+                    previous = Some(at);
+                    let restriction = engine.restrict(traces[at]);
+                    if restriction.is_none() || key.is_some_and(|key| Some(key) != restriction) {
+                        return Err(corrupt(format!(
+                            "level {k} witness {at} does not restrict to its class"
+                        )));
+                    }
+                    key = restriction;
+                    witnesses.push(engine.seen.key(handles[at]));
                 }
+                // lint: allow(panic) the class has a witness, which set the key
+                let key = key.expect("a witness sets the key");
                 if engine
                     .classes
                     .insert(key, crate::engine::GClass { cost: k, witnesses })
@@ -1185,6 +1373,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             engine.level_traces.push(traces);
             engine.trace_index.push(OnceLock::new());
             engine.class_levels.push(class_keys);
+            level_ends.push(engine.seen.len());
         }
         r.finish("core")?;
         if class_total != header.class_count {
@@ -1213,21 +1402,20 @@ impl<W: SearchWidth> SearchEngine<W> {
         engine
             .probe
             .on(|p| p.snapshot_section_started("frontier_load"));
-        DeferredFrontier::validate(frontier, &header, gate_count)?;
+        DeferredFrontier::validate(frontier, &header, &level_ends, &engine.gate_costs)?;
         let frontier_start = body_start + core_len;
         engine.deferred_frontier = (header.frontier_buckets > 0).then(|| DeferredFrontier {
             image: image.clone(),
             section: frontier_start..frontier_start + frontier_len,
             buckets: header.frontier_buckets,
             unique: usize_of(header.frontier_unique, "frontier word").unwrap_or(0),
+            settled: completed_words,
             domain_len,
         });
         engine
             .probe
             .on(|p| p.snapshot_section_finished("frontier_load", frontier.len() as u64));
-        // A version 1 file re-serializes as version 2, so only a
-        // current-version file is the engine's image.
-        engine.image = (version == SNAPSHOT_VERSION).then_some(image);
+        engine.image = Some(image);
         Ok(engine)
     }
 }
@@ -1319,6 +1507,49 @@ mod tests {
     }
 
     #[test]
+    fn stale_copies_of_settled_words_roundtrip() {
+        // Under weighted(1,1,3) a word first queued through a Feynman
+        // gate can settle cheaper through V gates, leaving its stale copy
+        // in a later bucket: the frontier names a settled word.
+        let model = CostModel::weighted(1, 1, 3);
+        let mut original = SynthesisEngine::new(GateLibrary::standard(3), model);
+        original.expand_to_cost(6);
+        let completed = original.completed_cost().unwrap();
+        let stale_settled = original
+            .pending
+            .values()
+            .flatten()
+            .filter(|&&h| original.seen.meta(h).cost <= completed)
+            .count();
+        assert!(stale_settled > 0, "the case is exercised");
+        let bytes = original.snapshot_to_bytes().unwrap();
+        let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
+        loaded.ensure_frontier();
+        assert_eq!(
+            loaded.pending.values().map(Vec::len).collect::<Vec<_>>(),
+            original.pending.values().map(Vec::len).collect::<Vec<_>>()
+        );
+        for (got, want) in loaded.pending.values().zip(original.pending.values()) {
+            let got: Vec<_> = got
+                .iter()
+                .map(|&h| (loaded.seen.key(h), loaded.seen.meta(h)))
+                .collect();
+            let want: Vec<_> = want
+                .iter()
+                .map(|&h| (original.seen.key(h), original.seen.meta(h)))
+                .collect();
+            assert_eq!(got, want);
+        }
+        original.expand_to_cost(8);
+        loaded.expand_to_cost(8);
+        assert_eq!(original.b_counts(), loaded.b_counts());
+        assert_eq!(original.a_size(), loaded.a_size());
+        for k in 0..=8 {
+            assert_eq!(original.level_words(k), loaded.level_words(k), "level {k}");
+        }
+    }
+
+    #[test]
     fn unexpanded_engine_roundtrips() {
         let mut fresh = SynthesisEngine::unit_cost();
         let bytes = fresh.snapshot_to_bytes().unwrap();
@@ -1378,6 +1609,53 @@ mod tests {
                 ),
                 "offset {offset}: {err}"
             );
+        }
+    }
+
+    /// Recomputes every checksum of `bytes` after a deliberate edit, so
+    /// the edit reaches structural validation.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let mut header = Header::parse(&bytes[16..16 + header_len]).unwrap();
+        let body = 16 + header_len + 8;
+        let core_len = header.core_len as usize;
+        header.core_checksum = checksum64(&bytes[body..body + core_len]);
+        header.frontier_checksum = checksum64(&bytes[body + core_len..]);
+        let header_bytes = header.to_bytes();
+        bytes[16..16 + header_len].copy_from_slice(&header_bytes);
+        bytes[16 + header_len..body].copy_from_slice(&checksum64(&header_bytes).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn resealed_edits_fail_structural_validation() {
+        let bytes = warm(2).snapshot_to_bytes().unwrap().to_vec();
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let core = 16 + header_len + 8;
+        let core_len = Header::parse(&bytes[16..16 + header_len]).unwrap().core_len as usize;
+        let frontier = core + core_len;
+        // Level 0 is `count · parent · gate · classes · witnesses` (21
+        // bytes); level 1 follows with 18 parents, then 18 gates.
+        let level_1_parents = core + 21 + 4;
+        let level_1_gates = level_1_parents + 18 * 4;
+        // The first frontier bucket is `cost · count · positions · gates`.
+        assert_eq!(&bytes[frontier..frontier + 4], &3u32.to_le_bytes());
+        let entries = u32::from_le_bytes(bytes[frontier + 4..frontier + 8].try_into().unwrap());
+        let first_gate = frontier + 8 + entries as usize * 4;
+        let edits: [(&str, usize, &[u8]); 6] = [
+            ("root given a gate", core + 8, &[0]),
+            ("gate out of range", level_1_gates, &[0xfe]),
+            ("parent in its own level", level_1_parents, &[1, 0, 0, 0]),
+            ("witness outside its level", core + 17, &[1, 0, 0, 0]),
+            ("bucket above its paths", frontier, &[9, 0, 0, 0]),
+            ("frontier word stored as settled", first_gate, &[NO_GATE]),
+        ];
+        assert!(SynthesisEngine::load_snapshot_from_bytes(&reseal(bytes.clone())).is_ok());
+        for (label, at, patch) in edits {
+            let mut edited = bytes.clone();
+            edited[at..at + patch.len()].copy_from_slice(patch);
+            let err = SynthesisEngine::load_snapshot_from_bytes(&reseal(edited)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{label}: {err}");
         }
     }
 
@@ -1442,49 +1720,23 @@ mod tests {
         assert!(matches!(err, SnapshotError::WidthMismatch { .. }), "{err}");
     }
 
-    /// This build only writes v2, so the documented v1 contract is
-    /// locked with a synthesized v1 byte stream: strip the 3 width bytes
-    /// from a narrow v2 header and patch version/framing/checksum.
-    fn as_version_1(v2: &[u8]) -> Vec<u8> {
-        let header_len = u32::from_le_bytes(v2[12..16].try_into().unwrap()) as usize;
-        let header_start = 16;
-        let v1_header = &v2[header_start..header_start + header_len - 3];
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&((header_len - 3) as u32).to_le_bytes());
-        v1.extend_from_slice(v1_header);
-        v1.extend_from_slice(&checksum64(v1_header).to_le_bytes());
-        v1.extend_from_slice(&v2[header_start + header_len + 8..]);
-        v1
-    }
-
     #[test]
-    fn version_1_files_still_load_as_narrow() {
-        let mut original = warm(3);
-        let v1 = as_version_1(&original.snapshot_to_bytes().unwrap());
-
-        let loaded = SynthesisEngine::load_snapshot_from_bytes(&v1).unwrap();
-        assert_eq!(original.g_counts(), loaded.g_counts());
-        assert_eq!(original.b_counts(), loaded.b_counts());
-        assert_eq!(original.a_size(), loaded.a_size());
-
-        // The v1 widths are implicitly narrow: the wide engine refuses.
-        let err = WideSynthesisEngine::load_snapshot_from_bytes(&v1).unwrap_err();
-        assert!(matches!(err, SnapshotError::WidthMismatch { .. }), "{err}");
-    }
-
-    #[test]
-    fn version_1_load_keeps_no_image_and_writes_version_2() {
-        let v2 = warm(3).snapshot_to_bytes().unwrap();
-        let v1 = SnapshotImage::from(&as_version_1(&v2)[..]);
-        let mut loaded =
-            SynthesisEngine::load_snapshot_image(v1.clone(), ProbeHandle::none()).unwrap();
-        assert!(loaded.image.is_none());
-        assert!(loaded.deferred_frontier.is_some());
-        assert_eq!(loaded.snapshot_to_bytes().unwrap(), v2);
-        // The frontier is merged and released; nothing holds the v1 file.
-        assert_eq!(SnapshotImage::handle_count(&v1), 1);
+    fn older_versions_are_refused() {
+        // Versions 1 and 2 stored raw image tables; this build refuses
+        // them with the typed error the CLI and server degrade on.
+        let current = warm(3).snapshot_to_bytes().unwrap();
+        for version in [1u32, 2] {
+            let mut old = current.to_vec();
+            old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            let err = SynthesisEngine::load_snapshot_from_bytes(&old).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
+                "{err}"
+            );
+            assert!(err.is_corruption(), "an unreadable version degrades");
+            let err = WideSynthesisEngine::load_snapshot_from_bytes(&old).unwrap_err();
+            assert!(matches!(err, SnapshotError::UnsupportedVersion(_)), "{err}");
+        }
     }
 
     #[test]
@@ -1504,11 +1756,11 @@ mod tests {
     }
 
     #[test]
-    fn version_2_is_written() {
+    fn version_3_is_written() {
         let bytes = warm(1).snapshot_to_bytes().unwrap();
         let version = u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
         assert_eq!(version, SNAPSHOT_VERSION);
-        assert_eq!(version, 2);
+        assert_eq!(version, 3);
     }
 
     #[test]

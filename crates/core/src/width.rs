@@ -261,9 +261,6 @@ pub trait TraceRepr:
     /// Most binary patterns a trace can pack.
     const SLOTS: usize;
 
-    /// Serialized width in bytes (little-endian, equals [`Self::SLOTS`]).
-    const BYTES: usize;
-
     /// The empty trace.
     const ZERO: Self;
 
@@ -274,20 +271,17 @@ pub trait TraceRepr:
     #[must_use]
     fn or_byte(self, slot: usize, value: u8) -> Self;
 
-    /// Appends the little-endian bytes to `out`.
-    fn write_le(self, out: &mut Vec<u8>);
-
-    /// Reads a trace from exactly [`Self::BYTES`] little-endian bytes.
+    /// The trace whose first `bytes.len()` slots are `bytes` and whose
+    /// other slots are empty.
     ///
     /// # Panics
     ///
-    /// Panics if `bytes.len() != Self::BYTES`.
-    fn read_le(bytes: &[u8]) -> Self;
+    /// Panics if `bytes` is longer than [`Self::SLOTS`].
+    fn from_le_prefix(bytes: &[u8]) -> Self;
 }
 
 impl TraceRepr for u64 {
     const SLOTS: usize = 8;
-    const BYTES: usize = 8;
     const ZERO: Self = 0;
 
     #[inline]
@@ -300,18 +294,16 @@ impl TraceRepr for u64 {
         self | (u64::from(value) << (8 * slot))
     }
 
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn read_le(bytes: &[u8]) -> Self {
-        u64::from_le_bytes(bytes.try_into().expect("8 trace bytes"))
+    #[inline]
+    fn from_le_prefix(bytes: &[u8]) -> Self {
+        let mut le = [0u8; 8];
+        le[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(le)
     }
 }
 
 impl TraceRepr for u128 {
     const SLOTS: usize = 16;
-    const BYTES: usize = 16;
     const ZERO: Self = 0;
 
     #[inline]
@@ -324,13 +316,11 @@ impl TraceRepr for u128 {
         self | (u128::from(value) << (8 * slot))
     }
 
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn read_le(bytes: &[u8]) -> Self {
-        // lint: allow(panic) callers pass exactly 16 bytes (trace wire format)
-        u128::from_le_bytes(bytes.try_into().expect("16 trace bytes"))
+    #[inline]
+    fn from_le_prefix(bytes: &[u8]) -> Self {
+        let mut le = [0u8; 16];
+        le[..bytes.len()].copy_from_slice(bytes);
+        u128::from_le_bytes(le)
     }
 }
 
@@ -457,18 +447,22 @@ mod tests {
         let t64 = 0x0102_0304_0506_0708u64;
         assert_eq!(t64.byte(0), 0x08);
         assert_eq!(t64.byte(7), 0x01);
-        let mut out = Vec::new();
-        t64.write_le(&mut out);
-        assert_eq!(u64::read_le(&out), t64);
 
         let t128 = (u128::from(t64) << 64) | 0x99;
         assert_eq!(t128.byte(0), 0x99);
         assert_eq!(t128.byte(8), 0x08);
         assert_eq!(t128.byte(15), 0x01);
-        let mut out = Vec::new();
-        t128.write_le(&mut out);
-        assert_eq!(out.len(), 16);
-        assert_eq!(u128::read_le(&out), t128);
+    }
+
+    #[test]
+    fn le_prefixes_fill_the_low_slots() {
+        assert_eq!(u64::from_le_prefix(&[1, 2, 3]), 0x03_02_01);
+        assert_eq!(u64::from_le_prefix(&[]), 0);
+        let bytes: Vec<u8> = (1..=16).collect();
+        let t = u128::from_le_prefix(&bytes);
+        for (slot, &b) in bytes.iter().enumerate() {
+            assert_eq!(t.byte(slot), b);
+        }
     }
 
     #[test]

@@ -62,6 +62,28 @@ fn four_wire_census_counts_are_pinned() {
 }
 
 #[test]
+fn four_wire_census_a_size_counts_settled_words() {
+    // The census settles cost 3 without expanding it: |A| is
+    // Σ |B[k]| = 1 + 36 + 684 + 9,354, not the 114,925 words an
+    // expanded engine holds.
+    let census = mvq_core::Census::compute_with(&mut wide_unit(), 3);
+    let g: Vec<usize> = census.rows().iter().map(|r| r.g_count).collect();
+    assert_eq!(g, [1, 12, 96, 542]);
+    assert_eq!(census.rows()[3].s8_count, 16 * 542);
+    assert_eq!(census.a_size(), 10_075);
+}
+
+#[test]
+#[ignore = "expands 4-wire level 4: ~0.4 s and ~280 MB in release"]
+fn four_wire_expanded_a_size_at_cost_4_is_pinned() {
+    // The benchmark checks this value after `expand_to_cost(4)`.
+    let mut e = wide_unit();
+    e.expand_to_cost(4);
+    assert_eq!(e.b_counts(), &[1, 36, 684, 9354, 104_850]);
+    assert_eq!(e.a_size(), 1_153_039);
+}
+
+#[test]
 fn four_wire_uni_and_bidi_agree_cold_and_warm() {
     let cnot = cnot_da();
     // Cold engines, one per strategy.

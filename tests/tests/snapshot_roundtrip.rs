@@ -215,18 +215,15 @@ fn fnv_digest(bytes: &[u8]) -> u64 {
 
 #[test]
 fn snapshot_bytes_are_pinned() {
-    // The on-disk v2 format is independent of how `seen` is stored or
-    // hashed in memory: these digests were recorded before the slot
-    // table replaced the `HashMap`, and they must never move unless the
-    // format version does.
+    // The on-disk format is independent of how `seen` is stored or
+    // hashed in memory: these digests must never move unless the format
+    // version does. Version 3 stores every word as its parent's position
+    // plus one gate, so both unit snapshots stay under 1 MB (version 2
+    // wrote 6,190,106 and 20,639,134 bytes of raw image tables).
     let pins: [(&str, usize, u64); 3] = [
-        ("narrow unit cb 5", 6_190_106, 0xb475_dd85_9e94_67ea),
-        (
-            "narrow weighted(1,2,3) cb 6",
-            482_500,
-            0xa9a5_0c1d_e408_dfb5,
-        ),
-        ("wide unit cb 3", 20_639_134, 0xd2e8_7d01_b50e_8beb),
+        ("narrow unit cb 5", 760_704, 0x6123_ef10_491e_0a16),
+        ("narrow weighted(1,2,3) cb 6", 59_788, 0xbce9_8acb_ae93_fa3a),
+        ("wide unit cb 3", 580_186, 0x1fc7_1739_be23_4093),
     ];
     let mut narrow = engine(CostModel::unit());
     narrow.expand_to_cost(5);
@@ -240,7 +237,19 @@ fn snapshot_bytes_are_pinned() {
         wide.snapshot_to_bytes().unwrap(),
     ];
     for ((label, len, digest), bytes) in pins.iter().zip(&got) {
+        assert_eq!(&bytes[8..12], &3u32.to_le_bytes(), "{label}: version");
         assert_eq!(bytes.len(), *len, "{label}: length");
         assert_eq!(fnv_digest(bytes), *digest, "{label}: digest");
     }
+    // The header's |A| and frontier word count stay exact: a loaded
+    // engine reports the writer's |A| before and after its frontier
+    // merges.
+    let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&got[0]).unwrap();
+    assert_eq!(loaded.a_size(), narrow.a_size());
+    loaded.ensure_frontier();
+    assert_eq!(loaded.a_size(), narrow.a_size());
+    let mut loaded = mvq_core::WideSynthesisEngine::load_snapshot_from_bytes(&got[2]).unwrap();
+    assert_eq!(loaded.a_size(), wide.a_size());
+    loaded.ensure_frontier();
+    assert_eq!(loaded.a_size(), wide.a_size());
 }
