@@ -834,22 +834,34 @@ impl DeferredFrontier {
             // lint: allow(panic) the section was validated at load
             let (cost, positions, gates) = bucket_paths(&mut r).expect("validated at load");
             let mut bucket = Vec::with_capacity(gates.len());
+            // A derived word is interned one entry late, so its home slot
+            // is fetched while the next entry is derived.
+            let mut queued: Option<(W::Word, u64, Meta)> = None;
             for (position, &gate) in u32s(positions).zip(gates) {
-                let handle = if gate != NO_GATE {
+                let derived = (gate != NO_GATE).then(|| {
                     let gate = usize::from(gate);
                     let (parent_word, parent) = seen.entry(position);
                     let (word, hash) = parent_word.map_hash(&gate_images[gate]);
+                    seen.prefetch(hash);
                     let meta = Meta {
                         cost: parent.cost + gate_costs[gate],
                         gate: gate as u8,
                     };
-                    seen.intern_hashed(word, hash, meta)
-                } else if self.settled == 0 {
-                    seen.intern(W::Word::identity(self.domain_len), Meta::ROOT)
-                } else {
-                    position
-                };
-                bucket.push(handle);
+                    (word, hash, meta)
+                });
+                if let Some((word, hash, meta)) = queued.take() {
+                    bucket.push(seen.intern_hashed(word, hash, meta));
+                }
+                match derived {
+                    Some(next) => queued = Some(next),
+                    None if self.settled == 0 => {
+                        bucket.push(seen.intern(W::Word::identity(self.domain_len), Meta::ROOT));
+                    }
+                    None => bucket.push(position),
+                }
+            }
+            if let Some((word, hash, meta)) = queued {
+                bucket.push(seen.intern_hashed(word, hash, meta));
             }
             pending.insert(cost, bucket);
         }
