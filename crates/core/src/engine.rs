@@ -314,6 +314,11 @@ pub struct SearchEngine<W: SearchWidth> {
     /// (every standard library): a word's S-trace is then its leading
     /// image bytes.
     binary_prefix: bool,
+    /// On a prefix library whose binary set has `k = 2^m` patterns: the
+    /// trace bits that mark a byte of `k` or more, an image outside the
+    /// binary set, so [`Self::restrict`] rejects most traces with one
+    /// mask test. `None` on other libraries.
+    non_binary_bits: Option<W::Trace>,
     /// Every discovered element of `A[∞]` with its metadata.
     pub(crate) seen: SeenTable<W::Word>,
     /// Pending frontier elements keyed by their (exact) cost, as handles
@@ -471,6 +476,11 @@ impl<W: SearchWidth> SearchEngine<W> {
             .iter()
             .enumerate()
             .all(|(i, &idx)| usize::from(idx) == i);
+        let k = binary0.len();
+        let non_binary_bits = (binary_prefix && k.is_power_of_two()).then(|| {
+            let high = !((k - 1) as u8);
+            (0..k).fold(W::Trace::ZERO, |bits, slot| bits.or_byte(slot, high))
+        });
         let mut binary_rank = vec![u8::MAX; library.domain().len()];
         for (rank, &idx) in binary0.iter().enumerate() {
             binary_rank[idx as usize] = rank as u8;
@@ -491,6 +501,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             binary0,
             binary_rank,
             binary_prefix,
+            non_binary_bits,
             seen,
             pending,
             deferred_frontier: None,
@@ -592,6 +603,22 @@ impl<W: SearchWidth> SearchEngine<W> {
         let mut trace = W::Trace::ZERO;
         for (i, &idx) in self.binary0.iter().enumerate() {
             trace = trace.or_byte(i, word.at(idx as usize));
+        }
+        trace
+    }
+
+    /// [`Self::trace_of`] the word whose `seen` key lanes are `lanes`,
+    /// read from the lanes in place: the leading lane(s) on a prefix
+    /// library, otherwise the bytes `binary0` picks out of them.
+    #[inline]
+    fn trace_of_lanes(&self, lanes: &[u64]) -> W::Trace {
+        if self.binary_prefix {
+            return W::Trace::from_le_lanes(lanes, self.binary0.len());
+        }
+        let mut trace = W::Trace::ZERO;
+        for (i, &idx) in self.binary0.iter().enumerate() {
+            let idx = usize::from(idx);
+            trace = trace.or_byte(i, (lanes[idx / 8] >> (8 * (idx % 8))) as u8);
         }
         trace
     }
@@ -723,35 +750,38 @@ impl<W: SearchWidth> SearchEngine<W> {
         let (&cost, _) = self.pending.first_key_value()?;
         // lint: allow(panic) first_key_value just proved the bucket key exists
         let mut handles = self.pending.remove(&cost).expect("bucket exists");
-        // Lazy decrease-key: with non-uniform gate costs a word can be
-        // re-admitted to a cheaper bucket after its first discovery; the
-        // superseded copy stays behind in its original bucket and is
-        // dropped here. Buckets are processed cost-ascending and all gate
-        // costs are positive, so a word whose recorded cost still equals
-        // this bucket's cost is final (Dijkstra). The check reads the
-        // entry through its handle: no hash, probe or key compare.
-        let raw_len = handles.len();
-        handles.retain(|&h| self.seen.meta(h).cost == cost);
-        let stale_dropped = (raw_len - handles.len()) as u64;
         // Defensive: levels complete in ascending order.
         debug_assert!(self.completed.map_or(cost == 0, |c| cost > c));
 
-        // Collect the per-word S-traces for the level index, then
-        // register reversible classes (pre_G[cost] − earlier G's: the
-        // subtraction is implicit in first-seen-wins) from them.
-        // Registration stays serial so the class-discovery and witness
-        // order match the bucket order.
-        let traces: Vec<W::Trace> = handles
-            .iter()
-            .map(|&h| self.trace_of(&self.seen.key(h)))
-            .collect();
+        // One pass over the bucket, reading each word's `seen` record in
+        // place once. Lazy decrease-key: with non-uniform gate costs a
+        // word can be re-admitted to a cheaper bucket after its first
+        // discovery; the superseded copy stays behind in its original
+        // bucket and is dropped here. Buckets are processed
+        // cost-ascending and all gate costs are positive, so a word whose
+        // recorded cost still equals this bucket's cost is final
+        // (Dijkstra). A kept word's S-trace comes from its key lanes, and
+        // a word whose trace restricts registers a reversible class
+        // (pre_G[cost] − earlier G's: the subtraction is implicit in
+        // first-seen-wins) in bucket order, so the class-discovery and
+        // witness order match it.
+        let raw_len = handles.len();
+        let mut traces: Vec<W::Trace> = Vec::with_capacity(raw_len);
         let mut g_new: Vec<W::Word> = Vec::new();
-        for (&handle, &trace) in handles.iter().zip(&traces) {
-            if let Some(restriction) = self.restrict(trace) {
-                let word = self.seen.key(handle);
-                self.register_class(cost, word, restriction, &mut g_new);
+        handles.retain(|&handle| {
+            let record = self.seen.record(handle);
+            if record.meta().cost != cost {
+                return false;
             }
-        }
+            let trace = self.trace_of_lanes(record.key_lanes());
+            debug_assert_eq!(trace, self.trace_of(&record.key()), "lane trace");
+            traces.push(trace);
+            if let Some(restriction) = self.restrict(trace) {
+                self.register_class(cost, handle, restriction, &mut g_new);
+            }
+            true
+        });
+        let stale_dropped = (raw_len - handles.len()) as u64;
 
         // Record the level and its statistics. With non-unit costs some
         // levels are empty; fill the gap so indices equal costs.
@@ -789,34 +819,33 @@ impl<W: SearchWidth> SearchEngine<W> {
             return 0;
         };
         let level = cost as usize;
-        // The level's words, gathered for this expansion only (`seen`
-        // keeps the one copy), and per word the gate leading back to its
+        let handles = &self.levels[level];
+        // Each word is fetched from its `seen` record a block at a time
+        // (`seen` keeps the one copy), with the gate leading back to its
         // parent: `w = p·g`, so the successor through `g⁻¹` is `p`,
         // already in `seen` at cost `cost − cost(g)`, which `admit`
         // would always reject.
-        let handles = &self.levels[level];
-        let bucket: Vec<W::Word> = handles.iter().map(|&h| self.seen.key(h)).collect();
-        let back_gates: Vec<u8> = handles
-            .iter()
-            .map(|&h| {
-                let last = usize::from(self.seen.meta(h).gate);
-                self.inverse_gate.get(last).copied().unwrap_or(u8::MAX)
-            })
-            .collect();
+        let inverse_gate = &self.inverse_gate;
+        let fetch = |seen: &SeenTable<W::Word>, idx: usize| {
+            let record = seen.record(handles[idx]);
+            let last = usize::from(record.meta().gate);
+            let back_gate = inverse_gate.get(last).copied().unwrap_or(u8::MAX);
+            (record.key(), back_gate)
+        };
 
         // Expand reasonable products into later buckets. The `seen`
         // reservation is sized from the frontier's measured growth
         // factor so deep levels don't rehash their way up.
         let previous = level.checked_sub(1).map_or(0, |p| self.b_counts[p]);
-        let expected_new = expand::growth_hint(bucket.len(), previous, self.gate_images.len());
+        let expected_new = expand::growth_hint(handles.len(), previous, self.gate_images.len());
         let traces = &self.level_traces[level];
         let gate_images = &self.gate_images;
         let gate_banned = &self.gate_banned;
         let gate_costs = &self.gate_costs;
         let binary_len = self.binary0.len();
-        let generate = |idx: usize, word: &W::Word, emit: &mut Emit<W::Word>| {
+        let generate = |idx: usize, (word, back_gate): &(W::Word, u8), emit: &mut Emit<W::Word>| {
             let image_mask = trace_mask::<W>(traces[idx], binary_len);
-            let back_gate = usize::from(back_gates[idx]);
+            let back_gate = usize::from(*back_gate);
             for (gate_idx, table) in gate_images.iter().enumerate() {
                 if gate_idx == back_gate || image_mask.intersects(&gate_banned[gate_idx]) {
                     continue; // the parent, or not a reasonable product
@@ -825,19 +854,22 @@ impl<W: SearchWidth> SearchEngine<W> {
                 emit.push_hashed(next, hash, cost + gate_costs[gate_idx], gate_idx as u8);
             }
         };
-        let expansion = expand::expand_bucket(&bucket, &mut self.seen, expected_new, generate);
+        let expansion =
+            expand::expand_bucket(handles.len(), &mut self.seen, expected_new, fetch, generate);
         self.probe
             .on(|p| p.level_work(cost, expansion.generated, stale_dropped));
         expand::append_pushes(&mut self.pending, expansion.pushes)
     }
 
-    /// Folds one reversible word of the current level into the class
-    /// table: first realization founds the class (and joins `g_new`),
-    /// same-cost realizations extend its witness list.
+    /// Folds one reversible word of the current level, addressed by its
+    /// `seen` handle, into the class table: first realization founds the
+    /// class (and joins `g_new`), same-cost realizations extend its
+    /// witness list. The word is rebuilt from its lanes only when it
+    /// becomes a witness.
     fn register_class(
         &mut self,
         cost: u32,
-        word: W::Word,
+        handle: Handle,
         restriction: W::Word,
         g_new: &mut Vec<W::Word>,
     ) {
@@ -847,13 +879,13 @@ impl<W: SearchWidth> SearchEngine<W> {
                     restriction,
                     GClass {
                         cost,
-                        witnesses: vec![word],
+                        witnesses: vec![self.seen.key(handle)],
                     },
                 );
                 g_new.push(restriction);
             }
             Some(class) if class.cost == cost => {
-                class.witnesses.push(word);
+                class.witnesses.push(self.seen.key(handle));
             }
             Some(_) => {} // already realizable at lower cost
         }
@@ -1084,11 +1116,12 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// All reversible circuits of minimal cost exactly `k` — the paper's
     /// set `G[k]` — as `(binary permutation, witness circuit)` pairs.
     ///
-    /// Expands levels up to `k` if necessary, then reads the per-level
-    /// class index (no scan over other levels). Pairs are sorted by the
-    /// binary permutation for determinism.
+    /// Settles levels up to `k` if necessary (level `k`'s successors,
+    /// which `G[k]` does not need, are not generated), then reads the
+    /// per-level class index (no scan over other levels). Pairs are
+    /// sorted by the binary permutation for determinism.
     pub fn reversible_circuits_at_cost(&mut self, k: u32) -> Vec<(Perm, Circuit)> {
-        self.expand_to_cost(k);
+        self.climb_to(k, false);
         let n = self.library.domain().wires();
         let keys = match self.class_levels.get(k as usize) {
             Some(keys) => keys.clone(),
@@ -1175,6 +1208,12 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// the word's S-trace (`trace.byte(i)` is where the word sends the
     /// `i`-th binary pattern).
     pub(crate) fn restrict(&self, trace: W::Trace) -> Option<W::Word> {
+        if self
+            .non_binary_bits
+            .is_some_and(|bits| trace & bits != W::Trace::ZERO)
+        {
+            return None; // a byte past the binary prefix
+        }
         // The stack buffer must cover every width's binary set; a wider
         // future width would silently truncate restrictions otherwise.
         const {
@@ -1421,6 +1460,78 @@ mod tests {
         let b = wide.synthesize(&known::toffoli_perm(), 5).unwrap();
         assert_eq!(a.circuit.to_string(), b.circuit.to_string());
         assert_eq!(a.implementation_count, b.implementation_count);
+    }
+
+    /// Settles and expands a 3-wire unit engine over the full 64-pattern
+    /// domain, whose binary set (1-based domain indices 1, 2, 5, 6, 17, 18, 21,
+    /// 22) is not a prefix, so S-traces are picked out of the record
+    /// lanes byte by byte and restriction takes the rank table. It must
+    /// find the standard engine's `G[k]` and `B[k]`, and each level's
+    /// stored S-traces must be the traces of its words.
+    fn assert_non_prefix_library_matches_standard(cb: u32, g: &[usize], b: &[usize]) {
+        let library = GateLibrary::with_domain(mvq_logic::PatternDomain::full(3));
+        let mut full = SynthesisEngine::new(library, CostModel::unit());
+        assert!(!full.binary_prefix && full.non_binary_bits.is_none());
+        assert_eq!(full.library().binary_set(), [1, 2, 5, 6, 17, 18, 21, 22]);
+        let mut standard = SynthesisEngine::unit_cost();
+        full.expand_to_cost(cb);
+        standard.expand_to_cost(cb);
+        assert_eq!(full.g_counts(), g);
+        assert_eq!(full.b_counts(), b);
+        assert_eq!(standard.g_counts(), g);
+        assert_eq!(standard.b_counts(), b);
+        for k in 0..=cb {
+            let words = full.level_words(k).unwrap();
+            let traces: Vec<u64> = words.iter().map(|w| full.trace_of(w)).collect();
+            assert_eq!(full.level_traces[k as usize], traces, "level {k}");
+        }
+    }
+
+    #[test]
+    fn non_prefix_binary_set_reproduces_the_standard_levels() {
+        assert_non_prefix_library_matches_standard(
+            5,
+            &[1, 6, 24, 51, 84, 156],
+            &[1, 18, 162, 1_017, 5_364, 25_761],
+        );
+    }
+
+    #[test]
+    #[ignore = "cost 6: run in release by the oracles CI job"]
+    fn non_prefix_binary_set_reproduces_the_standard_levels_to_cost_6() {
+        assert_non_prefix_library_matches_standard(
+            6,
+            &[1, 6, 24, 51, 84, 156, 398],
+            &[1, 18, 162, 1_017, 5_364, 25_761, 118_888],
+        );
+    }
+
+    #[test]
+    fn prefix_restriction_mask_matches_the_rank_table() {
+        let engine = SynthesisEngine::unit_cost();
+        assert_eq!(engine.non_binary_bits, Some(0xf8f8_f8f8_f8f8_f8f8));
+        let wide = WideSynthesisEngine::new(GateLibrary::standard(4), CostModel::unit());
+        assert_eq!(wide.non_binary_bits, Some(u128::from_le_bytes([0xf0; 16])));
+        let two = SynthesisEngine::new(GateLibrary::standard(2), CostModel::unit());
+        assert_eq!(two.non_binary_bits, Some(0xfcfc_fcfc));
+        // Every trace whose bytes are all binary restricts, and one
+        // non-binary byte in any slot rejects it.
+        let binary = u64::from_le_bytes([3, 0, 7, 1, 2, 6, 5, 4]);
+        assert!(engine.restrict(binary).is_some());
+        for slot in 0..8 {
+            for byte in [8u8, 9, 37] {
+                let trace = (binary & !(0xff << (8 * slot))) | (u64::from(byte) << (8 * slot));
+                assert_eq!(engine.restrict(trace), None, "slot {slot} byte {byte}");
+            }
+        }
+    }
+
+    #[test]
+    fn reversible_circuits_at_cost_settles_without_expanding() {
+        let mut engine = SynthesisEngine::unit_cost();
+        assert_eq!(engine.reversible_circuits_at_cost(5).len(), 156);
+        assert_eq!(engine.completed_cost(), Some(5));
+        assert_eq!(engine.a_size(), 32_323);
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! successors a batch at a time so their home slots can be prefetched
 //! before they are admitted in order ([`expand_bucket`]).
 //!
+//! A level is never copied whole. [`expand_bucket`] takes the level's
+//! element count and a read-only `fetch` from `seen`, and copies each
+//! element out just before generating it: the forward engine
+//! fetches a word and the gate back to its parent from the word's
+//! `seen` record, the backward frontier a trace from its level slice.
+//! Admission only adds entries and lowers costs above the level's own,
+//! so a record fetched after earlier blocks were admitted reads as it
+//! did when the level was settled.
+//!
 //! A frontier hands its successors to this module through an [`Emit`]
 //! sink: its `generate` callback pushes `(key, cost, gate)` records, with
 //! the key's table hash attached or computed on push, into a reused
@@ -118,36 +127,41 @@ fn push_by_cost(lists: &mut Vec<(u32, Vec<Handle>)>, cost: u32, handle: Handle) 
 /// home slots it prefetches, before admitting any of them.
 const ADMIT_BATCH: usize = 16;
 
-/// Expands one frontier bucket: calls `generate(index, element, emit)`
-/// for every bucket element, admits every emitted successor into `seen`
-/// under [`SeenTable::admit`], and returns the accepted pushes per cost
-/// in admission order, with the number of successors generated.
+/// Expands one frontier bucket of `len` elements: fetches element `i` as
+/// `fetch(seen, i)`, calls `generate(i, element, emit)` for it, admits
+/// every emitted successor into `seen` under [`SeenTable::admit`], and
+/// returns the accepted pushes per cost in admission order, with the
+/// number of successors generated.
 ///
-/// Elements are taken [`ADMIT_BATCH`] at a time: their successors are
-/// emitted into one reused [`Emit`] buffer, each element's successors
-/// have their home slots prefetched right after it is generated, and
-/// then the buffer is admitted in emit order — so the outcome is exactly
-/// that of admitting each successor as it is generated, with the slot
-/// cache misses overlapped.
-pub(crate) fn expand_bucket<K, G>(
-    bucket: &[K],
+/// Elements are taken [`ADMIT_BATCH`] at a time: each is fetched just
+/// before it is generated, the block's successors are emitted into one
+/// reused [`Emit`] buffer, each element's successors have their home
+/// slots prefetched right after it is generated, and then the buffer is
+/// admitted in emit order — so the outcome is exactly that of admitting
+/// each successor as it is generated, with the slot cache misses
+/// overlapped. `fetch` must read what admission leaves alone (see the
+/// module docs).
+pub(crate) fn expand_bucket<K, E, F, G>(
+    len: usize,
     seen: &mut SeenTable<K>,
     expected_new: usize,
+    fetch: F,
     generate: G,
 ) -> Expansion
 where
     K: ShardKey,
-    G: Fn(usize, &K, &mut Emit<K>),
+    F: Fn(&SeenTable<K>, usize) -> E,
+    G: Fn(usize, &E, &mut Emit<K>),
 {
     seen.reserve(expected_new);
     let mut lists: Vec<(u32, Vec<Handle>)> = Vec::new();
     let mut generated = 0u64;
     let mut emit = Emit::new();
-    for (block_idx, block) in bucket.chunks(ADMIT_BATCH).enumerate() {
+    for first in (0..len).step_by(ADMIT_BATCH) {
         emit.successors.clear();
-        for (offset, element) in block.iter().enumerate() {
+        for i in first..len.min(first + ADMIT_BATCH) {
             let start = emit.successors.len();
-            generate(block_idx * ADMIT_BATCH + offset, element, &mut emit);
+            generate(i, &fetch(seen, i), &mut emit);
             for s in &emit.successors[start..] {
                 seen.prefetch(s.hash);
             }
@@ -266,8 +280,17 @@ mod tests {
             let reference = serial_reference(&bucket, &mut reference_seen);
             assert_eq!(reference.is_empty(), len == 0);
             let mut seen: SeenTable<u64> = SeenTable::new();
-            let expansion = expand_bucket(&bucket, &mut seen, 1000, generate);
+            let fetched = std::cell::RefCell::new(Vec::new());
+            let fetch = |_: &SeenTable<u64>, i: usize| {
+                fetched.borrow_mut().push(i);
+                bucket[i]
+            };
+            let expansion = expand_bucket(len, &mut seen, 1000, fetch, generate);
             let case = format!("len {len}");
+            assert!(
+                fetched.into_inner().into_iter().eq(0..len),
+                "{case}: one fetch per element, in order"
+            );
             let pushes: BTreeMap<u32, Vec<u64>> = expansion
                 .pushes
                 .iter()

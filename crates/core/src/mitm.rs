@@ -106,12 +106,14 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         // lint: allow(panic) first_key_value just proved the bucket key exists
         let handles = self.pending.remove(&cost).expect("bucket exists");
         // Lazy decrease-key, mirroring the forward engine: drop copies
-        // superseded by a cheaper rediscovery, then gather the level's
-        // traces.
+        // superseded by a cheaper rediscovery, and gather the level's
+        // traces, from one read of each record.
         let bucket: Vec<W::Trace> = handles
             .iter()
-            .filter(|&&h| self.seen.meta(h).cost == cost)
-            .map(|&h| self.seen.key(h))
+            .filter_map(|&h| {
+                let record = self.seen.record(h);
+                (record.meta().cost == cost).then(|| record.key())
+            })
             .collect();
         self.levels.resize_with(cost as usize, Vec::new);
         self.levels.push(bucket);
@@ -122,7 +124,8 @@ impl<W: SearchWidth> BackwardFrontier<W> {
 
     /// Generates the predecessors of the settled-but-unexpanded level,
     /// if any, into `pending`, through the same admit loop as the
-    /// forward engine ([`expand::expand_bucket`]). Every edge is
+    /// forward engine ([`expand::expand_bucket`]), fetching each trace
+    /// from the level's slice. Every edge is
     /// generated: traces are 8–16-byte keys and backward levels are
     /// small, so the forward engine's parent-edge skip would not pay here.
     fn expand_settled(&mut self, engine: &SearchEngine<W>) {
@@ -148,7 +151,9 @@ impl<W: SearchWidth> BackwardFrontier<W> {
                 emit.push(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
             }
         };
-        let expansion = expand::expand_bucket(bucket, &mut self.seen, expected_new, generate);
+        let fetch = |_: &SeenTable<W::Trace>, i: usize| bucket[i];
+        let expansion =
+            expand::expand_bucket(bucket.len(), &mut self.seen, expected_new, fetch, generate);
         expand::append_pushes(&mut self.pending, expansion.pushes);
         #[cfg(test)]
         {

@@ -50,8 +50,15 @@
 //! [`SeenTable::admit`] and [`SeenTable::intern`] return the 4-byte
 //! [`Handle`] (the arena index) of the entry they created, lowered or
 //! found, and the pending cost buckets of both frontiers hold handles.
-//! Reading an element's key or metadata through its handle is one
-//! indexed load, with no hash, probe or key compare.
+//! [`SeenTable::record`] reads an element's record through its handle:
+//! one indexed load, with no hash, probe or key compare.
+//!
+//! A level step reads each of its words' records in place, once. The
+//! forward engine's settle decides staleness from the meta lane and
+//! takes the word's S-trace from its key lanes, rebuilding a word only
+//! when it becomes a class witness; expansion copies each key out of
+//! the arena just before generating its successors
+//! ([`crate::expand`]). No level is ever copied whole.
 
 use std::marker::PhantomData;
 
@@ -296,29 +303,27 @@ impl<K: ShardKey> SeenTable<K> {
         prefetch_read(&self.slots[hash as usize & (self.slots.len() - 1)]);
     }
 
+    /// The record of the entry `handle` addresses, read in place: one
+    /// indexed load, with no hash, probe or key compare.
+    #[inline]
+    pub(crate) fn record(&self, handle: Handle) -> Record<'_, K> {
+        Record {
+            lanes: self.record_at(self.locate(handle as usize)),
+            shape: self.shape,
+            keys: PhantomData,
+        }
+    }
+
     /// The key of the entry `handle` addresses, rebuilt from its lanes.
     #[inline]
     pub(crate) fn key(&self, handle: Handle) -> K {
-        K::from_lanes(
-            &self.record_at(self.locate(handle as usize))[1..],
-            self.shape,
-        )
+        self.record(handle).key()
     }
 
     /// The metadata of the entry `handle` addresses.
     #[inline]
     pub(crate) fn meta(&self, handle: Handle) -> Meta {
-        Meta::from_lane(self.record_at(self.locate(handle as usize))[0])
-    }
-
-    /// [`Self::key`] and [`Self::meta`] from one record read.
-    #[inline]
-    pub(crate) fn entry(&self, handle: Handle) -> (K, Meta) {
-        let record = self.record_at(self.locate(handle as usize));
-        (
-            K::from_lanes(&record[1..], self.shape),
-            Meta::from_lane(record[0]),
-        )
+        self.record(handle).meta()
     }
 
     pub(crate) fn get(&self, key: &K) -> Option<Meta> {
@@ -380,6 +385,37 @@ impl<K: ShardKey> SeenTable<K> {
                 Meta::from_lane(record[0]),
             )
         })
+    }
+}
+
+/// A read-only view of one [`SeenTable`] record: the meta lane and the
+/// key's lanes, where the arena stores them. A caller that needs only
+/// part of a key (a word's S-trace bytes) reads those lanes and never
+/// rebuilds the key.
+#[derive(Clone, Copy)]
+pub(crate) struct Record<'a, K> {
+    lanes: &'a [u64],
+    shape: u16,
+    keys: PhantomData<K>,
+}
+
+impl<'a, K: ShardKey> Record<'a, K> {
+    /// The entry's metadata, decoded from the meta lane.
+    #[inline]
+    pub(crate) fn meta(&self) -> Meta {
+        Meta::from_lane(self.lanes[0])
+    }
+
+    /// The key's active lanes ([`ShardKey::write_lanes`]).
+    #[inline]
+    pub(crate) fn key_lanes(&self) -> &'a [u64] {
+        &self.lanes[1..]
+    }
+
+    /// The key, rebuilt from its lanes.
+    #[inline]
+    pub(crate) fn key(&self) -> K {
+        K::from_lanes(self.key_lanes(), self.shape)
     }
 }
 

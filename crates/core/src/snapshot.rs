@@ -840,11 +840,11 @@ impl DeferredFrontier {
             for (position, &gate) in u32s(positions).zip(gates) {
                 let derived = (gate != NO_GATE).then(|| {
                     let gate = usize::from(gate);
-                    let (parent_word, parent) = seen.entry(position);
-                    let (word, hash) = parent_word.map_hash(&gate_images[gate]);
+                    let parent = seen.record(position);
+                    let (word, hash) = parent.key().map_hash(&gate_images[gate]);
                     seen.prefetch(hash);
                     let meta = Meta {
-                        cost: parent.cost + gate_costs[gate],
+                        cost: parent.meta().cost + gate_costs[gate],
                         gate: gate as u8,
                     };
                     (word, hash, meta)
@@ -1317,7 +1317,8 @@ impl<W: SearchWidth> SearchEngine<W> {
                                 "level {k} word's parent {parent} is not in an earlier level"
                             )));
                         }
-                        let (parent_word, parent_meta) = engine.seen.entry(parent);
+                        let parent = engine.seen.record(parent);
+                        let parent_meta = parent.meta();
                         let gate_cost = engine.gate_costs[usize::from(gate)];
                         if u64::from(parent_meta.cost) + u64::from(gate_cost) != u64::from(k) {
                             return Err(corrupt(format!(
@@ -1325,8 +1326,9 @@ impl<W: SearchWidth> SearchEngine<W> {
                                 parent_meta.cost
                             )));
                         }
-                        let (word, hash) =
-                            parent_word.map_hash(&engine.gate_images[usize::from(gate)]);
+                        let (word, hash) = parent
+                            .key()
+                            .map_hash(&engine.gate_images[usize::from(gate)]);
                         engine.seen.prefetch(hash);
                         Some((word, hash, Meta { cost: k, gate }))
                     }

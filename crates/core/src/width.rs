@@ -29,6 +29,7 @@
 
 use std::fmt;
 use std::hash::Hash;
+use std::ops::BitAnd;
 
 use crate::word::{fold_mul, GateTable, Packed, HASH_MUL, HASH_SEED};
 
@@ -256,7 +257,7 @@ impl<const CAP: usize> WordRepr for Packed<CAP> {
 /// The packed S-trace representation of a search width: one byte per
 /// binary pattern, least-significant slot first.
 pub trait TraceRepr:
-    Copy + Eq + Ord + Hash + ShardKey + fmt::Debug + Send + Sync + 'static
+    Copy + Eq + Ord + Hash + ShardKey + BitAnd<Output = Self> + fmt::Debug + Send + Sync + 'static
 {
     /// Most binary patterns a trace can pack.
     const SLOTS: usize;
@@ -278,6 +279,11 @@ pub trait TraceRepr:
     ///
     /// Panics if `bytes` is longer than [`Self::SLOTS`].
     fn from_le_prefix(bytes: &[u8]) -> Self;
+
+    /// The trace whose first `k` slots are the first `k` bytes of a
+    /// word's little-endian lanes ([`ShardKey::write_lanes`]), read
+    /// without rebuilding the word. `lanes` must cover `k` bytes.
+    fn from_le_lanes(lanes: &[u64], k: usize) -> Self;
 }
 
 impl TraceRepr for u64 {
@@ -300,6 +306,11 @@ impl TraceRepr for u64 {
         le[..bytes.len()].copy_from_slice(bytes);
         u64::from_le_bytes(le)
     }
+
+    #[inline]
+    fn from_le_lanes(lanes: &[u64], k: usize) -> Self {
+        lanes[0] & u64::MAX.checked_shr(64 - 8 * k as u32).unwrap_or(0)
+    }
 }
 
 impl TraceRepr for u128 {
@@ -321,6 +332,12 @@ impl TraceRepr for u128 {
         let mut le = [0u8; 16];
         le[..bytes.len()].copy_from_slice(bytes);
         u128::from_le_bytes(le)
+    }
+
+    #[inline]
+    fn from_le_lanes(lanes: &[u64], k: usize) -> Self {
+        let high = if k > 8 { u128::from(lanes[1]) << 64 } else { 0 };
+        (high | u128::from(lanes[0])) & u128::MAX.checked_shr(128 - 8 * k as u32).unwrap_or(0)
     }
 }
 
@@ -463,6 +480,30 @@ mod tests {
         for (slot, &b) in bytes.iter().enumerate() {
             assert_eq!(t.byte(slot), b);
         }
+    }
+
+    #[test]
+    fn lane_prefixes_match_byte_prefixes() {
+        let bytes: Vec<u8> = (1..=24).collect();
+        let word = Packed::<64>::from_slice(&bytes);
+        let mut lanes = vec![0u64; 3];
+        word.write_lanes(&mut lanes);
+        for k in 0..=8 {
+            assert_eq!(
+                u64::from_le_lanes(&lanes, k),
+                u64::from_le_prefix(&bytes[..k]),
+                "{k}"
+            );
+        }
+        for k in 0..=16 {
+            assert_eq!(
+                u128::from_le_lanes(&lanes, k),
+                u128::from_le_prefix(&bytes[..k]),
+                "{k}"
+            );
+        }
+        // A one-lane word still gives a u128 trace of up to 8 slots.
+        assert_eq!(u128::from_le_lanes(&lanes[..1], 4), 0x04_03_02_01);
     }
 
     #[test]

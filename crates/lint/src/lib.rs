@@ -33,7 +33,6 @@ pub mod lexer;
 pub mod parser;
 pub mod rules;
 
-mod cache;
 mod passes;
 
 use std::collections::BTreeMap;
@@ -42,11 +41,13 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 pub use rules::{Frame, Rule, Violation, ALL_RULES};
 
 use callgraph::FileView;
+use lexer::{lex, Lexed};
+use parser::{parse, FileIndex};
+use rules::{check_lexed, Allows};
 
 /// Directory names never descended into: build output, the lint
 /// fixture corpus (deliberately seeded with violations), and the
@@ -177,7 +178,7 @@ impl fmt::Display for Report {
 /// `crates/`, `tests/`, and `examples/` (skipping build output, the
 /// fixture corpus and the vendored shims) gets the per-file rules,
 /// then the call-graph passes run over the whole workspace. Parsing is
-/// content-cached and spread over worker threads.
+/// spread over worker threads.
 ///
 /// # Errors
 ///
@@ -233,28 +234,52 @@ fn check_sources(sources: &[(String, String)]) -> Vec<Violation> {
     violations
 }
 
-/// Analyzes every file, fanning out across worker threads (the cache
-/// makes re-runs near-free; the fan-out makes cold runs fast). Results
-/// come back in input order.
-fn analyze_all(sources: &[(String, String)]) -> Vec<Arc<cache::FileAnalysis>> {
+/// Everything the workspace passes need from one file.
+struct FileAnalysis {
+    rel: String,
+    lexed: Lexed,
+    index: FileIndex,
+    allows: Allows,
+    /// Per-file rule findings (`unsafe`, `threads`, `persistence` and
+    /// the metric-name half of `obs`).
+    violations: Vec<Violation>,
+}
+
+/// Lexes, parses and runs the per-file rules over one file.
+fn analyze(rel: &str, source: &str) -> FileAnalysis {
+    let lexed = lex(source);
+    let index = parse(&lexed);
+    let allows = Allows::parse(&lexed.comments);
+    let violations = check_lexed(rel, source, &lexed, &index, &allows);
+    FileAnalysis {
+        rel: rel.to_string(),
+        lexed,
+        index,
+        allows,
+        violations,
+    }
+}
+
+/// Analyzes every file, fanning out across worker threads. Results come
+/// back in input order.
+fn analyze_all(sources: &[(String, String)]) -> Vec<FileAnalysis> {
     let workers = std::thread::available_parallelism()
         .map_or(4, std::num::NonZeroUsize::get)
         .min(8)
         .min(sources.len().max(1));
     if workers <= 1 {
-        return sources
-            .iter()
-            .map(|(rel, src)| cache::analyze(rel, src))
-            .collect();
+        return sources.iter().map(|(rel, src)| analyze(rel, src)).collect();
     }
     let chunk = sources.len().div_ceil(workers);
-    let mut out: Vec<Option<Arc<cache::FileAnalysis>>> = vec![None; sources.len()];
+    let mut out: Vec<Option<FileAnalysis>> = std::iter::repeat_with(|| None)
+        .take(sources.len())
+        .collect();
     // lint: allow(threads) lint's own file walker: bounded fan-out over workspace files, not expansion work
     std::thread::scope(|scope| {
         for (batch, slot) in sources.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(move || {
                 for ((rel, src), s) in batch.iter().zip(slot.iter_mut()) {
-                    *s = Some(cache::analyze(rel, src));
+                    *s = Some(analyze(rel, src));
                 }
             });
         }
