@@ -820,8 +820,9 @@ impl<W: SearchWidth> SearchEngine<W> {
         };
         let level = cost as usize;
         let handles = &self.levels[level];
-        // Each word is fetched from its `seen` record a block at a time
-        // (`seen` keeps the one copy), with the gate leading back to its
+        // Each word is fetched from its `seen` record just before its
+        // successors are generated (`seen` keeps the one copy), with the
+        // gate leading back to its
         // parent: `w = p·g`, so the successor through `g⁻¹` is `p`,
         // already in `seen` at cost `cost − cost(g)`, which `admit`
         // would always reject.
