@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -7,9 +7,9 @@ use mvq_logic::{Gate, GateLibrary};
 use mvq_obs::ProbeHandle;
 use mvq_perm::Perm;
 
-use crate::expand::{self, Emit};
+use crate::expand::{Emit, Frontier};
 use crate::mitm::BackwardFrontier;
-use crate::seen::{Handle, Meta, SeenTable};
+use crate::seen::{Handle, SeenTable};
 use crate::snapshot::{DeferredFrontier, SnapshotImage};
 use crate::width::{MaskRepr, Narrow, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{gate_table, FnvBuildHasher, GateTable};
@@ -70,15 +70,6 @@ impl<T: TraceRepr> TraceIndex<T> {
         let (start, len) = self.spans[*self.groups.get(trace)? as usize];
         Some(&self.positions[start as usize..][..len as usize])
     }
-}
-
-/// A settled level left unexpanded, with the work count its expansion
-/// reports.
-#[derive(Debug, Clone, Copy)]
-struct SettledLevel {
-    cost: u32,
-    /// Superseded decrease-key copies dropped while settling it.
-    stale_dropped: u64,
 }
 
 /// A reversible-circuit equivalence class discovered by FMCF: the
@@ -319,13 +310,13 @@ pub struct SearchEngine<W: SearchWidth> {
     /// binary set, so [`Self::restrict`] rejects most traces with one
     /// mask test. `None` on other libraries.
     non_binary_bits: Option<W::Trace>,
-    /// Every discovered element of `A[∞]` with its metadata.
-    pub(crate) seen: SeenTable<W::Word>,
-    /// Pending frontier elements keyed by their (exact) cost, as handles
-    /// into `seen` (which stores each word once).
-    pub(crate) pending: BTreeMap<u32, Vec<Handle>>,
+    /// The level store: every discovered element of `A[∞]` with its
+    /// metadata in `seen`, the pending buckets, and `B[k]` for each
+    /// settled level `k`, as handles into `seen` (which stores each word
+    /// once).
+    pub(crate) frontier: Frontier<W::Word>,
     /// Frontier section of a loaded snapshot, parsed and merged into
-    /// `seen`/`pending` by the first level step (queries answered from
+    /// the level store by the first level step (queries answered from
     /// the cached levels never pay for it). `None` on natively-built
     /// engines and after [`Self::ensure_frontier`].
     pub(crate) deferred_frontier: Option<DeferredFrontier>,
@@ -335,16 +326,8 @@ pub struct SearchEngine<W: SearchWidth> {
     /// The first level step drops it (level steps are the only code
     /// that changes that state).
     pub(crate) image: Option<SnapshotImage>,
-    /// Highest cost whose level has been settled.
-    pub(crate) completed: Option<u32>,
-    /// The settled level whose successors are not generated yet (always
-    /// the deepest settled level when present).
-    unexpanded: Option<SettledLevel>,
-    /// `B[k]` for each settled level: the words first reached at exact
-    /// cost `k`, as handles into `seen` (which stores each word once;
-    /// gap levels hold empty vectors, so indices equal costs).
-    pub(crate) levels: Vec<Vec<Handle>>,
-    /// Per-level S-traces, parallel to `levels` (see [`Self::trace_of`]).
+    /// Per-level S-traces, parallel to the settled levels (see
+    /// [`Self::trace_of`]).
     pub(crate) level_traces: Vec<Vec<W::Trace>>,
     /// Per-level join index: S-trace → indices into the level's handle
     /// vector, built by the first query that joins against the level
@@ -486,10 +469,6 @@ impl<W: SearchWidth> SearchEngine<W> {
             binary_rank[idx as usize] = rank as u8;
         }
         let identity = W::Word::identity(library.domain().len());
-        let mut seen: SeenTable<W::Word> = SeenTable::new();
-        let root = seen.intern(identity, Meta::ROOT);
-        let mut pending = BTreeMap::new();
-        pending.insert(0u32, vec![root]);
         Ok(Self {
             library,
             model,
@@ -502,13 +481,9 @@ impl<W: SearchWidth> SearchEngine<W> {
             binary_rank,
             binary_prefix,
             non_binary_bits,
-            seen,
-            pending,
+            frontier: Frontier::new(identity),
             deferred_frontier: None,
             image: None,
-            completed: None,
-            unexpanded: None,
-            levels: Vec::new(),
             level_traces: Vec::new(),
             trace_index: Vec::new(),
             classes: HashMap::default(),
@@ -546,7 +521,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// class of cost ≤ this is known, though the deepest level's
     /// successors may not be generated yet.
     pub fn completed_cost(&self) -> Option<u32> {
-        self.completed
+        self.frontier.depth()
     }
 
     /// `|G[k]|` for every settled level `k = 0, 1, …`.
@@ -566,7 +541,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// frontier words a loaded snapshot has not yet merged into the live
     /// maps.
     pub fn a_size(&self) -> usize {
-        self.seen.len()
+        self.frontier.seen.len()
             + self
                 .deferred_frontier
                 .as_ref()
@@ -577,8 +552,8 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// has been settled — the raw material for determinism audits (gap
     /// levels under non-unit cost models are empty).
     pub fn level_words(&self, cost: u32) -> Option<Vec<W::Word>> {
-        let handles = self.levels.get(cost as usize)?;
-        Some(handles.iter().map(|&h| self.seen.key(h)).collect())
+        let handles = self.frontier.levels.get(cost as usize)?;
+        Some(handles.iter().map(|&h| self.frontier.seen.key(h)).collect())
     }
 
     /// The number of distinct reversible classes discovered so far —
@@ -631,11 +606,11 @@ impl<W: SearchWidth> SearchEngine<W> {
 
     /// `true` once the reachable search space is fully enumerated.
     pub fn exhausted(&self) -> bool {
-        self.pending.is_empty() && self.deferred_frontier.is_none() && self.unexpanded.is_none()
+        self.frontier.exhausted() && self.deferred_frontier.is_none()
     }
 
     /// Merges the deferred frontier of a snapshot-loaded engine into the
-    /// live `seen`/`pending` maps, reported to the probe as the
+    /// level store's `seen` table and pending buckets, reported to the probe as the
     /// `frontier_merge` snapshot section. A no-op on natively-built
     /// engines and once merged.
     ///
@@ -646,12 +621,8 @@ impl<W: SearchWidth> SearchEngine<W> {
         if let Some(frontier) = self.deferred_frontier.take() {
             self.probe
                 .on(|p| p.snapshot_section_started("frontier_merge"));
-            let bytes = frontier.merge_into::<W>(
-                &mut self.seen,
-                &mut self.pending,
-                &self.gate_images,
-                &self.gate_costs,
-            );
+            let bytes =
+                frontier.merge_into::<W>(&mut self.frontier, &self.gate_images, &self.gate_costs);
             self.probe
                 .on(|p| p.snapshot_section_finished("frontier_merge", bytes));
         }
@@ -663,7 +634,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// Levels already expanded are reused; the search is cumulative.
     pub fn expand_to_cost(&mut self, cb: u32) {
         self.climb_to(cb, true);
-        if self.unexpanded.is_some_and(|level| level.cost <= cb) {
+        if self.frontier.unexpanded().is_some_and(|cost| cost <= cb) {
             self.expand_settled_level();
         }
     }
@@ -693,7 +664,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// exhausted); without `expand`, each level is expanded only to
     /// settle the next.
     pub(crate) fn climb_to(&mut self, cb: u32, expand: bool) {
-        while self.completed.is_none_or(|c| c < cb) {
+        while self.completed_cost().is_none_or(|c| c < cb) {
             if !self.level_step(expand) {
                 break; // search space exhausted
             }
@@ -708,8 +679,8 @@ impl<W: SearchWidth> SearchEngine<W> {
         self.image = None;
         mvq_fault::point!("expand.level");
         self.ensure_frontier();
-        let next_bucket = || self.pending.keys().next().copied();
-        let Some(first) = self.unexpanded.map(|level| level.cost).or_else(next_bucket) else {
+        let next_bucket = || self.frontier.pending.keys().next().copied();
+        let Some(first) = self.frontier.unexpanded().or_else(next_bucket) else {
             return false;
         };
         self.probe.on(|p| p.level_started(first));
@@ -726,10 +697,10 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// own (a builder or a snapshot needs the full frontier).
     pub(crate) fn expand_settled_level(&mut self) {
         self.image = None;
-        if let Some(level) = self.unexpanded {
-            self.probe.on(|p| p.level_started(level.cost));
+        if let Some(cost) = self.frontier.unexpanded() {
+            self.probe.on(|p| p.level_started(cost));
             let nodes = self.expand_settled();
-            self.level_finished(level.cost, nodes);
+            self.level_finished(cost, nodes);
         }
     }
 
@@ -737,7 +708,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     fn level_finished(&self, cost: u32, nodes: u64) {
         if self.probe.is_set() {
             // O(buckets), not O(words): Vec::len per pending bucket.
-            let frontier: u64 = self.pending.values().map(|b| b.len() as u64).sum();
+            let frontier: u64 = self.frontier.pending.values().map(|b| b.len() as u64).sum();
             self.probe.on(|p| p.level_finished(cost, nodes, frontier));
         }
     }
@@ -746,12 +717,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// registers its classes and records it as the next level. Returns
     /// its cost, or `None` when nothing is pending.
     fn settle_next_level(&mut self) -> Option<u32> {
-        debug_assert!(self.unexpanded.is_none(), "settled levels expand in order");
-        let (&cost, _) = self.pending.first_key_value()?;
-        // lint: allow(panic) first_key_value just proved the bucket key exists
-        let mut handles = self.pending.remove(&cost).expect("bucket exists");
-        // Defensive: levels complete in ascending order.
-        debug_assert!(self.completed.map_or(cost == 0, |c| cost > c));
+        let (cost, mut handles) = self.frontier.pop()?;
 
         // One pass over the bucket, reading each word's `seen` record in
         // place once. Lazy decrease-key: with non-uniform gate costs a
@@ -765,11 +731,11 @@ impl<W: SearchWidth> SearchEngine<W> {
         // (pre_G[cost] − earlier G's: the subtraction is implicit in
         // first-seen-wins) in bucket order, so the class-discovery and
         // witness order match it.
-        let raw_len = handles.len();
-        let mut traces: Vec<W::Trace> = Vec::with_capacity(raw_len);
+        let popped = handles.len();
+        let mut traces: Vec<W::Trace> = Vec::with_capacity(popped);
         let mut g_new: Vec<W::Word> = Vec::new();
         handles.retain(|&handle| {
-            let record = self.seen.record(handle);
+            let record = self.frontier.seen.record(handle);
             if record.meta().cost != cost {
                 return false;
             }
@@ -781,29 +747,21 @@ impl<W: SearchWidth> SearchEngine<W> {
             }
             true
         });
-        let stale_dropped = (raw_len - handles.len()) as u64;
 
         // Record the level and its statistics. With non-unit costs some
         // levels are empty; fill the gap so indices equal costs.
-        while self.levels.len() < cost as usize {
-            self.levels.push(Vec::new());
-            self.level_traces.push(Vec::new());
-            self.trace_index.push(OnceLock::new());
-            self.class_levels.push(Vec::new());
-            self.b_counts.push(0);
-            self.g_counts.push(0);
-        }
+        let gap = cost as usize;
+        self.level_traces.resize_with(gap, Vec::new);
+        self.trace_index.resize_with(gap, OnceLock::new);
+        self.class_levels.resize_with(gap, Vec::new);
+        self.b_counts.resize(gap, 0);
+        self.g_counts.resize(gap, 0);
         self.b_counts.push(handles.len());
         self.g_counts.push(g_new.len());
-        self.levels.push(handles);
         self.level_traces.push(traces);
         self.trace_index.push(OnceLock::new());
         self.class_levels.push(g_new);
-        self.completed = Some(cost);
-        self.unexpanded = Some(SettledLevel {
-            cost,
-            stale_dropped,
-        });
+        self.frontier.record(cost, handles, popped);
         Some(cost)
     }
 
@@ -811,55 +769,44 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// into later buckets, and reports its work. Returns how many
     /// handles entered the pending buckets.
     fn expand_settled(&mut self) -> u64 {
-        let Some(SettledLevel {
-            cost,
-            stale_dropped,
-        }) = self.unexpanded.take()
-        else {
-            return 0;
-        };
-        let level = cost as usize;
-        let handles = &self.levels[level];
         // Each word is fetched from its `seen` record just before its
         // successors are generated (`seen` keeps the one copy), with the
-        // gate leading back to its
-        // parent: `w = p·g`, so the successor through `g⁻¹` is `p`,
-        // already in `seen` at cost `cost − cost(g)`, which `admit`
-        // would always reject.
+        // gate leading back to its parent: `w = p·g`, so the successor
+        // through `g⁻¹` is `p`, already in `seen` at cost
+        // `cost − cost(g)`, which `admit` would always reject.
         let inverse_gate = &self.inverse_gate;
-        let fetch = |seen: &SeenTable<W::Word>, idx: usize| {
-            let record = seen.record(handles[idx]);
+        let fetch = |seen: &SeenTable<W::Word>, handle: Handle| {
+            let record = seen.record(handle);
             let last = usize::from(record.meta().gate);
             let back_gate = inverse_gate.get(last).copied().unwrap_or(u8::MAX);
             (record.key(), back_gate)
         };
-
-        // Expand reasonable products into later buckets. The `seen`
-        // reservation is sized from the frontier's measured growth
-        // factor so deep levels don't rehash their way up.
-        let previous = level.checked_sub(1).map_or(0, |p| self.b_counts[p]);
-        let expected_new = expand::growth_hint(handles.len(), previous, self.gate_images.len());
-        let traces = &self.level_traces[level];
+        // Expand reasonable products into later buckets.
+        let level_traces = &self.level_traces;
         let gate_images = &self.gate_images;
         let gate_banned = &self.gate_banned;
         let gate_costs = &self.gate_costs;
         let binary_len = self.binary0.len();
-        let generate = |idx: usize, (word, back_gate): &(W::Word, u8), emit: &mut Emit<W::Word>| {
-            let image_mask = trace_mask::<W>(traces[idx], binary_len);
-            let back_gate = usize::from(*back_gate);
-            for (gate_idx, table) in gate_images.iter().enumerate() {
-                if gate_idx == back_gate || image_mask.intersects(&gate_banned[gate_idx]) {
-                    continue; // the parent, or not a reasonable product
+        let generate =
+            |cost: u32, idx: usize, (word, back_gate): &(W::Word, u8), emit: &mut Emit<W::Word>| {
+                let image_mask = trace_mask::<W>(level_traces[cost as usize][idx], binary_len);
+                let back_gate = usize::from(*back_gate);
+                for (gate_idx, table) in gate_images.iter().enumerate() {
+                    if gate_idx == back_gate || image_mask.intersects(&gate_banned[gate_idx]) {
+                        continue; // the parent, or not a reasonable product
+                    }
+                    let (next, hash) = word.map_hash(table);
+                    emit.push_hashed(next, hash, cost + gate_costs[gate_idx], gate_idx as u8);
                 }
-                let (next, hash) = word.map_hash(table);
-                emit.push_hashed(next, hash, cost + gate_costs[gate_idx], gate_idx as u8);
-            }
+            };
+        let Some((cost, generated, stale_dropped, pushed)) =
+            self.frontier.expand(gate_images.len(), fetch, generate)
+        else {
+            return 0;
         };
-        let expansion =
-            expand::expand_bucket(handles.len(), &mut self.seen, expected_new, fetch, generate);
         self.probe
-            .on(|p| p.level_work(cost, expansion.generated, stale_dropped));
-        expand::append_pushes(&mut self.pending, expansion.pushes)
+            .on(|p| p.level_work(cost, generated, stale_dropped));
+        pushed
     }
 
     /// Folds one reversible word of the current level, addressed by its
@@ -880,13 +827,13 @@ impl<W: SearchWidth> SearchEngine<W> {
                     restriction,
                     GClass {
                         cost,
-                        witnesses: vec![self.seen.key(handle)],
+                        witnesses: vec![self.frontier.seen.key(handle)],
                     },
                 );
                 g_new.push(restriction);
             }
             Some(class) if class.cost == cost => {
-                class.witnesses.push(self.seen.key(handle));
+                class.witnesses.push(self.frontier.seen.key(handle));
             }
             Some(_) => {} // already realizable at lower cost
         }
@@ -1004,12 +951,12 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// exhausted; otherwise a deeper level may hold the class.
     fn answer_uni(&self, query: &Query<W>) -> Answer {
         let Some(class) = self.classes.get(&query.key) else {
-            if self.completed.map_or(0, |c| c + 1) > query.cb || self.exhausted() {
+            if self.completed_cost().map_or(0, |c| c + 1) > query.cb || self.exhausted() {
                 return Answer::Resolved(None, Strategy::Uni);
             }
             return Answer::NeedsLevel;
         };
-        debug_assert!(self.completed.is_some_and(|c| c >= class.cost));
+        debug_assert!(self.completed_cost().is_some_and(|c| c >= class.cost));
         // The class cost is minimal by construction; on a warm engine it
         // may exceed the caller's bound, in which case no further
         // expansion can ever help.
@@ -1093,7 +1040,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         let mut current = *word;
         loop {
             // lint: allow(panic) reconstruction walks predecessor links that were stored on insert
-            let meta = self.seen.get(&current).expect("witness is in A");
+            let meta = self.frontier.seen.get(&current).expect("witness is in A");
             if meta.gate == u8::MAX {
                 break;
             }
@@ -1182,17 +1129,11 @@ impl<W: SearchWidth> SearchEngine<W> {
             });
         for level in 0..=cb {
             self.climb_to(level, false);
-            if self.levels.len() <= level as usize {
+            let Some(handles) = self.frontier.levels.get(level as usize) else {
                 return None; // search space exhausted below `level`
-            }
-            let hits: Vec<u32> = self.level_traces[level as usize]
-                .iter()
-                .enumerate()
-                .filter(|(_, &t)| t == target_trace)
-                .map(|(i, _)| i as u32)
-                .collect();
-            if let Some(&first) = hits.first() {
-                let word = self.seen.key(self.levels[level as usize][first as usize]);
+            };
+            if let Some(hits) = self.trace_index(level).get(&target_trace) {
+                let word = self.frontier.seen.key(handles[hits[0] as usize]);
                 let gates = self.reconstruct(&word);
                 return Some(Synthesis {
                     circuit: Circuit::new(n, gates),
@@ -1291,7 +1232,7 @@ mod tests {
         let mut e = SynthesisEngine::unit_cost();
         e.expand_to_cost(3);
         for k in 0..=3usize {
-            assert_eq!(e.levels[k].len(), e.b_counts()[k], "level {k}");
+            assert_eq!(e.frontier.levels[k].len(), e.b_counts()[k], "level {k}");
             assert_eq!(e.level_traces[k].len(), e.b_counts()[k], "traces {k}");
             assert_eq!(e.class_levels[k].len(), e.g_counts()[k], "classes {k}");
         }

@@ -1,53 +1,179 @@
-//! Level expansion for the FMCF frontiers.
+//! The Dijkstra level store of the FMCF searches, and its expansion.
 //!
-//! Each Dijkstra level of the search — the forward word frontier of
-//! [`crate::SynthesisEngine`] and the backward S-trace frontier of the
-//! meet-in-the-middle join — expands its bucket of frontier elements
-//! through the gate library and admits every successor into the
-//! frontier's `seen` table ([`crate::seen`]) under the Dijkstra
-//! insert-or-decrease-key rule.
+//! The paper's FMCF builds the cost levels by a cost-ordered closure over
+//! reasonable products. Both searches run that closure: the forward word
+//! search of [`crate::SynthesisEngine`] from the identity, and the
+//! backward S-trace search of the meet-in-the-middle join
+//! ([`crate::mitm`]) from a target's trace. Each owns one [`Frontier`]:
+//! its `seen` table ([`crate::seen`]), its pending cost buckets, its
+//! settled levels and the marker of the one level left unexpanded.
+//!
+//! A level step has two halves. *Settling* pops the cheapest bucket,
+//! drops the stale decrease-key copies it holds (entries whose `seen`
+//! cost has since dropped below the bucket's) and records the rest as
+//! the next level. *Expanding* a settled level generates every
+//! successor of its elements through the gate library and admits each
+//! into `seen` under the Dijkstra insert-or-decrease-key rule, pushing
+//! the admitted ones onto the pending buckets. Only settling the next
+//! level needs the expansion, so the deepest settled level stays
+//! unexpanded until a deeper one is asked for. The store does both
+//! halves' bookkeeping; the search supplies what differs: which elements
+//! of a popped bucket it keeps and what it registers for them, how to
+//! fetch an element and which successors it has.
 //!
 //! `seen` is built for that insert-heavy probe pattern: each key is
 //! hashed once ([`ShardKey::table_hash`]), and expansion generates
 //! successors a batch at a time so their home slots can be prefetched
 //! before they are admitted in order ([`expand_bucket`]).
 //!
-//! A level is never copied whole. [`expand_bucket`] takes the level's
-//! element count and a read-only `fetch` from `seen`, and copies each
-//! element out just before generating it: the forward engine
-//! fetches a word and the gate back to its parent from the word's
-//! `seen` record, the backward frontier a trace from its level slice.
-//! Admission only adds entries and lowers costs above the level's own,
-//! so a record fetched after earlier blocks were admitted reads as it
-//! did when the level was settled.
+//! A level is never copied whole. Levels are `seen` handles, and
+//! expansion fetches each element from `seen` just before generating it:
+//! the forward search fetches a word and the gate back to its parent,
+//! the backward search a trace. Admission only adds entries and lowers
+//! costs above the level's own, so a record fetched after earlier blocks
+//! were admitted reads as it did when the level was settled.
 //!
-//! A frontier hands its successors to this module through an [`Emit`]
+//! A search hands its successors to this module through an [`Emit`]
 //! sink: its `generate` callback pushes `(key, cost, gate)` records, with
 //! the key's table hash attached or computed on push, into a reused
 //! buffer. **Emit order is admission order**: the buffer is admitted
 //! front to back, so a `generate` that changes the order it pushes in
 //! changes the pending buckets, even though the set of successors is the
-//! same. The forward engine fills the sink from
+//! same. The forward search fills the sink from
 //! [`Packed::map_hash`](crate::Packed::map_hash), which maps a word
 //! through a gate and hashes it in the same 8-byte lanes. It writes the
 //! same bytes as [`Packed::map_through`](crate::Packed::map_through)
 //! and folds them exactly as [`ShardKey::table_hash`] does, so the hash
 //! it attaches is the one `push` would have computed; debug builds
 //! assert this on every push.
-//!
-//! Admission returns the [`Handle`] of the entry it created or lowered,
-//! and the pending cost buckets of both frontiers hold handles.
 
 use std::collections::{btree_map, BTreeMap};
 
-use crate::seen::{Handle, SeenTable};
+use crate::seen::{Handle, Meta, SeenTable};
 use crate::width::ShardKey;
+
+/// The Dijkstra level store of one search direction (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Frontier<K> {
+    /// Every element discovered, with its best-known cost and the gate
+    /// that produced it.
+    pub(crate) seen: SeenTable<K>,
+    /// Pending elements by cost, as handles into `seen`, stale
+    /// decrease-key copies included.
+    pub(crate) pending: BTreeMap<u32, Vec<Handle>>,
+    /// The settled levels: the elements first reached at exact cost `k`,
+    /// as handles into `seen` (gap levels are empty, so indices equal
+    /// costs).
+    pub(crate) levels: Vec<Vec<Handle>>,
+    /// The settled level whose successors are not generated yet (always
+    /// the deepest), with the stale copies dropped while settling it.
+    unexpanded: Option<(u32, u64)>,
+    /// Successors generated by every expansion so far: a deterministic
+    /// work count.
+    pub(crate) generated: u64,
+    /// Stale copies dropped by every settle so far.
+    pub(crate) stale_dropped: u64,
+}
+
+impl<K: ShardKey> Frontier<K> {
+    /// A store whose only element is `root`, pending at cost 0.
+    pub(crate) fn new(root: K) -> Self {
+        let mut seen = SeenTable::new();
+        let root = seen.intern(root, Meta::ROOT);
+        Self {
+            seen,
+            pending: BTreeMap::from([(0, vec![root])]),
+            levels: Vec::new(),
+            unexpanded: None,
+            generated: 0,
+            stale_dropped: 0,
+        }
+    }
+
+    /// The deepest settled level, if any level is settled.
+    pub(crate) fn depth(&self) -> Option<u32> {
+        self.levels.len().checked_sub(1).map(|depth| depth as u32)
+    }
+
+    /// The settled level left unexpanded, if any.
+    pub(crate) fn unexpanded(&self) -> Option<u32> {
+        self.unexpanded.map(|(cost, _)| cost)
+    }
+
+    /// `true` once nothing is left to settle or expand.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.pending.is_empty() && self.unexpanded.is_none()
+    }
+
+    /// Pops the cheapest pending bucket, with its cost, for the search to
+    /// drop its stale copies and [`Self::record`] the rest.
+    pub(crate) fn pop(&mut self) -> Option<(u32, Vec<Handle>)> {
+        debug_assert!(self.unexpanded.is_none(), "settled levels expand in order");
+        self.pending.pop_first()
+    }
+
+    /// Records `level`, the entries kept from the `popped`-long bucket
+    /// of `cost`, as the next settled level, left unexpanded. Skipped
+    /// costs become empty gap levels.
+    pub(crate) fn record(&mut self, cost: u32, level: Vec<Handle>, popped: usize) {
+        debug_assert!(
+            cost as usize >= self.levels.len(),
+            "levels settle in cost order"
+        );
+        let stale = (popped - level.len()) as u64;
+        self.stale_dropped += stale;
+        self.levels.resize_with(cost as usize, Vec::new);
+        self.levels.push(level);
+        self.unexpanded = Some((cost, stale));
+    }
+
+    /// Expands the level left unexpanded, if any: fetches its `i`-th
+    /// element as `fetch(seen, handle)`, generates its successors with
+    /// `generate(cost, i, element, emit)`, admits them into `seen` and
+    /// appends the admitted ones to the pending buckets
+    /// ([`expand_bucket`]). The `seen` reservation is sized from the
+    /// measured growth of the previous level, at most `max_factor` times
+    /// the level. Returns the level's cost, the successors generated, the
+    /// stale copies dropped while settling the level, and the handles
+    /// pushed.
+    pub(crate) fn expand<E>(
+        &mut self,
+        max_factor: usize,
+        fetch: impl Fn(&SeenTable<K>, Handle) -> E,
+        generate: impl Fn(u32, usize, &E, &mut Emit<K>),
+    ) -> Option<(u32, u64, u64, u64)> {
+        let (cost, stale_dropped) = self.unexpanded.take()?;
+        let level = &self.levels[cost as usize];
+        let previous = (cost as usize)
+            .checked_sub(1)
+            .map_or(0, |p| self.levels[p].len());
+        let expected_new = growth_hint(level.len(), previous, max_factor);
+        let (pushes, generated) = expand_bucket(
+            level.len(),
+            &mut self.seen,
+            expected_new,
+            |seen, i| fetch(seen, level[i]),
+            |i, element, emit| generate(cost, i, element, emit),
+        );
+        self.generated += generated;
+        // Append each cost's pushes after whatever its bucket holds.
+        let mut pushed = 0u64;
+        for (cost, handles) in pushes {
+            pushed += handles.len() as u64;
+            match self.pending.entry(cost) {
+                btree_map::Entry::Vacant(bucket) => _ = bucket.insert(handles),
+                btree_map::Entry::Occupied(mut bucket) => bucket.get_mut().extend(handles),
+            }
+        }
+        Some((cost, generated, stale_dropped, pushed))
+    }
+}
 
 /// Estimated fresh `seen` insertions a level will make, extrapolated
 /// from the frontier's measured growth factor (`bucket² / previous`).
 /// Reserving this up front kills the rehash churn of growing a
 /// multi-million-entry map through ~20 doublings.
-pub(crate) fn growth_hint(bucket_len: usize, prev_len: usize, max_factor: usize) -> usize {
+fn growth_hint(bucket_len: usize, prev_len: usize, max_factor: usize) -> usize {
     let estimate = bucket_len
         .saturating_mul(bucket_len)
         .checked_div(prev_len)
@@ -103,14 +229,6 @@ impl<K: ShardKey> Emit<K> {
     }
 }
 
-/// One bucket's expansion: the accepted pushes per cost, as `seen`
-/// handles in admission order, and how many successors were generated
-/// (a deterministic work count).
-pub(crate) struct Expansion {
-    pub(crate) pushes: BTreeMap<u32, Vec<Handle>>,
-    pub(crate) generated: u64,
-}
-
 /// Appends `handle` to the push list for `cost`, opening the list on the
 /// cost's first push. A bucket reaches one cost per distinct gate cost,
 /// so the linear scan is over a handful of lists; the `BTreeMap` is
@@ -130,8 +248,8 @@ const ADMIT_BATCH: usize = 16;
 /// Expands one frontier bucket of `len` elements: fetches element `i` as
 /// `fetch(seen, i)`, calls `generate(i, element, emit)` for it, admits
 /// every emitted successor into `seen` under [`SeenTable::admit`], and
-/// returns the accepted pushes per cost in admission order, with the
-/// number of successors generated.
+/// returns the accepted pushes per cost (each list in admission order),
+/// with the number of successors generated (a deterministic work count).
 ///
 /// Elements are taken [`ADMIT_BATCH`] at a time: each is fetched just
 /// before it is generated, the block's successors are emitted into one
@@ -141,13 +259,13 @@ const ADMIT_BATCH: usize = 16;
 /// each successor as it is generated, with the slot cache misses
 /// overlapped. `fetch` must read what admission leaves alone (see the
 /// module docs).
-pub(crate) fn expand_bucket<K, E, F, G>(
+fn expand_bucket<K, E, F, G>(
     len: usize,
     seen: &mut SeenTable<K>,
     expected_new: usize,
     fetch: F,
     generate: G,
-) -> Expansion
+) -> (Vec<(u32, Vec<Handle>)>, u64)
 where
     K: ShardKey,
     F: Fn(&SeenTable<K>, usize) -> E,
@@ -173,30 +291,7 @@ where
             }
         }
     }
-    Expansion {
-        pushes: lists.into_iter().collect(),
-        generated,
-    }
-}
-
-/// Appends one level's pushes to the pending cost buckets, in order
-/// after whatever each bucket already holds. Returns how many handles
-/// were pushed.
-pub(crate) fn append_pushes(
-    pending: &mut BTreeMap<u32, Vec<Handle>>,
-    pushes: BTreeMap<u32, Vec<Handle>>,
-) -> u64 {
-    let mut pushed = 0u64;
-    for (cost, handles) in pushes {
-        pushed += handles.len() as u64;
-        match pending.entry(cost) {
-            btree_map::Entry::Vacant(bucket) => {
-                bucket.insert(handles);
-            }
-            btree_map::Entry::Occupied(mut bucket) => bucket.get_mut().extend(handles),
-        }
-    }
-    pushed
+    (lists, generated)
 }
 
 #[cfg(test)]
@@ -285,20 +380,20 @@ mod tests {
                 fetched.borrow_mut().push(i);
                 bucket[i]
             };
-            let expansion = expand_bucket(len, &mut seen, 1000, fetch, generate);
+            let (lists, generated) = expand_bucket(len, &mut seen, 1000, fetch, generate);
+            let lists: BTreeMap<u32, Vec<Handle>> = lists.into_iter().collect();
             let case = format!("len {len}");
             assert!(
                 fetched.into_inner().into_iter().eq(0..len),
                 "{case}: one fetch per element, in order"
             );
-            let pushes: BTreeMap<u32, Vec<u64>> = expansion
-                .pushes
+            let pushes: BTreeMap<u32, Vec<u64>> = lists
                 .iter()
                 .map(|(&cost, handles)| (cost, handles.iter().map(|&h| seen.key(h)).collect()))
                 .collect();
             assert_eq!(pushes, reference, "{case}");
-            assert_eq!(expansion.generated, 6 * len as u64, "{case}");
-            for handles in expansion.pushes.values() {
+            assert_eq!(generated, 6 * len as u64, "{case}");
+            for handles in lists.values() {
                 for &h in handles {
                     let entry = seen.get(&seen.key(h)).expect("pushed key is seen");
                     assert_eq!(entry, seen.meta(h), "{case}");

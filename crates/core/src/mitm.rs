@@ -6,7 +6,7 @@
 //! dominates the whole search. The bidirectional variant expands a
 //! *second* frontier backward from the target and joins the two partway:
 //! the split is adaptive, growing whichever frontier currently holds
-//! fewer elements (see [`SynthesisEngine::synthesize_bidirectional`]),
+//! fewer elements (see [`SearchEngine::synthesize_bidirectional`]),
 //! so the dominant forward word levels stay as shallow as the coverage
 //! invariant allows.
 //!
@@ -24,7 +24,10 @@
 //! construction, a *reasonable* cascade of cost `f + b` realizing the
 //! target: no post-hoc validation is needed.
 //!
-//! Backward levels are *settled* before they are *expanded*. Settling
+//! The backward traces live in a level store of the forward words' type
+//! ([`crate::expand::Frontier`]), so both directions settle, count stale
+//! copies and expand through one implementation. Backward levels are
+//! *settled* before they are *expanded*. Settling
 //! level `b` pops its pending bucket and drops stale copies, so every
 //! trace of cost ≤ `b` is known at its final cost; expanding it
 //! generates its predecessors, which only settling a deeper level needs.
@@ -35,112 +38,55 @@
 //! the traces of cost ≤ `back_done` to be known, and the minimal-suffix
 //! walks read only strictly cheaper levels, which are expanded and final.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use mvq_logic::Gate;
 use mvq_perm::Perm;
 
 use crate::engine::{trace_mask, Answer, Query, SearchEngine, Strategy, TraceIndex};
-use crate::expand::{self, Emit};
+use crate::expand::{Emit, Frontier};
 use crate::seen::{Handle, Meta, SeenTable};
 use crate::width::{MaskRepr, SearchWidth, TraceRepr, WordRepr};
 use crate::word::{FnvBuildHasher, GateTable};
 use crate::{Circuit, Synthesis};
 
-/// Dijkstra frontier over S-traces, grown backward from a target trace.
-///
-/// A level is *settled* when its cheapest pending bucket is popped and
-/// its stale copies dropped: with positive gate costs, once every
-/// cheaper level has generated its predecessors nothing can still reach
-/// a trace at that cost more cheaply, so `levels[b]` is final and
-/// `settled = b` means every trace of cost ≤ `b` is known. A level is
-/// *expanded* when its predecessors are generated into `pending`, which
-/// only the next settle needs. So the deepest settled level stays
-/// unexpanded until a deeper one is asked for, and a query that joins
-/// at that level never pays for its (largest) successor set.
+/// Dijkstra search over S-traces, grown backward from a target trace
+/// in the same level store as the forward word search ([`Frontier`]):
+/// a level is final once settled, and the deepest settled level stays
+/// unexpanded until a deeper one is asked for, so a query that joins at
+/// that level never pays for its (largest) predecessor set.
 pub(crate) struct BackwardFrontier<W: SearchWidth> {
     /// Binary-set size: how many bytes of each trace are populated.
     k: usize,
-    seen: SeenTable<W::Trace>,
-    /// Pending traces by cost, as handles into `seen`.
-    pending: BTreeMap<u32, Vec<Handle>>,
-    /// The deepest settled level.
-    settled: u32,
-    /// The settled level whose predecessors are not generated yet.
-    unexpanded: Option<u32>,
-    /// Traces first reached at exact cost `b` (gap levels are empty).
-    levels: Vec<Vec<W::Trace>>,
-    /// Successors generated so far: the deterministic work count.
-    #[cfg(test)]
-    generated: u64,
+    pub(crate) frontier: Frontier<W::Trace>,
 }
 
 impl<W: SearchWidth> BackwardFrontier<W> {
     /// A frontier with level 0 (the target trace alone) settled.
     fn new(target_trace: W::Trace, k: usize) -> Self {
-        let mut seen: SeenTable<W::Trace> = SeenTable::new();
-        seen.intern(target_trace, Meta::ROOT);
-        Self {
+        let mut back = Self {
             k,
-            seen,
-            pending: BTreeMap::new(),
-            settled: 0,
-            unexpanded: Some(0),
-            levels: vec![vec![target_trace]],
-            #[cfg(test)]
-            generated: 0,
-        }
+            frontier: Frontier::new(target_trace),
+        };
+        back.settle();
+        back
     }
 
-    fn exhausted(&self) -> bool {
-        self.pending.is_empty() && self.unexpanded.is_none()
+    /// The deepest settled backward level: every trace of cost ≤ this
+    /// is known. Level 0 is settled from the start.
+    fn depth(&self) -> u32 {
+        self.frontier.levels.len() as u32 - 1
     }
 
     /// Settles the next backward cost level, expanding the current
     /// deepest one first. Returns `false` on exhaustion.
+    ///
+    /// Expansion generates every edge: traces are 8–16-byte keys and
+    /// backward levels are small, so the forward search's parent-edge
+    /// skip would not pay here.
     fn settle_next_level(&mut self, engine: &SearchEngine<W>) -> bool {
-        self.expand_settled(engine);
-        let Some((&cost, _)) = self.pending.first_key_value() else {
-            return false;
-        };
-        // lint: allow(panic) first_key_value just proved the bucket key exists
-        let handles = self.pending.remove(&cost).expect("bucket exists");
-        // Lazy decrease-key, mirroring the forward engine: drop copies
-        // superseded by a cheaper rediscovery, and gather the level's
-        // traces, from one read of each record.
-        let bucket: Vec<W::Trace> = handles
-            .iter()
-            .filter_map(|&h| {
-                let record = self.seen.record(h);
-                (record.meta().cost == cost).then(|| record.key())
-            })
-            .collect();
-        self.levels.resize_with(cost as usize, Vec::new);
-        self.levels.push(bucket);
-        self.settled = cost;
-        self.unexpanded = Some(cost);
-        true
-    }
-
-    /// Generates the predecessors of the settled-but-unexpanded level,
-    /// if any, into `pending`, through the same admit loop as the
-    /// forward engine ([`expand::expand_bucket`]), fetching each trace
-    /// from the level's slice. Every edge is
-    /// generated: traces are 8–16-byte keys and backward levels are
-    /// small, so the forward engine's parent-edge skip would not pay here.
-    fn expand_settled(&mut self, engine: &SearchEngine<W>) {
-        let Some(cost) = self.unexpanded.take() else {
-            return;
-        };
-        let (earlier, rest) = self.levels.split_at(cost as usize);
-        let bucket = &rest[0];
         let k = self.k;
-        let expected_new = expand::growth_hint(
-            bucket.len(),
-            earlier.last().map_or(0, Vec::len),
-            engine.gate_images.len(),
-        );
-        let generate = |_: usize, &trace: &W::Trace, emit: &mut Emit<W::Trace>| {
+        let generate = |cost: u32, _: usize, &trace: &W::Trace, emit: &mut Emit<W::Trace>| {
             for gate_idx in 0..engine.gate_images.len() {
                 let prev = apply_to_trace::<W>(trace, &engine.gate_inverse_images[gate_idx], k);
                 // Forward reasonability of `gate_idx` at the moment it
@@ -151,14 +97,30 @@ impl<W: SearchWidth> BackwardFrontier<W> {
                 emit.push(prev, cost + engine.gate_costs[gate_idx], gate_idx as u8);
             }
         };
-        let fetch = |_: &SeenTable<W::Trace>, i: usize| bucket[i];
-        let expansion =
-            expand::expand_bucket(bucket.len(), &mut self.seen, expected_new, fetch, generate);
-        expand::append_pushes(&mut self.pending, expansion.pushes);
-        #[cfg(test)]
-        {
-            self.generated += expansion.generated;
-        }
+        let fetch = |seen: &SeenTable<W::Trace>, handle: Handle| seen.key(handle);
+        self.frontier
+            .expand(engine.gate_images.len(), fetch, generate);
+        self.settle()
+    }
+
+    /// Pops the cheapest pending bucket, drops its stale copies and
+    /// records the rest as the next level. Returns `false` when nothing
+    /// is pending.
+    fn settle(&mut self) -> bool {
+        let Some((cost, mut handles)) = self.frontier.pop() else {
+            return false;
+        };
+        let popped = handles.len();
+        let seen = &self.frontier.seen;
+        handles.retain(|&handle| seen.meta(handle).cost == cost);
+        self.frontier.record(cost, handles, popped);
+        true
+    }
+
+    /// The `seen` entry of a trace the suffix walks reach.
+    fn meta_of(&self, trace: &W::Trace) -> Meta {
+        // lint: allow(panic) suffix walks start from discovered traces and follow stored links
+        self.frontier.seen.get(trace).expect("trace was discovered")
     }
 
     /// The forward gate cascade leading from `start` to the target trace.
@@ -174,8 +136,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         let mut indices = Vec::new();
         let mut current = start;
         loop {
-            // lint: allow(panic) backward walk follows links stored when the trace was discovered
-            let meta = self.seen.get(&current).expect("trace was discovered");
+            let meta = self.meta_of(&current);
             if meta.gate == u8::MAX {
                 break;
             }
@@ -210,8 +171,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
         stack: &mut Vec<u8>,
         f: &mut impl FnMut(&[u8]),
     ) {
-        // lint: allow(panic) visit starts from a discovered trace and follows stored links
-        let dist = self.seen.get(&trace).expect("trace was discovered").cost;
+        let dist = self.meta_of(&trace).cost;
         if dist == 0 {
             // Only the target trace has cost 0 (gate costs are positive).
             f(stack);
@@ -229,6 +189,7 @@ impl<W: SearchWidth> BackwardFrontier<W> {
             let next = apply_to_trace::<W>(trace, &engine.gate_images[gate_idx], self.k);
             // Edge is on a minimal suffix iff it is dist-consistent.
             if self
+                .frontier
                 .seen
                 .get(&next)
                 .is_some_and(|meta| meta.cost == dist - gate_cost)
@@ -317,7 +278,7 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// level is no larger than the backward one, or the backward side is
     /// exhausted, and the forward side is not.
     pub(crate) fn answer_bidi(&self, query: &mut Query<W>) -> Answer {
-        let Some(completed) = self.completed else {
+        let Some(completed) = self.completed_cost() else {
             return Answer::NeedsLevel;
         };
         let fwd_done = completed.min(query.cb);
@@ -328,11 +289,11 @@ impl<W: SearchWidth> SearchEngine<W> {
             .get_or_insert_with(|| BackwardFrontier::new(query.target_trace, k));
         while query.cost <= query.cb {
             let c = query.cost;
-            while fwd_done + back.settled < c + (max_gate - 1) && fwd_done < c && back.settled < c {
+            while fwd_done + back.depth() < c + (max_gate - 1) && fwd_done < c && back.depth() < c {
                 if query.split && !self.exhausted() {
-                    let fwd_size = self.levels.get(completed as usize).map_or(0, Vec::len);
-                    let back_size = back.levels.get(back.settled as usize).map_or(0, Vec::len);
-                    if back.exhausted() || fwd_size <= back_size {
+                    let fwd_size = self.frontier.levels[completed as usize].len();
+                    let back_size = back.frontier.levels[back.depth() as usize].len();
+                    if back.frontier.exhausted() || fwd_size <= back_size {
                         return Answer::NeedsLevel;
                     }
                 }
@@ -345,7 +306,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             }
             // Both frontiers exhausted and out of joinable range: the
             // target is unreachable, stop early.
-            if self.exhausted() && back.exhausted() && c >= fwd_done + back.settled {
+            if self.exhausted() && back.frontier.exhausted() && c >= fwd_done + back.depth() {
                 break;
             }
             query.cost += 1;
@@ -360,10 +321,10 @@ impl<W: SearchWidth> SearchEngine<W> {
     /// forward level steps taken (0 or 1).
     pub fn prepare_bidirectional(&mut self, cb: u32) -> usize {
         let mut expanded = 0;
-        if self.completed.is_none() && self.settle_one_level() {
+        if self.completed_cost().is_none() && self.settle_one_level() {
             expanded = 1;
         }
-        if let Some(done) = self.completed {
+        if let Some(done) = self.completed_cost() {
             for f in 0..=done.min(cb) {
                 self.trace_index(f);
             }
@@ -394,7 +355,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         not_layer: &[Gate],
     ) -> Option<Synthesis> {
         let (u, trace, count) = self.join_at_cost(back, c, fwd_done)?;
-        self.probe.on(|p| p.bidi_split(fwd_done, back.settled, c));
+        self.probe.on(|p| p.bidi_split(fwd_done, back.depth(), c));
         let mut gates = not_layer.to_vec();
         gates.extend(self.reconstruct(&u));
         gates.extend(back.suffix_gates(trace, self));
@@ -423,22 +384,23 @@ impl<W: SearchWidth> SearchEngine<W> {
     ) -> Option<(W::Word, W::Trace, usize)> {
         let mut first: Option<(Handle, W::Trace)> = None;
         let mut distinct: HashSet<W::Word, FnvBuildHasher> = HashSet::default();
-        for b in 0..=back.settled.min(c) {
+        for b in 0..=back.depth().min(c) {
             let f = c - b;
             if f > fwd_done {
                 continue;
             }
-            let bucket = &back.levels[b as usize];
+            let bucket = &back.frontier.levels[b as usize];
             if bucket.is_empty() {
                 continue;
             }
             let index = self.trace_index(f);
-            let level = &self.levels[f as usize];
-            for &trace in bucket {
+            let level = &self.frontier.levels[f as usize];
+            for &handle in bucket {
+                let trace = back.frontier.seen.key(handle);
                 self.join_trace(back, trace, index, level, &mut distinct, &mut first);
             }
         }
-        first.map(|(u, trace)| (self.seen.key(u), trace, distinct.len()))
+        first.map(|(u, trace)| (self.frontier.seen.key(u), trace, distinct.len()))
     }
 
     /// Folds one backward trace into the join accumulators: every
@@ -459,7 +421,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         };
         back.for_each_minimal_chain(trace, self, |chain| {
             for &word_idx in matches {
-                let u = self.seen.key(level[word_idx as usize]);
+                let u = self.frontier.seen.key(level[word_idx as usize]);
                 let joined = chain
                     .iter()
                     .fold(u, |w, &g| w.map_through(&self.gate_images[g as usize]));
@@ -507,7 +469,7 @@ mod tests {
             .circuit
             .verify_against_binary_perm(&known::peres_perm()));
         // Forward levels stopped at half cost.
-        assert!(e.completed.is_some_and(|c| c <= 2));
+        assert!(e.completed_cost().is_some_and(|c| c <= 2));
     }
 
     #[test]
@@ -541,7 +503,7 @@ mod tests {
         assert!(syn
             .circuit
             .verify_against_binary_perm(&known::fredkin_perm()));
-        assert!(e.completed.is_some_and(|c| c <= 4));
+        assert!(e.completed_cost().is_some_and(|c| c <= 4));
     }
 
     #[test]
@@ -773,7 +735,7 @@ mod tests {
             assert_eq!(syn.cost, cost, "{target}");
             assert_eq!(syn.implementation_count, count, "{target}");
             assert!(syn.circuit.verify_against_binary_perm(&target));
-            assert_eq!(back.generated, generated, "{target}");
+            assert_eq!(back.frontier.generated, generated, "{target}");
         }
     }
 
@@ -786,7 +748,7 @@ mod tests {
         assert_eq!(syn.cost, 4);
         // Forward levels stopped at half cost, as under
         // `synthesize_bidirectional`; `auto` agrees on cost and count.
-        assert_eq!(e.completed, Some(2));
+        assert_eq!(e.completed_cost(), Some(2));
         let auto = SynthesisEngine::unit_cost()
             .synthesize_with(Strategy::Auto, &known::peres_perm(), 5)
             .expect("reachable");
@@ -798,15 +760,25 @@ mod tests {
 
     #[test]
     fn cold_adaptive_split_is_pinned() {
-        // Where the adaptive split lands on a cold engine at cb 9: cost, witnesses, forward levels settled to, |A|, and the
-        // backward successors generated. The mutable loop keeps one
-        // backward frontier across the forward settles between its
-        // answers; a frontier rebuilt after each settle would generate
-        // more.
+        // Where the adaptive split lands on a cold engine at cb 9: cost,
+        // witnesses, forward levels settled to, |A|, and the backward
+        // successors generated and stale copies dropped (the unit model
+        // never re-admits a trace). The mutable loop keeps one backward
+        // frontier across the forward settles between its answers; a
+        // frontier rebuilt after each settle would generate more.
         let weighted = CostModel::weighted(1, 1, 3);
-        for (target, model, cost, count, forward, a_size, generated) in [
-            (known::peres_perm(), CostModel::unit(), 4, 2, 2, 181, 246),
-            (known::toffoli_perm(), CostModel::unit(), 5, 4, 2, 181, 1662),
+        for (target, model, cost, count, forward, a_size, generated, stale) in [
+            (known::peres_perm(), CostModel::unit(), 4, 2, 2, 181, 246, 0),
+            (
+                known::toffoli_perm(),
+                CostModel::unit(),
+                5,
+                4,
+                2,
+                181,
+                1662,
+                0,
+            ),
             (
                 known::fredkin_perm(),
                 CostModel::unit(),
@@ -815,8 +787,9 @@ mod tests {
                 3,
                 1198,
                 6960,
+                0,
             ),
-            (known::toffoli_perm(), weighted, 7, 4, 4, 817, 3582),
+            (known::toffoli_perm(), weighted, 7, 4, 4, 817, 3582, 78),
         ] {
             let new = || SynthesisEngine::new(GateLibrary::standard(3), model);
             let mut e = new();
@@ -828,7 +801,7 @@ mod tests {
             );
             assert!(syn.circuit.verify_against_binary_perm(&target));
             assert_eq!(
-                (e.completed, e.a_size()),
+                (e.completed_cost(), e.a_size()),
                 (Some(forward), a_size),
                 "{target}"
             );
@@ -839,7 +812,8 @@ mod tests {
             let again = e.settle_until_resolved(&mut query).expect("reachable");
             assert_eq!(again.circuit.to_string(), syn.circuit.to_string());
             let back = query.back.expect("warm after the first settle");
-            assert_eq!(back.generated, generated, "{target}");
+            let work = (back.frontier.generated, back.frontier.stale_dropped);
+            assert_eq!(work, (generated, stale), "{target}");
         }
     }
 }

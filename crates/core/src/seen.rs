@@ -1,5 +1,7 @@
-//! The `seen` maps of the FMCF frontiers: every element a frontier has
-//! discovered, with its best-known cost and the gate that produced it.
+//! The `seen` table of a Dijkstra level store ([`crate::expand::Frontier`]):
+//! every element a search has discovered, with its best-known cost and
+//! the gate that produced it. The store's buckets and levels are
+//! [`Handle`]s into it.
 //!
 //! `seen` is built for the insert-heavy probe pattern of a level
 //! expansion ([`SeenTable`]): entries sit in a discovery-order arena of

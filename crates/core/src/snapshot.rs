@@ -1,5 +1,5 @@
 //! Persistent level-cache snapshots: versioned, checksummed binary
-//! serialization of a warm [`SynthesisEngine`].
+//! serialization of a warm [`SearchEngine`].
 //!
 //! `expand_to_cost` dominates every cold query, yet the state it builds —
 //! the per-cost level tables, the class table with its witnesses, and the
@@ -85,7 +85,7 @@
 //!
 //! A snapshot records the engine's packed widths (word capacity and
 //! trace slots), so it can only be loaded by an engine of the same
-//! [`SearchWidth`](crate::SearchWidth) — a mismatch fails with the typed
+//! [`SearchWidth`] — a mismatch fails with the typed
 //! [`SnapshotError::WidthMismatch`], never a misparse. This build reads
 //! and writes version 3 only. Version 1 and 2 files (raw image tables)
 //! fail with [`SnapshotError::UnsupportedVersion`], which the CLI and the
@@ -100,7 +100,7 @@
 //! the levels and classes eagerly but leaves the (already checksummed
 //! and validated) frontier section where it is, in the loaded file's
 //! buffer; the first level step merges it via
-//! [`SynthesisEngine::ensure_frontier`]. Nothing merges it earlier: a
+//! [`SearchEngine::ensure_frontier`]. Nothing merges it earlier: a
 //! warm host that never climbs never pays for it. Resumed expansion is
 //! bit-identical to a never-snapshotted engine: bucket order, stale
 //! decrease-key copies, and path metadata all round-trip exactly.
@@ -108,13 +108,12 @@
 //! The loaded file is read into one shared buffer, a [`SnapshotImage`],
 //! and a loaded engine keeps it as its *image* until its first level
 //! step: while the state still equals the file,
-//! [`SynthesisEngine::snapshot_to_bytes`] hands back that buffer instead
+//! [`SearchEngine::snapshot_to_bytes`] hands back that buffer instead
 //! of serializing again. An image of 2 MiB or more is an owned mapping
 //! of its own (on Linux; see `mapping`), so dropping its last holder
 //! returns the pages to the kernel instead of leaving a freed heap block
 //! of snapshot size in a process that loads and drops engines.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::ops::{Deref, Range};
@@ -125,6 +124,7 @@ use mvq_logic::GateLibrary;
 use mvq_obs::ProbeHandle;
 
 use crate::engine::SearchEngine;
+use crate::expand::Frontier;
 use crate::mapping::LaneBuf;
 use crate::seen::{Handle, Meta, SeenTable};
 use crate::width::{MaskRepr, SearchWidth, ShardKey, TraceRepr, WordRepr};
@@ -166,7 +166,7 @@ pub enum SnapshotError {
     /// build cannot reconstruct.
     LibraryMismatch(String),
     /// The snapshot's packed widths differ from the loading engine's
-    /// [`SearchWidth`](crate::SearchWidth) — e.g. a 4-wire (wide)
+    /// [`SearchWidth`] — e.g. a 4-wire (wide)
     /// snapshot offered to a narrow engine.
     WidthMismatch {
         /// Word capacity recorded in the snapshot.
@@ -814,7 +814,7 @@ impl DeferredFrontier {
         Ok(())
     }
 
-    /// Replays the buckets (cost-ascending) into the live maps, deriving
+    /// Replays the buckets (cost-ascending) into the level store, deriving
     /// each word from its settled parent. The first entry of a word is
     /// its cheapest — it founds the entry with the word's path metadata;
     /// later ones are the stale bucket entries the lazy decrease-key rule
@@ -823,11 +823,11 @@ impl DeferredFrontier {
     /// never-snapshotted engine. Returns the section's length in bytes.
     pub(crate) fn merge_into<W: SearchWidth>(
         self,
-        seen: &mut SeenTable<W::Word>,
-        pending: &mut BTreeMap<u32, Vec<Handle>>,
+        frontier: &mut Frontier<W::Word>,
         gate_images: &[GateTable],
         gate_costs: &[u32],
     ) -> u64 {
+        let seen = &mut frontier.seen;
         seen.reserve(self.unique);
         let mut r = Reader::new(&self.image[self.section.clone()]);
         for _ in 0..self.buckets {
@@ -863,7 +863,7 @@ impl DeferredFrontier {
             if let Some((word, hash, meta)) = queued {
                 bucket.push(seen.intern_hashed(word, hash, meta));
             }
-            pending.insert(cost, bucket);
+            frontier.pending.insert(cost, bucket);
         }
         self.section.len() as u64
     }
@@ -936,23 +936,22 @@ impl<W: SearchWidth> SearchEngine<W> {
 
         // Every settled word's position: its index in the levels,
         // concatenated in cost order.
-        let mut position = vec![u32::MAX; self.seen.len()];
-        for (at, &handle) in self.levels.iter().flatten().enumerate() {
+        let seen = &self.frontier.seen;
+        let mut position = vec![u32::MAX; seen.len()];
+        for (at, &handle) in self.frontier.levels.iter().flatten().enumerate() {
             position[handle as usize] = at as u32;
         }
         // A word's stored pair: its parent's position and its path gate
         // (the identity root's pair is `(0, NO_GATE)`).
         let derivation = |handle: Handle| -> (u32, u8) {
-            let gate = self.seen.meta(handle).gate;
+            let gate = seen.meta(handle).gate;
             if gate == NO_GATE {
                 return (0, NO_GATE);
             }
-            let parent = self
-                .seen
+            let parent = seen
                 .key(handle)
                 .map_through(&self.gate_inverse_images[usize::from(gate)]);
-            let parent = self
-                .seen
+            let parent = seen
                 .handle_of(&parent)
                 // lint: allow(panic) a word's parent was expanded, so it is settled in `seen`
                 .expect("a word's parent is settled");
@@ -967,7 +966,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         let mut core = Vec::new();
         let mut class_total = 0u64;
         let mut level_start = 0u32;
-        for (k, handles) in self.levels.iter().enumerate() {
+        for (k, handles) in self.frontier.levels.iter().enumerate() {
             put_u32(&mut core, handles.len() as u32);
             let paths: Vec<(u32, u8)> = handles.iter().map(|&h| derivation(h)).collect();
             put_paths(&mut core, &paths);
@@ -980,7 +979,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                 put_u32(&mut core, class.witnesses.len() as u32);
                 for witness in &class.witnesses {
                     // lint: allow(panic) every witness is a settled level word
-                    let handle = self.seen.handle_of(witness).expect("witness is in A");
+                    let handle = seen.handle_of(witness).expect("witness is in A");
                     put_u32(&mut core, position[handle as usize] - level_start);
                 }
             }
@@ -995,7 +994,7 @@ impl<W: SearchWidth> SearchEngine<W> {
         self.probe
             .on(|p| p.snapshot_section_started("frontier_save"));
         let mut frontier = Vec::new();
-        for (&cost, bucket) in &self.pending {
+        for (&cost, bucket) in &self.frontier.pending {
             put_u32(&mut frontier, cost);
             put_u32(&mut frontier, bucket.len() as u32);
             let paths: Vec<(u32, u8)> = bucket
@@ -1020,12 +1019,12 @@ impl<W: SearchWidth> SearchEngine<W> {
             gate_count: self.gate_images.len() as u16,
             fingerprint,
             weights,
-            completed: self.completed,
-            a_size: self.seen.len() as u64,
-            level_count: self.levels.len() as u32,
+            completed: self.completed_cost(),
+            a_size: seen.len() as u64,
+            level_count: self.frontier.levels.len() as u32,
             class_count: class_total,
-            frontier_buckets: self.pending.len() as u32,
-            frontier_unique: (self.seen.len() - completed_words) as u64,
+            frontier_buckets: self.frontier.pending.len() as u32,
+            frontier_unique: (seen.len() - completed_words) as u64,
             core_len: core.len() as u64,
             core_checksum: checksum64(&core),
             frontier_len: frontier.len() as u64,
@@ -1271,10 +1270,10 @@ impl<W: SearchWidth> SearchEngine<W> {
                 .ok_or_else(|| corrupt("frontier word count exceeds |A|"))?,
             "completed word",
         )?;
-        engine.seen = SeenTable::new();
-        engine.seen.reserve(completed_words);
-        engine.pending = BTreeMap::new();
-        engine.levels = Vec::with_capacity(header.level_count as usize);
+        engine.frontier.seen = SeenTable::new();
+        engine.frontier.pending.clear();
+        engine.frontier.seen.reserve(completed_words);
+        engine.frontier.levels = Vec::with_capacity(header.level_count as usize);
         engine.level_traces = Vec::with_capacity(header.level_count as usize);
         engine.trace_index = Vec::with_capacity(header.level_count as usize);
         engine.class_levels = Vec::with_capacity(header.level_count as usize);
@@ -1289,7 +1288,7 @@ impl<W: SearchWidth> SearchEngine<W> {
             let (positions, gates) = r.paths(count)?;
             // The arena holds the earlier levels, so the next handle is
             // the next position.
-            let level_start = engine.seen.len();
+            let level_start = engine.frontier.seen.len();
             let mut handles = Vec::with_capacity(count);
             let mut traces = Vec::with_capacity(count);
             // Each word is interned one step late, so its home slot is
@@ -1317,7 +1316,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                                 "level {k} word's parent {parent} is not in an earlier level"
                             )));
                         }
-                        let parent = engine.seen.record(parent);
+                        let parent = engine.frontier.seen.record(parent);
                         let parent_meta = parent.meta();
                         let gate_cost = engine.gate_costs[usize::from(gate)];
                         if u64::from(parent_meta.cost) + u64::from(gate_cost) != u64::from(k) {
@@ -1329,12 +1328,12 @@ impl<W: SearchWidth> SearchEngine<W> {
                         let (word, hash) = parent
                             .key()
                             .map_hash(&engine.gate_images[usize::from(gate)]);
-                        engine.seen.prefetch(hash);
+                        engine.frontier.seen.prefetch(hash);
                         Some((word, hash, Meta { cost: k, gate }))
                     }
                 };
                 if let Some((word, hash, meta)) = std::mem::replace(&mut queued, derived) {
-                    let handle = engine.seen.intern_hashed(word, hash, meta);
+                    let handle = engine.frontier.seen.intern_hashed(word, hash, meta);
                     if handle as usize != level_start + handles.len() {
                         return Err(corrupt(format!("level {k} repeats an earlier word")));
                     }
@@ -1368,7 +1367,7 @@ impl<W: SearchWidth> SearchEngine<W> {
                         )));
                     }
                     key = restriction;
-                    witnesses.push(engine.seen.key(handles[at]));
+                    witnesses.push(engine.frontier.seen.key(handles[at]));
                 }
                 // lint: allow(panic) the class has a witness, which set the key
                 let key = key.expect("a witness sets the key");
@@ -1383,11 +1382,11 @@ impl<W: SearchWidth> SearchEngine<W> {
             }
             engine.g_counts.push(class_count);
             engine.b_counts.push(count);
-            engine.levels.push(handles);
+            engine.frontier.levels.push(handles);
             engine.level_traces.push(traces);
             engine.trace_index.push(OnceLock::new());
             engine.class_levels.push(class_keys);
-            level_ends.push(engine.seen.len());
+            level_ends.push(engine.frontier.seen.len());
         }
         r.finish("core")?;
         if class_total != header.class_count {
@@ -1396,10 +1395,10 @@ impl<W: SearchWidth> SearchEngine<W> {
                 header.class_count
             )));
         }
-        if engine.seen.len() != completed_words {
+        if engine.frontier.seen.len() != completed_words {
             return Err(corrupt(format!(
                 "level tables hold {} distinct words, header accounts for {completed_words}",
-                engine.seen.len()
+                engine.frontier.seen.len()
             )));
         }
         match (header.completed, header.level_count) {
@@ -1407,7 +1406,6 @@ impl<W: SearchWidth> SearchEngine<W> {
             (Some(c), n) if u64::from(n) == u64::from(c) + 1 => {}
             _ => return Err(corrupt("completed level disagrees with the level count")),
         }
-        engine.completed = header.completed;
         engine
             .probe
             .on(|p| p.snapshot_section_finished("core_load", core.len() as u64));
@@ -1530,27 +1528,48 @@ mod tests {
         original.expand_to_cost(6);
         let completed = original.completed_cost().unwrap();
         let stale_settled = original
+            .frontier
             .pending
             .values()
             .flatten()
-            .filter(|&&h| original.seen.meta(h).cost <= completed)
+            .filter(|&&h| original.frontier.seen.meta(h).cost <= completed)
             .count();
         assert!(stale_settled > 0, "the case is exercised");
         let bytes = original.snapshot_to_bytes().unwrap();
         let mut loaded = SynthesisEngine::load_snapshot_from_bytes(&bytes).unwrap();
         loaded.ensure_frontier();
         assert_eq!(
-            loaded.pending.values().map(Vec::len).collect::<Vec<_>>(),
-            original.pending.values().map(Vec::len).collect::<Vec<_>>()
+            loaded
+                .frontier
+                .pending
+                .values()
+                .map(Vec::len)
+                .collect::<Vec<_>>(),
+            original
+                .frontier
+                .pending
+                .values()
+                .map(Vec::len)
+                .collect::<Vec<_>>()
         );
-        for (got, want) in loaded.pending.values().zip(original.pending.values()) {
+        for (got, want) in loaded
+            .frontier
+            .pending
+            .values()
+            .zip(original.frontier.pending.values())
+        {
             let got: Vec<_> = got
                 .iter()
-                .map(|&h| (loaded.seen.key(h), loaded.seen.meta(h)))
+                .map(|&h| (loaded.frontier.seen.key(h), loaded.frontier.seen.meta(h)))
                 .collect();
             let want: Vec<_> = want
                 .iter()
-                .map(|&h| (original.seen.key(h), original.seen.meta(h)))
+                .map(|&h| {
+                    (
+                        original.frontier.seen.key(h),
+                        original.frontier.seen.meta(h),
+                    )
+                })
                 .collect();
             assert_eq!(got, want);
         }

@@ -4,7 +4,7 @@
 //! Reads scale, writes funnel. Queries answered by the cached levels
 //! (the overwhelming majority on a warm engine) take the `RwLock` read
 //! side and run concurrently through
-//! [`SearchEngine::synthesize_cached`]. Cache misses — targets whose
+//! [`SearchEngine::answer`]. Cache misses — targets whose
 //! class lives in a level not yet settled — go through a **single
 //! flight**: of all the requests needing deeper levels, exactly one
 //! acquires the write lock and settles **one level** (generating the

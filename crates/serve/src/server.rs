@@ -31,10 +31,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mvq_core::{CostModel, Narrow, SearchWidth, Strategy, Wide};
+use mvq_core::{CostModel, Narrow, Strategy, Wide};
 use mvq_obs::TraceId;
+use serde::Serialize;
 
-use crate::host::{EngineHost, HostError, HostRegistry};
+use crate::host::{HostError, HostRegistry, HostWidth, ServeTrace};
 use crate::http::{read_request, write_response, write_response_typed, Request};
 use crate::json::{error_body, render, CensusRequest, SynthesizeReply, SynthesizeRequest};
 use crate::obs::{ServeObs, TraceFields};
@@ -463,34 +464,65 @@ fn validate_wires(wires: Option<usize>) -> Result<usize, (u16, String, bool)> {
     }
 }
 
-/// Runs the synthesize body against a host of either width (the
-/// target is parsed by the caller, before any host is created). A
-/// request without an explicit `cb` gets `default_cb` capped to the
-/// host's admission limit — an implicit bound must never be rejected
-/// by admission.
-fn synthesize_on<W: SearchWidth>(
-    host: Result<Arc<EngineHost<W>>, HostError>,
-    target: &mvq_perm::Perm,
+/// The engine call behind `/synthesize` or `/census`, with the inputs
+/// the request parsed for it.
+enum Call<'a> {
+    Synthesize {
+        target: &'a mvq_perm::Perm,
+        strategy: Strategy,
+        deadline_ms: Option<u64>,
+    },
+    Census,
+}
+
+/// Runs `call` on the host for `model` at width `W`. A request without
+/// an explicit `cb` gets `default_cb` capped to the host's admission
+/// limit — an implicit bound must never be rejected by admission, while
+/// an explicit one goes through it (over the limit → 400).
+fn serve_on<W: HostWidth>(
+    ctx: &Ctx,
+    model: CostModel,
     cb: Option<u32>,
     default_cb: u32,
-    strategy: Strategy,
-    deadline_ms: Option<u64>,
+    call: &Call<'_>,
     trace: &mut TraceFields<'_>,
 ) -> (u16, String, bool) {
-    let host = match host {
+    let host = match ctx.registry.host_for::<W>(model) {
         Ok(host) => host,
         Err(err) => return host_error(&err, trace),
     };
     let cb = cb.unwrap_or_else(|| default_cb.min(host.cost_bound_limit()));
     let engine_started = Instant::now();
-    let result = host.synthesize_traced(target, cb, strategy, deadline_ms);
+    match *call {
+        Call::Synthesize {
+            target,
+            strategy,
+            deadline_ms,
+        } => {
+            let result = host.synthesize_traced(target, cb, strategy, deadline_ms);
+            let result =
+                result.map(|(synthesis, served)| (SynthesizeReply { cb, synthesis }, served));
+            reply(result, engine_started, trace)
+        }
+        Call::Census => reply(host.census_traced(cb), engine_started, trace),
+    }
+}
+
+/// Finishes a host call that started at `engine_started`: its engine
+/// time and serving facts go to the trace, and its reply (or error) is
+/// rendered.
+fn reply<R: Serialize>(
+    result: Result<(R, ServeTrace), HostError>,
+    engine_started: Instant,
+    trace: &mut TraceFields<'_>,
+) -> (u16, String, bool) {
     trace.engine_us = Some(us(engine_started.elapsed()));
     match result {
-        Ok((synthesis, served)) => {
+        Ok((reply, served)) => {
             trace.strategy = Some(served.resolved.as_str());
             trace.cache = Some(served.cache_hit);
             trace.expansions = Some(served.expansions);
-            (200, render(&SynthesizeReply { cb, synthesis }), false)
+            (200, render(&reply), false)
         }
         Err(err) => host_error(&err, trace),
     }
@@ -517,7 +549,7 @@ fn synthesize(request: &Request, ctx: &Ctx, trace: &mut TraceFields<'_>) -> (u16
         Some(Ok(strategy)) => strategy,
         Some(Err(detail)) => return (400, error_body(&detail), false),
     };
-    // The requested strategy; `synthesize_on` overwrites this with the
+    // The requested strategy; `serve_on` overwrites this with the
     // resolved one (`auto` → `uni`/`bidi`) once the host reports it.
     trace.strategy = Some(strategy.as_str());
     // Validate the target before resolving a host: a malformed request
@@ -526,60 +558,19 @@ fn synthesize(request: &Request, ctx: &Ctx, trace: &mut TraceFields<'_>) -> (u16
         Ok(target) => target,
         Err(detail) => return (400, error_body(&detail), false),
     };
+    let call = Call::Synthesize {
+        target: &target,
+        strategy,
+        deadline_ms: parsed.deadline_ms,
+    };
     if wires == 4 {
         // The admission limit is calibrated to 3-wire growth (the
         // paper's bound of 7); the 4-wire frontier grows ~11× per
         // level, so an *implicit* bound stays shallow — clients must
         // ask for deep wide expansions explicitly.
-        synthesize_on(
-            ctx.registry.host_for::<Wide>(model),
-            &target,
-            parsed.cb,
-            WIDE_DEFAULT_CB,
-            strategy,
-            parsed.deadline_ms,
-            trace,
-        )
+        serve_on::<Wide>(ctx, model, parsed.cb, WIDE_DEFAULT_CB, &call, trace)
     } else {
-        synthesize_on(
-            ctx.registry.host_for::<Narrow>(model),
-            &target,
-            parsed.cb,
-            u32::MAX,
-            strategy,
-            parsed.deadline_ms,
-            trace,
-        )
-    }
-}
-
-/// Runs the census body against a host of either width.
-fn census_on<W: SearchWidth>(
-    host: Result<Arc<EngineHost<W>>, HostError>,
-    parsed: &CensusRequest,
-    default_cb: u32,
-    trace: &mut TraceFields<'_>,
-) -> (u16, String, bool) {
-    let host = match host {
-        Ok(host) => host,
-        Err(err) => return host_error(&err, trace),
-    };
-    // An explicit bound goes through admission like /synthesize (over
-    // the limit → 400); only the default is capped by the limit.
-    let cb = parsed
-        .cb
-        .unwrap_or_else(|| default_cb.min(host.cost_bound_limit()));
-    let engine_started = Instant::now();
-    let result = host.census_traced(cb);
-    trace.engine_us = Some(us(engine_started.elapsed()));
-    match result {
-        Ok((reply, served)) => {
-            trace.strategy = Some(served.resolved.as_str());
-            trace.cache = Some(served.cache_hit);
-            trace.expansions = Some(served.expansions);
-            (200, render(&reply), false)
-        }
-        Err(err) => host_error(&err, trace),
+        serve_on::<Narrow>(ctx, model, parsed.cb, u32::MAX, &call, trace)
     }
 }
 
@@ -602,14 +593,9 @@ fn census(request: &Request, ctx: &Ctx, trace: &mut TraceFields<'_>) -> (u16, St
         Ok(wires) => {
             trace.wires = Some(wires);
             if wires == 4 {
-                census_on(
-                    ctx.registry.host_for::<Wide>(model),
-                    &parsed,
-                    WIDE_DEFAULT_CB,
-                    trace,
-                )
+                serve_on::<Wide>(ctx, model, parsed.cb, WIDE_DEFAULT_CB, &Call::Census, trace)
             } else {
-                census_on(ctx.registry.host_for::<Narrow>(model), &parsed, 6, trace)
+                serve_on::<Narrow>(ctx, model, parsed.cb, 6, &Call::Census, trace)
             }
         }
         Err(reply) => reply,
